@@ -123,8 +123,8 @@ main(int argc, char **argv)
 
     cfg.cluster.requestTimeout = sim::microseconds(30.0);
     cfg.cluster.failThreshold = 3;
-    cfg.cluster.failNode = static_cast<std::int32_t>(nodes - 1);
-    cfg.cluster.failAt = sim::microseconds(50.0);
+    cfg.faults.emplace_back(
+        sim::strfmt("crash:node=%u,at=50us", nodes - 1));
     cfg.failOnVerifyError = false; // report, don't die: the claim below
                                    // checks the count stays zero
     const core::RunStats failed = core::runExperiment(cfg);

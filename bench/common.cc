@@ -1,5 +1,7 @@
 #include "common.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -272,6 +274,28 @@ writeJsonReport()
     std::printf("[json] wrote %s\n", r.path.c_str());
 }
 
+/**
+ * Strict numeric flag value: the whole of @p text must be a decimal
+ * integer in [lo, hi] (no sign, no trailing junk), else fatal naming
+ * the flag. atoll/atoi would silently turn "abc" into 0 and wrap "-1".
+ */
+std::uint64_t
+parseFlag(const char *flag, const char *text, std::uint64_t lo,
+          std::uint64_t hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
+        sim::fatal(sim::strfmt(
+            "%s%s: expected an integer in [%llu, %llu]", flag, text,
+            static_cast<unsigned long long>(lo),
+            static_cast<unsigned long long>(hi)));
+    }
+    return parsed;
+}
+
 } // namespace
 
 BenchArgs
@@ -293,49 +317,27 @@ parseArgs(int argc, char **argv)
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
+        constexpr std::uint64_t any = ~std::uint64_t{0};
         if (const char *points = value("--points=")) {
-            args.points = static_cast<std::size_t>(std::atoll(points));
+            args.points = parseFlag("--points=", points, 1, 1u << 20);
             points_set = true;
         } else if (const char *rpcs = value("--rpcs=")) {
-            args.rpcs = static_cast<std::uint64_t>(std::atoll(rpcs));
+            args.rpcs = parseFlag("--rpcs=", rpcs, 1, any);
             rpcs_set = true;
         } else if (const char *warmup = value("--warmup=")) {
-            args.warmup = static_cast<std::uint64_t>(std::atoll(warmup));
+            args.warmup = parseFlag("--warmup=", warmup, 0, any);
             warmup_set = true;
-        } else if (const char *seed = value("--seed="))
-            args.seed = static_cast<std::uint64_t>(std::atoll(seed));
-        else if (const char *threads = value("--threads=")) {
-            // atoi would silently turn junk or negatives into a bogus
-            // worker count; a sweep with 0 threads hangs and -4 wraps.
-            char *end = nullptr;
-            const long parsed = std::strtol(threads, &end, 10);
-            if (end == threads || *end != '\0' || parsed <= 0 ||
-                parsed > 1024) {
-                sim::fatal("--threads=" + std::string(threads) +
-                           ": expected an integer in [1, 1024]");
-            }
-            args.threads = static_cast<unsigned>(parsed);
+        } else if (const char *seed = value("--seed=")) {
+            args.seed = parseFlag("--seed=", seed, 0, any);
+        } else if (const char *threads = value("--threads=")) {
+            args.threads = static_cast<unsigned>(
+                parseFlag("--threads=", threads, 1, 1024));
         } else if (const char *nodes = value("--nodes=")) {
-            // Same strictness as --threads: junk or out-of-range node
-            // counts would silently shape every cluster run.
-            char *end = nullptr;
-            const long parsed = std::strtol(nodes, &end, 10);
-            if (end == nodes || *end != '\0' || parsed <= 0 ||
-                parsed > 64) {
-                sim::fatal("--nodes=" + std::string(nodes) +
-                           ": expected an integer in [1, 64]");
-            }
-            args.nodes = static_cast<std::uint32_t>(parsed);
+            args.nodes = static_cast<std::uint32_t>(
+                parseFlag("--nodes=", nodes, 1, 64));
         } else if (const char *domains = value("--parallel-domains=")) {
-            char *end = nullptr;
-            const long parsed = std::strtol(domains, &end, 10);
-            if (end == domains || *end != '\0' || parsed < 0 ||
-                parsed > 1024) {
-                sim::fatal("--parallel-domains=" +
-                           std::string(domains) +
-                           ": expected an integer in [0, 1024]");
-            }
-            args.parallelDomains = static_cast<unsigned>(parsed);
+            args.parallelDomains = static_cast<unsigned>(
+                parseFlag("--parallel-domains=", domains, 0, 1024));
         } else if (const char *fault = value("--fault=")) {
             if (*fault == '\0')
                 sim::fatal("--fault needs a spec (e.g. "

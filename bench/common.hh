@@ -5,12 +5,14 @@
  * machine-readable JSON result emission.
  *
  * Every bench accepts:
- *   --points=N    load points per curve
- *   --rpcs=N      measured RPCs per point
+ *   --points=N    load points per curve (integer in [1, 2^20])
+ *   --rpcs=N      measured RPCs per point (>= 1)
  *   --warmup=N    completions discarded before measurement per point
- *   --seed=N      experiment seed
- *   --threads=N   worker threads for sweep points (fatal unless an
- *                 integer in [1, 1024])
+ *   --seed=N      experiment seed (unsigned 64-bit)
+ *   --threads=N   worker threads for sweep points (integer in
+ *                 [1, 1024])
+ *                 Numeric values parse strictly: a sign, junk or an
+ *                 out-of-range value is fatal, naming the flag.
  *   --policy=SPEC dispatch-policy spec (registry string such as
  *                 "greedy" or "jbsq:d=2"); empty keeps each bench's
  *                 default. Overrides the policy in every

@@ -15,26 +15,12 @@ ClusterConfig::validate() const
         sim::fatal("cluster config: failThreshold must be >= 1 "
                    "(got 0)");
     }
-    if (failNode >= 0 &&
-        static_cast<std::uint32_t>(failNode) >= numServerNodes) {
-        sim::fatal(sim::strfmt(
-            "cluster config: failNode %d is out of range for %u server "
-            "nodes",
-            failNode, numServerNodes));
-    }
     if (sweepInterval > 0 && requestTimeout == 0) {
         sim::fatal(sim::strfmt(
             "cluster config: sweepInterval %llu requires "
             "requestTimeout > 0 — without timeouts there is no sweep "
             "to tune",
             static_cast<unsigned long long>(sweepInterval)));
-    }
-    if (failNode >= 0 && requestTimeout == 0) {
-        sim::fatal(sim::strfmt(
-            "cluster config: failNode %d requires requestTimeout > 0 — "
-            "without timeouts a dead node is never detected and its "
-            "requests hang forever",
-            failNode));
     }
 }
 

@@ -4,11 +4,11 @@
  *
  * ClusterConfig is the topology axis of an experiment: how many server
  * nodes sit behind the router, how the keyspace shards over them, which
- * router balances across them, and the failure/failover knobs (timeout
- * detection, health threshold, optional recovery, and fault injection
- * for failover experiments). The default configuration — one server,
- * "direct" router — reproduces the pre-cluster single-node experiment
- * bit-identically (see tests/cluster/cluster_experiment_test.cc).
+ * router balances across them, and the failover knobs (timeout
+ * detection, health threshold, optional recovery). Node failures are
+ * injected as faults ("crash:node=N,at=T", see fault/fault.hh). The
+ * default configuration — one server, "direct" router — is the
+ * paper's single-server setting, run on the same path as any cluster.
  */
 
 #ifndef RPCVALET_CLUSTER_CLUSTER_HH
@@ -24,8 +24,7 @@ namespace rpcvalet::cluster {
 /** Topology + routing + failover knobs of one experiment. */
 struct ClusterConfig
 {
-    /** Server nodes behind the router (>= 1). 1 keeps the legacy
-     *  single-node fast path. */
+    /** Server nodes behind the router (>= 1). */
     std::uint32_t numServerNodes = 1;
 
     /** Cluster router spec ("direct", "random", "rr", "shard",
@@ -40,9 +39,8 @@ struct ClusterConfig
 
     /**
      * Client-side request timeout in ticks. 0 disables timeout
-     * detection (and with it health-based failover) — required for the
-     * bit-identical single-node path, which must not schedule extra
-     * sweep events.
+     * detection (and with it health-based failover): no sweep event is
+     * ever scheduled. Crash and packet-loss faults require it.
      */
     sim::Tick requestTimeout = 0;
 
@@ -58,12 +56,6 @@ struct ClusterConfig
      * rejected (there is no sweep to tune).
      */
     sim::Tick sweepInterval = 0;
-
-    /** Fault injection: server index to force-fail (-1 = none). */
-    std::int32_t failNode = -1;
-
-    /** Simulated time at which @c failNode stops responding. */
-    sim::Tick failAt = 0;
 
     /** Fatal (with the offending value) on inconsistent settings. */
     void validate() const;

@@ -29,7 +29,7 @@
  *                    before the built-ins have registered
  *
  * Built-ins (src/cluster/routers.cc): "direct" (always server 0; the
- * bit-identical single-node path), "random", "rr", "shard"
+ * single-node default), "random", "rr", "shard"
  * (shard-affinity from the request key), and "bounded-load:c=,vnodes="
  * (consistent hashing with bounded loads). All built-ins skip nodes
  * the HealthTracker marks down and fail over to an up peer.

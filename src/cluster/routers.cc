@@ -38,9 +38,7 @@ nextUp(const ClusterView &view, std::uint32_t start)
     return start;
 }
 
-/** Always server 0 — the single-node configuration. Makes no Rng
- *  draws, so the numServers=1 path stays bit-identical to the
- *  pre-cluster experiment core. */
+/** Always server 0 — the single-node default. Makes no Rng draws. */
 class DirectRouter : public Router
 {
   public:

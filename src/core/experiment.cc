@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "cluster/router.hh"
-#include "cluster/topology.hh"
 #include "core/parallel.hh"
 #include "fault/fault.hh"
 #include "fault/packet_faults.hh"
@@ -22,16 +20,22 @@ namespace {
 /** Events executed across all runs in this process (bench perf feed). */
 std::atomic<std::uint64_t> g_simulatedEvents{0};
 
+/*
+ * The summaries below take their recorder by value: the harvest moves
+ * each merged recorder in, so its samples (and the sorted copy a
+ * percentile makes) are released as soon as it is summarized.
+ */
+
 ComponentStats
-component(const stats::LatencyRecorder &r)
+component(const stats::LatencyRecorder r)
 {
     return ComponentStats{r.meanNs(), r.p99Ns()};
 }
 
 /** Per-class summary from a (possibly merged) recorder. */
 ClassStats
-classStats(const app::RequestClass &info,
-           const stats::LatencyRecorder &rec, double window_s)
+classStats(const app::RequestClass &info, const stats::LatencyRecorder rec,
+           double window_s)
 {
     ClassStats cs;
     cs.name = info.name;
@@ -59,10 +63,10 @@ classStats(const app::RequestClass &info,
 }
 
 /**
- * Connection-management harvest shared by both run paths: scheduler
- * stats, client-side admission accounting, the servers' summed QP-cache
- * hit/miss counters, and the modeled connection-state footprint
- * comparison (every-client-live vs one-group-live).
+ * Connection-management harvest: scheduler stats, client-side
+ * admission accounting, the servers' summed QP-cache hit/miss
+ * counters, and the modeled connection-state footprint comparison
+ * (every-client-live vs one-group-live).
  */
 void
 harvestConnStats(const ExperimentConfig &cfg,
@@ -130,14 +134,171 @@ checkVerifyFailures(const ExperimentConfig &cfg, const RunStats &out)
     }
 }
 
+/** What a run loop measured, for the harvest. */
+struct RunOutcome
+{
+    /** The measurement window, in simulated time. */
+    sim::Tick start = 0;
+    sim::Tick end = 0;
+    /** Completions inside the window. */
+    std::uint64_t measuredCompletions = 0;
+    /** Events executed across every domain. */
+    std::uint64_t executedEvents = 0;
+    /** Simulated time when the run stopped. */
+    sim::Tick stoppedAt = 0;
+};
+
 /**
- * The cluster experiment: N server nodes — each a full RpcNode with
- * its own NI dispatch — behind the traffic generator's cluster router,
- * every node attached to the fabric by an explicit connect.
+ * Build a finished run's RunStats from its server nodes and the client
+ * side. Each node's latency recorders are moved, not copied, into the
+ * cluster totals (nodes are visited in index order, so merged samples
+ * keep node order), which leaves the nodes' own recorders empty.
+ */
+RunStats
+harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
+        std::vector<std::unique_ptr<node::RpcNode>> &nodes,
+        const net::TrafficGenerator &tg, const RunOutcome &run,
+        const fault::Resolution &faultPlan,
+        const fault::PacketFaults *packetFaults)
+{
+    const double window_s = run.end > run.start
+                                ? sim::toSeconds(run.end - run.start)
+                                : 0.0;
+
+    RunStats out;
+    out.workload = app.name();
+    out.router = tg.routerName();
+    out.point.offeredRps = cfg.arrivalRps;
+
+    node::RpcNode::Latencies merged;
+    std::uint64_t served_weight = 0;
+    double service_weighted = 0.0;
+    std::uint64_t qpHits = 0;
+    std::uint64_t qpMisses = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        node::RpcNode &n = *nodes[i];
+        const stats::LatencyRecorder &all = n.allLatency();
+        NodeStats ns;
+        ns.nodeId = cfg.system.nodeId + static_cast<proto::NodeId>(i);
+        ns.failed = n.failed();
+        ns.served = n.served();
+        ns.criticalCompletions = n.servedCritical();
+        ns.samples = all.count();
+        if (window_s > 0.0)
+            ns.achievedRps = static_cast<double>(ns.samples) / window_s;
+        ns.meanNs = all.meanNs();
+        ns.p50Ns = all.percentileNs(50.0);
+        ns.p99Ns = all.percentileNs(99.0);
+        ns.perCoreServed = n.perCoreServed();
+
+        service_weighted +=
+            n.meanServiceTimeNs() * static_cast<double>(n.served());
+        served_weight += n.served();
+        out.completions += n.served();
+        out.criticalCompletions += n.servedCritical();
+        out.replySlotStalls += n.replySlotStalls();
+        out.fault.replySlotEvictions += n.replySlotEvictions();
+        out.preemptionYields += n.preemptionYields();
+        out.recvSlotPeak = std::max(out.recvSlotPeak, n.recvSlotPeak());
+        qpHits += n.qpCacheHits();
+        qpMisses += n.qpCacheMisses();
+        out.perCoreServed.insert(out.perCoreServed.end(),
+                                 ns.perCoreServed.begin(),
+                                 ns.perCoreServed.end());
+        out.perNode.push_back(std::move(ns));
+        merged.absorb(n.takeLatencies());
+    }
+
+    // Summarize the merged recorders one at a time, releasing each
+    // before the next, so at most one sorted copy is alive at once.
+    {
+        const stats::LatencyRecorder critical = std::move(merged.critical);
+        out.point.meanNs = critical.meanNs();
+        out.point.p50Ns = critical.percentileNs(50.0);
+        out.point.p90Ns = critical.percentileNs(90.0);
+        out.point.p99Ns = critical.percentileNs(99.0);
+        out.point.samples = critical.count();
+    }
+    if (window_s > 0.0) {
+        out.point.achievedRps =
+            static_cast<double>(run.measuredCompletions) / window_s;
+    }
+    out.meanServiceNs =
+        served_weight > 0
+            ? service_weighted / static_cast<double>(served_weight)
+            : 0.0;
+    node::RpcNode::Breakdown &bd = merged.breakdown;
+    out.breakdown.reassembly = component(std::move(bd.reassembly));
+    out.breakdown.dispatch = component(std::move(bd.dispatch));
+    out.breakdown.queueWait = component(std::move(bd.queueWait));
+    out.breakdown.service = component(std::move(bd.service));
+    const std::vector<app::RequestClass> classes = app.requestClasses();
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        out.perClass.push_back(classStats(
+            classes[c], std::move(merged.perClass[c]), window_s));
+    }
+    out.simulatedUs = sim::toUs(run.stoppedAt);
+    out.executedEvents = run.executedEvents;
+    g_simulatedEvents.fetch_add(run.executedEvents,
+                                std::memory_order_relaxed);
+
+    out.flowControlDeferrals = tg.flowControlDeferrals();
+    out.verifyFailures = tg.verificationFailures();
+    out.rendezvousRequests = tg.rendezvousRequests();
+    out.requestTimeouts = tg.requestTimeouts();
+    out.failoverReroutes = tg.failoverReroutes();
+    out.staleReplies = tg.staleReplies();
+    out.nodesDown = tg.nodesDown();
+    out.nestedRpcsSent = tg.nestedSent();
+    out.chainsCompleted = tg.chainsCompleted();
+    harvestConnStats(cfg, tg, qpHits, qpMisses,
+                     static_cast<std::uint32_t>(nodes.size()), out);
+
+    out.fault.retries = tg.retries();
+    out.fault.retryDrops = tg.retryDrops();
+    out.fault.hedgesSent = tg.hedgesSent();
+    out.fault.hedgesWon = tg.hedgesWon();
+    out.fault.duplicateReplies = tg.duplicateReplies();
+    if (packetFaults != nullptr) {
+        out.fault.packetsDropped = packetFaults->dropped();
+        out.fault.packetsDelayed = packetFaults->delayed();
+        out.fault.packetsCorrupted = packetFaults->corrupted();
+    }
+    out.fault.activations = faultPlan.timeline;
+    // Both recorders stay empty unless timed faults declared windows.
+    out.fault.degradedP99Ns = merged.degradedCritical.p99Ns();
+    out.fault.degradedSamples = merged.degradedCritical.count();
+    out.fault.healthyP99Ns = merged.healthyCritical.p99Ns();
+    out.fault.healthySamples = merged.healthyCritical.count();
+
+    // Under injected corruption, failed verifications are the expected
+    // signal (the client-side checksum caught the flipped byte), not a
+    // simulator bug — report them as detections instead of dying.
+    if (faultPlan.corruptsReplies())
+        out.fault.corruptionsDetected = out.verifyFailures;
+    else
+        checkVerifyFailures(cfg, out);
+    return out;
+}
+
+} // namespace
+
+std::uint64_t
+totalSimulatedEvents()
+{
+    return g_simulatedEvents.load(std::memory_order_relaxed);
+}
+
+/*
+ * One run path for every shape: N >= 1 server nodes — each a full
+ * RpcNode with its own NI dispatch — behind the traffic generator's
+ * cluster router, every node attached to the fabric by an explicit
+ * connect. One node behind the "direct" router is the paper's
+ * single-server setting.
  *
  * With cfg.parallelDomains == 0 everything shares one event wheel and
  * the measurement window opens/closes on exact cluster-wide completion
- * counts — the sequential path, bit-identical to previous releases.
+ * counts — the sequential path.
  *
  * With cfg.parallelDomains >= 1 each server node owns an EventDomain
  * and the client side owns another; a WindowPool executes fabric-
@@ -149,7 +310,7 @@ checkVerifyFailures(const ExperimentConfig &cfg, const RunStats &out)
  * sequential path's per-completion windowing.
  */
 RunStats
-runClusterExperiment(const ExperimentConfig &cfg)
+runExperiment(const ExperimentConfig &cfg)
 {
     cfg.cluster.validate();
     cfg.retry.validate(cfg.cluster.requestTimeout);
@@ -165,19 +326,32 @@ runClusterExperiment(const ExperimentConfig &cfg)
     // registry listing, not mid-run. The resolved timeline depends
     // only on the specs and the shape — never on execution order.
     const fault::Resolution faultPlan = fault::resolveFaults(
-        effectiveFaults(cfg),
+        cfg.faults,
         fault::ResolveContext{numServers, cfg.system.numCores, par});
-    if (faultPlan.dropsPackets() && cfg.cluster.requestTimeout == 0) {
-        sim::fatal(
-            "packet-loss faults need a request timeout "
-            "(cluster.timeout / [cluster] timeout): a dropped request "
-            "or reply is only recovered by the client's timeout-driven "
-            "retry, so without one the run cannot complete");
+    if (cfg.cluster.requestTimeout == 0) {
+        if (faultPlan.dropsPackets()) {
+            sim::fatal(
+                "packet-loss faults need a request timeout "
+                "(cluster.timeout / [cluster] timeout): a dropped "
+                "request or reply is only recovered by the client's "
+                "timeout-driven retry, so without one the run cannot "
+                "complete");
+        }
+        for (const fault::Activation &a : faultPlan.timeline) {
+            if (a.kind != "crash")
+                continue;
+            sim::fatal(sim::strfmt(
+                "fault '%s' needs a request timeout (cluster.timeout / "
+                "[cluster] timeout): requests routed to a crashed node "
+                "are lost, and only the client's timeout detects the "
+                "node and reroutes them",
+                a.spec.c_str()));
+        }
     }
 
     // Domain layout: [0] the client/traffic side, [1 .. numServers]
     // one per server node. Sequential runs put everything on one
-    // wheel, preserving the exact legacy event schedule.
+    // wheel.
     std::vector<std::unique_ptr<sim::EventDomain>> domains;
     if (par) {
         domains.push_back(
@@ -228,8 +402,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
     //
     // One application instance per server node (independent stores;
     // correctness across replicas comes from the workloads' canonical
-    // value verification) plus a client-side instance for request
-    // generation and reply checking.
+    // value verification).
     std::vector<app::RpcApplicationPtr> apps;
     apps.reserve(numServers);
     std::vector<std::unique_ptr<node::RpcNode>> nodes;
@@ -245,7 +418,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
         // replenish forever; the lease (2x the client timeout, far
         // beyond any legitimate credit-return delay) lets the server
         // evict the dead occupant instead of spinning a core for the
-        // rest of the run. Fault-free runs keep the legacy wait.
+        // rest of the run. Fault-free runs keep the plain wait.
         if (faultPlan.dropsPackets())
             sys.replySlotLease = 2 * cfg.cluster.requestTimeout;
         // Connection management: a client population makes the NI's
@@ -260,8 +433,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
         apps.push_back(
             app::WorkloadRegistry::instance().make(cfg.workload));
         nodes.push_back(std::make_unique<node::RpcNode>(
-            serverSim(i), sys, *apps.back(), fabric,
-            /*warmup_samples=*/0));
+            serverSim(i), sys, *apps.back(), fabric));
         // Recorders run only inside the measurement window; the
         // completion hook / barrier loop below opens it cluster-wide.
         nodes.back()->setRecording(cfg.warmupRpcs == 0);
@@ -275,42 +447,39 @@ runClusterExperiment(const ExperimentConfig &cfg)
             n->setDegradedWindows(degraded);
     }
 
-    const app::RpcApplicationPtr clientApp =
-        app::WorkloadRegistry::instance().make(cfg.workload);
-
-    if (par && clientApp->requestsPerArrival() > 1.0) {
-        sim::fatal(sim::strfmt(
-            "workload '%s' issues nested RPC chains, which cross "
-            "domains synchronously and cannot run under "
-            "parallelDomains — use the sequential path "
-            "(parallelDomains = 0)",
-            clientApp->name().c_str()));
+    // The client side generates requests and verifies replies. A
+    // sequential run hands it node 0's application (one thread drives
+    // every node); a parallel run builds its own instance, because the
+    // client domain runs on another worker thread.
+    app::RpcApplicationPtr parallelClientApp;
+    if (par) {
+        parallelClientApp =
+            app::WorkloadRegistry::instance().make(cfg.workload);
+        if (parallelClientApp->requestsPerArrival() > 1.0) {
+            sim::fatal(sim::strfmt(
+                "workload '%s' issues nested RPC chains, which cross "
+                "domains synchronously and cannot run under "
+                "parallelDomains — use the sequential path "
+                "(parallelDomains = 0)",
+                parallelClientApp->name().c_str()));
+        }
     }
-
-    cluster::ShardMap shards(
-        cfg.cluster.shards != 0 ? cfg.cluster.shards : numServers,
-        numServers);
-    cluster::HealthTracker health(numServers, cfg.cluster.failThreshold,
-                                  cfg.cluster.recoveryAfter);
-    const cluster::RouterPtr router =
-        cluster::RouterRegistry::instance().make(cfg.cluster.router);
+    app::RpcApplication &clientApp =
+        par ? *parallelClientApp : *apps.front();
 
     net::TrafficGenerator::Params tp;
     tp.arrivalRps = cfg.arrivalRps;
     tp.arrival = cfg.arrival;
     tp.targetNode = cfg.system.nodeId;
-    tp.numServers = numServers;
+    tp.cluster = cfg.cluster;
     tp.clientTurnaround = cfg.clientTurnaround;
-    tp.requestTimeout = cfg.cluster.requestTimeout;
-    tp.sweepInterval = cfg.cluster.sweepInterval;
     tp.retry = cfg.retry;
     if (par)
         tp.arrivalBatchWindow = lookahead;
     tp.connections = cfg.connections;
     tp.seed = cfg.system.seed;
-    net::TrafficGenerator tg(clientSim, tp, cfg.system.domain,
-                             *clientApp, fabric, router.get(), &health,
-                             &shards);
+    net::TrafficGenerator tg(clientSim, tp, cfg.system.domain, clientApp,
+                             fabric);
 
     // Chained handlers (HandleResult.nested) issue their fan-out
     // through the generator's chain-group machinery. Wiring alone adds
@@ -331,8 +500,8 @@ runClusterExperiment(const ExperimentConfig &cfg)
 
     // Explicit topology wiring: every emulated client node gets its
     // own connect; nothing rides a default sink (a packet to a node
-    // outside the topology is now a hard fabric error). Client nodes
-    // stay unassigned, which places them on domain 0.
+    // outside the topology is a hard fabric error). Client nodes stay
+    // unassigned, which places them on domain 0.
     for (proto::NodeId n = 0; n < cfg.system.domain.numNodes; ++n) {
         if (n >= cfg.system.nodeId && n < cfg.system.nodeId + numServers)
             continue; // the server nodes connected themselves
@@ -342,9 +511,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
     }
 
     // Timed faults arm as plain events on each victim node's own
-    // domain wheel, at the exact setup position the legacy failNode
-    // shim used — a bare crash reproduces the pre-fault event schedule
-    // tick for tick.
+    // domain wheel, before the run starts.
     fault::FaultScheduler faultScheduler(
         faultPlan,
         fault::FaultScheduler::Hooks{
@@ -367,11 +534,9 @@ runClusterExperiment(const ExperimentConfig &cfg)
         n->start();
     tg.start();
 
-    sim::Tick measure_start = 0;
-    sim::Tick measure_end = 0;
+    RunOutcome run;
+    run.measuredCompletions = cfg.measuredRpcs;
     const std::uint64_t target = cfg.warmupRpcs + cfg.measuredRpcs;
-    std::uint64_t measured_completions = cfg.measuredRpcs;
-    std::uint64_t executed = 0;
 
     if (!par) {
         // Sequential: exact per-completion measurement window.
@@ -379,12 +544,12 @@ runClusterExperiment(const ExperimentConfig &cfg)
         const auto hook = [&](bool, sim::Tick) {
             ++completed;
             if (completed == cfg.warmupRpcs) {
-                measure_start = clientSim.now();
+                run.start = clientSim.now();
                 for (auto &n : nodes)
                     n->setRecording(true);
             }
             if (completed == target) {
-                measure_end = clientSim.now();
+                run.end = clientSim.now();
                 tg.halt();
                 clientSim.stop();
             }
@@ -392,7 +557,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
         for (auto &n : nodes)
             n->setCompletionHook(hook);
         clientSim.run();
-        executed = clientSim.executedEvents();
+        run.executedEvents = clientSim.executedEvents();
     } else {
         // Conservative PDES: execute lookahead windows in parallel,
         // exchange cross-domain mail at each barrier, and quantize
@@ -413,14 +578,14 @@ runClusterExperiment(const ExperimentConfig &cfg)
                 total += n->served();
             if (!recording && total >= cfg.warmupRpcs) {
                 recording = true;
-                measure_start = window_end;
+                run.start = window_end;
                 opened_total = total;
                 for (auto &n : nodes)
                     n->setRecording(true);
             }
             if (recording && total >= target) {
-                measure_end = window_end;
-                measured_completions = total - opened_total;
+                run.end = window_end;
+                run.measuredCompletions = total - opened_total;
                 tg.halt();
                 break;
             }
@@ -446,337 +611,12 @@ runClusterExperiment(const ExperimentConfig &cfg)
             window_start = window_end;
         }
         for (sim::EventDomain *d : domainPtrs)
-            executed += d->executedEvents();
+            run.executedEvents += d->executedEvents();
     }
+    run.stoppedAt = clientSim.now();
 
-    const double window_s =
-        measure_end > measure_start
-            ? sim::toSeconds(measure_end - measure_start)
-            : 0.0;
-
-    RunStats out;
-    out.workload = apps[0]->name();
-    out.router = router->name();
-    out.point.offeredRps = cfg.arrivalRps;
-
-    // Merge per-node recorders into cluster-level ones.
-    stats::LatencyRecorder critical(0);
-    stats::LatencyRecorder all(0);
-    node::RpcNode::Breakdown merged_bd;
-    const std::size_t numClasses = apps[0]->requestClasses().size();
-    std::vector<stats::LatencyRecorder> classRec(
-        std::max<std::size_t>(numClasses, 1));
-    std::uint64_t served_weight = 0;
-    double service_weighted = 0.0;
-    for (std::uint32_t i = 0; i < numServers; ++i) {
-        const node::RpcNode &n = *nodes[i];
-        for (const sim::Tick t : n.criticalLatency().samples())
-            critical.record(t);
-        for (const sim::Tick t : n.allLatency().samples())
-            all.record(t);
-        const auto &bd = n.breakdown();
-        for (const sim::Tick t : bd.reassembly.samples())
-            merged_bd.reassembly.record(t);
-        for (const sim::Tick t : bd.dispatch.samples())
-            merged_bd.dispatch.record(t);
-        for (const sim::Tick t : bd.queueWait.samples())
-            merged_bd.queueWait.record(t);
-        for (const sim::Tick t : bd.service.samples())
-            merged_bd.service.record(t);
-        const auto &accts = n.classAccounting();
-        for (std::size_t c = 0; c < accts.size(); ++c) {
-            for (const sim::Tick t : accts[c].latency.samples())
-                classRec[c].record(t);
-        }
-        service_weighted +=
-            n.meanServiceTimeNs() * static_cast<double>(n.served());
-        served_weight += n.served();
-
-        NodeStats ns;
-        ns.nodeId = cfg.system.nodeId + i;
-        ns.failed = n.failed();
-        ns.served = n.served();
-        ns.criticalCompletions = n.servedCritical();
-        ns.samples = n.allLatency().count();
-        if (window_s > 0.0) {
-            ns.achievedRps =
-                static_cast<double>(ns.samples) / window_s;
-        }
-        ns.meanNs = n.allLatency().meanNs();
-        ns.p50Ns = n.allLatency().percentileNs(50.0);
-        ns.p99Ns = n.allLatency().percentileNs(99.0);
-        ns.perCoreServed = n.perCoreServed();
-
-        out.completions += n.served();
-        out.criticalCompletions += n.servedCritical();
-        out.replySlotStalls += n.replySlotStalls();
-        out.fault.replySlotEvictions += n.replySlotEvictions();
-        out.rendezvousRequests = tg.rendezvousRequests();
-        out.preemptionYields += n.preemptionYields();
-        out.recvSlotPeak =
-            std::max(out.recvSlotPeak, n.recvSlotPeak());
-        out.perCoreServed.insert(out.perCoreServed.end(),
-                                 ns.perCoreServed.begin(),
-                                 ns.perCoreServed.end());
-        out.perNode.push_back(std::move(ns));
-    }
-
-    out.point.meanNs = critical.meanNs();
-    out.point.p50Ns = critical.percentileNs(50.0);
-    out.point.p90Ns = critical.percentileNs(90.0);
-    out.point.p99Ns = critical.percentileNs(99.0);
-    out.point.samples = critical.count();
-    if (window_s > 0.0) {
-        out.point.achievedRps =
-            static_cast<double>(measured_completions) / window_s;
-    }
-    out.meanServiceNs =
-        served_weight > 0
-            ? service_weighted / static_cast<double>(served_weight)
-            : 0.0;
-    out.flowControlDeferrals = tg.flowControlDeferrals();
-    out.verifyFailures = tg.verificationFailures();
-    out.simulatedUs = sim::toUs(clientSim.now());
-    out.executedEvents = executed;
-    g_simulatedEvents.fetch_add(executed, std::memory_order_relaxed);
-    out.breakdown.reassembly = component(merged_bd.reassembly);
-    out.breakdown.dispatch = component(merged_bd.dispatch);
-    out.breakdown.queueWait = component(merged_bd.queueWait);
-    out.breakdown.service = component(merged_bd.service);
-    const auto &classes = nodes[0]->classAccounting();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        out.perClass.push_back(
-            classStats(classes[c].info, classRec[c], window_s));
-    }
-    out.requestTimeouts = tg.requestTimeouts();
-    out.failoverReroutes = tg.failoverReroutes();
-    out.staleReplies = tg.staleReplies();
-    out.nodesDown = health.nodesDown(clientSim.now());
-    out.nestedRpcsSent = tg.nestedSent();
-    out.chainsCompleted = tg.chainsCompleted();
-
-    out.fault.retries = tg.retries();
-    out.fault.retryDrops = tg.retryDrops();
-    out.fault.hedgesSent = tg.hedgesSent();
-    out.fault.hedgesWon = tg.hedgesWon();
-    out.fault.duplicateReplies = tg.duplicateReplies();
-
-    std::uint64_t qpHits = 0;
-    std::uint64_t qpMisses = 0;
-    for (const auto &n : nodes) {
-        qpHits += n->qpCacheHits();
-        qpMisses += n->qpCacheMisses();
-    }
-    harvestConnStats(cfg, tg, qpHits, qpMisses, numServers, out);
-    if (packetFaults != nullptr) {
-        out.fault.packetsDropped = packetFaults->dropped();
-        out.fault.packetsDelayed = packetFaults->delayed();
-        out.fault.packetsCorrupted = packetFaults->corrupted();
-    }
-    out.fault.activations = faultPlan.timeline;
-    if (!degraded.empty()) {
-        stats::LatencyRecorder deg(0);
-        stats::LatencyRecorder healthy(0);
-        for (const auto &n : nodes) {
-            for (const sim::Tick t : n->degradedCritical().samples())
-                deg.record(t);
-            for (const sim::Tick t : n->healthyCritical().samples())
-                healthy.record(t);
-        }
-        out.fault.degradedP99Ns = deg.percentileNs(99.0);
-        out.fault.degradedSamples = deg.count();
-        out.fault.healthyP99Ns = healthy.percentileNs(99.0);
-        out.fault.healthySamples = healthy.count();
-    }
-
-    // Under injected corruption, failed verifications are the expected
-    // signal (the client-side checksum caught the flipped byte), not a
-    // simulator bug — report them as detections instead of dying.
-    if (faultPlan.corruptsReplies())
-        out.fault.corruptionsDetected = out.verifyFailures;
-    else
-        checkVerifyFailures(cfg, out);
-    return out;
-}
-
-/**
- * The single-node, single-wheel experiment — the default fast path,
- * bit-identical to previous releases (locked by
- * tests/core/kernel_identity_test.cc).
- */
-RunStats
-runSingleNodeExperiment(const ExperimentConfig &cfg,
-                        app::RpcApplication &app)
-{
-    cfg.system.validate();
-    cfg.cluster.validate();
-    cfg.retry.validate(cfg.cluster.requestTimeout);
-    cfg.connections.validate();
-    // Validate the router spec even though a single-node run never
-    // consults it: a typo should die here, not when the config is
-    // later scaled up.
-    (void)cluster::RouterRegistry::instance().make(cfg.cluster.router);
-    RV_ASSERT(cfg.arrivalRps > 0.0, "arrival rate must be positive");
-    RV_ASSERT(cfg.measuredRpcs > 0, "need at least one measured RPC");
-
-    // A client population makes the NI's connection-context cache
-    // finite; default configs pass cfg.system through untouched.
-    node::SystemParams sys = cfg.system;
-    if (cfg.connections.active()) {
-        sys.qpCacheCapacity = conn::effectiveQpCapacity(cfg.connections);
-        sys.qpColdFetch = sim::nanoseconds(cfg.connections.qpColdNs);
-    }
-
-    sim::EventDomain sim;
-    net::Fabric fabric(sim, cfg.system.fabricLatency);
-    node::RpcNode node(sim, sys, app, fabric, cfg.warmupRpcs);
-
-    net::TrafficGenerator::Params tp;
-    tp.arrivalRps = cfg.arrivalRps;
-    tp.arrival = cfg.arrival;
-    tp.targetNode = cfg.system.nodeId;
-    tp.clientTurnaround = cfg.clientTurnaround;
-    tp.connections = cfg.connections;
-    tp.seed = cfg.system.seed;
-    net::TrafficGenerator tg(sim, tp, cfg.system.domain, app, fabric);
-    node.setNestedIssuer(
-        [&tg](std::vector<std::vector<std::uint8_t>> requests,
-              std::function<void()> done) {
-            tg.issueNested(std::move(requests), std::move(done));
-        });
-    // Explicit topology wiring: one connect per emulated client node
-    // (no default sink — a packet to an unknown node is a hard fabric
-    // error, not silently absorbed).
-    for (proto::NodeId n = 0; n < cfg.system.domain.numNodes; ++n) {
-        if (n == cfg.system.nodeId)
-            continue; // the server node connected itself
-        fabric.connect(n, [&tg](proto::Packet pkt) {
-            tg.receivePacket(std::move(pkt));
-        });
-    }
-
-    sim::Tick measure_start = 0;
-    sim::Tick measure_end = 0;
-    const std::uint64_t target = cfg.warmupRpcs + cfg.measuredRpcs;
-    node.setCompletionHook([&](bool, sim::Tick) {
-        const std::uint64_t total = node.served();
-        if (total == cfg.warmupRpcs)
-            measure_start = sim.now();
-        if (total == target) {
-            measure_end = sim.now();
-            tg.halt();
-            sim.stop();
-        }
-    });
-
-    node.start();
-    tg.start();
-    sim.run();
-
-    RunStats out;
-    out.workload = app.name();
-    out.router = cfg.cluster.router.toString();
-    out.point.offeredRps = cfg.arrivalRps;
-    const auto &rec = node.criticalLatency();
-    out.point.meanNs = rec.meanNs();
-    out.point.p50Ns = rec.percentileNs(50.0);
-    out.point.p90Ns = rec.percentileNs(90.0);
-    out.point.p99Ns = rec.percentileNs(99.0);
-    out.point.samples = rec.count();
-    const double window_s = measure_end > measure_start
-                                ? sim::toSeconds(measure_end -
-                                                 measure_start)
-                                : 0.0;
-    if (window_s > 0.0) {
-        out.point.achievedRps =
-            static_cast<double>(cfg.measuredRpcs) / window_s;
-    }
-    out.meanServiceNs = node.meanServiceTimeNs();
-    out.completions = node.served();
-    out.criticalCompletions = node.servedCritical();
-    out.replySlotStalls = node.replySlotStalls();
-    out.flowControlDeferrals = tg.flowControlDeferrals();
-    out.verifyFailures = tg.verificationFailures();
-    out.simulatedUs = sim::toUs(sim.now());
-    out.executedEvents = sim.executedEvents();
-    g_simulatedEvents.fetch_add(sim.executedEvents(),
-                                std::memory_order_relaxed);
-    out.perCoreServed = node.perCoreServed();
-    out.recvSlotPeak = node.recvSlotPeak();
-    out.rendezvousRequests = tg.rendezvousRequests();
-    out.preemptionYields = node.preemptionYields();
-    const auto &bd = node.breakdown();
-    out.breakdown.reassembly = component(bd.reassembly);
-    out.breakdown.dispatch = component(bd.dispatch);
-    out.breakdown.queueWait = component(bd.queueWait);
-    out.breakdown.service = component(bd.service);
-
-    // Per-class breakdown: full tail accounting for every declared
-    // request class, non-critical ones (scans) included.
-    for (const auto &acct : node.classAccounting())
-        out.perClass.push_back(
-            classStats(acct.info, acct.latency, window_s));
-
-    // The single node as a one-entry cluster view.
-    NodeStats ns;
-    ns.nodeId = cfg.system.nodeId;
-    ns.failed = node.failed();
-    ns.served = node.served();
-    ns.criticalCompletions = node.servedCritical();
-    ns.samples = node.allLatency().count();
-    if (window_s > 0.0)
-        ns.achievedRps = static_cast<double>(ns.samples) / window_s;
-    ns.meanNs = node.allLatency().meanNs();
-    ns.p50Ns = node.allLatency().percentileNs(50.0);
-    ns.p99Ns = node.allLatency().percentileNs(99.0);
-    ns.perCoreServed = node.perCoreServed();
-    out.perNode.push_back(std::move(ns));
-    out.requestTimeouts = tg.requestTimeouts();
-    out.failoverReroutes = tg.failoverReroutes();
-    out.staleReplies = tg.staleReplies();
-    out.nestedRpcsSent = tg.nestedSent();
-    out.chainsCompleted = tg.chainsCompleted();
-    harvestConnStats(cfg, tg, node.qpCacheHits(), node.qpCacheMisses(),
-                     /*num_servers=*/1, out);
-
-    checkVerifyFailures(cfg, out);
-    return out;
-}
-
-} // namespace
-
-std::uint64_t
-totalSimulatedEvents()
-{
-    return g_simulatedEvents.load(std::memory_order_relaxed);
-}
-
-std::vector<fault::FaultSpec>
-effectiveFaults(const ExperimentConfig &cfg)
-{
-    std::vector<fault::FaultSpec> specs = cfg.faults;
-    if (cfg.cluster.failNode >= 0) {
-        // Legacy shim: the old hard-coded (failNode, failAt) pair is
-        // just a crash fault with no recovery.
-        specs.emplace_back(
-            sim::strfmt("crash:node=%d,at=%.3fns", cfg.cluster.failNode,
-                        sim::toNs(cfg.cluster.failAt)));
-    }
-    return specs;
-}
-
-RunStats
-runExperiment(const ExperimentConfig &cfg)
-{
-    // Any fault or active retry policy routes through the cluster
-    // path — the single-node fast path has no fabric perturbation or
-    // timeout sweep to hang them on.
-    if (cfg.cluster.numServerNodes > 1 || cfg.parallelDomains > 0 ||
-        !cfg.faults.empty() || cfg.retry.active())
-        return runClusterExperiment(cfg);
-    const app::RpcApplicationPtr app =
-        app::WorkloadRegistry::instance().make(cfg.workload);
-    return runSingleNodeExperiment(cfg, *app);
+    return harvest(cfg, *apps.front(), nodes, tg, run, faultPlan,
+                   packetFaults.get());
 }
 
 SweepResult

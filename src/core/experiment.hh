@@ -88,13 +88,11 @@ struct ExperimentConfig
      * Cluster topology: how many server nodes run behind the cluster
      * router, how the keyspace shards over them, and the failover
      * knobs (see cluster/cluster.hh). The default — one server node,
-     * "direct" router — is the single-node configuration and is
-     * bit-identical to the pre-cluster experiment core. With
-     * numServerNodes > 1, runExperiment(cfg) instantiates one
-     * application + RpcNode per server (each with its own NI dispatch)
-     * and the traffic generator addresses each request through the
-     * router — two-level load balancing: router picks the node, the
-     * node's NI picks the core.
+     * "direct" router — is the single-node configuration.
+     * runExperiment(cfg) instantiates one application + RpcNode per
+     * server (each with its own NI dispatch) and the traffic generator
+     * addresses each request through the router — two-level load
+     * balancing: router picks the node, the node's NI picks the core.
      */
     cluster::ClusterConfig cluster{};
     /**
@@ -102,10 +100,9 @@ struct ExperimentConfig
      * fault::FaultRegistry and armed before the run starts — e.g.
      * "crash:node=3,at=100us,recover_after=300us",
      * "packet-loss:p=0.01". Empty (the default) injects nothing and
-     * keeps the run bit-identical to a fault-free build. Any fault
-     * routes the run through the cluster path (timed faults need
-     * per-node scheduling), so single-node configs with faults pay the
-     * cluster harness's (identical-result) setup.
+     * keeps the run bit-identical to a fault-free build. Crash and
+     * packet-loss faults require cluster.requestTimeout > 0 (fatal
+     * before the run starts otherwise).
      */
     std::vector<fault::FaultSpec> faults;
     /**
@@ -379,20 +376,13 @@ struct RunStats
 
 /**
  * Run one fixed-load experiment to completion, instantiating the
- * workload from cfg.workload through the app::WorkloadRegistry. With
- * cfg.cluster.numServerNodes > 1 this builds the full cluster (one
- * application + RpcNode per server, router in front) and aggregates
- * per-node statistics into cluster totals.
+ * workload from cfg.workload through the app::WorkloadRegistry. Every
+ * shape runs on one path: cfg.cluster.numServerNodes servers (one
+ * application + RpcNode each, router in front; one node is the
+ * single-server setting), with per-node statistics merged into
+ * cluster totals.
  */
 RunStats runExperiment(const ExperimentConfig &cfg);
-
-/**
- * The fault list a run actually injects: cfg.faults plus the legacy
- * ClusterConfig (failNode, failAt) pair synthesized as a crash spec.
- * Resolve against the cluster shape for the static activation
- * timeline (used by runExperiment and rpcvalet_run --explain-faults).
- */
-std::vector<fault::FaultSpec> effectiveFaults(const ExperimentConfig &cfg);
 
 /** Configuration of a load sweep. */
 struct SweepConfig

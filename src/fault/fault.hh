@@ -2,10 +2,10 @@
  * @file
  * Fault injection: the fifth spec axis.
  *
- * The cluster layer's original fault model was one hard-coded
- * (failNode, failAt) pair; chaos experiments need composable, timed,
- * string-selectable fault models. This subsystem mirrors the
- * policy/arrival/workload/router registry architecture:
+ * Chaos experiments need composable, timed, string-selectable fault
+ * models; a node failure is just one of them ("crash:"). This
+ * subsystem mirrors the policy/arrival/workload/router registry
+ * architecture:
  *
  *  - FaultSpec       "name:key=value,..." (sim::Spec with fault
  *                    diagnostics), e.g. "crash:node=3,at=50us"

@@ -66,9 +66,9 @@ checkTimedStart(const FaultSpec &spec, sim::Tick at,
 
 /** crash:node=,at=[,recover_after=] — the node drops every packet
  *  (requests already queued inside it are lost) until recover_after
- *  elapses, or forever when none is given. Subsumes the legacy
- *  ClusterConfig (failNode, failAt) pair, which the experiment layer
- *  now synthesizes as one of these. */
+ *  elapses, or forever when none is given. Only the client's request
+ *  timeout detects the dead node, so the experiment layer requires
+ *  one (scenario fail_node/fail_at parse into one of these). */
 class CrashFault : public Fault
 {
   public:

@@ -11,12 +11,16 @@ namespace rpcvalet::net {
 TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
                                    const Params &params,
                                    const proto::MessagingDomain &domain,
-                                   app::RpcApplication &app, Fabric &fabric,
-                                   cluster::Router *router,
-                                   cluster::HealthTracker *health,
-                                   const cluster::ShardMap *shards)
+                                   app::RpcApplication &app, Fabric &fabric)
     : sim_(sim), params_(params), domain_(domain), app_(app),
-      fabric_(fabric), router_(router), health_(health), shards_(shards),
+      fabric_(fabric),
+      router_(cluster::RouterRegistry::instance().make(
+          params.cluster.router)),
+      health_(params.cluster.numServerNodes, params.cluster.failThreshold,
+              params.cluster.recoveryAfter),
+      shards_(params.cluster.shards != 0 ? params.cluster.shards
+                                         : params.cluster.numServerNodes,
+              params.cluster.numServerNodes),
       arrivals_(sim,
                 ArrivalRegistry::instance().make(params.arrival,
                                                  params.arrivalRps),
@@ -26,29 +30,26 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
       routerRng_(params.seed, /*stream=*/0x7073),
       retryRng_(params.seed, /*stream=*/0x4E77),
       freeSlots_(static_cast<std::size_t>(domain.numNodes) *
-                 params.numServers),
+                 params.cluster.numServerNodes),
       pending_(static_cast<std::size_t>(domain.numNodes) *
-               params.numServers),
-      perServerInFlight_(params.numServers),
+               params.cluster.numServerNodes),
+      perServerInFlight_(params.cluster.numServerNodes),
       connRng_(params.seed, /*stream=*/0xC04E),
       sweepEvent_(*this, "timeout-sweep")
 {
-    RV_ASSERT(params_.numServers >= 1, "need at least one server node");
-    RV_ASSERT(params_.targetNode + params_.numServers <= domain_.numNodes,
+    params_.cluster.validate();
+    RV_ASSERT(params_.targetNode + numServers() <= domain_.numNodes,
               "server node range exceeds the messaging domain");
-    RV_ASSERT(domain_.numNodes > params_.numServers,
+    RV_ASSERT(domain_.numNodes > numServers(),
               "need at least one remote client node");
-    RV_ASSERT(router_ == nullptr || shards_ != nullptr,
-              "a cluster router needs a shard map");
-    params_.retry.validate(params_.requestTimeout);
+    params_.retry.validate(params_.cluster.requestTimeout);
     arrivals_.setBatchWindow(params_.arrivalBatchWindow);
     madeByClass_.resize(std::max<std::size_t>(
         app.requestClasses().size(), 1));
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
-        if (n >= params_.targetNode &&
-            n < params_.targetNode + params_.numServers)
+        if (n >= params_.targetNode && n < params_.targetNode + numServers())
             continue;
-        for (std::uint32_t srv = 0; srv < params_.numServers; ++srv) {
+        for (std::uint32_t srv = 0; srv < numServers(); ++srv) {
             auto &slots = freeSlots_[pairIndex(n, srv)];
             slots.reserve(domain_.slotsPerNode);
             // Highest slot last so slot 0 is handed out first.
@@ -79,8 +80,8 @@ TrafficGenerator::start()
     if (connSched_ != nullptr)
         connSched_->start();
     arrivals_.start();
-    if (params_.requestTimeout > 0)
-        sim_.schedule(sweepEvent_, params_.requestTimeout);
+    if (params_.cluster.requestTimeout > 0)
+        sim_.schedule(sweepEvent_, params_.cluster.requestTimeout);
 }
 
 void
@@ -90,12 +91,6 @@ TrafficGenerator::halt()
     if (connSched_ != nullptr)
         connSched_->halt();
     arrivals_.halt();
-}
-
-bool
-TrafficGenerator::isUp(std::uint32_t server) const
-{
-    return health_ == nullptr || health_->isUp(server, sim_.now());
 }
 
 void
@@ -130,12 +125,11 @@ TrafficGenerator::connNodeFor(std::uint32_t client) const
     // Logical clients multiplex deterministically onto the emulated
     // client nodes (and their per-(node, server) slot pools), skipping
     // the server block — no Rng draw, so admission replays are stable.
-    const std::uint32_t numClientNodes =
-        domain_.numNodes - params_.numServers;
+    const std::uint32_t numClientNodes = domain_.numNodes - numServers();
     proto::NodeId n =
         static_cast<proto::NodeId>(client % numClientNodes);
     if (n >= params_.targetNode)
-        n += params_.numServers;
+        n += numServers();
     return n;
 }
 
@@ -209,12 +203,11 @@ TrafficGenerator::pickClientNode()
 {
     // Pick a uniformly random remote source node (§5: "from randomly
     // selected nodes of the cluster"), skipping the server block.
-    const std::uint32_t numClients =
-        domain_.numNodes - params_.numServers;
+    const std::uint32_t numClients = domain_.numNodes - numServers();
     proto::NodeId src = static_cast<proto::NodeId>(
         pickRng_.uniformInt(0, numClients - 1));
     if (src >= params_.targetNode)
-        src += params_.numServers;
+        src += numServers();
     return src;
 }
 
@@ -260,18 +253,18 @@ std::uint32_t
 TrafficGenerator::routeRequest(proto::NodeId src,
                                const std::vector<std::uint8_t> &request)
 {
-    // Single-target fast path: no router consulted, no Rng draw —
-    // keeps the numServers == 1 experiment bit-identical.
-    if (router_ == nullptr || params_.numServers == 1)
+    // One server: nothing to choose, so no router call and no Rng
+    // draw, whatever the router.
+    if (numServers() == 1)
         return 0;
     cluster::RouteContext ctx{
         app::requestKeyOf(request),
         request.size() > app::requestClassOffset
             ? request[app::requestClassOffset]
             : std::uint8_t{0},
-        src, *this, *shards_, routerRng_};
+        src, *this, shards_, routerRng_};
     const std::uint32_t server = router_->route(ctx);
-    RV_ASSERT(server < params_.numServers,
+    RV_ASSERT(server < numServers(),
               "router picked an out-of-range server");
     return server;
 }
@@ -311,8 +304,7 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     ++perServerInFlight_[server];
     // Canary accounting: a recovering server's first routed request is
     // its probe (no-op for healthy servers).
-    if (health_ != nullptr)
-        health_->noteRouted(server);
+    health_.noteRouted(server);
     const proto::NodeId dst = params_.targetNode + server;
     const std::uint64_t key = reqKey(server, src, slot);
     RV_ASSERT(outstandingRequests_.find(key) ==
@@ -370,8 +362,7 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         // (src server, dst client, slot) identifies the original
         // request.
         RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                      pkt.hdr.src <
-                          params_.targetNode + params_.numServers,
+                      pkt.hdr.src < params_.targetNode + numServers(),
                   "reply from a non-server node");
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
         const std::uint64_t key =
@@ -403,15 +394,14 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         // Rendezvous pull: serve the announced payload from this
         // node's memory after a DRAM access.
         RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                      pkt.hdr.src <
-                          params_.targetNode + params_.numServers,
+                      pkt.hdr.src < params_.targetNode + numServers(),
                   "one-sided read from a non-server node");
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
         const std::uint64_t key =
             reqKey(server, pkt.hdr.dst, pkt.hdr.slot);
         auto it = outstandingRequests_.find(key);
         if (it == outstandingRequests_.end()) {
-            RV_ASSERT(params_.requestTimeout > 0,
+            RV_ASSERT(params_.cluster.requestTimeout > 0,
                       "one-sided read for unknown payload");
             // The request timed out and was rerouted; the late pull
             // reads nothing.
@@ -454,7 +444,7 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
             // apart from genuinely stale (timed-out) replies.
             ++duplicateReplies_;
         } else {
-            RV_ASSERT(params_.requestTimeout > 0,
+            RV_ASSERT(params_.cluster.requestTimeout > 0,
                       "reply for unknown request");
             // The request already timed out and was rerouted
             // elsewhere: drop the late reply's payload, but still
@@ -483,8 +473,7 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
         RV_ASSERT(perServerInFlight_[server] > 0,
                   "per-server in-flight underflow");
         --perServerInFlight_[server];
-        if (health_ != nullptr)
-            health_->reportSuccess(server);
+        health_.reportSuccess(server);
         if (sibling != kNoKey) {
             // First reply wins: retire the losing half now so its
             // late reply cannot double-complete the request. Its slot
@@ -562,7 +551,7 @@ TrafficGenerator::onReplenish(const proto::Packet &pkt)
     // A server finished processing a request: the source's send slot
     // toward that server is free again (§4.2 step C).
     RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                  pkt.hdr.src < params_.targetNode + params_.numServers,
+                  pkt.hdr.src < params_.targetNode + numServers(),
               "replenish from a non-server node");
     const std::uint32_t server = pkt.hdr.src - params_.targetNode;
     const proto::NodeId src = pkt.hdr.dst;
@@ -628,7 +617,7 @@ TrafficGenerator::sweepTimeouts()
         for (const auto &[key, rec] : outstandingRequests_) {
             const sim::Tick age = sim_.now() - rec.sentAt;
             if (age >= retry.hedgeAfter &&
-                age < params_.requestTimeout && !rec.hedged)
+                age < params_.cluster.requestTimeout && !rec.hedged)
                 toHedge.push_back(key);
         }
         std::sort(toHedge.begin(), toHedge.end());
@@ -640,7 +629,7 @@ TrafficGenerator::sweepTimeouts()
     // entries, which must not be visited by this sweep.
     std::vector<std::uint64_t> expired;
     for (const auto &[key, rec] : outstandingRequests_) {
-        if (sim_.now() - rec.sentAt >= params_.requestTimeout)
+        if (sim_.now() - rec.sentAt >= params_.cluster.requestTimeout)
             expired.push_back(key);
     }
     // Deterministic order: the hash map iterates in an
@@ -676,8 +665,7 @@ TrafficGenerator::sweepTimeouts()
         // replenish; a dead server's slots stay consumed until it
         // recovers.
         releaseHeldCredit(key);
-        if (health_ != nullptr &&
-            health_->reportFailure(server, sim_.now())) {
+        if (health_.reportFailure(server, sim_.now())) {
             // Transition to down: everything queued toward this
             // server would wait forever — reroute it now.
             drainPending(server);
@@ -749,11 +737,11 @@ TrafficGenerator::sweepTimeouts()
         }
     }
 
+    const cluster::ClusterConfig &cc = params_.cluster;
     sim_.schedule(sweepEvent_,
-                  params_.sweepInterval > 0
-                      ? params_.sweepInterval
-                      : std::max<sim::Tick>(
-                            1, params_.requestTimeout / 4));
+                  cc.sweepInterval > 0
+                      ? cc.sweepInterval
+                      : std::max<sim::Tick>(1, cc.requestTimeout / 4));
 }
 
 void

@@ -12,16 +12,16 @@
  * them against the application, and returns reply replenishes after a
  * client-side turnaround delay.
  *
- * With more than one server node the generator is also the cluster's
- * client-side balancer: each request is addressed by a cluster Router
- * (src/cluster/router.hh) that observes per-server health and
+ * The generator is also the cluster's client-side balancer. It builds
+ * the router, shard map and health tracker its cluster::ClusterConfig
+ * describes; each request is addressed by the cluster Router
+ * (src/cluster/router.hh), which observes per-server health and
  * outstanding load through the ClusterView interface this class
  * implements. An optional request timeout sweeps outstanding requests,
  * feeds consecutive timeouts into the HealthTracker, and reroutes
  * timed-out (and queued) requests to surviving servers — the failover
- * path. With numServers == 1 and no router the generator behaves
- * bit-identically to the original single-node version: no extra Rng
- * draws, no extra events.
+ * path. A single server is never routed (no router Rng draw), and
+ * without a timeout no sweep event is ever scheduled.
  *
  * The generator also plays the fabric side of nested RPC chains
  * (issueNested): a server whose handler fans out to other tiers hands
@@ -36,12 +36,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <unordered_set>
 
 #include "app/rpc_application.hh"
+#include "cluster/cluster.hh"
 #include "cluster/router.hh"
 #include "cluster/topology.hh"
 #include "conn/conn.hh"
@@ -69,7 +71,7 @@ struct ConnTag
 };
 
 /** Emulates the remote client nodes of the messaging domain. */
-class TrafficGenerator : private cluster::ClusterView
+class TrafficGenerator final : private cluster::ClusterView
 {
   public:
     struct Params
@@ -79,18 +81,16 @@ class TrafficGenerator : private cluster::ClusterView
         /** Interarrival process shaping that rate (net/arrival.hh). */
         ArrivalSpec arrival{};
         /** First server node (requests' destination base). Servers
-         *  occupy node ids [targetNode, targetNode + numServers). */
+         *  occupy node ids [targetNode, targetNode +
+         *  cluster.numServerNodes). */
         proto::NodeId targetNode = 0;
-        /** Server nodes behind the router (>= 1). */
-        std::uint32_t numServers = 1;
+        /** The servers behind the generator: count, router, shards,
+         *  health threshold and recovery, request timeout (0 disables
+         *  the timeout sweep) and sweep interval. The default is one
+         *  server behind the "direct" router. */
+        cluster::ClusterConfig cluster{};
         /** Client-side turnaround before replenishing a reply slot. */
         sim::Tick clientTurnaround = sim::nanoseconds(100.0);
-        /** Request timeout for failure detection; 0 disables the
-         *  timeout sweep entirely (single-node bit-identical path). */
-        sim::Tick requestTimeout = 0;
-        /** Timeout-sweep period; 0 derives max(1, requestTimeout/4)
-         *  so detection latency tracks the timeout scale. */
-        sim::Tick sweepInterval = 0;
         /** Client recovery policy for timed-out requests (backoff,
          *  attempt budget, hedging). The defaults reproduce the legacy
          *  unlimited-immediate-redispatch behavior bit-identically. */
@@ -108,20 +108,11 @@ class TrafficGenerator : private cluster::ClusterView
         std::uint64_t seed = 1;
     };
 
-    /**
-     * @param router  Cluster router addressing each request, or null
-     *                for the single-target fast path. With a router,
-     *                @p shards must be non-null.
-     * @param health  Per-server health tracker fed by timeouts, or
-     *                null (every server always considered up).
-     * @param shards  Keyspace partition for shard-affinity routing.
-     */
+    /** Resolves params.cluster.router through the
+     *  cluster::RouterRegistry (fatal on an unknown name). */
     TrafficGenerator(sim::EventDomain &sim, const Params &params,
                      const proto::MessagingDomain &domain,
-                     app::RpcApplication &app, Fabric &fabric,
-                     cluster::Router *router = nullptr,
-                     cluster::HealthTracker *health = nullptr,
-                     const cluster::ShardMap *shards = nullptr);
+                     app::RpcApplication &app, Fabric &fabric);
 
     /** Begin generating load. */
     void start();
@@ -183,6 +174,12 @@ class TrafficGenerator : private cluster::ClusterView
 
     /** Requests that exceeded the timeout and were given up on. */
     std::uint64_t requestTimeouts() const { return timeouts_; }
+
+    /** The cluster router's name (e.g. "direct"). */
+    std::string routerName() const { return router_->name(); }
+
+    /** Servers the health tracker holds down now. */
+    std::uint32_t nodesDown() const { return health_.nodesDown(sim_.now()); }
 
     /** Requests re-dispatched after a timeout or a node mark-down. */
     std::uint64_t failoverReroutes() const { return reroutes_; }
@@ -266,8 +263,14 @@ class TrafficGenerator : private cluster::ClusterView
 
   private:
     // cluster::ClusterView — what routers may observe.
-    std::uint32_t numServers() const override { return params_.numServers; }
-    bool isUp(std::uint32_t server) const override;
+    std::uint32_t numServers() const override
+    {
+        return params_.cluster.numServerNodes;
+    }
+    bool isUp(std::uint32_t server) const override
+    {
+        return health_.isUp(server, sim_.now());
+    }
     std::uint64_t outstanding(std::uint32_t server) const override
     {
         return perServerInFlight_[server];
@@ -277,8 +280,7 @@ class TrafficGenerator : private cluster::ClusterView
     std::size_t
     pairIndex(proto::NodeId client, std::uint32_t server) const
     {
-        return static_cast<std::size_t>(client) * params_.numServers +
-               server;
+        return static_cast<std::size_t>(client) * numServers() + server;
     }
 
     /** Flat (server, client, slot) key for outstanding requests. */
@@ -354,9 +356,9 @@ class TrafficGenerator : private cluster::ClusterView
     proto::MessagingDomain domain_;
     app::RpcApplication &app_;
     Fabric &fabric_;
-    cluster::Router *router_;
-    cluster::HealthTracker *health_;
-    const cluster::ShardMap *shards_;
+    cluster::RouterPtr router_;
+    cluster::HealthTracker health_;
+    cluster::ShardMap shards_;
     ArrivalDriver arrivals_;
     sim::Rng pickRng_;
     sim::Rng clientRng_;

@@ -27,30 +27,20 @@ constexpr std::uint32_t completionPacketBytes = 16;
 } // namespace
 
 RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
-                 app::RpcApplication &app, net::Fabric &fabric,
-                 std::uint64_t warmup_samples)
+                 app::RpcApplication &app, net::Fabric &fabric)
     : sim_(sim), params_(params), app_(app), fabric_(fabric),
       mesh_(params.meshRows, params.meshCols, params.hopCycles,
             params.linkBytes, params.clock()),
       recv_(params.domain), send_(params.domain),
       cores_(params.numCores),
       serverRng_(params.seed, /*stream=*/0xA4B),
-      hashSalt_(mix64(params.seed ^ 0x5555AAAAuLL)),
-      criticalLatency_(warmup_samples), allLatency_(warmup_samples),
-      warmupSamples_(warmup_samples)
+      hashSalt_(mix64(params.seed ^ 0x5555AAAAuLL))
 {
     params_.validate();
 
-    // One recorder per declared request class. The per-class recorders
-    // are gated on the node-wide warmup window (below) rather than
-    // carrying their own sample counts: a class's first completions
-    // may all land inside warmup.
-    const auto classes = app_.requestClasses();
-    RV_ASSERT(!classes.empty(),
-              "application declares no request classes");
-    classes_.reserve(classes.size());
-    for (const app::RequestClass &cl : classes)
-        classes_.push_back(ClassAccounting{cl, stats::LatencyRecorder(0), 0});
+    const std::size_t numClasses = app_.requestClasses().size();
+    RV_ASSERT(numClasses > 0, "application declares no request classes");
+    latencies_.perClass.resize(numClasses);
 
     for (std::uint32_t b = 0; b < params_.numBackends; ++b) {
         ni::NiBackend::Params bp;
@@ -713,19 +703,13 @@ RpcNode::finishRpc(ServiceEvent &ev)
     ++servedTotal_;
     if (critical)
         ++servedCritical_;
-    // Per-class accounting, including non-critical classes. Clamp a
-    // stray id (e.g. a hand-built request against a workload that
-    // never generates that class) into the declared table.
-    const std::size_t cls = std::min<std::size_t>(ev.result.classId,
-                                                  classes_.size() - 1);
-    ClassAccounting &acct = classes_[cls];
-    ++acct.served;
     ++cores_[core].served;
 
     if (recording_) {
+        Latencies &lat = latencies_;
         allLatency_.record(latency);
         if (critical) {
-            criticalLatency_.record(latency);
+            lat.critical.record(latency);
             // Degraded-tail split: bucket by whether the RPC completed
             // inside a fault window (few windows — linear scan).
             if (!degradedWindows_.empty()) {
@@ -737,21 +721,25 @@ RpcNode::finishRpc(ServiceEvent &ev)
                         break;
                     }
                 }
-                (degraded ? degradedCritical_ : healthyCritical_)
+                (degraded ? lat.degradedCritical : lat.healthyCritical)
                     .record(latency);
             }
         }
-        if (allLatency_.observed() > warmupSamples_)
-            acct.latency.record(latency);
+        // Per-class accounting, including non-critical classes. Clamp
+        // a stray id (e.g. a hand-built request against a workload
+        // that never generates that class) into the declared table.
+        lat.perClass[std::min<std::size_t>(ev.result.classId,
+                                           lat.perClass.size() - 1)]
+            .record(latency);
 
         // Component decomposition (timestamps are monotone along the
         // pipeline by construction).
-        breakdown_.reassembly.record(cqe.completionTick -
-                                     cqe.firstPacketTick);
-        breakdown_.dispatch.record(cqe.deliveredTick -
-                                   cqe.completionTick);
-        breakdown_.queueWait.record(busy_start - cqe.deliveredTick);
-        breakdown_.service.record(sim_.now() - busy_start);
+        lat.breakdown.reassembly.record(cqe.completionTick -
+                                        cqe.firstPacketTick);
+        lat.breakdown.dispatch.record(cqe.deliveredTick -
+                                      cqe.completionTick);
+        lat.breakdown.queueWait.record(busy_start - cqe.deliveredTick);
+        lat.breakdown.service.record(sim_.now() - busy_start);
     }
 
     const proto::NodeId requester = cqe.srcNode;
@@ -830,16 +818,20 @@ RpcNode::corePullNext(proto::CoreId core)
     coreMaybeStart(core, /*was_idle=*/false);
 }
 
-const stats::LatencyRecorder &
-RpcNode::criticalLatency() const
+void
+RpcNode::Latencies::absorb(Latencies &&other)
 {
-    return criticalLatency_;
-}
-
-const stats::LatencyRecorder &
-RpcNode::allLatency() const
-{
-    return allLatency_;
+    critical.absorb(std::move(other.critical));
+    if (perClass.size() < other.perClass.size())
+        perClass.resize(other.perClass.size());
+    for (std::size_t c = 0; c < other.perClass.size(); ++c)
+        perClass[c].absorb(std::move(other.perClass[c]));
+    breakdown.reassembly.absorb(std::move(other.breakdown.reassembly));
+    breakdown.dispatch.absorb(std::move(other.breakdown.dispatch));
+    breakdown.queueWait.absorb(std::move(other.breakdown.queueWait));
+    breakdown.service.absorb(std::move(other.breakdown.service));
+    degradedCritical.absorb(std::move(other.degradedCritical));
+    healthyCritical.absorb(std::move(other.healthyCritical));
 }
 
 double

@@ -49,11 +49,9 @@ class RpcNode
      * @param params   Validated system parameters.
      * @param app      Application served by this node.
      * @param fabric   Inter-node fabric (node attaches itself).
-     * @param warmup_samples Latency samples to discard as warmup.
      */
     RpcNode(sim::EventDomain &sim, const SystemParams &params,
-            app::RpcApplication &app, net::Fabric &fabric,
-            std::uint64_t warmup_samples);
+            app::RpcApplication &app, net::Fabric &fabric);
 
     /** Software mode: park all cores on the shared queue. */
     void start();
@@ -105,32 +103,20 @@ class RpcNode
     /**
      * Degraded-tail split: latency-critical samples recorded while
      * sim time is inside one of @p windows (sorted, merged fault
-     * windows) land in degradedCritical(), the rest in
-     * healthyCritical(). Empty (the default) disables the split and
-     * its per-sample scan entirely.
+     * windows) land in Latencies::degradedCritical, the rest in
+     * Latencies::healthyCritical. Empty (the default) disables the
+     * split and its per-sample scan entirely.
      */
     void
     setDegradedWindows(std::vector<std::pair<sim::Tick, sim::Tick>> windows);
 
-    /** Critical-RPC latencies completed inside a fault window. */
-    const stats::LatencyRecorder &degradedCritical() const
-    {
-        return degradedCritical_;
-    }
-
-    /** Critical-RPC latencies completed outside every fault window. */
-    const stats::LatencyRecorder &healthyCritical() const
-    {
-        return healthyCritical_;
-    }
-
     /**
-     * Enable/disable latency recording (cluster runs switch it on at
-     * the measurement window; served counters always run). On by
-     * default, so single-node behavior is unchanged. Turning recording
-     * on also restarts the queue-occupancy high watermarks (private
-     * CQs, dispatcher shared CQs), so peak stats describe the measured
-     * window rather than warmup transients.
+     * Enable/disable latency recording (the experiment switches it on
+     * when the measurement window opens; served counters always run).
+     * On by default. Turning recording on also restarts the
+     * queue-occupancy high watermarks (private CQs, dispatcher shared
+     * CQs), so peak stats describe the measured window rather than
+     * warmup transients.
      */
     void setRecording(bool recording);
 
@@ -158,36 +144,36 @@ class RpcNode
     };
 
     /**
-     * Per-request-class accounting: one latency recorder per class the
-     * application declares (app::RequestClass), fed by the class id
-     * each HandleResult echoes. Unlike the headline critical-only
-     * recorder, non-critical classes (e.g. Masstree scans) are
-     * recorded too, so their tails are no longer discarded.
+     * The recorders the experiment layer merges into cluster totals,
+     * all filled only while recording is on.
      */
-    struct ClassAccounting
+    struct Latencies
     {
-        app::RequestClass info;
-        /** Post-warmup latency samples of this class. */
-        stats::LatencyRecorder latency;
-        /** All completions of this class, including warmup. */
-        std::uint64_t served = 0;
+        /** Latency-critical RPCs (the headline tail metric). */
+        stats::LatencyRecorder critical;
+        /** One recorder per class the application declares
+         *  (app::RequestClass), indexed like app.requestClasses() and
+         *  fed by the class id each HandleResult echoes. Non-critical
+         *  classes (e.g. Masstree scans) are recorded too. */
+        std::vector<stats::LatencyRecorder> perClass;
+        Breakdown breakdown;
+        /** Critical RPCs completed inside / outside every fault
+         *  window (see setDegradedWindows). */
+        stats::LatencyRecorder degradedCritical;
+        stats::LatencyRecorder healthyCritical;
+
+        /** Append every sample of @p other recorder by recorder
+         *  (stats::LatencyRecorder::absorb); @p other is left empty. */
+        void absorb(Latencies &&other);
     };
 
-    /** Latency recorder over latency-critical RPCs (tail metric). */
-    const stats::LatencyRecorder &criticalLatency() const;
+    /** Hand the recorders over once the run is over (the node must
+     *  not record again), leaving this node's empty: the experiment
+     *  merges them by move, not by copying samples. */
+    Latencies takeLatencies() { return std::move(latencies_); }
 
-    /** Latency recorder over all RPCs. */
-    const stats::LatencyRecorder &allLatency() const;
-
-    /** Per-class recorders, indexed like app.requestClasses(). */
-    const std::vector<ClassAccounting> &
-    classAccounting() const
-    {
-        return classes_;
-    }
-
-    /** Component-wise latency decomposition. */
-    const Breakdown &breakdown() const { return breakdown_; }
+    /** Latency recorder over all RPCs (per-node statistics). */
+    const stats::LatencyRecorder &allLatency() const { return allLatency_; }
 
     /** Completed RPCs (all kinds). */
     std::uint64_t served() const { return servedTotal_; }
@@ -354,18 +340,13 @@ class RpcNode
     sim::Rng serverRng_;
     std::uint64_t hashSalt_;
 
-    stats::LatencyRecorder criticalLatency_;
+    Latencies latencies_;
     stats::LatencyRecorder allLatency_;
     /** Degraded-window split (empty windows = split disabled). */
     std::vector<std::pair<sim::Tick, sim::Tick>> degradedWindows_;
-    stats::LatencyRecorder degradedCritical_;
-    stats::LatencyRecorder healthyCritical_;
     /** Per-core processing multipliers; empty until a slow-core fault
      *  first fires, so unfaulted runs skip the lookup. */
     std::vector<double> coreSlowdown_;
-    std::vector<ClassAccounting> classes_;
-    std::uint64_t warmupSamples_;
-    Breakdown breakdown_;
 
     /** Preempted-RPC continuations, keyed by receive-slot index
      *  (unique while the slot is busy). */

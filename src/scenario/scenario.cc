@@ -236,8 +236,18 @@ class Parser
     }
 
     void
-    finish() const
+    finish()
     {
+        // [cluster] fail_node / fail_at are shorthand for one crash
+        // fault, injected after every [chaos] fault.
+        if (crashNode_ >= 0) {
+            out_.base.faults.emplace_back(sim::strfmt(
+                "crash:node=%lld,at=%.3fns",
+                static_cast<long long>(crashNode_), sim::toNs(crashAt_)));
+        } else if (crashAtSeen_) {
+            sim::fatal(source_ + ": [cluster] 'fail_at' without "
+                       "'fail_node' crashes nothing");
+        }
         const bool has_load = !out_.loadFractions.empty();
         const bool has_rps = !out_.absoluteRps.empty();
         if (has_load && has_rps) {
@@ -350,13 +360,13 @@ class Parser
         } else if (key == "recovery_after") {
             out_.base.cluster.recoveryAfter = parseTick(value);
         } else if (key == "fail_node") {
-            const std::int64_t n = parseInt(value);
-            if (n < -1)
+            crashNode_ = parseInt(value);
+            if (crashNode_ < -1)
                 sim::fatal("'fail_node' must be -1 (none) or a server "
                            "index");
-            out_.base.cluster.failNode = static_cast<std::int32_t>(n);
         } else if (key == "fail_at") {
-            out_.base.cluster.failAt = parseTick(value);
+            crashAt_ = parseTick(value);
+            crashAtSeen_ = true;
         } else if (key == "sweep_interval") {
             const sim::Tick t = parseTick(value);
             if (t == 0)
@@ -524,6 +534,11 @@ class Parser
     std::string section_;
     int line_ = 0;
     bool connSectionSeen_ = false;
+    /** [cluster] fail_node / fail_at, folded into a crash fault by
+     *  finish(). */
+    std::int64_t crashNode_ = -1;
+    sim::Tick crashAt_ = 0;
+    bool crashAtSeen_ = false;
 };
 
 Scenario

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -72,6 +73,24 @@ LatencyRecorder::reset()
     samples_.clear();
     sorted_.clear();
     sortedValid_ = false;
+}
+
+void
+LatencyRecorder::absorb(LatencyRecorder &&other)
+{
+    if (samples_.empty()) {
+        samples_ = std::move(other.samples_);
+    } else {
+        samples_.insert(samples_.end(), other.samples_.begin(),
+                        other.samples_.end());
+    }
+    observed_ += other.observed_;
+    sortedValid_ = false;
+    // Release (not just clear) the source's buffers.
+    other.samples_ = {};
+    other.sorted_ = {};
+    other.sortedValid_ = false;
+    other.observed_ = 0;
 }
 
 } // namespace rpcvalet::stats

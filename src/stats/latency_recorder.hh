@@ -56,6 +56,15 @@ class LatencyRecorder
     /** Forget all samples and restart the warmup window. */
     void reset();
 
+    /**
+     * Append every retained sample of @p other, in its recording
+     * order, after this recorder's own, and add its observation
+     * count; @p other is left empty. Absorbing into an empty recorder
+     * takes the sample buffer over without copying. Absorbed samples
+     * are not subject to this recorder's warmup.
+     */
+    void absorb(LatencyRecorder &&other);
+
     /** Read-only view of the retained samples (ticks). */
     const std::vector<sim::Tick> &samples() const { return samples_; }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "cluster/router.hh"
 #include "core/experiment.hh"
 #include "sim/types.hh"
 
@@ -20,10 +21,9 @@ using namespace rpcvalet;
 
 TEST(ClusterExperiment, SingleNodeDirectIsBitIdenticalToLegacyPath)
 {
-    // The cluster refactor must not move a single event of the
-    // numServerNodes=1 + "direct" configuration: these are the same
-    // goldens tests/core/kernel_identity_test.cc locks for the
-    // pre-cluster experiment core (default config, spec-driven).
+    // Spelling out numServerNodes=1 + "direct" must not move a single
+    // event relative to the default config: these are the same goldens
+    // tests/core/kernel_identity_test.cc locks for the default run.
     core::ExperimentConfig cfg;
     cfg.arrivalRps = 10e6;
     cfg.warmupRpcs = 500;
@@ -119,8 +119,7 @@ TEST(ClusterExperiment, NodeFailureIsDetectedAndTrafficReroutes)
     cfg.measuredRpcs = 6000;
     cfg.cluster.requestTimeout = sim::microseconds(30.0);
     cfg.cluster.failThreshold = 3;
-    cfg.cluster.failNode = 3;
-    cfg.cluster.failAt = sim::microseconds(20.0);
+    cfg.faults = {"crash:node=3,at=20us"};
 
     const core::RunStats r = core::runExperiment(cfg);
     // The victim died mid-run: its requests timed out, the health
@@ -165,20 +164,36 @@ TEST(ClusterConfigDeath, ValidateRejectsInconsistentSettings)
     EXPECT_EXIT(
         {
             cluster::ClusterConfig c;
-            c.numServerNodes = 2;
-            c.failNode = 2;
-            c.requestTimeout = 1;
+            c.sweepInterval = 1;
             c.validate();
         },
-        ::testing::ExitedWithCode(1), "failNode 2 is out of range");
+        ::testing::ExitedWithCode(1),
+        "sweepInterval 1 requires requestTimeout > 0");
+    // A crash spec naming a node outside the cluster dies at fault
+    // resolution, before anything is built.
     EXPECT_EXIT(
         {
-            cluster::ClusterConfig c;
-            c.numServerNodes = 2;
-            c.failNode = 1;
-            c.validate();
+            core::ExperimentConfig cfg = clusterConfig(2, "rr");
+            cfg.cluster.requestTimeout = 1;
+            cfg.faults = {"crash:node=2,at=20us"};
+            (void)core::runExperiment(cfg);
         },
-        ::testing::ExitedWithCode(1), "requires requestTimeout > 0");
+        ::testing::ExitedWithCode(1), "crash:.*node=2.*out of range");
+}
+
+TEST(ClusterExperimentDeath, CrashWithoutRequestTimeoutDiesBeforeTheRun)
+{
+    // Requests routed to a crashed node are lost unless the client
+    // times them out and reroutes them: without a timeout the run
+    // would finish while silently dropping that traffic.
+    EXPECT_EXIT(
+        {
+            core::ExperimentConfig cfg = clusterConfig(2, "rr");
+            cfg.faults = {"crash:node=1,at=20us"};
+            (void)core::runExperiment(cfg);
+        },
+        ::testing::ExitedWithCode(1),
+        "fault 'crash:at=20us,node=1' needs a request timeout");
 }
 
 TEST(SweepConfigDeath, ValidatesThreadsAndRates)

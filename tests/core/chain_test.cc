@@ -115,8 +115,7 @@ TEST(ChainExperiment, ChainsSurviveClusterFailover)
     cfg.cluster.router = cluster::RouterSpec::parse("rr");
     cfg.cluster.requestTimeout = sim::microseconds(30.0);
     cfg.cluster.failThreshold = 3;
-    cfg.cluster.failNode = 2;
-    cfg.cluster.failAt = sim::microseconds(40.0);
+    cfg.faults = {"crash:node=2,at=40us"};
 
     const core::RunStats r = core::runExperiment(cfg);
     ASSERT_EQ(r.perNode.size(), 4u);

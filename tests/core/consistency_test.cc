@@ -78,7 +78,7 @@ TEST_P(DrainProperty, NoLeaksAfterFullDrain)
     node::SystemParams params;
     params.mode = GetParam().mode;
     params.seed = 33;
-    node::RpcNode node(sim, params, app, fabric, 0);
+    node::RpcNode node(sim, params, app, fabric);
 
     net::TrafficGenerator::Params tp;
     tp.arrivalRps = 12e6;

@@ -107,7 +107,7 @@ TEST(ParallelExperiment, HoldsAcrossRouters)
 {
     // Router choice changes which domain each RPC crosses into, not
     // the determinism of the crossing.
-    for (const std::string router :
+    for (const std::string &router :
          {std::string("rr"), std::string("bounded-load:c=1.25")}) {
         SCOPED_TRACE(router);
         const core::ExperimentConfig cfg = clusterConfig(99, router);

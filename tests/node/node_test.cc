@@ -33,8 +33,7 @@ struct NodeHarness
     {
         params.mode = mode;
         params.seed = 11;
-        node = std::make_unique<node::RpcNode>(sim, params, app, fabric,
-                                               /*warmup=*/0);
+        node = std::make_unique<node::RpcNode>(sim, params, app, fabric);
         net::TrafficGenerator::Params tp;
         tp.arrivalRps = rps;
         tp.seed = 11;

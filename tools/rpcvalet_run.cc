@@ -16,7 +16,7 @@
  *   --parallel-domains=N  override [experiment] parallel_domains
  *   --dry-run      parse and expand only; print the matrix, run nothing
  *   --explain-faults  dry-run that also prints each point's resolved
- *                  fault timeline ([chaos] faults + legacy fail_node)
+ *                  fault timeline ([chaos] faults + fail_node)
  *   --quiet        suppress the per-point progress table
  *   --strict-slo   exit 1 when any declared SLO is unmet
  *   --list-specs   print every registered component name across all
@@ -28,6 +28,7 @@
  * unmet SLOs. Parse errors are fatal with file:line diagnostics.
  */
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,6 +78,25 @@ struct Options
     std::vector<std::string> files;
 };
 
+/**
+ * Strict value of a "--flag=N" argument: the whole of N must be a
+ * decimal integer in [lo, 1024] (no sign, no trailing junk), else
+ * fatal naming the argument.
+ */
+unsigned
+parseCount(const std::string &arg, unsigned lo)
+{
+    const char *text = arg.c_str() + arg.find('=') + 1;
+    char *end = nullptr;
+    const unsigned long n = std::strtoul(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || n < lo || n > 1024) {
+        sim::fatal(sim::strfmt("%s: expected an integer in [%u, 1024]",
+                               arg.c_str(), lo));
+    }
+    return static_cast<unsigned>(n);
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -99,15 +119,9 @@ parseArgs(int argc, char **argv)
             if (opt.outDir.empty())
                 sim::fatal("--out needs a directory");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 10, nullptr, 10);
-            if (n < 1 || n > 1024)
-                sim::fatal("--threads must be in [1, 1024]");
-            opt.threads = static_cast<unsigned>(n);
+            opt.threads = parseCount(arg, 1);
         } else if (arg.rfind("--parallel-domains=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 19, nullptr, 10);
-            if (n < 0 || n > 1024)
-                sim::fatal("--parallel-domains must be in [0, 1024]");
-            opt.parallelDomains = static_cast<int>(n);
+            opt.parallelDomains = static_cast<int>(parseCount(arg, 0));
         } else if (arg == "--dry-run") {
             opt.dryRun = true;
         } else if (arg == "--explain-faults") {
@@ -180,10 +194,11 @@ runOne(const std::string &path, const Options &opt)
             if (!opt.explainFaults)
                 continue;
             // Resolve against this point's shape — exactly what the
-            // run itself would inject, including the legacy fail_node
-            // shim; bad specs die here with file-independent context.
+            // run itself would inject (fail_node included: it parses
+            // into a crash spec); bad specs die here with
+            // file-independent context.
             const fault::Resolution plan = fault::resolveFaults(
-                core::effectiveFaults(pt.config),
+                pt.config.faults,
                 fault::ResolveContext{
                     pt.config.cluster.numServerNodes,
                     pt.config.system.numCores,
