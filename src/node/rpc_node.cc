@@ -458,10 +458,6 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
     // chain. Non-nesting workloads never reach this branch, keeping
     // their event sequence bit-identical.
     if (!result.nested.empty()) {
-        if (!nestedIssuer_) {
-            sim::fatal("workload issued nested RPCs but no nested "
-                       "issuer is wired (single-node harness?)");
-        }
         const sim::Tick pre = base_pre + processing;
         ServiceEvent *ev = servicePool_.acquire();
         ev->node = this;
@@ -563,10 +559,6 @@ RpcNode::runSlice(proto::CoreId core, proto::CompletionQueueEntry cqe,
     ev->result = std::move(cont.result);
     continuations_.erase(it);
     if (!ev->result.nested.empty()) {
-        if (!nestedIssuer_) {
-            sim::fatal("workload issued nested RPCs but no nested "
-                       "issuer is wired (single-node harness?)");
-        }
         ev->stage = ServiceEvent::Stage::NestedIssue;
         sim_.schedule(*ev, pre_cost + remaining);
         return;
@@ -613,6 +605,13 @@ RpcNode::issueNestedStage(ServiceEvent &ev)
     // stays honest) and its reply resumes — off-core, reply-build cost
     // only — once the chain group completes. The receive slot stays
     // busy meanwhile, exactly like a thread parked on pending I/O.
+    if (!nestedIssuer_) {
+        sim::fatal("workload issued nested RPCs but this node has no "
+                   "nested issuer: chained workloads need the sequential "
+                   "path (core::runExperiment with parallelDomains = 0), "
+                   "which wires the traffic generator as every node's "
+                   "issuer");
+    }
     const proto::CoreId core = ev.core;
     busyAccum_ += sim_.now() - ev.busyStart;
 

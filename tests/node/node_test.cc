@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "app/herd_app.hh"
+#include "app/workload.hh"
 #include "core/experiment.hh"
 #include "net/traffic_gen.hh"
 #include "node/rpc_node.hh"
@@ -251,6 +252,40 @@ TEST(RpcNode, CustomCoreCountWorks)
     EXPECT_EQ(r.verifyFailures, 0u);
     EXPECT_NEAR(r.point.achievedRps, 40e6, 40e6 * 0.06);
     EXPECT_EQ(r.perCoreServed.size(), 64u);
+}
+
+TEST(RpcNodeDeath, ChainedWorkloadWithoutIssuerIsFatal)
+{
+    // A node driven directly (no experiment layer) has no nested
+    // issuer; the first chained handler must die with a pointer to the
+    // sequential path, whether it runs to completion in one go or
+    // finishes its last preemption slice.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const sim::Tick quantum : {sim::Tick{0}, sim::nanoseconds(200)}) {
+        EXPECT_EXIT(
+            {
+                sim::EventDomain sim;
+                net::Fabric fabric(sim, sim::nanoseconds(100.0));
+                const app::RpcApplicationPtr app =
+                    app::WorkloadRegistry::instance().make(
+                        app::WorkloadSpec("chain:tiers=2,fanout=2"));
+                node::SystemParams params;
+                params.preemptionQuantum = quantum;
+                node::RpcNode node(sim, params, *app, fabric);
+                net::TrafficGenerator::Params tp;
+                tp.arrivalRps = 1e6;
+                net::TrafficGenerator tg(sim, tp, params.domain, *app,
+                                         fabric);
+                fabric.connectDefault([&tg](proto::Packet pkt) {
+                    tg.receivePacket(std::move(pkt));
+                });
+                node.start();
+                tg.start();
+                sim.runUntil(sim::microseconds(50.0));
+            },
+            ::testing::ExitedWithCode(1),
+            "chained workloads need the sequential path");
+    }
 }
 
 } // namespace
