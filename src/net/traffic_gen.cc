@@ -33,6 +33,8 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
                  params.cluster.numServerNodes),
       pending_(static_cast<std::size_t>(domain.numNodes) *
                params.cluster.numServerNodes),
+      slots_(static_cast<std::size_t>(params.cluster.numServerNodes) *
+             domain.numNodes * domain.slotsPerNode),
       perServerInFlight_(params.cluster.numServerNodes),
       connRng_(params.seed, /*stream=*/0xC04E),
       sweepEvent_(*this, "timeout-sweep")
@@ -67,6 +69,8 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
                              return connFlush(client, limit);
                          });
         connQueue_.resize(params_.connections.numClients);
+        // Fixed once bound (regrouping keeps the group count), so every
+        // groupOf() indexes these.
         const std::uint32_t groups = connSched_->numGroups();
         connPerGroupAdmitted_.assign(groups, 0);
         connPerGroupDeferred_.assign(groups, 0);
@@ -96,27 +100,20 @@ TrafficGenerator::halt()
 void
 TrafficGenerator::onArrival()
 {
+    // Requests larger than maxMsgBytes are legal: they take the
+    // rendezvous path (§4.2) in launchRequest.
+    Request request{app_.makeRequest(clientRng_)};
+    countRequestClass(request.bytes);
     if (connSched_ != nullptr) {
         // Client-population model: the arrival belongs to a uniformly
         // random logical client, whose scheduler decides whether it
         // may issue now or waits for its group's slice.
-        const std::uint32_t client = static_cast<std::uint32_t>(
+        request.conn.client = static_cast<std::uint32_t>(
             connRng_.uniformInt(0, params_.connections.numClients - 1));
-        std::vector<std::uint8_t> request = app_.makeRequest(clientRng_);
-        countRequestClass(request);
-        connSubmit(client, std::move(request), /*chain=*/0,
-                   /*attempt=*/1);
+        connSubmit(std::move(request));
         return;
     }
-
-    const proto::NodeId src = pickClientNode();
-
-    // Requests larger than maxMsgBytes are legal: they take the
-    // rendezvous path (§4.2) in launchRequest.
-    std::vector<std::uint8_t> request = app_.makeRequest(clientRng_);
-    countRequestClass(request);
-
-    dispatchRequest(src, std::move(request), /*chain=*/0);
+    dispatchRequest(pickClientNode(), std::move(request));
 }
 
 proto::NodeId
@@ -134,25 +131,23 @@ TrafficGenerator::connNodeFor(std::uint32_t client) const
 }
 
 void
-TrafficGenerator::connSubmit(std::uint32_t client,
-                             std::vector<std::uint8_t> request,
-                             std::uint64_t chain, std::uint32_t attempt)
+TrafficGenerator::connSubmit(Request request)
 {
+    const std::uint32_t client = request.conn.client;
     const std::uint32_t group = connSched_->groupOf(client);
-    if (connSched_->mayIssue(client)) {
+    // The generation time is the client-observed latency origin: a
+    // deferred request's latency includes its admission wait.
+    request.conn.genAt = sim_.now();
+    request.conn.deferred = !connSched_->mayIssue(client);
+    if (!request.conn.deferred) {
         ++connAdmittedImmediate_;
-        if (group < connPerGroupAdmitted_.size())
-            ++connPerGroupAdmitted_[group];
-        dispatchRequest(connNodeFor(client), std::move(request), chain,
-                        attempt,
-                        ConnTag{client, sim_.now(), /*deferred=*/false});
+        ++connPerGroupAdmitted_[group];
+        dispatchRequest(connNodeFor(client), std::move(request));
         return;
     }
     ++connDeferredTotal_;
-    if (group < connPerGroupDeferred_.size())
-        ++connPerGroupDeferred_[group];
-    connQueue_[client].push_back(
-        ConnDeferred{std::move(request), chain, attempt, sim_.now()});
+    ++connPerGroupDeferred_[group];
+    connQueue_[client].push_back(std::move(request));
 }
 
 std::uint32_t
@@ -161,40 +156,31 @@ TrafficGenerator::connFlush(std::uint32_t client, std::uint32_t limit)
     auto &queue = connQueue_[client];
     std::uint32_t released = 0;
     while (!queue.empty() && (limit == 0 || released < limit)) {
-        ConnDeferred next = std::move(queue.front());
+        Request next = std::move(queue.front());
         queue.pop_front();
-        connDeferredWait_ += sim_.now() - next.genAt;
+        connDeferredWait_ += sim_.now() - next.conn.genAt;
         ++connFlushed_;
         ++released;
-        // The tag keeps the generation time: the client-observed
-        // latency of a deferred request includes its admission wait.
-        dispatchRequest(connNodeFor(client), std::move(next.bytes),
-                        next.chain, next.attempt,
-                        ConnTag{client, next.genAt, /*deferred=*/true});
+        dispatchRequest(connNodeFor(client), std::move(next));
     }
     return released;
 }
 
 void
-TrafficGenerator::connOnCompleted(const ConnTag &tag,
-                                  std::uint32_t req_bytes)
+TrafficGenerator::connOnRetired(const Request &request, bool completed)
 {
-    if (connSched_ == nullptr || tag.client == proto::noConnClient)
+    const ConnTag &tag = request.conn;
+    if (tag.client == proto::noConnClient)
         return;
-    const sim::Tick latency = sim_.now() - tag.genAt;
-    (tag.deferred ? connInactiveLatency_ : connActiveLatency_)
-        .record(latency);
-    const std::uint32_t group = connSched_->groupOf(tag.client);
-    if (group < connPerGroupLatency_.size())
-        connPerGroupLatency_[group].record(latency);
-    connSched_->onCompleted(tag.client, req_bytes);
-}
-
-void
-TrafficGenerator::connOnRetired(const ConnTag &tag)
-{
-    if (connSched_ == nullptr || tag.client == proto::noConnClient)
-        return;
+    if (completed) {
+        const sim::Tick latency = sim_.now() - tag.genAt;
+        (tag.deferred ? connInactiveLatency_ : connActiveLatency_)
+            .record(latency);
+        connPerGroupLatency_[connSched_->groupOf(tag.client)].record(
+            latency);
+        connSched_->onCompleted(
+            tag.client, static_cast<std::uint32_t>(request.bytes.size()));
+    }
     connSched_->onRetired(tag.client);
 }
 
@@ -232,20 +218,25 @@ TrafficGenerator::issueNested(
 {
     RV_ASSERT(!requests.empty(), "empty nested-RPC group");
     RV_ASSERT(done != nullptr, "nested-RPC group needs a completion");
-    const std::uint64_t chain = nextChainId_++;
-    chains_.emplace(chain,
-                    ChainGroup{
-                        static_cast<std::uint32_t>(requests.size()),
-                        std::move(done)});
+    std::uint64_t chain = 0;
+    if (freeChains_.empty()) {
+        chains_.emplace_back();
+        chain = chains_.size();
+    } else {
+        chain = freeChains_.back();
+        freeChains_.pop_back();
+    }
+    chains_[chain - 1] = ChainGroup{
+        static_cast<std::uint32_t>(requests.size()), std::move(done)};
     nestedSent_ += requests.size();
-    for (auto &request : requests) {
+    for (auto &bytes : requests) {
         // Each nested RPC enters the fabric like a client arrival,
         // from a random emulated node: under uniform fabric latency
         // this is latency-equivalent to issuing from the serving node
         // and reuses the per-(source, server) flow-control slots.
         const proto::NodeId src = pickClientNode();
-        countRequestClass(request);
-        dispatchRequest(src, std::move(request), chain);
+        countRequestClass(bytes);
+        dispatchRequest(src, Request{std::move(bytes), chain});
     }
 }
 
@@ -270,34 +261,39 @@ TrafficGenerator::routeRequest(proto::NodeId src,
 }
 
 void
-TrafficGenerator::dispatchRequest(proto::NodeId src,
-                                  std::vector<std::uint8_t> request,
-                                  std::uint64_t chain,
-                                  std::uint32_t attempt, ConnTag conn)
+TrafficGenerator::dispatchRequest(proto::NodeId src, Request request)
 {
-    const std::uint32_t server = routeRequest(src, request);
+    const std::uint32_t server = routeRequest(src, request.bytes);
     const std::size_t pair = pairIndex(src, server);
     if (freeSlots_[pair].empty()) {
         // End-to-end flow control: all S slots toward that server are
         // in flight; the request waits for a replenish (§4.2).
         ++deferrals_;
-        pending_[pair].push_back(
-            PendingRequest{std::move(request), chain, attempt, conn});
+        pending_[pair].push_back(std::move(request));
         return;
     }
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
-    launchRequest(src, server, slot, std::move(request), chain, attempt,
-                  /*is_hedge=*/false, conn);
+    launchRequest(src, server, slot, std::move(request),
+                  /*is_hedge=*/false);
+}
+
+void
+TrafficGenerator::resubmit(proto::NodeId src, Request request)
+{
+    // A retried conn request re-enters the admission gate with a fresh
+    // generation time: its client's group may have rotated away since
+    // the original send.
+    if (request.conn.client != proto::noConnClient)
+        connSubmit(std::move(request));
+    else
+        dispatchRequest(src, std::move(request));
 }
 
 void
 TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
-                                std::uint32_t slot,
-                                std::vector<std::uint8_t> request,
-                                std::uint64_t chain,
-                                std::uint32_t attempt, bool is_hedge,
-                                ConnTag conn)
+                                std::uint32_t slot, Request request,
+                                bool is_hedge)
 {
     ++requestsSent_;
     ++inFlight_;
@@ -307,20 +303,22 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     health_.noteRouted(server);
     const proto::NodeId dst = params_.targetNode + server;
     const std::uint64_t key = reqKey(server, src, slot);
-    RV_ASSERT(outstandingRequests_.find(key) ==
-                  outstandingRequests_.end(),
+    Slot &s = slots_[key];
+    RV_ASSERT(!s.live,
               "slot reused while its request is still outstanding");
-    // A slot freed while its previous use sat in expectedDuplicates_
+    // A slot freed while its previous use still expected a duplicate
     // means that duplicate's reply was lost; it can never arrive, so
     // the stale marker must not misclassify this use's late replies.
-    expectedDuplicates_.erase(key);
-    if (connSched_ != nullptr && conn.client != proto::noConnClient)
-        connSched_->onLaunched(conn.client);
-    if (request.size() > domain_.maxMsgBytes) {
+    s.expectDuplicate = false;
+    const std::uint32_t connClient = request.conn.client;
+    if (connClient != proto::noConnClient)
+        connSched_->onLaunched(connClient);
+    std::vector<proto::Packet> packets;
+    if (request.bytes.size() > domain_.maxMsgBytes) {
         // Rendezvous (§4.2): announce the payload with a one-block
         // descriptor; the destination NI pulls it with a one-sided
-        // read from this node's registered memory (the outstanding-
-        // request store plays that role here).
+        // read from this node's registered memory (the slot table
+        // plays that role here).
         ++rendezvous_;
         proto::Packet descriptor;
         descriptor.hdr.op = proto::OpType::Send;
@@ -331,23 +329,22 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         descriptor.hdr.msgBytes = 0;
         descriptor.hdr.rendezvous = true;
         descriptor.hdr.rendezvousBytes =
-            static_cast<std::uint32_t>(request.size());
-        descriptor.hdr.connClient = conn.client;
-        outstandingRequests_[key] =
-            Outstanding{std::move(request), server,   sim_.now(), chain,
-                        attempt,            is_hedge, is_hedge,   kNoKey,
-                        conn};
-        fabric_.send(std::move(descriptor));
-        return;
+            static_cast<std::uint32_t>(request.bytes.size());
+        packets.push_back(std::move(descriptor));
+    } else {
+        packets = proto::packetize(proto::OpType::Send, src, dst, slot,
+                                   request.bytes);
     }
-    auto packets =
-        proto::packetize(proto::OpType::Send, src, dst, slot, request);
-    outstandingRequests_[key] =
-        Outstanding{std::move(request), server,   sim_.now(), chain,
-                    attempt,            is_hedge, is_hedge,   kNoKey,
-                    conn};
+    s.request = std::move(request);
+    s.sentAt = sim_.now();
+    s.sibling = kNoKey;
+    s.hedged = is_hedge;
+    s.isHedge = is_hedge;
+    s.live = true;
+    s.livePos = static_cast<std::uint32_t>(liveKeys_.size());
+    liveKeys_.push_back(key);
     for (auto &pkt : packets) {
-        pkt.hdr.connClient = conn.client;
+        pkt.hdr.connClient = connClient;
         fabric_.send(std::move(pkt));
     }
 }
@@ -365,9 +362,8 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
                       pkt.hdr.src < params_.targetNode + numServers(),
                   "reply from a non-server node");
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
-        const std::uint64_t key =
-            reqKey(server, pkt.hdr.dst, pkt.hdr.slot);
-        ReplyAssembly &assembly = replies_[key];
+        ReplyAssembly &assembly =
+            slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)].reply;
         if (assembly.total == 0) {
             assembly.total = pkt.hdr.totalBlocks;
             assembly.bytes.assign(pkt.hdr.msgBytes, 0);
@@ -381,7 +377,7 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         }
         if (++assembly.arrived == assembly.total) {
             std::vector<std::uint8_t> reply = std::move(assembly.bytes);
-            replies_.erase(key);
+            assembly = ReplyAssembly{};
             onReplyComplete(server, pkt.hdr.dst, pkt.hdr.slot,
                             std::move(reply));
         }
@@ -397,10 +393,8 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
                       pkt.hdr.src < params_.targetNode + numServers(),
                   "one-sided read from a non-server node");
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
-        const std::uint64_t key =
-            reqKey(server, pkt.hdr.dst, pkt.hdr.slot);
-        auto it = outstandingRequests_.find(key);
-        if (it == outstandingRequests_.end()) {
+        const Slot &s = slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)];
+        if (!s.live) {
             RV_ASSERT(params_.cluster.requestTimeout > 0,
                       "one-sided read for unknown payload");
             // The request timed out and was rerouted; the late pull
@@ -411,8 +405,8 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         const proto::NodeId owner = pkt.hdr.dst;
         const proto::NodeId reader = pkt.hdr.src;
         const std::uint32_t slot = pkt.hdr.slot;
-        const std::vector<std::uint8_t> payload = it->second.bytes;
-        const std::uint32_t connClient = it->second.conn.client;
+        const std::vector<std::uint8_t> payload = s.request.bytes;
+        const std::uint32_t connClient = s.request.conn.client;
         sim_.schedule(sim::nanoseconds(60.0),
                       [this, owner, reader, slot, payload, connClient] {
                           auto blocks = proto::packetize(
@@ -436,12 +430,13 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
                                   std::vector<std::uint8_t> reply)
 {
     const std::uint64_t key = reqKey(server, dst, slot);
-    auto it = outstandingRequests_.find(key);
-    if (it == outstandingRequests_.end()) {
-        if (expectedDuplicates_.erase(key) > 0) {
+    Slot &s = slots_[key];
+    if (!s.live) {
+        if (s.expectDuplicate) {
             // The losing half of a hedge race: its winner already
             // delivered this request's answer. Expected, accounted
             // apart from genuinely stale (timed-out) replies.
+            s.expectDuplicate = false;
             ++duplicateReplies_;
         } else {
             RV_ASSERT(params_.cluster.requestTimeout > 0,
@@ -458,55 +453,21 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
             ++staleReplies_;
         }
     } else {
-        if (!app_.verifyReply(it->second.bytes, reply))
+        if (!app_.verifyReply(s.request.bytes, reply))
             ++verifyFailures_;
-        const std::uint64_t chain = it->second.chain;
-        const std::uint64_t sibling = it->second.sibling;
-        const bool wonAsHedge = it->second.isHedge;
-        const ConnTag connTag = it->second.conn;
-        const std::uint32_t connReqBytes =
-            static_cast<std::uint32_t>(it->second.bytes.size());
-        outstandingRequests_.erase(it);
         ++repliesReceived_;
-        RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-        --inFlight_;
-        RV_ASSERT(perServerInFlight_[server] > 0,
-                  "per-server in-flight underflow");
-        --perServerInFlight_[server];
         health_.reportSuccess(server);
-        if (sibling != kNoKey) {
+        if (s.sibling != kNoKey) {
             // First reply wins: retire the losing half now so its
             // late reply cannot double-complete the request. Its slot
             // credit still returns through the duplicate-reply path
             // above (the loser's reply carries the replenish).
-            auto sit = outstandingRequests_.find(sibling);
-            RV_ASSERT(sit != outstandingRequests_.end(),
-                      "hedge sibling vanished before resolution");
-            const std::uint32_t loserServer = sit->second.server;
-            const ConnTag loserTag = sit->second.conn;
-            outstandingRequests_.erase(sit);
-            connOnRetired(loserTag);
-            replies_.erase(sibling);
-            RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-            --inFlight_;
-            RV_ASSERT(perServerInFlight_[loserServer] > 0,
-                      "per-server in-flight underflow");
-            --perServerInFlight_[loserServer];
-            expectedDuplicates_.insert(sibling);
-            if (wonAsHedge)
+            if (s.isHedge)
                 ++hedgesWon_;
-            // A credit parked on the loser (its reply was dropped)
-            // comes back now that the loser is retired.
-            releaseHeldCredit(sibling);
+            slots_[s.sibling].expectDuplicate = true;
+            retire(s.sibling, /*completed=*/false);
         }
-        // Likewise a credit parked on this request itself.
-        releaseHeldCredit(key);
-        // Connection accounting + the drain-before-switch signal; a
-        // drained group's switch can admit deferred requests, which
-        // re-enter this generator like the chain completion below —
-        // everything above is already settled.
-        connOnCompleted(connTag, connReqBytes);
-        connOnRetired(connTag);
+        const std::uint64_t chain = retire(key, /*completed=*/true).chain;
         // Last among the accounting: the chain-group completion may
         // re-enter this generator (a resumed parent's own reply
         // path), so everything above must already be settled. The
@@ -531,16 +492,53 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
                   });
 }
 
+TrafficGenerator::Request
+TrafficGenerator::retire(std::uint64_t key, bool completed)
+{
+    Slot &s = slots_[key];
+    RV_ASSERT(s.live, "retiring a request that is not in flight");
+    Request request = std::move(s.request);
+    // The survivor of a hedge pair resolves alone from here.
+    if (s.sibling != kNoKey)
+        slots_[s.sibling].sibling = kNoKey;
+    s.sibling = kNoKey;
+    s.live = false;
+    const std::uint64_t moved = liveKeys_.back();
+    liveKeys_[s.livePos] = moved;
+    slots_[moved].livePos = s.livePos;
+    liveKeys_.pop_back();
+    // A partially assembled reply for the request must not pollute
+    // the slot's next use.
+    s.reply = ReplyAssembly{};
+    const std::uint32_t server = keyParts(key).server;
+    RV_ASSERT(inFlight_ > 0, "in-flight underflow");
+    --inFlight_;
+    RV_ASSERT(perServerInFlight_[server] > 0,
+              "per-server in-flight underflow");
+    --perServerInFlight_[server];
+    // Connection accounting + the drain-before-switch signal; a
+    // drained group's switch can admit deferred requests, which
+    // re-enter this generator — the counts above are already settled.
+    connOnRetired(request, completed);
+    // The slot is reclaimed here only if its replenish already came
+    // back (a parked credit proves the server's recv slot is free);
+    // otherwise the replenish returns it, and a dead server's slots
+    // stay consumed until it recovers.
+    releaseHeldCredit(key);
+    return request;
+}
+
 void
 TrafficGenerator::onChainMemberDone(std::uint64_t chain)
 {
-    auto it = chains_.find(chain);
-    RV_ASSERT(it != chains_.end(), "reply for unknown chain group");
-    RV_ASSERT(it->second.remaining > 0, "chain-group underflow");
-    if (--it->second.remaining > 0)
+    RV_ASSERT(chain - 1 < chains_.size(), "reply for unknown chain group");
+    ChainGroup &group = chains_[chain - 1];
+    RV_ASSERT(group.remaining > 0, "chain-group underflow");
+    if (--group.remaining > 0)
         return;
-    std::function<void()> done = std::move(it->second.done);
-    chains_.erase(it);
+    std::function<void()> done = std::move(group.done);
+    group.done = nullptr;
+    freeChains_.push_back(chain);
     ++chainsCompleted_;
     done();
 }
@@ -557,14 +555,14 @@ TrafficGenerator::onReplenish(const proto::Packet &pkt)
     const proto::NodeId src = pkt.hdr.dst;
     const std::uint32_t slot = pkt.hdr.slot;
     RV_ASSERT(src < domain_.numNodes, "replenish for unknown node");
-    const std::uint64_t key = reqKey(server, src, slot);
-    if (outstandingRequests_.find(key) != outstandingRequests_.end()) {
+    Slot &s = slots_[reqKey(server, src, slot)];
+    if (s.live) {
         // The request is still outstanding on this very slot: its
         // reply was lost (per-flow FIFO delivers the reply before the
         // replenish otherwise). Reusing the slot now would alias a new
         // request under the same reply key — park the credit until
         // the outstanding request resolves.
-        heldCredits_.insert(key);
+        s.heldCredit = true;
         return;
     }
     recycleSlot(src, server, slot);
@@ -576,11 +574,10 @@ TrafficGenerator::recycleSlot(proto::NodeId client, std::uint32_t server,
 {
     const std::size_t pair = pairIndex(client, server);
     if (!pending_[pair].empty()) {
-        PendingRequest next = std::move(pending_[pair].front());
+        Request next = std::move(pending_[pair].front());
         pending_[pair].pop_front();
-        launchRequest(client, server, slot, std::move(next.bytes),
-                      next.chain, next.attempt, /*is_hedge=*/false,
-                      next.conn);
+        launchRequest(client, server, slot, std::move(next),
+                      /*is_hedge=*/false);
     } else {
         freeSlots_[pair].push_back(slot);
     }
@@ -589,16 +586,12 @@ TrafficGenerator::recycleSlot(proto::NodeId client, std::uint32_t server,
 void
 TrafficGenerator::releaseHeldCredit(std::uint64_t key)
 {
-    if (heldCredits_.erase(key) == 0)
+    Slot &s = slots_[key];
+    if (!s.heldCredit)
         return;
-    const auto slot = static_cast<std::uint32_t>(
-        key % domain_.slotsPerNode);
-    const auto client = static_cast<proto::NodeId>(
-        (key / domain_.slotsPerNode) % domain_.numNodes);
-    const auto server = static_cast<std::uint32_t>(
-        key / (static_cast<std::uint64_t>(domain_.slotsPerNode) *
-               domain_.numNodes));
-    recycleSlot(client, server, slot);
+    s.heldCredit = false;
+    const KeyParts k = keyParts(key);
+    recycleSlot(k.client, k.server, k.slot);
 }
 
 void
@@ -608,16 +601,17 @@ TrafficGenerator::sweepTimeouts()
         return;
 
     const fault::RetryPolicy &retry = params_.retry;
+    const sim::Tick timeout = params_.cluster.requestTimeout;
 
     // Hedge scan first: requests old enough to warrant a duplicate
     // send but not yet expired. Collect, sort, then act — hedging
-    // inserts outstanding entries, which must not be visited here.
+    // launches requests, which must not be visited here.
     if (retry.hedgeAfter > 0) {
         std::vector<std::uint64_t> toHedge;
-        for (const auto &[key, rec] : outstandingRequests_) {
-            const sim::Tick age = sim_.now() - rec.sentAt;
-            if (age >= retry.hedgeAfter &&
-                age < params_.cluster.requestTimeout && !rec.hedged)
+        for (const std::uint64_t key : liveKeys_) {
+            const Slot &s = slots_[key];
+            const sim::Tick age = sim_.now() - s.sentAt;
+            if (age >= retry.hedgeAfter && age < timeout && !s.hedged)
                 toHedge.push_back(key);
         }
         std::sort(toHedge.begin(), toHedge.end());
@@ -625,67 +619,39 @@ TrafficGenerator::sweepTimeouts()
             hedgeRequest(key);
     }
 
-    // Collect first, then act: rerouting schedules new outstanding
-    // entries, which must not be visited by this sweep.
+    // Collect first, then act: rerouting launches requests, which
+    // must not be visited by this sweep. Ascending key order keeps the
+    // sweep independent of the live list's order.
     std::vector<std::uint64_t> expired;
-    for (const auto &[key, rec] : outstandingRequests_) {
-        if (sim_.now() - rec.sentAt >= params_.cluster.requestTimeout)
+    for (const std::uint64_t key : liveKeys_) {
+        if (sim_.now() - slots_[key].sentAt >= timeout)
             expired.push_back(key);
     }
-    // Deterministic order: the hash map iterates in an
-    // implementation-defined order, the sweep must not.
     std::sort(expired.begin(), expired.end());
 
     for (const std::uint64_t key : expired) {
-        auto it = outstandingRequests_.find(key);
-        RV_ASSERT(it != outstandingRequests_.end(),
-                  "expired request vanished mid-sweep");
-        const std::uint32_t server = it->second.server;
-        const proto::NodeId client = static_cast<proto::NodeId>(
-            (key / domain_.slotsPerNode) % domain_.numNodes);
-        std::vector<std::uint8_t> request = std::move(it->second.bytes);
-        const std::uint64_t chain = it->second.chain;
-        const std::uint32_t attempt = it->second.attempt;
-        const std::uint64_t sibling = it->second.sibling;
-        const ConnTag connTag = it->second.conn;
-        outstandingRequests_.erase(it);
-        connOnRetired(connTag);
-        // A partially assembled reply for the dead request must not
-        // pollute the slot's next use.
-        replies_.erase(key);
+        RV_ASSERT(slots_[key].live, "expired request vanished mid-sweep");
+        const bool hadSibling = slots_[key].sibling != kNoKey;
+        const KeyParts k = keyParts(key);
+        Request request = retire(key, /*completed=*/false);
         ++timeouts_;
-        RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-        --inFlight_;
-        RV_ASSERT(perServerInFlight_[server] > 0,
-                  "per-server in-flight underflow");
-        --perServerInFlight_[server];
-        // The slot is deliberately NOT reclaimed unless its replenish
-        // already came back (a parked credit proves the server's recv
-        // slot is free): a slow-but-alive server still returns it via
-        // replenish; a dead server's slots stay consumed until it
-        // recovers.
-        releaseHeldCredit(key);
-        if (health_.reportFailure(server, sim_.now())) {
+        if (health_.reportFailure(k.server, sim_.now())) {
             // Transition to down: everything queued toward this
             // server would wait forever — reroute it now.
-            drainPending(server);
+            drainPending(k.server);
         }
-        if (sibling != kNoKey) {
+        if (hadSibling) {
             // Half of a hedge pair expired; the surviving half still
-            // covers the request, so no re-dispatch — just unlink the
-            // survivor (it resolves alone from here).
-            auto sit = outstandingRequests_.find(sibling);
-            if (sit != outstandingRequests_.end())
-                sit->second.sibling = kNoKey;
+            // covers the request, so no re-dispatch.
             continue;
         }
-        if (retry.maxAttempts > 0 && attempt >= retry.maxAttempts) {
+        if (retry.maxAttempts > 0 && request.attempt >= retry.maxAttempts) {
             // Attempt budget exhausted: give up for real. A chained
             // member still counts toward its group so the parent's
             // deferred reply is not wedged forever.
             ++retryDrops_;
-            if (chain != 0)
-                onChainMemberDone(chain);
+            if (request.chain != 0)
+                onChainMemberDone(request.chain);
             continue;
         }
         // Reroutes keep their chain group: a chain member survives
@@ -695,7 +661,7 @@ TrafficGenerator::sweepTimeouts()
         sim::Tick backoff = 0;
         if (retry.baseBackoff > 0) {
             double delay = static_cast<double>(retry.baseBackoff);
-            for (std::uint32_t a = 1; a < attempt; ++a)
+            for (std::uint32_t a = 1; a < request.attempt; ++a)
                 delay *= retry.multiplier;
             if (retry.jitter > 0.0) {
                 delay *= 1.0 + retry.jitter *
@@ -703,38 +669,17 @@ TrafficGenerator::sweepTimeouts()
             }
             backoff = static_cast<sim::Tick>(delay);
         }
-        if (connTag.client != proto::noConnClient) {
-            // A retried conn request re-enters the admission gate with
-            // a fresh generation time: its client's group may have
-            // rotated away since the original send.
-            const std::uint32_t connClient = connTag.client;
-            if (backoff == 0) {
-                connSubmit(connClient, std::move(request), chain,
-                           attempt + 1);
-            } else {
-                sim_.schedule(
-                    backoff, [this, connClient, chain, attempt,
-                              request = std::move(request)]() mutable {
-                        if (halted_)
-                            return;
-                        connSubmit(connClient, std::move(request),
-                                   chain, attempt + 1);
-                    });
-            }
-        } else if (backoff == 0) {
-            // Legacy path: immediate re-dispatch, no extra event.
-            dispatchRequest(client, std::move(request), chain,
-                            attempt + 1);
-        } else {
-            sim_.schedule(
-                backoff, [this, client, chain, attempt,
-                          request = std::move(request)]() mutable {
-                    if (halted_)
-                        return;
-                    dispatchRequest(client, std::move(request), chain,
-                                    attempt + 1);
-                });
+        ++request.attempt;
+        if (backoff == 0) {
+            // Immediate re-dispatch, no extra event.
+            resubmit(k.client, std::move(request));
+            continue;
         }
+        sim_.schedule(backoff, [this, client = k.client,
+                                request = std::move(request)]() mutable {
+            if (!halted_)
+                resubmit(client, std::move(request));
+        });
     }
 
     const cluster::ClusterConfig &cc = params_.cluster;
@@ -747,22 +692,14 @@ TrafficGenerator::sweepTimeouts()
 void
 TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
 {
-    auto it = outstandingRequests_.find(primary_key);
-    RV_ASSERT(it != outstandingRequests_.end(),
-              "hedge candidate vanished mid-sweep");
-    const proto::NodeId client = static_cast<proto::NodeId>(
-        (primary_key / domain_.slotsPerNode) % domain_.numNodes);
-    std::vector<std::uint8_t> copy = it->second.bytes;
-    const std::uint64_t chain = it->second.chain;
-    const std::uint32_t attempt = it->second.attempt;
-    // The duplicate covers the same logical client's request, so it
-    // inherits the primary's connection identity (its admission was
-    // already granted; hedging does not re-enter the gate).
-    const ConnTag connTag = it->second.conn;
+    Slot &primary = slots_[primary_key];
+    RV_ASSERT(primary.live, "hedge candidate vanished mid-sweep");
+    const proto::NodeId client = keyParts(primary_key).client;
     // Route the duplicate independently — under load-aware routing it
     // lands on a less-loaded (often different) server than the slow
     // primary.
-    const std::uint32_t server = routeRequest(client, copy);
+    const std::uint32_t server =
+        routeRequest(client, primary.request.bytes);
     const std::size_t pair = pairIndex(client, server);
     if (freeSlots_[pair].empty()) {
         // No free slot toward the hedge's target: skip rather than
@@ -773,26 +710,22 @@ TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
     const std::uint64_t hedgeKey = reqKey(server, client, slot);
-    // The hedge shares the primary's chain group; exactly one of the
-    // pair completes it (the loser retires as a duplicate).
-    launchRequest(client, server, slot, std::move(copy), chain, attempt,
-                  /*is_hedge=*/true, connTag);
+    // The duplicate shares the primary's chain group (exactly one of
+    // the pair completes it; the loser retires as a duplicate) and its
+    // connection identity (its admission was already granted; hedging
+    // does not re-enter the gate).
+    launchRequest(client, server, slot, primary.request,
+                  /*is_hedge=*/true);
     ++hedgesSent_;
-    // launchRequest may rehash the map: re-find both halves to link.
-    auto pit = outstandingRequests_.find(primary_key);
-    auto hit = outstandingRequests_.find(hedgeKey);
-    RV_ASSERT(pit != outstandingRequests_.end() &&
-                  hit != outstandingRequests_.end(),
-              "hedge pair lookup failed after launch");
-    pit->second.hedged = true;
-    pit->second.sibling = hedgeKey;
-    hit->second.sibling = primary_key;
+    primary.hedged = true;
+    primary.sibling = hedgeKey;
+    slots_[hedgeKey].sibling = primary_key;
 }
 
 void
 TrafficGenerator::drainPending(std::uint32_t server)
 {
-    std::vector<std::pair<proto::NodeId, PendingRequest>> queued;
+    std::vector<std::pair<proto::NodeId, Request>> queued;
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
         auto &q = pending_[pairIndex(n, server)];
         while (!q.empty()) {
@@ -802,8 +735,7 @@ TrafficGenerator::drainPending(std::uint32_t server)
     }
     for (auto &[client, request] : queued) {
         ++reroutes_;
-        dispatchRequest(client, std::move(request.bytes), request.chain,
-                        request.attempt, request.conn);
+        dispatchRequest(client, std::move(request));
     }
 }
 

@@ -28,6 +28,17 @@
  * its nested requests here, where they ride the normal client
  * machinery as a chain group whose completion resumes the parent's
  * deferred reply. Workloads that never nest take none of these paths.
+ *
+ * In-flight bookkeeping mirrors the messaging domain's own addressing
+ * (§4.2): a (server, client, slot) triple names exactly one send slot,
+ * so every per-request datum lives in one dense slot table indexed by
+ * that id: the request, its send time and hedge links, the reply
+ * being reassembled, a parked slot credit, and an expected-duplicate
+ * mark. A list of live keys (swap-remove, each slot knows its
+ * position) lets the timeout sweep visit only in-flight requests.
+ * Every launched request leaves the in-flight set through one
+ * retire(), so launches = replies + timeouts + hedge-loser
+ * retirements + in flight at any instant.
  */
 
 #ifndef RPCVALET_NET_TRAFFIC_GEN_HH
@@ -37,10 +48,7 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
-
-#include <unordered_set>
 
 #include "app/rpc_application.hh"
 #include "cluster/cluster.hh"
@@ -70,7 +78,15 @@ struct ConnTag
     bool deferred = false;
 };
 
-/** Emulates the remote client nodes of the messaging domain. */
+/**
+ * Emulates the remote client nodes of the messaging domain.
+ *
+ * A Request is the one record of a client request, whether it waits
+ * for admission (per-client queue), for a send slot (per-(client,
+ * server) queue), or is in flight (its Slot in the table). A timed-out
+ * request is sent again through the same admission or dispatch step
+ * that first issued it, at once or after the retry backoff.
+ */
 class TrafficGenerator final : private cluster::ClusterView
 {
   public:
@@ -276,14 +292,14 @@ class TrafficGenerator final : private cluster::ClusterView
         return perServerInFlight_[server];
     }
 
-    /** Flat (client, server) pair index for the slot tables. */
+    /** Flat (client, server) pair index for the slot queues. */
     std::size_t
     pairIndex(proto::NodeId client, std::uint32_t server) const
     {
         return static_cast<std::size_t>(client) * numServers() + server;
     }
 
-    /** Flat (server, client, slot) key for outstanding requests. */
+    /** Flat (server, client, slot) key: the slot table's index. */
     std::uint64_t
     reqKey(std::uint32_t server, proto::NodeId client,
            std::uint32_t slot) const
@@ -294,48 +310,80 @@ class TrafficGenerator final : private cluster::ClusterView
                slot;
     }
 
+    /** reqKey's inverse. */
+    struct KeyParts
+    {
+        std::uint32_t server;
+        proto::NodeId client;
+        std::uint32_t slot;
+    };
+    KeyParts
+    keyParts(std::uint64_t key) const
+    {
+        const std::uint64_t pair = key / domain_.slotsPerNode;
+        return {static_cast<std::uint32_t>(pair / domain_.numNodes),
+                static_cast<proto::NodeId>(pair % domain_.numNodes),
+                static_cast<std::uint32_t>(key % domain_.slotsPerNode)};
+    }
+
+    /** A client request: wire bytes (kept for verification and
+     *  rendezvous pulls), its chain group (0 = ordinary request; the id
+     *  survives reroutes, so a group's completion count stays exact
+     *  across failover), its 1-based send attempt, and its connection
+     *  identity (legacy default on anonymous paths). */
+    struct Request
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t chain = 0;
+        std::uint32_t attempt = 1;
+        ConnTag conn{};
+    };
+
     void onArrival();
     /** Uniformly random remote source node (skips the server block). */
     proto::NodeId pickClientNode();
     /** Deterministic emulated source node of a logical client. */
     proto::NodeId connNodeFor(std::uint32_t client) const;
-    /** Admission gate: dispatch now if the scheduler allows, else
-     *  queue on the client until the scheduler releases it. */
-    void connSubmit(std::uint32_t client,
-                    std::vector<std::uint8_t> request,
-                    std::uint64_t chain, std::uint32_t attempt);
+    /** Admission gate for @p request's client (request.conn.client):
+     *  dispatch now if the scheduler allows, else queue on the client
+     *  until the scheduler releases it. Stamps the generation time. */
+    void connSubmit(Request request);
     /** The scheduler's AdmitFn: release up to @p limit queued
      *  requests of @p client (0 = all); returns the count released. */
     std::uint32_t connFlush(std::uint32_t client, std::uint32_t limit);
-    /** Completion-side accounting + scheduler callbacks for a
-     *  finishing conn-tagged request (no-op on legacy tags). */
-    void connOnCompleted(const ConnTag &tag, std::uint32_t req_bytes);
-    /** The exactly-once drain signal for any conn-tagged request
-     *  leaving the outstanding set (no-op on legacy tags). */
-    void connOnRetired(const ConnTag &tag);
+    /** Scheduler callbacks for a conn-tagged request leaving the
+     *  in-flight set: completion accounting if it @p completed, then
+     *  the exactly-once drain signal (no-op on legacy tags). */
+    void connOnRetired(const Request &request, bool completed);
     /** Bump the per-class generation counter off the wire bytes. */
     void countRequestClass(const std::vector<std::uint8_t> &request);
-    /** Route @p request and launch it (or queue it on the chosen
-     *  server's slot pool). @p chain ties it to a chain group
-     *  (0 = ordinary client request); @p attempt is 1-based. */
-    void dispatchRequest(proto::NodeId src,
-                         std::vector<std::uint8_t> request,
-                         std::uint64_t chain, std::uint32_t attempt = 1,
-                         ConnTag conn = ConnTag());
+    /** Route @p request from @p src and launch it (or queue it on the
+     *  chosen server's slot pool). */
+    void dispatchRequest(proto::NodeId src, Request request);
+    /** Send a timed-out request again the way it first entered:
+     *  through admission if conn-tagged, else dispatch from @p src. */
+    void resubmit(proto::NodeId src, Request request);
     std::uint32_t routeRequest(proto::NodeId src,
                                const std::vector<std::uint8_t> &request);
     void launchRequest(proto::NodeId src, std::uint32_t server,
-                       std::uint32_t slot,
-                       std::vector<std::uint8_t> request,
-                       std::uint64_t chain, std::uint32_t attempt = 1,
-                       bool is_hedge = false, ConnTag conn = ConnTag());
-    /** Send a hedged duplicate of the outstanding request at
+                       std::uint32_t slot, Request request,
+                       bool is_hedge);
+    /** Send a hedged duplicate of the in-flight request at
      *  @p primary_key (no-op if no slot is free at the hedge's
      *  routed target — the next sweep retries). */
     void hedgeRequest(std::uint64_t primary_key);
     void onReplyComplete(std::uint32_t server, proto::NodeId dst,
                          std::uint32_t slot,
                          std::vector<std::uint8_t> reply);
+    /**
+     * Take the in-flight request at @p key out of the in-flight set —
+     * the one exit for replies, timeouts and hedge losers: unlink its
+     * hedge sibling, drop any partial reply, settle the in-flight
+     * counts, signal the connection scheduler (completion accounting
+     * if it @p completed), then free a credit parked on the slot.
+     * Returns the request.
+     */
+    Request retire(std::uint64_t key, bool completed);
     /** A chain member finished; fire the group's done at zero. */
     void onChainMemberDone(std::uint64_t chain);
     void onReplenish(const proto::Packet &pkt);
@@ -344,7 +392,7 @@ class TrafficGenerator final : private cluster::ClusterView
     void recycleSlot(proto::NodeId client, std::uint32_t server,
                      std::uint32_t slot);
     /** Free the slot whose credit was parked while its request was
-     *  still outstanding at @p key (no-op if none was). */
+     *  still in flight at @p key (no-op if none was). */
     void releaseHeldCredit(std::uint64_t key);
     /** Periodic timeout scan (scheduled only when requestTimeout > 0). */
     void sweepTimeouts();
@@ -371,63 +419,57 @@ class TrafficGenerator final : private cluster::ClusterView
 
     /** Free request-slot numbers per (client, server) pair. */
     std::vector<std::vector<std::uint32_t>> freeSlots_;
-    /** A request waiting for a slot; chain 0 = ordinary request. */
-    struct PendingRequest
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t chain = 0;
-        std::uint32_t attempt = 1;
-        ConnTag conn{};
-    };
     /** Requests waiting for a slot, per (client, server) pair. */
-    std::vector<std::deque<PendingRequest>> pending_;
+    std::vector<std::deque<Request>> pending_;
 
-    /** An in-flight request: bytes for verification/rendezvous, plus
-     *  the server and send time for timeout-based failover. The chain
-     *  id (0 = none) survives reroutes, so a chain group's completion
-     *  count stays exact across failover. */
     /** Sibling sentinel: this request is not half of a hedge pair. */
     static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
-    struct Outstanding
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint32_t server = 0;
-        sim::Tick sentAt = 0;
-        std::uint64_t chain = 0;
-        /** 1-based send attempt (retry-policy budget). */
-        std::uint32_t attempt = 1;
-        /** This request already has (or had) a hedge — never hedge
-         *  the same request twice. */
-        bool hedged = false;
-        /** This entry IS the hedged duplicate. */
-        bool isHedge = false;
-        /** Key of the other half of the hedge pair (kNoKey = none);
-         *  cleared on the survivor when either side retires. */
-        std::uint64_t sibling = kNoKey;
-        /** Connection identity (legacy default on anonymous paths). */
-        ConnTag conn{};
-    };
-    /** Outstanding requests keyed by reqKey(server, client, slot). */
-    std::unordered_map<std::uint64_t, Outstanding> outstandingRequests_;
-
-    /** Slot credits whose replenish arrived while the request was
-     *  still outstanding on that very slot — possible only when the
-     *  reply was lost (the fabric's per-flow FIFO otherwise delivers
-     *  the reply first). Reusing the slot then would alias two
-     *  requests under one reply key, so the credit is parked here and
-     *  released when the outstanding request resolves (reply, timeout,
-     *  or hedge retirement). */
-    std::unordered_set<std::uint64_t> heldCredits_;
-
-    /** Reply reassembly, keyed like outstandingRequests_. */
+    /** Reply blocks received so far on one slot. */
     struct ReplyAssembly
     {
         std::uint32_t arrived = 0;
         std::uint32_t total = 0;
         std::vector<std::uint8_t> bytes;
     };
-    std::unordered_map<std::uint64_t, ReplyAssembly> replies_;
+
+    /** Everything the client tracks about one (server, client, slot). */
+    struct Slot
+    {
+        /** The in-flight request (meaningful while live). */
+        Request request;
+        sim::Tick sentAt = 0;
+        /** Key of the other half of the hedge pair (kNoKey = none);
+         *  cleared on the survivor when either side retires. */
+        std::uint64_t sibling = kNoKey;
+        /** This slot's index in liveKeys_ (meaningful while live). */
+        std::uint32_t livePos = 0;
+        /** A request is in flight on this slot. */
+        bool live = false;
+        /** This request already has (or had) a hedge — never hedge
+         *  the same request twice. */
+        bool hedged = false;
+        /** This request IS the hedged duplicate. */
+        bool isHedge = false;
+        /** The slot's credit came back (replenish) while its request
+         *  was still in flight — possible only when the reply was lost
+         *  (the fabric's per-flow FIFO otherwise delivers the reply
+         *  first). Reusing the slot then would alias two requests under
+         *  one reply key, so the credit is parked until the request
+         *  retires (reply, timeout, or hedge retirement). */
+        bool heldCredit = false;
+        /** This slot's last request lost a hedge race and its reply is
+         *  still due: when it arrives it is a duplicate (expected), not
+         *  a stale (lost) reply. */
+        bool expectDuplicate = false;
+        /** The reply being reassembled (stale ones included). */
+        ReplyAssembly reply;
+    };
+    /** The slot table, indexed by reqKey(server, client, slot). */
+    std::vector<Slot> slots_;
+    /** Keys of the live slots, in no particular order: the timeout
+     *  sweep's working set. */
+    std::vector<std::uint64_t> liveKeys_;
 
     /** In-flight requests per server (the router's load signal). */
     std::vector<std::uint64_t> perServerInFlight_;
@@ -438,9 +480,10 @@ class TrafficGenerator final : private cluster::ClusterView
         std::uint32_t remaining = 0;
         std::function<void()> done;
     };
-    /** Open chain groups keyed by chain id (allocated from 1 up). */
-    std::unordered_map<std::uint64_t, ChainGroup> chains_;
-    std::uint64_t nextChainId_ = 1;
+    /** Chain groups indexed by chain id - 1 (id 0 = no chain); a
+     *  completed group's id goes to freeChains_ for reuse. */
+    std::vector<ChainGroup> chains_;
+    std::vector<std::uint64_t> freeChains_;
 
     std::uint64_t requestsSent_ = 0;
     std::vector<std::uint64_t> madeByClass_;
@@ -457,9 +500,6 @@ class TrafficGenerator final : private cluster::ClusterView
     std::uint64_t hedgesSent_ = 0;
     std::uint64_t hedgesWon_ = 0;
     std::uint64_t duplicateReplies_ = 0;
-    /** Keys of retired hedge losers whose replies are still due: when
-     *  one arrives it is a duplicate (expected), not a stale (lost). */
-    std::unordered_set<std::uint64_t> expectedDuplicates_;
     std::uint64_t nestedSent_ = 0;
     std::uint64_t chainsCompleted_ = 0;
     bool halted_ = false;
@@ -471,16 +511,9 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Client-identity stream; drawn only when the population model
      *  is active, so legacy runs stay bit-identical. */
     sim::Rng connRng_;
-    /** A request waiting for its client's admission. */
-    struct ConnDeferred
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t chain = 0;
-        std::uint32_t attempt = 1;
-        sim::Tick genAt = 0;
-    };
-    /** Deferred requests, per logical client. */
-    std::vector<std::deque<ConnDeferred>> connQueue_;
+    /** Requests waiting for their client's admission, per logical
+     *  client. */
+    std::vector<std::deque<Request>> connQueue_;
     std::uint64_t connAdmittedImmediate_ = 0;
     std::uint64_t connDeferredTotal_ = 0;
     std::uint64_t connFlushed_ = 0;

@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit tests for the cluster traffic generator, using a miniature
- * in-test echo server as the node under test.
+ * in-test echo server as the node under test: the happy path, flow
+ * control, and the timeout recovery paths (parked slot credits, slot
+ * reuse after a timeout, stale replies, conservation after drain).
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +37,8 @@ tinyDomain(std::uint32_t nodes = 4, std::uint32_t slots = 2)
 /**
  * Minimal node-0 stand-in: reassembles request sends, asks the app
  * for a reply, sends it back on the mirror slot, then replenishes.
+ * One chosen reply can be swallowed (its replenish still goes out,
+ * as when the fabric loses the reply) or held back.
  */
 class EchoServer
 {
@@ -50,6 +54,13 @@ class EchoServer
     }
 
     std::uint64_t served = 0;
+    /** Drop the reply to the Nth served request (1-based, 0 = none)
+     *  but still send its replenish. */
+    std::uint64_t swallowReply = 0;
+    /** Hold the reply and replenish of the Nth served request (1-based,
+     *  0 = none) back by replyDelay. */
+    std::uint64_t delayReply = 0;
+    sim::Tick replyDelay = 0;
 
   private:
     void
@@ -73,18 +84,34 @@ class EchoServer
         const auto slot = pkt.hdr.slot;
         sim_.schedule(service_, [this, src, slot, request] {
             auto result = app_.handle(request, rng_);
-            for (auto &p : proto::packetize(proto::OpType::Send, 0, src,
-                                            slot, result.reply)) {
-                fabric_.send(std::move(p));
+            const std::uint64_t n = ++served;
+            if (n == delayReply) {
+                sim_.schedule(replyDelay,
+                              [this, src, slot, n,
+                               reply = std::move(result.reply)] {
+                                  respond(src, slot, n, reply);
+                              });
+            } else {
+                respond(src, slot, n, result.reply);
             }
-            proto::Packet cred;
-            cred.hdr.op = proto::OpType::Replenish;
-            cred.hdr.src = 0;
-            cred.hdr.dst = src;
-            cred.hdr.slot = slot;
-            fabric_.send(std::move(cred));
-            ++served;
         });
+    }
+
+    void
+    respond(proto::NodeId src, std::uint32_t slot, std::uint64_t n,
+            const std::vector<std::uint8_t> &reply)
+    {
+        if (n != swallowReply) {
+            for (auto &p :
+                 proto::packetize(proto::OpType::Send, 0, src, slot, reply))
+                fabric_.send(std::move(p));
+        }
+        proto::Packet cred;
+        cred.hdr.op = proto::OpType::Replenish;
+        cred.hdr.src = 0;
+        cred.hdr.dst = src;
+        cred.hdr.slot = slot;
+        fabric_.send(std::move(cred));
     }
 
     Simulator &sim_;
@@ -205,6 +232,104 @@ TEST(TrafficGen, HaltStopsNewRequests)
     const auto sent = h.tg->requestsSent();
     h.sim.run();
     EXPECT_EQ(h.tg->requestsSent(), sent);
+}
+
+/**
+ * One client node with one send slot, an arrival every microsecond and
+ * a 10 us request timeout (swept every 2.5 us): at most one request is
+ * in flight, so every recovery step shows in the generator's counters.
+ */
+struct RecoveryHarness
+{
+    Simulator sim;
+    Fabric fabric{sim, nanoseconds(50)};
+    app::SyntheticApp app{sim::SyntheticKind::Fixed};
+    proto::MessagingDomain domain = tinyDomain(2, 1);
+    EchoServer server{sim, fabric, app, nanoseconds(200)};
+    std::unique_ptr<TrafficGenerator> tg;
+
+    RecoveryHarness()
+    {
+        TrafficGenerator::Params p;
+        p.arrivalRps = 1e6;
+        p.arrival = net::ArrivalSpec::parse("deterministic");
+        p.targetNode = 0;
+        p.clientTurnaround = nanoseconds(50);
+        p.cluster.requestTimeout = sim::microseconds(10.0);
+        p.seed = 3;
+        tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
+                                                fabric);
+        fabric.connectDefault([this](proto::Packet pkt) {
+            tg->receivePacket(std::move(pkt));
+        });
+    }
+
+    /** Halt, drain, and check that every launch was answered or timed
+     *  out and every generated request was launched (no slot leaked). */
+    void
+    drainAndCheckConservation()
+    {
+        tg->halt();
+        sim.run();
+        EXPECT_EQ(tg->inFlight(), 0u);
+        EXPECT_EQ(tg->requestsSent(),
+                  tg->repliesReceived() + tg->requestTimeouts());
+        EXPECT_EQ(tg->requestsSent(),
+                  tg->requestsMadeByClass().at(0) + tg->retries());
+        EXPECT_EQ(tg->verificationFailures(), 0u);
+    }
+};
+
+TEST(TrafficGenRecovery, LostReplyParksCreditUntilTimeout)
+{
+    // The third request's reply is lost but its replenish arrives:
+    // reusing the slot would alias the next request under the lost
+    // request's reply key, so the credit waits for the timeout.
+    RecoveryHarness h;
+    h.server.swallowReply = 3;
+    h.tg->start();
+    h.sim.runUntil(sim::microseconds(14.0));
+    EXPECT_EQ(h.server.served, 3u);
+    EXPECT_EQ(h.tg->requestsSent(), 3u);
+    EXPECT_EQ(h.tg->inFlight(), 1u);
+    EXPECT_EQ(h.tg->requestTimeouts(), 0u);
+    EXPECT_GT(h.tg->flowControlDeferrals(), 8u);
+
+    // The sweep at 15 us expires it and frees the parked credit: the
+    // queued requests flow through the slot again.
+    h.sim.runUntil(sim::microseconds(16.0));
+    EXPECT_EQ(h.tg->requestTimeouts(), 1u);
+    EXPECT_EQ(h.tg->retries(), 1u);
+    EXPECT_GT(h.tg->requestsSent(), 4u);
+    EXPECT_EQ(h.tg->staleReplies(), 0u);
+
+    h.sim.runUntil(sim::microseconds(40.0));
+    h.drainAndCheckConservation();
+    EXPECT_EQ(h.tg->requestTimeouts(), 1u);
+    EXPECT_EQ(h.tg->repliesReceived(), h.server.served - 1);
+}
+
+TEST(TrafficGenRecovery, ReplyPastTheTimeoutCountsAsStale)
+{
+    // The third reply (and, behind it, its replenish) arrives 15 us
+    // late. The request times out first; its slot stays consumed until
+    // the late replenish returns it.
+    RecoveryHarness h;
+    h.server.delayReply = 3;
+    h.server.replyDelay = sim::microseconds(15.0);
+    h.tg->start();
+    h.sim.runUntil(sim::microseconds(16.0));
+    EXPECT_EQ(h.tg->requestTimeouts(), 1u);
+    EXPECT_EQ(h.tg->staleReplies(), 0u);
+    EXPECT_EQ(h.tg->inFlight(), 0u);
+    EXPECT_EQ(h.tg->requestsSent(), 3u);
+
+    h.sim.runUntil(sim::microseconds(40.0));
+    EXPECT_EQ(h.tg->staleReplies(), 1u);
+    EXPECT_GT(h.tg->requestsSent(), 10u);
+    h.drainAndCheckConservation();
+    EXPECT_EQ(h.tg->requestTimeouts(), 1u);
+    EXPECT_EQ(h.tg->repliesReceived(), h.server.served - 1);
 }
 
 } // namespace
