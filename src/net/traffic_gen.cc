@@ -274,8 +274,7 @@ TrafficGenerator::dispatchRequest(proto::NodeId src, Request request)
     }
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
-    launchRequest(src, server, slot, std::move(request),
-                  /*is_hedge=*/false);
+    launchRequest(src, server, slot, std::move(request), kNoKey);
 }
 
 void
@@ -293,10 +292,9 @@ TrafficGenerator::resubmit(proto::NodeId src, Request request)
 void
 TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
                                 std::uint32_t slot, Request request,
-                                bool is_hedge)
+                                std::uint64_t hedge_of)
 {
     ++requestsSent_;
-    ++inFlight_;
     ++perServerInFlight_[server];
     // Canary accounting: a recovering server's first routed request is
     // its probe (no-op for healthy servers).
@@ -304,7 +302,7 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     const proto::NodeId dst = params_.targetNode + server;
     const std::uint64_t key = reqKey(server, src, slot);
     Slot &s = slots_[key];
-    RV_ASSERT(!s.live,
+    RV_ASSERT(s.livePos == kIdle,
               "slot reused while its request is still outstanding");
     // A slot freed while its previous use still expected a duplicate
     // means that duplicate's reply was lost; it can never arrive, so
@@ -335,14 +333,10 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         packets = proto::packetize(proto::OpType::Send, src, dst, slot,
                                    request.bytes);
     }
-    s.request = std::move(request);
-    s.sentAt = sim_.now();
-    s.sibling = kNoKey;
-    s.hedged = is_hedge;
-    s.isHedge = is_hedge;
-    s.live = true;
-    s.livePos = static_cast<std::uint32_t>(liveKeys_.size());
-    liveKeys_.push_back(key);
+    const bool isHedge = hedge_of != kNoKey;
+    s.livePos = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(LiveRequest{key, std::move(request), sim_.now(),
+                                hedge_of, isHedge, isHedge});
     for (auto &pkt : packets) {
         pkt.hdr.connClient = connClient;
         fabric_.send(std::move(pkt));
@@ -393,8 +387,9 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
                       pkt.hdr.src < params_.targetNode + numServers(),
                   "one-sided read from a non-server node");
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
-        const Slot &s = slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)];
-        if (!s.live) {
+        const LiveRequest *live =
+            findLive(reqKey(server, pkt.hdr.dst, pkt.hdr.slot));
+        if (live == nullptr) {
             RV_ASSERT(params_.cluster.requestTimeout > 0,
                       "one-sided read for unknown payload");
             // The request timed out and was rerouted; the late pull
@@ -405,8 +400,8 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         const proto::NodeId owner = pkt.hdr.dst;
         const proto::NodeId reader = pkt.hdr.src;
         const std::uint32_t slot = pkt.hdr.slot;
-        const std::vector<std::uint8_t> payload = s.request.bytes;
-        const std::uint32_t connClient = s.request.conn.client;
+        const std::vector<std::uint8_t> payload = live->request.bytes;
+        const std::uint32_t connClient = live->request.conn.client;
         sim_.schedule(sim::nanoseconds(60.0),
                       [this, owner, reader, slot, payload, connClient] {
                           auto blocks = proto::packetize(
@@ -431,7 +426,8 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
 {
     const std::uint64_t key = reqKey(server, dst, slot);
     Slot &s = slots_[key];
-    if (!s.live) {
+    const LiveRequest *live = findLive(key);
+    if (live == nullptr) {
         if (s.expectDuplicate) {
             // The losing half of a hedge race: its winner already
             // delivered this request's answer. Expected, accounted
@@ -453,19 +449,19 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
             ++staleReplies_;
         }
     } else {
-        if (!app_.verifyReply(s.request.bytes, reply))
+        if (!app_.verifyReply(live->request.bytes, reply))
             ++verifyFailures_;
         ++repliesReceived_;
         health_.reportSuccess(server);
-        if (s.sibling != kNoKey) {
+        if (const std::uint64_t loser = live->sibling; loser != kNoKey) {
             // First reply wins: retire the losing half now so its
             // late reply cannot double-complete the request. Its slot
             // credit still returns through the duplicate-reply path
             // above (the loser's reply carries the replenish).
-            if (s.isHedge)
+            if (live->isHedge)
                 ++hedgesWon_;
-            slots_[s.sibling].expectDuplicate = true;
-            retire(s.sibling, /*completed=*/false);
+            slots_[loser].expectDuplicate = true;
+            retire(loser, /*completed=*/false);
         }
         const std::uint64_t chain = retire(key, /*completed=*/true).chain;
         // Last among the accounting: the chain-group completion may
@@ -496,35 +492,42 @@ TrafficGenerator::Request
 TrafficGenerator::retire(std::uint64_t key, bool completed)
 {
     Slot &s = slots_[key];
-    RV_ASSERT(s.live, "retiring a request that is not in flight");
-    Request request = std::move(s.request);
+    RV_ASSERT(s.livePos != kIdle, "retiring a request that is not in flight");
+    const std::uint32_t pos = s.livePos;
+    Request request = std::move(live_[pos].request);
     // The survivor of a hedge pair resolves alone from here.
-    if (s.sibling != kNoKey)
-        slots_[s.sibling].sibling = kNoKey;
-    s.sibling = kNoKey;
-    s.live = false;
-    const std::uint64_t moved = liveKeys_.back();
-    liveKeys_[s.livePos] = moved;
-    slots_[moved].livePos = s.livePos;
-    liveKeys_.pop_back();
+    if (const std::uint64_t sibling = live_[pos].sibling; sibling != kNoKey)
+        live_[slots_[sibling].livePos].sibling = kNoKey;
+    if (pos + 1 != live_.size()) {
+        live_[pos] = std::move(live_.back());
+        slots_[live_[pos].key].livePos = pos;
+    }
+    live_.pop_back();
+    s.livePos = kIdle;
     // A partially assembled reply for the request must not pollute
     // the slot's next use.
     s.reply = ReplyAssembly{};
-    const std::uint32_t server = keyParts(key).server;
-    RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-    --inFlight_;
-    RV_ASSERT(perServerInFlight_[server] > 0,
+    // Connection accounting + the drain-before-switch signal. Either
+    // can admit deferred requests, which re-enter this generator and
+    // are routed on the per-server counts: an abandoned request is
+    // reported while it still counts toward its server, a completed
+    // one once everything below is settled.
+    if (!completed)
+        connOnRetired(request, /*completed=*/false);
+    const KeyParts k = keyParts(key);
+    RV_ASSERT(perServerInFlight_[k.server] > 0,
               "per-server in-flight underflow");
-    --perServerInFlight_[server];
-    // Connection accounting + the drain-before-switch signal; a
-    // drained group's switch can admit deferred requests, which
-    // re-enter this generator — the counts above are already settled.
-    connOnRetired(request, completed);
+    --perServerInFlight_[k.server];
     // The slot is reclaimed here only if its replenish already came
     // back (a parked credit proves the server's recv slot is free);
     // otherwise the replenish returns it, and a dead server's slots
     // stay consumed until it recovers.
-    releaseHeldCredit(key);
+    if (s.heldCredit) {
+        s.heldCredit = false;
+        recycleSlot(k.client, k.server, k.slot);
+    }
+    if (completed)
+        connOnRetired(request, /*completed=*/true);
     return request;
 }
 
@@ -556,7 +559,7 @@ TrafficGenerator::onReplenish(const proto::Packet &pkt)
     const std::uint32_t slot = pkt.hdr.slot;
     RV_ASSERT(src < domain_.numNodes, "replenish for unknown node");
     Slot &s = slots_[reqKey(server, src, slot)];
-    if (s.live) {
+    if (s.livePos != kIdle) {
         // The request is still outstanding on this very slot: its
         // reply was lost (per-flow FIFO delivers the reply before the
         // replenish otherwise). Reusing the slot now would alias a new
@@ -576,22 +579,10 @@ TrafficGenerator::recycleSlot(proto::NodeId client, std::uint32_t server,
     if (!pending_[pair].empty()) {
         Request next = std::move(pending_[pair].front());
         pending_[pair].pop_front();
-        launchRequest(client, server, slot, std::move(next),
-                      /*is_hedge=*/false);
+        launchRequest(client, server, slot, std::move(next), kNoKey);
     } else {
         freeSlots_[pair].push_back(slot);
     }
-}
-
-void
-TrafficGenerator::releaseHeldCredit(std::uint64_t key)
-{
-    Slot &s = slots_[key];
-    if (!s.heldCredit)
-        return;
-    s.heldCredit = false;
-    const KeyParts k = keyParts(key);
-    recycleSlot(k.client, k.server, k.slot);
 }
 
 void
@@ -603,35 +594,30 @@ TrafficGenerator::sweepTimeouts()
     const fault::RetryPolicy &retry = params_.retry;
     const sim::Tick timeout = params_.cluster.requestTimeout;
 
-    // Hedge scan first: requests old enough to warrant a duplicate
-    // send but not yet expired. Collect, sort, then act — hedging
-    // launches requests, which must not be visited here.
-    if (retry.hedgeAfter > 0) {
-        std::vector<std::uint64_t> toHedge;
-        for (const std::uint64_t key : liveKeys_) {
-            const Slot &s = slots_[key];
-            const sim::Tick age = sim_.now() - s.sentAt;
-            if (age >= retry.hedgeAfter && age < timeout && !s.hedged)
-                toHedge.push_back(key);
-        }
-        std::sort(toHedge.begin(), toHedge.end());
-        for (const std::uint64_t key : toHedge)
-            hedgeRequest(key);
-    }
-
-    // Collect first, then act: rerouting launches requests, which
-    // must not be visited by this sweep. Ascending key order keeps the
-    // sweep independent of the live list's order.
+    // Collect first, then act: hedging and rerouting launch requests,
+    // which must not be visited by this sweep. Ascending key order
+    // keeps the sweep independent of the live list's order. Hedge
+    // candidates are old enough to warrant a duplicate send but not
+    // yet expired; they are hedged before any expiry is handled.
+    std::vector<std::uint64_t> toHedge;
     std::vector<std::uint64_t> expired;
-    for (const std::uint64_t key : liveKeys_) {
-        if (sim_.now() - slots_[key].sentAt >= timeout)
-            expired.push_back(key);
+    for (const LiveRequest &live : live_) {
+        const sim::Tick age = sim_.now() - live.sentAt;
+        if (age >= timeout)
+            expired.push_back(live.key);
+        else if (retry.hedgeAfter > 0 && age >= retry.hedgeAfter &&
+                 !live.hedged)
+            toHedge.push_back(live.key);
     }
+    std::sort(toHedge.begin(), toHedge.end());
+    for (const std::uint64_t key : toHedge)
+        hedgeRequest(key);
     std::sort(expired.begin(), expired.end());
 
     for (const std::uint64_t key : expired) {
-        RV_ASSERT(slots_[key].live, "expired request vanished mid-sweep");
-        const bool hadSibling = slots_[key].sibling != kNoKey;
+        const LiveRequest *live = findLive(key);
+        RV_ASSERT(live != nullptr, "expired request vanished mid-sweep");
+        const bool hadSibling = live->sibling != kNoKey;
         const KeyParts k = keyParts(key);
         Request request = retire(key, /*completed=*/false);
         ++timeouts_;
@@ -692,14 +678,14 @@ TrafficGenerator::sweepTimeouts()
 void
 TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
 {
-    Slot &primary = slots_[primary_key];
-    RV_ASSERT(primary.live, "hedge candidate vanished mid-sweep");
+    LiveRequest *primary = findLive(primary_key);
+    RV_ASSERT(primary != nullptr, "hedge candidate vanished mid-sweep");
     const proto::NodeId client = keyParts(primary_key).client;
     // Route the duplicate independently — under load-aware routing it
     // lands on a less-loaded (often different) server than the slow
     // primary.
     const std::uint32_t server =
-        routeRequest(client, primary.request.bytes);
+        routeRequest(client, primary->request.bytes);
     const std::size_t pair = pairIndex(client, server);
     if (freeSlots_[pair].empty()) {
         // No free slot toward the hedge's target: skip rather than
@@ -709,17 +695,15 @@ TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
     }
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
-    const std::uint64_t hedgeKey = reqKey(server, client, slot);
+    primary->hedged = true;
+    primary->sibling = reqKey(server, client, slot);
     // The duplicate shares the primary's chain group (exactly one of
     // the pair completes it; the loser retires as a duplicate) and its
     // connection identity (its admission was already granted; hedging
-    // does not re-enter the gate).
-    launchRequest(client, server, slot, primary.request,
-                  /*is_hedge=*/true);
+    // does not re-enter the gate). The launch may move live_, so
+    // primary is not touched after it.
+    launchRequest(client, server, slot, primary->request, primary_key);
     ++hedgesSent_;
-    primary.hedged = true;
-    primary.sibling = hedgeKey;
-    slots_[hedgeKey].sibling = primary_key;
 }
 
 void

@@ -31,14 +31,15 @@
  *
  * In-flight bookkeeping mirrors the messaging domain's own addressing
  * (§4.2): a (server, client, slot) triple names exactly one send slot,
- * so every per-request datum lives in one dense slot table indexed by
- * that id: the request, its send time and hedge links, the reply
- * being reassembled, a parked slot credit, and an expected-duplicate
- * mark. A list of live keys (swap-remove, each slot knows its
- * position) lets the timeout sweep visit only in-flight requests.
- * Every launched request leaves the in-flight set through one
- * retire(), so launches = replies + timeouts + hedge-loser
- * retirements + in flight at any instant.
+ * so per-slot state lives in one dense slot table indexed by that id:
+ * the reply being reassembled, a parked slot credit, an
+ * expected-duplicate mark, and where the slot's live request sits.
+ * The live requests themselves (request, send time, hedge links) sit
+ * packed in a list with swap-remove, so the timeout sweep visits only
+ * in-flight requests and the table stays small. Every launched
+ * request leaves the in-flight set through one retire(), so launches
+ * = replies + timeouts + hedge-loser retirements + in flight at any
+ * instant.
  */
 
 #ifndef RPCVALET_NET_TRAFFIC_GEN_HH
@@ -83,7 +84,7 @@ struct ConnTag
  *
  * A Request is the one record of a client request, whether it waits
  * for admission (per-client queue), for a send slot (per-(client,
- * server) queue), or is in flight (its Slot in the table). A timed-out
+ * server) queue), or is in flight (the live list). A timed-out
  * request is sent again through the same admission or dispatch step
  * that first issued it, at once or after the retry backoff.
  */
@@ -186,7 +187,7 @@ class TrafficGenerator final : private cluster::ClusterView
     std::uint64_t rendezvousRequests() const { return rendezvous_; }
 
     /** Requests currently in flight (slot held). */
-    std::uint64_t inFlight() const { return inFlight_; }
+    std::uint64_t inFlight() const { return live_.size(); }
 
     /** Requests that exceeded the timeout and were given up on. */
     std::uint64_t requestTimeouts() const { return timeouts_; }
@@ -365,9 +366,12 @@ class TrafficGenerator final : private cluster::ClusterView
     void resubmit(proto::NodeId src, Request request);
     std::uint32_t routeRequest(proto::NodeId src,
                                const std::vector<std::uint8_t> &request);
+    /** Put @p request in flight on @p slot toward @p server. A hedged
+     *  duplicate names its primary's key in @p hedge_of (kNoKey for
+     *  every other launch). */
     void launchRequest(proto::NodeId src, std::uint32_t server,
                        std::uint32_t slot, Request request,
-                       bool is_hedge);
+                       std::uint64_t hedge_of);
     /** Send a hedged duplicate of the in-flight request at
      *  @p primary_key (no-op if no slot is free at the hedge's
      *  routed target — the next sweep retries). */
@@ -378,10 +382,11 @@ class TrafficGenerator final : private cluster::ClusterView
     /**
      * Take the in-flight request at @p key out of the in-flight set —
      * the one exit for replies, timeouts and hedge losers: unlink its
-     * hedge sibling, drop any partial reply, settle the in-flight
-     * counts, signal the connection scheduler (completion accounting
-     * if it @p completed), then free a credit parked on the slot.
-     * Returns the request.
+     * hedge sibling, drop any partial reply, settle the per-server
+     * count, free a credit parked on the slot, and signal the
+     * connection scheduler. A request that @p completed is reported
+     * (with completion accounting) last; an abandoned one first, while
+     * it still counts toward its server's load. Returns the request.
      */
     Request retire(std::uint64_t key, bool completed);
     /** A chain member finished; fire the group's done at zero. */
@@ -391,9 +396,6 @@ class TrafficGenerator final : private cluster::ClusterView
      *  list): the common tail of onReplenish and held-credit release. */
     void recycleSlot(proto::NodeId client, std::uint32_t server,
                      std::uint32_t slot);
-    /** Free the slot whose credit was parked while its request was
-     *  still in flight at @p key (no-op if none was). */
-    void releaseHeldCredit(std::uint64_t key);
     /** Periodic timeout scan (scheduled only when requestTimeout > 0). */
     void sweepTimeouts();
     /** Reroute everything queued toward @p server (just marked down). */
@@ -433,24 +435,33 @@ class TrafficGenerator final : private cluster::ClusterView
         std::vector<std::uint8_t> bytes;
     };
 
-    /** Everything the client tracks about one (server, client, slot). */
-    struct Slot
+    /** A request in flight, on the slot its key names. */
+    struct LiveRequest
     {
-        /** The in-flight request (meaningful while live). */
+        std::uint64_t key;
         Request request;
-        sim::Tick sentAt = 0;
+        sim::Tick sentAt;
         /** Key of the other half of the hedge pair (kNoKey = none);
          *  cleared on the survivor when either side retires. */
-        std::uint64_t sibling = kNoKey;
-        /** This slot's index in liveKeys_ (meaningful while live). */
-        std::uint32_t livePos = 0;
-        /** A request is in flight on this slot. */
-        bool live = false;
+        std::uint64_t sibling;
         /** This request already has (or had) a hedge — never hedge
          *  the same request twice. */
-        bool hedged = false;
+        bool hedged;
         /** This request IS the hedged duplicate. */
-        bool isHedge = false;
+        bool isHedge;
+    };
+
+    /** livePos sentinel: no request is in flight on the slot. */
+    static constexpr std::uint32_t kIdle = ~std::uint32_t{0};
+
+    /** What the client tracks about one (server, client, slot), kept
+     *  small: the table has an entry for every slot, live or not. */
+    struct Slot
+    {
+        /** The reply being reassembled (stale ones included). */
+        ReplyAssembly reply;
+        /** Index of the slot's request in live_ (kIdle = none). */
+        std::uint32_t livePos = kIdle;
         /** The slot's credit came back (replenish) while its request
          *  was still in flight — possible only when the reply was lost
          *  (the fabric's per-flow FIFO otherwise delivers the reply
@@ -462,14 +473,20 @@ class TrafficGenerator final : private cluster::ClusterView
          *  still due: when it arrives it is a duplicate (expected), not
          *  a stale (lost) reply. */
         bool expectDuplicate = false;
-        /** The reply being reassembled (stale ones included). */
-        ReplyAssembly reply;
     };
     /** The slot table, indexed by reqKey(server, client, slot). */
     std::vector<Slot> slots_;
-    /** Keys of the live slots, in no particular order: the timeout
-     *  sweep's working set. */
-    std::vector<std::uint64_t> liveKeys_;
+    /** The in-flight requests, in no particular order (swap-remove):
+     *  the timeout sweep's working set. */
+    std::vector<LiveRequest> live_;
+
+    /** The live request on the slot at @p key, or null. */
+    LiveRequest *
+    findLive(std::uint64_t key)
+    {
+        const std::uint32_t pos = slots_[key].livePos;
+        return pos == kIdle ? nullptr : &live_[pos];
+    }
 
     /** In-flight requests per server (the router's load signal). */
     std::vector<std::uint64_t> perServerInFlight_;
@@ -490,7 +507,6 @@ class TrafficGenerator final : private cluster::ClusterView
     std::uint64_t repliesReceived_ = 0;
     std::uint64_t verifyFailures_ = 0;
     std::uint64_t deferrals_ = 0;
-    std::uint64_t inFlight_ = 0;
     std::uint64_t rendezvous_ = 0;
     std::uint64_t timeouts_ = 0;
     std::uint64_t reroutes_ = 0;

@@ -153,6 +153,37 @@ TEST(RecoveryIdentity, GroupedConnectionsBackoffAndHedges)
     EXPECT_GT(r.fault.hedgesSent, 0u);
 }
 
+TEST(RecoveryIdentity, GroupSwitchOnTimeoutUnderLoadAwareRouting)
+{
+    // Small groups with short slices over four nodes behind a tight
+    // load-aware router, under heavy loss: a draining group's last
+    // request often times out, and its retirement completes the
+    // switch, whose admitted requests are routed on the per-server
+    // in-flight counts at that instant (the timed-out request still
+    // among them).
+    core::ExperimentConfig cfg;
+    cfg.arrivalRps = 30e6;
+    cfg.warmupRpcs = 500;
+    cfg.measuredRpcs = 4000;
+    cfg.system.seed = 1;
+    cfg.cluster.numServerNodes = 4;
+    cfg.cluster.router = cluster::RouterSpec::parse("bounded-load:c=1.05");
+    cfg.cluster.requestTimeout = sim::microseconds(15.0);
+    cfg.cluster.failThreshold = 3;
+    cfg.cluster.recoveryAfter = sim::microseconds(100.0);
+    cfg.faults = {"packet-loss:p=0.02",
+                  "crash:node=2,at=60us,recover_after=100us"};
+    cfg.retry.maxAttempts = 5;
+    cfg.retry.hedgeAfter = sim::microseconds(10.0);
+    cfg.connections =
+        conn::parseConnConfig("grouped:clients=256,size=16,slice=5us");
+    const core::RunStats r = core::runExperiment(cfg);
+    expectGolden(r, Golden{117360u, 4500u, 573.94399999999996,
+                           3486.0970000000002, 28u, 14u, 2u, 14u, 0u, 201u,
+                           187u, 13u, 10937u, 0u});
+    EXPECT_GT(r.conn.deferredTotal, 0u);
+}
+
 TEST(RecoveryIdentity, ChainWorkloadWithTimeout)
 {
     // Nested chains over four nodes while one crashes and packets
