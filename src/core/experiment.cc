@@ -505,8 +505,8 @@ runExperiment(const ExperimentConfig &cfg)
     for (proto::NodeId n = 0; n < cfg.system.domain.numNodes; ++n) {
         if (n >= cfg.system.nodeId && n < cfg.system.nodeId + numServers)
             continue; // the server nodes connected themselves
-        fabric.connect(n, [&tg](proto::Packet pkt) {
-            tg.receivePacket(std::move(pkt));
+        fabric.connect(n, [&tg](const proto::Packet &pkt) {
+            tg.receivePacket(pkt);
         });
     }
 

@@ -138,13 +138,7 @@ RecvBuffer::packetArrived(const proto::Packet &pkt, sim::Tick now)
 
     // Copy the payload block into place (zero-copy on the real
     // machine; here the buffer is authoritative storage).
-    const std::size_t lo =
-        static_cast<std::size_t>(pkt.hdr.blockIndex) *
-        proto::cacheBlockBytes;
-    for (std::size_t i = 0; i < pkt.payload.size(); ++i) {
-        if (lo + i < rs.payload.size())
-            rs.payload[lo + i] = pkt.payload[i];
-    }
+    proto::placeBlock(pkt, rs.payload);
 
     ++rs.arrivedBlocks;
     RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
@@ -180,13 +174,7 @@ RecvBuffer::pullBlockArrived(const proto::Packet &pkt)
     RV_ASSERT(rs.msgBytes == pkt.hdr.msgBytes,
               "read response size mismatch");
 
-    const std::size_t lo =
-        static_cast<std::size_t>(pkt.hdr.blockIndex) *
-        proto::cacheBlockBytes;
-    for (std::size_t i = 0; i < pkt.payload.size(); ++i) {
-        if (lo + i < rs.payload.size())
-            rs.payload[lo + i] = pkt.payload[i];
-    }
+    proto::placeBlock(pkt, rs.payload);
     ++rs.arrivedBlocks;
     RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
               "more read responses than blocks");

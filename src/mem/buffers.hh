@@ -6,6 +6,12 @@
  * payload bytes travel through these buffers end to end, so
  * application-level tests can verify actual RPC results, not just
  * latencies.
+ *
+ * The NI builds each outgoing packet from a send slot's bytes, one
+ * 64 B block at a time (proto::makePacket); the packet carries that
+ * block inline. On the receive side each arriving block lands in its
+ * slot with one bounded copy (proto::placeBlock), which rejects a
+ * block index past the message's block count.
  */
 
 #ifndef RPCVALET_MEM_BUFFERS_HH

@@ -47,13 +47,16 @@ void
 Fabric::connect(proto::NodeId node, Sink sink)
 {
     RV_ASSERT(sink != nullptr, "null fabric sink");
-    if (!sinks_.emplace(node, std::move(sink)).second) {
+    if (node >= sinks_.size())
+        sinks_.resize(static_cast<std::size_t>(node) + 1);
+    if (sinks_[node] != nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: node %u is already connected (duplicate "
             "registration would silently drop the first sink's "
             "traffic)",
             node));
     }
+    sinks_[node] = std::move(sink);
 }
 
 void
@@ -72,17 +75,21 @@ Fabric::assignNode(proto::NodeId node, sim::DomainId domain)
 {
     RV_ASSERT(parallel_, "assignNode on a single-domain fabric");
     RV_ASSERT(domain < domains_.size(), "domain id out of range");
-    if (!nodeDomain_.emplace(node, domain).second) {
+    if (node >= nodeDomain_.size())
+        nodeDomain_.resize(static_cast<std::size_t>(node) + 1, kUnassigned);
+    if (nodeDomain_[node] != kUnassigned) {
         sim::fatal(sim::strfmt(
             "fabric: node %u is already assigned to a domain", node));
     }
+    nodeDomain_[node] = domain;
 }
 
 sim::DomainId
 Fabric::domainOf(proto::NodeId node) const
 {
-    const auto it = nodeDomain_.find(node);
-    return it != nodeDomain_.end() ? it->second : sim::DomainId(0);
+    if (node < nodeDomain_.size() && nodeDomain_[node] != kUnassigned)
+        return nodeDomain_[node];
+    return 0;
 }
 
 void
@@ -198,13 +205,10 @@ Fabric::exchangeWindow(sim::Tick nextWindowEnd)
 void
 Fabric::DeliverEvent::process()
 {
-    Fabric *f = fabric;
-    const sim::DomainId d = dom;
-    proto::Packet p = std::move(pkt);
-    // Recycle before the sink runs: a sink that sends again may reuse
-    // this very slot.
-    f->domains_[d]->pool.release(this);
-    f->deliver(d, std::move(p));
+    // Deliver straight from the event, then recycle it: a sink that
+    // sends again draws another event, so the packet stays intact.
+    fabric->deliver(dom, pkt);
+    fabric->domains_[dom]->pool.release(this);
 }
 
 void
@@ -213,19 +217,18 @@ Fabric::BatchDeliverEvent::process()
     // Unlike the single-packet event, batch events are only acquired
     // at the barrier (never from a sink), so delivering before the
     // release is safe — and keeps the packet vector's capacity.
-    for (proto::Packet &p : pkts)
-        fabric->deliver(dom, std::move(p));
+    for (const proto::Packet &p : pkts)
+        fabric->deliver(dom, p);
     pkts.clear();
     fabric->domains_[dom]->batchPool.release(this);
 }
 
 void
-Fabric::deliver(sim::DomainId dom, proto::Packet pkt)
+Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
 {
     ++domains_[dom]->delivered;
-    auto it = sinks_.find(pkt.hdr.dst);
-    if (it != sinks_.end()) {
-        it->second(std::move(pkt));
+    if (pkt.hdr.dst < sinks_.size() && sinks_[pkt.hdr.dst] != nullptr) {
+        sinks_[pkt.hdr.dst](pkt);
         return;
     }
     if (defaultSink_ == nullptr) {
@@ -235,7 +238,7 @@ Fabric::deliver(sim::DomainId dom, proto::Packet pkt)
             proto::opName(pkt.hdr.op).c_str(), pkt.hdr.src,
             pkt.hdr.dst));
     }
-    defaultSink_(std::move(pkt));
+    defaultSink_(pkt);
 }
 
 std::uint64_t

@@ -34,8 +34,9 @@
  *    while every domain thread is quiescent; the barrier's
  *    release/acquire pair (core::WindowPool) publishes the mailboxes.
  *  - connect()/connectDefault()/assignNode() happen at construction
- *    time, before any worker exists; the sink and domain tables are
- *    read-only afterwards.
+ *    time, before any worker exists; the sink and domain tables
+ *    (dense vectors indexed by NodeId, so a delivery pays one bounds
+ *    check rather than a hash lookup) are read-only afterwards.
  */
 
 #ifndef RPCVALET_NET_FABRIC_HH
@@ -44,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/packet.hh"
@@ -87,7 +87,10 @@ class PacketPerturber
 class Fabric
 {
   public:
-    using Sink = std::function<void(proto::Packet)>;
+    /** Receiver of a node's packets. The packet lives in a pooled
+     *  event and is valid only during the call: a sink copies what
+     *  it keeps. */
+    using Sink = std::function<void(const proto::Packet &)>;
 
     /**
      * Single-domain fabric: every node lives on @p sim.
@@ -217,7 +220,10 @@ class Fabric
         sim::EventPool<BatchDeliverEvent> batchPool;
     };
 
-    void deliver(sim::DomainId dom, proto::Packet pkt);
+    /** nodeDomain_ entry of a node never passed to assignNode(). */
+    static constexpr sim::DomainId kUnassigned = ~sim::DomainId{0};
+
+    void deliver(sim::DomainId dom, const proto::Packet &pkt);
     sim::DomainId domainOf(proto::NodeId node) const;
 
     std::vector<std::unique_ptr<DomainState>> domains_;
@@ -228,8 +234,11 @@ class Fabric
     sim::Tick windowEnd_ = 0;
     /** Edge mailboxes, row-major [src * numDomains + dst]. */
     std::vector<std::vector<Mail>> mailboxes_;
-    std::unordered_map<proto::NodeId, sim::DomainId> nodeDomain_;
-    std::unordered_map<proto::NodeId, Sink> sinks_;
+    /** Domain of each assigned node, indexed by NodeId. */
+    std::vector<sim::DomainId> nodeDomain_;
+    /** Explicit receiver of each node, indexed by NodeId (empty =
+     *  none: the default sink takes its packets). */
+    std::vector<Sink> sinks_;
     Sink defaultSink_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;

@@ -311,40 +311,45 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     const std::uint32_t connClient = request.conn.client;
     if (connClient != proto::noConnClient)
         connSched_->onLaunched(connClient);
-    std::vector<proto::Packet> packets;
-    if (request.bytes.size() > domain_.maxMsgBytes) {
+    const bool rendezvous = request.bytes.size() > domain_.maxMsgBytes;
+    const bool isHedge = hedge_of != kNoKey;
+    s.livePos = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(LiveRequest{key, std::move(request), sim_.now(),
+                                hedge_of, isHedge, isHedge});
+    // The fabric never calls back into the generator from send(), so
+    // the live record (and this reference) is stable while it sends.
+    const std::vector<std::uint8_t> &bytes = live_.back().request.bytes;
+    proto::Packet pkt;
+    if (rendezvous) {
         // Rendezvous (§4.2): announce the payload with a one-block
         // descriptor; the destination NI pulls it with a one-sided
         // read from this node's registered memory (the slot table
         // plays that role here).
         ++rendezvous_;
-        proto::Packet descriptor;
-        descriptor.hdr.op = proto::OpType::Send;
-        descriptor.hdr.src = src;
-        descriptor.hdr.dst = dst;
-        descriptor.hdr.slot = slot;
-        descriptor.hdr.totalBlocks = 1;
-        descriptor.hdr.msgBytes = 0;
-        descriptor.hdr.rendezvous = true;
-        descriptor.hdr.rendezvousBytes =
-            static_cast<std::uint32_t>(request.bytes.size());
-        packets.push_back(std::move(descriptor));
-    } else {
-        packets = proto::packetize(proto::OpType::Send, src, dst, slot,
-                                   request.bytes);
-    }
-    const bool isHedge = hedge_of != kNoKey;
-    s.livePos = static_cast<std::uint32_t>(live_.size());
-    live_.push_back(LiveRequest{key, std::move(request), sim_.now(),
-                                hedge_of, isHedge, isHedge});
-    for (auto &pkt : packets) {
+        pkt.hdr.op = proto::OpType::Send;
+        pkt.hdr.src = src;
+        pkt.hdr.dst = dst;
+        pkt.hdr.slot = slot;
+        pkt.hdr.totalBlocks = 1;
+        pkt.hdr.msgBytes = 0;
+        pkt.hdr.rendezvous = true;
+        pkt.hdr.rendezvousBytes = static_cast<std::uint32_t>(bytes.size());
         pkt.hdr.connClient = connClient;
-        fabric_.send(std::move(pkt));
+        fabric_.send(pkt);
+        return;
+    }
+    const std::uint32_t total =
+        proto::blocksForBytes(static_cast<std::uint32_t>(bytes.size()));
+    for (std::uint32_t b = 0; b < total; ++b) {
+        proto::makePacket(pkt, proto::OpType::Send, src, dst, slot, bytes,
+                          b);
+        pkt.hdr.connClient = connClient;
+        fabric_.send(pkt);
     }
 }
 
 void
-TrafficGenerator::receivePacket(proto::Packet pkt)
+TrafficGenerator::receivePacket(const proto::Packet &pkt)
 {
     switch (pkt.hdr.op) {
       case proto::OpType::Send: {
@@ -362,13 +367,7 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
             assembly.total = pkt.hdr.totalBlocks;
             assembly.bytes.assign(pkt.hdr.msgBytes, 0);
         }
-        const std::size_t lo =
-            static_cast<std::size_t>(pkt.hdr.blockIndex) *
-            proto::cacheBlockBytes;
-        for (std::size_t i = 0; i < pkt.payload.size(); ++i) {
-            if (lo + i < assembly.bytes.size())
-                assembly.bytes[lo + i] = pkt.payload[i];
-        }
+        proto::placeBlock(pkt, assembly.bytes);
         if (++assembly.arrived == assembly.total) {
             std::vector<std::uint8_t> reply = std::move(assembly.bytes);
             assembly = ReplyAssembly{};
@@ -402,16 +401,19 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         const std::uint32_t slot = pkt.hdr.slot;
         const std::vector<std::uint8_t> payload = live->request.bytes;
         const std::uint32_t connClient = live->request.conn.client;
-        sim_.schedule(sim::nanoseconds(60.0),
-                      [this, owner, reader, slot, payload, connClient] {
-                          auto blocks = proto::packetize(
-                              proto::OpType::ReadResponse, owner,
-                              reader, slot, payload);
-                          for (auto &b : blocks) {
-                              b.hdr.connClient = connClient;
-                              fabric_.send(std::move(b));
-                          }
-                      });
+        sim_.schedule(
+            sim::nanoseconds(60.0),
+            [this, owner, reader, slot, payload, connClient] {
+                const std::uint32_t total = proto::blocksForBytes(
+                    static_cast<std::uint32_t>(payload.size()));
+                proto::Packet block;
+                for (std::uint32_t b = 0; b < total; ++b) {
+                    proto::makePacket(block, proto::OpType::ReadResponse,
+                                      owner, reader, slot, payload, b);
+                    block.hdr.connClient = connClient;
+                    fabric_.send(block);
+                }
+            });
         break;
       }
       default:

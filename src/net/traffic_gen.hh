@@ -138,7 +138,7 @@ class TrafficGenerator final : private cluster::ClusterView
     void halt();
 
     /** Fabric sink for packets addressed to any emulated node. */
-    void receivePacket(proto::Packet pkt);
+    void receivePacket(const proto::Packet &pkt);
 
     /**
      * Issue a server's nested RPCs (HandleResult.nested) as a chain

@@ -27,7 +27,7 @@ NiBackend::stallIngress(sim::Tick until)
 }
 
 void
-NiBackend::receivePacket(proto::Packet pkt)
+NiBackend::receivePacket(const proto::Packet &pkt)
 {
     // Serialize packets through the ingress pipeline; an injected
     // stall (stallIngress) holds the pipeline's next free slot back.
@@ -39,7 +39,7 @@ NiBackend::receivePacket(proto::Packet pkt)
     ++packetsReceived_;
     IngressEvent *ev = ingressPool_.acquire();
     ev->backend = this;
-    ev->pkt = std::move(pkt);
+    ev->pkt = pkt;
     ev->arrival = arrival;
     sim_.scheduleAt(*ev, ingressFreeAt_);
 }
@@ -47,23 +47,19 @@ NiBackend::receivePacket(proto::Packet pkt)
 void
 NiBackend::IngressEvent::process()
 {
-    NiBackend *b = backend;
-    proto::Packet p = std::move(pkt);
-    const sim::Tick t = arrival;
-    // Recycle first: processing can receive/forward more packets.
-    b->ingressPool_.release(this);
-    b->processIngress(std::move(p), t);
+    // Process straight from the event, then recycle it: processing
+    // that receives or forwards more packets draws other events.
+    backend->processIngress(pkt, arrival);
+    backend->ingressPool_.release(this);
 }
 
 void
 NiBackend::InjectEvent::process()
 {
-    NiBackend *b = backend;
-    proto::Packet p = std::move(pkt);
     if (countOnFire)
-        ++b->packetsSent_;
-    b->injectPool_.release(this);
-    b->inject_(std::move(p));
+        ++backend->packetsSent_;
+    backend->inject_(pkt);
+    backend->injectPool_.release(this);
 }
 
 void
@@ -76,7 +72,7 @@ NiBackend::CompletionEvent::process()
 }
 
 void
-NiBackend::processIngress(proto::Packet pkt, sim::Tick arrival)
+NiBackend::processIngress(const proto::Packet &pkt, sim::Tick arrival)
 {
     switch (pkt.hdr.op) {
       case proto::OpType::Send: {
@@ -162,17 +158,19 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
                            proto::NodeId dst, std::uint32_t slot,
                            const std::vector<std::uint8_t> &payload)
 {
-    auto packets = proto::packetize(op, self, dst, slot, payload);
     // First packet waits for the payload fetch from the memory
-    // hierarchy; subsequent blocks stream at pipeline rate.
-    sim::Tick ready = sim_.now() + params_.txSetupLatency;
-    for (auto &pkt : packets) {
+    // hierarchy; subsequent blocks stream at pipeline rate. Each block
+    // is built straight into the pooled event that carries it.
+    const sim::Tick ready = sim_.now() + params_.txSetupLatency;
+    const std::uint32_t total =
+        proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
+    for (std::uint32_t b = 0; b < total; ++b) {
         const sim::Tick start = std::max(ready, egressFreeAt_);
         egressFreeAt_ = start + params_.packetOccupancy;
         ++packetsSent_;
         InjectEvent *ev = injectPool_.acquire();
         ev->backend = this;
-        ev->pkt = std::move(pkt);
+        proto::makePacket(ev->pkt, op, self, dst, slot, payload, b);
         ev->countOnFire = false;
         sim_.scheduleAt(*ev, egressFreeAt_);
     }

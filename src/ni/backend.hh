@@ -11,7 +11,8 @@
  *    header's totalBlocks — emit a message-completion notification
  *    (§4.4's new pipeline stages).
  *  - Request Generation (egress): unroll a send/replenish WQE into
- *    cache-block packets and stream them into the fabric.
+ *    cache-block packets, each built straight into the pooled event
+ *    that carries it, and stream them into the fabric.
  *
  *  Each direction is a serial pipeline with per-packet occupancy;
  *  queueing behind it under load produces the implementation
@@ -44,7 +45,7 @@ class NiBackend
     using ReplenishHandler =
         std::function<void(proto::NodeId dst, std::uint32_t slot)>;
     /** Packet injection into the inter-node fabric. */
-    using Injector = std::function<void(proto::Packet)>;
+    using Injector = std::function<void(const proto::Packet &)>;
 
     struct Params
     {
@@ -61,7 +62,7 @@ class NiBackend
               Injector inject);
 
     /** Fabric ingress: a packet addressed to this node. */
-    void receivePacket(proto::Packet pkt);
+    void receivePacket(const proto::Packet &pkt);
 
     /**
      * Fault injection (ni-stall): the ingress pipeline stops draining
@@ -132,7 +133,7 @@ class NiBackend
         }
     };
 
-    void processIngress(proto::Packet pkt, sim::Tick arrival);
+    void processIngress(const proto::Packet &pkt, sim::Tick arrival);
     void signalCompletion(std::uint32_t index, proto::NodeId src,
                           std::uint32_t conn_client);
 

@@ -66,7 +66,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
                 }
                 send_.release(dst, slot);
             },
-            [this](proto::Packet pkt) { fabric_.send(std::move(pkt)); }));
+            [this](const proto::Packet &pkt) { fabric_.send(pkt); }));
     }
 
     auto make_deliver = [this](std::uint32_t backend_id) {
@@ -119,8 +119,8 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
     }
 
     fabric_.connect(params_.nodeId,
-                    [this](proto::Packet pkt) {
-                        receivePacket(std::move(pkt));
+                    [this](const proto::Packet &pkt) {
+                        receivePacket(pkt);
                     });
 }
 
@@ -193,7 +193,7 @@ RpcNode::dispatcherIndexForCore(proto::CoreId core) const
 }
 
 void
-RpcNode::receivePacket(proto::Packet pkt)
+RpcNode::receivePacket(const proto::Packet &pkt)
 {
     if (failed_) {
         ++droppedPackets_;
@@ -201,7 +201,7 @@ RpcNode::receivePacket(proto::Packet pkt)
     }
     const std::uint32_t backend =
         ingressBackendFor(pkt.hdr.src, pkt.hdr.slot);
-    backends_[backend]->receivePacket(std::move(pkt));
+    backends_[backend]->receivePacket(pkt);
 }
 
 void

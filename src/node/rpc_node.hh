@@ -57,7 +57,7 @@ class RpcNode
     void start();
 
     /** Fabric sink: a packet addressed to this node. */
-    void receivePacket(proto::Packet pkt);
+    void receivePacket(const proto::Packet &pkt);
 
     /** Register a hook run after every completed RPC. */
     void setCompletionHook(CompletionHook hook);

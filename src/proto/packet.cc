@@ -1,6 +1,7 @@
 #include "proto/packet.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -27,34 +28,66 @@ blocksForBytes(std::uint32_t bytes)
     return (bytes + cacheBlockBytes - 1) / cacheBlockBytes;
 }
 
+void
+InlineBlock::assign(const std::uint8_t *src, std::size_t n)
+{
+    RV_ASSERT(n <= cacheBlockBytes, "block payload exceeds a cache block");
+    if (n != 0)
+        std::memcpy(bytes_, src, n);
+    len_ = static_cast<std::uint8_t>(n);
+}
+
+void
+InlineBlock::push_back(std::uint8_t byte)
+{
+    RV_ASSERT(len_ < cacheBlockBytes, "block payload exceeds a cache block");
+    bytes_[len_++] = byte;
+}
+
+void
+makePacket(Packet &pkt, OpType op, NodeId src, NodeId dst,
+           std::uint32_t slot, const std::vector<std::uint8_t> &payload,
+           std::uint32_t block)
+{
+    const auto msg_bytes = static_cast<std::uint32_t>(payload.size());
+    pkt.hdr = PacketHeader{};
+    pkt.hdr.op = op;
+    pkt.hdr.src = src;
+    pkt.hdr.dst = dst;
+    pkt.hdr.slot = slot;
+    pkt.hdr.blockIndex = block;
+    pkt.hdr.totalBlocks = blocksForBytes(msg_bytes);
+    pkt.hdr.msgBytes = msg_bytes;
+    // Clamped to the message, so a block past its end comes out empty.
+    const std::size_t lo = std::min(
+        static_cast<std::size_t>(block) * cacheBlockBytes, payload.size());
+    const std::size_t hi = std::min<std::size_t>(lo + cacheBlockBytes,
+                                                 payload.size());
+    pkt.payload.assign(payload.data() + lo, hi - lo);
+}
+
 std::vector<Packet>
 packetize(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
           const std::vector<std::uint8_t> &payload)
 {
-    const auto msg_bytes = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t total = blocksForBytes(msg_bytes);
-
-    std::vector<Packet> packets;
-    packets.reserve(total);
-    for (std::uint32_t b = 0; b < total; ++b) {
-        Packet pkt;
-        pkt.hdr.op = op;
-        pkt.hdr.src = src;
-        pkt.hdr.dst = dst;
-        pkt.hdr.slot = slot;
-        pkt.hdr.blockIndex = b;
-        pkt.hdr.totalBlocks = total;
-        pkt.hdr.msgBytes = msg_bytes;
-        const std::size_t lo = static_cast<std::size_t>(b) * cacheBlockBytes;
-        const std::size_t hi =
-            std::min<std::size_t>(lo + cacheBlockBytes, payload.size());
-        if (lo < payload.size()) {
-            pkt.payload.assign(payload.begin() + static_cast<long>(lo),
-                               payload.begin() + static_cast<long>(hi));
-        }
-        packets.push_back(std::move(pkt));
-    }
+    std::vector<Packet> packets(
+        blocksForBytes(static_cast<std::uint32_t>(payload.size())));
+    for (std::uint32_t b = 0; b < packets.size(); ++b)
+        makePacket(packets[b], op, src, dst, slot, payload, b);
     return packets;
+}
+
+void
+placeBlock(const Packet &pkt, std::vector<std::uint8_t> &msg)
+{
+    RV_ASSERT(pkt.hdr.blockIndex < pkt.hdr.totalBlocks,
+              "block index out of range");
+    const std::size_t lo =
+        static_cast<std::size_t>(pkt.hdr.blockIndex) * cacheBlockBytes;
+    if (lo < msg.size()) {
+        std::memcpy(msg.data() + lo, pkt.payload.data(),
+                    std::min(pkt.payload.size(), msg.size() - lo));
+    }
 }
 
 std::vector<std::uint8_t>
@@ -70,15 +103,9 @@ reassemble(const std::vector<Packet> &packets)
     for (const auto &pkt : packets) {
         RV_ASSERT(pkt.hdr.totalBlocks == total, "inconsistent totalBlocks");
         RV_ASSERT(pkt.hdr.msgBytes == msg_bytes, "inconsistent msgBytes");
-        RV_ASSERT(pkt.hdr.blockIndex < total, "block index out of range");
+        placeBlock(pkt, out);
         RV_ASSERT(!seen[pkt.hdr.blockIndex], "duplicate block");
         seen[pkt.hdr.blockIndex] = true;
-        const std::size_t lo =
-            static_cast<std::size_t>(pkt.hdr.blockIndex) * cacheBlockBytes;
-        for (std::size_t i = 0; i < pkt.payload.size(); ++i) {
-            if (lo + i < out.size())
-                out[lo + i] = pkt.payload[i];
-        }
     }
     for (bool s : seen)
         RV_ASSERT(s, "missing block during reassembly");

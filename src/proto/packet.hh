@@ -9,11 +9,21 @@
  * total-message-size field in the network-layer header so the
  * destination NI can detect when all packets of a message have arrived
  * (§4.4).
+ *
+ * A Packet is the paper's packet: the header plus its one block,
+ * stored inline. It owns no heap memory and is trivially copyable, so
+ * senders build each block straight into the pooled event that carries
+ * it (makePacket) and receivers place it with one bounded copy
+ * (placeBlock). A packet owns its bytes rather than referencing the
+ * sender's buffer: an in-flight fault may corrupt one packet without
+ * touching the sender's copy, and a timed-out request's packets can
+ * outlive the request that sent them.
  */
 
 #ifndef RPCVALET_PROTO_PACKET_HH
 #define RPCVALET_PROTO_PACKET_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,24 +99,70 @@ struct PacketHeader
     std::uint32_t connClient = noConnClient;
 };
 
+/**
+ * One cache block of payload, stored in place: up to cacheBlockBytes
+ * bytes plus a length. Reads like a small byte vector.
+ */
+class InlineBlock
+{
+  public:
+    std::size_t size() const { return len_; }
+    bool empty() const { return len_ == 0; }
+    const std::uint8_t *data() const { return bytes_; }
+    std::uint8_t &operator[](std::size_t i) { return bytes_[i]; }
+    std::uint8_t operator[](std::size_t i) const { return bytes_[i]; }
+    const std::uint8_t *begin() const { return bytes_; }
+    const std::uint8_t *end() const { return bytes_ + len_; }
+
+    /** Replace the contents with @p n bytes from @p src (n <= 64). */
+    void assign(const std::uint8_t *src, std::size_t n);
+
+    /** Append one byte; panics when the block is full. */
+    void push_back(std::uint8_t byte);
+
+  private:
+    std::uint8_t bytes_[cacheBlockBytes] = {};
+    std::uint8_t len_ = 0;
+};
+
 /** One wire packet: header + up to one cache block of payload. */
 struct Packet
 {
     PacketHeader hdr;
-    std::vector<std::uint8_t> payload;
+    InlineBlock payload;
 };
 
 /** Number of cache blocks needed for @p bytes (at least 1). */
 std::uint32_t blocksForBytes(std::uint32_t bytes);
 
 /**
- * Unroll a message into its per-block packets, soNUMA-style. Every
- * packet carries the full header (stateless protocol); payloads are
- * the consecutive 64 B chunks of @p payload.
+ * Fill @p pkt as block @p block of the message @p payload sent from
+ * @p src to slot @p slot at @p dst: the full header (stateless
+ * protocol) and that block's bytes. Every header field is reset, so
+ * @p pkt may hold a stale packet (e.g. a recycled pooled event's). A
+ * block past the message's end gets an empty payload.
+ */
+void makePacket(Packet &pkt, OpType op, NodeId src, NodeId dst,
+                std::uint32_t slot, const std::vector<std::uint8_t> &payload,
+                std::uint32_t block);
+
+/**
+ * Unroll a message into its per-block packets, soNUMA-style: packet b
+ * is makePacket(..., b). Senders on the simulation path build each
+ * packet in place instead; this is the whole-message form for tests
+ * and benchmarks.
  */
 std::vector<Packet> packetize(OpType op, NodeId src, NodeId dst,
                               std::uint32_t slot,
                               const std::vector<std::uint8_t> &payload);
+
+/**
+ * Copy @p pkt's block to its offset in the message buffer @p msg with
+ * one bounded copy: bytes past the buffer's end are dropped. Panics
+ * when the header's block index is not below its block count — every
+ * reassembly site goes through here.
+ */
+void placeBlock(const Packet &pkt, std::vector<std::uint8_t> &msg);
 
 /**
  * Reassemble payload bytes from packets (test helper / functional

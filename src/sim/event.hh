@@ -26,8 +26,10 @@
  * single-owner rule (sim/simulator.hh) — pools are not locked, and a
  * payload event must be released back to the pool that issued it, on
  * the owning thread. Cross-domain traffic never moves Event objects
- * between wheels; the fabric copies the payload into the destination
- * domain's own pool at the window barrier (net/fabric.hh).
+ * between wheels; at the window barrier the fabric copies each packet
+ * (a fixed-size, trivially copyable value: header plus its inline
+ * 64 B block) into an event from the destination domain's own pool
+ * (net/fabric.hh).
  */
 
 #ifndef RPCVALET_SIM_EVENT_HH

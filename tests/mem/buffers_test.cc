@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/buffers.hh"
 #include "proto/packet.hh"
 
@@ -212,6 +214,45 @@ TEST(RecvBufferDeath, ReleaseFreeSlotPanics)
 {
     RecvBuffer rb(smallDomain());
     EXPECT_DEATH(rb.release(0), "free recv slot");
+}
+
+/** A rendezvous slot: (1, 0)'s descriptor has completed and the slot
+ *  awaits a pull of @p full_bytes. */
+void
+armPull(RecvBuffer &rb, std::uint32_t full_bytes)
+{
+    ASSERT_TRUE(rb.packetArrived(sendPacket(1, 0, 0, 1, 0), 1));
+    rb.beginRendezvous(rb.domain().slotIndex(1, 0), full_bytes);
+}
+
+TEST(RecvBuffer, PullBlocksLandAtTheirOffsets)
+{
+    RecvBuffer rb(smallDomain());
+    armPull(rb, 300);
+    const auto data = bytes(300, 9);
+    auto blocks = proto::packetize(OpType::ReadResponse, 1, 0, 0, data);
+    std::reverse(blocks.begin(), blocks.end());
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+        EXPECT_EQ(rb.pullBlockArrived(blocks[i]), i + 1 == blocks.size());
+    EXPECT_EQ(rb.slot(rb.domain().slotIndex(1, 0)).payload, data);
+}
+
+TEST(RecvBufferDeath, OutOfRangeBlockPanics)
+{
+    // Block 3 of a 3-block message used to be dropped silently.
+    RecvBuffer rb(smallDomain());
+    EXPECT_DEATH((void)rb.packetArrived(sendPacket(1, 0, 3, 3, 160), 1),
+                 "block index out of range");
+}
+
+TEST(RecvBufferDeath, OutOfRangePullBlockPanics)
+{
+    RecvBuffer rb(smallDomain());
+    armPull(rb, 200);
+    proto::Packet pkt;
+    proto::makePacket(pkt, OpType::ReadResponse, 1, 0, 0, bytes(200), 0);
+    pkt.hdr.blockIndex = pkt.hdr.totalBlocks;
+    EXPECT_DEATH((void)rb.pullBlockArrived(pkt), "block index out of range");
 }
 
 TEST(RecvBufferDeath, NonSendPacketPanics)

@@ -332,4 +332,16 @@ TEST(TrafficGenRecovery, ReplyPastTheTimeoutCountsAsStale)
     EXPECT_EQ(h.tg->repliesReceived(), h.server.served - 1);
 }
 
+TEST(TrafficGenDeath, OutOfRangeReplyBlockPanics)
+{
+    // A reply block past the message's block count used to be dropped
+    // silently by the client's reply assembly.
+    Harness h(1e6, nanoseconds(200));
+    proto::Packet pkt;
+    proto::makePacket(pkt, proto::OpType::Send, 0, 1, 0,
+                      std::vector<std::uint8_t>(100, 7), 0);
+    pkt.hdr.blockIndex = pkt.hdr.totalBlocks;
+    EXPECT_DEATH(h.tg->receivePacket(pkt), "block index out of range");
+}
+
 } // namespace

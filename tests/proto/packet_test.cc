@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
+#include "fault/packet_faults.hh"
 #include "proto/packet.hh"
 
 namespace {
@@ -23,6 +25,11 @@ patternBytes(std::size_t n)
         out[i] = static_cast<std::uint8_t>(i * 7 + 3);
     return out;
 }
+
+// The packet carries its block inline: no heap memory, copied as bytes.
+static_assert(std::is_trivially_copyable<Packet>::value,
+              "a packet must be trivially copyable");
+static_assert(sizeof(Packet) <= 128, "a packet must stay within 128 B");
 
 TEST(Packetize, BlocksForBytesBoundaries)
 {
@@ -47,7 +54,9 @@ TEST(Packetize, SingleBlockMessage)
     EXPECT_EQ(packets[0].hdr.blockIndex, 0u);
     EXPECT_EQ(packets[0].hdr.totalBlocks, 1u);
     EXPECT_EQ(packets[0].hdr.msgBytes, 40u);
-    EXPECT_EQ(packets[0].payload, payload);
+    EXPECT_EQ(std::vector<std::uint8_t>(packets[0].payload.begin(),
+                                        packets[0].payload.end()),
+              payload);
 }
 
 TEST(Packetize, MultiBlockCarriesFullHeaderInEveryPacket)
@@ -82,6 +91,106 @@ TEST(Packetize, EmptyPayloadStillOnePacket)
     ASSERT_EQ(packets.size(), 1u);
     EXPECT_EQ(packets[0].hdr.msgBytes, 0u);
     EXPECT_TRUE(packets[0].payload.empty());
+}
+
+TEST(Packetize, BlockCountsAndLengths)
+{
+    struct Case
+    {
+        std::uint32_t bytes;
+        std::vector<std::size_t> lengths;
+    };
+    const std::vector<Case> cases = {
+        {0, {0}},
+        {1, {1}},
+        {63, {63}},
+        {64, {64}},
+        {65, {64, 1}},
+        {1536, std::vector<std::size_t>(24, 64)},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.bytes);
+        const auto packets =
+            packetize(OpType::Send, 1, 0, 0, patternBytes(c.bytes));
+        ASSERT_EQ(packets.size(), c.lengths.size());
+        for (std::size_t b = 0; b < packets.size(); ++b) {
+            EXPECT_EQ(packets[b].payload.size(), c.lengths[b]);
+            EXPECT_EQ(packets[b].hdr.totalBlocks, c.lengths.size());
+            EXPECT_EQ(packets[b].hdr.msgBytes, c.bytes);
+        }
+    }
+}
+
+TEST(MakePacket, PastMessageEndGivesEmptyBlock)
+{
+    // A recycled packet's stale header and bytes are all replaced.
+    Packet pkt;
+    pkt.hdr.rendezvous = true;
+    pkt.hdr.connClient = 9;
+    pkt.payload.assign(patternBytes(64).data(), 64);
+    makePacket(pkt, OpType::Send, 2, 0, 1, patternBytes(100), 5);
+    EXPECT_TRUE(pkt.payload.empty());
+    EXPECT_EQ(pkt.hdr.blockIndex, 5u);
+    EXPECT_EQ(pkt.hdr.totalBlocks, 2u);
+    EXPECT_EQ(pkt.hdr.msgBytes, 100u);
+    EXPECT_FALSE(pkt.hdr.rendezvous);
+    EXPECT_EQ(pkt.hdr.connClient, noConnClient);
+}
+
+TEST(MakePacket, MatchesPacketize)
+{
+    const auto payload = patternBytes(200);
+    const auto packets = packetize(OpType::ReadResponse, 4, 1, 6, payload);
+    for (std::uint32_t b = 0; b < packets.size(); ++b) {
+        Packet pkt;
+        makePacket(pkt, OpType::ReadResponse, 4, 1, 6, payload, b);
+        EXPECT_EQ(pkt.hdr.op, packets[b].hdr.op);
+        EXPECT_EQ(pkt.hdr.blockIndex, packets[b].hdr.blockIndex);
+        EXPECT_TRUE(std::equal(pkt.payload.begin(), pkt.payload.end(),
+                               packets[b].payload.begin(),
+                               packets[b].payload.end()));
+    }
+}
+
+TEST(PacketCorrupt, FlipsTheReceiversCopyOnly)
+{
+    // A reply (server node 0 -> client node 3) corrupted in flight:
+    // the receiver sees byte blockIndex * 64 flipped; the sender's
+    // message and packets keep their bytes.
+    rpcvalet::fault::PacketFaultConfig corrupt;
+    corrupt.kind = rpcvalet::fault::PacketFaultConfig::Kind::Corrupt;
+    corrupt.p = 1.0;
+    rpcvalet::fault::PacketFaults faults({corrupt}, 1, 42, 0, 1);
+
+    const auto message = patternBytes(300);
+    const auto sent = packetize(OpType::Send, 0, 3, 2, message);
+    auto received = sent;
+    const auto verdict = faults.perturb(received[2], 0, 0);
+    EXPECT_FALSE(verdict.drop);
+    EXPECT_EQ(faults.corrupted(), 1u);
+
+    auto expected = message;
+    expected[2 * cacheBlockBytes] ^= 0x01;
+    EXPECT_EQ(reassemble(received), expected);
+    EXPECT_EQ(reassemble(sent), message);
+    EXPECT_EQ(message, patternBytes(300));
+}
+
+TEST(PlaceBlock, CopiesOneBlockToItsOffset)
+{
+    const auto payload = patternBytes(150);
+    const auto packets = packetize(OpType::Send, 1, 0, 0, payload);
+    std::vector<std::uint8_t> msg(150, 0);
+    placeBlock(packets[2], msg);
+    for (std::size_t i = 0; i < msg.size(); ++i)
+        EXPECT_EQ(msg[i], i >= 128 ? payload[i] : 0) << i;
+}
+
+TEST(PlaceBlockDeath, ReassembleRejectsOutOfRangeBlock)
+{
+    auto packets = packetize(OpType::Send, 1, 0, 0, patternBytes(100));
+    packets[1].hdr.blockIndex = 2;
+    EXPECT_DEATH(reassemble(packets), "block index out of range");
 }
 
 TEST(Reassemble, RoundTripsInOrder)
