@@ -311,7 +311,6 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     const std::uint32_t connClient = request.conn.client;
     if (connClient != proto::noConnClient)
         connSched_->onLaunched(connClient);
-    const bool rendezvous = request.bytes.size() > domain_.maxMsgBytes;
     const bool isHedge = hedge_of != kNoKey;
     s.livePos = static_cast<std::uint32_t>(live_.size());
     live_.push_back(LiveRequest{key, std::move(request), sim_.now(),
@@ -320,7 +319,7 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     // the live record (and this reference) is stable while it sends.
     const std::vector<std::uint8_t> &bytes = live_.back().request.bytes;
     proto::Packet pkt;
-    if (rendezvous) {
+    if (bytes.size() > domain_.maxMsgBytes) {
         // Rendezvous (§4.2): announce the payload with a one-block
         // descriptor; the destination NI pulls it with a one-sided
         // read from this node's registered memory (the slot table

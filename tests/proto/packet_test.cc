@@ -137,21 +137,6 @@ TEST(MakePacket, PastMessageEndGivesEmptyBlock)
     EXPECT_EQ(pkt.hdr.connClient, noConnClient);
 }
 
-TEST(MakePacket, MatchesPacketize)
-{
-    const auto payload = patternBytes(200);
-    const auto packets = packetize(OpType::ReadResponse, 4, 1, 6, payload);
-    for (std::uint32_t b = 0; b < packets.size(); ++b) {
-        Packet pkt;
-        makePacket(pkt, OpType::ReadResponse, 4, 1, 6, payload, b);
-        EXPECT_EQ(pkt.hdr.op, packets[b].hdr.op);
-        EXPECT_EQ(pkt.hdr.blockIndex, packets[b].hdr.blockIndex);
-        EXPECT_TRUE(std::equal(pkt.payload.begin(), pkt.payload.end(),
-                               packets[b].payload.begin(),
-                               packets[b].payload.end()));
-    }
-}
-
 TEST(PacketCorrupt, FlipsTheReceiversCopyOnly)
 {
     // A reply (server node 0 -> client node 3) corrupted in flight:
@@ -173,7 +158,6 @@ TEST(PacketCorrupt, FlipsTheReceiversCopyOnly)
     expected[2 * cacheBlockBytes] ^= 0x01;
     EXPECT_EQ(reassemble(received), expected);
     EXPECT_EQ(reassemble(sent), message);
-    EXPECT_EQ(message, patternBytes(300));
 }
 
 TEST(PlaceBlock, CopiesOneBlockToItsOffset)
