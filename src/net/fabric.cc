@@ -214,9 +214,9 @@ Fabric::DeliverEvent::process()
 void
 Fabric::BatchDeliverEvent::process()
 {
-    // Unlike the single-packet event, batch events are only acquired
-    // at the barrier (never from a sink), so delivering before the
-    // release is safe — and keeps the packet vector's capacity.
+    // Batch events are only acquired at the barrier (never from a
+    // sink), so the packet vector is stable while it delivers, and
+    // clearing it keeps its capacity for the next batch.
     for (const proto::Packet &p : pkts)
         fabric->deliver(dom, p);
     pkts.clear();
