@@ -406,12 +406,9 @@ applyPolicyOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     if (args.policy.empty())
         return;
+    const sim::ErrorContext ctx("--policy=" + args.policy);
     cfg.system.policy = ni::PolicySpec::parse(args.policy);
-    if (!ni::PolicyRegistry::instance().contains(cfg.system.policy.name)) {
-        sim::fatal("--policy=" + args.policy +
-                   ": unknown dispatch policy (registered: " +
-                   ni::PolicyRegistry::instance().namesJoined() + ")");
-    }
+    ni::PolicyRegistry::instance().expectRegistered(cfg.system.policy.name);
 }
 
 void
@@ -419,12 +416,9 @@ applyArrivalOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     if (args.arrival.empty())
         return;
+    const sim::ErrorContext ctx("--arrival=" + args.arrival);
     cfg.arrival = net::ArrivalSpec::parse(args.arrival);
-    if (!net::ArrivalRegistry::instance().contains(cfg.arrival.name)) {
-        sim::fatal("--arrival=" + args.arrival +
-                   ": unknown arrival process (registered: " +
-                   net::ArrivalRegistry::instance().namesJoined() + ")");
-    }
+    net::ArrivalRegistry::instance().expectRegistered(cfg.arrival.name);
 }
 
 void
@@ -432,12 +426,9 @@ applyWorkloadOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     if (args.workload.empty())
         return;
+    const sim::ErrorContext ctx("--workload=" + args.workload);
     cfg.workload = app::WorkloadSpec::parse(args.workload);
-    if (!app::WorkloadRegistry::instance().contains(cfg.workload.name)) {
-        sim::fatal("--workload=" + args.workload +
-                   ": unknown workload (registered: " +
-                   app::WorkloadRegistry::instance().namesJoined() + ")");
-    }
+    app::WorkloadRegistry::instance().expectRegistered(cfg.workload.name);
 }
 
 void
@@ -455,14 +446,10 @@ applyClusterOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
         cfg.cluster.numServerNodes = args.nodes;
     if (args.router.empty())
         return;
+    const sim::ErrorContext ctx("--router=" + args.router);
     cfg.cluster.router = cluster::RouterSpec::parse(args.router);
-    if (!cluster::RouterRegistry::instance().contains(
-            cfg.cluster.router.name)) {
-        sim::fatal("--router=" + args.router +
-                   ": unknown cluster router (registered: " +
-                   cluster::RouterRegistry::instance().namesJoined() +
-                   ")");
-    }
+    cluster::RouterRegistry::instance().expectRegistered(
+        cfg.cluster.router.name);
 }
 
 void

@@ -5,20 +5,18 @@
  * The application layer was the last subsystem still wired by hand:
  * policies ("jbsq:d=2") and arrivals ("mmpp2:burst=0.1") are resolved
  * through string-keyed registries, while workloads were concrete
- * classes passed by reference. This subsystem completes the picture,
- * mirroring the policy and arrival architecture:
+ * classes passed by reference. This subsystem completes the picture
+ * as one of the six spec axes built on sim/registry.hh:
  *
- *  - WorkloadSpec      "name:key=value,..." (sim::Spec with workload
- *                      diagnostics), e.g. "masstree:scan_ratio=0.02"
+ *  - WorkloadSpec      "name:key=value,..." (sim::TypedSpec with
+ *                      workload diagnostics), e.g.
+ *                      "masstree:scan_ratio=0.02"
  *  - WorkloadRegistry  process-wide name -> factory table; workloads
  *                      self-register via WorkloadRegistrar, including
  *                      from outside src/ (see
- *                      examples/custom_workload_playground.cc).
- *                      Lookups are runtime-only (from main onward), as
- *                      with the other registries: a make() call during
- *                      another translation unit's static
- *                      initialization may run before the built-ins
- *                      have registered
+ *                      examples/custom_workload_playground.cc). Each
+ *                      factory expectKeys()s its spec, so an invalid
+ *                      parameter is fatal at make()
  *
  * Built-ins (src/app/workloads.cc):
  *   "herd" (default; §5's HERD-like KV tier), "masstree:scan_ratio="
@@ -36,74 +34,32 @@
 #define RPCVALET_APP_WORKLOAD_HH
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "app/rpc_application.hh"
-#include "sim/spec.hh"
+#include "sim/registry.hh"
 
 namespace rpcvalet::app {
 
-/** A workload selection: registry name plus parameters. */
-struct WorkloadSpec : public sim::Spec
-{
-    /** Default workload: the §5 HERD-like KV tier. */
-    WorkloadSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    WorkloadSpec(const char *text);
-    WorkloadSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static WorkloadSpec parse(const std::string &text);
-};
-
 using RpcApplicationPtr = std::unique_ptr<RpcApplication>;
 
-/** Process-wide name -> factory table for workloads. */
-class WorkloadRegistry
+/** The workload axis (see sim/registry.hh). */
+struct WorkloadAxis
 {
-  public:
-    /** Builds a workload instance from its (validated) spec. */
+    static constexpr const char *label = "workload";
+    /** The §5 HERD-like KV tier. */
+    static constexpr const char *defaultName = "herd";
+    static constexpr const char *noun = "workload";
+    static constexpr const char *plural = "workloads";
     using Factory =
-        std::function<RpcApplicationPtr(const WorkloadSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static WorkloadRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the workload @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name; so is a
-     * factory-declared invalid parameter (each factory expectKeys()s
-     * its spec).
-     */
-    RpcApplicationPtr make(const WorkloadSpec &spec) const;
-
-  private:
-    WorkloadRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
+        std::function<RpcApplicationPtr(const sim::TypedSpec<WorkloadAxis> &)>;
+    /** Defined in workloads.cc, beside the built-in registrars. */
+    static void linkBuiltins();
 };
 
-/** Registers a factory at static-initialization time. */
-struct WorkloadRegistrar
-{
-    WorkloadRegistrar(const std::string &name,
-                      WorkloadRegistry::Factory factory);
-};
+using WorkloadSpec = sim::TypedSpec<WorkloadAxis>;
+using WorkloadRegistry = sim::Registry<WorkloadAxis>;
+using WorkloadRegistrar = sim::Registrar<WorkloadAxis>;
 
 } // namespace rpcvalet::app
 

@@ -379,9 +379,9 @@ const WorkloadRegistrar mixReg("mix", [](const WorkloadSpec &spec) {
 
 } // namespace
 
-/** Anchor: see workload.cc's linkBuiltinWorkloads declaration. */
+/** Anchor: see sim/registry.hh's linkBuiltins(). */
 void
-linkBuiltinWorkloads()
+WorkloadAxis::linkBuiltins()
 {
 }
 

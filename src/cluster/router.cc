@@ -1,34 +1,6 @@
 #include "cluster/router.hh"
 
-#include <utility>
-
-#include "sim/logging.hh"
-
 namespace rpcvalet::cluster {
-
-// Defined in routers.cc. Calling it from instance() forces that
-// archive member — whose only entry points are its static registrars —
-// into every binary that uses the registry.
-void linkBuiltinRouters();
-
-RouterSpec::RouterSpec()
-{
-    what = "router";
-    name = "direct";
-}
-
-RouterSpec::RouterSpec(const char *text) : RouterSpec(parse(text)) {}
-
-RouterSpec::RouterSpec(const std::string &text) : RouterSpec(parse(text))
-{}
-
-RouterSpec
-RouterSpec::parse(const std::string &text)
-{
-    RouterSpec spec;
-    static_cast<sim::Spec &>(spec) = sim::Spec::parse(text, "router");
-    return spec;
-}
 
 std::uint32_t
 ClusterView::upCount() const
@@ -48,80 +20,6 @@ ClusterView::totalOutstanding() const
     for (std::uint32_t s = 0; s < numServers(); ++s)
         total += outstanding(s);
     return total;
-}
-
-RouterRegistry &
-RouterRegistry::instance()
-{
-    static RouterRegistry registry;
-    linkBuiltinRouters();
-    return registry;
-}
-
-void
-RouterRegistry::add(const std::string &name, Factory factory)
-{
-    if (name.empty())
-        sim::fatal("cannot register a cluster router with an empty name");
-    if (factory == nullptr)
-        sim::fatal("cluster router '" + name + "' has a null factory");
-    if (!factories_.emplace(name, std::move(factory)).second) {
-        sim::fatal("cluster router '" + name +
-                   "' is already registered (duplicate registration)");
-    }
-}
-
-bool
-RouterRegistry::contains(const std::string &name) const
-{
-    return factories_.count(name) > 0;
-}
-
-std::vector<std::string>
-RouterRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        out.push_back(name); // std::map iterates in sorted order
-    }
-    return out;
-}
-
-std::string
-RouterRegistry::namesJoined() const
-{
-    std::string out;
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-RouterPtr
-RouterRegistry::make(const RouterSpec &spec) const
-{
-    const auto it = factories_.find(spec.name);
-    if (it == factories_.end()) {
-        sim::fatal("unknown cluster router '" + spec.name +
-                   "' (registered routers: " + namesJoined() + ")");
-    }
-    auto router = it->second(spec);
-    if (router == nullptr) {
-        sim::panic("factory for cluster router '" + spec.name +
-                   "' returned null");
-    }
-    return router;
-}
-
-RouterRegistrar::RouterRegistrar(const std::string &name,
-                                 RouterRegistry::Factory factory)
-{
-    RouterRegistry::instance().add(name, std::move(factory));
 }
 
 } // namespace rpcvalet::cluster

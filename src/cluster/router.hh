@@ -6,10 +6,10 @@
  * needs a second balancing level in front, deciding which server node
  * each request goes to. This subsystem makes that router a first-class
  * string-selectable component, completing the quintuple
- * --mode / --policy / --arrival / --workload / --router and mirroring
- * the policy/arrival/workload architecture:
+ * --mode / --policy / --arrival / --workload / --router, and one of the
+ * six spec axes built on sim/registry.hh:
  *
- *  - RouterSpec      "name:key=value,..." (sim::Spec with router
+ *  - RouterSpec      "name:key=value,..." (sim::TypedSpec with router
  *                    diagnostics), e.g. "bounded-load:c=1.25"
  *  - ClusterView     what a router may observe: per-server health and
  *                    outstanding request counts (implemented by the
@@ -22,11 +22,7 @@
  *  - RouterRegistry  process-wide name -> factory table; routers
  *                    self-register via RouterRegistrar, including from
  *                    outside src/ (see
- *                    examples/custom_router_playground.cc). Lookups
- *                    are runtime-only (from main onward), as with the
- *                    other registries: a make() call during another
- *                    translation unit's static initialization may run
- *                    before the built-ins have registered
+ *                    examples/custom_router_playground.cc)
  *
  * Built-ins (src/cluster/routers.cc): "direct" (always server 0; the
  * single-node default), "random", "rr", "shard"
@@ -40,30 +36,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/topology.hh"
+#include "sim/registry.hh"
 #include "sim/rng.hh"
-#include "sim/spec.hh"
 
 namespace rpcvalet::cluster {
-
-/** A router selection: registry name plus parameters. */
-struct RouterSpec : public sim::Spec
-{
-    /** Default router: "direct" (everything to server 0). */
-    RouterSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    RouterSpec(const char *text);
-    RouterSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static RouterSpec parse(const std::string &text);
-};
 
 /**
  * Read-only cluster state a router may consult. Server indices are
@@ -124,45 +104,23 @@ class Router
 
 using RouterPtr = std::unique_ptr<Router>;
 
-/** Process-wide name -> factory table for cluster routers. */
-class RouterRegistry
+/** The cluster-router axis (see sim/registry.hh). */
+struct RouterAxis
 {
-  public:
-    /** Builds a router instance from its (validated) spec. */
-    using Factory = std::function<RouterPtr(const RouterSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static RouterRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the router @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    RouterPtr make(const RouterSpec &spec) const;
-
-  private:
-    RouterRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
+    static constexpr const char *label = "router";
+    /** Everything to server 0 (the single-node default). */
+    static constexpr const char *defaultName = "direct";
+    static constexpr const char *noun = "cluster router";
+    static constexpr const char *plural = "routers";
+    using Factory =
+        std::function<RouterPtr(const sim::TypedSpec<RouterAxis> &)>;
+    /** Defined in routers.cc, beside the built-in registrars. */
+    static void linkBuiltins();
 };
 
-/** Registers a factory at static-initialization time. */
-struct RouterRegistrar
-{
-    RouterRegistrar(const std::string &name,
-                    RouterRegistry::Factory factory);
-};
+using RouterSpec = sim::TypedSpec<RouterAxis>;
+using RouterRegistry = sim::Registry<RouterAxis>;
+using RouterRegistrar = sim::Registrar<RouterAxis>;
 
 } // namespace rpcvalet::cluster
 

@@ -269,7 +269,7 @@ const RouterRegistrar boundedLoadReg(
 // unit — and with it the registrars above — is linked into every
 // binary that touches the registry.
 void
-linkBuiltinRouters()
+RouterAxis::linkBuiltins()
 {
 }
 

@@ -1,30 +1,8 @@
 #include "conn/conn.hh"
 
-#include <algorithm>
-#include <utility>
-
 #include "sim/logging.hh"
 
 namespace rpcvalet::conn {
-
-// Defined in schedulers.cc. Calling it from instance() forces that
-// archive member — whose only entry points are its static registrars —
-// into every binary that uses the registry.
-void linkBuiltinConnSchedulers();
-
-ConnSpec::ConnSpec() { what = "conn"; }
-
-ConnSpec::ConnSpec(const char *text) : ConnSpec(parse(text)) {}
-
-ConnSpec::ConnSpec(const std::string &text) : ConnSpec(parse(text)) {}
-
-ConnSpec
-ConnSpec::parse(const std::string &text)
-{
-    ConnSpec spec;
-    static_cast<sim::Spec &>(spec) = sim::Spec::parse(text, "conn");
-    return spec;
-}
 
 ConnSpec
 ConnConfig::schedulerSpec() const
@@ -93,80 +71,6 @@ effectiveQpCapacity(const ConnConfig &cfg)
         return static_cast<std::uint32_t>(spec.uintParam("size", 40));
     }
     return 64;
-}
-
-ConnRegistry &
-ConnRegistry::instance()
-{
-    static ConnRegistry registry;
-    linkBuiltinConnSchedulers();
-    return registry;
-}
-
-void
-ConnRegistry::add(const std::string &name, Factory factory)
-{
-    if (name.empty())
-        sim::fatal("cannot register a conn scheduler with an empty name");
-    if (factory == nullptr)
-        sim::fatal("conn scheduler '" + name + "' has a null factory");
-    if (!factories_.emplace(name, std::move(factory)).second) {
-        sim::fatal("conn scheduler '" + name +
-                   "' is already registered (duplicate registration)");
-    }
-}
-
-bool
-ConnRegistry::contains(const std::string &name) const
-{
-    return factories_.count(name) > 0;
-}
-
-std::vector<std::string>
-ConnRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_)
-        out.push_back(name);
-    return out;
-}
-
-std::string
-ConnRegistry::namesJoined() const
-{
-    std::string joined;
-    for (const std::string &name : names()) {
-        if (!joined.empty())
-            joined += ", ";
-        joined += name;
-    }
-    return joined;
-}
-
-ConnSchedulerPtr
-ConnRegistry::make(const ConnSpec &spec) const
-{
-    if (spec.name.empty())
-        sim::fatal("empty conn-scheduler spec");
-    auto it = factories_.find(spec.name);
-    if (it == factories_.end()) {
-        sim::fatal(sim::strfmt(
-            "unknown conn scheduler '%s' (registered: %s)",
-            spec.name.c_str(), namesJoined().c_str()));
-    }
-    ConnSchedulerPtr sched = it->second(spec);
-    if (sched == nullptr) {
-        sim::fatal("conn-scheduler factory for '" + spec.name +
-                   "' returned null");
-    }
-    return sched;
-}
-
-ConnRegistrar::ConnRegistrar(const std::string &name,
-                             ConnRegistry::Factory factory)
-{
-    ConnRegistry::instance().add(name, std::move(factory));
 }
 
 } // namespace rpcvalet::conn

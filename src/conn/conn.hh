@@ -7,11 +7,12 @@
  * Real NIs cache a bounded number of connection contexts on-chip, and
  * once thousands of clients hold live connections the cache thrashes —
  * the problem ScaleRPC solves by time-multiplexing clients through the
- * server in connection groups. This subsystem mirrors the
- * policy/arrival/workload/router/fault registry architecture:
+ * server in connection groups. This subsystem is one of the six spec
+ * axes built on sim/registry.hh:
  *
- *  - ConnSpec       "name:key=value,..." (sim::Spec with conn
- *                   diagnostics), e.g. "grouped:size=40,slice=100us"
+ *  - ConnSpec       "name:key=value,..." (sim::TypedSpec with conn
+ *                   diagnostics, empty by default), e.g.
+ *                   "grouped:size=40,slice=100us"
  *  - ConnScheduler  a registered connection scheduler; decides per
  *                   logical client whether it may issue a request now
  *                   and releases deferred clients when their turn comes
@@ -50,29 +51,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/domain.hh"
-#include "sim/spec.hh"
+#include "sim/registry.hh"
 
 namespace rpcvalet::conn {
-
-/** A connection-scheduler selection: registry name plus parameters. */
-struct ConnSpec : public sim::Spec
-{
-    /** Default: an empty spec (scheduler chosen by ConnConfig). */
-    ConnSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    ConnSpec(const char *text);
-    ConnSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static ConnSpec parse(const std::string &text);
-};
 
 /** Counters every scheduler reports into RunStats.conn. */
 struct ConnSchedStats
@@ -165,6 +150,24 @@ class ConnScheduler
 
 using ConnSchedulerPtr = std::unique_ptr<ConnScheduler>;
 
+/** The connection-scheduler axis (see sim/registry.hh). */
+struct ConnAxis
+{
+    static constexpr const char *label = "conn";
+    /** No default: ConnConfig resolves an empty name to "all". */
+    static constexpr const char *defaultName = "";
+    static constexpr const char *noun = "conn scheduler";
+    static constexpr const char *plural = "conn schedulers";
+    using Factory =
+        std::function<ConnSchedulerPtr(const sim::TypedSpec<ConnAxis> &)>;
+    /** Defined in schedulers.cc, beside the built-in registrars. */
+    static void linkBuiltins();
+};
+
+using ConnSpec = sim::TypedSpec<ConnAxis>;
+using ConnRegistry = sim::Registry<ConnAxis>;
+using ConnRegistrar = sim::Registrar<ConnAxis>;
+
 /** Experiment-level connection-management configuration. */
 struct ConnConfig
 {
@@ -222,45 +225,6 @@ ConnConfig parseConnConfig(const std::string &text);
  * the derivation documented on ConnConfig::qpCapacity).
  */
 std::uint32_t effectiveQpCapacity(const ConnConfig &cfg);
-
-/** Process-wide name -> factory table for connection schedulers. */
-class ConnRegistry
-{
-  public:
-    /** Builds a scheduler instance from its (validated) spec. */
-    using Factory = std::function<ConnSchedulerPtr(const ConnSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static ConnRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the scheduler @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    ConnSchedulerPtr make(const ConnSpec &spec) const;
-
-  private:
-    ConnRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct ConnRegistrar
-{
-    ConnRegistrar(const std::string &name, ConnRegistry::Factory factory);
-};
 
 } // namespace rpcvalet::conn
 

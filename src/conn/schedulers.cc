@@ -395,7 +395,7 @@ const ConnRegistrar registerGrouped{"grouped", [](const ConnSpec &spec) {
 } // namespace
 
 void
-linkBuiltinConnSchedulers()
+ConnAxis::linkBuiltins()
 {
     // The registrars above run at static initialization; this function
     // exists only to give the registry's instance() a symbol to pull

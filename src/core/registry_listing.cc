@@ -5,24 +5,29 @@
 #include "conn/conn.hh"
 #include "fault/fault.hh"
 #include "net/arrival.hh"
-#include "ni/policy_registry.hh"
+#include "ni/policy_spec.hh"
 
 namespace rpcvalet::core {
+
+namespace {
+
+template <typename... Axes>
+std::vector<RegistryAxis>
+listAxes()
+{
+    // Each instance() links its axis's built-in registrars before first
+    // use, so the listing is complete no matter which components the
+    // caller has touched so far.
+    return {{Axes::label, sim::Registry<Axes>::instance().names()}...};
+}
+
+} // namespace
 
 std::vector<RegistryAxis>
 listRegistries()
 {
-    // Each instance() links its built-in registrars before first use,
-    // so the listing is complete no matter which components the
-    // caller has touched so far.
-    return {
-        {"policy", ni::PolicyRegistry::instance().names()},
-        {"arrival", net::ArrivalRegistry::instance().names()},
-        {"workload", app::WorkloadRegistry::instance().names()},
-        {"router", cluster::RouterRegistry::instance().names()},
-        {"fault", fault::FaultRegistry::instance().names()},
-        {"conn", conn::ConnRegistry::instance().names()},
-    };
+    return listAxes<ni::PolicyAxis, net::ArrivalAxis, app::WorkloadAxis,
+                    cluster::RouterAxis, fault::FaultAxis, conn::ConnAxis>();
 }
 
 std::string

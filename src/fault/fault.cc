@@ -8,25 +8,6 @@
 
 namespace rpcvalet::fault {
 
-// Defined in faults.cc. Calling it from instance() forces that
-// archive member — whose only entry points are its static registrars —
-// into every binary that uses the registry.
-void linkBuiltinFaults();
-
-FaultSpec::FaultSpec() { what = "fault"; }
-
-FaultSpec::FaultSpec(const char *text) : FaultSpec(parse(text)) {}
-
-FaultSpec::FaultSpec(const std::string &text) : FaultSpec(parse(text)) {}
-
-FaultSpec
-FaultSpec::parse(const std::string &text)
-{
-    FaultSpec spec;
-    static_cast<sim::Spec &>(spec) = sim::Spec::parse(text, "fault");
-    return spec;
-}
-
 std::string
 Activation::describe() const
 {
@@ -104,80 +85,6 @@ Resolution::degradedWindows() const
             merged.push_back(w);
     }
     return merged;
-}
-
-FaultRegistry &
-FaultRegistry::instance()
-{
-    static FaultRegistry registry;
-    linkBuiltinFaults();
-    return registry;
-}
-
-void
-FaultRegistry::add(const std::string &name, Factory factory)
-{
-    if (name.empty())
-        sim::fatal("cannot register a fault with an empty name");
-    if (factory == nullptr)
-        sim::fatal("fault '" + name + "' has a null factory");
-    if (!factories_.emplace(name, std::move(factory)).second) {
-        sim::fatal("fault '" + name +
-                   "' is already registered (duplicate registration)");
-    }
-}
-
-bool
-FaultRegistry::contains(const std::string &name) const
-{
-    return factories_.count(name) > 0;
-}
-
-std::vector<std::string>
-FaultRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        out.push_back(name); // std::map iterates in sorted order
-    }
-    return out;
-}
-
-std::string
-FaultRegistry::namesJoined() const
-{
-    std::string out;
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-FaultPtr
-FaultRegistry::make(const FaultSpec &spec) const
-{
-    const auto it = factories_.find(spec.name);
-    if (it == factories_.end()) {
-        sim::fatal("unknown fault '" + spec.name +
-                   "' (registered faults: " + namesJoined() + ")");
-    }
-    auto flt = it->second(spec);
-    if (flt == nullptr) {
-        sim::panic("factory for fault '" + spec.name +
-                   "' returned null");
-    }
-    return flt;
-}
-
-FaultRegistrar::FaultRegistrar(const std::string &name,
-                               FaultRegistry::Factory factory)
-{
-    FaultRegistry::instance().add(name, std::move(factory));
 }
 
 Resolution

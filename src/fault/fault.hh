@@ -4,11 +4,11 @@
  *
  * Chaos experiments need composable, timed, string-selectable fault
  * models; a node failure is just one of them ("crash:"). This
- * subsystem mirrors the policy/arrival/workload/router registry
- * architecture:
+ * subsystem is one of the six spec axes built on sim/registry.hh:
  *
- *  - FaultSpec       "name:key=value,..." (sim::Spec with fault
- *                    diagnostics), e.g. "crash:node=3,at=50us"
+ *  - FaultSpec       "name:key=value,..." (sim::TypedSpec with fault
+ *                    diagnostics, empty by default), e.g.
+ *                    "crash:node=3,at=50us"
  *  - Fault           a registered fault model; validates its spec
  *                    against the cluster shape and resolves into the
  *                    run's static fault timeline
@@ -47,30 +47,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/domain.hh"
-#include "sim/spec.hh"
+#include "sim/registry.hh"
 
 namespace rpcvalet::fault {
-
-/** A fault selection: registry name plus parameters. */
-struct FaultSpec : public sim::Spec
-{
-    /** Default: an empty spec (no fault); only parsed specs name one. */
-    FaultSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    FaultSpec(const char *text);
-    FaultSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static FaultSpec parse(const std::string &text);
-};
 
 /**
  * One entry of a run's resolved fault timeline. Timed activations
@@ -193,45 +178,23 @@ class Fault
 
 using FaultPtr = std::unique_ptr<Fault>;
 
-/** Process-wide name -> factory table for fault models. */
-class FaultRegistry
+/** The fault axis (see sim/registry.hh). */
+struct FaultAxis
 {
-  public:
-    /** Builds a fault instance from its (validated) spec. */
-    using Factory = std::function<FaultPtr(const FaultSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static FaultRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the fault @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    FaultPtr make(const FaultSpec &spec) const;
-
-  private:
-    FaultRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
+    static constexpr const char *label = "fault";
+    /** No default: a FaultSpec{} names no fault. */
+    static constexpr const char *defaultName = "";
+    static constexpr const char *noun = "fault";
+    static constexpr const char *plural = "faults";
+    using Factory =
+        std::function<FaultPtr(const sim::TypedSpec<FaultAxis> &)>;
+    /** Defined in faults.cc, beside the built-in registrars. */
+    static void linkBuiltins();
 };
 
-/** Registers a factory at static-initialization time. */
-struct FaultRegistrar
-{
-    FaultRegistrar(const std::string &name,
-                   FaultRegistry::Factory factory);
-};
+using FaultSpec = sim::TypedSpec<FaultAxis>;
+using FaultRegistry = sim::Registry<FaultAxis>;
+using FaultRegistrar = sim::Registrar<FaultAxis>;
 
 /**
  * Resolve a fault list into the run's static timeline: every spec is

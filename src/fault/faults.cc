@@ -384,7 +384,7 @@ const FaultRegistrar slowReg("slow-core", [](const FaultSpec &spec) {
 } // namespace
 
 void
-linkBuiltinFaults()
+FaultAxis::linkBuiltins()
 {
     // The registrars above do the work; this function only anchors the
     // archive member (see FaultRegistry::instance).

@@ -6,108 +6,13 @@
 
 namespace rpcvalet::net {
 
-// Defined in arrivals.cc. Calling it from instance() forces that
-// archive member — whose only entry points are its static registrars —
-// into every binary that uses the registry.
-void linkBuiltinArrivals();
-
-ArrivalSpec::ArrivalSpec()
-{
-    what = "arrival";
-    name = "poisson";
-}
-
-ArrivalSpec::ArrivalSpec(const char *text) : ArrivalSpec(parse(text)) {}
-
-ArrivalSpec::ArrivalSpec(const std::string &text)
-    : ArrivalSpec(parse(text))
-{}
-
-ArrivalSpec
-ArrivalSpec::parse(const std::string &text)
-{
-    ArrivalSpec spec;
-    static_cast<sim::Spec &>(spec) = sim::Spec::parse(text, "arrival");
-    return spec;
-}
-
-ArrivalRegistry &
-ArrivalRegistry::instance()
-{
-    static ArrivalRegistry registry;
-    linkBuiltinArrivals();
-    return registry;
-}
-
 void
-ArrivalRegistry::add(const std::string &name, Factory factory)
+ArrivalAxis::checkArgs(const sim::Spec &spec, double rate_per_sec)
 {
-    if (name.empty())
-        sim::fatal("cannot register an arrival process with an empty name");
-    if (factory == nullptr)
-        sim::fatal("arrival process '" + name + "' has a null factory");
-    if (!factories_.emplace(name, std::move(factory)).second) {
-        sim::fatal("arrival process '" + name +
-                   "' is already registered (duplicate registration)");
-    }
-}
-
-bool
-ArrivalRegistry::contains(const std::string &name) const
-{
-    return factories_.count(name) > 0;
-}
-
-std::vector<std::string>
-ArrivalRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        out.push_back(name); // std::map iterates in sorted order
-    }
-    return out;
-}
-
-std::string
-ArrivalRegistry::namesJoined() const
-{
-    std::string out;
-    for (const auto &[name, factory] : factories_) {
-        (void)factory;
-        if (!out.empty())
-            out += ", ";
-        out += name;
-    }
-    return out;
-}
-
-ArrivalProcessPtr
-ArrivalRegistry::make(const ArrivalSpec &spec, double rate_per_sec) const
-{
-    const auto it = factories_.find(spec.name);
-    if (it == factories_.end()) {
-        sim::fatal("unknown arrival process '" + spec.name +
-                   "' (registered arrival processes: " + namesJoined() +
-                   ")");
-    }
     if (!(rate_per_sec > 0.0)) {
         sim::fatal("arrival process '" + spec.toString() +
                    "' needs a positive target rate");
     }
-    auto process = it->second(spec, rate_per_sec);
-    if (process == nullptr) {
-        sim::panic("factory for arrival process '" + spec.name +
-                   "' returned null");
-    }
-    return process;
-}
-
-ArrivalRegistrar::ArrivalRegistrar(const std::string &name,
-                                   ArrivalRegistry::Factory factory)
-{
-    ArrivalRegistry::instance().add(name, std::move(factory));
 }
 
 // The Rng stream id matches sim::PoissonProcess so the "poisson"

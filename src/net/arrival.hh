@@ -6,21 +6,18 @@
  * arrivals (§5), but the single-queue dispatch claim is stressed
  * hardest by bursty and time-varying µs-scale traffic. This subsystem
  * makes the interarrival process a first-class, string-selectable
- * component, mirroring the dispatch-policy architecture:
+ * component, one of the six spec axes built on sim/registry.hh:
  *
- *  - ArrivalSpec      "name:key=value,..." (sim::Spec with arrival
+ *  - ArrivalSpec      "name:key=value,..." (sim::TypedSpec with arrival
  *                     diagnostics), e.g. "mmpp2:burst=0.1,ratio=10"
  *  - ArrivalProcess   samples the next interarrival gap; lifecycle
  *                     hooks observe start/halt
  *  - ArrivalRegistry  process-wide name -> factory table; processes
  *                     self-register via ArrivalRegistrar, including
  *                     from outside src/ (see
- *                     examples/custom_arrival_playground.cc).
- *                     Lookups are runtime-only (from main onward), as
- *                     with the ni::PolicyRegistry: a make() call
- *                     during another translation unit's static
- *                     initialization may run before the built-ins
- *                     have registered
+ *                     examples/custom_arrival_playground.cc). Factories
+ *                     also take the target rate, which make() checks
+ *                     is positive before calling one
  *  - ArrivalDriver    generalizes sim::PoissonProcess: schedules one
  *                     handler call per arrival drawn from any process
  *
@@ -35,31 +32,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/domain.hh"
+#include "sim/registry.hh"
 #include "sim/rng.hh"
-#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace rpcvalet::net {
-
-/** An arrival-process selection: registry name plus parameters. */
-struct ArrivalSpec : public sim::Spec
-{
-    /** Default process: the paper's fixed-rate Poisson generator. */
-    ArrivalSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    ArrivalSpec(const char *text);
-    ArrivalSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static ArrivalSpec parse(const std::string &text);
-};
 
 /**
  * Interface for an open-loop interarrival-time process. Instances are
@@ -92,10 +74,14 @@ class ArrivalProcess
 
 using ArrivalProcessPtr = std::unique_ptr<ArrivalProcess>;
 
-/** Process-wide name -> factory table for arrival processes. */
-class ArrivalRegistry
+/** The arrival-process axis (see sim/registry.hh). */
+struct ArrivalAxis
 {
-  public:
+    static constexpr const char *label = "arrival";
+    /** The paper's fixed-rate Poisson generator. */
+    static constexpr const char *defaultName = "poisson";
+    static constexpr const char *noun = "arrival process";
+    static constexpr const char *plural = "arrival processes";
     /**
      * Builds a process from its (validated) spec, shaped to a target
      * long-run average rate in arrivals per second. Processes may
@@ -104,42 +90,16 @@ class ArrivalRegistry
      * ignores it entirely (see arrivals.cc).
      */
     using Factory = std::function<ArrivalProcessPtr(
-        const ArrivalSpec &, double rate_per_sec)>;
-
-    /** The process-wide registry (created on first use). */
-    static ArrivalRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the process @p spec names at @p rate_per_sec. An
-     * unregistered name is fatal, with the message listing every
-     * registered name; so is a non-positive rate.
-     */
-    ArrivalProcessPtr make(const ArrivalSpec &spec,
-                           double rate_per_sec) const;
-
-  private:
-    ArrivalRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
+        const sim::TypedSpec<ArrivalAxis> &, double rate_per_sec)>;
+    /** make() hook: a non-positive target rate is fatal. */
+    static void checkArgs(const sim::Spec &spec, double rate_per_sec);
+    /** Defined in arrivals.cc, beside the built-in registrars. */
+    static void linkBuiltins();
 };
 
-/** Registers a factory at static-initialization time. */
-struct ArrivalRegistrar
-{
-    ArrivalRegistrar(const std::string &name,
-                     ArrivalRegistry::Factory factory);
-};
+using ArrivalSpec = sim::TypedSpec<ArrivalAxis>;
+using ArrivalRegistry = sim::Registry<ArrivalAxis>;
+using ArrivalRegistrar = sim::Registrar<ArrivalAxis>;
 
 /**
  * Drives a handler with arrivals drawn from an ArrivalProcess — the

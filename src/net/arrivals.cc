@@ -394,7 +394,7 @@ const ArrivalRegistrar traceReg(
 } // namespace
 
 // Forces this archive member (and thus the registrars above) into any
-// binary that touches the ArrivalRegistry; see arrival.cc.
-void linkBuiltinArrivals() {}
+// binary that touches the ArrivalRegistry; see sim/registry.hh.
+void ArrivalAxis::linkBuiltins() {}
 
 } // namespace rpcvalet::net

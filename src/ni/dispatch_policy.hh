@@ -20,7 +20,7 @@
  *
  * Policies are instantiated by name through the PolicyRegistry from a
  * parameterized PolicySpec (e.g. "greedy", "pow2:d=3", "jbsq:d=2",
- * "stale-jsq:staleness=50ns"); see policy_registry.hh for how to
+ * "stale-jsq:staleness=50ns"); see policy_spec.hh for how to
  * register a policy from any translation unit.
  */
 
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "ni/policy_registry.hh"
 #include "ni/policy_spec.hh"
 #include "proto/packet.hh"
 #include "sim/rng.hh"

@@ -428,7 +428,7 @@ const PolicyRegistrar delayAwareReg(
 // unit — and with it the registrars above — is linked into every
 // binary that touches the registry.
 void
-linkBuiltinPolicies()
+PolicyAxis::linkBuiltins()
 {
 }
 

@@ -26,11 +26,7 @@ SystemParams::validate() const
         numCores % numBackends != 0) {
         sim::fatal("4x4 mode needs numCores divisible by numBackends");
     }
-    if (!ni::PolicyRegistry::instance().contains(policy.name)) {
-        sim::fatal("unknown dispatch policy '" + policy.name +
-                   "' (registered policies: " +
-                   ni::PolicyRegistry::instance().namesJoined() + ")");
-    }
+    ni::PolicyRegistry::instance().expectRegistered(policy.name);
 }
 
 } // namespace rpcvalet::node

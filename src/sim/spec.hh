@@ -12,11 +12,11 @@
  *
  * Specs round-trip through toString() (keys print in sorted order) and
  * carry a `what` label ("policy", "arrival", ...) so every diagnostic
- * names the subsystem the bad spec belongs to. The dispatch-policy
- * layer (ni::PolicySpec) and the arrival-process layer
- * (net::ArrivalSpec) both derive from this one parser, so the two
- * registries accept the same spec grammar everywhere — configs, bench
- * flags, and tests.
+ * names the subsystem the bad spec belongs to. Every spec axis —
+ * policy, arrival, workload, router, fault and conn — uses this one
+ * parser through sim::TypedSpec (sim/registry.hh), which fills in the
+ * axis's label and default name, so all six registries accept the
+ * same spec grammar everywhere — configs, bench flags, and tests.
  */
 
 #ifndef RPCVALET_SIM_SPEC_HH

@@ -79,6 +79,9 @@ TEST(RegistryMessagesDeath, UnknownNameListsEveryBuiltin)
          "fatal: unknown fault 'nonesuch' (registered faults: crash, "
          "ni-stall, packet-corrupt, packet-delay, packet-loss, "
          "slow-core)\n"},
+        {makeNamed<conn::ConnRegistry>, "nonesuch",
+         "fatal: unknown conn scheduler 'nonesuch' (registered conn "
+         "schedulers: all, grouped)\n"},
     };
     expectFatalText(cases);
 }
