@@ -154,6 +154,6 @@ main()
 
     std::printf("\nAll knobs live in node::SystemParams; policies are "
                 "spec strings\nresolved by the ni::PolicyRegistry (see "
-                "src/ni/policy_registry.hh).\n");
+                "src/ni/policy_spec.hh and\nsrc/sim/registry.hh).\n");
     return 0;
 }

@@ -20,21 +20,56 @@ namespace {
 /** Events executed across all runs in this process (bench perf feed). */
 std::atomic<std::uint64_t> g_simulatedEvents{0};
 
-/*
- * The summaries below take their recorder by value: the harvest moves
- * each merged recorder in, so its samples (and the sorted copy a
- * percentile makes) are released as soon as it is summarized.
- */
+using Sample = node::RpcNode::Sample;
+/** The nodes' sample logs, in node index order. */
+using Logs = std::vector<const std::vector<Sample> *>;
 
-ComponentStats
-component(const stats::LatencyRecorder r)
+/** End-to-end latency of one logged RPC: first packet to replenish. */
+sim::Tick
+latency(const Sample &s)
 {
+    return s.replenishTick - s.firstPacketTick;
+}
+
+/** Keeps every logged RPC. */
+bool
+anyRpc(const Sample &)
+{
+    return true;
+}
+
+/**
+ * One derived sample sequence: @p value of every logged RPC that
+ * @p keep selects, walking the logs in node order and each log in
+ * completion order. That order is fixed by the run alone, so means
+ * (summed in sample order) are bit-identical for any worker count.
+ */
+template <typename Keep, typename Value>
+stats::LatencyRecorder
+derive(const Logs &logs, Keep keep, Value value)
+{
+    stats::LatencyRecorder rec;
+    for (const std::vector<Sample> *log : logs) {
+        for (const Sample &s : *log) {
+            if (keep(s))
+                rec.record(value(s));
+        }
+    }
+    return rec;
+}
+
+/** Mean/p99 of one breakdown component over every logged RPC. */
+template <typename Value>
+ComponentStats
+component(const Logs &logs, Value value)
+{
+    const stats::LatencyRecorder r = derive(logs, anyRpc, value);
     return ComponentStats{r.meanNs(), r.p99Ns()};
 }
 
-/** Per-class summary from a (possibly merged) recorder. */
+/** Per-class summary from the class's derived samples. */
 ClassStats
-classStats(const app::RequestClass &info, const stats::LatencyRecorder rec,
+classStats(const app::RequestClass &info, const stats::LatencyRecorder &rec,
            double window_s)
 {
     ClassStats cs;
@@ -150,13 +185,13 @@ struct RunOutcome
 
 /**
  * Build a finished run's RunStats from its server nodes and the client
- * side. Each node's latency recorders are moved, not copied, into the
- * cluster totals (nodes are visited in index order, so merged samples
- * keep node order), which leaves the nodes' own recorders empty.
+ * side. Every latency summary is derived here from the nodes' sample
+ * logs, one summary at a time, so at most one derived sample sequence
+ * (and the sorted copy a percentile makes) is alive at once.
  */
 RunStats
 harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
-        std::vector<std::unique_ptr<node::RpcNode>> &nodes,
+        const std::vector<std::unique_ptr<node::RpcNode>> &nodes,
         const net::TrafficGenerator &tg, const RunOutcome &run,
         const fault::Resolution &faultPlan,
         const fault::PacketFaults *packetFaults)
@@ -170,14 +205,16 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
     out.router = tg.routerName();
     out.point.offeredRps = cfg.arrivalRps;
 
-    node::RpcNode::Latencies merged;
+    Logs logs;
     std::uint64_t served_weight = 0;
     double service_weighted = 0.0;
     std::uint64_t qpHits = 0;
     std::uint64_t qpMisses = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-        node::RpcNode &n = *nodes[i];
-        const stats::LatencyRecorder &all = n.allLatency();
+        const node::RpcNode &n = *nodes[i];
+        logs.push_back(&n.samples());
+        const stats::LatencyRecorder all =
+            derive(Logs{&n.samples()}, anyRpc, latency);
         NodeStats ns;
         ns.nodeId = cfg.system.nodeId + static_cast<proto::NodeId>(i);
         ns.failed = n.failed();
@@ -206,18 +243,17 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
                                  ns.perCoreServed.begin(),
                                  ns.perCoreServed.end());
         out.perNode.push_back(std::move(ns));
-        merged.absorb(n.takeLatencies());
     }
 
-    // Summarize the merged recorders one at a time, releasing each
-    // before the next, so at most one sorted copy is alive at once.
+    const auto critical = [](const Sample &s) { return s.latencyCritical; };
     {
-        const stats::LatencyRecorder critical = std::move(merged.critical);
-        out.point.meanNs = critical.meanNs();
-        out.point.p50Ns = critical.percentileNs(50.0);
-        out.point.p90Ns = critical.percentileNs(90.0);
-        out.point.p99Ns = critical.percentileNs(99.0);
-        out.point.samples = critical.count();
+        const stats::LatencyRecorder point =
+            derive(logs, critical, latency);
+        out.point.meanNs = point.meanNs();
+        out.point.p50Ns = point.percentileNs(50.0);
+        out.point.p90Ns = point.percentileNs(90.0);
+        out.point.p99Ns = point.percentileNs(99.0);
+        out.point.samples = point.count();
     }
     if (window_s > 0.0) {
         out.point.achievedRps =
@@ -227,15 +263,30 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
         served_weight > 0
             ? service_weighted / static_cast<double>(served_weight)
             : 0.0;
-    node::RpcNode::Breakdown &bd = merged.breakdown;
-    out.breakdown.reassembly = component(std::move(bd.reassembly));
-    out.breakdown.dispatch = component(std::move(bd.dispatch));
-    out.breakdown.queueWait = component(std::move(bd.queueWait));
-    out.breakdown.service = component(std::move(bd.service));
+    // Pipeline timestamps are monotone along each RPC by construction.
+    out.breakdown.reassembly = component(logs, [](const Sample &s) {
+        return s.completionTick - s.firstPacketTick;
+    });
+    out.breakdown.dispatch = component(logs, [](const Sample &s) {
+        return s.deliveredTick - s.completionTick;
+    });
+    out.breakdown.queueWait = component(logs, [](const Sample &s) {
+        return s.busyStart - s.deliveredTick;
+    });
+    out.breakdown.service = component(logs, [](const Sample &s) {
+        return s.replenishTick - s.busyStart;
+    });
+    // Per-class accounting, including non-critical classes. A stray id
+    // (e.g. a hand-built request against a workload that never
+    // generates that class) is clamped into the declared table.
     const std::vector<app::RequestClass> classes = app.requestClasses();
     for (std::size_t c = 0; c < classes.size(); ++c) {
+        const auto inClass = [c, last = classes.size() - 1](
+                                 const Sample &s) {
+            return std::min<std::size_t>(s.classId, last) == c;
+        };
         out.perClass.push_back(classStats(
-            classes[c], std::move(merged.perClass[c]), window_s));
+            classes[c], derive(logs, inClass, latency), window_s));
     }
     out.simulatedUs = sim::toUs(run.stoppedAt);
     out.executedEvents = run.executedEvents;
@@ -265,11 +316,38 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
         out.fault.packetsCorrupted = packetFaults->corrupted();
     }
     out.fault.activations = faultPlan.timeline;
-    // Both recorders stay empty unless timed faults declared windows.
-    out.fault.degradedP99Ns = merged.degradedCritical.p99Ns();
-    out.fault.degradedSamples = merged.degradedCritical.count();
-    out.fault.healthyP99Ns = merged.healthyCritical.p99Ns();
-    out.fault.healthySamples = merged.healthyCritical.count();
+    // Degraded-tail split: critical RPCs by whether they completed
+    // inside one of the timed faults' windows (few windows — linear
+    // scan). Without timed faults both halves stay empty.
+    const std::vector<std::pair<sim::Tick, sim::Tick>> windows =
+        faultPlan.degradedWindows();
+    if (!windows.empty()) {
+        const auto inWindow = [&windows](const Sample &s) {
+            for (const auto &[from, until] : windows) {
+                if (s.replenishTick >= from && s.replenishTick < until)
+                    return true;
+            }
+            return false;
+        };
+        {
+            const stats::LatencyRecorder degraded = derive(
+                logs,
+                [&](const Sample &s) {
+                    return s.latencyCritical && inWindow(s);
+                },
+                latency);
+            out.fault.degradedP99Ns = degraded.p99Ns();
+            out.fault.degradedSamples = degraded.count();
+        }
+        const stats::LatencyRecorder healthy = derive(
+            logs,
+            [&](const Sample &s) {
+                return s.latencyCritical && !inWindow(s);
+            },
+            latency);
+        out.fault.healthyP99Ns = healthy.p99Ns();
+        out.fault.healthySamples = healthy.count();
+    }
 
     // Under injected corruption, failed verifications are the expected
     // signal (the client-side checksum caught the flipped byte), not a
@@ -434,17 +512,11 @@ runExperiment(const ExperimentConfig &cfg)
             app::WorkloadRegistry::instance().make(cfg.workload));
         nodes.push_back(std::make_unique<node::RpcNode>(
             serverSim(i), sys, *apps.back(), fabric));
-        // Recorders run only inside the measurement window; the
+        // Nodes log samples only inside the measurement window; the
         // completion hook / barrier loop below opens it cluster-wide.
         nodes.back()->setRecording(cfg.warmupRpcs == 0);
         if (par)
             fabric.assignNode(sys.nodeId, i + 1);
-    }
-    const std::vector<std::pair<sim::Tick, sim::Tick>> degraded =
-        faultPlan.degradedWindows();
-    if (!degraded.empty()) {
-        for (auto &n : nodes)
-            n->setDegradedWindows(degraded);
     }
 
     // The client side generates requests and verifies replies. A

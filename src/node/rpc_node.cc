@@ -38,9 +38,8 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
 {
     params_.validate();
 
-    const std::size_t numClasses = app_.requestClasses().size();
-    RV_ASSERT(numClasses > 0, "application declares no request classes");
-    latencies_.perClass.resize(numClasses);
+    RV_ASSERT(!app_.requestClasses().empty(),
+              "application declares no request classes");
 
     for (std::uint32_t b = 0; b < params_.numBackends; ++b) {
         ni::NiBackend::Params bp;
@@ -364,13 +363,6 @@ RpcNode::setCoreSlowdown(proto::CoreId core, double factor)
     if (coreSlowdown_.empty())
         coreSlowdown_.assign(cores_.size(), 1.0);
     coreSlowdown_[core] = factor;
-}
-
-void
-RpcNode::setDegradedWindows(
-    std::vector<std::pair<sim::Tick, sim::Tick>> windows)
-{
-    degradedWindows_ = std::move(windows);
 }
 
 void
@@ -705,40 +697,9 @@ RpcNode::finishRpc(ServiceEvent &ev)
     ++cores_[core].served;
 
     if (recording_) {
-        Latencies &lat = latencies_;
-        allLatency_.record(latency);
-        if (critical) {
-            lat.critical.record(latency);
-            // Degraded-tail split: bucket by whether the RPC completed
-            // inside a fault window (few windows — linear scan).
-            if (!degradedWindows_.empty()) {
-                const sim::Tick now = sim_.now();
-                bool degraded = false;
-                for (const auto &[from, until] : degradedWindows_) {
-                    if (now >= from && now < until) {
-                        degraded = true;
-                        break;
-                    }
-                }
-                (degraded ? lat.degradedCritical : lat.healthyCritical)
-                    .record(latency);
-            }
-        }
-        // Per-class accounting, including non-critical classes. Clamp
-        // a stray id (e.g. a hand-built request against a workload
-        // that never generates that class) into the declared table.
-        lat.perClass[std::min<std::size_t>(ev.result.classId,
-                                           lat.perClass.size() - 1)]
-            .record(latency);
-
-        // Component decomposition (timestamps are monotone along the
-        // pipeline by construction).
-        lat.breakdown.reassembly.record(cqe.completionTick -
-                                        cqe.firstPacketTick);
-        lat.breakdown.dispatch.record(cqe.deliveredTick -
-                                      cqe.completionTick);
-        lat.breakdown.queueWait.record(busy_start - cqe.deliveredTick);
-        lat.breakdown.service.record(sim_.now() - busy_start);
+        samples_.push_back(Sample{cqe.firstPacketTick, cqe.completionTick,
+                                  cqe.deliveredTick, busy_start, sim_.now(),
+                                  ev.result.classId, critical});
     }
 
     const proto::NodeId requester = cqe.srcNode;
@@ -815,22 +776,6 @@ RpcNode::corePullNext(proto::CoreId core)
         return;
     }
     coreMaybeStart(core, /*was_idle=*/false);
-}
-
-void
-RpcNode::Latencies::absorb(Latencies &&other)
-{
-    critical.absorb(std::move(other.critical));
-    if (perClass.size() < other.perClass.size())
-        perClass.resize(other.perClass.size());
-    for (std::size_t c = 0; c < other.perClass.size(); ++c)
-        perClass[c].absorb(std::move(other.perClass[c]));
-    breakdown.reassembly.absorb(std::move(other.breakdown.reassembly));
-    breakdown.dispatch.absorb(std::move(other.breakdown.dispatch));
-    breakdown.queueWait.absorb(std::move(other.breakdown.queueWait));
-    breakdown.service.absorb(std::move(other.breakdown.service));
-    degradedCritical.absorb(std::move(other.degradedCritical));
-    healthyCritical.absorb(std::move(other.healthyCritical));
 }
 
 double

@@ -21,7 +21,6 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "app/rpc_application.hh"
@@ -32,7 +31,6 @@
 #include "noc/mesh.hh"
 #include "node/params.hh"
 #include "proto/qp.hh"
-#include "stats/latency_recorder.hh"
 #include "sync/mcs_queue.hh"
 
 namespace rpcvalet::node {
@@ -101,17 +99,7 @@ class RpcNode
     void setCoreSlowdown(proto::CoreId core, double factor);
 
     /**
-     * Degraded-tail split: latency-critical samples recorded while
-     * sim time is inside one of @p windows (sorted, merged fault
-     * windows) land in Latencies::degradedCritical, the rest in
-     * Latencies::healthyCritical. Empty (the default) disables the
-     * split and its per-sample scan entirely.
-     */
-    void
-    setDegradedWindows(std::vector<std::pair<sim::Tick, sim::Tick>> windows);
-
-    /**
-     * Enable/disable latency recording (the experiment switches it on
+     * Enable/disable the sample log (the experiment switches it on
      * when the measurement window opens; served counters always run).
      * On by default. Turning recording on also restarts the
      * queue-occupancy high watermarks (private CQs, dispatcher shared
@@ -126,54 +114,37 @@ class RpcNode
     // ----- measurement -----
 
     /**
-     * Per-RPC latency decomposition (all RPCs): where time goes
-     * between first packet and replenish. Mirrors the paper's
-     * end-to-end pipeline: reassembly at the NI backend, dispatch
-     * (shared-CQ wait + credit wait + delivery), private-CQ wait at
-     * the core, and core service. For a chained parent the service
-     * component spans its processing, the nested-chain wait, and the
-     * reply build — the wall-clock shape of its RPC — even though the
-     * core itself was released at fan-out (S-bar excludes the wait).
+     * One measured RPC, as the node logs it: the pipeline ticks that
+     * bound the paper's end-to-end latency (first packet at the NI to
+     * the core's replenish, §5) and its components — reassembly at
+     * the NI backend (first packet to message completion), dispatch
+     * (shared-CQ wait + credit wait + delivery, up to the private
+     * CQ), private-CQ wait at the core (delivery to service start),
+     * and core service (service start to replenish). For a chained
+     * parent the service component spans its processing, the
+     * nested-chain wait, and the reply build — the wall-clock shape
+     * of its RPC — even though the core itself was released at
+     * fan-out (S-bar excludes the wait). The harvest derives every
+     * latency summary (point, per class, per node, breakdown,
+     * degraded/healthy split) from these records.
      */
-    struct Breakdown
+    struct Sample
     {
-        stats::LatencyRecorder reassembly;
-        stats::LatencyRecorder dispatch;
-        stats::LatencyRecorder queueWait;
-        stats::LatencyRecorder service;
+        sim::Tick firstPacketTick = 0;
+        sim::Tick completionTick = 0;
+        sim::Tick deliveredTick = 0;
+        sim::Tick busyStart = 0;
+        /** When the core posted the replenish (measurement ends). */
+        sim::Tick replenishTick = 0;
+        /** Class id the handler echoed (app::HandleResult::classId),
+         *  unclamped: a stray id is the harvest's to place. */
+        std::uint8_t classId = 0;
+        bool latencyCritical = true;
     };
 
-    /**
-     * The recorders the experiment layer merges into cluster totals,
-     * all filled only while recording is on.
-     */
-    struct Latencies
-    {
-        /** Latency-critical RPCs (the headline tail metric). */
-        stats::LatencyRecorder critical;
-        /** One recorder per class the application declares
-         *  (app::RequestClass), indexed like app.requestClasses() and
-         *  fed by the class id each HandleResult echoes. Non-critical
-         *  classes (e.g. Masstree scans) are recorded too. */
-        std::vector<stats::LatencyRecorder> perClass;
-        Breakdown breakdown;
-        /** Critical RPCs completed inside / outside every fault
-         *  window (see setDegradedWindows). */
-        stats::LatencyRecorder degradedCritical;
-        stats::LatencyRecorder healthyCritical;
-
-        /** Append every sample of @p other recorder by recorder
-         *  (stats::LatencyRecorder::absorb); @p other is left empty. */
-        void absorb(Latencies &&other);
-    };
-
-    /** Hand the recorders over once the run is over (the node must
-     *  not record again), leaving this node's empty: the experiment
-     *  merges them by move, not by copying samples. */
-    Latencies takeLatencies() { return std::move(latencies_); }
-
-    /** Latency recorder over all RPCs (per-node statistics). */
-    const stats::LatencyRecorder &allLatency() const { return allLatency_; }
+    /** Every RPC completed while recording was on, in completion
+     *  order. */
+    const std::vector<Sample> &samples() const { return samples_; }
 
     /** Completed RPCs (all kinds). */
     std::uint64_t served() const { return servedTotal_; }
@@ -340,10 +311,7 @@ class RpcNode
     sim::Rng serverRng_;
     std::uint64_t hashSalt_;
 
-    Latencies latencies_;
-    stats::LatencyRecorder allLatency_;
-    /** Degraded-window split (empty windows = split disabled). */
-    std::vector<std::pair<sim::Tick, sim::Tick>> degradedWindows_;
+    std::vector<Sample> samples_;
     /** Per-core processing multipliers; empty until a slow-core fault
      *  first fires, so unfaulted runs skip the lookup. */
     std::vector<double> coreSlowdown_;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "app/synthetic_app.hh"
@@ -449,6 +450,35 @@ TEST(SpecWorkload, PerClassStatsPresentForSingleClassWorkloads)
     EXPECT_DOUBLE_EQ(r.perClass[0].p99Ns, r.point.p99Ns);
     EXPECT_NEAR(r.perClass[0].achievedRps, r.point.achievedRps,
                 r.point.achievedRps * 1e-9);
+}
+
+TEST(SpecWorkload, NodeSamplesAndClassCompletionsCountTheSameRpcs)
+{
+    // Per-node samples and per-class completions partition the same
+    // measured RPCs two ways, so their totals agree on any run: one
+    // node with two classes, two nodes sequential, two nodes parallel.
+    ExperimentConfig mix = smallConfig(ni::DispatchMode::SingleQueue, 3e6);
+    mix.warmupRpcs = 500;
+    mix.measuredRpcs = 6000;
+    mix.workload = "mix:masstree-get=0.998,masstree-scan=0.002";
+    ExperimentConfig pair = smallConfig(ni::DispatchMode::SingleQueue, 20e6);
+    pair.warmupRpcs = 500;
+    pair.measuredRpcs = 6000;
+    pair.cluster.numServerNodes = 2;
+    pair.cluster.router = cluster::RouterSpec::parse("rr");
+    ExperimentConfig parallel = pair;
+    parallel.parallelDomains = 2;
+    for (const ExperimentConfig &cfg : {mix, pair, parallel}) {
+        const RunStats r = runExperiment(cfg);
+        std::uint64_t node_samples = 0;
+        for (const core::NodeStats &n : r.perNode)
+            node_samples += n.samples;
+        std::uint64_t class_completions = 0;
+        for (const core::ClassStats &c : r.perClass)
+            class_completions += c.completions;
+        EXPECT_GE(node_samples, cfg.measuredRpcs);
+        EXPECT_EQ(node_samples, class_completions);
+    }
 }
 
 TEST(SpecWorkloadDeath, UnknownWorkloadIsFatal)

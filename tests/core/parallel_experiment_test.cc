@@ -38,8 +38,8 @@ clusterConfig(std::uint64_t seed, const std::string &router)
 
 /**
  * Full bit-identity over everything a worker-count change could
- * plausibly perturb. EXPECT_EQ on doubles is deliberate: the merge
- * order of per-domain recorders is fixed by domain id, so even the
+ * plausibly perturb. EXPECT_EQ on doubles is deliberate: the harvest
+ * walks the per-node sample logs in node order, so even the
  * floating-point reductions must match to the last bit.
  */
 void

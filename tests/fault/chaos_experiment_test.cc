@@ -50,8 +50,9 @@ chaosConfig(std::uint64_t seed)
  * Bit-identity over everything chaos machinery could plausibly
  * perturb: the fault block (every counter and the activation log) on
  * top of the usual kernel fingerprint, tails, and per-node counters.
- * EXPECT_EQ on doubles is deliberate — the merge order of recorders
- * is fixed, so even floating-point reductions must match exactly.
+ * EXPECT_EQ on doubles is deliberate — the harvest walks the node
+ * sample logs in a fixed order, so even floating-point reductions
+ * must match exactly.
  */
 void
 expectBitIdentical(const core::RunStats &a, const core::RunStats &b)
@@ -155,6 +156,30 @@ TEST(ChaosExperiment, ActivationLogIdenticalAcrossExecutionModes)
         EXPECT_EQ(seq.fault.activations[i], par.fault.activations[i]);
         EXPECT_EQ(seq.fault.activations[i].describe(),
                   par.fault.activations[i].describe());
+    }
+}
+
+TEST(ChaosExperiment, DegradedAndHealthySplitPartitionsThePoint)
+{
+    // Every measured critical RPC completed either inside the timed
+    // crash's window or outside it, so the two halves of the split
+    // add up to the headline point in both execution modes — and the
+    // per-node samples and per-class completions count the same RPCs.
+    const core::ExperimentConfig cfg = chaosConfig(7);
+    for (const unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        const core::RunStats r = runWith(cfg, workers);
+        EXPECT_GT(r.fault.degradedSamples, 0u);
+        EXPECT_GT(r.fault.healthySamples, 0u);
+        EXPECT_EQ(r.fault.degradedSamples + r.fault.healthySamples,
+                  r.point.samples);
+        std::uint64_t node_samples = 0;
+        for (const core::NodeStats &n : r.perNode)
+            node_samples += n.samples;
+        std::uint64_t class_completions = 0;
+        for (const core::ClassStats &c : r.perClass)
+            class_completions += c.completions;
+        EXPECT_EQ(node_samples, class_completions);
     }
 }
 
