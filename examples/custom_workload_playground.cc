@@ -61,26 +61,25 @@ class BimodalApp : public app::RpcApplication
     {
         const auto req = app::decodeRequest(request);
         app::HandleResult result;
-        app::RpcReply reply;
         if (!req) {
-            reply.status = app::RpcStatus::Error;
             result.processingNs = shortDist_->sample(server_rng);
-        } else if (req->classId == 1) {
+            result.reply =
+                app::encodeReply(app::RpcReply{app::RpcStatus::Error, {}});
+            return result;
+        }
+        if (req->classId == 1) {
             result.classId = 1;
             result.latencyCritical = false;
             result.processingNs = longNs_;
         } else {
             result.processingNs = shortDist_->sample(server_rng);
         }
-        if (req) {
-            reply.value.resize(8);
-            for (int i = 0; i < 8; ++i) {
-                reply.value[static_cast<size_t>(i)] =
-                    static_cast<std::uint8_t>((req->key >> (8 * i)) &
-                                              0xff);
-            }
+        // Echo the marker, written straight into the reply.
+        result.reply = app::encodeReplyFrame(app::RpcStatus::Ok, 8);
+        for (int i = 0; i < 8; ++i) {
+            result.reply[app::replyHeaderBytes + static_cast<size_t>(i)] =
+                static_cast<std::uint8_t>((req->key >> (8 * i)) & 0xff);
         }
-        result.reply = app::encodeReply(reply);
         return result;
     }
 
@@ -90,7 +89,8 @@ class BimodalApp : public app::RpcApplication
     {
         const auto req = app::decodeRequest(request);
         const auto rep = app::decodeReply(reply);
-        if (!req || !rep || rep->status != app::RpcStatus::Ok)
+        if (!req || !rep || rep->status != app::RpcStatus::Ok ||
+            rep->value.size() != 8)
             return false;
         std::uint64_t marker = 0;
         for (int i = 0; i < 8; ++i) {

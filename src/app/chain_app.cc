@@ -93,11 +93,9 @@ ChainApp::handle(const std::vector<std::uint8_t> &request,
     const auto req = decodeRequest(request);
     HandleResult result;
 
-    RpcReply reply;
     if (!req) {
-        reply.status = RpcStatus::Error;
         result.processingNs = params_.leafNs;
-        result.reply = encodeReply(reply);
+        result.reply = encodeReply(RpcReply{RpcStatus::Error, {}});
         return result;
     }
 
@@ -118,13 +116,11 @@ ChainApp::handle(const std::vector<std::uint8_t> &request,
     }
 
     // Echo the marker so the issuing side can verify the round trip.
-    reply.status = RpcStatus::Ok;
-    reply.value.assign(8, 0);
+    result.reply = encodeReplyFrame(RpcStatus::Ok, 8);
     for (int i = 0; i < 8; ++i) {
-        reply.value[static_cast<std::size_t>(i)] =
+        result.reply[replyHeaderBytes + static_cast<std::size_t>(i)] =
             static_cast<std::uint8_t>((req->key >> (8 * i)) & 0xff);
     }
-    result.reply = encodeReply(reply);
     return result;
 }
 

@@ -53,42 +53,54 @@ HashTable::bucketFor(std::uint64_t key, std::size_t nbuckets) const
     return static_cast<std::size_t>(mix(key)) & (nbuckets - 1);
 }
 
+HashTable::Node *
+HashTable::findNode(std::uint64_t key) const
+{
+    for (Node *n = buckets_[bucketFor(key, buckets_.size())]; n != nullptr;
+         n = n->next) {
+        if (n->key == key)
+            return n;
+    }
+    return nullptr;
+}
+
 bool
 HashTable::put(std::uint64_t key, std::vector<std::uint8_t> value)
 {
     maybeGrow();
-    Node *&head = buckets_[bucketFor(key, buckets_.size())];
-    for (Node *n = head; n != nullptr; n = n->next) {
-        if (n->key == key) {
-            n->value = std::move(value);
-            return false;
-        }
+    if (Node *n = findNode(key)) {
+        n->value = std::move(value);
+        return false;
     }
+    Node *&head = buckets_[bucketFor(key, buckets_.size())];
     head = new Node{key, std::move(value), head};
     ++size_;
     return true;
 }
 
-std::optional<std::vector<std::uint8_t>>
-HashTable::get(std::uint64_t key) const
+bool
+HashTable::put(std::uint64_t key, const std::uint8_t *data,
+               std::size_t size)
 {
-    const Node *head = buckets_[bucketFor(key, buckets_.size())];
-    for (const Node *n = head; n != nullptr; n = n->next) {
-        if (n->key == key)
-            return n->value;
+    maybeGrow();
+    if (Node *n = findNode(key)) {
+        n->value.assign(data, data + size);
+        return false;
     }
-    return std::nullopt;
+    return put(key, std::vector<std::uint8_t>(data, data + size));
+}
+
+const std::vector<std::uint8_t> *
+HashTable::find(std::uint64_t key) const
+{
+    const Node *n = findNode(key);
+    return n == nullptr ? nullptr : &n->value;
 }
 
 bool
 HashTable::contains(std::uint64_t key) const
 {
-    const Node *head = buckets_[bucketFor(key, buckets_.size())];
-    for (const Node *n = head; n != nullptr; n = n->next) {
-        if (n->key == key)
-            return true;
-    }
-    return false;
+    return findNode(key) != nullptr;
 }
 
 bool

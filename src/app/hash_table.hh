@@ -10,8 +10,8 @@
 #ifndef RPCVALET_APP_HASH_TABLE_HH
 #define RPCVALET_APP_HASH_TABLE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace rpcvalet::app {
@@ -26,8 +26,18 @@ class HashTable
     /** Insert or overwrite; returns true if the key was new. */
     bool put(std::uint64_t key, std::vector<std::uint8_t> value);
 
-    /** Lookup; nullopt if absent. */
-    std::optional<std::vector<std::uint8_t>> get(std::uint64_t key) const;
+    /**
+     * Insert or overwrite with a copy of the @p size bytes at @p data.
+     * An existing value is overwritten in place, reusing its buffer;
+     * returns true if the key was new.
+     */
+    bool put(std::uint64_t key, const std::uint8_t *data, std::size_t size);
+
+    /**
+     * Lookup without copying: the stored value, or null if absent. The
+     * pointer is valid until the key is next written or erased.
+     */
+    const std::vector<std::uint8_t> *find(std::uint64_t key) const;
 
     /** Remove; returns true if the key existed. */
     bool erase(std::uint64_t key);
@@ -56,6 +66,8 @@ class HashTable
     };
 
     std::size_t bucketFor(std::uint64_t key, std::size_t nbuckets) const;
+    /** The node holding @p key, or null. */
+    Node *findNode(std::uint64_t key) const;
     void maybeGrow();
     static std::uint64_t mix(std::uint64_t key);
 

@@ -1,5 +1,7 @@
 #include "app/herd_app.hh"
 
+#include <cstring>
+
 #include "app/service_profiles.hh"
 #include "app/wire_format.hh"
 #include "sim/logging.hh"
@@ -13,21 +15,36 @@ HerdApp::HerdApp(const Params &params)
     RV_ASSERT(params_.numKeys > 0, "HERD needs at least one key");
     RV_ASSERT(params_.readFraction >= 0.0 && params_.readFraction <= 1.0,
               "read fraction must be a probability");
+    // Deterministic pattern so both client and server can recompute
+    // it: byte i of key k's value is (k * 131 + i) & 0xff, so every
+    // value is the slice of one byte ramp that starts at (k * 131) &
+    // 0xff.
+    ramp_.resize(256 + std::size_t{params_.valueBytes});
+    for (std::size_t j = 0; j < ramp_.size(); ++j)
+        ramp_[j] = static_cast<std::uint8_t>(j & 0xff);
     for (std::uint64_t k = 0; k < params_.numKeys; ++k)
         table_.put(k, valueForKey(k));
+}
+
+const std::uint8_t *
+HerdApp::valueStart(std::uint64_t key) const
+{
+    return ramp_.data() + ((key * 131) & 0xff);
 }
 
 std::vector<std::uint8_t>
 HerdApp::valueForKey(std::uint64_t key) const
 {
-    // Deterministic pattern so both client and server can recompute
-    // it: byte i of key k's value is (k * 131 + i) & 0xff.
-    std::vector<std::uint8_t> value(params_.valueBytes);
-    for (std::uint32_t i = 0; i < params_.valueBytes; ++i) {
-        value[i] =
-            static_cast<std::uint8_t>((key * 131 + i) & 0xff);
-    }
-    return value;
+    return std::vector<std::uint8_t>(valueStart(key),
+                                     valueStart(key) + params_.valueBytes);
+}
+
+bool
+HerdApp::isValueOf(std::uint64_t key, ByteView value) const
+{
+    return value.size() == params_.valueBytes &&
+           (value.empty() ||
+            std::memcmp(value.data(), valueStart(key), value.size()) == 0);
 }
 
 std::vector<std::uint8_t>
@@ -37,13 +54,17 @@ HerdApp::makeRequest(sim::Rng &client_rng)
     req.key = client_rng.uniformInt(0, params_.numKeys - 1);
     if (client_rng.uniform() < params_.readFraction) {
         req.op = RpcOp::Get;
-    } else {
-        req.op = RpcOp::Put;
-        // PUTs rewrite the canonical value, so GET verification stays
-        // valid regardless of interleaving.
-        req.value = valueForKey(req.key);
+        return encodeRequest(req);
     }
-    return encodeRequest(req);
+    // PUTs rewrite the canonical value, so GET verification stays
+    // valid regardless of interleaving. The value is written straight
+    // into the request.
+    req.op = RpcOp::Put;
+    std::vector<std::uint8_t> bytes =
+        encodeRequestFrame(req, params_.valueBytes);
+    std::memcpy(bytes.data() + requestHeaderBytes, valueStart(req.key),
+                params_.valueBytes);
+    return bytes;
 }
 
 HandleResult
@@ -59,18 +80,18 @@ HerdApp::handle(const std::vector<std::uint8_t> &request,
         reply.status = RpcStatus::Error;
     } else {
         switch (req->op) {
-          case RpcOp::Get: {
-            auto value = table_.get(req->key);
-            if (value) {
+          case RpcOp::Get:
+            // The reply is encoded straight from the stored value.
+            if (const std::vector<std::uint8_t> *value =
+                    table_.find(req->key)) {
                 reply.status = RpcStatus::Ok;
-                reply.value = std::move(*value);
+                reply.value = *value;
             } else {
                 reply.status = RpcStatus::NotFound;
             }
             break;
-          }
           case RpcOp::Put:
-            table_.put(req->key, req->value);
+            table_.put(req->key, req->value.data(), req->value.size());
             reply.status = RpcStatus::Ok;
             break;
           case RpcOp::Del:
@@ -97,9 +118,10 @@ HerdApp::verifyReply(const std::vector<std::uint8_t> &request,
     switch (req->op) {
       case RpcOp::Get:
         // All GET keys are preloaded and PUTs write canonical values,
-        // so a GET must return exactly valueForKey(key).
+        // so a GET must return exactly valueForKey(key), checked in
+        // place.
         return rep->status == RpcStatus::Ok &&
-               rep->value == valueForKey(req->key);
+               isValueOf(req->key, rep->value);
       case RpcOp::Put:
         return rep->status == RpcStatus::Ok;
       default:

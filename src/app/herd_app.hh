@@ -12,6 +12,7 @@
 
 #include "app/hash_table.hh"
 #include "app/rpc_application.hh"
+#include "app/wire_format.hh"
 #include "sim/distributions.hh"
 
 namespace rpcvalet::app {
@@ -49,9 +50,17 @@ class HerdApp : public RpcApplication
     const HashTable &table() const { return table_; }
 
   private:
+    /** First byte of valueForKey(@p key) within ramp_. */
+    const std::uint8_t *valueStart(std::uint64_t key) const;
+    /** Whether @p value is exactly valueForKey(@p key). */
+    bool isValueOf(std::uint64_t key, ByteView value) const;
+
     Params params_;
     HashTable table_;
     sim::DistributionPtr processing_;
+    /** Bytes j & 0xff for j < 256 + valueBytes: every canonical value
+     *  is one valueBytes-long slice of it (see valueStart). */
+    std::vector<std::uint8_t> ramp_;
 };
 
 } // namespace rpcvalet::app

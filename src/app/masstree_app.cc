@@ -1,5 +1,8 @@
 #include "app/masstree_app.hh"
 
+#include <algorithm>
+#include <optional>
+
 #include "app/service_profiles.hh"
 #include "app/wire_format.hh"
 #include "sim/logging.hh"
@@ -52,47 +55,51 @@ MasstreeApp::handle(const std::vector<std::uint8_t> &request,
 {
     HandleResult result;
     const auto req = decodeRequest(request);
-    RpcReply reply;
-    if (!req) {
-        result.processingNs = getProcessing_->sample(server_rng);
-        reply.status = RpcStatus::Error;
-    } else if (req->op == RpcOp::Scan) {
+    if (req && req->op == RpcOp::Scan) {
         // Real ordered scan over the skip list; the reply packs
-        // (key, value) pairs until the size cap.
+        // (key, value) pairs until the size cap, written in place.
         result.processingNs = scanProcessing_->sample(server_rng);
         result.latencyCritical = false;
         result.classId = scanClassId();
         const auto entries = store_.scan(req->key, req->count);
-        reply.status = RpcStatus::Ok;
-        for (const auto &[key, value] : entries) {
-            const std::size_t entry_bytes = 8 + value.size();
-            if (reply.value.size() + entry_bytes >
-                params_.maxReplyValueBytes) {
+        std::size_t packed = 0;
+        std::size_t value_bytes = 0;
+        for (; packed < entries.size(); ++packed) {
+            const std::size_t entry_bytes =
+                8 + entries[packed].second.size();
+            if (value_bytes + entry_bytes > params_.maxReplyValueBytes)
                 break;
-            }
-            for (int i = 0; i < 8; ++i) {
-                reply.value.push_back(static_cast<std::uint8_t>(
-                    (key >> (8 * i)) & 0xff));
-            }
-            reply.value.insert(reply.value.end(), value.begin(),
-                               value.end());
+            value_bytes += entry_bytes;
         }
-    } else if (req->op == RpcOp::Get) {
-        result.processingNs = getProcessing_->sample(server_rng);
-        auto value = store_.find(req->key);
-        if (value) {
+        result.reply = encodeReplyFrame(
+            RpcStatus::Ok, static_cast<std::uint32_t>(value_bytes));
+        std::uint8_t *out = result.reply.data() + replyHeaderBytes;
+        for (std::size_t e = 0; e < packed; ++e) {
+            const auto &[key, value] = entries[e];
+            for (int i = 0; i < 8; ++i)
+                *out++ = static_cast<std::uint8_t>((key >> (8 * i)) & 0xff);
+            out = std::copy(value.begin(), value.end(), out);
+        }
+        return result;
+    }
+
+    result.processingNs = getProcessing_->sample(server_rng);
+    RpcReply reply;
+    reply.status = RpcStatus::Error;
+    // Holds a found value until the reply is encoded from it.
+    std::optional<std::vector<std::uint8_t>> found;
+    if (req && req->op == RpcOp::Get) {
+        found = store_.find(req->key);
+        if (found) {
             reply.status = RpcStatus::Ok;
-            reply.value = std::move(*value);
+            reply.value = *found;
         } else {
             reply.status = RpcStatus::NotFound;
         }
-    } else if (req->op == RpcOp::Put) {
-        result.processingNs = getProcessing_->sample(server_rng);
-        store_.insert(req->key, req->value);
+    } else if (req && req->op == RpcOp::Put) {
+        store_.insert(req->key, std::vector<std::uint8_t>(
+                                    req->value.begin(), req->value.end()));
         reply.status = RpcStatus::Ok;
-    } else {
-        result.processingNs = getProcessing_->sample(server_rng);
-        reply.status = RpcStatus::Error;
     }
     result.reply = encodeReply(reply);
     return result;
@@ -107,8 +114,8 @@ MasstreeApp::verifyReply(const std::vector<std::uint8_t> &request,
     if (!req || !rep)
         return false;
     if (req->op == RpcOp::Get) {
-        return rep->status == RpcStatus::Ok &&
-               rep->value == valueForKey(req->key);
+        const std::vector<std::uint8_t> expected = valueForKey(req->key);
+        return rep->status == RpcStatus::Ok && rep->value == expected;
     }
     if (req->op == RpcOp::Scan) {
         // Scan replies hold consecutive (key, value) pairs starting at

@@ -13,6 +13,17 @@
  * distribution (Fig. 6) rather than derived from host cycles, so
  * results are machine-independent and match the paper's methodology of
  * replaying measured distributions.
+ *
+ * Allocation contract: the vectors this interface returns by value,
+ * the request from makeRequest() and HandleResult::reply, are the only
+ * heap allocations an ordinary RPC makes in steady state
+ * (tests/core/alloc_budget_test.cc holds the built-ins to it).
+ * Implementations decode with the view decoders of wire_format.hh,
+ * read stored values in place, and verify replies without copying.
+ * The signatures keep their owning vectors because the benchmark's
+ * timing wrapper (perfsuite/interpose.cc) overrides all three;
+ * caller-owned buffers that the slot tables reuse would remove the
+ * last two allocations, and need that wrapper changed with them.
  */
 
 #ifndef RPCVALET_APP_RPC_APPLICATION_HH

@@ -1,5 +1,7 @@
 #include "app/synthetic_app.hh"
 
+#include <algorithm>
+
 #include "app/wire_format.hh"
 #include "sim/logging.hh"
 
@@ -33,9 +35,11 @@ SyntheticApp::makeRequest(sim::Rng &client_rng)
     req.key = nextMarker_++;
     // Default padding keeps a request within one cache block; larger
     // paddings exercise multi-packet sends and rendezvous pulls.
-    req.value.assign(requestPadding_,
-                     static_cast<std::uint8_t>(req.key & 0xff));
-    return encodeRequest(req);
+    std::vector<std::uint8_t> bytes =
+        encodeRequestFrame(req, requestPadding_);
+    std::fill(bytes.begin() + requestHeaderBytes, bytes.end(),
+              static_cast<std::uint8_t>(req.key & 0xff));
+    return bytes;
 }
 
 HandleResult
@@ -46,20 +50,18 @@ SyntheticApp::handle(const std::vector<std::uint8_t> &request,
     HandleResult result;
     result.processingNs = processing_->sample(server_rng);
 
-    RpcReply reply;
     if (!req) {
-        reply.status = RpcStatus::Error;
-    } else {
-        reply.status = RpcStatus::Ok;
-        // §5 step iii: a 512 B reply. Echo the request marker in the
-        // leading bytes so the client can verify the round trip.
-        reply.value.assign(replyBytes - replyHeaderBytes, 0);
-        for (int i = 0; i < 8; ++i) {
-            reply.value[static_cast<size_t>(i)] =
-                static_cast<std::uint8_t>((req->key >> (8 * i)) & 0xff);
-        }
+        result.reply = encodeReply(RpcReply{RpcStatus::Error, {}});
+        return result;
     }
-    result.reply = encodeReply(reply);
+    // §5 step iii: a 512 B reply. Echo the request marker in the
+    // leading bytes so the client can verify the round trip.
+    result.reply =
+        encodeReplyFrame(RpcStatus::Ok, replyBytes - replyHeaderBytes);
+    for (int i = 0; i < 8; ++i) {
+        result.reply[replyHeaderBytes + static_cast<size_t>(i)] =
+            static_cast<std::uint8_t>((req->key >> (8 * i)) & 0xff);
+    }
     return result;
 }
 

@@ -1,23 +1,23 @@
 #include "app/wire_format.hh"
 
+#include <cstring>
+
 namespace rpcvalet::app {
 
 namespace {
 
 void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+putU32(std::uint8_t *out, std::uint32_t v)
 {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
+    for (int i = 0; i < 4; ++i)
+        out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
 }
 
 void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+putU64(std::uint8_t *out, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+        out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
 }
 
 std::uint32_t
@@ -41,6 +41,13 @@ getU64(const std::vector<std::uint8_t> &in, std::size_t at)
 
 } // namespace
 
+bool
+operator==(ByteView a, ByteView b)
+{
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
 std::uint64_t
 requestKeyOf(const std::vector<std::uint8_t> &request)
 {
@@ -50,16 +57,25 @@ requestKeyOf(const std::vector<std::uint8_t> &request)
 }
 
 std::vector<std::uint8_t>
+encodeRequestFrame(const RpcRequest &req, std::uint32_t value_bytes)
+{
+    std::vector<std::uint8_t> out(requestHeaderBytes + value_bytes);
+    out[0] = static_cast<std::uint8_t>(req.op);
+    out[requestClassOffset] = req.classId;
+    putU64(&out[requestKeyOffset], req.key);
+    putU32(&out[10], req.count);
+    putU32(&out[14], value_bytes);
+    return out;
+}
+
+std::vector<std::uint8_t>
 encodeRequest(const RpcRequest &req)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(requestHeaderBytes + req.value.size());
-    out.push_back(static_cast<std::uint8_t>(req.op));
-    out.push_back(req.classId);
-    putU64(out, req.key);
-    putU32(out, req.count);
-    putU32(out, static_cast<std::uint32_t>(req.value.size()));
-    out.insert(out.end(), req.value.begin(), req.value.end());
+    std::vector<std::uint8_t> out = encodeRequestFrame(
+        req, static_cast<std::uint32_t>(req.value.size()));
+    if (!req.value.empty())
+        std::memcpy(&out[requestHeaderBytes], req.value.data(),
+                    req.value.size());
     return out;
 }
 
@@ -73,25 +89,32 @@ decodeRequest(const std::vector<std::uint8_t> &bytes)
         return std::nullopt;
     req.op = static_cast<RpcOp>(bytes[0]);
     req.classId = bytes[requestClassOffset];
-    req.key = getU64(bytes, 2);
+    req.key = getU64(bytes, requestKeyOffset);
     req.count = getU32(bytes, 10);
     const std::uint32_t vlen = getU32(bytes, 14);
     if (bytes.size() < requestHeaderBytes + vlen)
         return std::nullopt;
-    req.value.assign(bytes.begin() + requestHeaderBytes,
-                     bytes.begin() +
-                         static_cast<long>(requestHeaderBytes + vlen));
+    req.value = ByteView(bytes.data() + requestHeaderBytes, vlen);
     return req;
+}
+
+std::vector<std::uint8_t>
+encodeReplyFrame(RpcStatus status, std::uint32_t value_bytes)
+{
+    std::vector<std::uint8_t> out(replyHeaderBytes + value_bytes);
+    out[0] = static_cast<std::uint8_t>(status);
+    putU32(&out[1], value_bytes);
+    return out;
 }
 
 std::vector<std::uint8_t>
 encodeReply(const RpcReply &reply)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(replyHeaderBytes + reply.value.size());
-    out.push_back(static_cast<std::uint8_t>(reply.status));
-    putU32(out, static_cast<std::uint32_t>(reply.value.size()));
-    out.insert(out.end(), reply.value.begin(), reply.value.end());
+    std::vector<std::uint8_t> out = encodeReplyFrame(
+        reply.status, static_cast<std::uint32_t>(reply.value.size()));
+    if (!reply.value.empty())
+        std::memcpy(&out[replyHeaderBytes], reply.value.data(),
+                    reply.value.size());
     return out;
 }
 
@@ -107,9 +130,7 @@ decodeReply(const std::vector<std::uint8_t> &bytes)
     const std::uint32_t vlen = getU32(bytes, 1);
     if (bytes.size() < replyHeaderBytes + vlen)
         return std::nullopt;
-    reply.value.assign(bytes.begin() + replyHeaderBytes,
-                       bytes.begin() +
-                           static_cast<long>(replyHeaderBytes + vlen));
+    reply.value = ByteView(bytes.data() + replyHeaderBytes, vlen);
     return reply;
 }
 

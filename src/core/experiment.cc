@@ -12,6 +12,7 @@
 #include "node/rpc_node.hh"
 #include "sim/domain.hh"
 #include "sim/logging.hh"
+#include "stats/latency_recorder.hh"
 
 namespace rpcvalet::core {
 
@@ -39,61 +40,67 @@ anyRpc(const Sample &)
 }
 
 /**
- * One derived sample sequence: @p value of every logged RPC that
- * @p keep selects, walking the logs in node order and each log in
- * completion order. That order is fixed by the run alone, so means
- * (summed in sample order) are bit-identical for any worker count.
+ * Fill @p out with one derived sample sequence: @p value of every
+ * logged RPC that @p keep selects, walking the logs in node order and
+ * each log in completion order. That order is fixed by the run alone,
+ * so means (summed in sample order) are bit-identical for any worker
+ * count. @p out is the harvest's one scratch buffer, reserved up front
+ * for the largest sequence, so filling it never reallocates.
  */
 template <typename Keep, typename Value>
-stats::LatencyRecorder
-derive(const Logs &logs, Keep keep, Value value)
+std::vector<sim::Tick> &
+derive(std::vector<sim::Tick> &out, const Logs &logs, Keep keep,
+       Value value)
 {
-    stats::LatencyRecorder rec;
+    out.clear();
     for (const std::vector<Sample> *log : logs) {
         for (const Sample &s : *log) {
             if (keep(s))
-                rec.record(value(s));
+                out.push_back(value(s));
         }
     }
-    return rec;
+    return out;
 }
 
 /** Mean/p99 of one breakdown component over every logged RPC. */
 template <typename Value>
 ComponentStats
-component(const Logs &logs, Value value)
+component(std::vector<sim::Tick> &scratch, const Logs &logs, Value value)
 {
-    const stats::LatencyRecorder r = derive(logs, anyRpc, value);
-    return ComponentStats{r.meanNs(), r.p99Ns()};
+    std::vector<sim::Tick> &samples = derive(scratch, logs, anyRpc, value);
+    const double mean = stats::meanNs(samples);
+    return ComponentStats{
+        mean, stats::PercentileSelector(samples).percentileNs(99.0)};
 }
 
-/** Per-class summary from the class's derived samples. */
+/** Per-class summary from the class's derived @p samples (permuted). */
 ClassStats
-classStats(const app::RequestClass &info, const stats::LatencyRecorder &rec,
+classStats(const app::RequestClass &info, std::vector<sim::Tick> &samples,
            double window_s)
 {
     ClassStats cs;
     cs.name = info.name;
     cs.latencyCritical = info.latencyCritical;
     cs.sloNs = info.sloNs;
-    cs.completions = rec.count();
+    cs.completions = samples.size();
     if (window_s > 0.0) {
         cs.achievedRps =
             static_cast<double>(cs.completions) / window_s;
     }
-    cs.meanNs = rec.meanNs();
-    cs.p50Ns = rec.percentileNs(50.0);
-    cs.p99Ns = rec.percentileNs(99.0);
-    cs.p999Ns = rec.percentileNs(99.9);
+    cs.meanNs = stats::meanNs(samples);
     if (cs.sloNs > 0.0 && cs.completions > 0) {
         std::uint64_t within = 0;
-        for (const sim::Tick t : rec.samples()) {
+        for (const sim::Tick t : samples) {
             if (sim::toNs(t) <= cs.sloNs)
                 ++within;
         }
         cs.sloAttainment = static_cast<double>(within) /
                            static_cast<double>(cs.completions);
     }
+    stats::PercentileSelector select(samples);
+    cs.p50Ns = select.percentileNs(50.0);
+    cs.p99Ns = select.percentileNs(99.0);
+    cs.p999Ns = select.percentileNs(99.9);
     return cs;
 }
 
@@ -186,8 +193,9 @@ struct RunOutcome
 /**
  * Build a finished run's RunStats from its server nodes and the client
  * side. Every latency summary is derived here from the nodes' sample
- * logs, one summary at a time, so at most one derived sample sequence
- * (and the sorted copy a percentile makes) is alive at once.
+ * logs, one summary at a time, into one scratch buffer that every
+ * summary reuses: each takes its count, mean and SLO attainment in
+ * sample order, then its percentiles by selection within the buffer.
  */
 RunStats
 harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
@@ -206,26 +214,34 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
     out.point.offeredRps = cfg.arrivalRps;
 
     Logs logs;
+    std::size_t logged = 0;
+    for (const auto &n : nodes) {
+        logs.push_back(&n->samples());
+        logged += n->samples().size();
+    }
+    std::vector<sim::Tick> scratch;
+    scratch.reserve(logged);
+
     std::uint64_t served_weight = 0;
     double service_weighted = 0.0;
     std::uint64_t qpHits = 0;
     std::uint64_t qpMisses = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const node::RpcNode &n = *nodes[i];
-        logs.push_back(&n.samples());
-        const stats::LatencyRecorder all =
-            derive(Logs{&n.samples()}, anyRpc, latency);
+        std::vector<sim::Tick> &all =
+            derive(scratch, Logs{logs[i]}, anyRpc, latency);
         NodeStats ns;
         ns.nodeId = cfg.system.nodeId + static_cast<proto::NodeId>(i);
         ns.failed = n.failed();
         ns.served = n.served();
         ns.criticalCompletions = n.servedCritical();
-        ns.samples = all.count();
+        ns.samples = all.size();
         if (window_s > 0.0)
             ns.achievedRps = static_cast<double>(ns.samples) / window_s;
-        ns.meanNs = all.meanNs();
-        ns.p50Ns = all.percentileNs(50.0);
-        ns.p99Ns = all.percentileNs(99.0);
+        ns.meanNs = stats::meanNs(all);
+        stats::PercentileSelector select(all);
+        ns.p50Ns = select.percentileNs(50.0);
+        ns.p99Ns = select.percentileNs(99.0);
         ns.perCoreServed = n.perCoreServed();
 
         service_weighted +=
@@ -247,13 +263,14 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
 
     const auto critical = [](const Sample &s) { return s.latencyCritical; };
     {
-        const stats::LatencyRecorder point =
-            derive(logs, critical, latency);
-        out.point.meanNs = point.meanNs();
-        out.point.p50Ns = point.percentileNs(50.0);
-        out.point.p90Ns = point.percentileNs(90.0);
-        out.point.p99Ns = point.percentileNs(99.0);
-        out.point.samples = point.count();
+        std::vector<sim::Tick> &point =
+            derive(scratch, logs, critical, latency);
+        out.point.samples = point.size();
+        out.point.meanNs = stats::meanNs(point);
+        stats::PercentileSelector select(point);
+        out.point.p50Ns = select.percentileNs(50.0);
+        out.point.p90Ns = select.percentileNs(90.0);
+        out.point.p99Ns = select.percentileNs(99.0);
     }
     if (window_s > 0.0) {
         out.point.achievedRps =
@@ -264,16 +281,16 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
             ? service_weighted / static_cast<double>(served_weight)
             : 0.0;
     // Pipeline timestamps are monotone along each RPC by construction.
-    out.breakdown.reassembly = component(logs, [](const Sample &s) {
+    out.breakdown.reassembly = component(scratch, logs, [](const Sample &s) {
         return s.completionTick - s.firstPacketTick;
     });
-    out.breakdown.dispatch = component(logs, [](const Sample &s) {
+    out.breakdown.dispatch = component(scratch, logs, [](const Sample &s) {
         return s.deliveredTick - s.completionTick;
     });
-    out.breakdown.queueWait = component(logs, [](const Sample &s) {
+    out.breakdown.queueWait = component(scratch, logs, [](const Sample &s) {
         return s.busyStart - s.deliveredTick;
     });
-    out.breakdown.service = component(logs, [](const Sample &s) {
+    out.breakdown.service = component(scratch, logs, [](const Sample &s) {
         return s.replenishTick - s.busyStart;
     });
     // Per-class accounting, including non-critical classes. A stray id
@@ -286,7 +303,8 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
             return std::min<std::size_t>(s.classId, last) == c;
         };
         out.perClass.push_back(classStats(
-            classes[c], derive(logs, inClass, latency), window_s));
+            classes[c], derive(scratch, logs, inClass, latency),
+            window_s));
     }
     out.simulatedUs = sim::toUs(run.stoppedAt);
     out.executedEvents = run.executedEvents;
@@ -329,24 +347,24 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
             }
             return false;
         };
-        {
-            const stats::LatencyRecorder degraded = derive(
-                logs,
-                [&](const Sample &s) {
-                    return s.latencyCritical && inWindow(s);
-                },
-                latency);
-            out.fault.degradedP99Ns = degraded.p99Ns();
-            out.fault.degradedSamples = degraded.count();
-        }
-        const stats::LatencyRecorder healthy = derive(
-            logs,
+        std::vector<sim::Tick> &degraded = derive(
+            scratch, logs,
+            [&](const Sample &s) {
+                return s.latencyCritical && inWindow(s);
+            },
+            latency);
+        out.fault.degradedSamples = degraded.size();
+        out.fault.degradedP99Ns =
+            stats::PercentileSelector(degraded).percentileNs(99.0);
+        std::vector<sim::Tick> &healthy = derive(
+            scratch, logs,
             [&](const Sample &s) {
                 return s.latencyCritical && !inWindow(s);
             },
             latency);
-        out.fault.healthyP99Ns = healthy.p99Ns();
-        out.fault.healthySamples = healthy.count();
+        out.fault.healthySamples = healthy.size();
+        out.fault.healthyP99Ns =
+            stats::PercentileSelector(healthy).percentileNs(99.0);
     }
 
     // Under injected corruption, failed verifications are the expected

@@ -364,14 +364,18 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
             slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)].reply;
         if (assembly.total == 0) {
             assembly.total = pkt.hdr.totalBlocks;
+            if (!replyPool_.empty()) {
+                assembly.bytes = std::move(replyPool_.back());
+                replyPool_.pop_back();
+            }
             assembly.bytes.assign(pkt.hdr.msgBytes, 0);
         }
         proto::placeBlock(pkt, assembly.bytes);
         if (++assembly.arrived == assembly.total) {
             std::vector<std::uint8_t> reply = std::move(assembly.bytes);
             assembly = ReplyAssembly{};
-            onReplyComplete(server, pkt.hdr.dst, pkt.hdr.slot,
-                            std::move(reply));
+            onReplyComplete(server, pkt.hdr.dst, pkt.hdr.slot, reply);
+            replyPool_.push_back(std::move(reply));
         }
         break;
       }
@@ -423,7 +427,7 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
 void
 TrafficGenerator::onReplyComplete(std::uint32_t server,
                                   proto::NodeId dst, std::uint32_t slot,
-                                  std::vector<std::uint8_t> reply)
+                                  const std::vector<std::uint8_t> &reply)
 {
     const std::uint64_t key = reqKey(server, dst, slot);
     Slot &s = slots_[key];
@@ -506,7 +510,9 @@ TrafficGenerator::retire(std::uint64_t key, bool completed)
     live_.pop_back();
     s.livePos = kIdle;
     // A partially assembled reply for the request must not pollute
-    // the slot's next use.
+    // the slot's next use; its buffer goes back to the pool.
+    if (s.reply.total != 0)
+        replyPool_.push_back(std::move(s.reply.bytes));
     s.reply = ReplyAssembly{};
     // Connection accounting + the drain-before-switch signal. Either
     // can admit deferred requests, which re-enter this generator and

@@ -378,7 +378,7 @@ class TrafficGenerator final : private cluster::ClusterView
     void hedgeRequest(std::uint64_t primary_key);
     void onReplyComplete(std::uint32_t server, proto::NodeId dst,
                          std::uint32_t slot,
-                         std::vector<std::uint8_t> reply);
+                         const std::vector<std::uint8_t> &reply);
     /**
      * Take the in-flight request at @p key out of the in-flight set —
      * the one exit for replies, timeouts and hedge losers: unlink its
@@ -432,8 +432,15 @@ class TrafficGenerator final : private cluster::ClusterView
     {
         std::uint32_t arrived = 0;
         std::uint32_t total = 0;
+        /** Taken from replyPool_ at the first block, returned to it
+         *  once the reply completes or is dropped. */
         std::vector<std::uint8_t> bytes;
     };
+    /** Reassembly buffers not in use: a message pool shared by every
+     *  slot (ScaleRPC-style), so it holds as many buffers as replies
+     *  ever assembled at once rather than one per slot, and a reply
+     *  reuses a recycled buffer's capacity instead of allocating. */
+    std::vector<std::vector<std::uint8_t>> replyPool_;
 
     /** A request in flight, on the slot its key names. */
     struct LiveRequest

@@ -12,7 +12,7 @@
 #define RPCVALET_PROTO_QP_HH
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "proto/packet.hh"
@@ -57,8 +57,12 @@ struct CompletionQueueEntry
 };
 
 /**
- * Simple FIFO wrapper with occupancy-high-watermark tracking, used for
- * WQs, private CQs, and the dispatcher's shared CQ.
+ * FIFO with occupancy-high-watermark tracking, used for WQs, private
+ * CQs, and the dispatcher's shared CQ. Entries live in a power-of-two
+ * ring over one vector (head index plus count) that doubles when full
+ * and never shrinks, so a queue in steady state allocates nothing.
+ * Entry must be default-constructible and move-assignable; a popped
+ * cell keeps its moved-from entry until the ring reuses it.
  */
 template <typename Entry>
 class Fifo
@@ -67,13 +71,16 @@ class Fifo
     void
     push(Entry e)
     {
-        queue_.push_back(std::move(e));
-        if (queue_.size() > highWatermark_)
-            highWatermark_ = queue_.size();
+        if (count_ == ring_.size())
+            grow();
+        ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(e);
+        ++count_;
+        if (count_ > highWatermark_)
+            highWatermark_ = count_;
     }
 
-    bool empty() const { return queue_.empty(); }
-    std::size_t size() const { return queue_.size(); }
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
     std::size_t highWatermark() const { return highWatermark_; }
 
     /**
@@ -81,20 +88,34 @@ class Fifo
      * Recording-window openers call this so post-warmup occupancy
      * stats no longer include warmup transients.
      */
-    void resetHighWatermark() { highWatermark_ = queue_.size(); }
+    void resetHighWatermark() { highWatermark_ = count_; }
 
-    const Entry &front() const { return queue_.front(); }
+    const Entry &front() const { return ring_[head_]; }
 
     Entry
     pop()
     {
-        Entry e = std::move(queue_.front());
-        queue_.pop_front();
+        Entry e = std::move(ring_[head_]);
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --count_;
         return e;
     }
 
   private:
-    std::deque<Entry> queue_;
+    /** Double the ring (first use: 8 cells), unwrapping it in order. */
+    void
+    grow()
+    {
+        std::vector<Entry> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+        for (std::size_t i = 0; i < count_; ++i)
+            bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+        ring_ = std::move(bigger);
+        head_ = 0;
+    }
+
+    std::vector<Entry> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
     std::size_t highWatermark_ = 0;
 };
 

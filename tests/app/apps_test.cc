@@ -110,6 +110,27 @@ TEST(HerdApp, PreloadsAllKeys)
     EXPECT_EQ(app.table().size(), 1000u);
 }
 
+TEST(HerdApp, ValueForKeyFollowsTheCanonicalPattern)
+{
+    // Byte i of key k's value is (k * 131 + i) & 0xff; values longer
+    // than 256 bytes wrap.
+    HerdApp::Params p;
+    p.numKeys = 4;
+    p.valueBytes = 600;
+    HerdApp app(p);
+    for (const std::uint64_t key :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{77},
+          std::uint64_t{123456789}, ~std::uint64_t{0}}) {
+        const auto value = app.valueForKey(key);
+        ASSERT_EQ(value.size(), 600u);
+        for (std::uint32_t i = 0; i < 600; ++i) {
+            ASSERT_EQ(value[i], static_cast<std::uint8_t>(
+                                    (key * 131 + i) & 0xff))
+                << "key " << key << " byte " << i;
+        }
+    }
+}
+
 TEST(HerdApp, GetReturnsCanonicalValue)
 {
     HerdApp app;
@@ -131,7 +152,8 @@ TEST(HerdApp, PutThenGetRoundTrips)
     RpcRequest put;
     put.op = RpcOp::Put;
     put.key = 77;
-    put.value = app.valueForKey(77);
+    const auto value = app.valueForKey(77);
+    put.value = value;
     app.handle(encodeRequest(put), server);
 
     RpcRequest get;
@@ -150,7 +172,8 @@ TEST(HerdApp, RequestMixMatchesReadFraction)
     int gets = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
-        const auto req = decodeRequest(app.makeRequest(client));
+        const auto bytes = app.makeRequest(client);
+        const auto req = decodeRequest(bytes);
         ASSERT_TRUE(req.has_value());
         gets += (req->op == RpcOp::Get);
     }
@@ -258,7 +281,8 @@ TEST(MasstreeApp, RequestMixMatchesGetFraction)
     int scans = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i) {
-        const auto req = decodeRequest(app.makeRequest(client));
+        const auto bytes = app.makeRequest(client);
+        const auto req = decodeRequest(bytes);
         ASSERT_TRUE(req.has_value());
         scans += (req->op == RpcOp::Scan);
     }

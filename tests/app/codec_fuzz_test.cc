@@ -2,7 +2,8 @@
  * @file
  * Property/fuzz tests for the wire-format codec: random structured
  * inputs round-trip exactly; random unstructured bytes either parse
- * or are rejected, but never misbehave.
+ * or are rejected, but never misbehave. Decoded values are views into
+ * the decoded bytes, which every test keeps alive while it reads them.
  */
 
 #include <gtest/gtest.h>
@@ -29,9 +30,10 @@ TEST_P(CodecFuzz, RandomRequestsRoundTrip)
         req.op = static_cast<RpcOp>(rng.uniformInt(0, 4));
         req.key = rng.next();
         req.count = static_cast<std::uint32_t>(rng.uniformInt(0, 1000));
-        req.value.resize(rng.uniformInt(0, 300));
-        for (auto &b : req.value)
+        std::vector<std::uint8_t> value(rng.uniformInt(0, 300));
+        for (auto &b : value)
             b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        req.value = value;
 
         const auto bytes = encodeRequest(req);
         const auto back = decodeRequest(bytes);
@@ -39,7 +41,7 @@ TEST_P(CodecFuzz, RandomRequestsRoundTrip)
         EXPECT_EQ(back->op, req.op);
         EXPECT_EQ(back->key, req.key);
         EXPECT_EQ(back->count, req.count);
-        EXPECT_EQ(back->value, req.value);
+        EXPECT_EQ(back->value, value);
     }
 }
 
@@ -49,14 +51,16 @@ TEST_P(CodecFuzz, RandomRepliesRoundTrip)
     for (int i = 0; i < 2000; ++i) {
         RpcReply reply;
         reply.status = static_cast<RpcStatus>(rng.uniformInt(0, 2));
-        reply.value.resize(rng.uniformInt(0, 600));
-        for (auto &b : reply.value)
+        std::vector<std::uint8_t> value(rng.uniformInt(0, 600));
+        for (auto &b : value)
             b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        reply.value = value;
 
-        const auto back = decodeReply(encodeReply(reply));
+        const auto bytes = encodeReply(reply);
+        const auto back = decodeReply(bytes);
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(back->status, reply.status);
-        EXPECT_EQ(back->value, reply.value);
+        EXPECT_EQ(back->value, value);
     }
 }
 
@@ -88,7 +92,8 @@ TEST_P(CodecFuzz, TruncationAtEveryPointRejectsOrParses)
     RpcRequest req;
     req.op = RpcOp::Put;
     req.key = rng.next();
-    req.value.assign(50, 0xAB);
+    const std::vector<std::uint8_t> value(50, 0xAB);
+    req.value = value;
     const auto full = encodeRequest(req);
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
         std::vector<std::uint8_t> prefix(full.begin(),
@@ -98,7 +103,7 @@ TEST_P(CodecFuzz, TruncationAtEveryPointRejectsOrParses)
         // (the vlen field guards the value bytes).
         const auto back = decodeRequest(prefix);
         if (back.has_value()) {
-            EXPECT_NE(back->value, req.value);
+            EXPECT_NE(back->value, value);
         }
     }
 }

@@ -25,8 +25,8 @@ TEST(HashTable, PutGetRoundTrip)
 {
     HashTable t;
     EXPECT_TRUE(t.put(42, val(1)));
-    const auto got = t.get(42);
-    ASSERT_TRUE(got.has_value());
+    const auto *got = t.find(42);
+    ASSERT_NE(got, nullptr);
     EXPECT_EQ(*got, val(1));
 }
 
@@ -34,7 +34,7 @@ TEST(HashTable, MissingKeyReturnsNullopt)
 {
     HashTable t;
     t.put(1, val(1));
-    EXPECT_FALSE(t.get(2).has_value());
+    EXPECT_EQ(t.find(2), nullptr);
     EXPECT_FALSE(t.contains(2));
 }
 
@@ -44,7 +44,7 @@ TEST(HashTable, OverwriteKeepsSingleEntry)
     EXPECT_TRUE(t.put(5, val(1)));
     EXPECT_FALSE(t.put(5, val(2))); // overwrite returns false
     EXPECT_EQ(t.size(), 1u);
-    EXPECT_EQ(*t.get(5), val(2));
+    EXPECT_EQ(*t.find(5), val(2));
 }
 
 TEST(HashTable, EraseRemovesKey)
@@ -68,7 +68,7 @@ TEST(HashTable, GrowsUnderLoad)
     // All keys survive the rehashes.
     for (std::uint64_t k = 0; k < 1000; ++k) {
         ASSERT_TRUE(t.contains(k)) << "key " << k;
-        EXPECT_EQ(*t.get(k), val(static_cast<std::uint8_t>(k)));
+        EXPECT_EQ(*t.find(k), val(static_cast<std::uint8_t>(k)));
     }
 }
 
@@ -87,7 +87,7 @@ TEST(HashTable, AdversarialCollidingKeysStillCorrect)
     for (std::uint64_t k = 0; k < 256; ++k)
         t.put(k << 48, val(static_cast<std::uint8_t>(k)));
     for (std::uint64_t k = 0; k < 256; ++k)
-        EXPECT_EQ(*t.get(k << 48), val(static_cast<std::uint8_t>(k)));
+        EXPECT_EQ(*t.find(k << 48), val(static_cast<std::uint8_t>(k)));
 }
 
 TEST(HashTable, MatchesReferenceMapUnderRandomOps)
@@ -100,16 +100,21 @@ TEST(HashTable, MatchesReferenceMapUnderRandomOps)
         const std::uint64_t key = rng.uniformInt(0, 499);
         const int op = static_cast<int>(rng.uniformInt(0, 2));
         if (op == 0) {
+            // Alternate the two writers: by-value insert/overwrite and
+            // the in-place copy from a byte range.
             auto v = val(static_cast<std::uint8_t>(i));
-            t.put(key, v);
+            if (i % 2 == 0)
+                t.put(key, v);
+            else
+                t.put(key, v.data(), v.size());
             oracle[key] = v;
         } else if (op == 1) {
-            const auto got = t.get(key);
+            const auto *got = t.find(key);
             const auto ref = oracle.find(key);
             if (ref == oracle.end()) {
-                EXPECT_FALSE(got.has_value());
+                EXPECT_EQ(got, nullptr);
             } else {
-                ASSERT_TRUE(got.has_value());
+                ASSERT_NE(got, nullptr);
                 EXPECT_EQ(*got, ref->second);
             }
         } else {
@@ -123,9 +128,26 @@ TEST(HashTable, EmptyValueSupported)
 {
     HashTable t;
     t.put(1, {});
-    const auto got = t.get(1);
-    ASSERT_TRUE(got.has_value());
+    const auto *got = t.find(1);
+    ASSERT_NE(got, nullptr);
     EXPECT_TRUE(got->empty());
+}
+
+TEST(HashTable, RangePutOverwritesInPlace)
+{
+    HashTable t;
+    const std::vector<std::uint8_t> first(32, 1);
+    const std::vector<std::uint8_t> second(32, 2);
+    EXPECT_TRUE(t.put(7, first.data(), first.size()));
+    const std::vector<std::uint8_t> *stored = t.find(7);
+    ASSERT_NE(stored, nullptr);
+    const std::uint8_t *buffer = stored->data();
+    // Same-size overwrite: same node, same buffer, new bytes.
+    EXPECT_FALSE(t.put(7, second.data(), second.size()));
+    EXPECT_EQ(t.find(7), stored);
+    EXPECT_EQ(stored->data(), buffer);
+    EXPECT_EQ(*stored, second);
+    EXPECT_EQ(t.size(), 1u);
 }
 
 } // namespace

@@ -180,7 +180,8 @@ TEST(WorkloadBuiltins, MasstreeStampsScanClassOnTheWire)
     app::MasstreeApp half(p);
     bool saw_scan = false;
     for (int i = 0; i < 64; ++i) {
-        const auto req = app::decodeRequest(half.makeRequest(rng));
+        const auto bytes = half.makeRequest(rng);
+        const auto req = app::decodeRequest(bytes);
         ASSERT_TRUE(req.has_value());
         if (req->op == app::RpcOp::Scan) {
             EXPECT_EQ(req->classId, 1);

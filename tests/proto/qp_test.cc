@@ -88,6 +88,65 @@ TEST(Fifo, MoveOnlyPayloadsSupported)
     EXPECT_EQ(*out, 42);
 }
 
+TEST(Fifo, WrapsAroundWithoutGrowing)
+{
+    // Eight cells is the ring's first size: cycling a few entries
+    // through it many times wraps head and tail past the end.
+    Fifo<int> f;
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 100; ++round) {
+        for (int i = 0; i < 5; ++i)
+            f.push(next_in++);
+        for (int i = 0; i < 5; ++i)
+            ASSERT_EQ(f.pop(), next_out++);
+    }
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.highWatermark(), 5u);
+}
+
+TEST(Fifo, GrowsWhileWrappedKeepingOrder)
+{
+    Fifo<int> f;
+    // Wrap the 8-cell ring: head at cell 6, entries in cells 6, 7, 0..
+    for (int i = 0; i < 6; ++i)
+        f.push(-1);
+    for (int i = 0; i < 6; ++i)
+        f.pop();
+    for (int i = 0; i < 8; ++i)
+        f.push(i);
+    // Full and wrapped: the next pushes double the ring twice.
+    for (int i = 8; i < 40; ++i)
+        f.push(i);
+    EXPECT_EQ(f.size(), 40u);
+    EXPECT_EQ(f.front(), 0);
+    for (int i = 0; i < 40; ++i)
+        ASSERT_EQ(f.pop(), i);
+    EXPECT_TRUE(f.empty());
+}
+
+TEST(Fifo, HighWatermarkAfterResetOnWrappedRing)
+{
+    Fifo<int> f;
+    for (int i = 0; i < 20; ++i)
+        f.push(i);
+    for (int i = 0; i < 18; ++i)
+        f.pop();
+    EXPECT_EQ(f.highWatermark(), 20u);
+    f.resetHighWatermark();
+    EXPECT_EQ(f.highWatermark(), 2u);
+    // Cycle through the wrap: the peak is measured from the reset on.
+    for (int round = 0; round < 30; ++round) {
+        f.push(100 + round);
+        f.push(200 + round);
+        f.pop();
+    }
+    EXPECT_EQ(f.size(), 32u);
+    EXPECT_EQ(f.highWatermark(), 33u);
+    // Popped so far: 18, 19, then 100, 200, ..., 113, 213.
+    EXPECT_EQ(f.front(), 114);
+}
+
 TEST(QpEntries, DefaultsAreSane)
 {
     const WorkQueueEntry wqe;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -48,43 +47,6 @@ TEST(LatencyRecorder, WarmupSamplesDiscarded)
     EXPECT_EQ(rec.count(), 2u);
     EXPECT_EQ(rec.observed(), 4u);
     EXPECT_DOUBLE_EQ(rec.meanNs(), 150.0);
-}
-
-TEST(LatencyRecorder, AbsorbMovesSamplesInAppendOrder)
-{
-    LatencyRecorder a(/*warmup_samples=*/1);
-    a.record(nanoseconds(999)); // discarded as warmup
-    a.record(nanoseconds(30));
-    a.record(nanoseconds(10));
-    LatencyRecorder b;
-    b.record(nanoseconds(20));
-
-    // Into an empty recorder: the samples arrive as recorded.
-    LatencyRecorder merged;
-    merged.absorb(std::move(a));
-    ASSERT_EQ(merged.count(), 2u);
-    EXPECT_EQ(merged.observed(), 3u);
-    EXPECT_EQ(merged.samples()[0], nanoseconds(30));
-    EXPECT_EQ(merged.samples()[1], nanoseconds(10));
-    EXPECT_DOUBLE_EQ(merged.percentileNs(0.0), 10.0);
-
-    // Into a non-empty one: appended after its own samples, and the
-    // cached sort is invalidated.
-    merged.absorb(std::move(b));
-    EXPECT_EQ(merged.samples(),
-              (std::vector<rpcvalet::sim::Tick>{
-                  nanoseconds(30), nanoseconds(10), nanoseconds(20)}));
-    EXPECT_EQ(merged.count(), 3u);
-    EXPECT_EQ(merged.observed(), 4u);
-    EXPECT_DOUBLE_EQ(merged.percentileNs(50.0), 20.0);
-
-    // Both sources are left empty.
-    for (const LatencyRecorder *src : {&a, &b}) {
-        EXPECT_EQ(src->count(), 0u);
-        EXPECT_EQ(src->observed(), 0u);
-        EXPECT_TRUE(src->samples().empty());
-        EXPECT_DOUBLE_EQ(src->p99Ns(), 0.0);
-    }
 }
 
 TEST(LatencyRecorder, PercentileEdgeCases)
@@ -130,7 +92,7 @@ TEST(LatencyRecorder, PercentileMatchesSortedReference)
 
 TEST(LatencyRecorder, RecordAfterQueryKeepsCorrectness)
 {
-    // The lazy sort cache must invalidate on new samples.
+    // The lazy selection scratch must invalidate on new samples.
     LatencyRecorder rec;
     rec.record(nanoseconds(10));
     EXPECT_DOUBLE_EQ(rec.p99Ns(), 10.0);
