@@ -4,7 +4,8 @@
  * experiment path: an N-domain cluster run must produce bit-identical
  * RunStats — executed events, completions, latency doubles, per-class
  * tails, per-node counters — no matter how many window workers execute
- * the domains, across seeds and routers. Plus the guard rails: the
+ * the domains, across seeds and routers; goldens for time-dependent
+ * arrival processes on the parallel path. Plus the guard rails: the
  * lookahead invariant on the parallel fabric and the chained-workload
  * rejection.
  */
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -137,6 +139,59 @@ TEST(ParallelExperiment, SingleNodeClusterRunsParallelToo)
     expectBitIdentical(w1, w2);
     ASSERT_EQ(w1.perNode.size(), 1u);
     EXPECT_EQ(w1.perNode[0].served, w1.completions);
+}
+
+// ----- time-dependent arrivals on the parallel path -----
+
+/** The locked fingerprint of one parallel run. */
+struct ArrivalGolden
+{
+    std::uint64_t executedEvents;
+    std::uint64_t completions;
+    double meanNs;
+    double p50Ns;
+    double p99Ns;
+};
+
+/**
+ * Two nodes, two domains, round-robin, driven by @p arrival. Unlike
+ * Poisson, these processes read the arrival time they are handed, so
+ * the goldens also lock which time the client domain's arrival
+ * driver reports to the process at each draw.
+ */
+void
+expectArrivalGolden(const std::string &arrival, const ArrivalGolden &g)
+{
+    core::ExperimentConfig cfg;
+    cfg.arrivalRps = 20e6;
+    cfg.warmupRpcs = 500;
+    cfg.measuredRpcs = 4000;
+    cfg.system.seed = 3;
+    cfg.cluster.numServerNodes = 2;
+    cfg.cluster.router = cluster::RouterSpec::parse("rr");
+    cfg.arrival = net::ArrivalSpec::parse(arrival);
+    cfg.parallelDomains = 2;
+    const core::RunStats r = core::runExperiment(cfg);
+    EXPECT_EQ(r.executedEvents, g.executedEvents);
+    EXPECT_EQ(r.completions, g.completions);
+    EXPECT_EQ(r.point.meanNs, g.meanNs);
+    EXPECT_EQ(r.point.p50Ns, g.p50Ns);
+    EXPECT_EQ(r.point.p99Ns, g.p99Ns);
+    EXPECT_EQ(r.verifyFailures, 0u);
+}
+
+TEST(ParallelArrivalIdentity, Mmpp2TwoNodesTwoDomains)
+{
+    expectArrivalGolden("mmpp2:burst=0.1,ratio=10",
+                        ArrivalGolden{90067u, 4502u, 6416.1045694652676,
+                                      4741.2299999999996, 18126.82});
+}
+
+TEST(ParallelArrivalIdentity, RampTwoNodesTwoDomains)
+{
+    expectArrivalGolden("ramp:from=0.5,to=1.5,over=200us",
+                        ArrivalGolden{90128u, 4501u, 552.08135216195956,
+                                      520.505, 1083.0550000000001});
 }
 
 // ----- guard rails -----
