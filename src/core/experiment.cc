@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "core/parallel.hh"
@@ -130,8 +131,16 @@ harvestConnStats(const ExperimentConfig &cfg,
     out.conn.warmupHits = ss.warmupHits;
     out.conn.warmupMisses = ss.warmupMisses;
     out.conn.regroups = ss.regroups;
-    out.conn.admittedImmediate = tg.connAdmittedImmediate();
-    out.conn.deferredTotal = tg.connDeferred();
+    // Every admission counts in exactly one group, so the totals are
+    // the per-group sums.
+    out.conn.perGroupAdmitted = tg.connPerGroupAdmitted();
+    out.conn.perGroupDeferred = tg.connPerGroupDeferred();
+    out.conn.admittedImmediate =
+        std::accumulate(out.conn.perGroupAdmitted.begin(),
+                        out.conn.perGroupAdmitted.end(), std::uint64_t{0});
+    out.conn.deferredTotal =
+        std::accumulate(out.conn.perGroupDeferred.begin(),
+                        out.conn.perGroupDeferred.end(), std::uint64_t{0});
     out.conn.meanDeferredWaitNs =
         tg.connFlushed() > 0
             ? sim::toNs(tg.connDeferredWaitTicks()) /
@@ -155,8 +164,6 @@ harvestConnStats(const ExperimentConfig &cfg,
         static_cast<std::uint64_t>(
             std::min(cfg.connections.numClients, out.conn.qpCapacity)) *
         perConn * num_servers;
-    out.conn.perGroupAdmitted = tg.connPerGroupAdmitted();
-    out.conn.perGroupDeferred = tg.connPerGroupDeferred();
     out.conn.perGroupP99Ns.reserve(tg.connPerGroupLatency().size());
     for (const auto &rec : tg.connPerGroupLatency())
         out.conn.perGroupP99Ns.push_back(rec.p99Ns());
@@ -397,8 +404,8 @@ totalSimulatedEvents()
  * counts — the sequential path.
  *
  * With cfg.parallelDomains >= 1 each server node owns an EventDomain
- * and the client side owns another; a WindowPool executes fabric-
- * lookahead windows with barrier mailbox exchanges in between
+ * and the client side owns another; a WindowPool executes windows
+ * one fabric latency long with barrier mailbox exchanges in between
  * (conservative parallel DES). Measurement is barrier-quantized: the
  * window opens at the first barrier where cluster completions reach
  * the warmup count and closes at the first barrier past the target —
@@ -415,7 +422,6 @@ runExperiment(const ExperimentConfig &cfg)
     RV_ASSERT(cfg.measuredRpcs > 0, "need at least one measured RPC");
     const std::uint32_t numServers = cfg.cluster.numServerNodes;
     const bool par = cfg.parallelDomains > 0;
-    const sim::Tick lookahead = cfg.system.fabricLatency;
 
     // Resolve the fault list against the cluster shape before
     // anything is built, so a bad spec dies here with the full
@@ -469,25 +475,20 @@ runExperiment(const ExperimentConfig &cfg)
         return par ? *domainPtrs[i + 1] : clientSim;
     };
 
-    std::unique_ptr<net::Fabric> fabricPtr;
-    if (par) {
-        fabricPtr = std::make_unique<net::Fabric>(
-            domainPtrs, cfg.system.fabricLatency, lookahead);
-    } else {
-        fabricPtr = std::make_unique<net::Fabric>(
-            clientSim, cfg.system.fabricLatency);
-    }
-    net::Fabric &fabric = *fabricPtr;
+    // One fabric over every domain; its link latency is the parallel
+    // run's window.
+    net::Fabric fabric(domainPtrs, cfg.system.fabricLatency);
+    const sim::Tick window = fabric.latency();
 
     // Packet faults perturb every send at the fabric boundary. Per-
     // domain Rng lanes keep draw order deterministic under parallel
-    // execution, and extra delay is additive-only, so the lookahead
+    // execution, and extra delay is additive-only, so the window
     // invariant holds with faults active.
     std::unique_ptr<fault::PacketFaults> packetFaults;
     if (!faultPlan.packet.empty()) {
         packetFaults = std::make_unique<fault::PacketFaults>(
-            faultPlan.packet, par ? numServers + 1 : 1, cfg.system.seed,
-            cfg.system.nodeId, numServers);
+            faultPlan.packet, static_cast<std::uint32_t>(domainPtrs.size()),
+            cfg.system.seed, cfg.system.nodeId, numServers);
         fabric.setPerturber(packetFaults.get());
     }
 
@@ -564,8 +565,6 @@ runExperiment(const ExperimentConfig &cfg)
     tp.cluster = cfg.cluster;
     tp.clientTurnaround = cfg.clientTurnaround;
     tp.retry = cfg.retry;
-    if (par)
-        tp.arrivalBatchWindow = lookahead;
     tp.connections = cfg.connections;
     tp.seed = cfg.system.seed;
     net::TrafficGenerator tg(clientSim, tp, cfg.system.domain, clientApp,
@@ -631,7 +630,7 @@ runExperiment(const ExperimentConfig &cfg)
     if (!par) {
         // Sequential: exact per-completion measurement window.
         std::uint64_t completed = 0;
-        const auto hook = [&](bool, sim::Tick) {
+        const auto hook = [&] {
             ++completed;
             if (completed == cfg.warmupRpcs) {
                 run.start = clientSim.now();
@@ -649,7 +648,7 @@ runExperiment(const ExperimentConfig &cfg)
         clientSim.run();
         run.executedEvents = clientSim.executedEvents();
     } else {
-        // Conservative PDES: execute lookahead windows in parallel,
+        // Conservative PDES: execute latency-long windows in parallel,
         // exchange cross-domain mail at each barrier, and quantize
         // the measurement window to barriers (worker-count invariant).
         WindowPool pool(std::min<unsigned>(
@@ -660,7 +659,7 @@ runExperiment(const ExperimentConfig &cfg)
         std::uint64_t last_executed = 0;
         sim::Tick window_start = 0;
         for (;;) {
-            const sim::Tick window_end = window_start + lookahead;
+            const sim::Tick window_end = window_start + window;
             pool.run(domainPtrs, window_end - 1);
             // Barrier: every domain thread is quiescent from here on.
             std::uint64_t total = 0;
@@ -679,7 +678,7 @@ runExperiment(const ExperimentConfig &cfg)
                 tg.halt();
                 break;
             }
-            fabric.exchangeWindow(window_end + lookahead);
+            fabric.exchangeWindow(window_end + window);
             std::uint64_t executed_now = 0;
             bool pending = false;
             for (sim::EventDomain *d : domainPtrs) {

@@ -32,7 +32,6 @@ void
 ArrivalDriver::start()
 {
     process_->onStart(sim_.now());
-    lastDrawn_ = sim_.now();
     scheduleNext();
 }
 
@@ -56,33 +55,9 @@ ArrivalDriver::fire()
 void
 ArrivalDriver::scheduleNext()
 {
-    if (batchWindow_ == 0) {
-        const sim::Tick gap = sim::nanoseconds(
-            process_->nextInterarrivalNs(rng_, sim_.now()));
-        sim_.schedule(event_, gap);
-        return;
-    }
-    if (batchNext_ >= batch_.size())
-        refillBatch();
-    sim_.scheduleAt(event_, batch_[batchNext_++]);
-}
-
-void
-ArrivalDriver::refillBatch()
-{
-    // Draw a lookahead window's worth of arrivals in one pass. The
-    // process sees the predicted absolute arrival time — exactly what
-    // sim_.now() would read when the draw happens one arrival at a
-    // time, so the sequence is identical to the unbatched mode.
-    batch_.clear();
-    batchNext_ = 0;
-    const sim::Tick horizon = sim_.now() + batchWindow_;
-    sim::Tick t = lastDrawn_;
-    do {
-        t += sim::nanoseconds(process_->nextInterarrivalNs(rng_, t));
-        batch_.push_back(t);
-    } while (t < horizon);
-    lastDrawn_ = t;
+    const sim::Tick gap =
+        sim::nanoseconds(process_->nextInterarrivalNs(rng_, sim_.now()));
+    sim_.schedule(event_, gap);
 }
 
 } // namespace rpcvalet::net

@@ -34,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/domain.hh"
 #include "sim/registry.hh"
@@ -123,18 +122,6 @@ class ArrivalDriver
     ArrivalDriver(sim::EventDomain &sim, ArrivalProcessPtr process,
                   std::uint64_t rng_seed, Handler handler);
 
-    /**
-     * Pre-draw arrivals in blocks covering @p window ticks instead of
-     * one interarrival sample per wakeup. Each block is a tight loop
-     * over the process and Rng (no event-wheel round trips between
-     * draws); each arrival still fires its own event at its exact
-     * tick, with the process observing the predicted arrival time —
-     * so the generated arrival sequence is bit-identical to the
-     * unbatched mode. 0 (the default) keeps the legacy
-     * draw-per-arrival behavior. Call before start().
-     */
-    void setBatchWindow(sim::Tick window) { batchWindow_ = window; }
-
     /** Fire the start hook and schedule the first arrival. */
     void start();
 
@@ -150,7 +137,6 @@ class ArrivalDriver
   private:
     void fire();
     void scheduleNext();
-    void refillBatch();
 
     sim::EventDomain &sim_;
     ArrivalProcessPtr process_;
@@ -158,12 +144,6 @@ class ArrivalDriver
     Handler handler_;
     bool halted_ = false;
     std::uint64_t arrivals_ = 0;
-    sim::Tick batchWindow_ = 0;
-    /** Pre-drawn absolute arrival times (batch mode). */
-    std::vector<sim::Tick> batch_;
-    std::size_t batchNext_ = 0;
-    /** Absolute time of the last drawn arrival (batch mode). */
-    sim::Tick lastDrawn_ = 0;
     sim::MemberEvent<ArrivalDriver, &ArrivalDriver::fire> event_;
 };
 

@@ -8,29 +8,15 @@
 
 namespace rpcvalet::net {
 
-Fabric::Fabric(sim::EventDomain &sim, sim::Tick latency)
-    : latency_(latency)
+Fabric::Fabric(std::vector<sim::EventDomain *> domains, sim::Tick latency)
+    : latency_(latency), windowEnd_(latency)
 {
-    auto state = std::make_unique<DomainState>();
-    state->sim = &sim;
-    domains_.push_back(std::move(state));
-}
-
-Fabric::Fabric(std::vector<sim::EventDomain *> domains, sim::Tick latency,
-               sim::Tick lookahead)
-    : latency_(latency), lookahead_(lookahead), parallel_(true),
-      windowEnd_(lookahead)
-{
-    RV_ASSERT(!domains.empty(), "parallel fabric needs domains");
-    if (lookahead == 0 || lookahead > latency) {
-        sim::fatal(sim::strfmt(
-            "fabric: lookahead %llu violates conservative "
-            "synchronization — it must be in (0, link latency = %llu]: "
-            "a packet sent inside a window [T, T+lookahead) is due at "
-            "send time + latency, which must not precede the window "
-            "end",
-            static_cast<unsigned long long>(lookahead),
-            static_cast<unsigned long long>(latency)));
+    RV_ASSERT(!domains.empty(), "fabric needs at least one domain");
+    if (domains.size() > 1 && latency == 0) {
+        sim::fatal("fabric: link latency 0 violates conservative "
+                   "synchronization — the window of a multi-domain run "
+                   "is the link latency, so a packet sent inside a "
+                   "window would be due inside that same window");
     }
     for (std::size_t i = 0; i < domains.size(); ++i) {
         RV_ASSERT(domains[i] != nullptr, "null event domain");
@@ -73,7 +59,7 @@ Fabric::connectDefault(Sink sink)
 void
 Fabric::assignNode(proto::NodeId node, sim::DomainId domain)
 {
-    RV_ASSERT(parallel_, "assignNode on a single-domain fabric");
+    RV_ASSERT(domains_.size() > 1, "assignNode on a one-domain fabric");
     RV_ASSERT(domain < domains_.size(), "domain id out of range");
     if (node >= nodeDomain_.size())
         nodeDomain_.resize(static_cast<std::size_t>(node) + 1, kUnassigned);
@@ -101,28 +87,16 @@ Fabric::setPerturber(PacketPerturber *perturber)
 void
 Fabric::send(proto::Packet pkt)
 {
-    const sim::DomainId src = parallel_ ? domainOf(pkt.hdr.src)
-                                        : sim::DomainId(0);
+    const sim::DomainId src = domainOf(pkt.hdr.src);
     sim::Tick extra = 0;
     if (perturber_ != nullptr) {
         // Runs on the posting domain's thread; additive-only latency
-        // keeps the lookahead invariant below intact.
+        // keeps the window invariant below intact.
         const PacketPerturber::Verdict verdict = perturber_->perturb(
             pkt, src, domains_[src]->sim->now());
         if (verdict.drop)
             return;
         extra = verdict.extraLatency;
-    }
-
-    if (!parallel_) {
-        // Single-domain fast path: identical to the legacy fabric.
-        DomainState &s = *domains_.front();
-        DeliverEvent *ev = s.pool.acquire();
-        ev->fabric = this;
-        ev->dom = 0;
-        ev->pkt = std::move(pkt);
-        s.sim->schedule(*ev, latency_ + extra);
-        return;
     }
 
     const sim::DomainId dst = domainOf(pkt.hdr.dst);
@@ -140,7 +114,7 @@ Fabric::send(proto::Packet pkt)
     const sim::Tick when = s.sim->now() + latency_ + extra;
     RV_ASSERT(when >= windowEnd_,
               "cross-domain packet due inside the executing window "
-              "(lookahead invariant violated)");
+              "(window = link latency invariant violated)");
     auto &edge = mailboxes_[src * domains_.size() + dst];
     Mail mail;
     mail.pkt = std::move(pkt);
@@ -154,7 +128,7 @@ Fabric::send(proto::Packet pkt)
 void
 Fabric::exchangeWindow(sim::Tick nextWindowEnd)
 {
-    RV_ASSERT(parallel_, "exchangeWindow on a single-domain fabric");
+    RV_ASSERT(domains_.size() > 1, "exchangeWindow on a one-domain fabric");
     RV_ASSERT(nextWindowEnd > windowEnd_, "window must advance");
 
     drainScratch_.clear();

@@ -6,26 +6,22 @@
  * nodes. soNUMA-class fabrics are low-latency rack-scale
  * interconnects; congestion happens at the endpoints' NI pipelines,
  * which the NI model covers, so the fabric itself is contention-free
- * by design (DESIGN.md §6).
+ * by design: the paper's §5 setup drives the server over a network of
+ * fixed one-way latency.
  *
- * The fabric exists in two shapes:
- *
- *  - Single-domain (default): every node lives on one EventDomain and
- *    a send schedules a pooled delivery event latency ticks out — the
- *    exact legacy path, bit-identical to previous releases.
- *
- *  - Multi-domain (conservative parallel DES): nodes are assigned to
- *    domains (assignNode) and the link latency doubles as the
- *    synchronization lookahead. A same-domain send takes the legacy
- *    path on the local wheel. A cross-domain send is posted to the
- *    (src domain, dst domain) edge mailbox stamped with its delivery
- *    time; because delivery time = send time + latency and latency >=
- *    lookahead, a packet sent inside the window [T, T + lookahead) can
- *    never be due before the window ends — send() asserts this
- *    invariant. At the barrier, exchangeWindow() drains every edge in
- *    a deterministic order and schedules the mail into the destination
- *    wheels, coalescing packets that arrive at the same (domain, tick)
- *    into one batched ingress event.
+ * One fabric spans one or more EventDomains; a sequential run is the
+ * one-domain case. Nodes live on domain 0 unless assigned elsewhere
+ * (assignNode). A send between nodes of one domain schedules a pooled
+ * delivery event latency ticks out on that domain's wheel. A send
+ * across domains (conservative parallel DES) is posted to the (src
+ * domain, dst domain) edge mailbox stamped with its delivery time.
+ * The run's synchronization window is the link latency: a packet sent
+ * inside the window [T, T + latency) is due at send time + latency,
+ * never before the window ends — send() asserts this on every
+ * cross-domain packet. At the barrier, exchangeWindow() drains every
+ * edge in a deterministic order and schedules the mail into the
+ * destination wheels, coalescing packets that arrive at the same
+ * (domain, tick) into one batched ingress event.
  *
  * Mailbox ownership protocol (multi-domain runs):
  *  - During a window, edge (s, d) is written only by the thread that
@@ -93,28 +89,22 @@ class Fabric
     using Sink = std::function<void(const proto::Packet &)>;
 
     /**
-     * Single-domain fabric: every node lives on @p sim.
-     *
-     * @param sim       Owning event domain.
-     * @param latency   One-way propagation delay per packet.
-     */
-    Fabric(sim::EventDomain &sim, sim::Tick latency);
-
-    /**
-     * Multi-domain fabric for conservative parallel DES.
-     *
      * @param domains   One entry per domain; entry i must be the
      *                  domain with id i (id 0 is the default home of
      *                  unassigned nodes — by convention the client
      *                  side).
-     * @param latency   One-way propagation delay per packet.
-     * @param lookahead Window length the run will use. A lookahead
-     *                  exceeding the link latency breaks conservative
-     *                  synchronization (a packet could be due inside
-     *                  the window it was sent in) and is fatal.
+     * @param latency   One-way propagation delay per packet, and the
+     *                  synchronization window of a multi-domain run.
+     *                  Zero is fatal with two or more domains: a
+     *                  cross-domain packet would be due inside the
+     *                  window it was sent in.
      */
-    Fabric(std::vector<sim::EventDomain *> domains, sim::Tick latency,
-           sim::Tick lookahead);
+    Fabric(std::vector<sim::EventDomain *> domains, sim::Tick latency);
+
+    /** One-domain fabric: every node lives on @p sim (domain id 0). */
+    Fabric(sim::EventDomain &sim, sim::Tick latency)
+        : Fabric(std::vector<sim::EventDomain *>{&sim}, latency)
+    {}
 
     /**
      * Attach the receiver for packets addressed to @p node.
@@ -131,8 +121,8 @@ class Fabric
     void connectDefault(Sink sink);
 
     /**
-     * Place @p node on @p domain (multi-domain fabrics only; nodes
-     * never assigned live on domain 0). Construction-time only — see
+     * Place @p node on @p domain (fabrics of two or more domains only;
+     * nodes never assigned live on domain 0). Construction-time only — see
      * the ownership protocol above.
      */
     void assignNode(proto::NodeId node, sim::DomainId domain);
@@ -148,7 +138,7 @@ class Fabric
     void send(proto::Packet pkt);
 
     /**
-     * Barrier step (multi-domain; coordinator only, all domain
+     * Barrier step (two or more domains; coordinator only, all domain
      * threads quiescent): deliver the closing window's cross-domain
      * mail into the destination wheels in deterministic (time, source
      * domain, posting order) order, then arm the next window, which
@@ -161,12 +151,6 @@ class Fabric
 
     /** One-way propagation delay per packet. */
     sim::Tick latency() const { return latency_; }
-
-    /** Synchronization lookahead (0 for single-domain fabrics). */
-    sim::Tick lookahead() const { return lookahead_; }
-
-    /** True for the multi-domain (mailbox) shape. */
-    bool parallel() const { return parallel_; }
 
   private:
     /** In-flight packet: pooled, reused across deliveries. */
@@ -228,8 +212,6 @@ class Fabric
 
     std::vector<std::unique_ptr<DomainState>> domains_;
     sim::Tick latency_;
-    sim::Tick lookahead_ = 0;
-    bool parallel_ = false;
     /** End of the window currently executing (multi-domain). */
     sim::Tick windowEnd_ = 0;
     /** Edge mailboxes, row-major [src * numDomains + dst]. */

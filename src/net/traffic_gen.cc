@@ -45,7 +45,6 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
     RV_ASSERT(domain_.numNodes > numServers(),
               "need at least one remote client node");
     params_.retry.validate(params_.cluster.requestTimeout);
-    arrivals_.setBatchWindow(params_.arrivalBatchWindow);
     madeByClass_.resize(std::max<std::size_t>(
         app.requestClasses().size(), 1));
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
@@ -140,12 +139,10 @@ TrafficGenerator::connSubmit(Request request)
     request.conn.genAt = sim_.now();
     request.conn.deferred = !connSched_->mayIssue(client);
     if (!request.conn.deferred) {
-        ++connAdmittedImmediate_;
         ++connPerGroupAdmitted_[group];
         dispatchRequest(connNodeFor(client), std::move(request));
         return;
     }
-    ++connDeferredTotal_;
     ++connPerGroupDeferred_[group];
     connQueue_[client].push_back(std::move(request));
 }

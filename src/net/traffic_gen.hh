@@ -112,11 +112,6 @@ class TrafficGenerator final : private cluster::ClusterView
          *  attempt budget, hedging). The defaults reproduce the legacy
          *  unlimited-immediate-redispatch behavior bit-identically. */
         fault::RetryPolicy retry{};
-        /** Pre-draw arrivals in blocks covering this many ticks (0 =
-         *  one draw per arrival; see ArrivalDriver::setBatchWindow).
-         *  Parallel-domain runs set this to the lookahead so a whole
-         *  window's arrivals are generated per refill. */
-        sim::Tick arrivalBatchWindow = 0;
         /** Client-population model (src/conn/): logical clients and
          *  their connection scheduler. numClients == 0 (the default)
          *  keeps the legacy anonymous-arrival path bit-identically. */
@@ -231,15 +226,6 @@ class TrafficGenerator final : private cluster::ClusterView
         return connSched_.get();
     }
 
-    /** Requests the scheduler admitted without deferral. */
-    std::uint64_t connAdmittedImmediate() const
-    {
-        return connAdmittedImmediate_;
-    }
-
-    /** Requests deferred because their client could not issue. */
-    std::uint64_t connDeferred() const { return connDeferredTotal_; }
-
     /** Deferred requests since released by the scheduler. */
     std::uint64_t connFlushed() const { return connFlushed_; }
 
@@ -259,13 +245,15 @@ class TrafficGenerator final : private cluster::ClusterView
         return connInactiveLatency_;
     }
 
-    /** Per-group-position admitted counts (index = group). */
+    /** Per-group-position counts of requests the scheduler admitted
+     *  without deferral (index = group). */
     const std::vector<std::uint64_t> &connPerGroupAdmitted() const
     {
         return connPerGroupAdmitted_;
     }
 
-    /** Per-group-position deferred counts (index = group). */
+    /** Per-group-position counts of requests deferred because their
+     *  client could not issue (index = group). */
     const std::vector<std::uint64_t> &connPerGroupDeferred() const
     {
         return connPerGroupDeferred_;
@@ -537,8 +525,6 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Requests waiting for their client's admission, per logical
      *  client. */
     std::vector<std::deque<Request>> connQueue_;
-    std::uint64_t connAdmittedImmediate_ = 0;
-    std::uint64_t connDeferredTotal_ = 0;
     std::uint64_t connFlushed_ = 0;
     sim::Tick connDeferredWait_ = 0;
     stats::LatencyRecorder connActiveLatency_;

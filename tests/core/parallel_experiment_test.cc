@@ -5,9 +5,9 @@
  * RunStats — executed events, completions, latency doubles, per-class
  * tails, per-node counters — no matter how many window workers execute
  * the domains, across seeds and routers; goldens for time-dependent
- * arrival processes on the parallel path. Plus the guard rails: the
- * lookahead invariant on the parallel fabric and the chained-workload
- * rejection.
+ * arrival processes on the parallel path. Plus the guard rails: a
+ * zero-latency (zero-window) multi-domain fabric and the
+ * chained-workload rejection.
  */
 
 #include <gtest/gtest.h>
@@ -197,24 +197,23 @@ TEST(ParallelArrivalIdentity, RampTwoNodesTwoDomains)
 // ----- guard rails -----
 
 void
-buildParallelFabric(sim::Tick latency, sim::Tick lookahead)
+buildTwoDomainFabric(sim::Tick latency)
 {
     sim::EventDomain client(0, "client");
     sim::EventDomain server(1, "server");
     std::vector<sim::EventDomain *> domains{&client, &server};
-    net::Fabric fabric(domains, latency, lookahead);
+    net::Fabric fabric(domains, latency);
 }
 
-TEST(ParallelExperimentDeath, FabricRejectsLookaheadAboveLatency)
+TEST(ParallelExperimentDeath, FabricRejectsZeroLatencyAcrossDomains)
 {
-    // A lookahead wider than the link latency would let a message
-    // sent late in a window be due inside the same window — an event
-    // in the past for a domain that already ran ahead. The parallel
-    // fabric must refuse to be built rather than silently reorder.
+    // The synchronization window is the link latency. At latency 0 a
+    // message sent in a window would be due inside that same window —
+    // an event in the past for a domain that already ran ahead. A
+    // multi-domain fabric must refuse to be built rather than
+    // silently reorder.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(buildParallelFabric(/*latency=*/100, /*lookahead=*/101),
-                ::testing::ExitedWithCode(1), "violates conservative");
-    EXPECT_EXIT(buildParallelFabric(/*latency=*/100, /*lookahead=*/0),
+    EXPECT_EXIT(buildTwoDomainFabric(/*latency=*/0),
                 ::testing::ExitedWithCode(1), "violates conservative");
 }
 

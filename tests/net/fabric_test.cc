@@ -139,7 +139,7 @@ TEST(FabricDeath, DuplicateDomainAssignmentIsFatal)
 {
     sim::EventDomain d0(0, "d0");
     sim::EventDomain d1(1, "d1");
-    Fabric fabric({&d0, &d1}, nanoseconds(100), nanoseconds(100));
+    Fabric fabric({&d0, &d1}, nanoseconds(100));
     fabric.assignNode(2, 1);
     EXPECT_EXIT(fabric.assignNode(2, 0), ::testing::ExitedWithCode(1),
                 "node 2 is already assigned to a domain");
@@ -154,7 +154,7 @@ TEST(Fabric, ExchangeWindowOrdersByTimeSourceDomainAndPostingOrder)
     sim::EventDomain d1(1, "d1");
     sim::EventDomain d2(2, "d2");
     const Tick latency = nanoseconds(100);
-    Fabric fabric({&d0, &d1, &d2}, latency, latency);
+    Fabric fabric({&d0, &d1, &d2}, latency);
     fabric.assignNode(1, 1);
     fabric.assignNode(2, 2);
 
