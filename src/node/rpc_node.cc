@@ -71,11 +71,8 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
     auto make_deliver = [this](std::uint32_t backend_id) {
         return [this, backend_id](proto::CoreId core,
                                   proto::CompletionQueueEntry cqe) {
-            const sim::Tick delay =
-                mesh_.backendToCore(backend_id, core, cqeBytes) +
-                params_.memory.qpTransferLatency();
             scheduleCqeHop(CqeEvent::Kind::Deliver, core, std::move(cqe),
-                           delay);
+                           cqeDeliveryDelay(backend_id, core));
         };
     };
 
@@ -128,14 +125,8 @@ RpcNode::start()
 {
     if (params_.mode != ni::DispatchMode::SoftwarePull)
         return;
-    for (proto::CoreId core = 0; core < params_.numCores; ++core) {
-        swQueue_->requestPull(
-            [this, core](const proto::CompletionQueueEntry &entry) {
-                proto::CompletionQueueEntry granted = entry;
-                granted.deliveredTick = sim_.now();
-                runRpc(core, std::move(granted), /*was_idle=*/false);
-            });
-    }
+    for (proto::CoreId core = 0; core < params_.numCores; ++core)
+        requestSoftwarePull(core);
 }
 
 void
@@ -181,14 +172,30 @@ RpcNode::staticHashCore(proto::NodeId src, std::uint32_t slot) const
     return static_cast<proto::CoreId>(h % params_.numCores);
 }
 
-std::uint32_t
-RpcNode::dispatcherIndexForCore(proto::CoreId core) const
+RpcNode::DispatcherHop
+RpcNode::dispatcherHopFor(proto::CoreId core) const
 {
+    RV_ASSERT(hasDispatcher(), "no dispatcher in this mode");
+    // The single queue's dispatcher sits at its own backend; a
+    // per-backend group's dispatcher is that backend.
     if (params_.mode == ni::DispatchMode::SingleQueue)
-        return 0;
-    RV_ASSERT(params_.mode == ni::DispatchMode::PerBackendGroup,
-              "no dispatcher in this mode");
-    return core / (params_.numCores / params_.numBackends);
+        return {0, wqeDelay(core, params_.dispatcherBackend)};
+    const std::uint32_t d = core / (params_.numCores / params_.numBackends);
+    return {d, wqeDelay(core, d)};
+}
+
+sim::Tick
+RpcNode::cqeDeliveryDelay(std::uint32_t backend_id, proto::CoreId core) const
+{
+    return mesh_.backendToCore(backend_id, core, cqeBytes) +
+           params_.memory.qpTransferLatency();
+}
+
+sim::Tick
+RpcNode::wqeDelay(proto::CoreId core, std::uint32_t backend_id) const
+{
+    return params_.memory.qpTransferLatency() +
+           mesh_.coreToBackend(core, backend_id, wqeBytes);
 }
 
 void
@@ -277,11 +284,8 @@ RpcNode::dispatchMessage(std::uint32_t backend_id,
         const proto::CoreId core =
             staticHashCore(cqe.srcNode,
                            params_.domain.slotOffset(cqe.slotIndex));
-        const sim::Tick delay =
-            mesh_.backendToCore(backend_id, core, cqeBytes) +
-            params_.memory.qpTransferLatency();
         scheduleCqeHop(CqeEvent::Kind::Deliver, core, std::move(cqe),
-                       delay);
+                       cqeDeliveryDelay(backend_id, core));
         break;
       }
       case ni::DispatchMode::SoftwarePull: {
@@ -434,14 +438,8 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
             processing - params_.preemptionQuantum, std::move(result)};
         const sim::Tick pre = base_pre + params_.preemptionQuantum +
                               params_.preemptionOverhead;
-        ServiceEvent *ev = servicePool_.acquire();
-        ev->node = this;
-        ev->stage = ServiceEvent::Stage::Yield;
-        ev->core = core;
-        ev->detached = false;
-        ev->cqe = std::move(cqe);
-        ev->busyStart = busy_start;
-        sim_.schedule(*ev, pre);
+        scheduleService(ServiceEvent::Stage::Yield, core, std::move(cqe), {},
+                        busy_start, pre);
         return;
     }
 
@@ -450,29 +448,30 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
     // chain. Non-nesting workloads never reach this branch, keeping
     // their event sequence bit-identical.
     if (!result.nested.empty()) {
-        const sim::Tick pre = base_pre + processing;
-        ServiceEvent *ev = servicePool_.acquire();
-        ev->node = this;
-        ev->stage = ServiceEvent::Stage::NestedIssue;
-        ev->core = core;
-        ev->detached = false;
-        ev->cqe = std::move(cqe);
-        ev->result = std::move(result);
-        ev->busyStart = busy_start;
-        sim_.schedule(*ev, pre);
+        scheduleService(ServiceEvent::Stage::NestedIssue, core, std::move(cqe),
+                        std::move(result), busy_start, base_pre + processing);
         return;
     }
+    scheduleService(ServiceEvent::Stage::Reply, core, std::move(cqe),
+                    std::move(result), busy_start,
+                    base_pre + processing + cc.replyBuild);
+}
 
-    const sim::Tick pre = base_pre + processing + cc.replyBuild;
+void
+RpcNode::scheduleService(ServiceEvent::Stage stage, proto::CoreId core,
+                         proto::CompletionQueueEntry cqe,
+                         app::HandleResult result, sim::Tick busy_start,
+                         sim::Tick delay)
+{
     ServiceEvent *ev = servicePool_.acquire();
     ev->node = this;
-    ev->stage = ServiceEvent::Stage::Reply;
+    ev->stage = stage;
     ev->core = core;
     ev->detached = false;
     ev->cqe = std::move(cqe);
     ev->result = std::move(result);
     ev->busyStart = busy_start;
-    sim_.schedule(*ev, pre);
+    sim_.schedule(*ev, delay);
 }
 
 void
@@ -528,37 +527,28 @@ RpcNode::runSlice(proto::CoreId core, proto::CompletionQueueEntry cqe,
     RV_ASSERT(it != continuations_.end(), "missing continuation");
     Continuation &cont = it->second;
 
-    ServiceEvent *ev = servicePool_.acquire();
-    ev->node = this;
-    ev->core = core;
-    ev->detached = false;
-    ev->busyStart = busy_start;
-
     if (cont.remaining > params_.preemptionQuantum) {
         cont.remaining -= params_.preemptionQuantum;
         const sim::Tick pre = pre_cost + params_.preemptionQuantum +
                               params_.preemptionOverhead;
-        ev->stage = ServiceEvent::Stage::Yield;
-        ev->cqe = std::move(cqe);
-        sim_.schedule(*ev, pre);
+        scheduleService(ServiceEvent::Stage::Yield, core, std::move(cqe), {},
+                        busy_start, pre);
         return;
     }
 
     // Final slice: finish the remaining work and take the normal exit
     // path — nested fan-out if the handler chained, else the reply.
     const sim::Tick remaining = cont.remaining;
-    ev->cqe = std::move(cqe);
-    ev->result = std::move(cont.result);
+    app::HandleResult result = std::move(cont.result);
     continuations_.erase(it);
-    if (!ev->result.nested.empty()) {
-        ev->stage = ServiceEvent::Stage::NestedIssue;
-        sim_.schedule(*ev, pre_cost + remaining);
+    if (!result.nested.empty()) {
+        scheduleService(ServiceEvent::Stage::NestedIssue, core, std::move(cqe),
+                        std::move(result), busy_start, pre_cost + remaining);
         return;
     }
-    ev->stage = ServiceEvent::Stage::Reply;
-    const sim::Tick pre =
-        pre_cost + remaining + params_.coreCosts.replyBuild;
-    sim_.schedule(*ev, pre);
+    scheduleService(ServiceEvent::Stage::Reply, core, std::move(cqe),
+                    std::move(result), busy_start,
+                    pre_cost + remaining + params_.coreCosts.replyBuild);
 }
 
 void
@@ -570,17 +560,10 @@ RpcNode::yieldRpc(ServiceEvent &ev)
     // the same core-to-dispatcher path as a replenish (§4.3). The
     // event itself becomes the notify carrier.
     const proto::CoreId core = ev.core;
-    const std::uint32_t d = dispatcherIndexForCore(core);
-    const std::uint32_t db =
-        params_.mode == ni::DispatchMode::SingleQueue
-            ? params_.dispatcherBackend
-            : d;
-    const sim::Tick notify_delay =
-        params_.memory.qpTransferLatency() +
-        mesh_.coreToBackend(core, db, wqeBytes);
+    const DispatcherHop hop = dispatcherHopFor(core);
     ev.stage = ServiceEvent::Stage::YieldNotify;
-    ev.dispatcher = d;
-    sim_.schedule(ev, notify_delay);
+    ev.dispatcher = hop.dispatcher;
+    sim_.schedule(ev, hop.delay);
 
     // Slice occupancy counts toward S-bar; the RPC itself completes
     // later, so servedTotal does not move here.
@@ -662,13 +645,10 @@ RpcNode::attemptReply(ServiceEvent &ev)
 
     const CoreCosts &cc = params_.coreCosts;
     const std::uint32_t eb = egressBackendFor(core);
-    const sim::Tick wqe_delay =
-        params_.memory.qpTransferLatency() +
-        mesh_.coreToBackend(core, eb, wqeBytes);
 
     // §4.2 "Send operation": the WQE reaches the NI, which reads the
     // payload and streams the packets.
-    sim_.schedule(cc.sendPost + wqe_delay,
+    sim_.schedule(cc.sendPost + wqeDelay(core, eb),
                   [this, eb, requester, slot_off] {
                       backends_[eb]->transmitMessage(
                           proto::OpType::Send, params_.nodeId, requester,
@@ -690,7 +670,6 @@ RpcNode::finishRpc(ServiceEvent &ev)
     const bool critical = ev.critical;
     const sim::Tick busy_start = ev.busyStart;
 
-    const sim::Tick latency = sim_.now() - cqe.firstPacketTick;
     ++servedTotal_;
     if (critical)
         ++servedCritical_;
@@ -711,10 +690,7 @@ RpcNode::finishRpc(ServiceEvent &ev)
     // the sender will not reuse the slot before seeing the credit.
     recv_.release(cqe.slotIndex);
 
-    const sim::Tick wqe_delay =
-        params_.memory.qpTransferLatency() +
-        mesh_.coreToBackend(core, eb, wqeBytes);
-    sim_.schedule(wqe_delay, [this, eb, requester, slot_off] {
+    sim_.schedule(wqeDelay(core, eb), [this, eb, requester, slot_off] {
         backends_[eb]->transmitMessage(proto::OpType::Replenish,
                                        params_.nodeId, requester,
                                        slot_off, {});
@@ -727,7 +703,7 @@ RpcNode::finishRpc(ServiceEvent &ev)
         notifyDispatcherCredit(core);
 
     if (completionHook_)
-        completionHook_(critical, latency);
+        completionHook_();
 
     if (ev.detached) {
         // The core moved on long ago (issueNestedStage accounted its
@@ -746,18 +722,11 @@ RpcNode::finishRpc(ServiceEvent &ev)
 void
 RpcNode::notifyDispatcherCredit(proto::CoreId core)
 {
-    if (params_.mode != ni::DispatchMode::SingleQueue &&
-        params_.mode != ni::DispatchMode::PerBackendGroup)
+    if (!hasDispatcher())
         return;
-    const std::uint32_t d = dispatcherIndexForCore(core);
-    const std::uint32_t db =
-        params_.mode == ni::DispatchMode::SingleQueue
-            ? params_.dispatcherBackend
-            : d;
-    const sim::Tick notify_delay =
-        params_.memory.qpTransferLatency() +
-        mesh_.coreToBackend(core, db, wqeBytes);
-    sim_.schedule(notify_delay,
+    const DispatcherHop hop = dispatcherHopFor(core);
+    const std::uint32_t d = hop.dispatcher;
+    sim_.schedule(hop.delay,
                   [this, d, core] { dispatchers_[d]->onReplenish(core); });
 }
 
@@ -767,15 +736,21 @@ RpcNode::corePullNext(proto::CoreId core)
     Core &c = cores_[core];
     c.busy = false;
     if (params_.mode == ni::DispatchMode::SoftwarePull) {
-        swQueue_->requestPull(
-            [this, core](const proto::CompletionQueueEntry &entry) {
-                proto::CompletionQueueEntry granted = entry;
-                granted.deliveredTick = sim_.now();
-                runRpc(core, std::move(granted), /*was_idle=*/false);
-            });
+        requestSoftwarePull(core);
         return;
     }
     coreMaybeStart(core, /*was_idle=*/false);
+}
+
+void
+RpcNode::requestSoftwarePull(proto::CoreId core)
+{
+    swQueue_->requestPull(
+        [this, core](const proto::CompletionQueueEntry &entry) {
+            proto::CompletionQueueEntry granted = entry;
+            granted.deliveredTick = sim_.now();
+            runRpc(core, std::move(granted), /*was_idle=*/false);
+        });
 }
 
 double

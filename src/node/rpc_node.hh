@@ -39,8 +39,8 @@ namespace rpcvalet::node {
 class RpcNode
 {
   public:
-    /** Called after each served RPC (latency-critical flag, latency). */
-    using CompletionHook = std::function<void(bool, sim::Tick)>;
+    /** Called after each served RPC. */
+    using CompletionHook = std::function<void()>;
 
     /**
      * @param sim      Owning simulator.
@@ -269,7 +269,20 @@ class RpcNode
     std::uint32_t egressBackendFor(proto::CoreId core) const;
     proto::CoreId staticHashCore(proto::NodeId src,
                                  std::uint32_t slot) const;
-    std::uint32_t dispatcherIndexForCore(proto::CoreId core) const;
+    /** Dispatcher serving a core, and the delay of a core-to-
+     *  dispatcher notification (credit return, yield). */
+    struct DispatcherHop
+    {
+        std::uint32_t dispatcher;
+        sim::Tick delay;
+    };
+    /** Hardware dispatch modes only (hasDispatcher()). */
+    DispatcherHop dispatcherHopFor(proto::CoreId core) const;
+    /** Backend-to-core CQE delivery: mesh hop plus QP transfer. */
+    sim::Tick cqeDeliveryDelay(std::uint32_t backend_id,
+                               proto::CoreId core) const;
+    /** Core-to-backend WQE post: QP transfer plus mesh hop. */
+    sim::Tick wqeDelay(proto::CoreId core, std::uint32_t backend_id) const;
 
     // --- event flow ---
     void onMessageComplete(std::uint32_t backend_id,
@@ -289,6 +302,12 @@ class RpcNode
     bool hasDispatcher() const;
     void runSlice(proto::CoreId core, proto::CompletionQueueEntry cqe,
                   sim::Tick pre_cost, sim::Tick busy_start);
+    /** Acquire a pooled service event for @p core's RPC and schedule
+     *  its @p stage @p delay ticks out. */
+    void scheduleService(ServiceEvent::Stage stage, proto::CoreId core,
+                         proto::CompletionQueueEntry cqe,
+                         app::HandleResult result, sim::Tick busy_start,
+                         sim::Tick delay);
     void serviceStage(ServiceEvent &ev);
     void yieldRpc(ServiceEvent &ev);
     void issueNestedStage(ServiceEvent &ev);
@@ -296,6 +315,9 @@ class RpcNode
     void finishRpc(ServiceEvent &ev);
     void notifyDispatcherCredit(proto::CoreId core);
     void corePullNext(proto::CoreId core);
+    /** Software mode: park @p core on the shared queue until a
+     *  request is granted to it. */
+    void requestSoftwarePull(proto::CoreId core);
 
     sim::EventDomain &sim_;
     SystemParams params_;
