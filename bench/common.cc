@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +14,7 @@
 #include "fault/fault.hh"
 #include "net/arrival.hh"
 #include "sim/build_info.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace rpcvalet::bench {
@@ -71,38 +71,8 @@ report()
     return r;
 }
 
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** JSON number: non-finite values (empty percentiles) become null. */
-void
-jsonNumber(std::FILE *f, double v)
-{
-    if (std::isfinite(v))
-        std::fprintf(f, "%.10g", v);
-    else
-        std::fputs("null", f);
-}
+using sim::jsonEscape;
+using sim::jsonNumber;
 
 /**
  * Wall-clock seconds and simulator events/sec for this bench run —

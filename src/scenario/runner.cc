@@ -1,13 +1,13 @@
 #include "scenario/runner.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <utility>
 
 #include "core/parallel.hh"
 #include "sim/build_info.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
 
@@ -15,41 +15,8 @@ namespace rpcvalet::scenario {
 
 namespace {
 
-// Minimal local JSON helpers (mirroring bench/common.cc): the output
-// layer is deliberately dependency-free, and the two writers are the
-// only JSON producers in the tree.
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** JSON number: non-finite values (empty percentiles) become null. */
-void
-jsonNumber(std::FILE *f, double v)
-{
-    if (std::isfinite(v))
-        std::fprintf(f, "%.10g", v);
-    else
-        std::fputs("null", f);
-}
+using sim::jsonEscape;
+using sim::jsonNumber;
 
 void
 jsonUint(std::FILE *f, std::uint64_t v)
