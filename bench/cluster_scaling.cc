@@ -236,8 +236,7 @@ main(int argc, char **argv)
         // On fewer cores than workers the windows timeslice instead
         // of overlapping, so a wall-clock speedup claim would measure
         // the machine, not the kernel. The JSON series above still
-        // records what this box did (batching + ingress coalescing
-        // alone give >1x even on one core).
+        // records what this box did.
         std::printf("[perf] only %u hardware thread(s): skipping the "
                     "4-worker speedup claim\n",
                     hw);

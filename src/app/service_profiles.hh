@@ -5,7 +5,8 @@
  * The paper collected these distributions from real HERD and Masstree
  * runs on a Xeon server; that hardware is unavailable here, so each
  * profile is a synthetic model matched to the published shape and
- * moments (see DESIGN.md §2 for the substitution argument):
+ * moments (tests/node/calibration_test.cc checks the resulting service
+ * times against §6.1):
  *
  *  - HERD (Fig. 6b): unimodal, right-skewed, support ~[0, 1 us],
  *    mean 330 ns  ->  log-normal(mean 330, sigma 0.45) clamped to

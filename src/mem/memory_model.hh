@@ -6,7 +6,7 @@
  * entries are cacheable and transfer core<->NI via on-chip coherence,
  * while receive-buffer payload writes land in the LLC/DRAM. This model
  * supplies the latencies those interactions contribute to the RPC
- * timeline; it does not simulate tags/coherence state (DESIGN.md §6).
+ * timeline; it does not simulate tags/coherence state.
  */
 
 #ifndef RPCVALET_MEM_MEMORY_MODEL_HH

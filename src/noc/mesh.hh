@@ -8,8 +8,8 @@
  * replicated along the chip's east edge, one per row, and reach tiles
  * through the mesh. Latency is modeled as XY-routing hop delay plus
  * per-flit link serialization; link-level contention is deliberately
- * not modeled (see DESIGN.md §6) — the contention that shapes the
- * results lives in the NI pipelines and dispatcher occupancy.
+ * not modeled — the contention that shapes the results lives in the
+ * NI pipelines and dispatcher occupancy.
  */
 
 #ifndef RPCVALET_NOC_MESH_HH

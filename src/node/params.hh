@@ -23,7 +23,7 @@ namespace rpcvalet::node {
  * (iii) send a reply, (iv) replenish. The defaults are calibrated so
  * the HERD workload's measured mean service time lands at §6.1's
  * ~550 ns for a 330 ns mean processing time (i.e. ~220 ns of loop
- * overhead); see DESIGN.md §5 and tests/node/calibration_test.cc.
+ * overhead), pinned by tests/node/calibration_test.cc.
  */
 struct CoreCosts
 {

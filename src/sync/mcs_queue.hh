@@ -12,8 +12,7 @@
  * waiter order is FIFO, an idle lock grants after the uncontended
  * acquire cost, and back-to-back grants are separated by the handoff
  * plus critical-section time. The constants live in McsParams and are
- * derived from published cache-coherent lock transfer latencies (see
- * DESIGN.md §5 calibration).
+ * derived from published cache-coherent lock transfer latencies.
  */
 
 #ifndef RPCVALET_SYNC_MCS_QUEUE_HH

@@ -154,10 +154,10 @@ struct ArrivalGolden
 };
 
 /**
- * Two nodes, two domains, round-robin, driven by @p arrival. Unlike
+ * Two nodes, two domains, round-robin, under @p arrival. Unlike
  * Poisson, these processes read the arrival time they are handed, so
- * the goldens also lock which time the client domain's arrival
- * driver reports to the process at each draw.
+ * the goldens also lock which time the client domain hands the
+ * process at each draw.
  */
 void
 expectArrivalGolden(const std::string &arrival, const ArrivalGolden &g)
@@ -182,16 +182,16 @@ expectArrivalGolden(const std::string &arrival, const ArrivalGolden &g)
 
 TEST(ParallelArrivalIdentity, Mmpp2TwoNodesTwoDomains)
 {
-    expectArrivalGolden("mmpp2:burst=0.1,ratio=10",
-                        ArrivalGolden{90067u, 4502u, 6416.1045694652676,
-                                      4741.2299999999996, 18126.82});
+    const ArrivalGolden g{90067u, 4502u, 6416.1045694652676,
+                          4741.2299999999996, 18126.82};
+    expectArrivalGolden("mmpp2:burst=0.1,ratio=10", g);
 }
 
 TEST(ParallelArrivalIdentity, RampTwoNodesTwoDomains)
 {
-    expectArrivalGolden("ramp:from=0.5,to=1.5,over=200us",
-                        ArrivalGolden{90128u, 4501u, 552.08135216195956,
-                                      520.505, 1083.0550000000001});
+    const ArrivalGolden g{90128u, 4501u, 552.08135216195956, 520.505,
+                          1083.0550000000001};
+    expectArrivalGolden("ramp:from=0.5,to=1.5,over=200us", g);
 }
 
 // ----- guard rails -----
