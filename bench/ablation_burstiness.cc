@@ -18,6 +18,7 @@
 
 #include "app/workload.hh"
 #include "common.hh"
+#include "node/rpc_node.hh"
 
 int
 main(int argc, char **argv)
@@ -36,8 +37,7 @@ main(int argc, char **argv)
     node::SystemParams sys;
     const double capacity = core::estimateCapacityRps(sys, *probe);
     const double sbar =
-        probe->meanProcessingNs() +
-        sim::toNs(sys.coreCosts.totalOverhead());
+        probe->meanProcessingNs() + sim::toNs(node::costs::totalOverhead);
 
     // Burstiness axis, mildest first. --arrival narrows it to one
     // spec; same for the policy axis and --policy.

@@ -13,6 +13,7 @@
 
 #include "common.hh"
 #include "sim/distributions.hh"
+#include "sync/mcs_queue.hh"
 
 int
 main(int argc, char **argv)
@@ -50,9 +51,8 @@ main(int argc, char **argv)
             // core capacity, with a sharp M/D/1-style knee; sweep it
             // against its own (lock-bound) capacity so the knee is
             // resolved by the grid.
-            const sync::McsParams mcs;
             const double lock_capacity =
-                1e9 / sim::toNs(mcs.handoff + mcs.criticalSection);
+                1e9 / sim::toNs(sync::mcsHandoff + sync::mcsCriticalSection);
             const double cap = hw ? capacity
                                   : std::min(capacity, lock_capacity);
             auto sweep = bench::makeSweep(

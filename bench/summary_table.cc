@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common.hh"
+#include "sync/mcs_queue.hh"
 
 namespace {
 
@@ -67,10 +68,8 @@ main(int argc, char **argv)
             // (same treatment as fig8).
             double cap = capacity;
             if (mode == ni::DispatchMode::SoftwarePull) {
-                const sync::McsParams mcs;
-                cap = std::min(cap,
-                               1e9 / sim::toNs(mcs.handoff +
-                                               mcs.criticalSection));
+                cap = std::min(cap, 1e9 / sim::toNs(sync::mcsHandoff +
+                                                    sync::mcsCriticalSection));
             }
             auto sweep = bench::makeSweep(args, base,
                                           ni::dispatchModeName(mode),

@@ -107,9 +107,11 @@ classStats(const app::RequestClass &info, std::vector<sim::Tick> &samples,
 
 /**
  * Connection-management harvest: scheduler stats, client-side
- * admission accounting, the servers' summed QP-cache hit/miss
- * counters, and the modeled connection-state footprint comparison
- * (every-client-live vs one-group-live).
+ * admission accounting, the client-observed p99s (overall by admission
+ * kind and per group, from the generator's completion log), the
+ * servers' summed QP-cache hit/miss counters, and the modeled
+ * connection-state footprint comparison (every-client-live vs
+ * one-group-live).
  */
 void
 harvestConnStats(const ExperimentConfig &cfg,
@@ -146,8 +148,24 @@ harvestConnStats(const ExperimentConfig &cfg,
             ? sim::toNs(tg.connDeferredWaitTicks()) /
                   static_cast<double>(tg.connFlushed())
             : 0.0;
-    out.conn.activeP99Ns = tg.connActiveLatency().p99Ns();
-    out.conn.inactiveP99Ns = tg.connInactiveLatency().p99Ns();
+    std::vector<sim::Tick> active;
+    std::vector<sim::Tick> inactive;
+    std::vector<std::vector<sim::Tick>> per_group(
+        out.conn.perGroupAdmitted.size());
+    for (const net::TrafficGenerator::ConnCompletion &c :
+         tg.connCompletions()) {
+        (c.deferred ? inactive : active).push_back(c.latency);
+        per_group[c.group].push_back(c.latency);
+    }
+    out.conn.activeP99Ns =
+        stats::PercentileSelector(active).percentileNs(99.0);
+    out.conn.inactiveP99Ns =
+        stats::PercentileSelector(inactive).percentileNs(99.0);
+    out.conn.perGroupP99Ns.reserve(per_group.size());
+    for (std::vector<sim::Tick> &samples : per_group) {
+        out.conn.perGroupP99Ns.push_back(
+            stats::PercentileSelector(samples).percentileNs(99.0));
+    }
     out.conn.qpHits = qp_hits;
     out.conn.qpMisses = qp_misses;
     // Connection-state footprint model, per server: each live
@@ -164,9 +182,6 @@ harvestConnStats(const ExperimentConfig &cfg,
         static_cast<std::uint64_t>(
             std::min(cfg.connections.numClients, out.conn.qpCapacity)) *
         perConn * num_servers;
-    out.conn.perGroupP99Ns.reserve(tg.connPerGroupLatency().size());
-    for (const auto &rec : tg.connPerGroupLatency())
-        out.conn.perGroupP99Ns.push_back(rec.p99Ns());
 }
 
 void
@@ -765,8 +780,7 @@ estimateCapacityRps(const node::SystemParams &system,
                     const app::RpcApplication &app)
 {
     const double sbar_ns =
-        app.meanProcessingNs() +
-        sim::toNs(system.coreCosts.totalOverhead());
+        app.meanProcessingNs() + sim::toNs(node::costs::totalOverhead);
     // Chained workloads serve requestsPerArrival() RPCs per client
     // arrival, so a node's arrival capacity shrinks by that factor
     // (1.0 for ordinary workloads).

@@ -264,8 +264,14 @@ struct FaultStats
     std::uint64_t healthySamples = 0;
 };
 
-/** Connection-management accounting of one run (all zero/empty when
- *  cfg.connections is inactive). */
+/**
+ * Connection-management accounting of one run (all zero/empty when
+ * cfg.connections is inactive). Unlike RunStats.point, the client-side
+ * admission counts (totals and per group), the mean deferred wait and
+ * the client-observed p99s (active, inactive, per group) cover the
+ * whole run, warmup included: the client side keeps no measurement
+ * window.
+ */
 struct ConnStats
 {
     /** Canonical scheduler spec ("all", "grouped:size=40,..."). */

@@ -68,7 +68,7 @@ checkTimedStart(const FaultSpec &spec, sim::Tick at,
  *  (requests already queued inside it are lost) until recover_after
  *  elapses, or forever when none is given. Only the client's request
  *  timeout detects the dead node, so the experiment layer requires
- *  one (scenario fail_node/fail_at parse into one of these). */
+ *  one. */
 class CrashFault : public Fault
 {
   public:

@@ -73,7 +73,6 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
         const std::uint32_t groups = connSched_->numGroups();
         connPerGroupAdmitted_.assign(groups, 0);
         connPerGroupDeferred_.assign(groups, 0);
-        connPerGroupLatency_.resize(groups);
     }
 }
 
@@ -144,7 +143,7 @@ TrafficGenerator::connSubmit(Request request)
         return;
     }
     ++connPerGroupDeferred_[group];
-    connQueue_[client].push_back(std::move(request));
+    connQueue_[client].push(std::move(request));
 }
 
 std::uint32_t
@@ -153,8 +152,7 @@ TrafficGenerator::connFlush(std::uint32_t client, std::uint32_t limit)
     auto &queue = connQueue_[client];
     std::uint32_t released = 0;
     while (!queue.empty() && (limit == 0 || released < limit)) {
-        Request next = std::move(queue.front());
-        queue.pop_front();
+        Request next = queue.pop();
         connDeferredWait_ += sim_.now() - next.conn.genAt;
         ++connFlushed_;
         ++released;
@@ -170,11 +168,9 @@ TrafficGenerator::connOnRetired(const Request &request, bool completed)
     if (tag.client == proto::noConnClient)
         return;
     if (completed) {
-        const sim::Tick latency = sim_.now() - tag.genAt;
-        (tag.deferred ? connInactiveLatency_ : connActiveLatency_)
-            .record(latency);
-        connPerGroupLatency_[connSched_->groupOf(tag.client)].record(
-            latency);
+        connCompletions_.push_back(
+            ConnCompletion{sim_.now() - tag.genAt,
+                           connSched_->groupOf(tag.client), tag.deferred});
         connSched_->onCompleted(
             tag.client, static_cast<std::uint32_t>(request.bytes.size()));
     }
@@ -266,7 +262,7 @@ TrafficGenerator::dispatchRequest(proto::NodeId src, Request request)
         // End-to-end flow control: all S slots toward that server are
         // in flight; the request waits for a replenish (§4.2).
         ++deferrals_;
-        pending_[pair].push_back(std::move(request));
+        pending_[pair].push(std::move(request));
         return;
     }
     const std::uint32_t slot = freeSlots_[pair].back();
@@ -581,8 +577,7 @@ TrafficGenerator::recycleSlot(proto::NodeId client, std::uint32_t server,
 {
     const std::size_t pair = pairIndex(client, server);
     if (!pending_[pair].empty()) {
-        Request next = std::move(pending_[pair].front());
-        pending_[pair].pop_front();
+        Request next = pending_[pair].pop();
         launchRequest(client, server, slot, std::move(next), kNoKey);
     } else {
         freeSlots_[pair].push_back(slot);
@@ -716,10 +711,8 @@ TrafficGenerator::drainPending(std::uint32_t server)
     std::vector<std::pair<proto::NodeId, Request>> queued;
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
         auto &q = pending_[pairIndex(n, server)];
-        while (!q.empty()) {
-            queued.emplace_back(n, std::move(q.front()));
-            q.pop_front();
-        }
+        while (!q.empty())
+            queued.emplace_back(n, q.pop());
     }
     for (auto &[client, request] : queued) {
         ++reroutes_;

@@ -46,7 +46,6 @@
 #define RPCVALET_NET_TRAFFIC_GEN_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -60,8 +59,8 @@
 #include "net/arrival.hh"
 #include "net/fabric.hh"
 #include "proto/messaging.hh"
+#include "proto/qp.hh"
 #include "sim/domain.hh"
-#include "stats/latency_recorder.hh"
 
 namespace rpcvalet::net {
 
@@ -232,17 +231,23 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Aggregate ticks released requests spent waiting for admission. */
     sim::Tick connDeferredWaitTicks() const { return connDeferredWait_; }
 
-    /** Client-observed latency of immediately admitted requests. */
-    const stats::LatencyRecorder &connActiveLatency() const
+    /** One completed conn-tagged request, as its client saw it. */
+    struct ConnCompletion
     {
-        return connActiveLatency_;
-    }
+        /** Generation to completion; a deferred request's latency
+         *  includes its admission wait. */
+        sim::Tick latency = 0;
+        /** The client's group position when the request completed. */
+        std::uint32_t group = 0;
+        /** Whether the request waited for its group's slice. */
+        bool deferred = false;
+    };
 
-    /** Client-observed latency of requests that waited for their
-     *  group's slice (includes the wait). */
-    const stats::LatencyRecorder &connInactiveLatency() const
+    /** Every completed conn-tagged request of the run (warmup
+     *  included), in completion order. */
+    const std::vector<ConnCompletion> &connCompletions() const
     {
-        return connInactiveLatency_;
+        return connCompletions_;
     }
 
     /** Per-group-position counts of requests the scheduler admitted
@@ -257,13 +262,6 @@ class TrafficGenerator final : private cluster::ClusterView
     const std::vector<std::uint64_t> &connPerGroupDeferred() const
     {
         return connPerGroupDeferred_;
-    }
-
-    /** Per-group-position client-observed latency recorders. */
-    const std::vector<stats::LatencyRecorder> &
-    connPerGroupLatency() const
-    {
-        return connPerGroupLatency_;
     }
 
   private:
@@ -410,7 +408,7 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Free request-slot numbers per (client, server) pair. */
     std::vector<std::vector<std::uint32_t>> freeSlots_;
     /** Requests waiting for a slot, per (client, server) pair. */
-    std::vector<std::deque<Request>> pending_;
+    std::vector<proto::Fifo<Request>> pending_;
 
     /** Sibling sentinel: this request is not half of a hedge pair. */
     static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
@@ -524,14 +522,12 @@ class TrafficGenerator final : private cluster::ClusterView
     sim::Rng connRng_;
     /** Requests waiting for their client's admission, per logical
      *  client. */
-    std::vector<std::deque<Request>> connQueue_;
+    std::vector<proto::Fifo<Request>> connQueue_;
     std::uint64_t connFlushed_ = 0;
     sim::Tick connDeferredWait_ = 0;
-    stats::LatencyRecorder connActiveLatency_;
-    stats::LatencyRecorder connInactiveLatency_;
+    std::vector<ConnCompletion> connCompletions_;
     std::vector<std::uint64_t> connPerGroupAdmitted_;
     std::vector<std::uint64_t> connPerGroupDeferred_;
-    std::vector<stats::LatencyRecorder> connPerGroupLatency_;
 
     sim::MemberEvent<TrafficGenerator, &TrafficGenerator::sweepTimeouts>
         sweepEvent_;

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <utility>
 
+#include "mem/memory_model.hh"
 #include "sim/logging.hh"
 
 namespace rpcvalet::ni {
 
-NiBackend::NiBackend(sim::EventDomain &sim, const Params &params,
-                     const mem::MemoryModel &memory, mem::RecvBuffer &recv,
-                     CompletionHandler on_complete,
+NiBackend::NiBackend(sim::EventDomain &sim, std::uint32_t id,
+                     mem::RecvBuffer &recv, CompletionHandler on_complete,
                      ReplenishHandler on_replenish, Injector inject)
-    : sim_(sim), params_(params), memory_(memory), recv_(recv),
+    : sim_(sim), id_(id), recv_(recv),
       onComplete_(std::move(on_complete)),
       onReplenish_(std::move(on_replenish)), inject_(std::move(inject))
 {
@@ -34,8 +34,8 @@ NiBackend::receivePacket(const proto::Packet &pkt)
     const sim::Tick arrival = sim_.now();
     const sim::Tick start =
         std::max({arrival, ingressFreeAt_, stallUntil_});
-    ingressFreeAt_ = start + params_.packetOccupancy;
-    ingressBusy_ += params_.packetOccupancy;
+    ingressFreeAt_ = start + backendPacketOccupancy;
+    ingressBusy_ += backendPacketOccupancy;
     ++packetsReceived_;
     IngressEvent *ev = ingressPool_.acquire();
     ev->backend = this;
@@ -68,7 +68,7 @@ NiBackend::CompletionEvent::process()
     NiBackend *b = backend;
     const proto::CompletionQueueEntry entry = cqe;
     b->completionPool_.release(this);
-    b->onComplete_(b->params_.id, entry);
+    b->onComplete_(b->id_, entry);
 }
 
 void
@@ -101,7 +101,7 @@ NiBackend::processIngress(const proto::Packet &pkt, sim::Tick arrival)
             ev->backend = this;
             ev->pkt = std::move(read);
             ev->countOnFire = true;
-            sim_.schedule(*ev, memory_.counterUpdateLatency());
+            sim_.schedule(*ev, mem::counterUpdateLatency);
             break;
         }
         signalCompletion(index, pkt.hdr.src, pkt.hdr.connClient);
@@ -150,7 +150,7 @@ NiBackend::signalCompletion(std::uint32_t index, proto::NodeId src,
     CompletionEvent *ev = completionPool_.acquire();
     ev->backend = this;
     ev->cqe = cqe;
-    sim_.schedule(*ev, memory_.counterUpdateLatency());
+    sim_.schedule(*ev, mem::counterUpdateLatency);
 }
 
 void
@@ -161,12 +161,12 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
     // First packet waits for the payload fetch from the memory
     // hierarchy; subsequent blocks stream at pipeline rate. Each block
     // is built straight into the pooled event that carries it.
-    const sim::Tick ready = sim_.now() + params_.txSetupLatency;
+    const sim::Tick ready = sim_.now() + txSetupLatency;
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
     for (std::uint32_t b = 0; b < total; ++b) {
         const sim::Tick start = std::max(ready, egressFreeAt_);
-        egressFreeAt_ = start + params_.packetOccupancy;
+        egressFreeAt_ = start + backendPacketOccupancy;
         ++packetsSent_;
         InjectEvent *ev = injectPool_.acquire();
         ev->backend = this;

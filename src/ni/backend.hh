@@ -26,12 +26,17 @@
 #include <functional>
 
 #include "mem/buffers.hh"
-#include "mem/memory_model.hh"
 #include "proto/packet.hh"
 #include "proto/qp.hh"
 #include "sim/domain.hh"
 
 namespace rpcvalet::ni {
+
+/** Backend pipeline occupancy per packet, both directions. */
+constexpr sim::Tick backendPacketOccupancy = sim::nanoseconds(3.0);
+/** Payload fetch from the memory hierarchy before the first packet of
+ *  an egress message. */
+constexpr sim::Tick txSetupLatency = sim::nanoseconds(4.5);
 
 /** One NI backend (ingress + egress pipelines). */
 class NiBackend
@@ -47,17 +52,7 @@ class NiBackend
     /** Packet injection into the inter-node fabric. */
     using Injector = std::function<void(const proto::Packet &)>;
 
-    struct Params
-    {
-        std::uint32_t id = 0;
-        /** Pipeline occupancy per packet, both directions. */
-        sim::Tick packetOccupancy = sim::nanoseconds(3.0);
-        /** Payload fetch latency before the first egress packet. */
-        sim::Tick txSetupLatency = sim::nanoseconds(4.5);
-    };
-
-    NiBackend(sim::EventDomain &sim, const Params &params,
-              const mem::MemoryModel &memory, mem::RecvBuffer &recv,
+    NiBackend(sim::EventDomain &sim, std::uint32_t id, mem::RecvBuffer &recv,
               CompletionHandler on_complete, ReplenishHandler on_replenish,
               Injector inject);
 
@@ -138,8 +133,7 @@ class NiBackend
                           std::uint32_t conn_client);
 
     sim::EventDomain &sim_;
-    Params params_;
-    const mem::MemoryModel &memory_;
+    std::uint32_t id_;
     mem::RecvBuffer &recv_;
     CompletionHandler onComplete_;
     ReplenishHandler onReplenish_;

@@ -79,7 +79,7 @@ Dispatcher::tryDispatch()
         proto::CompletionQueueEntry entry = sharedCq_.pop();
 
         const sim::Tick start = std::max(sim_.now(), pipeFreeAt_);
-        pipeFreeAt_ = start + params_.decisionOccupancy;
+        pipeFreeAt_ = start + dispatcherDecision;
         DeliveryEvent *ev = deliveryPool_.acquire();
         ev->disp = this;
         ev->core = *target;

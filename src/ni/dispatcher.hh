@@ -9,8 +9,8 @@
  * in service, one prefetched to hide the dispatch round-trip bubble).
  * A core's replenish signals completion and frees a credit.
  *
- * The dispatcher is a serial hardware unit: decisions occupy its
- * pipeline for a configurable time, which models the centralization
+ * The dispatcher is a serial hardware unit: each decision occupies its
+ * pipeline for dispatcherDecision, which models the centralization
  * cost the paper argues is negligible (§4.3's ~31/8 ns budget).
  */
 
@@ -28,6 +28,9 @@
 
 namespace rpcvalet::ni {
 
+/** Dispatcher pipeline occupancy per decision (§4.3). */
+constexpr sim::Tick dispatcherDecision = sim::nanoseconds(4.0);
+
 /** NI dispatcher for one group of cores. */
 class Dispatcher
 {
@@ -40,8 +43,6 @@ class Dispatcher
     {
         /** Max outstanding RPCs per core (§4.3: 2). */
         std::uint32_t outstandingThreshold = 2;
-        /** Pipeline occupancy per dispatch decision. */
-        sim::Tick decisionOccupancy = sim::nanoseconds(4.0);
         /** RNG seed for stochastic policies. */
         std::uint64_t seed = 1;
     };

@@ -7,14 +7,9 @@
 
 namespace rpcvalet::noc {
 
-Mesh::Mesh(int rows, int cols, double hop_cycles, std::uint32_t link_bytes,
-           sim::Clock clock)
-    : rows_(rows), cols_(cols), hopCycles_(hop_cycles),
-      linkBytes_(link_bytes), clock_(clock)
+Mesh::Mesh(int rows, int cols) : rows_(rows), cols_(cols)
 {
     RV_ASSERT(rows >= 1 && cols >= 1, "mesh must have at least one tile");
-    RV_ASSERT(hop_cycles > 0.0, "hop latency must be positive");
-    RV_ASSERT(link_bytes > 0, "link width must be positive");
 }
 
 Coord
@@ -46,10 +41,10 @@ Mesh::transferLatency(Coord a, Coord b, std::uint32_t bytes) const
     // Head latency: hop traversal. Serialization: body flits behind
     // the head flit on the final link.
     const double flits = std::ceil(static_cast<double>(bytes) /
-                                   static_cast<double>(linkBytes_));
+                                   static_cast<double>(linkBytes));
     const double cycles =
-        static_cast<double>(h) * hopCycles_ + std::max(flits - 1.0, 0.0);
-    return clock_.cycles(cycles);
+        static_cast<double>(h) * hopCycles + std::max(flits - 1.0, 0.0);
+    return chipClock.cycles(cycles);
 }
 
 sim::Tick

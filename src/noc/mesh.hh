@@ -22,6 +22,13 @@
 
 namespace rpcvalet::noc {
 
+/** Core/NI clock (Table 1: 2 GHz). */
+constexpr sim::Clock chipClock{2.0};
+/** Router hop latency in cycles (Table 1: 3 cycles/hop). */
+constexpr double hopCycles = 3.0;
+/** Link width in bytes per cycle (Table 1: 16 B links). */
+constexpr std::uint32_t linkBytes = 16;
+
 /** Coordinate of a mesh endpoint (tile or edge backend). */
 struct Coord
 {
@@ -35,18 +42,12 @@ struct Coord
     bool operator!=(const Coord &other) const { return !(*this == other); }
 };
 
-/** Geometry + timing of the on-chip mesh. */
+/** Geometry of the on-chip mesh; timing is the Table 1 constants. */
 class Mesh
 {
   public:
-    /**
-     * @param rows,cols   Tile grid (4x4 default).
-     * @param hop_cycles  Cycles per router hop (Table 1: 3).
-     * @param link_bytes  Link width in bytes per cycle (Table 1: 16).
-     * @param clock       Chip clock domain.
-     */
-    Mesh(int rows, int cols, double hop_cycles, std::uint32_t link_bytes,
-         sim::Clock clock);
+    /** @param rows,cols Tile grid (4x4 default). */
+    Mesh(int rows, int cols);
 
     /** Tile coordinate of core @p core (row-major). */
     Coord coreCoord(proto::CoreId core) const;
@@ -80,14 +81,10 @@ class Mesh
 
     int rows() const { return rows_; }
     int cols() const { return cols_; }
-    const sim::Clock &clock() const { return clock_; }
 
   private:
     int rows_;
     int cols_;
-    double hopCycles_;
-    std::uint32_t linkBytes_;
-    sim::Clock clock_;
 };
 
 } // namespace rpcvalet::noc

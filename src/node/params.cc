@@ -18,8 +18,6 @@ SystemParams::validate() const
         sim::fatal("dispatcherBackend out of range");
     if (outstandingPerCore == 0)
         sim::fatal("outstandingPerCore must be at least 1");
-    if (clockGhz <= 0.0)
-        sim::fatal("clock frequency must be positive");
     if (nodeId >= domain.numNodes)
         sim::fatal("nodeId outside messaging domain");
     if (mode == ni::DispatchMode::PerBackendGroup &&

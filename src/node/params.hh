@@ -1,7 +1,24 @@
 /**
  * @file
- * Full-system configuration: Table 1's simulation parameters plus the
- * microbenchmark step costs of §5 and the RPCValet knobs of §4.3.
+ * Full-system configuration: the values an experiment varies — chip
+ * geometry, messaging domain, queuing topology and policy, the
+ * RPCValet knobs of §4.3 — and the values the experiment layer derives.
+ *
+ * The paper fixes the rest of its machine, and so does the simulator:
+ * each fixed value is a constexpr in the header of the lowest module
+ * that reads it.
+ *
+ *  - Table 1 clock, mesh hop and link width: noc/mesh.hh (chipClock,
+ *    hopCycles, linkBytes).
+ *  - Table 1 L1/LLC/DRAM latencies: mem/memory_model.hh.
+ *  - NI backend packet occupancy and egress payload fetch:
+ *    ni/backend.hh (backendPacketOccupancy, txSetupLatency).
+ *  - Dispatcher decision occupancy (§4.3): ni/dispatcher.hh
+ *    (dispatcherDecision).
+ *  - MCS lock costs of the software baseline (§6.2): sync/mcs_queue.hh.
+ *  - §5 per-RPC loop costs (node::costs), the preemption context
+ *    switch, the reply-slot retry and the QP fetch-engine gap:
+ *    node/rpc_node.hh.
  */
 
 #ifndef RPCVALET_NODE_PARAMS_HH
@@ -9,49 +26,11 @@
 
 #include <cstdint>
 
-#include "mem/memory_model.hh"
 #include "ni/dispatch_policy.hh"
 #include "proto/messaging.hh"
 #include "sim/types.hh"
-#include "sync/mcs_queue.hh"
 
 namespace rpcvalet::node {
-
-/**
- * Per-RPC core-side step costs of the §5 microbenchmark loop:
- * (i) poll for a CQE, (ii) execute the RPC's processing time X,
- * (iii) send a reply, (iv) replenish. The defaults are calibrated so
- * the HERD workload's measured mean service time lands at §6.1's
- * ~550 ns for a 330 ns mean processing time (i.e. ~220 ns of loop
- * overhead), pinned by tests/node/calibration_test.cc.
- */
-struct CoreCosts
-{
-    /** Detecting a fresh CQE when the core was idle-polling. */
-    sim::Tick pollDetect = sim::nanoseconds(15.0);
-    /** Parsing the CQE and locating the receive slot. */
-    sim::Tick cqeParse = sim::nanoseconds(10.0);
-    /** Reading the request payload out of the receive buffer. */
-    sim::Tick requestRead = sim::nanoseconds(45.0);
-    /** Request unmarshalling and handler dispatch. */
-    sim::Tick appDispatch = sim::nanoseconds(45.0);
-    /** Building the reply message in the send buffer. */
-    sim::Tick replyBuild = sim::nanoseconds(25.0);
-    /** Posting the reply's send WQE. */
-    sim::Tick sendPost = sim::nanoseconds(30.0);
-    /** Posting the replenish WQE (end of latency measurement, §5). */
-    sim::Tick replenishPost = sim::nanoseconds(30.0);
-    /** Event-loop bookkeeping before the next poll. */
-    sim::Tick loopOverhead = sim::nanoseconds(20.0);
-
-    /** Total per-RPC overhead excluding processing time X. */
-    sim::Tick
-    totalOverhead() const
-    {
-        return pollDetect + cqeParse + requestRead + appDispatch +
-               replyBuild + sendPost + replenishPost + loopOverhead;
-    }
-};
 
 /** Everything needed to instantiate the modeled server. */
 struct SystemParams
@@ -63,27 +42,12 @@ struct SystemParams
     /** NI backends along the chip edge (one per mesh row). */
     std::uint32_t numBackends = 4;
 
-    /** Core/NI clock (Table 1: 2 GHz). */
-    double clockGhz = 2.0;
-    /** Mesh geometry (Table 1: 2D mesh, 16 B links, 3 cycles/hop). */
+    /** Mesh geometry (Table 1: 2D mesh). */
     int meshRows = 4;
     int meshCols = 4;
-    double hopCycles = 3.0;
-    std::uint32_t linkBytes = 16;
 
     /** Messaging-domain shape (§5: 200-node cluster). */
     proto::MessagingDomain domain{};
-    /** Memory-hierarchy latencies (Table 1). */
-    mem::MemoryModel memory{};
-    /** Microbenchmark loop costs (§5). */
-    CoreCosts coreCosts{};
-
-    /** NI backend pipeline occupancy per packet. */
-    sim::Tick backendPacketOccupancy = sim::nanoseconds(3.0);
-    /** Payload fetch before the first packet of an egress message. */
-    sim::Tick txSetupLatency = sim::nanoseconds(4.5);
-    /** Dispatcher decision pipeline occupancy (§4.3). */
-    sim::Tick dispatcherDecision = sim::nanoseconds(4.0);
 
     /** Queuing topology (1x16 / 4x4 / 16x1 / software). */
     ni::DispatchMode mode = ni::DispatchMode::SingleQueue;
@@ -99,24 +63,17 @@ struct SystemParams
     /** Which backend hosts the single-queue dispatcher (§4.3). */
     std::uint32_t dispatcherBackend = 0;
 
-    /** MCS lock model for the software baseline (§6.2). */
-    sync::McsParams mcs{};
-
     /**
      * Shinjuku-style preemption (extension; §7 suggests combining
      * RPCValet with preemptive scheduling for workloads mixing
      * hundred-ns RPCs with hundred-us ones). When non-zero, an RPC
      * whose processing exceeds the quantum yields: its continuation
      * re-enters the NI dispatcher's shared CQ and the core's credit
-     * returns, letting queued short RPCs run. Only effective in
+     * returns, letting queued short RPCs run. Every yield and resume
+     * pays preemptionOverhead (node/rpc_node.hh). Only effective in
      * dispatcher modes (1x16, 4x4).
      */
     sim::Tick preemptionQuantum = 0;
-    /** Context save/restore cost paid at every yield and resume. */
-    sim::Tick preemptionOverhead = sim::nanoseconds(250.0);
-
-    /** Retry interval when a reply's send slot is still in flight. */
-    sim::Tick sendSlotRetry = sim::nanoseconds(20.0);
 
     /**
      * Give up waiting for a mirrored reply slot after this long and
@@ -143,24 +100,15 @@ struct SystemParams
      * (src/conn/) sizes this for one ScaleRPC group.
      */
     std::uint32_t qpCacheCapacity = 0;
-    /** Context-fetch penalty a QP-cache miss pays before dispatch. */
+    /** Context-fetch penalty a QP-cache miss pays before dispatch;
+     *  fetch starts are at least qpFetchGap apart (node/rpc_node.hh). */
     sim::Tick qpColdFetch = sim::nanoseconds(1000.0);
-    /**
-     * Minimum gap between context-fetch starts: the NI's fetch engine
-     * is pipelined but finite, so sustained misses above 1/qpFetchGap
-     * queue behind each other (thrash costs throughput, not just
-     * latency).
-     */
-    sim::Tick qpFetchGap = sim::nanoseconds(200.0);
 
     /** One-way inter-node fabric latency. */
     sim::Tick fabricLatency = sim::nanoseconds(100.0);
 
     /** Experiment seed (all component streams derive from it). */
     std::uint64_t seed = 1;
-
-    /** Chip clock helper. */
-    sim::Clock clock() const { return sim::Clock(clockGhz); }
 
     /** fatal() on inconsistent configuration. */
     void validate() const;

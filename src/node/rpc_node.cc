@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "mem/memory_model.hh"
 #include "sim/logging.hh"
 
 namespace rpcvalet::node {
@@ -29,8 +30,7 @@ constexpr std::uint32_t completionPacketBytes = 16;
 RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
                  app::RpcApplication &app, net::Fabric &fabric)
     : sim_(sim), params_(params), app_(app), fabric_(fabric),
-      mesh_(params.meshRows, params.meshCols, params.hopCycles,
-            params.linkBytes, params.clock()),
+      mesh_(params.meshRows, params.meshCols),
       recv_(params.domain), send_(params.domain),
       cores_(params.numCores),
       serverRng_(params.seed, /*stream=*/0xA4B),
@@ -42,12 +42,8 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
               "application declares no request classes");
 
     for (std::uint32_t b = 0; b < params_.numBackends; ++b) {
-        ni::NiBackend::Params bp;
-        bp.id = b;
-        bp.packetOccupancy = params_.backendPacketOccupancy;
-        bp.txSetupLatency = params_.txSetupLatency;
         backends_.push_back(std::make_unique<ni::NiBackend>(
-            sim_, bp, params_.memory, recv_,
+            sim_, b, recv_,
             [this](std::uint32_t bid, proto::CompletionQueueEntry cqe) {
                 onMessageComplete(bid, std::move(cqe));
             },
@@ -83,7 +79,6 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
             all.push_back(c);
         ni::Dispatcher::Params dp;
         dp.outstandingThreshold = params_.outstandingPerCore;
-        dp.decisionOccupancy = params_.dispatcherDecision;
         dp.seed = params_.seed;
         dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
             sim_, dp, ni::makePolicy(params_.policy), params_.numCores,
@@ -98,7 +93,6 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
                 cand.push_back(d * group + i);
             ni::Dispatcher::Params dp;
             dp.outstandingThreshold = params_.outstandingPerCore;
-            dp.decisionOccupancy = params_.dispatcherDecision;
             dp.seed = params_.seed + d;
             dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
                 sim_, dp, ni::makePolicy(params_.policy),
@@ -109,8 +103,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
       case ni::DispatchMode::StaticHash:
         break; // CQEs go straight to the hashed core
       case ni::DispatchMode::SoftwarePull:
-        swQueue_ = std::make_unique<sync::SoftwareSharedQueue>(
-            sim_, params_.mcs);
+        swQueue_ = std::make_unique<sync::SoftwareSharedQueue>(sim_);
         break;
     }
 
@@ -188,13 +181,13 @@ sim::Tick
 RpcNode::cqeDeliveryDelay(std::uint32_t backend_id, proto::CoreId core) const
 {
     return mesh_.backendToCore(backend_id, core, cqeBytes) +
-           params_.memory.qpTransferLatency();
+           mem::qpTransferLatency;
 }
 
 sim::Tick
 RpcNode::wqeDelay(proto::CoreId core, std::uint32_t backend_id) const
 {
-    return params_.memory.qpTransferLatency() +
+    return mem::qpTransferLatency +
            mesh_.coreToBackend(core, backend_id, wqeBytes);
 }
 
@@ -231,7 +224,7 @@ RpcNode::onMessageComplete(std::uint32_t backend_id,
         const sim::Tick now = sim_.now();
         const sim::Tick issue =
             std::max(now, qpFetchNextIssue_);
-        qpFetchNextIssue_ = issue + params_.qpFetchGap;
+        qpFetchNextIssue_ = issue + qpFetchGap;
         const sim::Tick done = issue + params_.qpColdFetch;
         sim_.schedule(done - now, [this, backend_id, cqe] {
             dispatchMessage(backend_id, cqe);
@@ -291,7 +284,7 @@ RpcNode::dispatchMessage(std::uint32_t backend_id,
       case ni::DispatchMode::SoftwarePull: {
         // NIs append to the software queue in shared memory (§6.2).
         scheduleCqeHop(CqeEvent::Kind::SwPush, 0, std::move(cqe),
-                       params_.memory.llcLatency);
+                       mem::llcLatency);
         break;
       }
     }
@@ -399,15 +392,15 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
     RV_ASSERT(!c.busy, "core started an RPC while busy");
     c.busy = true;
     const sim::Tick busy_start = sim_.now();
-    const CoreCosts &cc = params_.coreCosts;
 
     // A continuation of a previously preempted RPC resumes directly:
     // the handler already ran; only the remaining processing time and
     // a context restore are due.
     if (auto it = continuations_.find(cqe.slotIndex);
         it != continuations_.end()) {
-        const sim::Tick pre = (was_idle ? cc.pollDetect : sim::Tick(0)) +
-                              cc.cqeParse + params_.preemptionOverhead;
+        const sim::Tick pre =
+            (was_idle ? costs::pollDetect : sim::Tick(0)) + costs::cqeParse +
+            preemptionOverhead;
         runSlice(core, std::move(cqe), pre, busy_start);
         return;
     }
@@ -427,17 +420,17 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
         processing = static_cast<sim::Tick>(
             static_cast<double>(processing) * coreSlowdown_[core]);
     }
-    const sim::Tick base_pre = (was_idle ? cc.pollDetect : sim::Tick(0)) +
-                               cc.cqeParse + cc.requestRead +
-                               cc.appDispatch;
+    const sim::Tick base_pre =
+        (was_idle ? costs::pollDetect : sim::Tick(0)) + costs::cqeParse +
+        costs::requestRead + costs::appDispatch;
 
     if (params_.preemptionQuantum > 0 && hasDispatcher() &&
         processing > params_.preemptionQuantum) {
         // Shinjuku-style yield: bank the continuation, run one quantum.
         continuations_[cqe.slotIndex] = Continuation{
             processing - params_.preemptionQuantum, std::move(result)};
-        const sim::Tick pre = base_pre + params_.preemptionQuantum +
-                              params_.preemptionOverhead;
+        const sim::Tick pre =
+            base_pre + params_.preemptionQuantum + preemptionOverhead;
         scheduleService(ServiceEvent::Stage::Yield, core, std::move(cqe), {},
                         busy_start, pre);
         return;
@@ -454,7 +447,7 @@ RpcNode::runRpc(proto::CoreId core, proto::CompletionQueueEntry cqe,
     }
     scheduleService(ServiceEvent::Stage::Reply, core, std::move(cqe),
                     std::move(result), busy_start,
-                    base_pre + processing + cc.replyBuild);
+                    base_pre + processing + costs::replyBuild);
 }
 
 void
@@ -529,8 +522,8 @@ RpcNode::runSlice(proto::CoreId core, proto::CompletionQueueEntry cqe,
 
     if (cont.remaining > params_.preemptionQuantum) {
         cont.remaining -= params_.preemptionQuantum;
-        const sim::Tick pre = pre_cost + params_.preemptionQuantum +
-                              params_.preemptionOverhead;
+        const sim::Tick pre =
+            pre_cost + params_.preemptionQuantum + preemptionOverhead;
         scheduleService(ServiceEvent::Stage::Yield, core, std::move(cqe), {},
                         busy_start, pre);
         return;
@@ -548,7 +541,7 @@ RpcNode::runSlice(proto::CoreId core, proto::CompletionQueueEntry cqe,
     }
     scheduleService(ServiceEvent::Stage::Reply, core, std::move(cqe),
                     std::move(result), busy_start,
-                    pre_cost + remaining + params_.coreCosts.replyBuild);
+                    pre_cost + remaining + costs::replyBuild);
 }
 
 void
@@ -603,7 +596,7 @@ RpcNode::issueNestedStage(ServiceEvent &ev)
     nestedIssuer_(std::move(nested), [this, parent] {
         parent->detached = true;
         parent->stage = ServiceEvent::Stage::Reply;
-        sim_.schedule(*parent, params_.coreCosts.replyBuild);
+        sim_.schedule(*parent, costs::replyBuild);
     });
 }
 
@@ -627,7 +620,7 @@ RpcNode::attemptReply(ServiceEvent &ev)
             if (ev.replyWaitStart == 0)
                 ev.replyWaitStart = sim_.now();
             ++replySlotStalls_;
-            sim_.schedule(ev, params_.sendSlotRetry);
+            sim_.schedule(ev, sendSlotRetry);
             return;
         }
         // The occupant's replenish is overdue by far more than a
@@ -643,12 +636,11 @@ RpcNode::attemptReply(ServiceEvent &ev)
         requester, slot_off, std::move(ev.result.reply));
     RV_ASSERT(acquired, "mirrored slot raced despite busy probe");
 
-    const CoreCosts &cc = params_.coreCosts;
     const std::uint32_t eb = egressBackendFor(core);
 
     // §4.2 "Send operation": the WQE reaches the NI, which reads the
     // payload and streams the packets.
-    sim_.schedule(cc.sendPost + wqeDelay(core, eb),
+    sim_.schedule(costs::sendPost + wqeDelay(core, eb),
                   [this, eb, requester, slot_off] {
                       backends_[eb]->transmitMessage(
                           proto::OpType::Send, params_.nodeId, requester,
@@ -659,7 +651,7 @@ RpcNode::attemptReply(ServiceEvent &ev)
     // measurement ends there.
     ev.critical = ev.result.latencyCritical;
     ev.stage = ServiceEvent::Stage::Finish;
-    sim_.schedule(ev, cc.sendPost + cc.replenishPost);
+    sim_.schedule(ev, costs::sendPost + costs::replenishPost);
 }
 
 void
@@ -716,7 +708,7 @@ RpcNode::finishRpc(ServiceEvent &ev)
     // §5 loop bookkeeping, then look for the next request (the event
     // carries itself into the Loop epilogue).
     ev.stage = ServiceEvent::Stage::Loop;
-    sim_.schedule(ev, params_.coreCosts.loopOverhead);
+    sim_.schedule(ev, costs::loopOverhead);
 }
 
 void

@@ -35,6 +35,54 @@
 
 namespace rpcvalet::node {
 
+/**
+ * Per-RPC core-side step costs of the §5 microbenchmark loop:
+ * (i) poll for a CQE, (ii) execute the RPC's processing time X,
+ * (iii) send a reply, (iv) replenish. They are calibrated so the HERD
+ * workload's measured mean service time lands at §6.1's ~550 ns for a
+ * 330 ns mean processing time (i.e. ~220 ns of loop overhead), pinned
+ * by tests/node/calibration_test.cc.
+ */
+namespace costs {
+
+/** Detecting a fresh CQE when the core was idle-polling. */
+constexpr sim::Tick pollDetect = sim::nanoseconds(15.0);
+/** Parsing the CQE and locating the receive slot. */
+constexpr sim::Tick cqeParse = sim::nanoseconds(10.0);
+/** Reading the request payload out of the receive buffer. */
+constexpr sim::Tick requestRead = sim::nanoseconds(45.0);
+/** Request unmarshalling and handler dispatch. */
+constexpr sim::Tick appDispatch = sim::nanoseconds(45.0);
+/** Building the reply message in the send buffer. */
+constexpr sim::Tick replyBuild = sim::nanoseconds(25.0);
+/** Posting the reply's send WQE. */
+constexpr sim::Tick sendPost = sim::nanoseconds(30.0);
+/** Posting the replenish WQE (end of latency measurement, §5). */
+constexpr sim::Tick replenishPost = sim::nanoseconds(30.0);
+/** Event-loop bookkeeping before the next poll. */
+constexpr sim::Tick loopOverhead = sim::nanoseconds(20.0);
+
+/** Total per-RPC overhead excluding processing time X. */
+constexpr sim::Tick totalOverhead = pollDetect + cqeParse + requestRead +
+                                    appDispatch + replyBuild + sendPost +
+                                    replenishPost + loopOverhead;
+
+} // namespace costs
+
+/** Context save/restore cost paid at every preemption yield and
+ *  resume (SystemParams::preemptionQuantum). */
+constexpr sim::Tick preemptionOverhead = sim::nanoseconds(250.0);
+
+/** Retry interval when a reply's send slot is still in flight. */
+constexpr sim::Tick sendSlotRetry = sim::nanoseconds(20.0);
+
+/**
+ * Minimum gap between QP context-fetch starts: the NI's fetch engine is
+ * pipelined but finite, so sustained misses above 1/qpFetchGap queue
+ * behind each other (thrash costs throughput, not just latency).
+ */
+constexpr sim::Tick qpFetchGap = sim::nanoseconds(200.0);
+
 /** One simulated RPC server node. */
 class RpcNode
 {

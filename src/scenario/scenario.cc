@@ -74,15 +74,6 @@ parseUint(const std::string &value)
     return static_cast<std::uint64_t>(parsed);
 }
 
-std::int64_t
-parseInt(const std::string &value)
-{
-    const double parsed = parseDouble(value);
-    if (parsed != std::floor(parsed) || std::abs(parsed) >= 0x1p62)
-        sim::fatal("'" + value + "' is not an integer");
-    return static_cast<std::int64_t>(parsed);
-}
-
 bool
 parseBool(const std::string &value)
 {
@@ -238,16 +229,6 @@ class Parser
     void
     finish()
     {
-        // [cluster] fail_node / fail_at are shorthand for one crash
-        // fault, injected after every [chaos] fault.
-        if (crashNode_ >= 0) {
-            out_.base.faults.emplace_back(sim::strfmt(
-                "crash:node=%lld,at=%.3fns",
-                static_cast<long long>(crashNode_), sim::toNs(crashAt_)));
-        } else if (crashAtSeen_) {
-            sim::fatal(source_ + ": [cluster] 'fail_at' without "
-                       "'fail_node' crashes nothing");
-        }
         const bool has_load = !out_.loadFractions.empty();
         const bool has_rps = !out_.absoluteRps.empty();
         if (has_load && has_rps) {
@@ -359,14 +340,6 @@ class Parser
                 static_cast<std::uint32_t>(n);
         } else if (key == "recovery_after") {
             out_.base.cluster.recoveryAfter = parseTick(value);
-        } else if (key == "fail_node") {
-            crashNode_ = parseInt(value);
-            if (crashNode_ < -1)
-                sim::fatal("'fail_node' must be -1 (none) or a server "
-                           "index");
-        } else if (key == "fail_at") {
-            crashAt_ = parseTick(value);
-            crashAtSeen_ = true;
         } else if (key == "sweep_interval") {
             const sim::Tick t = parseTick(value);
             if (t == 0)
@@ -376,8 +349,7 @@ class Parser
         } else {
             die("unknown [cluster] key '" + key +
                 "' (expected nodes, router, shards, timeout, "
-                "fail_threshold, recovery_after, fail_node, fail_at, "
-                "or sweep_interval)");
+                "fail_threshold, recovery_after, or sweep_interval)");
         }
     }
 
@@ -534,11 +506,6 @@ class Parser
     std::string section_;
     int line_ = 0;
     bool connSectionSeen_ = false;
-    /** [cluster] fail_node / fail_at, folded into a crash fault by
-     *  finish(). */
-    std::int64_t crashNode_ = -1;
-    sim::Tick crashAt_ = 0;
-    bool crashAtSeen_ = false;
 };
 
 Scenario

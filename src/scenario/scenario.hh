@@ -25,8 +25,6 @@
  *   nodes    = 4
  *   router   = shard
  *   timeout  = 50us
- *   fail_node = 3                    # shorthand for the fault
- *   fail_at  = 20us                  # crash:node=3,at=20us
  *
  *   [connections]
  *   clients  = 2048                  # logical clients (enables the

@@ -6,16 +6,14 @@
 
 namespace rpcvalet::sync {
 
-SoftwareSharedQueue::SoftwareSharedQueue(sim::EventDomain &sim,
-                                         McsParams params)
-    : sim_(sim), params_(params)
+SoftwareSharedQueue::SoftwareSharedQueue(sim::EventDomain &sim) : sim_(sim)
 {
 }
 
 void
 SoftwareSharedQueue::push(proto::CompletionQueueEntry entry)
 {
-    entries_.push_back(std::move(entry));
+    entries_.push(std::move(entry));
     tryMatch();
 }
 
@@ -23,7 +21,7 @@ void
 SoftwareSharedQueue::requestPull(PullCallback cb)
 {
     RV_ASSERT(cb != nullptr, "null pull callback");
-    waiters_.push_back(std::move(cb));
+    waiters_.push(std::move(cb));
     tryMatch();
 }
 
@@ -39,8 +37,8 @@ SoftwareSharedQueue::tryMatch()
         const bool contended = lockFreeAt_ > now;
         const sim::Tick start = contended ? lockFreeAt_ : now;
         const sim::Tick entry_cost =
-            contended ? params_.handoff : params_.uncontendedAcquire;
-        const sim::Tick done = start + entry_cost + params_.criticalSection;
+            contended ? mcsHandoff : mcsUncontendedAcquire;
+        const sim::Tick done = start + entry_cost + mcsCriticalSection;
 
         lockBusy_ += done - start;
         lockFreeAt_ = done;
@@ -51,10 +49,8 @@ SoftwareSharedQueue::tryMatch()
         // Entry and waiter are logically consumed at grant completion,
         // but removed from the FIFOs now to keep ordering decisions
         // simple; the callback fires at `done`.
-        proto::CompletionQueueEntry entry = std::move(entries_.front());
-        entries_.pop_front();
-        PullCallback cb = std::move(waiters_.front());
-        waiters_.pop_front();
+        proto::CompletionQueueEntry entry = entries_.pop();
+        PullCallback cb = waiters_.pop();
 
         sim_.scheduleAt(done, [cb = std::move(cb),
                                entry = std::move(entry)] { cb(entry); });

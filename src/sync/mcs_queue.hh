@@ -11,15 +11,14 @@
  * This module models the lock as a timed resource inside the DES:
  * waiter order is FIFO, an idle lock grants after the uncontended
  * acquire cost, and back-to-back grants are separated by the handoff
- * plus critical-section time. The constants live in McsParams and are
- * derived from published cache-coherent lock transfer latencies.
+ * plus critical-section time. The constants below are derived from
+ * published cache-coherent lock transfer latencies.
  */
 
 #ifndef RPCVALET_SYNC_MCS_QUEUE_HH
 #define RPCVALET_SYNC_MCS_QUEUE_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "proto/qp.hh"
@@ -28,19 +27,15 @@
 
 namespace rpcvalet::sync {
 
-/** Timing parameters of the modeled MCS lock. */
-struct McsParams
-{
-    /** Acquire cost when the lock is free and uncontended. */
-    sim::Tick uncontendedAcquire = sim::nanoseconds(40.0);
-    /** Lock handoff to the next queued waiter (cache-line transfer). */
-    sim::Tick handoff = sim::nanoseconds(50.0);
-    /**
-     * Critical section: dequeue the head entry and update the shared
-     * queue's head pointer (two remote cache lines).
-     */
-    sim::Tick criticalSection = sim::nanoseconds(80.0);
-};
+/** MCS lock acquire cost when the lock is free and uncontended. */
+constexpr sim::Tick mcsUncontendedAcquire = sim::nanoseconds(40.0);
+/** MCS lock handoff to the next queued waiter (cache-line transfer). */
+constexpr sim::Tick mcsHandoff = sim::nanoseconds(50.0);
+/**
+ * Critical section: dequeue the head entry and update the shared
+ * queue's head pointer (two remote cache lines).
+ */
+constexpr sim::Tick mcsCriticalSection = sim::nanoseconds(80.0);
 
 /**
  * Shared completion queue pulled by cores through an MCS lock.
@@ -55,7 +50,7 @@ class SoftwareSharedQueue
     using PullCallback =
         std::function<void(const proto::CompletionQueueEntry &)>;
 
-    SoftwareSharedQueue(sim::EventDomain &sim, McsParams params);
+    explicit SoftwareSharedQueue(sim::EventDomain &sim);
 
     /** NI-side: enqueue an arrived message notification. */
     void push(proto::CompletionQueueEntry entry);
@@ -87,9 +82,8 @@ class SoftwareSharedQueue
     void tryMatch();
 
     sim::EventDomain &sim_;
-    McsParams params_;
-    std::deque<proto::CompletionQueueEntry> entries_;
-    std::deque<PullCallback> waiters_;
+    proto::Fifo<proto::CompletionQueueEntry> entries_;
+    proto::Fifo<PullCallback> waiters_;
     sim::Tick lockFreeAt_ = 0;
     std::uint64_t pulls_ = 0;
     std::uint64_t contendedPulls_ = 0;

@@ -1,17 +1,21 @@
 /**
  * @file
- * SystemParams defaults must embody Table 1, and validation must
- * reject inconsistent configurations. (Table 1 is the paper's only
- * table; this test is its "reproduction".)
+ * SystemParams defaults and the model constants must embody Table 1,
+ * and validation must reject inconsistent configurations. (Table 1 is
+ * the paper's only table; this test is its "reproduction".)
  */
 
 #include <gtest/gtest.h>
 
+#include "mem/memory_model.hh"
+#include "noc/mesh.hh"
 #include "node/params.hh"
+#include "node/rpc_node.hh"
 
 namespace {
 
-using rpcvalet::node::CoreCosts;
+namespace mem = rpcvalet::mem;
+namespace noc = rpcvalet::noc;
 using rpcvalet::node::SystemParams;
 using rpcvalet::sim::nanoseconds;
 
@@ -19,14 +23,14 @@ TEST(Table1, DefaultsMatchPaperParameters)
 {
     const SystemParams p;
     // "ARM Cortex-A57-like; 64-bit, 2GHz" on a 16-core tiled chip.
-    EXPECT_DOUBLE_EQ(p.clockGhz, 2.0);
+    EXPECT_DOUBLE_EQ(noc::chipClock.frequencyGhz(), 2.0);
     EXPECT_EQ(p.numCores, 16u);
     EXPECT_EQ(p.meshRows * p.meshCols, 16);
     // "2D mesh, 16B links, 3 cycles/hop".
-    EXPECT_DOUBLE_EQ(p.hopCycles, 3.0);
-    EXPECT_EQ(p.linkBytes, 16u);
+    EXPECT_DOUBLE_EQ(noc::hopCycles, 3.0);
+    EXPECT_EQ(noc::linkBytes, 16u);
     // Memory: 50 ns.
-    EXPECT_EQ(p.memory.dramLatency, nanoseconds(50.0));
+    EXPECT_EQ(mem::dramLatency, nanoseconds(50.0));
     // 64-byte blocks are the protocol MTU.
     EXPECT_EQ(rpcvalet::proto::cacheBlockBytes, 64u);
     // §5: 200-node cluster; §4.3: threshold 2.
@@ -36,17 +40,15 @@ TEST(Table1, DefaultsMatchPaperParameters)
 
 TEST(Table1, ClockArithmetic)
 {
-    const SystemParams p;
     // 3 cycles/hop at 2 GHz = 1.5 ns.
-    EXPECT_EQ(p.clock().cycles(p.hopCycles), nanoseconds(1.5));
+    EXPECT_EQ(noc::chipClock.cycles(noc::hopCycles), nanoseconds(1.5));
 }
 
 TEST(CoreCosts, OverheadCalibratedToPaperServiceTime)
 {
     // §6.1: HERD processing mean 330 ns yields S-bar ~550 ns, i.e.
     // ~220 ns of per-RPC loop overhead.
-    const CoreCosts cc;
-    EXPECT_EQ(cc.totalOverhead(), nanoseconds(220.0));
+    EXPECT_EQ(rpcvalet::node::costs::totalOverhead, nanoseconds(220.0));
 }
 
 TEST(MessagingFootprint, MatchesPaperFormula)

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mem/buffers.hh"
+#include "mem/memory_model.hh"
 #include "ni/backend.hh"
 #include "proto/packet.hh"
 #include "sim/domain.hh"
@@ -26,7 +27,6 @@ struct Fixture
 {
     proto::MessagingDomain domain;
     Simulator sim;
-    mem::MemoryModel memory;
     mem::RecvBuffer recv;
     std::vector<proto::CompletionQueueEntry> completions;
     std::vector<std::pair<proto::NodeId, std::uint32_t>> replenishes;
@@ -36,12 +36,8 @@ struct Fixture
 
     Fixture() : domain(makeDomain()), recv(domain)
     {
-        NiBackend::Params p;
-        p.id = 0;
-        p.packetOccupancy = nanoseconds(3.0);
-        p.txSetupLatency = nanoseconds(4.5);
         backend = std::make_unique<NiBackend>(
-            sim, p, memory, recv,
+            sim, /*id=*/0, recv,
             [this](std::uint32_t, proto::CompletionQueueEntry cqe) {
                 completions.push_back(cqe);
             },
@@ -120,9 +116,9 @@ TEST(Backend, CompletionTimeIncludesPipelineAndCounter)
     ASSERT_EQ(f.completions.size(), 1u);
     completion_at = f.completions[0].firstPacketTick; // == 0
     EXPECT_EQ(completion_at, 0u);
-    // Executed time: 2 packets x 3 ns + counter (llcLatency 4.5 ns).
-    EXPECT_EQ(f.sim.now(),
-              nanoseconds(3.0) * 2 + f.memory.llcLatency);
+    // Executed time: 2 packets x 3 ns + counter update (LLC, 4.5 ns).
+    EXPECT_EQ(mem::counterUpdateLatency, nanoseconds(4.5));
+    EXPECT_EQ(f.sim.now(), nanoseconds(3.0) * 2 + mem::counterUpdateLatency);
 }
 
 TEST(Backend, FirstPacketTickIsArrivalNotCompletion)
@@ -181,6 +177,8 @@ TEST(Backend, EgressPacketsPacedByOccupancy)
     f.sim.run();
     ASSERT_EQ(f.injectTimes.size(), 3u);
     // First packet after txSetup + occupancy; then occupancy apart.
+    EXPECT_EQ(ni::txSetupLatency, nanoseconds(4.5));
+    EXPECT_EQ(ni::backendPacketOccupancy, nanoseconds(3.0));
     EXPECT_EQ(f.injectTimes[0], nanoseconds(4.5) + nanoseconds(3.0));
     EXPECT_EQ(f.injectTimes[1] - f.injectTimes[0], nanoseconds(3.0));
     EXPECT_EQ(f.injectTimes[2] - f.injectTimes[1], nanoseconds(3.0));

@@ -42,7 +42,6 @@ struct Fixture
     {
         Dispatcher::Params p;
         p.outstandingThreshold = threshold;
-        p.decisionOccupancy = nanoseconds(4);
         std::vector<proto::CoreId> cand;
         for (proto::CoreId c = 0; c < cores; ++c)
             cand.push_back(c);
@@ -118,13 +117,12 @@ TEST(Dispatcher, ReplenishFreesCredit)
 
 TEST(Dispatcher, DecisionsSerializeOnPipeline)
 {
-    // Two back-to-back decisions are 4 ns apart (decisionOccupancy).
+    // Two back-to-back decisions are 4 ns apart (dispatcherDecision).
     Fixture f;
     auto d = f.make(2);
     std::vector<sim::Tick> times;
     Dispatcher::Params p;
     p.outstandingThreshold = 2;
-    p.decisionOccupancy = nanoseconds(4);
     Dispatcher timed(
         f.sim, p, ni::makePolicy("greedy"), 4,
         {0, 1, 2, 3},
@@ -136,8 +134,9 @@ TEST(Dispatcher, DecisionsSerializeOnPipeline)
     timed.enqueue(entry(2));
     f.sim.run();
     ASSERT_EQ(times.size(), 3u);
-    EXPECT_EQ(times[1] - times[0], nanoseconds(4));
-    EXPECT_EQ(times[2] - times[1], nanoseconds(4));
+    EXPECT_EQ(ni::dispatcherDecision, nanoseconds(4));
+    EXPECT_EQ(times[1] - times[0], ni::dispatcherDecision);
+    EXPECT_EQ(times[2] - times[1], ni::dispatcherDecision);
 }
 
 TEST(Dispatcher, SharedCqPeakTracked)

@@ -41,7 +41,6 @@ struct Fixture
     {
         Dispatcher::Params p;
         p.outstandingThreshold = threshold;
-        p.decisionOccupancy = nanoseconds(4);
         std::vector<proto::CoreId> cand;
         for (proto::CoreId c = 0; c < cores; ++c)
             cand.push_back(c);

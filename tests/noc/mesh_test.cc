@@ -11,13 +11,13 @@ namespace {
 
 using rpcvalet::noc::Coord;
 using rpcvalet::noc::Mesh;
-using rpcvalet::sim::Clock;
+using rpcvalet::noc::chipClock;
 using rpcvalet::sim::nanoseconds;
 
 Mesh
 paperMesh()
 {
-    return Mesh(4, 4, 3.0, 16, Clock(2.0));
+    return Mesh(4, 4);
 }
 
 TEST(Mesh, CoreCoordsAreRowMajor)
@@ -65,7 +65,7 @@ TEST(Mesh, SerializationAddsBodyFlits)
     const Mesh m = paperMesh();
     const auto one_hop_16 = m.transferLatency({0, 0}, {0, 1}, 16);
     const auto one_hop_64 = m.transferLatency({0, 0}, {0, 1}, 64);
-    EXPECT_EQ(one_hop_64 - one_hop_16, Clock(2.0).cycles(3));
+    EXPECT_EQ(one_hop_64 - one_hop_16, chipClock.cycles(3));
 }
 
 TEST(Mesh, ZeroHopTransferOnlySerializes)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -124,42 +125,22 @@ TEST(ScenarioParse, ChaosSectionPopulatesFaultsAndRetry)
     EXPECT_EQ(scn.base.cluster.sweepInterval, sim::microseconds(5.0));
 }
 
-TEST(ScenarioParse, FailNodeIsShorthandForOneCrashFault)
+TEST(ScenarioParse, EveryCheckedInScenarioParsesAndExpands)
 {
-    const scenario::Scenario scn = scenario::parseScenarioText(
-        "[cluster]\n"
-        "nodes     = 4\n"
-        "timeout   = 30us\n"
-        "fail_at   = 40us\n"
-        "fail_node = 2\n"
-        "[chaos]\n"
-        "fault = packet-loss:p=0.005\n"
-        "[sweep]\n"
-        "load = 0.5\n",
-        "fail.scn");
-    // Exactly one crash entry, after the [chaos] faults, whatever the
-    // section order.
-    ASSERT_EQ(scn.base.faults.size(), 2u);
-    EXPECT_EQ(scn.base.faults[0].name, "packet-loss");
-    const fault::FaultSpec &crash = scn.base.faults[1];
-    EXPECT_EQ(crash.name, "crash");
-    EXPECT_EQ(crash.uintParam("node", 0), 2u);
-    EXPECT_EQ(crash.tickParam("at", 0), sim::microseconds(40.0));
-    EXPECT_FALSE(crash.has("recover_after"));
-
-    // fail_node = -1 (none) injects nothing.
-    const scenario::Scenario none = scenario::parseScenarioText(
-        "[cluster]\nfail_node = -1\n[sweep]\nload = 0.5\n", "none.scn");
-    EXPECT_TRUE(none.base.faults.empty());
-}
-
-TEST(ScenarioParseDeath, FailAtWithoutFailNodeDies)
-{
-    EXPECT_EXIT((void)scenario::parseScenarioText(
-                    "[cluster]\nfail_at = 40us\n[sweep]\nload = 0.5\n",
-                    "orphan.scn"),
-                ::testing::ExitedWithCode(1),
-                "orphan.scn: \\[cluster\\] 'fail_at' without 'fail_node'");
+    // A grammar change that breaks a file under examples/scenarios/
+    // fails here, not only in a release-build smoke run.
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(RPCVALET_SCENARIO_DIR)) {
+        if (entry.path().extension() != ".scn")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        const scenario::Scenario scn =
+            scenario::parseScenarioFile(entry.path().string());
+        EXPECT_FALSE(scenario::expandMatrix(scn).empty());
+        ++files;
+    }
+    EXPECT_GE(files, 4u);
 }
 
 TEST(ScenarioParse, FileStemIsTheDefaultName)
@@ -182,6 +163,18 @@ TEST(ScenarioParseDeath, UnknownKeyNamesFileAndLine)
                 ::testing::ExitedWithCode(1),
                 "bad\\.scn:2 \\(typo_key = 1\\).*unknown "
                 "\\[experiment\\] key 'typo_key'");
+}
+
+TEST(ScenarioParseDeath, FailNodeIsAnUnknownClusterKey)
+{
+    // Node crashes are spelled one way: [chaos] fault = crash:...
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[cluster]\nnodes = 4\nfail_node = 2\n"
+                    "[sweep]\nload = 0.5\n",
+                    "crash.scn"),
+                ::testing::ExitedWithCode(1),
+                "crash\\.scn:3 \\(fail_node = 2\\).*unknown "
+                "\\[cluster\\] key 'fail_node'");
 }
 
 TEST(ScenarioParseDeath, RegistryErrorGainsFileLineAndToken)

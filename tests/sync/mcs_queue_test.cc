@@ -18,7 +18,9 @@ using namespace rpcvalet;
 using Simulator = sim::EventDomain;
 using sim::Tick;
 using sim::nanoseconds;
-using sync::McsParams;
+using sync::mcsCriticalSection;
+using sync::mcsHandoff;
+using sync::mcsUncontendedAcquire;
 using sync::SoftwareSharedQueue;
 
 proto::CompletionQueueEntry
@@ -32,8 +34,7 @@ entry(std::uint32_t slot)
 TEST(McsQueue, UncontendedPullCostsAcquirePlusCs)
 {
     Simulator sim;
-    McsParams p;
-    SoftwareSharedQueue q(sim, p);
+    SoftwareSharedQueue q(sim);
     Tick got_at = 0;
     q.requestPull([&](const proto::CompletionQueueEntry &) {
         got_at = sim.now();
@@ -41,7 +42,7 @@ TEST(McsQueue, UncontendedPullCostsAcquirePlusCs)
     sim.schedule(nanoseconds(100), [&] { q.push(entry(1)); });
     sim.run();
     EXPECT_EQ(got_at,
-              nanoseconds(100) + p.uncontendedAcquire + p.criticalSection);
+              nanoseconds(100) + mcsUncontendedAcquire + mcsCriticalSection);
     EXPECT_EQ(q.pulls(), 1u);
     EXPECT_EQ(q.contendedPulls(), 0u);
 }
@@ -49,7 +50,7 @@ TEST(McsQueue, UncontendedPullCostsAcquirePlusCs)
 TEST(McsQueue, EntriesDeliveredFifo)
 {
     Simulator sim;
-    SoftwareSharedQueue q(sim, McsParams{});
+    SoftwareSharedQueue q(sim);
     std::vector<std::uint32_t> order;
     for (std::uint32_t i = 0; i < 8; ++i)
         q.push(entry(i));
@@ -67,7 +68,7 @@ TEST(McsQueue, EntriesDeliveredFifo)
 TEST(McsQueue, WaitersServedInRequestOrder)
 {
     Simulator sim;
-    SoftwareSharedQueue q(sim, McsParams{});
+    SoftwareSharedQueue q(sim);
     std::vector<int> who;
     for (int c = 0; c < 4; ++c) {
         q.requestPull([&who, c](const proto::CompletionQueueEntry &) {
@@ -85,11 +86,10 @@ TEST(McsQueue, BackToBackPullsSerializeAtHandoffPlusCs)
     // The MCS property §6.2 leans on: under contention the dequeue
     // rate is bounded by 1 / (handoff + criticalSection).
     Simulator sim;
-    McsParams p;
-    p.uncontendedAcquire = nanoseconds(40);
-    p.handoff = nanoseconds(50);
-    p.criticalSection = nanoseconds(80);
-    SoftwareSharedQueue q(sim, p);
+    EXPECT_EQ(mcsUncontendedAcquire, nanoseconds(40));
+    EXPECT_EQ(mcsHandoff, nanoseconds(50));
+    EXPECT_EQ(mcsCriticalSection, nanoseconds(80));
+    SoftwareSharedQueue q(sim);
 
     std::vector<Tick> times;
     const int n = 10;
@@ -103,11 +103,11 @@ TEST(McsQueue, BackToBackPullsSerializeAtHandoffPlusCs)
     sim.run();
     ASSERT_EQ(times.size(), static_cast<size_t>(n));
     // First pull: uncontended. Every later pull: handoff + cs apart.
-    EXPECT_EQ(times[0], p.uncontendedAcquire + p.criticalSection);
+    EXPECT_EQ(times[0], mcsUncontendedAcquire + mcsCriticalSection);
     for (int i = 1; i < n; ++i) {
         EXPECT_EQ(times[static_cast<size_t>(i)] -
                       times[static_cast<size_t>(i - 1)],
-                  p.handoff + p.criticalSection)
+                  mcsHandoff + mcsCriticalSection)
             << "pull " << i;
     }
     EXPECT_EQ(q.contendedPulls(), static_cast<std::uint64_t>(n - 1));
@@ -116,8 +116,7 @@ TEST(McsQueue, BackToBackPullsSerializeAtHandoffPlusCs)
 TEST(McsQueue, LockIdleBetweenBurstsResetsFastPath)
 {
     Simulator sim;
-    McsParams p;
-    SoftwareSharedQueue q(sim, p);
+    SoftwareSharedQueue q(sim);
     std::vector<Tick> times;
     auto puller = [&] {
         q.requestPull([&](const proto::CompletionQueueEntry &) {
@@ -134,14 +133,14 @@ TEST(McsQueue, LockIdleBetweenBurstsResetsFastPath)
     sim.run();
     ASSERT_EQ(times.size(), 2u);
     EXPECT_EQ(times[1] - nanoseconds(10000),
-              p.uncontendedAcquire + p.criticalSection);
+              mcsUncontendedAcquire + mcsCriticalSection);
     EXPECT_EQ(q.contendedPulls(), 0u);
 }
 
 TEST(McsQueue, BacklogAndWaitersTracked)
 {
     Simulator sim;
-    SoftwareSharedQueue q(sim, McsParams{});
+    SoftwareSharedQueue q(sim);
     q.push(entry(0));
     q.push(entry(1));
     EXPECT_EQ(q.backlog(), 2u);
@@ -155,13 +154,12 @@ TEST(McsQueue, BacklogAndWaitersTracked)
 TEST(McsQueue, LockBusyTimeAccounted)
 {
     Simulator sim;
-    McsParams p;
-    SoftwareSharedQueue q(sim, p);
+    SoftwareSharedQueue q(sim);
     q.push(entry(0));
     q.requestPull([](const proto::CompletionQueueEntry &) {});
     sim.run();
     EXPECT_EQ(q.lockBusyTicks(),
-              p.uncontendedAcquire + p.criticalSection);
+              mcsUncontendedAcquire + mcsCriticalSection);
 }
 
 } // namespace

@@ -16,7 +16,7 @@
  *   --parallel-domains=N  override [experiment] parallel_domains
  *   --dry-run      parse and expand only; print the matrix, run nothing
  *   --explain-faults  dry-run that also prints each point's resolved
- *                  fault timeline ([chaos] faults + fail_node)
+ *                  fault timeline ([chaos] faults)
  *   --quiet        suppress the per-point progress table
  *   --strict-slo   exit 1 when any declared SLO is unmet
  *   --list-specs   print every registered component name across all
@@ -194,8 +194,7 @@ runOne(const std::string &path, const Options &opt)
             if (!opt.explainFaults)
                 continue;
             // Resolve against this point's shape — exactly what the
-            // run itself would inject (fail_node included: it parses
-            // into a crash spec); bad specs die here with
+            // run itself would inject; bad specs die here with
             // file-independent context.
             const fault::Resolution plan = fault::resolveFaults(
                 pt.config.faults,
