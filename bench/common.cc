@@ -1,7 +1,5 @@
 #include "common.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +14,7 @@
 #include "sim/build_info.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace rpcvalet::bench {
 
@@ -244,28 +243,6 @@ writeJsonReport()
     std::printf("[json] wrote %s\n", r.path.c_str());
 }
 
-/**
- * Strict numeric flag value: the whole of @p text must be a decimal
- * integer in [lo, hi] (no sign, no trailing junk), else fatal naming
- * the flag. atoll/atoi would silently turn "abc" into 0 and wrap "-1".
- */
-std::uint64_t
-parseFlag(const char *flag, const char *text, std::uint64_t lo,
-          std::uint64_t hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || parsed < lo || parsed > hi) {
-        sim::fatal(sim::strfmt(
-            "%s%s: expected an integer in [%llu, %llu]", flag, text,
-            static_cast<unsigned long long>(lo),
-            static_cast<unsigned long long>(hi)));
-    }
-    return parsed;
-}
-
 } // namespace
 
 BenchArgs
@@ -282,54 +259,63 @@ parseArgs(int argc, char **argv)
     bool warmup_set = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // Every value is read inside a frame naming the flag, so a
+        // malformed one dies as "--flag=value: ..." before any run.
+        const sim::ErrorContext ctx(arg);
         auto value = [&](const char *prefix) -> const char * {
             const std::size_t n = std::strlen(prefix);
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
-        constexpr std::uint64_t any = ~std::uint64_t{0};
+        // A spec flag is built through its registry right here; an
+        // empty one keeps the bench's default.
+        auto spec = [](const char *text, auto check) {
+            if (*text != '\0')
+                (void)check(text);
+            return std::string(text);
+        };
         if (const char *points = value("--points=")) {
-            args.points = parseFlag("--points=", points, 1, 1u << 20);
+            args.points = sim::parseUint(points, 1, 1u << 20);
             points_set = true;
         } else if (const char *rpcs = value("--rpcs=")) {
-            args.rpcs = parseFlag("--rpcs=", rpcs, 1, any);
+            args.rpcs = sim::parseUint(rpcs, 1);
             rpcs_set = true;
         } else if (const char *warmup = value("--warmup=")) {
-            args.warmup = parseFlag("--warmup=", warmup, 0, any);
+            args.warmup = sim::parseUint(warmup);
             warmup_set = true;
         } else if (const char *seed = value("--seed=")) {
-            args.seed = parseFlag("--seed=", seed, 0, any);
+            args.seed = sim::parseUint(seed);
         } else if (const char *threads = value("--threads=")) {
-            args.threads = static_cast<unsigned>(
-                parseFlag("--threads=", threads, 1, 1024));
+            args.threads =
+                static_cast<unsigned>(sim::parseUint(threads, 1, 1024));
         } else if (const char *nodes = value("--nodes=")) {
-            args.nodes = static_cast<std::uint32_t>(
-                parseFlag("--nodes=", nodes, 1, 64));
+            args.nodes =
+                static_cast<std::uint32_t>(sim::parseUint(nodes, 1, 64));
         } else if (const char *domains = value("--parallel-domains=")) {
-            args.parallelDomains = static_cast<unsigned>(
-                parseFlag("--parallel-domains=", domains, 0, 1024));
+            args.parallelDomains =
+                static_cast<unsigned>(sim::parseUint(domains, 0, 1024));
         } else if (const char *fault = value("--fault=")) {
             if (*fault == '\0')
-                sim::fatal("--fault needs a spec (e.g. "
-                           "--fault=packet-loss:p=0.01)");
+                sim::fatal("needs a spec (e.g. --fault=packet-loss:p=0.01)");
+            (void)core::checkFault(fault);
             args.faults.emplace_back(fault);
         } else if (const char *conn = value("--connections=")) {
             if (*conn == '\0')
-                sim::fatal("--connections needs a spec (e.g. "
-                           "--connections=grouped:clients=2048,"
-                           "size=40,slice=100us)");
+                sim::fatal("needs a spec (e.g. --connections=grouped:"
+                           "clients=2048,size=40,slice=100us)");
+            (void)conn::parseConnConfig(conn);
             args.connections = conn;
         } else if (arg == "--list-specs") {
             std::fputs(core::formatRegistryListing().c_str(), stdout);
             std::exit(0);
         } else if (const char *router = value("--router="))
-            args.router = router;
+            args.router = spec(router, core::checkRouter);
         else if (const char *policy = value("--policy="))
-            args.policy = policy;
+            args.policy = spec(policy, core::checkPolicy);
         else if (const char *arrival = value("--arrival="))
-            args.arrival = arrival;
+            args.arrival = spec(arrival, core::checkArrival);
         else if (const char *workload = value("--workload="))
-            args.workload = workload;
+            args.workload = spec(workload, core::checkWorkload);
         else if (const char *mode = value("--mode="))
             args.mode = mode;
         else if (const char *json = value("--json="))
@@ -337,7 +323,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--fast")
             args.fast = true;
         else
-            sim::fatal("unknown bench argument: " + arg);
+            sim::fatal("unknown bench argument");
     }
 
     // Fast mode shrinks the defaults for smoke runs; explicitly
@@ -374,31 +360,22 @@ parseArgs(int argc, char **argv)
 void
 applyPolicyOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.policy.empty())
-        return;
-    const sim::ErrorContext ctx("--policy=" + args.policy);
-    cfg.system.policy = ni::PolicySpec::parse(args.policy);
-    ni::PolicyRegistry::instance().expectRegistered(cfg.system.policy.name);
+    if (!args.policy.empty())
+        cfg.system.policy = ni::PolicySpec(args.policy);
 }
 
 void
 applyArrivalOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.arrival.empty())
-        return;
-    const sim::ErrorContext ctx("--arrival=" + args.arrival);
-    cfg.arrival = net::ArrivalSpec::parse(args.arrival);
-    net::ArrivalRegistry::instance().expectRegistered(cfg.arrival.name);
+    if (!args.arrival.empty())
+        cfg.arrival = net::ArrivalSpec(args.arrival);
 }
 
 void
 applyWorkloadOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.workload.empty())
-        return;
-    const sim::ErrorContext ctx("--workload=" + args.workload);
-    cfg.workload = app::WorkloadSpec::parse(args.workload);
-    app::WorkloadRegistry::instance().expectRegistered(cfg.workload.name);
+    if (!args.workload.empty())
+        cfg.workload = app::WorkloadSpec(args.workload);
 }
 
 void
@@ -414,36 +391,23 @@ applyClusterOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     if (args.nodes > 0)
         cfg.cluster.numServerNodes = args.nodes;
-    if (args.router.empty())
-        return;
-    const sim::ErrorContext ctx("--router=" + args.router);
-    cfg.cluster.router = cluster::RouterSpec::parse(args.router);
-    cluster::RouterRegistry::instance().expectRegistered(
-        cfg.cluster.router.name);
+    if (!args.router.empty())
+        cfg.cluster.router = cluster::RouterSpec(args.router);
 }
 
 void
 applyFaultOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    for (const std::string &spec : args.faults) {
-        // Instantiating through the registry validates the name and
-        // the shape-independent parameters right here; node/core
-        // ranges are checked when the run resolves the spec.
-        const fault::FaultSpec parsed(spec);
-        (void)fault::FaultRegistry::instance().make(parsed);
-        cfg.faults.push_back(parsed);
-    }
+    for (const std::string &spec : args.faults)
+        cfg.faults.emplace_back(spec);
 }
 
 void
 applyConnectionsOverride(const BenchArgs &args,
                          core::ExperimentConfig &cfg)
 {
-    if (args.connections.empty())
-        return;
-    // Parsing validates the scheduler through the registry and fatals
-    // on a missing 'clients' key, so a typo dies at flag level.
-    cfg.connections = conn::parseConnConfig(args.connections);
+    if (!args.connections.empty())
+        cfg.connections = conn::parseConnConfig(args.connections);
 }
 
 void
@@ -476,8 +440,6 @@ dropWorkloadAxis(BenchArgs &args)
 {
     if (args.workload.empty())
         return;
-    core::ExperimentConfig probe;
-    applyWorkloadOverride(args, probe); // typos still die
     sim::warn("--workload=" + args.workload +
               " ignored: the workload is this bench's figure axis");
     args.workload.clear();

@@ -11,8 +11,10 @@
  *   --seed=N      experiment seed (unsigned 64-bit)
  *   --threads=N   worker threads for sweep points (integer in
  *                 [1, 1024])
- *                 Numeric values parse strictly: a sign, junk or an
- *                 out-of-range value is fatal, naming the flag.
+ *                 Numeric values are plain decimal integers
+ *                 (sim::parseUint): a sign, a fraction, an exponent,
+ *                 junk or an out-of-range value is fatal, naming the
+ *                 flag.
  *   --policy=SPEC dispatch-policy spec (registry string such as
  *                 "greedy" or "jbsq:d=2"); empty keeps each bench's
  *                 default. Overrides the policy in every
@@ -41,7 +43,7 @@
  *                 Benches whose figure axis is the mode (fig7a/b/c,
  *                 fig8, latency_breakdown, summary_table) ignore it.
  *   --nodes=N     server nodes behind the cluster router (fatal unless
- *                 an integer in [1, 64]); 0/absent keeps each bench's
+ *                 an integer in [1, 64]); absent keeps each bench's
  *                 default. cluster_scaling sweeps its own node counts
  *                 and uses this as the top of its sweep instead.
  *   --router=SPEC cluster-router spec (registry string such as
@@ -132,27 +134,27 @@ struct BenchArgs
     std::string json;
 };
 
-/** Parse argv + RPCVALET_BENCH_FAST; unknown flags are fatal. */
+/**
+ * Parse argv + RPCVALET_BENCH_FAST. Unknown flags are fatal, and so is
+ * a malformed value: numbers read through sim::parseUint, and each
+ * spec flag (--policy, --arrival, --workload, --router, --fault,
+ * --connections) is parsed and built through its registry right here
+ * (core::checkPolicy and friends), each under an ErrorContext naming
+ * the flag.
+ */
 BenchArgs parseArgs(int argc, char **argv);
 
-/**
- * Apply --policy to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+// The apply*Override helpers copy flags parseArgs already checked.
+
+/** Apply --policy to @p cfg when set. */
 void applyPolicyOverride(const BenchArgs &args,
                          core::ExperimentConfig &cfg);
 
-/**
- * Apply --arrival to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+/** Apply --arrival to @p cfg when set. */
 void applyArrivalOverride(const BenchArgs &args,
                           core::ExperimentConfig &cfg);
 
-/**
- * Apply --workload to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+/** Apply --workload to @p cfg when set. */
 void applyWorkloadOverride(const BenchArgs &args,
                            core::ExperimentConfig &cfg);
 
@@ -160,25 +162,19 @@ void applyWorkloadOverride(const BenchArgs &args,
 void applyModeOverride(const BenchArgs &args,
                        core::ExperimentConfig &cfg);
 
-/**
- * Apply --nodes / --router to @p cfg when set (fatal on a malformed
- * or unregistered router spec).
- */
+/** Apply --nodes / --router to @p cfg when set. */
 void applyClusterOverride(const BenchArgs &args,
                           core::ExperimentConfig &cfg);
 
 /**
- * Append every --fault spec to @p cfg.faults (fatal on an unknown
- * fault name or malformed parameters; node/core range checks run when
- * the experiment resolves the specs against its cluster shape).
+ * Append every --fault spec to @p cfg.faults (node/core range checks
+ * run when the experiment resolves the specs against its cluster
+ * shape).
  */
 void applyFaultOverride(const BenchArgs &args,
                         core::ExperimentConfig &cfg);
 
-/**
- * Apply --connections to @p cfg when set (fatal on a malformed spec,
- * an unregistered scheduler, or a missing 'clients' key).
- */
+/** Apply --connections to @p cfg when set. */
 void applyConnectionsOverride(const BenchArgs &args,
                               core::ExperimentConfig &cfg);
 
@@ -198,7 +194,8 @@ void applyOverrides(const BenchArgs &args, core::ExperimentConfig &cfg);
  */
 void dropModeAxis(BenchArgs &args);
 
-/** Same for benches whose figure axis is the workload. */
+/** Same for benches whose figure axis is the workload (parseArgs has
+ *  already checked the spec). */
 void dropWorkloadAxis(BenchArgs &args);
 
 /** Print the standard figure banner. */

@@ -228,7 +228,7 @@ herdParams(const WorkloadSpec &spec)
     HerdApp::Params p;
     p.numKeys = spec.uintParam("keys", p.numKeys);
     p.valueBytes = static_cast<std::uint32_t>(
-        spec.uintParam("value_bytes", p.valueBytes));
+        spec.uintParam("value_bytes", p.valueBytes, 0, UINT32_MAX));
     p.readFraction = spec.doubleParam("read_ratio", p.readFraction);
     if (!(p.readFraction >= 0.0 && p.readFraction <= 1.0)) {
         sim::fatal("workload '" + spec.toString() +
@@ -248,9 +248,9 @@ masstreeParams(const WorkloadSpec &spec, double scan_ratio)
     p.getFraction = 1.0 - scan_ratio;
     p.numKeys = spec.uintParam("keys", p.numKeys);
     p.valueBytes = static_cast<std::uint32_t>(
-        spec.uintParam("value_bytes", p.valueBytes));
+        spec.uintParam("value_bytes", p.valueBytes, 0, UINT32_MAX));
     p.scanCount = static_cast<std::uint32_t>(
-        spec.uintParam("scan_count", p.scanCount));
+        spec.uintParam("scan_count", p.scanCount, 0, UINT32_MAX));
     return p;
 }
 
@@ -307,7 +307,7 @@ const WorkloadRegistrar syntheticReg(
         }
         if (spec.has("padding")) {
             app->setRequestPaddingBytes(static_cast<std::uint32_t>(
-                spec.uintParam("padding", 0)));
+                spec.uintParam("padding", 0, 0, UINT32_MAX)));
         }
         return app;
     });
@@ -316,10 +316,10 @@ const WorkloadRegistrar chainReg(
     "chain", [](const WorkloadSpec &spec) {
         spec.expectKeys({"tiers", "fanout", "root_ns", "leaf_ns"});
         ChainApp::Params p;
-        p.tiers =
-            static_cast<std::uint32_t>(spec.uintParam("tiers", p.tiers));
+        p.tiers = static_cast<std::uint32_t>(
+            spec.uintParam("tiers", p.tiers, 0, UINT32_MAX));
         p.fanout = static_cast<std::uint32_t>(
-            spec.uintParam("fanout", p.fanout));
+            spec.uintParam("fanout", p.fanout, 0, UINT32_MAX));
         p.rootNs = spec.doubleParam("root_ns", p.rootNs);
         p.leafNs = spec.doubleParam("leaf_ns", p.leafNs);
         return std::make_unique<ChainApp>(p, spec.toString());

@@ -19,11 +19,6 @@ ConnConfig::validate() const
 {
     if (!active())
         return;
-    if (qpColdNs < 0.0) {
-        sim::fatal(sim::strfmt(
-            "connection config: qp_cold must be >= 0 ns (got %g)",
-            qpColdNs));
-    }
     // Resolve through the registry: an unknown scheduler name or a bad
     // parameter dies here, before any event runs.
     (void)ConnRegistry::instance().make(schedulerSpec());
@@ -38,11 +33,12 @@ parseConnConfig(const std::string &text)
     // ergonomics ("--connections=grouped:size=40,clients=2048") but
     // belong to the config, not the scheduler: peel them off before
     // the scheduler factory sees (and expectKeys-validates) the rest.
-    cfg.numClients =
-        static_cast<std::uint32_t>(spec.uintParam("clients", 0));
-    cfg.qpCapacity =
-        static_cast<std::uint32_t>(spec.uintParam("qp_capacity", 0));
-    cfg.qpColdNs = spec.doubleParam("qp_cold", cfg.qpColdNs);
+    // The same bounds as the scenario [connections] keys.
+    cfg.numClients = static_cast<std::uint32_t>(
+        spec.uintParam("clients", 0, 1, 1u << 24));
+    cfg.qpCapacity = static_cast<std::uint32_t>(
+        spec.uintParam("qp_capacity", 0, 0, UINT32_MAX));
+    cfg.qpCold = spec.tickParam("qp_cold", cfg.qpCold);
     spec.params.erase("clients");
     spec.params.erase("qp_capacity");
     spec.params.erase("qp_cold");
@@ -68,7 +64,8 @@ effectiveQpCapacity(const ConnConfig &cfg)
     if (spec.name == "grouped") {
         // ScaleRPC invariant I2: the physical pool is sized for
         // exactly one connection group.
-        return static_cast<std::uint32_t>(spec.uintParam("size", 40));
+        return static_cast<std::uint32_t>(
+            spec.uintParam("size", 40, 0, UINT32_MAX));
     }
     return 64;
 }

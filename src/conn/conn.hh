@@ -28,7 +28,7 @@
  *   all                                   every client connected, no
  *                                         gating — the legacy issue
  *                                         path under a finite QP cache
- *   grouped:size=,slice=[,warmup=0|1][,regroup=none|priority]
+ *   grouped:size=,slice=[,warmup=BOOL][,regroup=none|priority]
  *                                         ScaleRPC connection grouping:
  *                                         only the active group issues
  *                                         during a time slice, the next
@@ -190,10 +190,10 @@ struct ConnConfig
 
     /**
      * Penalty a request pays at the server NI when its connection
-     * context is not cached (DRAM/PCIe context fetch before dispatch),
-     * nanoseconds. Only consulted while numClients > 0.
+     * context is not cached (DRAM/PCIe context fetch before dispatch).
+     * Only consulted while numClients > 0.
      */
-    double qpColdNs = 1000.0;
+    sim::Tick qpCold = sim::nanoseconds(1000.0);
 
     /** Scheduler spec; an empty name means "all". */
     ConnSpec scheduler{};
@@ -213,10 +213,12 @@ struct ConnConfig
 };
 
 /**
- * Parse a --connections= / scenario "connections" value: a conn spec
- * whose optional clients= / qp_capacity= / qp_cold= keys are peeled
- * into the ConnConfig before the remainder is validated through the
- * registry, e.g. "grouped:size=40,slice=100us,clients=2048".
+ * Parse a --connections= value: a conn spec whose clients= /
+ * qp_capacity= / qp_cold= keys are peeled into the ConnConfig before
+ * the remainder is validated through the registry, e.g.
+ * "grouped:size=40,slice=100us,clients=2048". The keys read as the
+ * scenario [connections] keys do: clients in [1, 2^24] (required),
+ * qp_capacity a 32-bit count, qp_cold a duration ("1us", "800").
  */
 ConnConfig parseConnConfig(const std::string &text);
 

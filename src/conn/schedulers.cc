@@ -88,7 +88,7 @@ class GroupedScheduler final : public ConnScheduler
         spec_.expectKeys({"size", "slice", "window", "warmup",
                           "regroup"});
         size_ = static_cast<std::uint32_t>(
-            spec_.uintParam("size", defaultGroupSize));
+            spec_.uintParam("size", defaultGroupSize, 0, UINT32_MAX));
         if (size_ == 0)
             sim::fatal("conn scheduler 'grouped': size must be >= 1");
         slice_ = spec_.tickParam(
@@ -96,17 +96,10 @@ class GroupedScheduler final : public ConnScheduler
         if (slice_ == 0)
             sim::fatal("conn scheduler 'grouped': slice must be > 0");
         window_ = static_cast<std::uint32_t>(
-            spec_.uintParam("window", defaultWindow));
+            spec_.uintParam("window", defaultWindow, 0, UINT32_MAX));
         if (window_ == 0)
             sim::fatal("conn scheduler 'grouped': window must be >= 1");
-        const std::uint64_t warmup = spec_.uintParam("warmup", 1);
-        if (warmup > 1) {
-            sim::fatal(sim::strfmt(
-                "conn scheduler 'grouped': warmup must be 0 or 1 "
-                "(got %llu)",
-                static_cast<unsigned long long>(warmup)));
-        }
-        warmup_ = warmup == 1;
+        warmup_ = spec_.boolParam("warmup", true);
         if (spec_.has("regroup")) {
             const std::string &mode = spec_.params.at("regroup");
             if (mode == "priority")

@@ -538,8 +538,7 @@ runExperiment(const ExperimentConfig &cfg)
         if (cfg.connections.active()) {
             sys.qpCacheCapacity =
                 conn::effectiveQpCapacity(cfg.connections);
-            sys.qpColdFetch =
-                sim::nanoseconds(cfg.connections.qpColdNs);
+            sys.qpColdFetch = cfg.connections.qpCold;
         }
         sys.validate();
         apps.push_back(

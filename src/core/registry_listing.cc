@@ -1,11 +1,6 @@
 #include "core/registry_listing.hh"
 
-#include "app/workload.hh"
-#include "cluster/router.hh"
-#include "conn/conn.hh"
-#include "fault/fault.hh"
-#include "net/arrival.hh"
-#include "ni/policy_spec.hh"
+#include "ni/dispatch_policy.hh"
 
 namespace rpcvalet::core {
 
@@ -19,6 +14,15 @@ listAxes()
     // use, so the listing is complete no matter which components the
     // caller has touched so far.
     return {{Axes::label, sim::Registry<Axes>::instance().names()}...};
+}
+
+template <typename Axis, typename... Args>
+sim::TypedSpec<Axis>
+check(const std::string &text, Args... args)
+{
+    const sim::TypedSpec<Axis> spec(text);
+    (void)sim::Registry<Axis>::instance().make(spec, args...);
+    return spec;
 }
 
 } // namespace
@@ -44,6 +48,43 @@ formatRegistryListing()
         out += "\n";
     }
     return out;
+}
+
+ni::PolicySpec
+checkPolicy(const std::string &text)
+{
+    return check<ni::PolicyAxis>(text);
+}
+
+net::ArrivalSpec
+checkArrival(const std::string &text)
+{
+    // Any positive rate builds the process; the run supplies its own.
+    return check<net::ArrivalAxis>(text, /*rate_per_sec=*/1e6);
+}
+
+app::WorkloadSpec
+checkWorkload(const std::string &text)
+{
+    return check<app::WorkloadAxis>(text);
+}
+
+cluster::RouterSpec
+checkRouter(const std::string &text)
+{
+    return check<cluster::RouterAxis>(text);
+}
+
+fault::FaultSpec
+checkFault(const std::string &text)
+{
+    return check<fault::FaultAxis>(text);
+}
+
+conn::ConnSpec
+checkConnScheduler(const std::string &text)
+{
+    return check<conn::ConnAxis>(text);
 }
 
 } // namespace rpcvalet::core

@@ -9,6 +9,12 @@
  * this listing so a user can discover the registered names without
  * reading the source; tests assert on the same structure so a new
  * axis cannot be added without showing up here.
+ *
+ * It also holds the one check per axis that every front-end (scenario
+ * files, bench flags) runs on a component spec the moment the text is
+ * read: parse it, then build it through its registry, so an unknown
+ * name or a bad parameter dies inside the caller's ErrorContext
+ * instead of later in a sweep worker.
  */
 
 #ifndef RPCVALET_CORE_REGISTRY_LISTING_HH
@@ -16,6 +22,13 @@
 
 #include <string>
 #include <vector>
+
+#include "app/workload.hh"
+#include "cluster/router.hh"
+#include "conn/conn.hh"
+#include "fault/fault.hh"
+#include "net/arrival.hh"
+#include "ni/policy_spec.hh"
 
 namespace rpcvalet::core {
 
@@ -40,6 +53,18 @@ std::vector<RegistryAxis> listRegistries();
  * registry, in canonical order, trailing newline included.
  */
 std::string formatRegistryListing();
+
+// Parse @p text and build the component once through its registry
+// (fatal on a malformed spec, an unknown name or a bad parameter);
+// returns the parsed spec. A fault is built shape-free: node and core
+// ranges are checked when a run resolves it against its cluster.
+
+ni::PolicySpec checkPolicy(const std::string &text);
+net::ArrivalSpec checkArrival(const std::string &text);
+app::WorkloadSpec checkWorkload(const std::string &text);
+cluster::RouterSpec checkRouter(const std::string &text);
+fault::FaultSpec checkFault(const std::string &text);
+conn::ConnSpec checkConnScheduler(const std::string &text);
 
 } // namespace rpcvalet::core
 

@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -37,6 +36,7 @@
 
 #include "net/arrival.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace rpcvalet::net {
 
@@ -352,23 +352,18 @@ const ArrivalRegistrar traceReg(
         std::vector<double> gaps;
         double sum = 0.0;
         std::string line;
-        while (std::getline(in, line)) {
-            const std::size_t start =
-                line.find_first_not_of(" \t\r");
+        for (std::size_t number = 1; std::getline(in, line); ++number) {
+            const std::size_t start = line.find_first_not_of(" \t\r");
             if (start == std::string::npos || line[start] == '#')
                 continue;
-            char *end = nullptr;
-            const double gap = std::strtod(line.c_str() + start, &end);
-            while (end != nullptr && (*end == ' ' || *end == '\t' ||
-                                      *end == '\r'))
-                ++end;
-            if (end == line.c_str() + start || *end != '\0' ||
-                !std::isfinite(gap) || gap < 0.0) {
-                sim::fatal("arrival '" + spec.toString() +
-                           "': trace file '" + path +
-                           "' has a bad interarrival line: '" + line +
-                           "'");
-            }
+            const std::size_t end = line.find_last_not_of(" \t\r");
+            const std::string text = line.substr(start, end - start + 1);
+            const sim::ErrorContext ctx(sim::strfmt(
+                "arrival '%s': bad interarrival line %s:%zu",
+                spec.toString().c_str(), path.c_str(), number));
+            const double gap = sim::parseReal(text);
+            if (gap < 0.0)
+                sim::fatal("'" + text + "' is negative");
             gaps.push_back(gap);
             sum += gap;
         }
@@ -384,7 +379,7 @@ const ArrivalRegistrar traceReg(
         // Default: the trace supplies the burstiness shape and the
         // experiment the load — rescale the mean gap to 1/rate.
         // raw=1 replays the recorded timestamps verbatim.
-        const bool raw = spec.uintParam("raw", 0) != 0;
+        const bool raw = spec.boolParam("raw", false);
         const double mean_gap = sum / static_cast<double>(gaps.size());
         const double scale = raw ? 1.0 : (1e9 / rate) / mean_gap;
         return std::make_unique<TraceArrival>(std::move(gaps), scale,

@@ -376,18 +376,6 @@ class DelayAwareLeastWork : public DispatchPolicy
     std::size_t cursor_ = 0;
 };
 
-/** uintParam narrowed to uint32; out-of-range is fatal, not a wrap. */
-std::uint32_t
-uint32Param(const PolicySpec &spec, const char *key, std::uint32_t fallback)
-{
-    const std::uint64_t value = spec.uintParam(key, fallback);
-    if (value > std::numeric_limits<std::uint32_t>::max()) {
-        sim::fatal("policy '" + spec.toString() + "': parameter '" +
-                   key + "' is out of range");
-    }
-    return static_cast<std::uint32_t>(value);
-}
-
 const PolicyRegistrar greedyReg("greedy", [](const PolicySpec &spec) {
     spec.expectKeys({});
     return std::make_unique<GreedyLeastLoaded>();
@@ -400,12 +388,14 @@ const PolicyRegistrar rrReg("rr", [](const PolicySpec &spec) {
 
 const PolicyRegistrar pow2Reg("pow2", [](const PolicySpec &spec) {
     spec.expectKeys({"d"});
-    return std::make_unique<PowerOfDChoices>(uint32Param(spec, "d", 2));
+    return std::make_unique<PowerOfDChoices>(
+        static_cast<std::uint32_t>(spec.uintParam("d", 2, 0, UINT32_MAX)));
 });
 
 const PolicyRegistrar jbsqReg("jbsq", [](const PolicySpec &spec) {
     spec.expectKeys({"d"});
-    return std::make_unique<Jbsq>(uint32Param(spec, "d", 2));
+    return std::make_unique<Jbsq>(
+        static_cast<std::uint32_t>(spec.uintParam("d", 2, 0, UINT32_MAX)));
 });
 
 const PolicyRegistrar staleJsqReg("stale-jsq", [](const PolicySpec &spec) {

@@ -1,19 +1,14 @@
 #include "scenario/scenario.hh"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "app/workload.hh"
-#include "cluster/router.hh"
-#include "conn/conn.hh"
-#include "fault/fault.hh"
-#include "net/arrival.hh"
+#include "core/registry_listing.hh"
 #include "ni/dispatch_policy.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace rpcvalet::scenario {
 
@@ -50,105 +45,6 @@ splitList(const std::string &value)
             return out;
         start = bar + 1;
     }
-}
-
-double
-parseDouble(const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || errno != 0 ||
-        !std::isfinite(parsed))
-        sim::fatal("'" + value + "' is not a number");
-    return parsed;
-}
-
-std::uint64_t
-parseUint(const std::string &value)
-{
-    const double parsed = parseDouble(value);
-    if (parsed < 0.0 || parsed >= 0x1p64 ||
-        parsed != std::floor(parsed))
-        sim::fatal("'" + value + "' is not a non-negative integer");
-    return static_cast<std::uint64_t>(parsed);
-}
-
-bool
-parseBool(const std::string &value)
-{
-    if (value == "true" || value == "1" || value == "yes" ||
-        value == "on")
-        return true;
-    if (value == "false" || value == "0" || value == "no" ||
-        value == "off")
-        return false;
-    sim::fatal("'" + value + "' is not a boolean (true/false)");
-    return false; // unreachable
-}
-
-/** Duration with the spec grammar's units: bare ns, or ns/us/ms. */
-sim::Tick
-parseTick(const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || errno != 0)
-        sim::fatal("'" + value + "' is not a duration");
-    const std::string unit = trim(end);
-    double ns = 0.0;
-    if (unit.empty() || unit == "ns")
-        ns = parsed;
-    else if (unit == "us")
-        ns = parsed * 1e3;
-    else if (unit == "ms")
-        ns = parsed * 1e6;
-    else {
-        sim::fatal("duration '" + value + "' has unknown unit '" +
-                   unit + "' (use ns, us, or ms)");
-    }
-    if (!std::isfinite(ns) || ns < 0.0 ||
-        ns * static_cast<double>(sim::ticksPerNs) >= 0x1p63)
-        sim::fatal("duration '" + value + "' is out of range");
-    return sim::nanoseconds(ns);
-}
-
-// Registry-backed validation: each helper instantiates the component
-// so a bad spec dies at parse time, inside the caller's ErrorContext
-// (which carries file:line and the offending key=value).
-
-void
-validateWorkload(const std::string &spec)
-{
-    (void)app::WorkloadRegistry::instance().make(
-        app::WorkloadSpec(spec));
-}
-
-void
-validatePolicy(const std::string &spec)
-{
-    (void)ni::makePolicy(ni::PolicySpec(spec));
-}
-
-void
-validateArrival(const std::string &spec)
-{
-    (void)net::ArrivalRegistry::instance().make(net::ArrivalSpec(spec),
-                                                /*rate_rps=*/1e6);
-}
-
-void
-validateRouter(const std::string &spec)
-{
-    (void)cluster::RouterRegistry::instance().make(
-        cluster::RouterSpec(spec));
-}
-
-void
-validateConnScheduler(const std::string &spec)
-{
-    (void)conn::ConnRegistry::instance().make(conn::ConnSpec(spec));
 }
 
 /** File stem ("out/herd.scn" -> "herd") for the default name. */
@@ -205,8 +101,9 @@ class Parser
         if (section_.empty())
             die("'" + key + "' appears before any [section] header");
 
-        // Every value is applied (and registry-validated) inside a
-        // context frame naming file, line, and the offending token.
+        // Every value is parsed (and every spec built through its
+        // registry) inside a context frame naming file, line, and the
+        // offending token.
         sim::ErrorContext ctx(sim::strfmt("%s:%d (%s = %s)",
                                           source_.c_str(), line_,
                                           key.c_str(), value.c_str()));
@@ -221,7 +118,8 @@ class Parser
         else if (section_ == "sweep")
             sweepKey(key, value);
         else if (section_ == "slo")
-            out_.slos.push_back(SloBound{key, sim::toNs(parseTick(value))});
+            out_.slos.push_back(
+                SloBound{key, sim::toNs(sim::parseDuration(value))});
         else
             outputKey(key, value);
     }
@@ -281,29 +179,26 @@ class Parser
         if (key == "name") {
             out_.name = value;
         } else if (key == "workload") {
-            validateWorkload(value);
-            out_.base.workload = app::WorkloadSpec(value);
+            out_.base.workload = core::checkWorkload(value);
         } else if (key == "arrival") {
-            validateArrival(value);
-            out_.base.arrival = net::ArrivalSpec(value);
+            out_.base.arrival = core::checkArrival(value);
         } else if (key == "policy") {
-            validatePolicy(value);
-            out_.base.system.policy = ni::PolicySpec(value);
+            out_.base.system.policy = core::checkPolicy(value);
         } else if (key == "mode") {
             out_.base.system.mode = ni::dispatchModeFromName(value);
         } else if (key == "warmup") {
-            out_.base.warmupRpcs = parseUint(value);
+            out_.base.warmupRpcs = sim::parseUint(value);
         } else if (key == "measured") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n == 0)
                 sim::fatal("'measured' must be at least 1");
             out_.base.measuredRpcs = n;
         } else if (key == "seed") {
-            out_.base.system.seed = parseUint(value);
+            out_.base.system.seed = sim::parseUint(value);
         } else if (key == "turnaround") {
-            out_.base.clientTurnaround = parseTick(value);
+            out_.base.clientTurnaround = sim::parseDuration(value);
         } else if (key == "parallel_domains") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n > 1024)
                 die("'parallel_domains' must be at most 1024");
             out_.base.parallelDomains = static_cast<unsigned>(n);
@@ -319,29 +214,28 @@ class Parser
     clusterKey(const std::string &key, const std::string &value)
     {
         if (key == "nodes") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1 || n > 64)
                 sim::fatal("'nodes' must be in [1, 64]");
             out_.base.cluster.numServerNodes =
                 static_cast<std::uint32_t>(n);
         } else if (key == "router") {
-            validateRouter(value);
-            out_.base.cluster.router = cluster::RouterSpec(value);
+            out_.base.cluster.router = core::checkRouter(value);
         } else if (key == "shards") {
-            out_.base.cluster.shards =
-                static_cast<std::uint32_t>(parseUint(value));
+            out_.base.cluster.shards = static_cast<std::uint32_t>(
+                sim::parseUint(value, 0, UINT32_MAX));
         } else if (key == "timeout") {
-            out_.base.cluster.requestTimeout = parseTick(value);
+            out_.base.cluster.requestTimeout = sim::parseDuration(value);
         } else if (key == "fail_threshold") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value, 0, UINT32_MAX);
             if (n < 1)
                 sim::fatal("'fail_threshold' must be at least 1");
             out_.base.cluster.failThreshold =
                 static_cast<std::uint32_t>(n);
         } else if (key == "recovery_after") {
-            out_.base.cluster.recoveryAfter = parseTick(value);
+            out_.base.cluster.recoveryAfter = sim::parseDuration(value);
         } else if (key == "sweep_interval") {
-            const sim::Tick t = parseTick(value);
+            const sim::Tick t = sim::parseDuration(value);
             if (t == 0)
                 sim::fatal("'sweep_interval' must be > 0 (omit the key "
                            "to derive it from the timeout)");
@@ -360,26 +254,25 @@ class Parser
         if (key == "nodes") {
             // Messaging-domain size: emulated endpoints the logical
             // clients are multiplexed onto, NOT the server count.
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 2 || n > 100000)
                 sim::fatal("'nodes' must be in [2, 100000]");
             out_.base.system.domain.numNodes =
                 static_cast<std::uint32_t>(n);
         } else if (key == "clients") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1 || n > (1u << 24))
                 sim::fatal("'clients' must be in [1, 2^24]");
             out_.base.connections.numClients =
                 static_cast<std::uint32_t>(n);
         } else if (key == "scheduler") {
-            validateConnScheduler(value);
-            out_.base.connections.scheduler = conn::ConnSpec(value);
+            out_.base.connections.scheduler =
+                core::checkConnScheduler(value);
         } else if (key == "qp_capacity") {
-            out_.base.connections.qpCapacity =
-                static_cast<std::uint32_t>(parseUint(value));
+            out_.base.connections.qpCapacity = static_cast<std::uint32_t>(
+                sim::parseUint(value, 0, UINT32_MAX));
         } else if (key == "qp_cold") {
-            out_.base.connections.qpColdNs =
-                sim::toNs(parseTick(value));
+            out_.base.connections.qpCold = sim::parseDuration(value);
         } else {
             die("unknown [connections] key '" + key +
                 "' (expected nodes, clients, scheduler, qp_capacity, "
@@ -391,31 +284,27 @@ class Parser
     chaosKey(const std::string &key, const std::string &value)
     {
         if (key == "fault") {
-            // Repeatable; each line adds one spec. Instantiating
-            // through the registry validates the name and every
-            // shape-independent parameter right here, inside the
-            // file:line context. Shape checks (node/core ranges) run
-            // when the point resolves, with the spec in the message.
-            const fault::FaultSpec spec(value);
-            (void)fault::FaultRegistry::instance().make(spec);
-            out_.base.faults.push_back(spec);
+            // Repeatable; each line adds one spec. Shape checks
+            // (node/core ranges) run when the point resolves, with the
+            // spec in the message.
+            out_.base.faults.push_back(core::checkFault(value));
         } else if (key == "retry_max_attempts") {
-            out_.base.retry.maxAttempts =
-                static_cast<std::uint32_t>(parseUint(value));
+            out_.base.retry.maxAttempts = static_cast<std::uint32_t>(
+                sim::parseUint(value, 0, UINT32_MAX));
         } else if (key == "retry_backoff") {
-            out_.base.retry.baseBackoff = parseTick(value);
+            out_.base.retry.baseBackoff = sim::parseDuration(value);
         } else if (key == "retry_multiplier") {
-            const double m = parseDouble(value);
+            const double m = sim::parseReal(value);
             if (m < 1.0)
                 sim::fatal("'retry_multiplier' must be >= 1");
             out_.base.retry.multiplier = m;
         } else if (key == "retry_jitter") {
-            const double j = parseDouble(value);
+            const double j = sim::parseReal(value);
             if (j < 0.0 || j > 1.0)
                 sim::fatal("'retry_jitter' must be in [0, 1]");
             out_.base.retry.jitter = j;
         } else if (key == "hedge_after") {
-            out_.base.retry.hedgeAfter = parseTick(value);
+            out_.base.retry.hedgeAfter = sim::parseDuration(value);
         } else {
             die("unknown [chaos] key '" + key +
                 "' (expected fault, retry_max_attempts, retry_backoff, "
@@ -428,7 +317,7 @@ class Parser
     {
         if (key == "load") {
             for (const std::string &item : splitList(value)) {
-                const double f = parseDouble(item);
+                const double f = sim::parseReal(item);
                 if (!(f > 0.0) || f > 4.0)
                     sim::fatal("load fraction '" + item +
                                "' must be in (0, 4]");
@@ -436,39 +325,39 @@ class Parser
             }
         } else if (key == "rps") {
             for (const std::string &item : splitList(value)) {
-                const double r = parseDouble(item);
+                const double r = sim::parseReal(item);
                 if (!(r > 0.0))
                     sim::fatal("rps '" + item + "' must be positive");
                 out_.absoluteRps.push_back(r);
             }
         } else if (key == "workload") {
             for (const std::string &item : splitList(value)) {
-                validateWorkload(item);
+                (void)core::checkWorkload(item);
                 out_.workloads.push_back(item);
             }
         } else if (key == "policy") {
             for (const std::string &item : splitList(value)) {
-                validatePolicy(item);
+                (void)core::checkPolicy(item);
                 out_.policies.push_back(item);
             }
         } else if (key == "arrival") {
             for (const std::string &item : splitList(value)) {
-                validateArrival(item);
+                (void)core::checkArrival(item);
                 out_.arrivals.push_back(item);
             }
         } else if (key == "router") {
             for (const std::string &item : splitList(value)) {
-                validateRouter(item);
+                (void)core::checkRouter(item);
                 out_.routers.push_back(item);
             }
         } else if (key == "scheduler") {
             for (const std::string &item : splitList(value)) {
-                validateConnScheduler(item);
+                (void)core::checkConnScheduler(item);
                 out_.schedulers.push_back(item);
             }
         } else if (key == "nodes") {
             for (const std::string &item : splitList(value)) {
-                const std::uint64_t n = parseUint(item);
+                const std::uint64_t n = sim::parseUint(item);
                 if (n < 1 || n > 64)
                     sim::fatal("node count '" + item +
                                "' must be in [1, 64]");
@@ -476,7 +365,7 @@ class Parser
                     static_cast<std::uint32_t>(n));
             }
         } else if (key == "threads") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1 || n > 1024)
                 sim::fatal("'threads' must be in [1, 1024]");
             out_.threads = static_cast<unsigned>(n);
@@ -493,9 +382,9 @@ class Parser
         if (key == "dir")
             out_.outputDir = value;
         else if (key == "json")
-            out_.writeJson = parseBool(value);
+            out_.writeJson = sim::parseBool(value);
         else if (key == "prometheus")
-            out_.writePrometheus = parseBool(value);
+            out_.writePrometheus = sim::parseBool(value);
         else
             die("unknown [output] key '" + key +
                 "' (expected dir, json, or prometheus)");

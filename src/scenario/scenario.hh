@@ -53,10 +53,14 @@
  * decorrelated across the matrix, so a single-point scenario is
  * bit-identical to the equivalent hand-built ExperimentConfig.
  *
- * Every value is validated at parse time — registry lookups included —
- * under a sim::ErrorContext naming the file, line, and offending
- * `key = value`, so a typo dies with "scenario.scn:12 (policy =
- * jbqs:d=2): ..." rather than deep inside a later run.
+ * Values read through the shared parsers in sim/spec.hh: integers are
+ * plain decimal (no sign, fraction or exponent), reals finite,
+ * durations a bare ns count or ns/us/ms, booleans true/false. Every
+ * value is validated at parse time — each spec built through its
+ * registry (core::checkPolicy and friends) — under a sim::ErrorContext
+ * naming the file, line, and offending `key = value`, so a typo dies
+ * with "scenario.scn:12 (policy = jbqs:d=2): ..." rather than deep
+ * inside a later run.
  */
 
 #ifndef RPCVALET_SCENARIO_SCENARIO_HH

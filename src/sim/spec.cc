@@ -70,84 +70,131 @@ Spec::has(const std::string &key) const
 
 namespace {
 
-/** Parse a full string as a number; fatal() on trailing junk. */
+/**
+ * The one floating-point read: the number at the start of @p text. With
+ * @p rest null the number must be the whole text; otherwise @p rest
+ * receives what follows it (a duration's unit).
+ */
 double
-parseNumber(const Spec &spec, const std::string &key,
-            const std::string &value, const char **suffix_out = nullptr)
+readNumber(const std::string &text, std::string *rest = nullptr)
 {
     errno = 0;
     char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || errno != 0) {
-        fatal(spec.what + " '" + spec.toString() + "': parameter '" +
-              key + "=" + value + "' is not a number");
-    }
-    if (suffix_out != nullptr)
-        *suffix_out = end;
-    else if (*end != '\0')
-        fatal(spec.what + " '" + spec.toString() + "': parameter '" +
-              key + "=" + value + "' has trailing characters");
-    return parsed;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || errno != 0 ||
+        (rest == nullptr && *end != '\0'))
+        fatal("'" + text + "' is not a number");
+    if (rest != nullptr)
+        *rest = end;
+    return value;
+}
+
+/** @p fallback when @p key is absent, else parse(value) inside a
+ *  frame naming the spec and the parameter. */
+template <typename T, typename Parse>
+T
+param(const Spec &spec, const std::string &key, T fallback, Parse parse)
+{
+    const auto it = spec.params.find(key);
+    if (it == spec.params.end())
+        return fallback;
+    const ErrorContext ctx(spec.what + " '" + spec.toString() +
+                           "': parameter '" + key + "=" + it->second +
+                           "'");
+    return parse(it->second);
 }
 
 } // namespace
 
 std::uint64_t
-Spec::uintParam(const std::string &key, std::uint64_t fallback) const
+parseUint(const std::string &text, std::uint64_t lo, std::uint64_t hi)
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const double parsed = parseNumber(*this, key, it->second);
-    // Range-check before the cast: converting a non-finite or
-    // unrepresentable double to uint64_t is undefined behavior.
-    if (!std::isfinite(parsed) || parsed < 0.0 || parsed >= 0x1p64 ||
-        parsed != std::floor(parsed)) {
-        fatal(what + " '" + toString() + "': parameter '" + key + "=" +
-              it->second + "' is not a non-negative integer");
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+        (void)readNumber(text); // "not a number" unless it is one
+        fatal("'" + text + "' is not a non-negative integer");
     }
-    return static_cast<std::uint64_t>(parsed);
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || value < lo || value > hi) {
+        fatal(strfmt("'%s' is out of range [%llu, %llu]", text.c_str(),
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi)));
+    }
+    return value;
 }
 
 double
-Spec::doubleParam(const std::string &key, double fallback) const
+parseReal(const std::string &text)
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    return parseNumber(*this, key, it->second);
+    const double value = readNumber(text);
+    if (!std::isfinite(value))
+        fatal("'" + text + "' is not a finite number");
+    return value;
 }
 
 Tick
-Spec::tickParam(const std::string &key, Tick fallback) const
+parseDuration(const std::string &text)
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const char *suffix = nullptr;
-    const double parsed = parseNumber(*this, key, it->second, &suffix);
-    const std::string unit(suffix);
+    std::string unit;
+    const double value = readNumber(text, &unit);
+    unit.erase(0, unit.find_first_not_of(" \t"));
     double ns = 0.0;
     if (unit.empty() || unit == "ns")
-        ns = parsed;
+        ns = value;
     else if (unit == "us")
-        ns = parsed * 1e3;
+        ns = value * 1e3;
     else if (unit == "ms")
-        ns = parsed * 1e6;
+        ns = value * 1e6;
     else {
-        fatal(what + " '" + toString() + "': duration '" + key + "=" +
-              it->second + "' has unknown unit '" + unit +
+        fatal("duration '" + text + "' has unknown unit '" + unit +
               "' (use ns, us, or ms)");
     }
     // Range-check before sim::nanoseconds casts to Tick: a non-finite
     // or unrepresentable double is undefined behavior. 2^63 ps is
     // ~107 days of simulated time, far beyond any run.
     if (!std::isfinite(ns) || ns < 0.0 ||
-        ns * static_cast<double>(ticksPerNs) >= 0x1p63) {
-        fatal(what + " '" + toString() + "': duration '" + key + "=" +
-              it->second + "' is out of range");
-    }
+        ns * static_cast<double>(ticksPerNs) >= 0x1p63)
+        fatal("duration '" + text + "' is out of range");
     return nanoseconds(ns);
+}
+
+bool
+parseBool(const std::string &text)
+{
+    if (text == "true" || text == "yes" || text == "on" || text == "1")
+        return true;
+    if (text == "false" || text == "no" || text == "off" || text == "0")
+        return false;
+    fatal("'" + text + "' is not a boolean (true/false)");
+}
+
+std::uint64_t
+Spec::uintParam(const std::string &key, std::uint64_t fallback,
+                std::uint64_t lo, std::uint64_t hi) const
+{
+    return param(*this, key, fallback, [&](const std::string &value) {
+        return parseUint(value, lo, hi);
+    });
+}
+
+double
+Spec::doubleParam(const std::string &key, double fallback) const
+{
+    return param(*this, key, fallback,
+                 [](const std::string &value) { return readNumber(value); });
+}
+
+Tick
+Spec::tickParam(const std::string &key, Tick fallback) const
+{
+    return param(*this, key, fallback, parseDuration);
+}
+
+bool
+Spec::boolParam(const std::string &key, bool fallback) const
+{
+    return param(*this, key, fallback, parseBool);
 }
 
 void

@@ -71,7 +71,8 @@ TEST(ConnSpecDeath, GroupedWarmupMustBeBoolean)
 {
     EXPECT_EXIT((void)conn::ConnRegistry::instance().make(
                     conn::ConnSpec("grouped:warmup=2")),
-                ::testing::ExitedWithCode(1), "warmup must be 0 or 1");
+                ::testing::ExitedWithCode(1),
+                "parameter 'warmup=2': '2' is not a boolean");
 }
 
 TEST(ConnSpecDeath, GroupedRegroupModeIsChecked)
@@ -99,6 +100,29 @@ TEST(ConnConfigDeath, ZeroClientsIsFatal)
 {
     EXPECT_EXIT((void)conn::parseConnConfig("all:clients=0"),
                 ::testing::ExitedWithCode(1), "clients=0");
+}
+
+TEST(ConnConfigDeath, ClientsTakeTheScenarioKeyBound)
+{
+    // [connections] clients is bounded to [1, 2^24]; the flag form is
+    // the same key.
+    EXPECT_EXIT((void)conn::parseConnConfig("all:clients=16777217"),
+                ::testing::ExitedWithCode(1),
+                "parameter 'clients=16777217'.*out of range");
+}
+
+TEST(ConnConfig, FlagFormParsesTheDocumentedExample)
+{
+    // The --connections example in bench/common.hh: qp_cold is a
+    // duration in the flag form too, as in a [connections] section.
+    const conn::ConnConfig cfg = conn::parseConnConfig(
+        "all:clients=2048,qp_capacity=64,qp_cold=1us");
+    EXPECT_EQ(cfg.numClients, 2048u);
+    EXPECT_EQ(cfg.qpCapacity, 64u);
+    EXPECT_EQ(cfg.qpCold, sim::microseconds(1.0));
+    EXPECT_EQ(cfg.schedulerSpec().toString(), "all");
+    EXPECT_EQ(conn::parseConnConfig("all:clients=1,qp_cold=800").qpCold,
+              sim::nanoseconds(800.0));
 }
 
 // ----- effective QP capacity derivation -----

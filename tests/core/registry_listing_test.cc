@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -70,6 +71,49 @@ TEST(RegistryListing, FormattedTextHasOneLinePerAxis)
         text.substr(text.find("conn: "));
     EXPECT_NE(connLine.find("all"), std::string::npos);
     EXPECT_NE(connLine.find("grouped"), std::string::npos);
+}
+
+TEST(RegistryCheck, ReturnsTheParsedSpec)
+{
+    EXPECT_EQ(core::checkPolicy("jbsq:d=2").toString(), "jbsq:d=2");
+    EXPECT_EQ(core::checkArrival("lognormal:cv=4").what, "arrival");
+    EXPECT_EQ(core::checkWorkload("masstree-get").name, "masstree-get");
+    EXPECT_EQ(core::checkRouter("bounded-load:c=1.5").params.size(), 1u);
+    EXPECT_EQ(core::checkFault("packet-loss:p=0.01").name, "packet-loss");
+    EXPECT_EQ(core::checkConnScheduler("grouped:size=8").toString(),
+              "grouped:size=8");
+}
+
+/** One over-range parameter per axis, read through the axis check. */
+struct OutOfRangeCase
+{
+    const char *spec;
+    std::function<void(const std::string &)> check;
+};
+
+TEST(RegistryCheckDeath, OverRangeParametersDieOnEveryAxis)
+{
+    // None of these may wrap into a small value: 4294967297 would run
+    // herd with 1-byte values if value_bytes were narrowed unchecked.
+    const std::vector<OutOfRangeCase> cases = {
+        {"pow2:d=4294967296",
+         [](const std::string &t) { (void)core::checkPolicy(t); }},
+        {"ramp:over=1e300ms",
+         [](const std::string &t) { (void)core::checkArrival(t); }},
+        {"herd:value_bytes=4294967297",
+         [](const std::string &t) { (void)core::checkWorkload(t); }},
+        {"bounded-load:vnodes=18446744073709551616",
+         [](const std::string &t) { (void)core::checkRouter(t); }},
+        {"crash:node=0,at=1e300ms",
+         [](const std::string &t) { (void)core::checkFault(t); }},
+        {"grouped:size=4294967296",
+         [](const std::string &t) { (void)core::checkConnScheduler(t); }},
+    };
+    for (const OutOfRangeCase &c : cases) {
+        SCOPED_TRACE(c.spec);
+        EXPECT_EXIT(c.check(c.spec), ::testing::ExitedWithCode(1),
+                    "out of range");
+    }
 }
 
 } // namespace

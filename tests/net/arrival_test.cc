@@ -383,10 +383,21 @@ TEST_F(TraceArrivalTest, MalformedTracesAreFatal)
     const std::string negative = writeTrace("100\n-5\n");
     EXPECT_EXIT(make("trace:file=" + negative, 1e6),
                 ::testing::ExitedWithCode(1), "bad interarrival line");
+    const std::string infinite = writeTrace("100\ninf\n");
+    EXPECT_EXIT(make("trace:file=" + infinite, 1e6),
+                ::testing::ExitedWithCode(1), "bad interarrival line");
     const std::string zeros = writeTrace("0\n0\n");
     EXPECT_EXIT(make("trace:file=" + zeros, 1e6),
                 ::testing::ExitedWithCode(1),
                 "mean interarrival must be positive");
+}
+
+TEST_F(TraceArrivalTest, BadLineIsNamedByFileAndLineNumber)
+{
+    const std::string path = writeTrace("100\n# comment\n2x\n");
+    EXPECT_EXIT(make("trace:file=" + path, 1e6),
+                ::testing::ExitedWithCode(1),
+                path + ":3: '2x' is not a number");
 }
 
 } // namespace

@@ -154,6 +154,16 @@ TEST(ScenarioParse, FileStemIsTheDefaultName)
     std::remove(path.c_str());
 }
 
+TEST(ScenarioParse, IntegersAreExactBeyondDoublePrecision)
+{
+    // 2^53 + 1 has no double; a parse through strtod would round it
+    // to 2^53 and run the neighbouring seed.
+    const scenario::Scenario scn = scenario::parseScenarioText(
+        "[experiment]\nseed = 9007199254740993\n[sweep]\nload = 0.5\n",
+        "seed.scn");
+    EXPECT_EQ(scn.base.system.seed, 9007199254740993ull);
+}
+
 // ----- fatal diagnostics (satellite: uniform file:line context) -----
 
 TEST(ScenarioParseDeath, UnknownKeyNamesFileAndLine)
@@ -226,6 +236,16 @@ TEST(ScenarioParseDeath, ValueValidationFires)
                     "bad.scn"),
                 ::testing::ExitedWithCode(1),
                 "'parallel_domains' must be at most 1024");
+}
+
+TEST(ScenarioParseDeath, IntegersArePlainDecimal)
+{
+    // One spelling for integers: no exponent, fraction or sign.
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[experiment]\nwarmup = 1e3\n", "bad.scn"),
+                ::testing::ExitedWithCode(1),
+                "bad\\.scn:2 \\(warmup = 1e3\\).*not a non-negative "
+                "integer");
 }
 
 TEST(ScenarioParseDeath, BadFaultSpecsDieWithFileAndLine)
@@ -307,7 +327,7 @@ TEST(ScenarioParse, ConnectionsSectionPopulatesConnConfig)
     EXPECT_EQ(scn.base.connections.scheduler.toString(),
               "grouped:size=40,slice=100us");
     EXPECT_EQ(scn.base.connections.qpCapacity, 64u);
-    EXPECT_DOUBLE_EQ(scn.base.connections.qpColdNs, 800.0);
+    EXPECT_EQ(scn.base.connections.qpCold, sim::nanoseconds(800.0));
 }
 
 TEST(ScenarioParseDeath, BadConnectionsKeysDieWithFileAndLine)

@@ -28,7 +28,6 @@
  * unmet SLOs. Parse errors are fatal with file:line diagnostics.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +40,7 @@
 #include "scenario/scenario.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace {
 
@@ -78,31 +78,13 @@ struct Options
     std::vector<std::string> files;
 };
 
-/**
- * Strict value of a "--flag=N" argument: the whole of N must be a
- * decimal integer in [lo, 1024] (no sign, no trailing junk), else
- * fatal naming the argument.
- */
-unsigned
-parseCount(const std::string &arg, unsigned lo)
-{
-    const char *text = arg.c_str() + arg.find('=') + 1;
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || n < lo || n > 1024) {
-        sim::fatal(sim::strfmt("%s: expected an integer in [%u, 1024]",
-                               arg.c_str(), lo));
-    }
-    return static_cast<unsigned>(n);
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const sim::ErrorContext ctx(arg); // names the flag in a fatal
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
@@ -117,11 +99,13 @@ parseArgs(int argc, char **argv)
         } else if (arg.rfind("--out=", 0) == 0) {
             opt.outDir = arg.substr(6);
             if (opt.outDir.empty())
-                sim::fatal("--out needs a directory");
+                sim::fatal("needs a directory");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opt.threads = parseCount(arg, 1);
+            opt.threads =
+                static_cast<unsigned>(sim::parseUint(arg.substr(10), 1, 1024));
         } else if (arg.rfind("--parallel-domains=", 0) == 0) {
-            opt.parallelDomains = static_cast<int>(parseCount(arg, 0));
+            opt.parallelDomains =
+                static_cast<int>(sim::parseUint(arg.substr(19), 0, 1024));
         } else if (arg == "--dry-run") {
             opt.dryRun = true;
         } else if (arg == "--explain-faults") {
