@@ -7,7 +7,7 @@ namespace rpcvalet::conn {
 ConnSpec
 ConnConfig::schedulerSpec() const
 {
-    if (!scheduler.name.empty())
+    if (active() && !scheduler.name.empty())
         return scheduler;
     ConnSpec spec;
     spec.name = "all";

@@ -26,8 +26,8 @@
  * Built-ins (src/conn/schedulers.cc):
  *
  *   all                                   every client connected, no
- *                                         gating — the legacy issue
- *                                         path under a finite QP cache
+ *                                         gating; the scheduler of a
+ *                                         run that names no population
  *   grouped:size=,slice=[,warmup=BOOL][,regroup=none|priority]
  *                                         ScaleRPC connection grouping:
  *                                         only the active group issues
@@ -37,13 +37,16 @@
  *                                         optional priority regrouping
  *                                         by measured Pi = Ti/Si
  *
- * The client population is modeled in net::TrafficGenerator: logical
- * clients multiplex onto the emulated client nodes' existing
- * per-(node, server) slot pools, and each request carries its logical
- * client id so the server NI's QP cache (node::RpcNode) can account
- * connection-context hits and misses. With ConnConfig.numClients == 0
- * (the default) none of this machinery exists: no extra Rng draws, no
- * events, bit-identical to the pre-connection build.
+ * The client population is modeled in net::TrafficGenerator, whose
+ * one issue path gives every request a logical client: clients
+ * multiplex onto the emulated client nodes' existing per-(node,
+ * server) slot pools, and each request carries its client id so the
+ * server NI's QP cache (node::RpcNode) can account connection-context
+ * hits and misses. A config that names no population
+ * (ConnConfig.numClients == 0, the default) gets a derived one: one
+ * client per emulated client node under `all`, with an unbounded QP
+ * cache, so a uniform client draw is a uniform source-node draw and
+ * nothing is deferred, timed or cached.
  */
 
 #ifndef RPCVALET_CONN_CONN_HH
@@ -173,9 +176,9 @@ struct ConnConfig
 {
     /**
      * Logical clients multiplexed onto the emulated client nodes.
-     * 0 (the default) disables the whole client-population model:
-     * requests originate from uniformly random nodes exactly as
-     * before, bit-identically to the pre-connection build.
+     * 0 (the default) names no population: the traffic generator
+     * derives one client per emulated client node under `all`, and
+     * the servers' QP caches stay unbounded.
      */
     std::uint32_t numClients = 0;
 
@@ -184,24 +187,29 @@ struct ConnConfig
      * connections. 0 derives it: the grouped scheduler's group size
      * (ScaleRPC sizes the physical pool for exactly one group), or 64
      * for ungrouped schedulers (an on-chip QP-cache ballpark). Only
-     * consulted while numClients > 0.
+     * consulted under a named population (active()).
      */
     std::uint32_t qpCapacity = 0;
 
     /**
      * Penalty a request pays at the server NI when its connection
      * context is not cached (DRAM/PCIe context fetch before dispatch).
-     * Only consulted while numClients > 0.
+     * Only consulted under a named population (active()).
      */
     sim::Tick qpCold = sim::nanoseconds(1000.0);
 
     /** Scheduler spec; an empty name means "all". */
     ConnSpec scheduler{};
 
-    /** Whether the client-population model is enabled at all. */
+    /**
+     * Whether the config names a population. Every run has logical
+     * clients; this gates only what a named population adds: the
+     * conn report (RunStats.conn) and the finite server QP cache.
+     */
     bool active() const { return numClients > 0; }
 
-    /** The scheduler spec with the empty-name default applied. */
+    /** The scheduler a run uses: the spec with the empty-name default
+     *  applied, or "all" when no population is named. */
     ConnSpec schedulerSpec() const;
 
     /**

@@ -2,9 +2,11 @@
  * @file
  * Built-in connection schedulers.
  *
- * `all` keeps every logical client connected and never gates an issue
- * — the legacy behavior, now running under a finite server-side QP
- * cache so connection-context thrash becomes visible.
+ * `all` keeps every logical client connected and never gates an issue.
+ * It is the scheduler of every run that names no population (one
+ * client per emulated node, unbounded QP cache); under a named
+ * population the server-side QP cache is finite, so
+ * connection-context thrash becomes visible.
  *
  * `grouped` implements ScaleRPC's connection grouping (EuroSys 2019;
  * see SNIPPETS.md Snippet 3): clients partition into groups, a time

@@ -121,11 +121,9 @@ harvestConnStats(const ExperimentConfig &cfg,
 {
     if (!cfg.connections.active())
         return;
-    const conn::ConnScheduler *sched = tg.connScheduler();
-    RV_ASSERT(sched != nullptr,
-              "active connection config without a scheduler");
-    const conn::ConnSchedStats ss = sched->stats();
-    out.conn.scheduler = sched->name();
+    const conn::ConnScheduler &sched = tg.connScheduler();
+    const conn::ConnSchedStats ss = sched.stats();
+    out.conn.scheduler = sched.name();
     out.conn.clients = cfg.connections.numClients;
     out.conn.groups = ss.groups;
     out.conn.qpCapacity = conn::effectiveQpCapacity(cfg.connections);

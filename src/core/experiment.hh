@@ -141,9 +141,9 @@ struct ExperimentConfig
      * multiplexed over the emulated client nodes, gated by a
      * registered connection scheduler ("all", "grouped:size=,slice=")
      * under a finite server-side QP cache. The default (numClients ==
-     * 0) models no client population and is bit-identical to the
-     * pre-connection build: no extra Rng draws, no extra events, no
-     * QP-cache accounting.
+     * 0) names no population: the traffic generator derives one client
+     * per emulated client node under "all", the QP caches stay
+     * unbounded, and RunStats.conn stays empty.
      */
     conn::ConnConfig connections{};
     /**

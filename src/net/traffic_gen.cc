@@ -25,7 +25,10 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
                 ArrivalRegistry::instance().make(params.arrival,
                                                  params.arrivalRps),
                 params.seed, [this] { onArrival(); }),
-      pickRng_(params.seed, /*stream=*/0x7156),
+      // The client-draw stream: 0x7156 for a derived population, 0xC04E
+      // for a named one. The checked-in goldens were recorded on these,
+      // so changing either changes every recorded run.
+      pickRng_(params.seed, params.connections.active() ? 0xC04E : 0x7156),
       clientRng_(params.seed, /*stream=*/0xC11E),
       routerRng_(params.seed, /*stream=*/0x7073),
       retryRng_(params.seed, /*stream=*/0x4E77),
@@ -36,7 +39,6 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
       slots_(static_cast<std::size_t>(params.cluster.numServerNodes) *
              domain.numNodes * domain.slotsPerNode),
       perServerInFlight_(params.cluster.numServerNodes),
-      connRng_(params.seed, /*stream=*/0xC04E),
       sweepEvent_(*this, "timeout-sweep")
 {
     params_.cluster.validate();
@@ -58,29 +60,30 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
                 slots.push_back(s - 1);
         }
     }
-    if (params_.connections.active()) {
-        params_.connections.validate();
-        connSched_ = conn::ConnRegistry::instance().make(
-            params_.connections.schedulerSpec());
-        connSched_->bind(params_.connections.numClients, sim_,
-                         [this](std::uint32_t client,
-                                std::uint32_t limit) {
-                             return connFlush(client, limit);
-                         });
-        connQueue_.resize(params_.connections.numClients);
-        // Fixed once bound (regrouping keeps the group count), so every
-        // groupOf() indexes these.
-        const std::uint32_t groups = connSched_->numGroups();
-        connPerGroupAdmitted_.assign(groups, 0);
-        connPerGroupDeferred_.assign(groups, 0);
-    }
+    // Every request belongs to a logical client. A config that names
+    // no population gets one client per emulated client node under
+    // `all`, so a uniform client draw is a uniform source-node draw.
+    const std::uint32_t clients =
+        params_.connections.active() ? params_.connections.numClients
+                                     : domain_.numNodes - numServers();
+    connSched_ = conn::ConnRegistry::instance().make(
+        params_.connections.schedulerSpec());
+    connSched_->bind(clients, sim_,
+                     [this](std::uint32_t client, std::uint32_t limit) {
+                         return connFlush(client, limit);
+                     });
+    connQueue_.resize(clients);
+    // Fixed once bound (regrouping keeps the group count), so every
+    // groupOf() indexes these.
+    const std::uint32_t groups = connSched_->numGroups();
+    connPerGroupAdmitted_.assign(groups, 0);
+    connPerGroupDeferred_.assign(groups, 0);
 }
 
 void
 TrafficGenerator::start()
 {
-    if (connSched_ != nullptr)
-        connSched_->start();
+    connSched_->start();
     arrivals_.start();
     if (params_.cluster.requestTimeout > 0)
         sim_.schedule(sweepEvent_, params_.cluster.requestTimeout);
@@ -90,8 +93,7 @@ void
 TrafficGenerator::halt()
 {
     halted_ = true;
-    if (connSched_ != nullptr)
-        connSched_->halt();
+    connSched_->halt();
     arrivals_.halt();
 }
 
@@ -102,16 +104,17 @@ TrafficGenerator::onArrival()
     // rendezvous path (§4.2) in launchRequest.
     Request request{app_.makeRequest(clientRng_)};
     countRequestClass(request.bytes);
-    if (connSched_ != nullptr) {
-        // Client-population model: the arrival belongs to a uniformly
-        // random logical client, whose scheduler decides whether it
-        // may issue now or waits for its group's slice.
-        request.conn.client = static_cast<std::uint32_t>(
-            connRng_.uniformInt(0, params_.connections.numClients - 1));
-        connSubmit(std::move(request));
-        return;
-    }
-    dispatchRequest(pickClientNode(), std::move(request));
+    request.conn.client = pickClient();
+    connSubmit(std::move(request));
+}
+
+std::uint32_t
+TrafficGenerator::pickClient()
+{
+    // A uniformly random logical client (§5: requests come "from
+    // randomly selected nodes of the cluster").
+    return static_cast<std::uint32_t>(pickRng_.uniformInt(
+        0, static_cast<std::uint64_t>(connQueue_.size()) - 1));
 }
 
 proto::NodeId
@@ -165,29 +168,18 @@ void
 TrafficGenerator::connOnRetired(const Request &request, bool completed)
 {
     const ConnTag &tag = request.conn;
-    if (tag.client == proto::noConnClient)
-        return;
     if (completed) {
-        connCompletions_.push_back(
-            ConnCompletion{sim_.now() - tag.genAt,
-                           connSched_->groupOf(tag.client), tag.deferred});
+        // Only a named population's report reads the log, so a derived
+        // one does not grow it.
+        if (params_.connections.active()) {
+            connCompletions_.push_back(ConnCompletion{
+                sim_.now() - tag.genAt, connSched_->groupOf(tag.client),
+                tag.deferred});
+        }
         connSched_->onCompleted(
             tag.client, static_cast<std::uint32_t>(request.bytes.size()));
     }
     connSched_->onRetired(tag.client);
-}
-
-proto::NodeId
-TrafficGenerator::pickClientNode()
-{
-    // Pick a uniformly random remote source node (§5: "from randomly
-    // selected nodes of the cluster"), skipping the server block.
-    const std::uint32_t numClients = domain_.numNodes - numServers();
-    proto::NodeId src = static_cast<proto::NodeId>(
-        pickRng_.uniformInt(0, numClients - 1));
-    if (src >= params_.targetNode)
-        src += numServers();
-    return src;
 }
 
 void
@@ -223,13 +215,14 @@ TrafficGenerator::issueNested(
         static_cast<std::uint32_t>(requests.size()), std::move(done)};
     nestedSent_ += requests.size();
     for (auto &bytes : requests) {
-        // Each nested RPC enters the fabric like a client arrival,
-        // from a random emulated node: under uniform fabric latency
-        // this is latency-equivalent to issuing from the serving node
-        // and reuses the per-(source, server) flow-control slots.
-        const proto::NodeId src = pickClientNode();
+        // Each nested RPC enters like a client arrival, from a random
+        // logical client: under uniform fabric latency this is
+        // latency-equivalent to issuing from the serving node and
+        // reuses the per-(source, server) flow-control slots.
         countRequestClass(bytes);
-        dispatchRequest(src, Request{std::move(bytes), chain});
+        Request request{std::move(bytes), chain};
+        request.conn.client = pickClient();
+        connSubmit(std::move(request));
     }
 }
 
@@ -271,18 +264,6 @@ TrafficGenerator::dispatchRequest(proto::NodeId src, Request request)
 }
 
 void
-TrafficGenerator::resubmit(proto::NodeId src, Request request)
-{
-    // A retried conn request re-enters the admission gate with a fresh
-    // generation time: its client's group may have rotated away since
-    // the original send.
-    if (request.conn.client != proto::noConnClient)
-        connSubmit(std::move(request));
-    else
-        dispatchRequest(src, std::move(request));
-}
-
-void
 TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
                                 std::uint32_t slot, Request request,
                                 std::uint64_t hedge_of)
@@ -302,8 +283,7 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     // the stale marker must not misclassify this use's late replies.
     s.expectDuplicate = false;
     const std::uint32_t connClient = request.conn.client;
-    if (connClient != proto::noConnClient)
-        connSched_->onLaunched(connClient);
+    connSched_->onLaunched(connClient);
     const bool isHedge = hedge_of != kNoKey;
     s.livePos = static_cast<std::uint32_t>(live_.size());
     live_.push_back(LiveRequest{key, std::move(request), sim_.now(),
@@ -654,17 +634,20 @@ TrafficGenerator::sweepTimeouts()
             }
             backoff = static_cast<sim::Tick>(delay);
         }
+        // A retry re-enters its client's admission gate with a fresh
+        // generation time: the client's group may have rotated away
+        // since the original send.
         ++request.attempt;
         if (backoff == 0) {
             // Immediate re-dispatch, no extra event.
-            resubmit(k.client, std::move(request));
+            connSubmit(std::move(request));
             continue;
         }
-        sim_.schedule(backoff, [this, client = k.client,
-                                request = std::move(request)]() mutable {
-            if (!halted_)
-                resubmit(client, std::move(request));
-        });
+        sim_.schedule(backoff,
+                      [this, request = std::move(request)]() mutable {
+                          if (!halted_)
+                              connSubmit(std::move(request));
+                      });
     }
 
     const cluster::ClusterConfig &cc = params_.cluster;

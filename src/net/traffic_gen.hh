@@ -6,7 +6,9 @@
  * nodes are emulated by this generator. It creates synthetic send
  * requests at an aggregate rate shaped by a pluggable arrival process
  * (default: the paper's Poisson; see net/arrival.hh) from uniformly
- * random source nodes, obeys per-(source, server) send-slot flow
+ * random logical clients, each pinned to one emulated source node,
+ * passes them through the clients' connection scheduler
+ * (src/conn/), obeys per-(source, server) send-slot flow
  * control (a source with all S slots toward a server in flight defers
  * until a replenish returns), consumes the servers' replies, verifies
  * them against the application, and returns reply replenishes after a
@@ -66,14 +68,13 @@ namespace rpcvalet::net {
 
 /**
  * Connection identity a request carries through its in-flight
- * life: the logical client it belongs to, when the client
- * generated it (client-observed latency origin), and whether
- * admission deferred it. Default-constructed (client ==
- * proto::noConnClient) on every legacy-path request.
+ * life: the logical client it belongs to (every request has one),
+ * when the client generated it (client-observed latency origin), and
+ * whether admission deferred it.
  */
 struct ConnTag
 {
-    std::uint32_t client = proto::noConnClient;
+    std::uint32_t client = 0;
     sim::Tick genAt = 0;
     bool deferred = false;
 };
@@ -111,9 +112,9 @@ class TrafficGenerator final : private cluster::ClusterView
          *  attempt budget, hedging). The defaults reproduce the legacy
          *  unlimited-immediate-redispatch behavior bit-identically. */
         fault::RetryPolicy retry{};
-        /** Client-population model (src/conn/): logical clients and
-         *  their connection scheduler. numClients == 0 (the default)
-         *  keeps the legacy anonymous-arrival path bit-identically. */
+        /** Client population (src/conn/): logical clients and their
+         *  connection scheduler. numClients == 0 (the default) derives
+         *  one client per emulated client node under `all`. */
         conn::ConnConfig connections{};
         /** Experiment seed. */
         std::uint64_t seed = 1;
@@ -136,9 +137,9 @@ class TrafficGenerator final : private cluster::ClusterView
 
     /**
      * Issue a server's nested RPCs (HandleResult.nested) as a chain
-     * group: each request is routed and launched like a client arrival
-     * (from a random emulated source node — latency-equivalent to
-     * issuing from the serving node, since fabric latency is uniform),
+     * group: each request enters like a client arrival (from a random
+     * logical client — latency-equivalent to issuing from the serving
+     * node, since fabric latency is uniform),
      * and @p done fires once when every request in the group has
      * completed. Rerouted requests keep their group, so a chain
      * survives timeouts and node failover. The experiment layer wires
@@ -215,15 +216,17 @@ class TrafficGenerator final : private cluster::ClusterView
      *  separately from staleReplies: they are expected). */
     std::uint64_t duplicateReplies() const { return duplicateReplies_; }
 
-    // ----- connection management (src/conn/; inert when the config
-    //       has no client population) -----
+    // ----- connection management (src/conn/) -----
 
-    /** The run's connection scheduler (null without a population). */
-    const conn::ConnScheduler *
+    /** The run's connection scheduler. */
+    const conn::ConnScheduler &
     connScheduler() const
     {
-        return connSched_.get();
+        return *connSched_;
     }
+
+    /** Deterministic emulated source node of a logical client. */
+    proto::NodeId connNodeFor(std::uint32_t client) const;
 
     /** Deferred requests since released by the scheduler. */
     std::uint64_t connFlushed() const { return connFlushed_; }
@@ -231,7 +234,7 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Aggregate ticks released requests spent waiting for admission. */
     sim::Tick connDeferredWaitTicks() const { return connDeferredWait_; }
 
-    /** One completed conn-tagged request, as its client saw it. */
+    /** One completed request, as its client saw it. */
     struct ConnCompletion
     {
         /** Generation to completion; a deferred request's latency
@@ -243,8 +246,9 @@ class TrafficGenerator final : private cluster::ClusterView
         bool deferred = false;
     };
 
-    /** Every completed conn-tagged request of the run (warmup
-     *  included), in completion order. */
+    /** Every completed request of the run (warmup included), in
+     *  completion order — logged only under a population the config
+     *  names, the only runs whose conn report reads it. */
     const std::vector<ConnCompletion> &connCompletions() const
     {
         return connCompletions_;
@@ -317,7 +321,7 @@ class TrafficGenerator final : private cluster::ClusterView
      *  rendezvous pulls), its chain group (0 = ordinary request; the id
      *  survives reroutes, so a group's completion count stays exact
      *  across failover), its 1-based send attempt, and its connection
-     *  identity (legacy default on anonymous paths). */
+     *  identity. */
     struct Request
     {
         std::vector<std::uint8_t> bytes;
@@ -327,29 +331,26 @@ class TrafficGenerator final : private cluster::ClusterView
     };
 
     void onArrival();
-    /** Uniformly random remote source node (skips the server block). */
-    proto::NodeId pickClientNode();
-    /** Deterministic emulated source node of a logical client. */
-    proto::NodeId connNodeFor(std::uint32_t client) const;
-    /** Admission gate for @p request's client (request.conn.client):
-     *  dispatch now if the scheduler allows, else queue on the client
-     *  until the scheduler releases it. Stamps the generation time. */
+    /** Uniformly random logical client. */
+    std::uint32_t pickClient();
+    /** The one issue path, for arrivals, nested RPCs and retries alike:
+     *  the admission gate for @p request's client (request.conn.client)
+     *  dispatches now if the scheduler allows, else queues on the
+     *  client until the scheduler releases it. Stamps the generation
+     *  time. */
     void connSubmit(Request request);
     /** The scheduler's AdmitFn: release up to @p limit queued
      *  requests of @p client (0 = all); returns the count released. */
     std::uint32_t connFlush(std::uint32_t client, std::uint32_t limit);
-    /** Scheduler callbacks for a conn-tagged request leaving the
-     *  in-flight set: completion accounting if it @p completed, then
-     *  the exactly-once drain signal (no-op on legacy tags). */
+    /** Scheduler callbacks for a request leaving the in-flight set:
+     *  completion accounting if it @p completed, then the
+     *  exactly-once drain signal. */
     void connOnRetired(const Request &request, bool completed);
     /** Bump the per-class generation counter off the wire bytes. */
     void countRequestClass(const std::vector<std::uint8_t> &request);
     /** Route @p request from @p src and launch it (or queue it on the
      *  chosen server's slot pool). */
     void dispatchRequest(proto::NodeId src, Request request);
-    /** Send a timed-out request again the way it first entered:
-     *  through admission if conn-tagged, else dispatch from @p src. */
-    void resubmit(proto::NodeId src, Request request);
     std::uint32_t routeRequest(proto::NodeId src,
                                const std::vector<std::uint8_t> &request);
     /** Put @p request in flight on @p slot toward @p server. A hedged
@@ -396,6 +397,7 @@ class TrafficGenerator final : private cluster::ClusterView
     cluster::HealthTracker health_;
     cluster::ShardMap shards_;
     ArrivalDriver arrivals_;
+    /** Logical-client stream (see the constructor for its id). */
     sim::Rng pickRng_;
     sim::Rng clientRng_;
     /** Router-private stream: routing draws never perturb the client
@@ -513,15 +515,12 @@ class TrafficGenerator final : private cluster::ClusterView
     std::uint64_t chainsCompleted_ = 0;
     bool halted_ = false;
 
-    // ----- connection management (all empty/zero when inactive) -----
+    // ----- connection management -----
 
-    /** The run's connection scheduler (null = no client population). */
+    /** The run's connection scheduler. */
     conn::ConnSchedulerPtr connSched_;
-    /** Client-identity stream; drawn only when the population model
-     *  is active, so legacy runs stay bit-identical. */
-    sim::Rng connRng_;
     /** Requests waiting for their client's admission, per logical
-     *  client. */
+     *  client (its size is the population's). */
     std::vector<proto::Fifo<Request>> connQueue_;
     std::uint64_t connFlushed_ = 0;
     sim::Tick connDeferredWait_ = 0;

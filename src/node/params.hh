@@ -91,13 +91,14 @@ struct SystemParams
 
     /**
      * Connection-context (QP) cache capacity of the NI, in
-     * connections (0 = unlimited, the legacy default: no connection
-     * state is ever scarce). When positive and a message carries a
-     * logical client id (see proto::PacketHeader::connClient), the
-     * node keys an LRU cache on (src node, client); a miss delays the
+     * connections (0 = unbounded, the default: no connection state is
+     * ever scarce). When positive, the node keys an LRU cache on
+     * (src node, logical client) — every message carries its client,
+     * see proto::PacketHeader::connClient — and a miss delays the
      * message's dispatch by qpColdFetch while the NI pulls the
-     * context from memory. The connection-management layer
-     * (src/conn/) sizes this for one ScaleRPC group.
+     * context from memory. The experiment layer bounds it only under
+     * a named client population (conn::ConnConfig::active()), sized
+     * for one ScaleRPC group by default.
      */
     std::uint32_t qpCacheCapacity = 0;
     /** Context-fetch penalty a QP-cache miss pays before dispatch;

@@ -210,10 +210,9 @@ RpcNode::onMessageComplete(std::uint32_t backend_id,
     // Connection-context cache (src/conn/): when the NI can only hold
     // qpCacheCapacity connection contexts, a message from an uncached
     // (src, client) pair pays the context fetch from memory before its
-    // completion can be dispatched. Default runs (capacity 0, or no
-    // client-population model tagging packets) skip this entirely.
+    // completion can be dispatched. An unbounded cache (capacity 0, the
+    // default) skips this entirely.
     if (params_.qpCacheCapacity > 0 &&
-        cqe.connClient != proto::noConnClient &&
         !qpCacheLookup(cqe.srcNode, cqe.connClient)) {
         // The fetch engine is a shared, pipelined resource: it can
         // START a new context fetch every qpFetchGap, and each fetch

@@ -39,12 +39,6 @@ using CoreId = std::uint32_t;
 /** Cache block size == link MTU (Table 1: 64-byte blocks). */
 constexpr std::uint32_t cacheBlockBytes = 64;
 
-/**
- * Sentinel logical-client id: the packet belongs to no modeled
- * connection (the default; see PacketHeader::connClient).
- */
-constexpr std::uint32_t noConnClient = 0xFFFFFFFFu;
-
 /** Protocol operations. Read/Write are the baseline one-sided ops. */
 enum class OpType : std::uint8_t
 {
@@ -89,14 +83,13 @@ struct PacketHeader
     std::uint32_t rendezvousBytes = 0;
     /**
      * Logical client (connection) this packet belongs to, set by the
-     * traffic generator when a connection-management config is active
-     * (src/conn/). In real RDMA this identity IS the queue-pair number
-     * the transport header already carries, so modeling it adds no
-     * wire bytes; the server NI keys its connection-context cache on
-     * (src, connClient). noConnClient (the default) means the run has
-     * no client-population model and every QP-cache path is skipped.
+     * traffic generator on every request (src/conn/). In real RDMA
+     * this identity IS the queue-pair number the transport header
+     * already carries, so modeling it adds no wire bytes; a server NI
+     * with a bounded connection-context cache keys it on
+     * (src, connClient).
      */
-    std::uint32_t connClient = noConnClient;
+    std::uint32_t connClient = 0;
 };
 
 /**

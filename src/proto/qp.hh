@@ -51,9 +51,9 @@ struct CompletionQueueEntry
     sim::Tick completionTick = 0;
     /** Tick the CQE landed in the serving core's private CQ. */
     sim::Tick deliveredTick = 0;
-    /** Logical client (connection) of the message, or noConnClient —
-     *  the server NI's QP-cache key (see packet.hh). */
-    std::uint32_t connClient = noConnClient;
+    /** Logical client (connection) of the message — the server NI's
+     *  QP-cache key (see packet.hh). */
+    std::uint32_t connClient = 0;
 };
 
 /**

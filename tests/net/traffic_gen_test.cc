@@ -223,6 +223,39 @@ TEST(TrafficGen, SourcesAreSpreadAcrossCluster)
     }
 }
 
+TEST(TrafficGen, EveryRequestCarriesItsSourceNodesClient)
+{
+    // A config that names no client population still tags every
+    // request: one logical client per emulated client node, living on
+    // that node. The server block sits mid-domain here, so the client
+    // to node mapping has to skip it.
+    Simulator simulator;
+    Fabric fabric(simulator, nanoseconds(50));
+    app::SyntheticApp app{sim::SyntheticKind::Fixed};
+    const proto::MessagingDomain domain = tinyDomain(4, 4096);
+    TrafficGenerator::Params p;
+    p.arrivalRps = 2e6;
+    p.targetNode = 1;
+    p.seed = 3;
+    TrafficGenerator tg(simulator, p, domain, app, fabric);
+    const std::uint32_t numClients = domain.numNodes - 1;
+    std::map<std::uint32_t, int> per_client;
+    fabric.connect(1, [&](proto::Packet pkt) {
+        ASSERT_EQ(pkt.hdr.op, proto::OpType::Send);
+        ASSERT_LT(pkt.hdr.connClient, numClients);
+        EXPECT_EQ(tg.connNodeFor(pkt.hdr.connClient), pkt.hdr.src);
+        if (pkt.hdr.blockIndex == 0)
+            ++per_client[pkt.hdr.connClient];
+    });
+    tg.start();
+    simulator.runUntil(sim::microseconds(500.0));
+    tg.halt();
+    EXPECT_EQ(per_client.size(), numClients);
+    EXPECT_EQ(tg.connNodeFor(0), 0u);
+    EXPECT_EQ(tg.connNodeFor(1), 2u);
+    EXPECT_EQ(tg.connNodeFor(2), 3u);
+}
+
 TEST(TrafficGen, HaltStopsNewRequests)
 {
     Harness h(1e6, nanoseconds(100));

@@ -134,7 +134,7 @@ TEST(MakePacket, PastMessageEndGivesEmptyBlock)
     EXPECT_EQ(pkt.hdr.totalBlocks, 2u);
     EXPECT_EQ(pkt.hdr.msgBytes, 100u);
     EXPECT_FALSE(pkt.hdr.rendezvous);
-    EXPECT_EQ(pkt.hdr.connClient, noConnClient);
+    EXPECT_EQ(pkt.hdr.connClient, 0u);
 }
 
 TEST(PacketCorrupt, FlipsTheReceiversCopyOnly)
