@@ -15,17 +15,21 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace rpcvalet;
 
-    const double scan_pct = argc > 1 ? std::atof(argv[1]) : 1.0;
+    double scan_pct = 1.0;
+    if (argc > 1) {
+        const sim::ErrorContext ctx("scan_percent");
+        scan_pct = sim::parseReal(argv[1]);
+    }
     const double scan_frac = scan_pct / 100.0;
     if (!(scan_frac > 0.0 && scan_frac < 1.0))
         sim::fatal("scan_percent must be in (0, 100)");

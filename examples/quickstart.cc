@@ -12,9 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiment.hh"
+#include "sim/logging.hh"
+#include "sim/spec.hh"
 
 int
 main(int argc, char **argv)
@@ -38,7 +39,11 @@ main(int argc, char **argv)
         argc > 2 ? app::WorkloadSpec(argv[2]) : app::WorkloadSpec();
 
     // 3. Experiment: offered load in requests/second.
-    const double mrps = argc > 1 ? std::atof(argv[1]) : 15.0;
+    double mrps = 15.0;
+    if (argc > 1) {
+        const sim::ErrorContext ctx("arrival_mrps");
+        mrps = sim::parseReal(argv[1]);
+    }
     core::ExperimentConfig cfg;
     cfg.system = system;
     cfg.workload = workload;

@@ -31,7 +31,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -346,7 +345,7 @@ const WorkloadRegistrar mixReg("mix", [](const WorkloadSpec &spec) {
                        WorkloadRegistry::instance().namesJoined() + ")");
         }
         const double weight = spec.doubleParam(name, 0.0);
-        if (!(weight > 0.0) || !std::isfinite(weight)) {
+        if (!(weight > 0.0)) {
             sim::fatal("workload '" + spec.toString() + "': weight of '" +
                        name + "' must be a positive number");
         }

@@ -135,7 +135,7 @@ const ArrivalRegistrar lognormalReg(
     "lognormal", [](const ArrivalSpec &spec, double rate) {
         spec.expectKeys({"cv"});
         const double cv = spec.doubleParam("cv", 2.0);
-        if (!std::isfinite(cv) || cv <= 0.0) {
+        if (cv <= 0.0) {
             sim::fatal("arrival '" + spec.toString() +
                        "': lognormal needs cv > 0");
         }
@@ -220,11 +220,11 @@ const ArrivalRegistrar mmpp2Reg(
         const double ratio = spec.doubleParam("ratio", 10.0);
         const double dwell_ns =
             sim::toNs(spec.tickParam("dwell", sim::microseconds(10.0)));
-        if (!std::isfinite(burst) || burst <= 0.0 || burst >= 1.0) {
+        if (burst <= 0.0 || burst >= 1.0) {
             sim::fatal("arrival '" + spec.toString() +
                        "': mmpp2 needs burst in (0, 1)");
         }
-        if (!std::isfinite(ratio) || ratio < 1.0) {
+        if (ratio < 1.0) {
             sim::fatal("arrival '" + spec.toString() +
                        "': mmpp2 needs ratio >= 1");
         }
@@ -285,8 +285,7 @@ const ArrivalRegistrar rampReg(
         const double to = spec.doubleParam("to", 1.5);
         const double over_ns =
             sim::toNs(spec.tickParam("over", sim::microseconds(1000.0)));
-        if (!std::isfinite(from) || from <= 0.0 || !std::isfinite(to) ||
-            to <= 0.0) {
+        if (from <= 0.0 || to <= 0.0) {
             sim::fatal("arrival '" + spec.toString() +
                        "': ramp needs from > 0 and to > 0");
         }

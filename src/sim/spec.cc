@@ -182,7 +182,7 @@ double
 Spec::doubleParam(const std::string &key, double fallback) const
 {
     return param(*this, key, fallback,
-                 [](const std::string &value) { return readNumber(value); });
+                 parseReal);
 }
 
 Tick

@@ -96,11 +96,8 @@ struct Spec
                             std::uint64_t lo = 0,
                             std::uint64_t hi = UINT64_MAX) const;
 
-    /**
-     * Real parameter. Unlike parseReal it passes inf and nan through,
-     * so the factory's own range check reports them with the valid
-     * range ("delay-aware needs alpha in (0, 1]").
-     */
+    /** Finite real parameter (see parseReal): inf and nan die here,
+     *  so a factory's range check sees only finite values. */
     double doubleParam(const std::string &key, double fallback) const;
 
     /** Duration parameter (see parseDuration). */

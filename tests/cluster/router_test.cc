@@ -119,6 +119,11 @@ TEST(RouterRegistryDeath, BadBoundedLoadParametersAreFatal)
                     RouterSpec::parse("bounded-load:vnodes=0")),
                 ::testing::ExitedWithCode(1),
                 "vnodes must be in \\[1, 4096\\]");
+    // inf would pass 'c > 1'; real parameters are finite at parse.
+    EXPECT_EXIT((void)RouterRegistry::instance().make(
+                    RouterSpec::parse("bounded-load:c=inf")),
+                ::testing::ExitedWithCode(1),
+                "parameter 'c=inf': 'inf' is not a finite number");
 }
 
 /** External registration: the same seam examples/ plugs into. */

@@ -77,6 +77,13 @@ TEST(FaultSpecDeath, SlowCoreFactorBelowOneIsFatal)
                         "slow-core:node=0,core=0,factor=0.5,at=1us,"
                         "for=1us")),
                 ::testing::ExitedWithCode(1), "factor");
+    // inf would pass 'factor >= 1'; real parameters are finite at parse.
+    EXPECT_EXIT((void)fault::FaultRegistry::instance().make(
+                    fault::FaultSpec(
+                        "slow-core:node=0,core=0,factor=inf,at=1us,"
+                        "for=1us")),
+                ::testing::ExitedWithCode(1),
+                "parameter 'factor=inf': 'inf' is not a finite number");
 }
 
 TEST(FaultSpecDeath, NiStallNeedsAPositiveDuration)

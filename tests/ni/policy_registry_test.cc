@@ -202,10 +202,10 @@ TEST(SpecDeath, OutOfRangeNumbersAreFatalNotUndefined)
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(ni::makePolicy("jbsq:d=4294967298"),
                 ::testing::ExitedWithCode(1), "out of range");
-    // NaN compares false against everything, so the alpha range check
-    // must reject it explicitly (it would silently poison the EWMA).
+    // NaN compares false against everything (it would silently poison
+    // the EWMA), so real parameters reject it before any range check.
     EXPECT_EXIT(ni::makePolicy("delay-aware:alpha=nan"),
-                ::testing::ExitedWithCode(1), "alpha in \\(0, 1\\]");
+                ::testing::ExitedWithCode(1), "is not a finite number");
     EXPECT_EXIT(ni::makePolicy("delay-aware:alpha=0"),
                 ::testing::ExitedWithCode(1), "alpha in \\(0, 1\\]");
     EXPECT_EXIT(ni::makePolicy("delay-aware:alpha=1.5"),

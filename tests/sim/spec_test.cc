@@ -155,6 +155,11 @@ TEST(SimSpecDeath, ParameterErrorsNameTheSpecAndTheParameter)
                 "unknown unit");
     EXPECT_EXIT(spec.boolParam("b", false), ::testing::ExitedWithCode(1),
                 "parameter 'b=2': '2' is not a boolean");
+    const Spec reals = Spec::parse("x:f=inf,g=nan", "widget");
+    EXPECT_EXIT(reals.doubleParam("f", 0.0), ::testing::ExitedWithCode(1),
+                "parameter 'f=inf': 'inf' is not a finite number");
+    EXPECT_EXIT(reals.doubleParam("g", 0.0), ::testing::ExitedWithCode(1),
+                "parameter 'g=nan': 'nan' is not a finite number");
 }
 
 } // namespace
