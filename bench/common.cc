@@ -1,6 +1,7 @@
 #include "common.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -549,14 +550,26 @@ void
 claim(const std::string &what, double paper_value, double measured_value,
       double rel_tol)
 {
+    // NaN compares false, so a NOT MET claim never holds.
     const bool ok =
         measured_value >= paper_value * (1.0 - rel_tol) &&
         measured_value <= paper_value * (1.0 + rel_tol);
     report().claims.push_back(
         {what, paper_value, measured_value, rel_tol, ok});
+    if (std::isnan(measured_value)) {
+        std::printf("[claim] %-46s paper=%-8.3g measured=%-8s NOT MET\n",
+                    what.c_str(), paper_value, "--");
+        return;
+    }
     std::printf("[claim] %-46s paper=%-8.3g measured=%-8.3g %s\n",
                 what.c_str(), paper_value, measured_value,
                 ok ? "OK" : "DIVERGES");
+}
+
+double
+sloRatio(const stats::SloResult &a, const stats::SloResult &b)
+{
+    return a.met && b.met ? a.throughputRps / b.throughputRps : notMet;
 }
 
 core::SweepConfig

@@ -90,6 +90,7 @@
 #define RPCVALET_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -221,11 +222,21 @@ void printSloSummary(const std::string &title,
 /**
  * Record a paper-vs-measured claim line (also echoed to stdout):
  * e.g. claim("1x16 vs 16x1 tput", 1.18, measured, 0.25).
- * A claim "holds" when measured is within rel_tol of expected.
- * Claims land in the --json report too.
+ * A claim "holds" when measured is within rel_tol of expected. A
+ * measured value of notMet records the claim as NOT MET: it has no
+ * measured value ("measured": null) and does not hold. Claims land in
+ * the --json report too.
  */
 void claim(const std::string &what, double paper_value,
            double measured_value, double rel_tol);
+
+/** The measured value of a claim whose configurations never met their
+ *  SLO in the sweep, so there is nothing to compare (see claim()). */
+inline constexpr double notMet = std::numeric_limits<double>::quiet_NaN();
+
+/** @p a's throughput under SLO over @p b's, or notMet unless both met
+ *  the SLO somewhere in their sweeps. */
+double sloRatio(const stats::SloResult &a, const stats::SloResult &b);
 
 /**
  * Record a series for --json output without printing it (printers

@@ -67,12 +67,11 @@ main(int argc, char **argv)
     const auto r_1x16 = stats::throughputUnderSlo(all[0], slo_ns);
     const auto r_4x4 = stats::throughputUnderSlo(all[1], slo_ns);
     const auto r_16x1 = stats::throughputUnderSlo(all[2], slo_ns);
-    if (r_1x16.met)
-        bench::claim("1x16 tput @12.5us SLO (Mrps)", 4.1,
-                     r_1x16.throughputRps / 1e6, 0.30);
-    if (r_1x16.met && r_4x4.met)
-        bench::claim("1x16 / 4x4 ratio @12.5us", 1.37,
-                     r_1x16.throughputRps / r_4x4.throughputRps, 0.25);
+    bench::claim("1x16 tput @12.5us SLO (Mrps)", 4.1,
+                 r_1x16.met ? r_1x16.throughputRps / 1e6 : bench::notMet,
+                 0.30);
+    bench::claim("1x16 / 4x4 ratio @12.5us", 1.37,
+                 bench::sloRatio(r_1x16, r_4x4), 0.25);
     std::printf("[info] 16x1 meets 12.5us SLO: %s (paper: no, even at "
                 "2 Mrps)\n",
                 r_16x1.met ? sim::strfmt("yes, up to %.1f Mrps",
@@ -88,12 +87,10 @@ main(int argc, char **argv)
     const auto x_1x16 = stats::throughputUnderSlo(all[0], relaxed_ns);
     const auto x_4x4 = stats::throughputUnderSlo(all[1], relaxed_ns);
     const auto x_16x1 = stats::throughputUnderSlo(all[2], relaxed_ns);
-    if (x_1x16.met && x_16x1.met)
-        bench::claim("1x16 / 16x1 ratio @75us", 1.54,
-                     x_1x16.throughputRps / x_16x1.throughputRps, 0.30);
-    if (x_1x16.met && x_4x4.met)
-        bench::claim("1x16 / 4x4 ratio @75us", 1.20,
-                     x_1x16.throughputRps / x_4x4.throughputRps, 0.25);
+    bench::claim("1x16 / 16x1 ratio @75us", 1.54,
+                 bench::sloRatio(x_1x16, x_16x1), 0.30);
+    bench::claim("1x16 / 4x4 ratio @75us", 1.20,
+                 bench::sloRatio(x_1x16, x_4x4), 0.25);
 
     // --- get+scan blend via the composite workload, with per-class
     // tails. The mix samples the same stores' pure-get and pure-scan

@@ -65,14 +65,10 @@ checkClaims(const FigureResult &r, const char *name, double vs_4x4,
     const auto s_1x16 = stats::throughputUnderSlo(r.series[0], slo);
     const auto s_4x4 = stats::throughputUnderSlo(r.series[1], slo);
     const auto s_16x1 = stats::throughputUnderSlo(r.series[2], slo);
-    if (s_1x16.met && s_4x4.met) {
-        bench::claim(sim::strfmt("%s: 1x16 / 4x4 ratio", name), vs_4x4,
-                     s_1x16.throughputRps / s_4x4.throughputRps, 0.12);
-    }
-    if (s_1x16.met && s_16x1.met) {
-        bench::claim(sim::strfmt("%s: 1x16 / 16x1 ratio", name), vs_16x1,
-                     s_1x16.throughputRps / s_16x1.throughputRps, 0.15);
-    }
+    bench::claim(sim::strfmt("%s: 1x16 / 4x4 ratio", name), vs_4x4,
+                 bench::sloRatio(s_1x16, s_4x4), 0.12);
+    bench::claim(sim::strfmt("%s: 1x16 / 16x1 ratio", name), vs_16x1,
+                 bench::sloRatio(s_1x16, s_16x1), 0.15);
 }
 
 } // namespace

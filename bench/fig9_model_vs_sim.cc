@@ -12,6 +12,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common.hh"
@@ -75,11 +76,13 @@ main(int argc, char **argv)
             stats::throughputUnderSlo(model_series, slo);
         const auto sim_slo =
             stats::throughputUnderSlo(sim_result.series, slo);
-        double gap = 0.0;
-        if (model_slo.met && sim_slo.met && model_slo.throughputRps > 0)
-            gap = 1.0 -
-                  sim_slo.throughputRps / model_slo.throughputRps;
-        gap = std::max(gap, 0.0);
+        const double ratio = bench::sloRatio(sim_slo, model_slo);
+        if (std::isnan(ratio)) {
+            bench::claim(name + ": sim-vs-model gap (frac)", 0.15, ratio,
+                         1.0);
+            continue;
+        }
+        const double gap = std::max(1.0 - ratio, 0.0);
         std::printf("[info] %-12s tput@SLO model %.2f Mrps, sim %.2f "
                     "Mrps -> gap %.1f%%\n",
                     name.c_str(), model_slo.throughputRps / 1e6,
