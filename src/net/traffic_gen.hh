@@ -7,10 +7,10 @@
  * requests at an aggregate rate shaped by a pluggable arrival process
  * (default: the paper's Poisson; see net/arrival.hh) from uniformly
  * random logical clients, each pinned to one emulated source node,
- * passes them through the clients' connection scheduler
- * (src/conn/), obeys per-(source, server) send-slot flow
- * control (a source with all S slots toward a server in flight defers
- * until a replenish returns), consumes the servers' replies, verifies
+ * passes them through the clients' connection scheduler (src/conn/),
+ * obeys per-(source, server) send-slot flow control (a source with
+ * all S slots toward a server in flight defers until a replenish
+ * returns), consumes the servers' replies, verifies
  * them against the application, and returns reply replenishes after a
  * client-side turnaround delay.
  *
@@ -139,11 +139,11 @@ class TrafficGenerator final : private cluster::ClusterView
      * Issue a server's nested RPCs (HandleResult.nested) as a chain
      * group: each request enters like a client arrival (from a random
      * logical client — latency-equivalent to issuing from the serving
-     * node, since fabric latency is uniform),
-     * and @p done fires once when every request in the group has
-     * completed. Rerouted requests keep their group, so a chain
-     * survives timeouts and node failover. The experiment layer wires
-     * this as every RpcNode's nested issuer.
+     * node, since fabric latency is uniform), and @p done fires once
+     * when every request in the group has completed. Rerouted requests
+     * keep their group, so a chain survives timeouts and node
+     * failover. The experiment layer wires this as every RpcNode's
+     * nested issuer.
      */
     void issueNested(std::vector<std::vector<std::uint8_t>> requests,
                      std::function<void()> done);
