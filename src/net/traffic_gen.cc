@@ -139,7 +139,12 @@ TrafficGenerator::connSubmit(Request request)
     // The generation time is the client-observed latency origin: a
     // deferred request's latency includes its admission wait.
     request.conn.genAt = sim_.now();
-    request.conn.deferred = !connSched_->mayIssue(client);
+    // A chain member (a nested RPC or its retry) skips the gate: its
+    // root stays outstanding in its own group until the member
+    // replies, so that group could never drain nor the slice rotate
+    // if the member waited for admission.
+    request.conn.deferred =
+        request.chain == 0 && !connSched_->mayIssue(client);
     if (!request.conn.deferred) {
         ++connPerGroupAdmitted_[group];
         dispatchRequest(connNodeFor(client), std::move(request));
@@ -634,9 +639,9 @@ TrafficGenerator::sweepTimeouts()
             }
             backoff = static_cast<sim::Tick>(delay);
         }
-        // A retry re-enters its client's admission gate with a fresh
-        // generation time: the client's group may have rotated away
-        // since the original send.
+        // A retry re-enters its client's admission gate (a chain
+        // member skips it) with a fresh generation time: the client's
+        // group may have rotated away since the original send.
         ++request.attempt;
         if (backoff == 0) {
             // Immediate re-dispatch, no extra event.

@@ -336,8 +336,9 @@ class TrafficGenerator final : private cluster::ClusterView
     /** The one issue path, for arrivals, nested RPCs and retries alike:
      *  the admission gate for @p request's client (request.conn.client)
      *  dispatches now if the scheduler allows, else queues on the
-     *  client until the scheduler releases it. Stamps the generation
-     *  time. */
+     *  client until the scheduler releases it. Chain members (nested
+     *  RPCs and their retries) always dispatch now. Stamps the
+     *  generation time. */
     void connSubmit(Request request);
     /** The scheduler's AdmitFn: release up to @p limit queued
      *  requests of @p client (0 = all); returns the count released. */

@@ -141,14 +141,16 @@ class Parser
         if (!out_.schedulers.empty() &&
             !out_.base.connections.active()) {
             // Sweeping schedulers with no client population would
-            // compare N copies of the legacy path.
+            // compare N copies of one run: the derived default
+            // population always runs under `all`.
             sim::fatal(source_ + ": [sweep] 'scheduler' axis needs an "
                        "active [connections] section ('clients = N')");
         }
         if (connSectionSeen_ && !out_.base.connections.active()) {
             // The section only means something with a population: a
             // scheduler/qp tweak with no clients would silently run
-            // the legacy path.
+            // the derived default population (`all`, unbounded QP
+            // cache).
             sim::fatal(source_ + ": [connections] section without a "
                        "'clients = N' key — the subsystem stays off");
         }

@@ -3,10 +3,9 @@
  * Tests of the connection-management subsystem (src/conn/): registry
  * and spec validation (malformed specs die loudly at parse time), the
  * ScaleRPC grouped scheduler's mechanics against invariants I1-I5,
- * the grouped-with-one-group == all equivalence, the default-config
- * bit-identity guarantee (no connection config => the legacy path,
- * event for event), and determinism of a grouped run across
- * parallel-domain worker counts.
+ * the grouped-with-one-group == all equivalence, the default config
+ * (a derived population under `all`) reporting no conn stats, and
+ * determinism of a grouped run across parallel-domain worker counts.
  */
 
 #include <gtest/gtest.h>

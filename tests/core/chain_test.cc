@@ -5,7 +5,8 @@
  * releases the core at fan-out and defers the reply until every child
  * completes, and the root's measured latency composes across tiers.
  * Covers 2- and 3-tier fan-out composition, determinism under a fixed
- * seed, and chains riding the cluster failover path.
+ * seed, chains riding the cluster failover path, and chains under a
+ * grouped connection population.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 
 #include "app/workload.hh"
+#include "conn/conn.hh"
 #include "core/experiment.hh"
 #include "sim/types.hh"
 
@@ -125,6 +127,50 @@ TEST(ChainExperiment, ChainsSurviveClusterFailover)
     EXPECT_GT(r.failoverReroutes, 0u);
     EXPECT_EQ(r.completions, 6500u);
     EXPECT_GT(r.chainsCompleted, 0u);
+    EXPECT_EQ(r.verifyFailures, 0u);
+}
+
+TEST(ChainExperiment, ChainsCompleteUnderGroupedConnections)
+{
+    // Under a grouped population a root stays outstanding in its
+    // client's group until its children reply, and that group cannot
+    // drain (nor the slice rotate) before then. The children carry
+    // clients from the same population but skip admission, so a child
+    // drawn from an inactive group or during a drain still issues and
+    // the run reaches its completion target.
+    core::ExperimentConfig cfg = chainConfig(
+        "chain:tiers=2,fanout=2,root_ns=600,leaf_ns=300", 2e6);
+    cfg.connections = conn::parseConnConfig(
+        "grouped:clients=256,size=40,slice=20us");
+
+    const core::RunStats r = core::runExperiment(cfg);
+    EXPECT_EQ(r.completions, 6500u);
+    EXPECT_GT(r.chainsCompleted, 0u);
+    EXPECT_GT(r.conn.groupSwitches, 0u);
+    EXPECT_GT(r.conn.deferredTotal, 0u);
+    EXPECT_EQ(r.verifyFailures, 0u);
+}
+
+TEST(ChainExperiment, ChainRetriesCompleteUnderGroupedConnections)
+{
+    // The same population with a node crash: chain members time out
+    // and retry, and the run still reaches its completion target
+    // (TrafficGen.ChainMembersSkipTheAdmissionGate pins the bypass).
+    core::ExperimentConfig cfg = chainConfig(
+        "chain:tiers=2,fanout=2,root_ns=600,leaf_ns=300", 6e6);
+    cfg.cluster.numServerNodes = 4;
+    cfg.cluster.router = cluster::RouterSpec::parse("rr");
+    cfg.cluster.requestTimeout = sim::microseconds(30.0);
+    cfg.cluster.failThreshold = 3;
+    cfg.faults = {"crash:node=2,at=40us"};
+    cfg.connections = conn::parseConnConfig(
+        "grouped:clients=256,size=40,slice=20us");
+
+    const core::RunStats r = core::runExperiment(cfg);
+    EXPECT_GT(r.requestTimeouts, 0u);
+    EXPECT_EQ(r.completions, 6500u);
+    EXPECT_GT(r.chainsCompleted, 0u);
+    EXPECT_GT(r.conn.groupSwitches, 0u);
     EXPECT_EQ(r.verifyFailures, 0u);
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the cluster traffic generator, using a miniature
  * in-test echo server as the node under test: the happy path, flow
- * control, and the timeout recovery paths (parked slot credits, slot
- * reuse after a timeout, stale replies, conservation after drain).
+ * control, client tagging and the chain-member admission bypass, and
+ * the timeout recovery paths (parked slot credits, slot reuse after a
+ * timeout, stale replies, conservation after drain).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "app/synthetic_app.hh"
+#include "conn/conn.hh"
 #include "net/fabric.hh"
 #include "net/traffic_gen.hh"
 #include "sim/domain.hh"
@@ -254,6 +256,50 @@ TEST(TrafficGen, EveryRequestCarriesItsSourceNodesClient)
     EXPECT_EQ(tg.connNodeFor(0), 0u);
     EXPECT_EQ(tg.connNodeFor(1), 2u);
     EXPECT_EQ(tg.connNodeFor(2), 3u);
+}
+
+TEST(TrafficGen, ChainMembersSkipTheAdmissionGate)
+{
+    // 64 clients in groups of one: only client 0 may issue during the
+    // first slice. Nested RPCs and their timeout retries must still
+    // leave at once from whichever client they drew, since their root
+    // waits on them. Node 0 swallows every request, so each nested RPC
+    // expires at 10 us and is retried at that sweep.
+    Simulator simulator;
+    Fabric fabric(simulator, nanoseconds(50));
+    app::SyntheticApp app{sim::SyntheticKind::Fixed};
+    const proto::MessagingDomain domain = tinyDomain(4, 4096);
+    TrafficGenerator::Params p;
+    p.arrivalRps = 1.0; // no client arrival inside the window
+    p.targetNode = 0;
+    p.seed = 3;
+    p.cluster.requestTimeout = sim::microseconds(10.0);
+    p.connections =
+        conn::parseConnConfig("grouped:clients=64,size=1,slice=100us");
+    TrafficGenerator tg(simulator, p, domain, app, fabric);
+    std::map<std::uint32_t, int> per_client;
+    int sends = 0;
+    fabric.connect(0, [&](proto::Packet pkt) {
+        if (pkt.hdr.blockIndex == 0) {
+            ++sends;
+            ++per_client[pkt.hdr.connClient];
+        }
+    });
+    tg.start();
+    sim::Rng rng(1, 0x7E5);
+    std::vector<std::vector<std::uint8_t>> nested;
+    for (int i = 0; i < 8; ++i)
+        nested.push_back(app.makeRequest(rng));
+    tg.issueNested(std::move(nested), [] {});
+
+    simulator.runUntil(sim::microseconds(1.0));
+    EXPECT_EQ(sends, 8);
+    // Most draws land outside the active group (client 0).
+    EXPECT_GT(per_client.size() - per_client.count(0), 4u);
+    simulator.runUntil(sim::microseconds(11.0));
+    EXPECT_EQ(tg.requestTimeouts(), 8u);
+    EXPECT_EQ(sends, 16);
+    tg.halt();
 }
 
 TEST(TrafficGen, HaltStopsNewRequests)
