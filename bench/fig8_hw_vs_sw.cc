@@ -34,6 +34,7 @@ main(int argc, char **argv)
 
     double worst_ratio = 1e9;
     double best_ratio = 0.0;
+    bool all_met = true;
     for (const auto kind : sim::allSyntheticKinds()) {
         const app::WorkloadSpec workload(
             "synthetic:dist=" + sim::syntheticKindName(kind));
@@ -77,8 +78,10 @@ main(int argc, char **argv)
         const auto sw_slo = stats::throughputUnderSlo(pair[1], slo);
         const double ratio = bench::sloRatio(hw_slo, sw_slo);
         if (std::isnan(ratio)) {
-            bench::claim(name + ": hw/sw tput ratio (2.3-2.7x)", 2.5,
-                         ratio, 0.25);
+            // One unmeasured distribution leaves the range unmeasured.
+            std::printf("[info] %-12s hw or sw never met the SLO\n",
+                        name.c_str());
+            all_met = false;
             continue;
         }
         worst_ratio = std::min(worst_ratio, ratio);
@@ -87,7 +90,9 @@ main(int argc, char **argv)
 
     // §6.2: "2.3-2.7x higher throughput under SLO, depending on the
     // request processing time distribution".
-    bench::claim("min hw/sw tput ratio", 2.3, worst_ratio, 0.25);
-    bench::claim("max hw/sw tput ratio", 2.7, best_ratio, 0.25);
+    bench::claim("min hw/sw tput ratio", 2.3,
+                 all_met ? worst_ratio : bench::notMet, 0.25);
+    bench::claim("max hw/sw tput ratio", 2.7,
+                 all_met ? best_ratio : bench::notMet, 0.25);
     return 0;
 }

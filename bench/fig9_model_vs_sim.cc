@@ -32,6 +32,7 @@ main(int argc, char **argv)
         "p99 vs load, four distributions; gap expected within 3-15%");
 
     double worst_gap = 0.0;
+    bool all_met = true;
     for (const auto kind : sim::allSyntheticKinds()) {
         const auto name = sim::syntheticKindName(kind);
 
@@ -78,8 +79,11 @@ main(int argc, char **argv)
             stats::throughputUnderSlo(sim_result.series, slo);
         const double ratio = bench::sloRatio(sim_slo, model_slo);
         if (std::isnan(ratio)) {
-            bench::claim(name + ": sim-vs-model gap (frac)", 0.15, ratio,
-                         1.0);
+            // One unmeasured distribution leaves the worst case
+            // unmeasured.
+            std::printf("[info] %-12s model or sim never met the SLO\n",
+                        name.c_str());
+            all_met = false;
             continue;
         }
         const double gap = std::max(1.0 - ratio, 0.0);
@@ -94,7 +98,7 @@ main(int argc, char **argv)
     // in the worst case". Allow headroom for sampling noise.
     std::printf("[info] worst-case gap across distributions: %.1f%%\n",
                 100.0 * worst_gap);
-    bench::claim("worst-case sim-vs-model gap (frac)", 0.15, worst_gap,
-                 1.0);
+    bench::claim("worst-case sim-vs-model gap (frac)", 0.15,
+                 all_met ? worst_gap : bench::notMet, 1.0);
     return 0;
 }
