@@ -151,29 +151,6 @@ TEST(ChainExperiment, ChainsCompleteUnderGroupedConnections)
     EXPECT_EQ(r.verifyFailures, 0u);
 }
 
-TEST(ChainExperiment, ChainRetriesCompleteUnderGroupedConnections)
-{
-    // The same population with a node crash: chain members time out
-    // and retry, and the run still reaches its completion target
-    // (TrafficGen.ChainMembersSkipTheAdmissionGate pins the bypass).
-    core::ExperimentConfig cfg = chainConfig(
-        "chain:tiers=2,fanout=2,root_ns=600,leaf_ns=300", 6e6);
-    cfg.cluster.numServerNodes = 4;
-    cfg.cluster.router = cluster::RouterSpec::parse("rr");
-    cfg.cluster.requestTimeout = sim::microseconds(30.0);
-    cfg.cluster.failThreshold = 3;
-    cfg.faults = {"crash:node=2,at=40us"};
-    cfg.connections = conn::parseConnConfig(
-        "grouped:clients=256,size=40,slice=20us");
-
-    const core::RunStats r = core::runExperiment(cfg);
-    EXPECT_GT(r.requestTimeouts, 0u);
-    EXPECT_EQ(r.completions, 6500u);
-    EXPECT_GT(r.chainsCompleted, 0u);
-    EXPECT_GT(r.conn.groupSwitches, 0u);
-    EXPECT_EQ(r.verifyFailures, 0u);
-}
-
 TEST(ChainExperiment, SingleHopChainAddsNoNesting)
 {
     // tiers=1 is an ordinary workload: no nested RPCs, no chains.
