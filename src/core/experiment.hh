@@ -127,7 +127,8 @@ struct ExperimentConfig
      * EventDomain per server node plus one for the client side, all
      * executing lookahead windows (window length = fabric link
      * latency) on a pool of N worker threads; cross-domain packets
-     * cross at window barriers through fabric mailboxes. Results are
+     * wait in fabric mailboxes until the window ends and their
+     * destination's worker drains them before the next. Results are
      * bit-identical for every N >= 1 — but not to the N == 0 global
      * wheel, whose same-tick cross-node interleaving and
      * per-completion (rather than per-barrier) measurement windows
@@ -343,6 +344,13 @@ struct RunStats
     /** Simulator events executed by this run (kernel-determinism
      *  fingerprint: any change in event flow moves this count). */
     std::uint64_t executedEvents = 0;
+    /** Parallel-engine cost: window barriers executed (0 on the
+     *  sequential path). */
+    std::uint64_t windows = 0;
+    /** Parallel-engine cost: packets posted across a domain edge,
+     *  i.e. exchanged through the fabric's mailboxes (0 on the
+     *  sequential path). */
+    std::uint64_t crossDomainMail = 0;
     /** Per-core served counts (load-balance diagnostics). */
     std::vector<std::uint64_t> perCoreServed;
     /** Peak busy receive slots. */

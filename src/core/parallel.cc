@@ -1,6 +1,7 @@
 #include "core/parallel.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -42,8 +43,8 @@ pointConcurrency(unsigned threads, unsigned parallelDomains)
     return std::max(1u, threads / per_point);
 }
 
-WindowPool::WindowPool(unsigned workers)
-    : workers_(std::max(1u, workers))
+WindowPool::WindowPool(unsigned workers, Prologue prologue)
+    : workers_(std::max(1u, workers)), prologue_(std::move(prologue))
 {
     threads_.reserve(workers_ - 1);
     for (unsigned w = 1; w < workers_; ++w)
@@ -65,7 +66,7 @@ WindowPool::run(const std::vector<sim::EventDomain *> &domains,
         // Sequential execution of the same window schedule: domain
         // isolation makes this bit-identical to any worker count.
         for (sim::EventDomain *d : domains)
-            d->runUntil(until);
+            runDomain(*d, until);
         return;
     }
 
@@ -74,7 +75,7 @@ WindowPool::run(const std::vector<sim::EventDomain *> &domains,
     nextDomain_.store(0, std::memory_order_relaxed);
     doneWorkers_.store(0, std::memory_order_relaxed);
     // The release publishes the window inputs (and any coordinator
-    // writes into the domains, e.g. barrier-exchanged packets) to the
+    // writes at the barrier, e.g. the fabric's bank flip) to the
     // workers' acquire loads of the generation counter.
     generation_.fetch_add(1, std::memory_order_release);
 
@@ -100,8 +101,16 @@ WindowPool::workRound()
             nextDomain_.fetch_add(1, std::memory_order_relaxed);
         if (i >= doms.size())
             return;
-        doms[i]->runUntil(until);
+        runDomain(*doms[i], until);
     }
+}
+
+void
+WindowPool::runDomain(sim::EventDomain &domain, sim::Tick until)
+{
+    if (prologue_)
+        prologue_(domain);
+    domain.runUntil(until);
 }
 
 void

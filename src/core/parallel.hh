@@ -53,6 +53,15 @@ unsigned pointConcurrency(unsigned threads, unsigned parallelDomains);
  * whichever worker gets there first, and run() returns only when all
  * are done (the window barrier).
  *
+ * An optional per-domain prologue, fixed at construction, runs on the
+ * claiming worker immediately before the domain's runUntil() (and
+ * inline, in domain order, on the one-worker path). This is where
+ * per-domain barrier work belongs — the fabric drains each domain's
+ * cross-domain inbox here (net::Fabric::drainInbox) — so it runs in
+ * parallel on the domains' owners instead of serially at the barrier.
+ * The prologue owns the domain exactly as runUntil() does and may
+ * touch nothing another domain's worker could touch in that window.
+ *
  * The synchronization is a spin barrier, not a mutex/condvar pair: at
  * µs-scale lookahead a window often carries only tens of events per
  * domain, so wakeup latency would dominate. Workers spin on a
@@ -71,8 +80,15 @@ unsigned pointConcurrency(unsigned threads, unsigned parallelDomains);
 class WindowPool
 {
   public:
-    /** @param workers Total workers including the calling thread. */
-    explicit WindowPool(unsigned workers);
+    /** Per-domain window prologue (see the class comment). */
+    using Prologue = std::function<void(sim::EventDomain &)>;
+
+    /**
+     * @param workers  Total workers including the calling thread.
+     * @param prologue Run on each domain before it executes a window;
+     *                 empty = none.
+     */
+    explicit WindowPool(unsigned workers, Prologue prologue = {});
     ~WindowPool();
 
     WindowPool(const WindowPool &) = delete;
@@ -87,8 +103,10 @@ class WindowPool
   private:
     void workerLoop();
     void workRound();
+    void runDomain(sim::EventDomain &domain, sim::Tick until);
 
     unsigned workers_;
+    Prologue prologue_;
     std::vector<std::thread> threads_;
     std::atomic<std::uint64_t> generation_{0};
     std::atomic<std::uint32_t> nextDomain_{0};

@@ -26,7 +26,14 @@ Fabric::Fabric(std::vector<sim::EventDomain *> domains, sim::Tick latency)
         state->sim = domains[i];
         domains_.push_back(std::move(state));
     }
-    mailboxes_.resize(domains_.size() * domains_.size());
+    mailboxes_.resize(2 * domains_.size() * domains_.size());
+}
+
+Fabric::Edge &
+Fabric::edge(unsigned bank, sim::DomainId src, sim::DomainId dst)
+{
+    const std::size_t n = domains_.size();
+    return mailboxes_[(bank * n + src) * n + dst];
 }
 
 void
@@ -115,65 +122,88 @@ Fabric::send(proto::Packet pkt)
     RV_ASSERT(when >= windowEnd_,
               "cross-domain packet due inside the executing window "
               "(window = link latency invariant violated)");
-    auto &edge = mailboxes_[src * domains_.size() + dst];
+    std::vector<Mail> &box = edge(openBank_, src, dst).mail;
     Mail mail;
     mail.pkt = std::move(pkt);
     mail.when = when;
     mail.src = src;
-    mail.dst = dst;
-    mail.seq = edge.size();
-    edge.push_back(std::move(mail));
+    mail.seq = box.size();
+    box.push_back(std::move(mail));
+    ++s.posted;
 }
 
 void
-Fabric::exchangeWindow(sim::Tick nextWindowEnd)
+Fabric::closeWindow(sim::Tick nextWindowEnd)
 {
-    RV_ASSERT(domains_.size() > 1, "exchangeWindow on a one-domain fabric");
+    RV_ASSERT(domains_.size() > 1, "closeWindow on a one-domain fabric");
     RV_ASSERT(nextWindowEnd > windowEnd_, "window must advance");
-
-    drainScratch_.clear();
-    for (auto &edge : mailboxes_) {
-        for (Mail &m : edge)
-            drainScratch_.push_back(std::move(m));
-        edge.clear();
-    }
     windowEnd_ = nextWindowEnd;
-    if (drainScratch_.empty())
+    openBank_ ^= 1u;
+}
+
+void
+Fabric::drainInbox(sim::DomainId dst)
+{
+    RV_ASSERT(dst < domains_.size(), "domain id out of range");
+    DomainState &d = *domains_[dst];
+    std::vector<Mail> &mail = d.drainScratch;
+    const unsigned closed = openBank_ ^ 1u;
+    for (sim::DomainId src = 0; src < domains_.size(); ++src) {
+        std::vector<Mail> &box = edge(closed, src, dst).mail;
+        for (Mail &m : box)
+            mail.push_back(std::move(m));
+        box.clear();
+    }
+    if (mail.empty())
         return;
 
-    // Deterministic delivery order per destination wheel: by time,
-    // then posting domain, then posting order — independent of worker
-    // count and scheduling.
-    std::sort(drainScratch_.begin(), drainScratch_.end(),
-              [](const Mail &a, const Mail &b) {
-                  if (a.dst != b.dst)
-                      return a.dst < b.dst;
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.seq < b.seq;
-              });
+    // Deterministic delivery order: by time, then posting domain,
+    // then posting order — independent of worker count and
+    // scheduling.
+    std::sort(mail.begin(), mail.end(), [](const Mail &a, const Mail &b) {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.src != b.src)
+            return a.src < b.src;
+        return a.seq < b.seq;
+    });
 
-    // Coalesce same-(domain, tick) arrivals into one batched ingress
-    // event each.
+    // Coalesce same-tick arrivals into one batched ingress event each.
     std::size_t i = 0;
-    while (i < drainScratch_.size()) {
+    while (i < mail.size()) {
         std::size_t j = i + 1;
-        while (j < drainScratch_.size() &&
-               drainScratch_[j].dst == drainScratch_[i].dst &&
-               drainScratch_[j].when == drainScratch_[i].when)
+        while (j < mail.size() && mail[j].when == mail[i].when)
             ++j;
-        DomainState &d = *domains_[drainScratch_[i].dst];
         BatchDeliverEvent *ev = d.batchPool.acquire();
         ev->fabric = this;
-        ev->dom = drainScratch_[i].dst;
+        ev->dom = dst;
         ev->pkts.reserve(j - i);
         for (std::size_t k = i; k < j; ++k)
-            ev->pkts.push_back(std::move(drainScratch_[k].pkt));
-        d.sim->scheduleAt(*ev, drainScratch_[i].when);
+            ev->pkts.push_back(std::move(mail[k].pkt));
+        d.sim->scheduleAt(*ev, mail[i].when);
         i = j;
     }
+    mail.clear();
+}
+
+std::uint64_t
+Fabric::parkedMail() const
+{
+    const std::size_t n = domains_.size();
+    const std::size_t closed = (openBank_ ^ 1u) * n * n;
+    std::uint64_t total = 0;
+    for (std::size_t e = closed; e < closed + n * n; ++e)
+        total += mailboxes_[e].mail.size();
+    return total;
+}
+
+std::uint64_t
+Fabric::crossDomainMail() const
+{
+    std::uint64_t total = 0;
+    for (const auto &d : domains_)
+        total += d->posted;
+    return total;
 }
 
 void
@@ -188,7 +218,7 @@ Fabric::DeliverEvent::process()
 void
 Fabric::BatchDeliverEvent::process()
 {
-    // Batch events are only acquired at the barrier (never from a
+    // Batch events are only acquired by drainInbox() (never from a
     // sink), so the packet vector is stable while it delivers, and
     // clearing it keeps its capacity for the next batch.
     for (const proto::Packet &p : pkts)

@@ -18,17 +18,32 @@
  * The run's synchronization window is the link latency: a packet sent
  * inside the window [T, T + latency) is due at send time + latency,
  * never before the window ends — send() asserts this on every
- * cross-domain packet. At the barrier, exchangeWindow() drains every
- * edge in a deterministic order and schedules the mail into the
- * destination wheels, coalescing packets that arrive at the same
- * (domain, tick) into one batched ingress event.
+ * cross-domain packet. So mail posted in window W is first due in
+ * window W + 1, and is delivered there by its destination's owner:
+ * the barrier only closes the window (closeWindow(), O(1)), and
+ * drainInbox(d), run by whichever worker claims domain d just before
+ * d's next window, gathers d's mail, orders it deterministically and
+ * schedules it into d's wheel, coalescing packets that arrive at the
+ * same tick into one batched ingress event.
  *
  * Mailbox ownership protocol (multi-domain runs):
- *  - During a window, edge (s, d) is written only by the thread that
- *    owns domain s; no other thread reads or writes it.
- *  - exchangeWindow() runs only at the barrier, on the coordinator,
- *    while every domain thread is quiescent; the barrier's
- *    release/acquire pair (core::WindowPool) publishes the mailboxes.
+ *  - There are two banks of edge mailboxes, indexed by window parity.
+ *    During window W every source posts into bank W mod 2 (the open
+ *    bank) and every destination drains bank (W - 1) mod 2 (the
+ *    closed bank, holding the mail of window W - 1).
+ *  - In the open bank, edge (s, d) is written only by the thread that
+ *    owns domain s during the window.
+ *  - In the closed bank, edge (s, d) is read and emptied only by the
+ *    thread that owns domain d, inside drainInbox(d), before d runs.
+ *    No thread touches the closed bank's other edges on d's behalf.
+ *  - closeWindow() runs only at the barrier, on the coordinator,
+ *    while every domain thread is quiescent: it flips the banks and
+ *    arms the next window end. The barrier's release/acquire pair
+ *    (core::WindowPool) publishes both the posts of window W - 1 to
+ *    their drainers and each drainer's emptied edges to the sources
+ *    that post into that bank again in window W + 1.
+ *  - Every edge mailbox header and every domain's state sits on cache
+ *    lines of its own, so no two workers write one of those lines.
  *  - connect()/connectDefault()/assignNode() happen at construction
  *    time, before any worker exists; the sink and domain tables
  *    (dense vectors indexed by NodeId, so a delivery pays one bounds
@@ -139,12 +154,32 @@ class Fabric
 
     /**
      * Barrier step (two or more domains; coordinator only, all domain
-     * threads quiescent): deliver the closing window's cross-domain
-     * mail into the destination wheels in deterministic (time, source
-     * domain, posting order) order, then arm the next window, which
-     * ends at @p nextWindowEnd.
+     * threads quiescent): close the executing window — its mail is
+     * parked in the closed bank for drainInbox() — and arm the next
+     * window, which ends at @p nextWindowEnd. O(1): no packet is
+     * touched.
      */
-    void exchangeWindow(sim::Tick nextWindowEnd);
+    void closeWindow(sim::Tick nextWindowEnd);
+
+    /**
+     * Window prologue of domain @p dst (two or more domains; run by
+     * the thread that owns @p dst, before it executes the window):
+     * schedule the closed bank's mail for @p dst into its wheel in
+     * deterministic (time, source domain, posting order) order,
+     * independent of worker count, and empty those edges.
+     */
+    void drainInbox(sim::DomainId dst);
+
+    /**
+     * Cross-domain packets parked in the closed bank, not yet drained
+     * (coordinator only, at the barrier). A run whose wheels are all
+     * empty is still live while this is non-zero.
+     */
+    std::uint64_t parkedMail() const;
+
+    /** Packets posted across a domain edge so far (all domains; 0 on
+     *  a one-domain fabric). */
+    std::uint64_t crossDomainMail() const;
 
     /** Packets delivered so far (all domains). */
     std::uint64_t delivered() const;
@@ -184,24 +219,38 @@ class Fabric
         }
     };
 
+    /** Cache-line size assumed for false-sharing padding (x86-64). */
+    static constexpr std::size_t kCacheLine = 64;
+
     /** A cross-domain packet parked in an edge mailbox. */
     struct Mail
     {
         proto::Packet pkt;
         sim::Tick when = 0;       ///< absolute delivery time
         sim::DomainId src = 0;    ///< posting domain (sort tiebreak)
-        sim::DomainId dst = 0;    ///< destination domain
         std::uint64_t seq = 0;    ///< per-edge posting order
     };
 
     /** Per-domain state, touched only by the domain's owner thread
      *  (except at the barrier, where the coordinator owns all). */
-    struct DomainState
+    struct alignas(kCacheLine) DomainState
     {
         sim::EventDomain *sim = nullptr;
         std::uint64_t delivered = 0;
+        /** Packets this domain posted across a domain edge. */
+        std::uint64_t posted = 0;
         sim::EventPool<DeliverEvent> pool;
         sim::EventPool<BatchDeliverEvent> batchPool;
+        /** drainInbox() scratch (reused, no steady-state alloc). */
+        std::vector<Mail> drainScratch;
+    };
+
+    /** One edge mailbox, alone on its cache lines: in a bank, a
+     *  source's row is written by that source and emptied edge by
+     *  edge by the destinations' drainers. */
+    struct alignas(kCacheLine) Edge
+    {
+        std::vector<Mail> mail;
     };
 
     /** nodeDomain_ entry of a node never passed to assignNode(). */
@@ -209,13 +258,17 @@ class Fabric
 
     void deliver(sim::DomainId dom, const proto::Packet &pkt);
     sim::DomainId domainOf(proto::NodeId node) const;
+    /** Edge (src, dst) of bank @p bank. */
+    Edge &edge(unsigned bank, sim::DomainId src, sim::DomainId dst);
 
     std::vector<std::unique_ptr<DomainState>> domains_;
     sim::Tick latency_;
     /** End of the window currently executing (multi-domain). */
     sim::Tick windowEnd_ = 0;
-    /** Edge mailboxes, row-major [src * numDomains + dst]. */
-    std::vector<std::vector<Mail>> mailboxes_;
+    /** Bank the executing window posts into; the other one is closed. */
+    unsigned openBank_ = 0;
+    /** Edge mailboxes of both banks, [bank][src][dst] row-major. */
+    std::vector<Edge> mailboxes_;
     /** Domain of each assigned node, indexed by NodeId. */
     std::vector<sim::DomainId> nodeDomain_;
     /** Explicit receiver of each node, indexed by NodeId (empty =
@@ -224,8 +277,6 @@ class Fabric
     Sink defaultSink_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;
-    /** Barrier drain scratch (coordinator only; reused, no alloc). */
-    std::vector<Mail> drainScratch_;
 };
 
 } // namespace rpcvalet::net

@@ -100,6 +100,10 @@ writePointJson(const std::string &path, const Scenario &scn,
     jsonUint(f, st.criticalCompletions);
     std::fputs(",\n  \"executed_events\": ", f);
     jsonUint(f, st.executedEvents);
+    std::fputs(", \"windows\": ", f);
+    jsonUint(f, st.windows);
+    std::fputs(", \"cross_domain_mail\": ", f);
+    jsonUint(f, st.crossDomainMail);
     std::fputs(", \"simulated_us\": ", f);
     jsonNumber(f, st.simulatedUs);
     std::fputs(",\n  \"nested_rpcs_sent\": ", f);

@@ -18,10 +18,14 @@
  * their events inside a window [T, T + lookahead) in parallel, where
  * the lookahead is the fabric link latency — a packet sent at time t
  * cannot be visible to another domain before t + latency >= T +
- * lookahead, so within a window no domain can affect another. At the
- * window barrier, cross-domain packets are exchanged through the
- * fabric's per-edge mailboxes (net/fabric.hh) and every clock advances
- * together.
+ * lookahead, so within a window no domain can affect another. A
+ * cross-domain packet is parked in the fabric's per-edge mailboxes
+ * (net/fabric.hh) while its window runs. The window barrier does O(1)
+ * work: it closes the window (flipping the fabric's mailbox bank) and
+ * advances every clock together. Each domain's mail is then drained
+ * into its wheel by the worker that claims the domain for the next
+ * window, just before it runs (core::WindowPool's prologue), so the
+ * per-packet barrier work runs in parallel on the domains' owners.
  *
  * Threading model
  * ---------------

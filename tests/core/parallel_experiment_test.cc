@@ -48,6 +48,8 @@ void
 expectBitIdentical(const core::RunStats &a, const core::RunStats &b)
 {
     EXPECT_EQ(a.executedEvents, b.executedEvents);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.crossDomainMail, b.crossDomainMail);
     EXPECT_EQ(a.completions, b.completions);
     EXPECT_EQ(a.criticalCompletions, b.criticalCompletions);
     EXPECT_EQ(a.point.samples, b.point.samples);
@@ -103,6 +105,25 @@ TEST(ParallelExperiment, WorkerCountNeverChangesResults)
         EXPECT_GE(w1.completions, 3500u);
         EXPECT_EQ(w1.verifyFailures, 0u);
     }
+}
+
+TEST(ParallelExperiment, EngineCountersCountWindowsAndCrossDomainMail)
+{
+    // Every request crosses from the client domain to a node domain
+    // and every reply back, so the mail is at least two packets per
+    // completion. The windows tile the simulated time, one link
+    // latency each, the run stopping inside the last one. Neither
+    // counter exists on the sequential path.
+    const core::ExperimentConfig cfg = clusterConfig(42, "shard");
+    const core::RunStats par = runWith(cfg, 2);
+    EXPECT_GE(par.crossDomainMail, 2 * par.completions);
+    const double windowUs = sim::toUs(cfg.system.fabricLatency);
+    const double spanUs = static_cast<double>(par.windows) * windowUs;
+    EXPECT_NEAR(spanUs, par.simulatedUs, windowUs);
+
+    const core::RunStats seq = runWith(cfg, 0);
+    EXPECT_EQ(seq.windows, 0u);
+    EXPECT_EQ(seq.crossDomainMail, 0u);
 }
 
 TEST(ParallelExperiment, HoldsAcrossRouters)
