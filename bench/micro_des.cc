@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "app/hash_table.hh"
+#include "app/herd_app.hh"
 #include "app/skip_list.hh"
 #include "core/experiment.hh"
 #include "sim/distributions.hh"
@@ -207,7 +208,6 @@ BM_HashTablePutGet(benchmark::State &state)
     // The server's pair: an in-place PUT from the request's bytes and a
     // copy-free GET.
     app::HashTable t;
-    sim::Rng rng(1);
     const std::vector<std::uint8_t> value = {1, 2, 3};
     std::uint64_t k = 0;
     for (auto _ : state) {
@@ -218,6 +218,23 @@ BM_HashTablePutGet(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_HashTablePutGet);
+
+void
+BM_HerdAppConstruct(benchmark::State &state)
+{
+    // A HERD server's set-up and teardown: preload the default 65,536
+    // keys at the given value size, then free them.
+    app::HerdApp::Params params;
+    params.valueBytes = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state) {
+        app::HerdApp herd(params);
+        benchmark::DoNotOptimize(herd.table().size());
+    }
+}
+BENCHMARK(BM_HerdAppConstruct)
+    ->Arg(32)
+    ->Arg(1536)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_SkipListInsertFind(benchmark::State &state)

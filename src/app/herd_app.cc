@@ -1,6 +1,7 @@
 #include "app/herd_app.hh"
 
 #include <cstring>
+#include <optional>
 
 #include "app/service_profiles.hh"
 #include "app/wire_format.hh"
@@ -22,8 +23,10 @@ HerdApp::HerdApp(const Params &params)
     ramp_.resize(256 + std::size_t{params_.valueBytes});
     for (std::size_t j = 0; j < ramp_.size(); ++j)
         ramp_[j] = static_cast<std::uint8_t>(j & 0xff);
+    // The table starts at twice the key count, so the preload never
+    // grows it.
     for (std::uint64_t k = 0; k < params_.numKeys; ++k)
-        table_.put(k, valueForKey(k));
+        table_.put(k, valueStart(k), params_.valueBytes);
 }
 
 const std::uint8_t *
@@ -82,7 +85,7 @@ HerdApp::handle(const std::vector<std::uint8_t> &request,
         switch (req->op) {
           case RpcOp::Get:
             // The reply is encoded straight from the stored value.
-            if (const std::vector<std::uint8_t> *value =
+            if (const std::optional<ByteView> value =
                     table_.find(req->key)) {
                 reply.status = RpcStatus::Ok;
                 reply.value = *value;

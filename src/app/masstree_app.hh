@@ -15,6 +15,7 @@
 
 #include "app/rpc_application.hh"
 #include "app/skip_list.hh"
+#include "app/wire_format.hh"
 #include "sim/distributions.hh"
 
 namespace rpcvalet::app {
@@ -59,6 +60,8 @@ class MasstreeApp : public RpcApplication
     const SkipList &store() const { return store_; }
 
   private:
+    /** Whether @p value is exactly valueForKey(@p key). */
+    bool isValueOf(std::uint64_t key, ByteView value) const;
     /** Local class id of gets (always 0 when gets are generated). */
     std::uint8_t getClassId() const { return 0; }
     /** Local class id of scans: 1 in the mixed configuration, 0 when

@@ -2,22 +2,38 @@
 
 namespace rpcvalet::app {
 
+namespace {
+
+/** A clamped log-normal; its constructor estimates the clamped mean. */
+sim::DistributionPtr
+clampedLogNormal(double mean_ns, double sigma, double lo_ns, double hi_ns)
+{
+    return std::make_unique<sim::ClampedDist>(
+        lo_ns, hi_ns,
+        std::make_unique<sim::LogNormalDist>(
+            sim::LogNormalDist::fromMeanSigma(mean_ns, sigma)));
+}
+
+} // namespace
+
+// Each clamped profile is built once per process (function-local
+// statics initialise thread-safely) and handed out as clones, which
+// inherit the prototype's estimated mean instead of drawing it again.
+
 sim::DistributionPtr
 makeHerdProfile()
 {
-    auto body = std::make_unique<sim::LogNormalDist>(
-        sim::LogNormalDist::fromMeanSigma(330.0, 0.45));
-    return std::make_unique<sim::ClampedDist>(80.0, 1000.0,
-                                              std::move(body));
+    static const sim::DistributionPtr proto =
+        clampedLogNormal(330.0, 0.45, 80.0, 1000.0);
+    return proto->clone();
 }
 
 sim::DistributionPtr
 makeMasstreeGetProfile()
 {
-    auto body = std::make_unique<sim::LogNormalDist>(
-        sim::LogNormalDist::fromMeanSigma(1250.0, 0.55));
-    return std::make_unique<sim::ClampedDist>(200.0, 8000.0,
-                                              std::move(body));
+    static const sim::DistributionPtr proto =
+        clampedLogNormal(1250.0, 0.55, 200.0, 8000.0);
+    return proto->clone();
 }
 
 sim::DistributionPtr

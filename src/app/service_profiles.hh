@@ -23,10 +23,14 @@
 
 namespace rpcvalet::app {
 
-/** HERD RPC processing-time model (Fig. 6b; mean ~330 ns). */
+/**
+ * HERD RPC processing-time model (Fig. 6b; mean ~330 ns): a clone of
+ * one per-process prototype, so its clamped mean is estimated once.
+ */
 sim::DistributionPtr makeHerdProfile();
 
-/** Masstree get processing-time model (Fig. 6c; mean ~1.25 us). */
+/** Masstree get processing-time model (Fig. 6c; mean ~1.25 us), cloned
+ *  like makeHerdProfile(). */
 sim::DistributionPtr makeMasstreeGetProfile();
 
 /** Masstree ordered-scan runtime model (§5: 60-120 us). */

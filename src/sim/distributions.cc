@@ -225,11 +225,18 @@ ShiftedDist::clone() const
 
 // -------------------------------------------------------------- Clamped
 
-ClampedDist::ClampedDist(double lo_ns, double hi_ns, DistributionPtr inner)
-    : lo_(lo_ns), hi_(hi_ns), inner_(std::move(inner))
+ClampedDist::ClampedDist(double lo_ns, double hi_ns, DistributionPtr inner,
+                         double estimated_mean)
+    : lo_(lo_ns), hi_(hi_ns), inner_(std::move(inner)),
+      estimatedMean_(estimated_mean)
 {
     RV_ASSERT(inner_ != nullptr, "clamped inner distribution missing");
     RV_ASSERT(lo_ns <= hi_ns, "clamp bounds inverted");
+}
+
+ClampedDist::ClampedDist(double lo_ns, double hi_ns, DistributionPtr inner)
+    : ClampedDist(lo_ns, hi_ns, std::move(inner), 0.0)
+{
     // Deterministic numeric estimate of the clamped mean.
     Rng rng(0xC1A3u);
     constexpr int estimate_samples = 200000;
@@ -254,7 +261,8 @@ ClampedDist::name() const
 DistributionPtr
 ClampedDist::clone() const
 {
-    return std::make_unique<ClampedDist>(lo_, hi_, inner_->clone());
+    return std::make_unique<ClampedDist>(lo_, hi_, inner_->clone(),
+                                         estimatedMean_);
 }
 
 // -------------------------------------------------------------- Mixture

@@ -160,13 +160,21 @@ class ShiftedDist : public Distribution
 
 /**
  * Clamps an inner distribution's samples into [lo, hi]. The reported
- * mean is estimated numerically at construction (deterministic seed),
+ * mean is estimated numerically (200,000 draws from a fixed seed),
  * since the analytical truncated mean is not available in general.
+ * The estimate runs once per prototype, the distribution built from
+ * its bounds (the app service profiles keep one per process); clone()
+ * hands it on, so a clone reports the same mean bit for bit without
+ * drawing again.
  */
 class ClampedDist : public Distribution
 {
   public:
     ClampedDist(double lo_ns, double hi_ns, DistributionPtr inner);
+    /** As above, with the mean already estimated for these bounds and
+     *  this inner distribution. */
+    ClampedDist(double lo_ns, double hi_ns, DistributionPtr inner,
+                double estimated_mean);
     double sample(Rng &rng) const override;
     double mean() const override { return estimatedMean_; }
     std::string name() const override;

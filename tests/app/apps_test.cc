@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "app/herd_app.hh"
@@ -53,6 +56,58 @@ TEST(Profiles, MasstreeScanRangeMatchesPaper)
         EXPECT_GE(x, 60000.0);
         EXPECT_LT(x, 120000.0);
     }
+}
+
+TEST(Profiles, AppMeansEqualAFreshEstimateBitForBit)
+{
+    // The apps clone a once-per-process prototype; its mean is the
+    // estimate a freshly built clamp makes.
+    const sim::ClampedDist herd(
+        80.0, 1000.0,
+        std::make_unique<sim::LogNormalDist>(
+            sim::LogNormalDist::fromMeanSigma(330.0, 0.45)));
+    EXPECT_EQ(HerdApp().meanProcessingNs(), herd.mean());
+    const sim::ClampedDist get(
+        200.0, 8000.0,
+        std::make_unique<sim::LogNormalDist>(
+            sim::LogNormalDist::fromMeanSigma(1250.0, 0.55)));
+    MasstreeApp::Params p;
+    p.numKeys = 100;
+    EXPECT_EQ(MasstreeApp(p).latencyCriticalMeanNs(), get.mean());
+}
+
+TEST(Profiles, CloneKeepsTheMeanBitForBit)
+{
+    for (const auto make : {makeHerdProfile, makeMasstreeGetProfile}) {
+        const auto d = make();
+        EXPECT_EQ(d->clone()->mean(), d->mean());
+        EXPECT_EQ(make()->mean(), d->mean());
+    }
+}
+
+TEST(ConcurrentProfiles, FourHerdAppsBuiltAtOnceShareOneMean)
+{
+    // Four threads race to the first use of the HERD prototype.
+    constexpr int n = 4;
+    std::atomic<int> ready{0};
+    std::vector<double> means(n);
+    std::vector<std::thread> threads;
+    HerdApp::Params p;
+    p.numKeys = 1000;
+    for (int i = 0; i < n; ++i) {
+        threads.emplace_back([&, i] {
+            ready.fetch_add(1);
+            while (ready.load() < n)
+                std::this_thread::yield();
+            means[static_cast<std::size_t>(i)] =
+                HerdApp(p).meanProcessingNs();
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const double mean : means)
+        EXPECT_EQ(mean, means[0]);
+    EXPECT_EQ(means[0], makeHerdProfile()->mean());
 }
 
 // --------------------------------------------------------- synthetic

@@ -143,6 +143,28 @@ TEST(ClampedDist, EstimatedMeanTracksSampleMean)
     EXPECT_NEAR(sampleMean(d), d.mean(), d.mean() * 0.02);
 }
 
+TEST(ClampedDist, CloneInheritsTheEstimatedMeanBitForBit)
+{
+    ClampedDist d(80.0, 1000.0,
+                  std::make_unique<LogNormalDist>(
+                      LogNormalDist::fromMeanSigma(330.0, 0.45)));
+    const DistributionPtr copy = d.clone();
+    EXPECT_EQ(copy->mean(), d.mean());
+    EXPECT_EQ(copy->clone()->mean(), d.mean());
+    // The clone samples like the original.
+    Rng a(5), b(5);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(copy->sample(a), d.sample(b));
+}
+
+TEST(ClampedDist, GivenMeanIsReportedAsIs)
+{
+    ClampedDist d(0.0, 10.0, std::make_unique<FixedDist>(20.0), 4.25);
+    EXPECT_EQ(d.mean(), 4.25);
+    Rng rng(1);
+    EXPECT_EQ(d.sample(rng), 10.0);
+}
+
 TEST(MixtureDist, WeightsRespected)
 {
     std::vector<MixtureDist::Component> comps;
