@@ -54,10 +54,10 @@ main(int argc, char **argv)
                                        processing->clone());
         queueing::SweepConfig model_sweep;
         model_sweep.numQueues = 1;
-        model_sweep.unitsPerQueue = sys.numCores;
+        model_sweep.unitsPerQueue = sys.numCores();
         for (const auto &rate : sweep.arrivalRates)
             model_sweep.loads.push_back(
-                rate / (sys.numCores / (model_service.mean() * 1e-9)));
+                rate / (sys.numCores() / (model_service.mean() * 1e-9)));
         model_sweep.service = &model_service;
         model_sweep.seed = args.seed;
         model_sweep.warmupCompletions = args.warmup;

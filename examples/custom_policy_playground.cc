@@ -132,23 +132,19 @@ main()
     }
 
     std::printf("\n--- chip geometry (scaling the paper's design) ---\n");
+    // One backend per mesh row, as on the paper's chip (§4.1).
     struct Geometry
     {
-        std::uint32_t cores;
         int rows;
         int cols;
-        std::uint32_t backends;
     };
-    for (const auto &g : {Geometry{16, 4, 4, 4}, Geometry{32, 4, 8, 4},
-                          Geometry{64, 8, 8, 8}}) {
+    for (const auto &g : {Geometry{4, 4}, Geometry{4, 8}, Geometry{8, 8}}) {
         node::SystemParams sys;
-        sys.numCores = g.cores;
         sys.meshRows = g.rows;
         sys.meshCols = g.cols;
-        sys.numBackends = g.backends;
         std::printf("  %2u cores (%dx%d mesh, %u backends) "
                     "p99 = %7.2f us\n",
-                    g.cores, g.rows, g.cols, g.backends,
+                    sys.numCores(), g.rows, g.cols, sys.numBackends(),
                     p99AtLoad(sys, 0.8) / 1e3);
     }
 

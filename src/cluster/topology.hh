@@ -2,11 +2,10 @@
  * @file
  * Cluster topology primitives: keyspace sharding and node health.
  *
- * The experiment core grows from "one node + default sink" into a
- * topology-driven cluster (ROADMAP: the "millions of users" unlock):
- * N server nodes, each running its own NI dispatch, fronted by a
- * cluster-level router. This header holds the two router-independent
- * building blocks:
+ * The experiment core is a topology-driven cluster (ROADMAP: the
+ * "millions of users" unlock): N server nodes, each running its own
+ * NI dispatch, fronted by a cluster-level router. This header holds
+ * the two router-independent building blocks:
  *
  *  - ShardMap       partitions the workload keyspace into shards and
  *                   assigns each shard an owning server node, so

@@ -255,7 +255,7 @@ harvest(const ExperimentConfig &cfg, const app::RpcApplication &app,
         std::vector<sim::Tick> &all =
             derive(scratch, Logs{logs[i]}, anyRpc, latency);
         NodeStats ns;
-        ns.nodeId = cfg.system.nodeId + static_cast<proto::NodeId>(i);
+        ns.nodeId = static_cast<proto::NodeId>(i);
         ns.failed = n.failed();
         ns.served = n.served();
         ns.criticalCompletions = n.servedCritical();
@@ -435,6 +435,7 @@ totalSimulatedEvents()
 RunStats
 runExperiment(const ExperimentConfig &cfg)
 {
+    cfg.system.validate();
     cfg.cluster.validate();
     cfg.retry.validate(cfg.cluster.requestTimeout);
     cfg.connections.validate();
@@ -449,7 +450,7 @@ runExperiment(const ExperimentConfig &cfg)
     // only on the specs and the shape — never on execution order.
     const fault::Resolution faultPlan = fault::resolveFaults(
         cfg.faults,
-        fault::ResolveContext{numServers, cfg.system.numCores, par});
+        fault::ResolveContext{numServers, cfg.system.numCores(), par});
     if (cfg.cluster.requestTimeout == 0) {
         if (faultPlan.dropsPackets()) {
             sim::fatal(
@@ -480,8 +481,7 @@ runExperiment(const ExperimentConfig &cfg)
             std::make_unique<sim::EventDomain>(0, "client"));
         for (std::uint32_t i = 0; i < numServers; ++i) {
             domains.push_back(std::make_unique<sim::EventDomain>(
-                i + 1,
-                sim::strfmt("node%u", cfg.system.nodeId + i)));
+                i + 1, sim::strfmt("node%u", i)));
         }
     } else {
         domains.push_back(std::make_unique<sim::EventDomain>(0, "main"));
@@ -508,7 +508,7 @@ runExperiment(const ExperimentConfig &cfg)
     if (!faultPlan.packet.empty()) {
         packetFaults = std::make_unique<fault::PacketFaults>(
             faultPlan.packet, static_cast<std::uint32_t>(domainPtrs.size()),
-            cfg.system.seed, cfg.system.nodeId, numServers);
+            cfg.system.seed, numServers);
         fabric.setPerturber(packetFaults.get());
     }
 
@@ -524,37 +524,38 @@ runExperiment(const ExperimentConfig &cfg)
     apps.reserve(numServers);
     std::vector<std::unique_ptr<node::RpcNode>> nodes;
     nodes.reserve(numServers);
+    // Servers occupy node ids [0, numServers) of the messaging
+    // domain; every other node is an emulated client.
+    node::RpcNode::Derived derived;
+    // With loss faults a dropped reply starves its mirrored slot's
+    // replenish forever; the lease (2x the client timeout, far beyond
+    // any legitimate credit-return delay) lets the server evict the
+    // dead occupant instead of spinning a core for the rest of the
+    // run. Fault-free runs keep the plain wait.
+    if (faultPlan.dropsPackets())
+        derived.replySlotLease = 2 * cfg.cluster.requestTimeout;
+    // Connection management: a client population makes the NI's
+    // connection-context cache finite (sized for one group).
+    if (cfg.connections.active()) {
+        derived.qpCacheCapacity = conn::effectiveQpCapacity(cfg.connections);
+        derived.qpColdFetch = cfg.connections.qpCold;
+    }
     for (std::uint32_t i = 0; i < numServers; ++i) {
         node::SystemParams sys = cfg.system;
-        sys.nodeId = cfg.system.nodeId + i;
         // Decorrelate per-node randomness (backend hash salts, policy
         // tie-breaks) without touching node 0's stream.
         if (i > 0)
             sys.seed = cfg.system.seed + 0x51D * i;
-        // With loss faults a dropped reply starves its mirrored slot's
-        // replenish forever; the lease (2x the client timeout, far
-        // beyond any legitimate credit-return delay) lets the server
-        // evict the dead occupant instead of spinning a core for the
-        // rest of the run. Fault-free runs keep the plain wait.
-        if (faultPlan.dropsPackets())
-            sys.replySlotLease = 2 * cfg.cluster.requestTimeout;
-        // Connection management: a client population makes the NI's
-        // connection-context cache finite (sized for one group).
-        if (cfg.connections.active()) {
-            sys.qpCacheCapacity =
-                conn::effectiveQpCapacity(cfg.connections);
-            sys.qpColdFetch = cfg.connections.qpCold;
-        }
-        sys.validate();
+        derived.id = i;
         apps.push_back(
             app::WorkloadRegistry::instance().make(cfg.workload));
         nodes.push_back(std::make_unique<node::RpcNode>(
-            serverSim(i), sys, *apps.back(), fabric));
+            serverSim(i), sys, *apps.back(), fabric, derived));
         // Nodes log samples only inside the measurement window; the
         // completion hook / barrier loop below opens it cluster-wide.
         nodes.back()->setRecording(cfg.warmupRpcs == 0);
         if (par)
-            fabric.assignNode(sys.nodeId, i + 1);
+            fabric.assignNode(i, i + 1);
     }
 
     // The client side generates requests and verifies replies. A
@@ -580,7 +581,6 @@ runExperiment(const ExperimentConfig &cfg)
     net::TrafficGenerator::Params tp;
     tp.arrivalRps = cfg.arrivalRps;
     tp.arrival = cfg.arrival;
-    tp.targetNode = cfg.system.nodeId;
     tp.cluster = cfg.cluster;
     tp.clientTurnaround = cfg.clientTurnaround;
     tp.retry = cfg.retry;
@@ -606,37 +606,48 @@ runExperiment(const ExperimentConfig &cfg)
         }
     }
 
-    // Explicit topology wiring: every emulated client node gets its
-    // own connect; nothing rides a default sink (a packet to a node
-    // outside the topology is a hard fabric error). Client nodes stay
+    // Explicit topology wiring: every emulated client node (the ids
+    // after the servers) gets its own connect; a packet to a node
+    // outside the topology is a hard fabric error. Client nodes stay
     // unassigned, which places them on domain 0.
-    for (proto::NodeId n = 0; n < cfg.system.domain.numNodes; ++n) {
-        if (n >= cfg.system.nodeId && n < cfg.system.nodeId + numServers)
-            continue; // the server nodes connected themselves
+    for (proto::NodeId n = numServers; n < cfg.system.domain.numNodes; ++n) {
         fabric.connect(n, [&tg](const proto::Packet &pkt) {
             tg.receivePacket(pkt);
         });
     }
 
     // Timed faults arm as plain events on each victim node's own
-    // domain wheel, before the run starts.
-    fault::FaultScheduler faultScheduler(
-        faultPlan,
-        fault::FaultScheduler::Hooks{
-            [&nodes](std::uint32_t n, bool failed) {
-                nodes[n]->setFailed(failed);
-            },
-            [&nodes](std::uint32_t n, sim::Tick until) {
-                nodes[n]->stallNi(until);
-            },
-            [&nodes](std::uint32_t n, std::uint32_t core,
-                     double factor) {
-                nodes[n]->setCoreSlowdown(core, factor);
-            }});
-    faultScheduler.arm(
-        [&](std::uint32_t i) -> sim::EventDomain & {
-            return serverSim(i);
-        });
+    // domain wheel, in timeline order, before the run starts: in
+    // parallel runs a fault fires inside its owning domain's window
+    // like any local event.
+    for (const fault::Activation &a : faultPlan.timeline) {
+        if (!a.timed)
+            continue;
+        const auto i = static_cast<std::uint32_t>(a.node);
+        node::RpcNode &victim = *nodes[i];
+        sim::EventDomain &dom = serverSim(i);
+        RV_ASSERT(dom.now() == 0, "faults must arm before the run starts");
+        if (a.kind == "crash") {
+            dom.schedule(a.at, [&victim] { victim.setFailed(true); });
+            if (a.until > 0)
+                dom.schedule(a.until, [&victim] { victim.setFailed(false); });
+        } else if (a.kind == "ni-stall") {
+            const sim::Tick until = a.until;
+            dom.schedule(a.at, [&victim, until] { victim.stallNi(until); });
+        } else if (a.kind == "slow-core") {
+            const auto core = static_cast<proto::CoreId>(a.core);
+            const double factor = a.factor;
+            RV_ASSERT(a.until > 0, "slow-core window must end");
+            dom.schedule(a.at, [&victim, core, factor] {
+                victim.setCoreSlowdown(core, factor);
+            });
+            dom.schedule(a.until, [&victim, core] {
+                victim.setCoreSlowdown(core, 1.0);
+            });
+        } else {
+            sim::panic("unknown timed fault kind '" + a.kind + "'");
+        }
+    }
 
     for (auto &n : nodes)
         n->start();
@@ -796,7 +807,7 @@ estimateCapacityRps(const node::SystemParams &system,
     // Chained workloads serve requestsPerArrival() RPCs per client
     // arrival, so a node's arrival capacity shrinks by that factor
     // (1.0 for ordinary workloads).
-    return static_cast<double>(system.numCores) /
+    return static_cast<double>(system.numCores()) /
            (sbar_ns * 1e-9 * app.requestsPerArrival());
 }
 

@@ -353,7 +353,8 @@ struct RunStats
     std::uint64_t crossDomainMail = 0;
     /** Per-core served counts (load-balance diagnostics). */
     std::vector<std::uint64_t> perCoreServed;
-    /** Peak busy receive slots. */
+    /** Peak busy receive slots of any node over the whole run,
+     *  warmup included: the footprint a node must provision. */
     std::uint32_t recvSlotPeak = 0;
     /** Requests that used the rendezvous large-message path (§4.2). */
     std::uint64_t rendezvousRequests = 0;

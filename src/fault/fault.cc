@@ -106,59 +106,6 @@ resolveFaults(const std::vector<FaultSpec> &faults,
     return out;
 }
 
-FaultScheduler::FaultScheduler(const Resolution &resolution, Hooks hooks)
-    : resolution_(resolution), hooks_(std::move(hooks))
-{
-    RV_ASSERT(hooks_.setNodeFailed != nullptr,
-              "fault scheduler needs a crash hook");
-    RV_ASSERT(hooks_.stallNi != nullptr,
-              "fault scheduler needs an NI-stall hook");
-    RV_ASSERT(hooks_.setCoreSlowdown != nullptr,
-              "fault scheduler needs a slow-core hook");
-}
-
-void
-FaultScheduler::arm(
-    const std::function<sim::EventDomain &(std::uint32_t)> &domainOf)
-{
-    RV_ASSERT(!armed_, "fault scheduler armed twice");
-    armed_ = true;
-    for (const Activation &a : resolution_.timeline) {
-        if (!a.timed)
-            continue;
-        const auto node = static_cast<std::uint32_t>(a.node);
-        sim::EventDomain &dom = domainOf(node);
-        RV_ASSERT(dom.now() == 0,
-                  "fault scheduler must arm before the run starts");
-        if (a.kind == "crash") {
-            const auto &fail = hooks_.setNodeFailed;
-            dom.schedule(a.at, [fail, node] { fail(node, true); });
-            if (a.until > 0) {
-                dom.schedule(a.until,
-                             [fail, node] { fail(node, false); });
-            }
-        } else if (a.kind == "ni-stall") {
-            const auto &stall = hooks_.stallNi;
-            const sim::Tick until = a.until;
-            dom.schedule(a.at,
-                         [stall, node, until] { stall(node, until); });
-        } else if (a.kind == "slow-core") {
-            const auto &slow = hooks_.setCoreSlowdown;
-            const auto core = static_cast<std::uint32_t>(a.core);
-            const double factor = a.factor;
-            dom.schedule(a.at, [slow, node, core, factor] {
-                slow(node, core, factor);
-            });
-            RV_ASSERT(a.until > 0, "slow-core window must end");
-            dom.schedule(a.until, [slow, node, core] {
-                slow(node, core, 1.0);
-            });
-        } else {
-            sim::panic("unknown timed fault kind '" + a.kind + "'");
-        }
-    }
-}
-
 bool
 RetryPolicy::active() const
 {

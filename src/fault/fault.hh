@@ -13,15 +13,14 @@
  *                    against the cluster shape and resolves into the
  *                    run's static fault timeline
  *  - Resolution      the resolved products: timed activations (crash /
- *                    ni-stall / slow-core windows, armed as events on
- *                    the owning node's domain) and packet-level fault
- *                    configs (loss / delay / corruption applied at the
- *                    fabric boundary, see fault/packet_faults.hh)
- *  - FaultScheduler  arms the timed activations as simulator events on
- *                    each victim's own EventDomain, so faults compose
- *                    with conservative parallel DES: a fault fires
- *                    inside its owning domain's window and its
- *                    cross-domain effects ride the lookahead-checked
+ *                    ni-stall / slow-core windows) and packet-level
+ *                    fault configs (loss / delay / corruption applied
+ *                    at the fabric boundary, see fault/packet_faults.hh).
+ *                    core::runExperiment arms each timed activation as
+ *                    an event on its victim node's own EventDomain, so
+ *                    faults compose with conservative parallel DES: a
+ *                    fault fires inside its owning domain's window and
+ *                    its cross-domain effects ride the fabric's
  *                    mailboxes like any other traffic
  *  - FaultRegistry   process-wide name -> factory table; fault models
  *                    self-register via FaultRegistrar, including from
@@ -52,8 +51,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/domain.hh"
 #include "sim/registry.hh"
+#include "sim/types.hh"
 
 namespace rpcvalet::fault {
 
@@ -206,45 +205,6 @@ using FaultRegistrar = sim::Registrar<FaultAxis>;
  */
 Resolution resolveFaults(const std::vector<FaultSpec> &faults,
                          const ResolveContext &ctx);
-
-/**
- * Arms a resolution's timed activations as simulator events. The
- * experiment layer supplies the victim hooks (RpcNode entry points)
- * and the node -> EventDomain mapping; every activation is scheduled
- * on its victim's own domain, so in parallel runs the fault fires
- * inside the owning domain's window like any local event.
- */
-class FaultScheduler
-{
-  public:
-    struct Hooks
-    {
-        /** crash: node drops (or resumes accepting) all traffic. */
-        std::function<void(std::uint32_t node, bool failed)> setNodeFailed;
-        /** ni-stall: node's NI ingress pipelines stall until @p until. */
-        std::function<void(std::uint32_t node, sim::Tick until)> stallNi;
-        /** slow-core: multiply one core's processing time. */
-        std::function<void(std::uint32_t node, std::uint32_t core,
-                           double factor)>
-            setCoreSlowdown;
-    };
-
-    FaultScheduler(const Resolution &resolution, Hooks hooks);
-
-    /**
-     * Schedule every timed activation (begin and, where the fault
-     * recovers, end) on its victim's domain. @p domainOf maps a server
-     * index to the EventDomain executing that node. Call once, at
-     * construction time, before the run starts (all domains at t=0).
-     */
-    void
-    arm(const std::function<sim::EventDomain &(std::uint32_t)> &domainOf);
-
-  private:
-    const Resolution &resolution_;
-    Hooks hooks_;
-    bool armed_ = false;
-};
 
 /**
  * Client-side recovery policy: what the traffic generator does with a

@@ -23,10 +23,8 @@ lossEligible(const proto::Packet &pkt)
 
 PacketFaults::PacketFaults(std::vector<PacketFaultConfig> configs,
                            std::uint32_t numDomains, std::uint64_t seed,
-                           std::uint32_t serverBase,
                            std::uint32_t numServers)
-    : configs_(std::move(configs)), serverBase_(serverBase),
-      numServers_(numServers)
+    : configs_(std::move(configs)), numServers_(numServers)
 {
     RV_ASSERT(numDomains >= 1, "packet faults need at least one domain");
     lanes_.reserve(numDomains);
@@ -50,8 +48,7 @@ PacketFaults::perturb(proto::Packet &pkt, sim::DomainId domain,
             if (!lossEligible(pkt))
                 break;
             if (cfg.edge >= 0) {
-                const auto victim = static_cast<proto::NodeId>(
-                    serverBase_ + static_cast<std::uint32_t>(cfg.edge));
+                const auto victim = static_cast<proto::NodeId>(cfg.edge);
                 if (pkt.hdr.src != victim && pkt.hdr.dst != victim)
                     break;
             }
@@ -80,9 +77,7 @@ PacketFaults::perturb(proto::Packet &pkt, sim::DomainId domain,
           case PacketFaultConfig::Kind::Corrupt: {
             // Replies only: a Send heading away from the server range
             // carries response payload the client will verify.
-            const bool toServer =
-                pkt.hdr.dst >= serverBase_ &&
-                pkt.hdr.dst < serverBase_ + numServers_;
+            const bool toServer = pkt.hdr.dst < numServers_;
             if (pkt.hdr.op != proto::OpType::Send || toServer ||
                 pkt.payload.empty())
                 break;

@@ -33,13 +33,12 @@ class PacketFaults : public net::PacketPerturber
      * @param configs     Packet fault configs (Resolution::packet).
      * @param numDomains  Event domains in the run (1 if sequential).
      * @param seed        Run seed; lanes use streams 0xFA00 + domain.
-     * @param serverBase  First server NodeId (servers occupy
-     *                    [serverBase, serverBase + numServers)).
-     * @param numServers  Server node count, for reply detection.
+     * @param numServers  Server node count (servers occupy node ids
+     *                    [0, numServers)), for reply detection.
      */
     PacketFaults(std::vector<PacketFaultConfig> configs,
                  std::uint32_t numDomains, std::uint64_t seed,
-                 std::uint32_t serverBase, std::uint32_t numServers);
+                 std::uint32_t numServers);
 
     Verdict perturb(proto::Packet &pkt, sim::DomainId domain,
                     sim::Tick now) override;
@@ -75,7 +74,6 @@ class PacketFaults : public net::PacketPerturber
 
     std::vector<PacketFaultConfig> configs_;
     std::vector<Lane> lanes_;
-    std::uint32_t serverBase_;
     std::uint32_t numServers_;
     /** Any Delay config present (enables the per-flow FIFO clamp). */
     bool hasDelay_ = false;

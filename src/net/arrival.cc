@@ -15,8 +15,8 @@ ArrivalAxis::checkArgs(const sim::Spec &spec, double rate_per_sec)
     }
 }
 
-// The Rng stream id matches sim::PoissonProcess so the "poisson"
-// process reproduces the legacy arrival sequence bit-for-bit.
+// The Rng stream id (0x90150) is the one every recorded golden's
+// arrival sequence was drawn from.
 ArrivalDriver::ArrivalDriver(sim::EventDomain &sim,
                              ArrivalProcessPtr process,
                              std::uint64_t rng_seed, Handler handler)

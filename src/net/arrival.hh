@@ -18,11 +18,11 @@
  *                     examples/custom_arrival_playground.cc). Factories
  *                     also take the target rate, which make() checks
  *                     is positive before calling one
- *  - ArrivalDriver    generalizes sim::PoissonProcess: schedules one
- *                     handler call per arrival drawn from any process
+ *  - ArrivalDriver    schedules one handler call per arrival drawn
+ *                     from any process; the one arrival source of the
+ *                     traffic generator and the queueing models
  *
- * Built-ins (src/net/arrivals.cc): "poisson" (default; bit-identical
- * to the legacy sim::PoissonProcess at a fixed seed), "deterministic",
+ * Built-ins (src/net/arrivals.cc): "poisson" (default), "deterministic",
  * "lognormal:cv=", "mmpp2:burst=,ratio=,dwell=", "ramp:from=,to=,
  * over=", and "trace:file=,raw=".
  */
@@ -101,12 +101,9 @@ using ArrivalRegistry = sim::Registry<ArrivalAxis>;
 using ArrivalRegistrar = sim::Registrar<ArrivalAxis>;
 
 /**
- * Drives a handler with arrivals drawn from an ArrivalProcess — the
- * generalization of sim::PoissonProcess to any registered process.
- * With the "poisson" process it reproduces PoissonProcess's event
- * stream bit-for-bit at the same seed (same Rng stream, same
- * scheduling order). The driver owns one reusable member event, so
- * steady-state arrival generation never allocates.
+ * Drives a handler with arrivals drawn from an ArrivalProcess. The
+ * driver owns one reusable member event, so steady-state arrival
+ * generation never allocates.
  */
 class ArrivalDriver
 {

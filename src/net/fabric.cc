@@ -53,17 +53,6 @@ Fabric::connect(proto::NodeId node, Sink sink)
 }
 
 void
-Fabric::connectDefault(Sink sink)
-{
-    RV_ASSERT(sink != nullptr, "null fabric sink");
-    if (defaultSink_ != nullptr) {
-        sim::fatal("fabric: a default sink is already connected "
-                   "(duplicate registration)");
-    }
-    defaultSink_ = std::move(sink);
-}
-
-void
 Fabric::assignNode(proto::NodeId node, sim::DomainId domain)
 {
     RV_ASSERT(domains_.size() > 1, "assignNode on a one-domain fabric");
@@ -231,18 +220,14 @@ void
 Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
 {
     ++domains_[dom]->delivered;
-    if (pkt.hdr.dst < sinks_.size() && sinks_[pkt.hdr.dst] != nullptr) {
-        sinks_[pkt.hdr.dst](pkt);
-        return;
-    }
-    if (defaultSink_ == nullptr) {
+    if (pkt.hdr.dst >= sinks_.size() || sinks_[pkt.hdr.dst] == nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: %s packet from node %u addressed to unconnected "
-            "node %u (no sink registered for it and no default sink)",
+            "node %u (no sink registered for it)",
             proto::opName(pkt.hdr.op).c_str(), pkt.hdr.src,
             pkt.hdr.dst));
     }
-    defaultSink_(pkt);
+    sinks_[pkt.hdr.dst](pkt);
 }
 
 std::uint64_t

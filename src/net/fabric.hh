@@ -44,10 +44,10 @@
  *    that post into that bank again in window W + 1.
  *  - Every edge mailbox header and every domain's state sits on cache
  *    lines of its own, so no two workers write one of those lines.
- *  - connect()/connectDefault()/assignNode() happen at construction
- *    time, before any worker exists; the sink and domain tables
- *    (dense vectors indexed by NodeId, so a delivery pays one bounds
- *    check rather than a hash lookup) are read-only afterwards.
+ *  - connect()/assignNode() happen at construction time, before any
+ *    worker exists; the sink and domain tables (dense vectors indexed
+ *    by NodeId, so a delivery pays one bounds check rather than a
+ *    hash lookup) are read-only afterwards.
  */
 
 #ifndef RPCVALET_NET_FABRIC_HH
@@ -128,12 +128,6 @@ class Fabric
      * silently overwriting the first sink dropped its traffic.
      */
     void connect(proto::NodeId node, Sink sink);
-
-    /**
-     * Attach the receiver for all nodes without an explicit sink.
-     * Fatal if a default sink is already attached.
-     */
-    void connectDefault(Sink sink);
 
     /**
      * Place @p node on @p domain (fabrics of two or more domains only;
@@ -271,10 +265,9 @@ class Fabric
     std::vector<Edge> mailboxes_;
     /** Domain of each assigned node, indexed by NodeId. */
     std::vector<sim::DomainId> nodeDomain_;
-    /** Explicit receiver of each node, indexed by NodeId (empty =
-     *  none: the default sink takes its packets). */
+    /** Receiver of each node, indexed by NodeId (empty = none: a
+     *  packet to it is fatal). */
     std::vector<Sink> sinks_;
-    Sink defaultSink_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;
 };

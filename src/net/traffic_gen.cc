@@ -42,16 +42,12 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
       sweepEvent_(*this, "timeout-sweep")
 {
     params_.cluster.validate();
-    RV_ASSERT(params_.targetNode + numServers() <= domain_.numNodes,
-              "server node range exceeds the messaging domain");
     RV_ASSERT(domain_.numNodes > numServers(),
               "need at least one remote client node");
     params_.retry.validate(params_.cluster.requestTimeout);
     madeByClass_.resize(std::max<std::size_t>(
         app.requestClasses().size(), 1));
-    for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
-        if (n >= params_.targetNode && n < params_.targetNode + numServers())
-            continue;
+    for (proto::NodeId n = numServers(); n < domain_.numNodes; ++n) {
         for (std::uint32_t srv = 0; srv < numServers(); ++srv) {
             auto &slots = freeSlots_[pairIndex(n, srv)];
             slots.reserve(domain_.slotsPerNode);
@@ -121,14 +117,12 @@ proto::NodeId
 TrafficGenerator::connNodeFor(std::uint32_t client) const
 {
     // Logical clients multiplex deterministically onto the emulated
-    // client nodes (and their per-(node, server) slot pools), skipping
-    // the server block — no Rng draw, so admission replays are stable.
+    // client nodes (and their per-(node, server) slot pools), which
+    // follow the server block [0, numServers) — no Rng draw, so
+    // admission replays are stable.
     const std::uint32_t numClientNodes = domain_.numNodes - numServers();
-    proto::NodeId n =
-        static_cast<proto::NodeId>(client % numClientNodes);
-    if (n >= params_.targetNode)
-        n += numServers();
-    return n;
+    return static_cast<proto::NodeId>(client % numClientNodes +
+                                      numServers());
 }
 
 void
@@ -278,7 +272,7 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     // Canary accounting: a recovering server's first routed request is
     // its probe (no-op for healthy servers).
     health_.noteRouted(server);
-    const proto::NodeId dst = params_.targetNode + server;
+    const proto::NodeId dst = server; // servers are nodes [0, numServers)
     const std::uint64_t key = reqKey(server, src, slot);
     Slot &s = slots_[key];
     RV_ASSERT(s.livePos == kIdle,
@@ -334,10 +328,9 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
         // (HERD-style per-slot response matching), so the reply's
         // (src server, dst client, slot) identifies the original
         // request.
-        RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                      pkt.hdr.src < params_.targetNode + numServers(),
+        RV_ASSERT(pkt.hdr.src < numServers(),
                   "reply from a non-server node");
-        const std::uint32_t server = pkt.hdr.src - params_.targetNode;
+        const std::uint32_t server = pkt.hdr.src;
         ReplyAssembly &assembly =
             slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)].reply;
         if (assembly.total == 0) {
@@ -363,10 +356,9 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
       case proto::OpType::RemoteRead: {
         // Rendezvous pull: serve the announced payload from this
         // node's memory after a DRAM access.
-        RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                      pkt.hdr.src < params_.targetNode + numServers(),
+        RV_ASSERT(pkt.hdr.src < numServers(),
                   "one-sided read from a non-server node");
-        const std::uint32_t server = pkt.hdr.src - params_.targetNode;
+        const std::uint32_t server = pkt.hdr.src;
         const LiveRequest *live =
             findLive(reqKey(server, pkt.hdr.dst, pkt.hdr.slot));
         if (live == nullptr) {
@@ -457,13 +449,12 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
     }
     // Return the reply's send-slot credit to the serving node after
     // the client-side turnaround (stale replies included, see above).
-    const proto::NodeId replyDst = params_.targetNode + server;
     sim_.schedule(params_.clientTurnaround,
-                  [this, dst, replyDst, slot] {
+                  [this, dst, server, slot] {
                       proto::Packet pkt;
                       pkt.hdr.op = proto::OpType::Replenish;
                       pkt.hdr.src = dst;
-                      pkt.hdr.dst = replyDst;
+                      pkt.hdr.dst = server;
                       pkt.hdr.slot = slot;
                       pkt.hdr.totalBlocks = 1;
                       pkt.hdr.msgBytes = 0;
@@ -536,10 +527,9 @@ TrafficGenerator::onReplenish(const proto::Packet &pkt)
 {
     // A server finished processing a request: the source's send slot
     // toward that server is free again (§4.2 step C).
-    RV_ASSERT(pkt.hdr.src >= params_.targetNode &&
-                  pkt.hdr.src < params_.targetNode + numServers(),
+    RV_ASSERT(pkt.hdr.src < numServers(),
               "replenish from a non-server node");
-    const std::uint32_t server = pkt.hdr.src - params_.targetNode;
+    const std::uint32_t server = pkt.hdr.src;
     const proto::NodeId src = pkt.hdr.dst;
     const std::uint32_t slot = pkt.hdr.slot;
     RV_ASSERT(src < domain_.numNodes, "replenish for unknown node");

@@ -97,10 +97,6 @@ class TrafficGenerator final : private cluster::ClusterView
         double arrivalRps = 1e6;
         /** Interarrival process shaping that rate (net/arrival.hh). */
         ArrivalSpec arrival{};
-        /** First server node (requests' destination base). Servers
-         *  occupy node ids [targetNode, targetNode +
-         *  cluster.numServerNodes). */
-        proto::NodeId targetNode = 0;
         /** The servers behind the generator: count, router, shards,
          *  health threshold and recovery, request timeout (0 disables
          *  the timeout sweep) and sweep interval. The default is one

@@ -76,12 +76,6 @@ class Dispatcher
     /** Entries currently queued in the shared CQ. */
     std::size_t sharedCqDepth() const { return sharedCq_.size(); }
 
-    /** Peak shared CQ occupancy. */
-    std::size_t sharedCqPeak() const { return sharedCq_.highWatermark(); }
-
-    /** Restart peak tracking (recording-window opener). */
-    void resetSharedCqPeak() { sharedCq_.resetHighWatermark(); }
-
     /** Total dispatch decisions made. */
     std::uint64_t dispatched() const { return dispatched_; }
 

@@ -2,7 +2,9 @@
  * @file
  * Full-system configuration: the values an experiment varies — chip
  * geometry, messaging domain, queuing topology and policy, the
- * RPCValet knobs of §4.3 — and the values the experiment layer derives.
+ * RPCValet knobs of §4.3. What the experiment layer derives per node
+ * (its id, the reply-slot lease, the QP-cache bounds) reaches the node
+ * as RpcNode constructor inputs instead (node/rpc_node.hh).
  *
  * The paper fixes the rest of its machine, and so does the simulator:
  * each fixed value is a constexpr in the header of the lowest module
@@ -35,16 +37,26 @@ namespace rpcvalet::node {
 /** Everything needed to instantiate the modeled server. */
 struct SystemParams
 {
-    /** Identity of the node under test within the messaging domain. */
-    proto::NodeId nodeId = 0;
-    /** Cores on the chip (Table 1: 16). */
-    std::uint32_t numCores = 16;
-    /** NI backends along the chip edge (one per mesh row). */
-    std::uint32_t numBackends = 4;
-
-    /** Mesh geometry (Table 1: 2D mesh). */
+    /**
+     * Mesh geometry (Table 1: a 4x4 2D mesh of 16 cores). The NI
+     * backends sit on the chip edge, one per mesh row (§4.1), so the
+     * mesh fixes both the core and the backend count.
+     */
     int meshRows = 4;
     int meshCols = 4;
+
+    /** Cores on the chip: one per mesh tile. */
+    std::uint32_t
+    numCores() const
+    {
+        return static_cast<std::uint32_t>(meshRows * meshCols);
+    }
+    /** NI backends along the chip edge: one per mesh row. */
+    std::uint32_t
+    numBackends() const
+    {
+        return static_cast<std::uint32_t>(meshRows);
+    }
 
     /** Messaging-domain shape (§5: 200-node cluster). */
     proto::MessagingDomain domain{};
@@ -74,36 +86,6 @@ struct SystemParams
      * dispatcher modes (1x16, 4x4).
      */
     sim::Tick preemptionQuantum = 0;
-
-    /**
-     * Give up waiting for a mirrored reply slot after this long and
-     * evict its occupant (0 = wait forever, the lossless-fabric
-     * default). On a lossless fabric a busy slot always drains —
-     * the client's replenish is at most a round trip plus turnaround
-     * away — but when fault injection can drop a reply packet, that
-     * replenish never comes and the core spinning in attemptReply
-     * would be lost for the rest of the run. The experiment layer
-     * enables the lease (2x the client request timeout) only when a
-     * packet-loss fault is active, so fault-free runs keep the exact
-     * legacy path.
-     */
-    sim::Tick replySlotLease = 0;
-
-    /**
-     * Connection-context (QP) cache capacity of the NI, in
-     * connections (0 = unbounded, the default: no connection state is
-     * ever scarce). When positive, the node keys an LRU cache on
-     * (src node, logical client) — every message carries its client,
-     * see proto::PacketHeader::connClient — and a miss delays the
-     * message's dispatch by qpColdFetch while the NI pulls the
-     * context from memory. The experiment layer bounds it only under
-     * a named client population (conn::ConnConfig::active()), sized
-     * for one ScaleRPC group by default.
-     */
-    std::uint32_t qpCacheCapacity = 0;
-    /** Context-fetch penalty a QP-cache miss pays before dispatch;
-     *  fetch starts are at least qpFetchGap apart (node/rpc_node.hh). */
-    sim::Tick qpColdFetch = sim::nanoseconds(1000.0);
 
     /** One-way inter-node fabric latency. */
     sim::Tick fabricLatency = sim::nanoseconds(100.0);

@@ -28,11 +28,13 @@ constexpr std::uint32_t completionPacketBytes = 16;
 } // namespace
 
 RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
-                 app::RpcApplication &app, net::Fabric &fabric)
-    : sim_(sim), params_(params), app_(app), fabric_(fabric),
+                 app::RpcApplication &app, net::Fabric &fabric,
+                 const Derived &derived)
+    : sim_(sim), params_(params), derived_(derived), app_(app),
+      fabric_(fabric),
       mesh_(params.meshRows, params.meshCols),
       recv_(params.domain), send_(params.domain),
-      cores_(params.numCores),
+      cores_(params.numCores()),
       serverRng_(params.seed, /*stream=*/0xA4B),
       hashSalt_(mix64(params.seed ^ 0x5555AAAAuLL))
 {
@@ -41,7 +43,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
     RV_ASSERT(!app_.requestClasses().empty(),
               "application declares no request classes");
 
-    for (std::uint32_t b = 0; b < params_.numBackends; ++b) {
+    for (std::uint32_t b = 0; b < params_.numBackends(); ++b) {
         backends_.push_back(std::make_unique<ni::NiBackend>(
             sim_, b, recv_,
             [this](std::uint32_t bid, proto::CompletionQueueEntry cqe) {
@@ -75,19 +77,20 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
     switch (params_.mode) {
       case ni::DispatchMode::SingleQueue: {
         std::vector<proto::CoreId> all;
-        for (proto::CoreId c = 0; c < params_.numCores; ++c)
+        for (proto::CoreId c = 0; c < params_.numCores(); ++c)
             all.push_back(c);
         ni::Dispatcher::Params dp;
         dp.outstandingThreshold = params_.outstandingPerCore;
         dp.seed = params_.seed;
         dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
-            sim_, dp, ni::makePolicy(params_.policy), params_.numCores,
+            sim_, dp, ni::makePolicy(params_.policy), params_.numCores(),
             std::move(all), make_deliver(params_.dispatcherBackend)));
         break;
       }
       case ni::DispatchMode::PerBackendGroup: {
-        const std::uint32_t group = params_.numCores / params_.numBackends;
-        for (std::uint32_t d = 0; d < params_.numBackends; ++d) {
+        // One backend per mesh row: each dispatches its row's cores.
+        const auto group = static_cast<std::uint32_t>(params_.meshCols);
+        for (std::uint32_t d = 0; d < params_.numBackends(); ++d) {
             std::vector<proto::CoreId> cand;
             for (std::uint32_t i = 0; i < group; ++i)
                 cand.push_back(d * group + i);
@@ -96,7 +99,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
             dp.seed = params_.seed + d;
             dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
                 sim_, dp, ni::makePolicy(params_.policy),
-                params_.numCores, std::move(cand), make_deliver(d)));
+                params_.numCores(), std::move(cand), make_deliver(d)));
         }
         break;
       }
@@ -107,7 +110,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
         break;
     }
 
-    fabric_.connect(params_.nodeId,
+    fabric_.connect(derived_.id,
                     [this](const proto::Packet &pkt) {
                         receivePacket(pkt);
                     });
@@ -118,7 +121,7 @@ RpcNode::start()
 {
     if (params_.mode != ni::DispatchMode::SoftwarePull)
         return;
-    for (proto::CoreId core = 0; core < params_.numCores; ++core)
+    for (proto::CoreId core = 0; core < params_.numCores(); ++core)
         requestSoftwarePull(core);
 }
 
@@ -137,21 +140,23 @@ RpcNode::setNestedIssuer(NestedIssuer issuer)
 std::uint32_t
 RpcNode::ingressBackendFor(proto::NodeId src, std::uint32_t slot) const
 {
-    // All packets of one message route through the same backend; the
-    // (src, slot) hash keeps messages spread uniformly across the
-    // replicated backends (Fig. 4 parallelism).
+    // All packets of one message route through the same backend, and
+    // a (src, slot) hash spreads messages across the replicated
+    // backends (Fig. 4 parallelism). The spread is not uniform: a
+    // client reuses a few slots, so a few keys carry its traffic, and
+    // under 4x4 the backend groups' shares of a herd run sit up to
+    // ~7% from their mean.
     const std::uint64_t h =
         mix64(static_cast<std::uint64_t>(src) * 0x100000001b3ULL + slot +
               hashSalt_);
-    return static_cast<std::uint32_t>(h % params_.numBackends);
+    return static_cast<std::uint32_t>(h % params_.numBackends());
 }
 
 std::uint32_t
 RpcNode::egressBackendFor(proto::CoreId core) const
 {
     // A core transmits through its row's edge backend (nearest).
-    const noc::Coord c = mesh_.coreCoord(core);
-    return static_cast<std::uint32_t>(c.row) % params_.numBackends;
+    return static_cast<std::uint32_t>(mesh_.coreCoord(core).row);
 }
 
 proto::CoreId
@@ -162,7 +167,7 @@ RpcNode::staticHashCore(proto::NodeId src, std::uint32_t slot) const
     const std::uint64_t h =
         mix64((static_cast<std::uint64_t>(src) << 20) ^ slot ^
               (hashSalt_ * 0x9e3779b97f4a7c15ULL));
-    return static_cast<proto::CoreId>(h % params_.numCores);
+    return static_cast<proto::CoreId>(h % params_.numCores());
 }
 
 RpcNode::DispatcherHop
@@ -170,10 +175,10 @@ RpcNode::dispatcherHopFor(proto::CoreId core) const
 {
     RV_ASSERT(hasDispatcher(), "no dispatcher in this mode");
     // The single queue's dispatcher sits at its own backend; a
-    // per-backend group's dispatcher is that backend.
+    // per-backend group's dispatcher is the core's row backend.
     if (params_.mode == ni::DispatchMode::SingleQueue)
         return {0, wqeDelay(core, params_.dispatcherBackend)};
-    const std::uint32_t d = core / (params_.numCores / params_.numBackends);
+    const std::uint32_t d = egressBackendFor(core);
     return {d, wqeDelay(core, d)};
 }
 
@@ -212,7 +217,7 @@ RpcNode::onMessageComplete(std::uint32_t backend_id,
     // (src, client) pair pays the context fetch from memory before its
     // completion can be dispatched. An unbounded cache (capacity 0, the
     // default) skips this entirely.
-    if (params_.qpCacheCapacity > 0 &&
+    if (derived_.qpCacheCapacity > 0 &&
         !qpCacheLookup(cqe.srcNode, cqe.connClient)) {
         // The fetch engine is a shared, pipelined resource: it can
         // START a new context fetch every qpFetchGap, and each fetch
@@ -224,7 +229,7 @@ RpcNode::onMessageComplete(std::uint32_t backend_id,
         const sim::Tick issue =
             std::max(now, qpFetchNextIssue_);
         qpFetchNextIssue_ = issue + qpFetchGap;
-        const sim::Tick done = issue + params_.qpColdFetch;
+        const sim::Tick done = issue + derived_.qpColdFetch;
         sim_.schedule(done - now, [this, backend_id, cqe] {
             dispatchMessage(backend_id, cqe);
         });
@@ -245,7 +250,7 @@ RpcNode::qpCacheLookup(proto::NodeId src, std::uint32_t conn_client)
         return true;
     }
     ++qpMisses_;
-    if (qpLruPos_.size() >= params_.qpCacheCapacity) {
+    if (qpLruPos_.size() >= derived_.qpCacheCapacity) {
         qpLruPos_.erase(qpLru_.back());
         qpLru_.pop_back();
     }
@@ -359,21 +364,6 @@ RpcNode::setCoreSlowdown(proto::CoreId core, double factor)
     if (coreSlowdown_.empty())
         coreSlowdown_.assign(cores_.size(), 1.0);
     coreSlowdown_[core] = factor;
-}
-
-void
-RpcNode::setRecording(bool recording)
-{
-    // Opening the measurement window restarts peak-occupancy tracking,
-    // so recvSlotPeak/sharedCqPeak and friends describe the measured
-    // interval instead of whatever the warmup burst piled up.
-    if (recording && !recording_) {
-        for (Core &c : cores_)
-            c.privateCq.resetHighWatermark();
-        for (auto &d : dispatchers_)
-            d->resetSharedCqPeak();
-    }
-    recording_ = recording;
 }
 
 bool
@@ -611,8 +601,8 @@ RpcNode::attemptReply(ServiceEvent &ev)
     // slot s toward the requester.
     if (send_.slotBusy(requester, slot_off)) {
         const bool lease_expired =
-            params_.replySlotLease > 0 && ev.replyWaitStart != 0 &&
-            sim_.now() - ev.replyWaitStart >= params_.replySlotLease;
+            derived_.replySlotLease > 0 && ev.replyWaitStart != 0 &&
+            sim_.now() - ev.replyWaitStart >= derived_.replySlotLease;
         if (!lease_expired) {
             // Mirrored slot still awaiting its replenish: spin and
             // retry (the core stays busy, §4.2 flow control).
@@ -642,7 +632,7 @@ RpcNode::attemptReply(ServiceEvent &ev)
     sim_.schedule(costs::sendPost + wqeDelay(core, eb),
                   [this, eb, requester, slot_off] {
                       backends_[eb]->transmitMessage(
-                          proto::OpType::Send, params_.nodeId, requester,
+                          proto::OpType::Send, derived_.id, requester,
                           slot_off, send_.payload(requester, slot_off));
                   });
 
@@ -683,7 +673,7 @@ RpcNode::finishRpc(ServiceEvent &ev)
 
     sim_.schedule(wqeDelay(core, eb), [this, eb, requester, slot_off] {
         backends_[eb]->transmitMessage(proto::OpType::Replenish,
-                                       params_.nodeId, requester,
+                                       derived_.id, requester,
                                        slot_off, {});
     });
 

@@ -91,13 +91,55 @@ class RpcNode
     using CompletionHook = std::function<void()>;
 
     /**
+     * What the experiment layer derives for each node from the run as
+     * a whole rather than from SystemParams. The defaults are node 0
+     * with no reply-slot lease and an unbounded QP cache.
+     */
+    struct Derived
+    {
+        /** The node's fabric address. Servers occupy node ids
+         *  [0, number of servers) of the messaging domain. */
+        proto::NodeId id = 0;
+        /**
+         * Give up waiting for a mirrored reply slot after this long
+         * and evict its occupant (0 = wait forever, the lossless-
+         * fabric default). On a lossless fabric a busy slot always
+         * drains — the client's replenish is at most a round trip plus
+         * turnaround away — but when fault injection can drop a reply
+         * packet, that replenish never comes and the core spinning in
+         * attemptReply would be lost for the rest of the run. The
+         * experiment layer sets the lease (2x the client request
+         * timeout) only when a packet-loss fault is active, so
+         * fault-free runs keep the plain wait.
+         */
+        sim::Tick replySlotLease = 0;
+        /**
+         * Connection-context (QP) cache capacity of the NI, in
+         * connections (0 = unbounded: no connection state is ever
+         * scarce). When positive, the node keys an LRU cache on (src
+         * node, logical client) — every message carries its client,
+         * see proto::PacketHeader::connClient — and a miss delays the
+         * message's dispatch by qpColdFetch while the NI pulls the
+         * context from memory. The experiment layer bounds it only
+         * under a named client population (conn::ConnConfig::active()),
+         * taking both values from the conn::ConnConfig.
+         */
+        std::uint32_t qpCacheCapacity = 0;
+        /** Context-fetch penalty a QP-cache miss pays before dispatch;
+         *  fetch starts are at least qpFetchGap apart. */
+        sim::Tick qpColdFetch = 0;
+    };
+
+    /**
      * @param sim      Owning simulator.
      * @param params   Validated system parameters.
      * @param app      Application served by this node.
      * @param fabric   Inter-node fabric (node attaches itself).
+     * @param derived  Per-node values derived from the run.
      */
     RpcNode(sim::EventDomain &sim, const SystemParams &params,
-            app::RpcApplication &app, net::Fabric &fabric);
+            app::RpcApplication &app, net::Fabric &fabric,
+            const Derived &derived);
 
     /** Software mode: park all cores on the shared queue. */
     void start();
@@ -149,12 +191,9 @@ class RpcNode
     /**
      * Enable/disable the sample log (the experiment switches it on
      * when the measurement window opens; served counters always run).
-     * On by default. Turning recording on also restarts the
-     * queue-occupancy high watermarks (private CQs, dispatcher shared
-     * CQs), so peak stats describe the measured window rather than
-     * warmup transients.
+     * On by default.
      */
-    void setRecording(bool recording);
+    void setRecording(bool recording) { recording_ = recording; }
 
     /** Packets dropped while failed. */
     std::uint64_t droppedPackets() const { return droppedPackets_; }
@@ -211,7 +250,7 @@ class RpcNode
 
     /** Dead reply-slot occupants evicted after the slot lease expired
      *  (only possible when packet loss swallowed a reply, so its
-     *  replenish can never arrive; see Params::replySlotLease). */
+     *  replenish can never arrive; see Derived::replySlotLease). */
     std::uint64_t replySlotEvictions() const { return replySlotEvictions_; }
 
     /** Preemption yields taken (0 unless preemptionQuantum is set). */
@@ -223,7 +262,8 @@ class RpcNode
     /** QP-cache misses, each paying qpColdFetch before dispatch. */
     std::uint64_t qpCacheMisses() const { return qpMisses_; }
 
-    /** Peak busy receive slots (memory-footprint diagnostics). */
+    /** Peak busy receive slots over the whole run, warmup included:
+     *  the receive-buffer footprint the node must provision. */
     std::uint32_t recvSlotPeak() const;
 
     /** Currently busy receive slots (0 after a full drain). */
@@ -369,6 +409,7 @@ class RpcNode
 
     sim::EventDomain &sim_;
     SystemParams params_;
+    Derived derived_;
     app::RpcApplication &app_;
     net::Fabric &fabric_;
     noc::Mesh mesh_;
@@ -397,7 +438,7 @@ class RpcNode
     std::uint64_t preemptionYields_ = 0;
 
     /** Connection-context (QP) cache: LRU over (src node, client)
-     *  keys, active only when params_.qpCacheCapacity > 0. Purely
+     *  keys, active only when derived_.qpCacheCapacity > 0. Purely
      *  domain-local state, so parallel runs stay deterministic. */
     std::list<std::uint64_t> qpLru_;
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>

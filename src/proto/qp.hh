@@ -1,9 +1,10 @@
 /**
  * @file
- * Queue-pair entries (Virtual Interface Architecture style, §3.1).
+ * Completion-queue entries and the FIFO that holds them (Virtual
+ * Interface Architecture style, §3.1).
  *
- * Each core owns a private QP: a Work Queue it writes WQEs into and a
- * Completion Queue the NI writes CQEs into. RPCValet adds the shared
+ * Each core owns a private QP: a Work Queue it writes commands into
+ * and a Completion Queue the NI writes CQEs into. RPCValet adds the shared
  * CQ, a dispatcher-resident FIFO of fully received messages awaiting
  * assignment to a core (§4.2 step 7).
  */
@@ -19,18 +20,6 @@
 #include "sim/types.hh"
 
 namespace rpcvalet::proto {
-
-/** Work-queue entry: a core's command to the NI. */
-struct WorkQueueEntry
-{
-    OpType op = OpType::Send;
-    /** Destination node. */
-    NodeId dstNode = 0;
-    /** Destination slot within the (self, dst) slot set. */
-    std::uint32_t slot = 0;
-    /** Payload for send operations (empty for replenish). */
-    std::vector<std::uint8_t> payload;
-};
 
 /**
  * Completion-queue entry: NI's notification to a core that a send
@@ -57,8 +46,8 @@ struct CompletionQueueEntry
 };
 
 /**
- * FIFO with occupancy-high-watermark tracking, used for WQs, private
- * CQs, and the dispatcher's shared CQ. Entries live in a power-of-two
+ * FIFO behind the cores' private CQs, the dispatcher's shared CQ and
+ * the client-side request queues. Entries live in a power-of-two
  * ring over one vector (head index plus count) that doubles when full
  * and never shrinks, so a queue in steady state allocates nothing.
  * Entry must be default-constructible and move-assignable; a popped
@@ -75,20 +64,10 @@ class Fifo
             grow();
         ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(e);
         ++count_;
-        if (count_ > highWatermark_)
-            highWatermark_ = count_;
     }
 
     bool empty() const { return count_ == 0; }
     std::size_t size() const { return count_; }
-    std::size_t highWatermark() const { return highWatermark_; }
-
-    /**
-     * Restart high-watermark tracking from the current occupancy.
-     * Recording-window openers call this so post-warmup occupancy
-     * stats no longer include warmup transients.
-     */
-    void resetHighWatermark() { highWatermark_ = count_; }
 
     const Entry &front() const { return ring_[head_]; }
 
@@ -116,7 +95,6 @@ class Fifo
     std::vector<Entry> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
-    std::size_t highWatermark_ = 0;
 };
 
 } // namespace rpcvalet::proto

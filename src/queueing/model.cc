@@ -2,8 +2,9 @@
 
 #include <deque>
 
+#include "net/arrival.hh"
+#include "sim/domain.hh"
 #include "sim/logging.hh"
-#include "sim/simulator.hh"
 #include "stats/latency_recorder.hh"
 
 namespace rpcvalet::queueing {
@@ -26,7 +27,10 @@ class ModelSim
           serviceRng_(cfg.seed, /*stream=*/1),
           routeRng_(cfg.seed, /*stream=*/2),
           recorder_(cfg.warmupCompletions),
-          arrivals_(sim_, cfg.arrivalRps, cfg.seed, [this] { onArrival(); })
+          arrivals_(sim_,
+                    net::ArrivalRegistry::instance().make(
+                        net::ArrivalSpec("poisson"), cfg.arrivalRps),
+                    cfg.seed, [this] { onArrival(); })
     {
         RV_ASSERT(cfg.numQueues >= 1, "need at least one queue");
         RV_ASSERT(cfg.unitsPerQueue >= 1, "need at least one unit");
@@ -108,12 +112,12 @@ class ModelSim
     }
 
     const ModelConfig &cfg_;
-    sim::Simulator sim_;
+    sim::EventDomain sim_;
     std::vector<QueueState> queues_;
     sim::Rng serviceRng_;
     sim::Rng routeRng_;
     stats::LatencyRecorder recorder_;
-    sim::PoissonProcess arrivals_;
+    net::ArrivalDriver arrivals_;
     std::uint64_t completions_ = 0;
     sim::Tick measureStartTick_ = 0;
     sim::Tick measureEndTick_ = 0;

@@ -171,32 +171,6 @@ LogNormalDist::clone() const
     return std::make_unique<LogNormalDist>(*this);
 }
 
-// ---------------------------------------------------------------- Gamma
-
-GammaDist::GammaDist(double shape_k, double scale_theta)
-    : shapeK_(shape_k), scaleTheta_(scale_theta)
-{
-    RV_ASSERT(shape_k > 0.0 && scale_theta > 0.0, "bad gamma parameters");
-}
-
-double
-GammaDist::sample(Rng &rng) const
-{
-    return rng.gamma(shapeK_, scaleTheta_);
-}
-
-std::string
-GammaDist::name() const
-{
-    return strfmt("gamma(k=%.2f,theta=%.2f)", shapeK_, scaleTheta_);
-}
-
-DistributionPtr
-GammaDist::clone() const
-{
-    return std::make_unique<GammaDist>(*this);
-}
-
 // -------------------------------------------------------------- Shifted
 
 ShiftedDist::ShiftedDist(double offset_ns, DistributionPtr inner)
@@ -263,104 +237,6 @@ ClampedDist::clone() const
 {
     return std::make_unique<ClampedDist>(lo_, hi_, inner_->clone(),
                                          estimatedMean_);
-}
-
-// -------------------------------------------------------------- Mixture
-
-MixtureDist::MixtureDist(std::vector<Component> components)
-    : components_(std::move(components))
-{
-    RV_ASSERT(!components_.empty(), "mixture needs at least one component");
-    double total = 0.0;
-    for (const auto &c : components_) {
-        RV_ASSERT(c.weight > 0.0, "mixture weights must be positive");
-        RV_ASSERT(c.dist != nullptr, "mixture component missing");
-        total += c.weight;
-    }
-    double acc = 0.0;
-    for (const auto &c : components_) {
-        acc += c.weight / total;
-        cumulative_.push_back(acc);
-    }
-    cumulative_.back() = 1.0;
-}
-
-double
-MixtureDist::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    for (size_t i = 0; i < cumulative_.size(); ++i) {
-        if (u < cumulative_[i])
-            return components_[i].dist->sample(rng);
-    }
-    return components_.back().dist->sample(rng);
-}
-
-double
-MixtureDist::mean() const
-{
-    double total_weight = 0.0;
-    for (const auto &c : components_)
-        total_weight += c.weight;
-    double m = 0.0;
-    for (const auto &c : components_)
-        m += c.weight / total_weight * c.dist->mean();
-    return m;
-}
-
-std::string
-MixtureDist::name() const
-{
-    std::string out = "mixture(";
-    for (size_t i = 0; i < components_.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += strfmt("%.3f*%s", components_[i].weight,
-                      components_[i].dist->name().c_str());
-    }
-    return out + ")";
-}
-
-DistributionPtr
-MixtureDist::clone() const
-{
-    std::vector<Component> copy;
-    copy.reserve(components_.size());
-    for (const auto &c : components_)
-        copy.push_back({c.weight, c.dist->clone()});
-    return std::make_unique<MixtureDist>(std::move(copy));
-}
-
-// ------------------------------------------------------------ Empirical
-
-EmpiricalDist::EmpiricalDist(std::vector<double> values_ns)
-    : values_(std::move(values_ns))
-{
-    RV_ASSERT(!values_.empty(), "empirical distribution needs samples");
-    double sum = 0.0;
-    for (double v : values_) {
-        RV_ASSERT(v >= 0.0, "empirical samples must be non-negative");
-        sum += v;
-    }
-    mean_ = sum / static_cast<double>(values_.size());
-}
-
-double
-EmpiricalDist::sample(Rng &rng) const
-{
-    return values_[rng.uniformInt(0, values_.size() - 1)];
-}
-
-std::string
-EmpiricalDist::name() const
-{
-    return strfmt("empirical(n=%zu)", values_.size());
-}
-
-DistributionPtr
-EmpiricalDist::clone() const
-{
-    return std::make_unique<EmpiricalDist>(*this);
 }
 
 // ------------------------------------------------------ §5 synthetics

@@ -5,8 +5,8 @@
  * All distributions sample in nanoseconds. The set covers the four
  * families the paper evaluates (fixed, uniform, exponential, GEV; §2.2
  * and §5) plus the building blocks used to model the HERD and Masstree
- * RPC processing-time profiles of Fig. 6 (log-normal, gamma, mixtures,
- * clamping) and empirical distributions for replaying histograms.
+ * RPC processing-time profiles of Fig. 6 (log-normal, offset,
+ * clamping).
  */
 
 #ifndef RPCVALET_SIM_DISTRIBUTIONS_HH
@@ -128,21 +128,6 @@ class LogNormalDist : public Distribution
     double sigma_;
 };
 
-/** Gamma(k, theta): mean k*theta. */
-class GammaDist : public Distribution
-{
-  public:
-    GammaDist(double shape_k, double scale_theta);
-    double sample(Rng &rng) const override;
-    double mean() const override { return shapeK_ * scaleTheta_; }
-    std::string name() const override;
-    DistributionPtr clone() const override;
-
-  private:
-    double shapeK_;
-    double scaleTheta_;
-};
-
 /** Adds a constant offset to an inner distribution's samples. */
 class ShiftedDist : public Distribution
 {
@@ -185,42 +170,6 @@ class ClampedDist : public Distribution
     double hi_;
     DistributionPtr inner_;
     double estimatedMean_;
-};
-
-/** Probabilistic mixture of component distributions. */
-class MixtureDist : public Distribution
-{
-  public:
-    struct Component
-    {
-        double weight;
-        DistributionPtr dist;
-    };
-
-    explicit MixtureDist(std::vector<Component> components);
-    double sample(Rng &rng) const override;
-    double mean() const override;
-    std::string name() const override;
-    DistributionPtr clone() const override;
-
-  private:
-    std::vector<Component> components_;
-    std::vector<double> cumulative_;
-};
-
-/** Samples uniformly from a fixed set of observed values. */
-class EmpiricalDist : public Distribution
-{
-  public:
-    explicit EmpiricalDist(std::vector<double> values_ns);
-    double sample(Rng &rng) const override;
-    double mean() const override { return mean_; }
-    std::string name() const override;
-    DistributionPtr clone() const override;
-
-  private:
-    std::vector<double> values_;
-    double mean_;
 };
 
 /**

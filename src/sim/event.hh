@@ -17,8 +17,8 @@
  *                 components with several in flight at once (packet
  *                 deliveries, CQE hops)
  *
- * One-shot callers with small captures can instead use the
- * Simulator::schedule(Tick, Callback) shim, which draws pooled events
+ * One-shot callers with small captures can instead pass a callable
+ * to Simulator::schedule(Tick, f), which draws pooled events
  * internally (see sim/simulator.hh for how to choose).
  *
  * Threading model: an Event and the EventPool it came from belong to

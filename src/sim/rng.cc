@@ -121,34 +121,4 @@ Rng::normal(double mean, double sigma)
     return mean + sigma * normal();
 }
 
-double
-Rng::gamma(double shape_k, double scale_theta)
-{
-    RV_ASSERT(shape_k > 0.0 && scale_theta > 0.0,
-              "gamma parameters must be positive");
-    // Marsaglia & Tsang (2000). For k < 1 use the boost trick:
-    // Gamma(k) = Gamma(k + 1) * U^(1/k).
-    if (shape_k < 1.0) {
-        const double u = uniformPositive();
-        return gamma(shape_k + 1.0, scale_theta) *
-               std::pow(u, 1.0 / shape_k);
-    }
-    const double d = shape_k - 1.0 / 3.0;
-    const double c = 1.0 / std::sqrt(9.0 * d);
-    for (;;) {
-        double x;
-        double v;
-        do {
-            x = normal();
-            v = 1.0 + c * x;
-        } while (v <= 0.0);
-        v = v * v * v;
-        const double u = uniformPositive();
-        if (u < 1.0 - 0.0331 * x * x * x * x)
-            return d * v * scale_theta;
-        if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v)))
-            return d * v * scale_theta;
-    }
-}
-
 } // namespace rpcvalet::sim

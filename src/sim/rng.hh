@@ -51,9 +51,6 @@ class Rng
     /** Normal variate with given mean and standard deviation. */
     double normal(double mean, double sigma);
 
-    /** Gamma(k, theta) variate via Marsaglia-Tsang; k > 0, theta > 0. */
-    double gamma(double shape_k, double scale_theta);
-
     /** UniformRandomBitGenerator interface (for std interop). */
     using result_type = std::uint64_t;
     static constexpr result_type min() { return 0; }

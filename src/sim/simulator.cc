@@ -174,27 +174,6 @@ Simulator::releaseOneShot(OneShot *ev)
     oneShots_.release(ev);
 }
 
-void
-Simulator::schedule(Tick delay, Callback cb)
-{
-    scheduleOneShot(now_ + delay, std::move(cb));
-}
-
-void
-Simulator::scheduleAt(Tick when, Callback cb)
-{
-    scheduleOneShot(when, std::move(cb));
-}
-
-void
-Simulator::scheduleOneShot(Tick when, Callback &&cb)
-{
-    RV_ASSERT(cb != nullptr, "null event callback");
-    OneShot *ev = oneShots_.acquire();
-    ev->cb = std::move(cb);
-    scheduleAt(*ev, when);
-}
-
 std::uint64_t
 Simulator::nextOccupiedBucket() const
 {
@@ -347,39 +326,6 @@ Simulator::runUntil(Tick until)
     if (!stopRequested_ && now_ < until)
         now_ = until;
     return now_;
-}
-
-PoissonProcess::PoissonProcess(Simulator &sim, double rate_per_sec,
-                               std::uint64_t rng_seed, Handler handler)
-    : sim_(sim), ratePerSec_(rate_per_sec),
-      meanGapNs_(1e9 / rate_per_sec), rng_(rng_seed, /*stream=*/0x90150),
-      handler_(std::move(handler)), event_(*this, "poisson-arrival")
-{
-    RV_ASSERT(rate_per_sec > 0.0, "arrival rate must be positive");
-    RV_ASSERT(handler_ != nullptr, "arrival handler missing");
-}
-
-void
-PoissonProcess::start()
-{
-    scheduleNext();
-}
-
-void
-PoissonProcess::fire()
-{
-    if (halted_)
-        return;
-    ++arrivals_;
-    handler_();
-    scheduleNext();
-}
-
-void
-PoissonProcess::scheduleNext()
-{
-    const Tick gap = nanoseconds(rng_.exponential(meanGapNs_));
-    sim_.schedule(event_, gap);
 }
 
 } // namespace rpcvalet::sim

@@ -10,8 +10,8 @@
  *
  *  - Intrusive events (sim/event.hh): components embed sim::Event
  *    subclasses and schedule them directly — no allocation ever.
- *  - One-shot callbacks: schedule(Tick, Callback) wraps the callable
- *    in a pooled internal event; captures up to 3 pointers are stored
+ *  - One-shot callables: schedule(Tick, f) builds the callable inside
+ *    a pooled internal event; captures up to 3 pointers are stored
  *    inline (sim/callback.hh), larger ones fall back to the heap.
  *    Prefer a reusable Event for anything carrying bulky payloads
  *    (packets, CQEs) or firing once per RPC.
@@ -51,7 +51,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -63,19 +62,13 @@
 
 namespace rpcvalet::sim {
 
-/** One-shot event payload: any callable (small captures stay inline). */
-using Callback = InplaceCallback;
-
 /** Discrete-event simulator with a monotonically advancing clock. */
 class Simulator
 {
-    /** Raw callables (not Events, not Callbacks) take the template
-     *  overloads; everything else keeps the exact-match overloads. */
+    /** Only callables take the one-shot overloads. */
     template <typename F>
-    using EnableIfCallable = std::enable_if_t<
-        std::is_invocable_r_v<void, std::decay_t<F> &> &&
-        !std::is_same_v<std::decay_t<F>, InplaceCallback> &&
-        !std::is_base_of_v<Event, std::decay_t<F>>>;
+    using EnableIfCallable =
+        std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F> &>>;
 
   public:
     Simulator();
@@ -122,20 +115,11 @@ class Simulator
     /** Move @p ev (scheduled or not) to absolute time @p when. */
     void rescheduleAt(Event &ev, Tick when);
 
-    // ----- one-shot callback shim -----
-
-    /** Schedule @p cb to run @p delay ticks from now. */
-    void schedule(Tick delay, Callback cb);
+    // ----- one-shot callables -----
 
     /**
-     * Schedule @p cb at absolute time @p when. Scheduling in the past
-     * is a simulator bug and panics.
-     */
-    void scheduleAt(Tick when, Callback cb);
-
-    /**
-     * Hot-path overloads for raw callables: the closure is built
-     * directly inside the pooled event, no intermediate Callback.
+     * Schedule callable @p f to run @p delay ticks from now. The
+     * closure is built directly inside a pooled one-shot event.
      */
     template <typename F, typename = EnableIfCallable<F>>
     void
@@ -146,6 +130,10 @@ class Simulator
         scheduleAt(*ev, now_ + delay);
     }
 
+    /**
+     * Schedule callable @p f at absolute time @p when. Scheduling in
+     * the past is a simulator bug and panics.
+     */
     template <typename F, typename = EnableIfCallable<F>>
     void
     scheduleAt(Tick when, F &&f)
@@ -265,9 +253,6 @@ class Simulator
         }
     }
 
-    /** Shared one-shot path: pool an event around @p cb. */
-    void scheduleOneShot(Tick when, Callback &&cb);
-
     /** Unlink from whichever region holds the event. */
     void removeFromQueue(Event &ev);
 
@@ -325,53 +310,6 @@ class Simulator
     // Declared last: destroyed first, after ~Simulator's body has
     // detached any still-pending events, so ~Event sees them idle.
     EventPool<OneShot> oneShots_;
-};
-
-/**
- * Open-loop Poisson arrival process: calls a handler for every arrival
- * at a given average rate until stopped. Inter-arrival times are
- * exponential, sampled from a dedicated Rng so arrival sequences do not
- * perturb other components' randomness. The single arrival event is a
- * reusable member event — steady-state generation never allocates.
- */
-class PoissonProcess
-{
-  public:
-    using Handler = std::function<void()>;
-
-    /**
-     * @param sim        Owning simulator (must outlive the process).
-     * @param rate_per_sec Average arrivals per second (> 0).
-     * @param rng_seed   Seed for the private inter-arrival Rng.
-     * @param handler    Invoked once per arrival.
-     */
-    PoissonProcess(Simulator &sim, double rate_per_sec,
-                   std::uint64_t rng_seed, Handler handler);
-
-    /** Schedule the first arrival. */
-    void start();
-
-    /** Cease generating arrivals (already-queued events still fire). */
-    void halt() { halted_ = true; }
-
-    /** Arrivals generated so far. */
-    std::uint64_t arrivals() const { return arrivals_; }
-
-    /** The configured rate, arrivals per second. */
-    double ratePerSec() const { return ratePerSec_; }
-
-  private:
-    void fire();
-    void scheduleNext();
-
-    Simulator &sim_;
-    double ratePerSec_;
-    double meanGapNs_;
-    Rng rng_;
-    Handler handler_;
-    bool halted_ = false;
-    std::uint64_t arrivals_ = 0;
-    MemberEvent<PoissonProcess, &PoissonProcess::fire> event_;
 };
 
 } // namespace rpcvalet::sim

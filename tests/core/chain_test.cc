@@ -149,6 +149,11 @@ TEST(ChainExperiment, ChainsCompleteUnderGroupedConnections)
     EXPECT_GT(r.conn.groupSwitches, 0u);
     EXPECT_GT(r.conn.deferredTotal, 0u);
     EXPECT_EQ(r.verifyFailures, 0u);
+    // Golden: the chain-under-grouping path replays exactly (exact
+    // comparisons of a deterministic run, like KernelIdentity).
+    EXPECT_EQ(r.chainsCompleted, 2164u);
+    EXPECT_EQ(r.point.p99Ns, 31919.0);
+    EXPECT_EQ(r.executedEvents, 131564u);
 }
 
 TEST(ChainExperiment, SingleHopChainAddsNoNesting)

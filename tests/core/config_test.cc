@@ -24,8 +24,10 @@ TEST(Table1, DefaultsMatchPaperParameters)
     const SystemParams p;
     // "ARM Cortex-A57-like; 64-bit, 2GHz" on a 16-core tiled chip.
     EXPECT_DOUBLE_EQ(noc::chipClock.frequencyGhz(), 2.0);
-    EXPECT_EQ(p.numCores, 16u);
+    EXPECT_EQ(p.numCores(), 16u);
     EXPECT_EQ(p.meshRows * p.meshCols, 16);
+    // §4.1: one NI backend per mesh row, on the chip edge.
+    EXPECT_EQ(p.numBackends(), 4u);
     // "2D mesh, 16B links, 3 cycles/hop".
     EXPECT_DOUBLE_EQ(noc::hopCycles, 3.0);
     EXPECT_EQ(noc::linkBytes, 16u);
@@ -70,21 +72,14 @@ using ConfigDeath = ::testing::Test;
 TEST(ConfigDeath, RejectsZeroCores)
 {
     SystemParams p;
-    p.numCores = 0;
+    p.meshCols = 0;
     EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1), "core");
-}
-
-TEST(ConfigDeath, RejectsMeshMismatch)
-{
-    SystemParams p;
-    p.numCores = 12; // mesh stays 4x4 = 16
-    EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1), "mesh");
 }
 
 TEST(ConfigDeath, RejectsBadDispatcherBackend)
 {
     SystemParams p;
-    p.dispatcherBackend = 9;
+    p.dispatcherBackend = 4; // backends 0..3, one per mesh row
     EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1),
                 "dispatcherBackend");
 }
@@ -102,13 +97,6 @@ TEST(ConfigDeath, RejectsUnalignedMaxMsgBytes)
     SystemParams p;
     p.domain.maxMsgBytes = 100; // not a multiple of 64
     EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1), "maxMsg");
-}
-
-TEST(ConfigDeath, RejectsNodeIdOutsideDomain)
-{
-    SystemParams p;
-    p.nodeId = 500;
-    EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1), "nodeId");
 }
 
 TEST(ConfigDeath, RejectsUnregisteredPolicyListingAlternatives)

@@ -78,14 +78,18 @@ TEST_P(DrainProperty, NoLeaksAfterFullDrain)
     node::SystemParams params;
     params.mode = GetParam().mode;
     params.seed = 33;
-    node::RpcNode node(sim, params, app, fabric);
+    // Node 0 with no reply-slot lease and an unbounded QP cache.
+    node::RpcNode node(sim, params, app, fabric, node::RpcNode::Derived{});
 
     net::TrafficGenerator::Params tp;
     tp.arrivalRps = 12e6;
     tp.seed = 33;
     net::TrafficGenerator tg(sim, tp, params.domain, app, fabric);
-    fabric.connectDefault(
-        [&tg](proto::Packet pkt) { tg.receivePacket(std::move(pkt)); });
+    for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
+        fabric.connect(n, [&tg](proto::Packet pkt) {
+            tg.receivePacket(std::move(pkt));
+        });
+    }
 
     node.start();
     tg.start();
@@ -99,7 +103,7 @@ TEST_P(DrainProperty, NoLeaksAfterFullDrain)
     EXPECT_EQ(tg.inFlight(), 0u);
     EXPECT_EQ(node.recvSlotsBusy(), 0u) << "receive-slot leak";
     if (const auto *disp = node.dispatcher(0)) {
-        for (proto::CoreId c = 0; c < params.numCores; ++c)
+        for (proto::CoreId c = 0; c < params.numCores(); ++c)
             EXPECT_EQ(disp->outstanding(c), 0u) << "credit leak";
     }
 }

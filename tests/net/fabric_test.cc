@@ -51,15 +51,15 @@ TEST(Fabric, RoutesBySinkRegistration)
     Simulator sim;
     Fabric fabric(sim, nanoseconds(10));
     int to_a = 0;
-    int to_default = 0;
+    int to_b = 0;
     fabric.connect(0, [&](proto::Packet) { ++to_a; });
-    fabric.connectDefault([&](proto::Packet) { ++to_default; });
+    fabric.connect(7, [&](proto::Packet) { ++to_b; });
     fabric.send(packetTo(0));
     fabric.send(packetTo(7));
-    fabric.send(packetTo(42));
+    fabric.send(packetTo(7));
     sim.run();
     EXPECT_EQ(to_a, 1);
-    EXPECT_EQ(to_default, 2);
+    EXPECT_EQ(to_b, 2);
 }
 
 TEST(Fabric, PreservesPerPairOrdering)
@@ -92,16 +92,6 @@ TEST(FabricDeath, DuplicateNodeRegistrationIsFatal)
     EXPECT_EXIT(fabric.connect(4, [](proto::Packet) {}),
                 ::testing::ExitedWithCode(1),
                 "node 4 is already connected");
-}
-
-TEST(FabricDeath, DuplicateDefaultRegistrationIsFatal)
-{
-    Simulator sim;
-    Fabric fabric(sim, nanoseconds(10));
-    fabric.connectDefault([](proto::Packet) {});
-    EXPECT_EXIT(fabric.connectDefault([](proto::Packet) {}),
-                ::testing::ExitedWithCode(1),
-                "default sink is already connected");
 }
 
 TEST(FabricDeath, UnconnectedDestinationIsFatal)

@@ -141,14 +141,16 @@ struct Harness
             std::make_unique<EchoServer>(sim, fabric, app, service);
         TrafficGenerator::Params p;
         p.arrivalRps = rate_rps;
-        p.targetNode = 0;
         p.clientTurnaround = nanoseconds(50);
         p.seed = 3;
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
                                                 fabric);
-        fabric.connectDefault([this](proto::Packet pkt) {
-            tg->receivePacket(std::move(pkt));
-        });
+        // The client nodes 1..3 receive the replies.
+        for (proto::NodeId n = 1; n < domain.numNodes; ++n) {
+            fabric.connect(n, [this](proto::Packet pkt) {
+                tg->receivePacket(std::move(pkt));
+            });
+        }
     }
 };
 
@@ -210,7 +212,6 @@ TEST(TrafficGen, SourcesAreSpreadAcrossCluster)
     });
     TrafficGenerator::Params p;
     p.arrivalRps = 2e6;
-    p.targetNode = 0;
     p.clientTurnaround = nanoseconds(50);
     p.seed = 3;
     TrafficGenerator tg(simulator, p, domain, app, fabric);
@@ -229,20 +230,19 @@ TEST(TrafficGen, EveryRequestCarriesItsSourceNodesClient)
 {
     // A config that names no client population still tags every
     // request: one logical client per emulated client node, living on
-    // that node. The server block sits mid-domain here, so the client
-    // to node mapping has to skip it.
+    // that node. The client nodes follow the server block, so the
+    // client to node mapping has to step over it.
     Simulator simulator;
     Fabric fabric(simulator, nanoseconds(50));
     app::SyntheticApp app{sim::SyntheticKind::Fixed};
     const proto::MessagingDomain domain = tinyDomain(4, 4096);
     TrafficGenerator::Params p;
     p.arrivalRps = 2e6;
-    p.targetNode = 1;
     p.seed = 3;
     TrafficGenerator tg(simulator, p, domain, app, fabric);
     const std::uint32_t numClients = domain.numNodes - 1;
     std::map<std::uint32_t, int> per_client;
-    fabric.connect(1, [&](proto::Packet pkt) {
+    fabric.connect(0, [&](proto::Packet pkt) {
         ASSERT_EQ(pkt.hdr.op, proto::OpType::Send);
         ASSERT_LT(pkt.hdr.connClient, numClients);
         EXPECT_EQ(tg.connNodeFor(pkt.hdr.connClient), pkt.hdr.src);
@@ -253,7 +253,7 @@ TEST(TrafficGen, EveryRequestCarriesItsSourceNodesClient)
     simulator.runUntil(sim::microseconds(500.0));
     tg.halt();
     EXPECT_EQ(per_client.size(), numClients);
-    EXPECT_EQ(tg.connNodeFor(0), 0u);
+    EXPECT_EQ(tg.connNodeFor(0), 1u);
     EXPECT_EQ(tg.connNodeFor(1), 2u);
     EXPECT_EQ(tg.connNodeFor(2), 3u);
 }
@@ -271,7 +271,6 @@ TEST(TrafficGen, ChainMembersSkipTheAdmissionGate)
     const proto::MessagingDomain domain = tinyDomain(4, 4096);
     TrafficGenerator::Params p;
     p.arrivalRps = 1.0; // no client arrival inside the window
-    p.targetNode = 0;
     p.seed = 3;
     p.cluster.requestTimeout = sim::microseconds(10.0);
     p.connections =
@@ -332,13 +331,13 @@ struct RecoveryHarness
         TrafficGenerator::Params p;
         p.arrivalRps = 1e6;
         p.arrival = net::ArrivalSpec::parse("deterministic");
-        p.targetNode = 0;
         p.clientTurnaround = nanoseconds(50);
         p.cluster.requestTimeout = sim::microseconds(10.0);
         p.seed = 3;
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
                                                 fabric);
-        fabric.connectDefault([this](proto::Packet pkt) {
+        // Node 1, the one client node, receives the replies.
+        fabric.connect(1, [this](proto::Packet pkt) {
             tg->receivePacket(std::move(pkt));
         });
     }

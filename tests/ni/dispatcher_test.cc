@@ -139,16 +139,6 @@ TEST(Dispatcher, DecisionsSerializeOnPipeline)
     EXPECT_EQ(times[2] - times[1], ni::dispatcherDecision);
 }
 
-TEST(Dispatcher, SharedCqPeakTracked)
-{
-    Fixture f;
-    auto d = f.make(1);
-    for (std::uint32_t i = 0; i < 10; ++i)
-        d->enqueue(entry(i));
-    f.sim.run();
-    EXPECT_GE(d->sharedCqPeak(), 6u);
-}
-
 TEST(DispatcherDeath, ReplenishWithoutOutstandingPanics)
 {
     Fixture f;

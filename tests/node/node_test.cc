@@ -34,15 +34,19 @@ struct NodeHarness
     {
         params.mode = mode;
         params.seed = 11;
-        node = std::make_unique<node::RpcNode>(sim, params, app, fabric);
+        // Node 0 with no reply-slot lease and an unbounded QP cache.
+        node = std::make_unique<node::RpcNode>(sim, params, app, fabric,
+                                               node::RpcNode::Derived{});
         net::TrafficGenerator::Params tp;
         tp.arrivalRps = rps;
         tp.seed = 11;
         tg = std::make_unique<net::TrafficGenerator>(
             sim, tp, params.domain, app, fabric);
-        fabric.connectDefault([this](proto::Packet pkt) {
-            tg->receivePacket(std::move(pkt));
-        });
+        for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
+            fabric.connect(n, [this](proto::Packet pkt) {
+                tg->receivePacket(std::move(pkt));
+            });
+        }
     }
 
     void
@@ -240,10 +244,8 @@ TEST(RpcNode, CustomCoreCountWorks)
 {
     // The library supports non-paper geometries (e.g. 64-core 8x8).
     core::ExperimentConfig cfg;
-    cfg.system.numCores = 64;
     cfg.system.meshRows = 8;
     cfg.system.meshCols = 8;
-    cfg.system.numBackends = 8;
     cfg.system.seed = 13;
     cfg.arrivalRps = 40e6;
     cfg.warmupRpcs = 1000;
@@ -271,14 +273,17 @@ TEST(RpcNodeDeath, ChainedWorkloadWithoutIssuerIsFatal)
                         app::WorkloadSpec("chain:tiers=2,fanout=2"));
                 node::SystemParams params;
                 params.preemptionQuantum = quantum;
-                node::RpcNode node(sim, params, *app, fabric);
+                node::RpcNode node(sim, params, *app, fabric,
+                                   node::RpcNode::Derived{});
                 net::TrafficGenerator::Params tp;
                 tp.arrivalRps = 1e6;
                 net::TrafficGenerator tg(sim, tp, params.domain, *app,
                                          fabric);
-                fabric.connectDefault([&tg](proto::Packet pkt) {
-                    tg.receivePacket(std::move(pkt));
-                });
+                for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
+                    fabric.connect(n, [&tg](proto::Packet pkt) {
+                        tg.receivePacket(std::move(pkt));
+                    });
+                }
                 node.start();
                 tg.start();
                 sim.runUntil(sim::microseconds(50.0));

@@ -145,7 +145,7 @@ TEST(PacketCorrupt, FlipsTheReceiversCopyOnly)
     rpcvalet::fault::PacketFaultConfig corrupt;
     corrupt.kind = rpcvalet::fault::PacketFaultConfig::Kind::Corrupt;
     corrupt.p = 1.0;
-    rpcvalet::fault::PacketFaults faults({corrupt}, 1, 42, 0, 1);
+    rpcvalet::fault::PacketFaults faults({corrupt}, 1, 42, 1);
 
     const auto message = patternBytes(300);
     const auto sent = packetize(OpType::Send, 0, 3, 2, message);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for queue-pair entry types and the Fifo wrapper.
+ * Unit tests for the completion-queue entry and the Fifo wrapper.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +13,12 @@ namespace {
 
 using rpcvalet::proto::CompletionQueueEntry;
 using rpcvalet::proto::Fifo;
-using rpcvalet::proto::WorkQueueEntry;
 
 TEST(Fifo, StartsEmpty)
 {
     Fifo<int> f;
     EXPECT_TRUE(f.empty());
     EXPECT_EQ(f.size(), 0u);
-    EXPECT_EQ(f.highWatermark(), 0u);
 }
 
 TEST(Fifo, PushPopIsFifoOrdered)
@@ -42,41 +40,6 @@ TEST(Fifo, FrontPeeksWithoutRemoving)
     EXPECT_EQ(f.size(), 2u);
     EXPECT_EQ(f.pop(), 7);
     EXPECT_EQ(f.front(), 8);
-}
-
-TEST(Fifo, HighWatermarkTracksPeakOccupancy)
-{
-    Fifo<int> f;
-    f.push(1);
-    f.push(2);
-    f.push(3);
-    f.pop();
-    f.pop();
-    f.push(4);
-    EXPECT_EQ(f.size(), 2u);
-    EXPECT_EQ(f.highWatermark(), 3u);
-}
-
-TEST(Fifo, ResetHighWatermarkRestartsFromCurrentOccupancy)
-{
-    Fifo<int> f;
-    for (int i = 0; i < 5; ++i)
-        f.push(i);
-    for (int i = 0; i < 4; ++i)
-        f.pop();
-    EXPECT_EQ(f.highWatermark(), 5u);
-    // The recording-window opener drops the warmup transient: tracking
-    // restarts at the surviving occupancy, not at zero.
-    f.resetHighWatermark();
-    EXPECT_EQ(f.highWatermark(), 1u);
-    f.push(5);
-    f.push(6);
-    EXPECT_EQ(f.highWatermark(), 3u);
-    f.pop();
-    f.pop();
-    f.pop();
-    f.resetHighWatermark();
-    EXPECT_EQ(f.highWatermark(), 0u);
 }
 
 TEST(Fifo, MoveOnlyPayloadsSupported)
@@ -102,7 +65,6 @@ TEST(Fifo, WrapsAroundWithoutGrowing)
             ASSERT_EQ(f.pop(), next_out++);
     }
     EXPECT_TRUE(f.empty());
-    EXPECT_EQ(f.highWatermark(), 5u);
 }
 
 TEST(Fifo, GrowsWhileWrappedKeepingOrder)
@@ -125,34 +87,8 @@ TEST(Fifo, GrowsWhileWrappedKeepingOrder)
     EXPECT_TRUE(f.empty());
 }
 
-TEST(Fifo, HighWatermarkAfterResetOnWrappedRing)
-{
-    Fifo<int> f;
-    for (int i = 0; i < 20; ++i)
-        f.push(i);
-    for (int i = 0; i < 18; ++i)
-        f.pop();
-    EXPECT_EQ(f.highWatermark(), 20u);
-    f.resetHighWatermark();
-    EXPECT_EQ(f.highWatermark(), 2u);
-    // Cycle through the wrap: the peak is measured from the reset on.
-    for (int round = 0; round < 30; ++round) {
-        f.push(100 + round);
-        f.push(200 + round);
-        f.pop();
-    }
-    EXPECT_EQ(f.size(), 32u);
-    EXPECT_EQ(f.highWatermark(), 33u);
-    // Popped so far: 18, 19, then 100, 200, ..., 113, 213.
-    EXPECT_EQ(f.front(), 114);
-}
-
 TEST(QpEntries, DefaultsAreSane)
 {
-    const WorkQueueEntry wqe;
-    EXPECT_EQ(wqe.op, rpcvalet::proto::OpType::Send);
-    EXPECT_TRUE(wqe.payload.empty());
-
     const CompletionQueueEntry cqe;
     EXPECT_EQ(cqe.slotIndex, 0u);
     EXPECT_EQ(cqe.firstPacketTick, 0u);

@@ -18,6 +18,29 @@ using queueing::ModelConfig;
 using queueing::ModelResult;
 using queueing::runModel;
 
+TEST(QueueingModel, Fig2aPointMatchesRecordedRun)
+{
+    // Bit-exact replay of one Fig. 2a point, M/M/16 (1x16) at 0.8 load:
+    // pins the model's arrival, routing and service streams.
+    sim::ExponentialDist service(600.0);
+    ModelConfig cfg;
+    cfg.numQueues = 1;
+    cfg.unitsPerQueue = 16;
+    cfg.arrivalRps = 0.8 * 16 / (600.0 * 1e-9);
+    cfg.service = &service;
+    cfg.seed = 1;
+    cfg.warmupCompletions = 2000;
+    cfg.measuredCompletions = 20000;
+    const ModelResult r = runModel(cfg);
+    EXPECT_EQ(r.point.meanNs, 640.54740400000003);
+    EXPECT_EQ(r.point.p50Ns, 461.02699999999999);
+    EXPECT_EQ(r.point.p90Ns, 1434.527);
+    EXPECT_EQ(r.point.p99Ns, 2801.1309999999999);
+    EXPECT_EQ(r.point.achievedRps, 21275137.334016606);
+    EXPECT_EQ(r.point.samples, 20000u);
+    EXPECT_EQ(r.simulatedNs, 1032861.166);
+}
+
 /** M/M/1 mean sojourn time: 1 / (mu - lambda). */
 TEST(QueueingModel, MM1MeanSojournMatchesTheory)
 {

@@ -116,35 +116,4 @@ TEST(Rng, NormalMomentsMatch)
     EXPECT_NEAR(sum_sq / n, 1.0, 0.02);
 }
 
-TEST(Rng, GammaMomentsMatch)
-{
-    Rng rng(37);
-    const double k = 3.0;
-    const double theta = 0.5;
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    const int n = 300000;
-    for (int i = 0; i < n; ++i) {
-        const double x = rng.gamma(k, theta);
-        sum += x;
-        sum_sq += x * x;
-    }
-    const double mean = sum / n;
-    const double var = sum_sq / n - mean * mean;
-    EXPECT_NEAR(mean, k * theta, 0.02);
-    EXPECT_NEAR(var, k * theta * theta, 0.03);
-}
-
-TEST(Rng, GammaShapeBelowOneMatches)
-{
-    Rng rng(41);
-    const double k = 0.5;
-    const double theta = 2.0;
-    double sum = 0.0;
-    const int n = 300000;
-    for (int i = 0; i < n; ++i)
-        sum += rng.gamma(k, theta);
-    EXPECT_NEAR(sum / n, k * theta, 0.03);
-}
-
 } // namespace

@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, determinism,
- * stop/run-until semantics, and the Poisson arrival process.
+ * stop/run-until semantics.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -14,7 +13,6 @@
 
 namespace {
 
-using rpcvalet::sim::PoissonProcess;
 using rpcvalet::sim::Simulator;
 using rpcvalet::sim::Tick;
 using rpcvalet::sim::nanoseconds;
@@ -137,73 +135,6 @@ TEST(Simulator, PendingEventsTracksQueueDepth)
     EXPECT_EQ(sim.pendingEvents(), 2u);
     sim.run();
     EXPECT_EQ(sim.pendingEvents(), 0u);
-}
-
-TEST(Poisson, GeneratesConfiguredMeanRate)
-{
-    Simulator sim;
-    // 10 Mrps for 10 ms -> expect ~100k arrivals.
-    PoissonProcess proc(sim, 10e6, /*seed=*/42, [] {});
-    proc.start();
-    sim.runUntil(rpcvalet::sim::microseconds(10000.0));
-    const double expected = 100000.0;
-    EXPECT_NEAR(static_cast<double>(proc.arrivals()), expected,
-                expected * 0.02);
-}
-
-TEST(Poisson, HaltStopsArrivals)
-{
-    Simulator sim;
-    PoissonProcess *handle = nullptr;
-    std::uint64_t seen = 0;
-    PoissonProcess proc(sim, 1e6, 7, [&] {
-        ++seen;
-        if (seen == 100)
-            handle->halt();
-    });
-    handle = &proc;
-    proc.start();
-    sim.run();
-    EXPECT_EQ(seen, 100u);
-}
-
-TEST(Poisson, InterArrivalTimesAreExponential)
-{
-    // Coefficient of variation of exponential gaps is 1.
-    Simulator sim;
-    std::vector<Tick> stamps;
-    PoissonProcess proc(sim, 5e6, 99, [&] { stamps.push_back(sim.now()); });
-    proc.start();
-    sim.runUntil(rpcvalet::sim::microseconds(20000.0));
-    ASSERT_GT(stamps.size(), 10000u);
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (size_t i = 1; i < stamps.size(); ++i) {
-        const double gap = static_cast<double>(stamps[i] - stamps[i - 1]);
-        sum += gap;
-        sum_sq += gap * gap;
-    }
-    const double n = static_cast<double>(stamps.size() - 1);
-    const double mean = sum / n;
-    const double var = sum_sq / n - mean * mean;
-    const double cov = std::sqrt(var) / mean;
-    EXPECT_NEAR(cov, 1.0, 0.05);
-    EXPECT_NEAR(mean, 200.0 * ticksPerNs, 10.0 * ticksPerNs);
-}
-
-TEST(Poisson, DeterministicForSameSeed)
-{
-    auto run_once = [](std::uint64_t seed) {
-        Simulator sim;
-        std::vector<Tick> stamps;
-        PoissonProcess proc(sim, 2e6, seed,
-                            [&] { stamps.push_back(sim.now()); });
-        proc.start();
-        sim.runUntil(rpcvalet::sim::microseconds(1000.0));
-        return stamps;
-    };
-    EXPECT_EQ(run_once(5), run_once(5));
-    EXPECT_NE(run_once(5), run_once(6));
 }
 
 } // namespace

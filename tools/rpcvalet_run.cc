@@ -184,7 +184,7 @@ runOne(const std::string &path, const Options &opt)
                 pt.config.faults,
                 fault::ResolveContext{
                     pt.config.cluster.numServerNodes,
-                    pt.config.system.numCores,
+                    pt.config.system.numCores(),
                     pt.config.parallelDomains > 0});
             if (plan.timeline.empty()) {
                 std::printf("        (no faults)\n");
