@@ -426,7 +426,9 @@ totalSimulatedEvents()
  * and the client side owns another; a WindowPool executes windows
  * one fabric latency long, each domain draining its cross-domain
  * inbox just before it runs, with an O(1) barrier in between
- * (conservative parallel DES). Measurement is barrier-quantized: the
+ * (conservative parallel DES). Every domain stays on one worker for
+ * the whole run: the client domain on this (the coordinating) thread,
+ * the node domains dealt round-robin over the other workers. Measurement is barrier-quantized: the
  * window opens at the first barrier where cluster completions reach
  * the warmup count and closes at the first barrier past the target —
  * deterministic for every worker count, though not identical to the
@@ -679,8 +681,8 @@ runExperiment(const ExperimentConfig &cfg)
         run.executedEvents = clientSim.executedEvents();
     } else {
         // Conservative PDES: execute latency-long windows in parallel,
-        // each domain's worker first draining the mail posted to it in
-        // the previous window. The barrier only closes the window and
+        // each domain's fixed owner first draining the mail posted to
+        // it in the previous window. The barrier only closes the window and
         // quantizes the measurement window (worker-count invariant).
         const unsigned workers = std::min<unsigned>(
             cfg.parallelDomains, static_cast<unsigned>(domainPtrs.size()));

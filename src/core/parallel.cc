@@ -48,7 +48,7 @@ WindowPool::WindowPool(unsigned workers, Prologue prologue)
 {
     threads_.reserve(workers_ - 1);
     for (unsigned w = 1; w < workers_; ++w)
-        threads_.emplace_back([this] { workerLoop(); });
+        threads_.emplace_back([this, w] { workerLoop(w); });
 }
 
 WindowPool::~WindowPool()
@@ -56,6 +56,14 @@ WindowPool::~WindowPool()
     shutdown_.store(true, std::memory_order_release);
     for (auto &t : threads_)
         t.join();
+}
+
+unsigned
+WindowPool::owner(std::size_t index, unsigned workers)
+{
+    if (index == 0 || workers <= 1)
+        return 0;
+    return 1 + static_cast<unsigned>((index - 1) % (workers - 1));
 }
 
 void
@@ -72,14 +80,13 @@ WindowPool::run(const std::vector<sim::EventDomain *> &domains,
 
     domains_ = &domains;
     until_ = until;
-    nextDomain_.store(0, std::memory_order_relaxed);
     doneWorkers_.store(0, std::memory_order_relaxed);
     // The release publishes the window inputs (and any coordinator
     // writes at the barrier, e.g. the fabric's bank flip) to the
     // workers' acquire loads of the generation counter.
     generation_.fetch_add(1, std::memory_order_release);
 
-    workRound(); // the coordinator is worker 0
+    runOwned(0); // the coordinator is worker 0
 
     // Wait for every helper to finish the round; their release
     // increments publish the domain mutations back to us.
@@ -92,16 +99,13 @@ WindowPool::run(const std::vector<sim::EventDomain *> &domains,
 }
 
 void
-WindowPool::workRound()
+WindowPool::runOwned(unsigned worker)
 {
     const std::vector<sim::EventDomain *> &doms = *domains_;
     const sim::Tick until = until_;
-    for (;;) {
-        const std::uint32_t i =
-            nextDomain_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= doms.size())
-            return;
-        runDomain(*doms[i], until);
+    for (std::size_t i = 0; i < doms.size(); ++i) {
+        if (owner(i, workers_) == worker)
+            runDomain(*doms[i], until);
     }
 }
 
@@ -114,7 +118,7 @@ WindowPool::runDomain(sim::EventDomain &domain, sim::Tick until)
 }
 
 void
-WindowPool::workerLoop()
+WindowPool::workerLoop(unsigned worker)
 {
     std::uint64_t seen = 0;
     unsigned spins = 0;
@@ -130,7 +134,7 @@ WindowPool::workerLoop()
         }
         seen = g;
         spins = 0;
-        workRound();
+        runOwned(worker);
         doneWorkers_.fetch_add(1, std::memory_order_release);
     }
 }

@@ -21,6 +21,7 @@
 #define RPCVALET_CORE_PARALLEL_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -49,12 +50,22 @@ unsigned pointConcurrency(unsigned threads, unsigned parallelDomains);
 /**
  * A persistent pool of workers executing lookahead windows across a
  * set of EventDomains: each run() call is one window — every domain's
- * runUntil(until) executes exactly once, claimed dynamically by
- * whichever worker gets there first, and run() returns only when all
- * are done (the window barrier).
+ * runUntil(until) executes exactly once, on its fixed owner, and run()
+ * returns only when all are done (the window barrier).
+ *
+ * Ownership is fixed for the life of the pool: domains[i] runs on
+ * worker owner(i, workers()) in every window, so a domain's wheel,
+ * node and application state stay in one core's caches instead of
+ * migrating between cores window after window. Domain 0 is the client
+ * side — it carries every node's issue and completion tracking and is
+ * the heaviest domain — and runs alone on worker 0, the coordinator
+ * (the thread calling run()). Domains 1..D-1 are dealt round-robin
+ * over workers 1..W-1; with W = D every domain has a worker of its
+ * own, and workers beyond the domain count stay idle. Each worker runs
+ * its domains in index order.
  *
  * An optional per-domain prologue, fixed at construction, runs on the
- * claiming worker immediately before the domain's runUntil() (and
+ * domain's owner immediately before the domain's runUntil() (and
  * inline, in domain order, on the one-worker path). This is where
  * per-domain barrier work belongs — the fabric drains each domain's
  * cross-domain inbox here (net::Fabric::drainInbox) — so it runs in
@@ -68,14 +79,14 @@ unsigned pointConcurrency(unsigned threads, unsigned parallelDomains);
  * generation counter (with periodic yields), the coordinator
  * publishes a window with a release increment and waits for every
  * worker's release-signed completion — those acquire/release pairs
- * are also what hands domain ownership between threads (see
- * sim/domain.hh).
+ * order each domain's window against the coordinator's barrier work
+ * (see sim/domain.hh).
  *
- * Determinism: which worker executes which domain is racy by design,
- * but domains are mutually isolated inside a window (fabric lookahead
- * invariant), so results are bit-identical for any worker count >= 1.
- * With workers == 1 no threads are spawned and run() executes the
- * domains inline, in order.
+ * Determinism: domains are mutually isolated inside a window (fabric
+ * lookahead invariant), so the owner map decides only who executes
+ * the schedule, and results are bit-identical for any worker count
+ * >= 1. With workers == 1 no threads are spawned and run() executes
+ * the domains inline, in order.
  */
 class WindowPool
 {
@@ -100,16 +111,23 @@ class WindowPool
 
     unsigned workers() const { return workers_; }
 
+    /**
+     * The worker that executes domains[@p index] in every window of a
+     * pool of @p workers workers: 0 for domain 0 (and for every domain
+     * when workers <= 1), else 1 + (index - 1) mod (workers - 1).
+     */
+    static unsigned owner(std::size_t index, unsigned workers);
+
   private:
-    void workerLoop();
-    void workRound();
+    void workerLoop(unsigned worker);
+    /** Run worker @p worker's domains of the published window. */
+    void runOwned(unsigned worker);
     void runDomain(sim::EventDomain &domain, sim::Tick until);
 
     unsigned workers_;
     Prologue prologue_;
     std::vector<std::thread> threads_;
     std::atomic<std::uint64_t> generation_{0};
-    std::atomic<std::uint32_t> nextDomain_{0};
     std::atomic<std::uint32_t> doneWorkers_{0};
     std::atomic<bool> shutdown_{false};
     /** Window inputs; written by the coordinator before the

@@ -21,10 +21,11 @@
  * cross-domain packet. So mail posted in window W is first due in
  * window W + 1, and is delivered there by its destination's owner:
  * the barrier only closes the window (closeWindow(), O(1)), and
- * drainInbox(d), run by whichever worker claims domain d just before
- * d's next window, gathers d's mail, orders it deterministically and
- * schedules it into d's wheel, coalescing packets that arrive at the
- * same tick into one batched ingress event.
+ * drainInbox(d), run by domain d's fixed owner (the core::WindowPool
+ * worker that executes d in every window) just before d's next
+ * window, gathers d's mail, orders it deterministically and schedules
+ * it into d's wheel, coalescing packets that arrive at the same tick
+ * into one batched ingress event.
  *
  * Mailbox ownership protocol (multi-domain runs):
  *  - There are two banks of edge mailboxes, indexed by window parity.

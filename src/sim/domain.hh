@@ -23,20 +23,23 @@
  * (net/fabric.hh) while its window runs. The window barrier does O(1)
  * work: it closes the window (flipping the fabric's mailbox bank) and
  * advances every clock together. Each domain's mail is then drained
- * into its wheel by the worker that claims the domain for the next
- * window, just before it runs (core::WindowPool's prologue), so the
- * per-packet barrier work runs in parallel on the domains' owners.
+ * into its wheel by the domain's owner, just before the domain runs
+ * its next window (core::WindowPool's prologue), so the per-packet
+ * barrier work runs in parallel on the domains' owners.
  *
  * Threading model
  * ---------------
  * An EventDomain — wheel, clock, event pools, and every component
- * bound to it — is owned by exactly one thread at any instant. That
- * ownership may migrate between threads only across a synchronization
- * point (the window barrier in core::WindowPool): a worker claims a
- * domain, calls runUntil(), and publishes its mutations with a
- * release store that the next claimant acquires. No sim:: type is
- * internally synchronized; do not touch a domain from two threads
- * without such a handoff.
+ * bound to it — is owned by exactly one thread. In a parallel run
+ * that owner is fixed for the whole run: core::WindowPool maps
+ * domain 0 (the client side) to the coordinator and deals the node
+ * domains round-robin over its helper threads, and a domain runs every
+ * window on that one thread, so its state stays in one core's caches.
+ * Between windows the coordinator touches domain state only at the
+ * barrier (reading clocks and counters, closing the fabric window),
+ * ordered against the owners' windows by the barrier's
+ * release/acquire pairs. No sim:: type is internally synchronized; do
+ * not touch a domain from two threads without such a handoff.
  */
 
 #ifndef RPCVALET_SIM_DOMAIN_HH

@@ -10,6 +10,8 @@ namespace rpcvalet::sim {
 namespace {
 
 constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
+/** run()'s horizon: every pending event is due by then. */
+constexpr Tick kMaxTick = ~Tick{0};
 
 } // namespace
 
@@ -203,15 +205,9 @@ Simulator::nextOccupiedBucket() const
     return kNoBucket;
 }
 
-std::uint64_t
-Simulator::advanceCursor()
+void
+Simulator::advanceCursor(std::uint64_t target)
 {
-    std::uint64_t target = nextOccupiedBucket();
-    if (target == kNoBucket) {
-        RV_ASSERT(!listEmpty(overflow_),
-                  "wheel advance with an empty queue");
-        target = bucketOf(static_cast<Event *>(overflow_.next)->when_);
-    }
     cursor_ = target;
 
     // Pull overflow events the new horizon covers back into the wheel.
@@ -226,48 +222,32 @@ Simulator::advanceCursor()
         e->next->prev = e->prev;
         place(*e);
     }
-    return target;
 }
 
 Event *
-Simulator::peekEarliest()
-{
-    if (pending_ == 0)
-        return nullptr;
-    if (!listEmpty(open_))
-        return static_cast<Event *>(open_.next);
-    // Pure scan — peeking must not advance the cursor: when the
-    // caller (runUntil) declines to execute the result, later
-    // schedules may still target the time range a cursor move would
-    // have skipped.
-    const std::uint64_t target = nextOccupiedBucket();
-    if (target != kNoBucket) {
-        // The chain is newest-first, so on equal times the later
-        // (earlier-scheduled) element wins: <= keeps the FIFO head.
-        Event *best = nullptr;
-        for (Event *e = buckets_[target & kBucketMask]; e != nullptr;
-             e = static_cast<Event *>(e->next)) {
-            if (best == nullptr || e->when_ <= best->when_)
-                best = e;
-        }
-        return best;
-    }
-    RV_ASSERT(!listEmpty(overflow_), "timer wheel lost a pending event");
-    return static_cast<Event *>(overflow_.next);
-}
-
-Event *
-Simulator::popEarliest()
+Simulator::popEarliest(Tick until)
 {
     if (pending_ == 0)
         return nullptr;
     if (listEmpty(open_)) {
-        const std::uint64_t target = advanceCursor();
+        std::uint64_t target = nextOccupiedBucket();
+        if (target == kNoBucket) {
+            RV_ASSERT(!listEmpty(overflow_),
+                      "timer wheel lost a pending event");
+            target =
+                bucketOf(static_cast<Event *>(overflow_.next)->when_);
+        }
+        // The earliest work's bucket starts after until: leave the
+        // cursor where it is, so later schedules before that bucket
+        // (but at or after until) still land ahead of it.
+        if (target > bucketOf(until))
+            return nullptr;
+        advanceCursor(target);
         const std::size_t idx =
             static_cast<std::size_t>(target & kBucketMask);
         Event *bhead = buckets_[idx];
         if (bhead != nullptr && bhead->next == nullptr &&
-            listEmpty(open_)) {
+            listEmpty(open_) && bhead->when_ <= until) {
             // Fast path: the earliest bucket holds exactly one event —
             // the common shape at ~1 ns granularity — so it pops
             // without touching the open list.
@@ -282,6 +262,8 @@ Simulator::popEarliest()
     }
     RV_ASSERT(!listEmpty(open_), "timer wheel lost a pending event");
     Event *ev = static_cast<Event *>(open_.next);
+    if (ev->when_ > until)
+        return nullptr;
     ev->prev->next = ev->next;
     ev->next->prev = ev->prev;
     ev->next = nullptr;
@@ -291,10 +273,11 @@ Simulator::popEarliest()
     return ev;
 }
 
-bool
-Simulator::executeNext()
+// Inline into both run loops: one call fewer per event.
+inline bool
+Simulator::executeNext(Tick until)
 {
-    Event *ev = popEarliest();
+    Event *ev = popEarliest(until);
     if (ev == nullptr)
         return false;
     RV_ASSERT(ev->when_ >= now_, "event queue went backwards");
@@ -308,7 +291,7 @@ Tick
 Simulator::run()
 {
     stopRequested_ = false;
-    while (!stopRequested_ && executeNext()) {
+    while (!stopRequested_ && executeNext(kMaxTick)) {
     }
     return now_;
 }
@@ -317,11 +300,7 @@ Tick
 Simulator::runUntil(Tick until)
 {
     stopRequested_ = false;
-    while (!stopRequested_) {
-        Event *head = peekEarliest();
-        if (head == nullptr || head->when_ > until)
-            break;
-        executeNext();
+    while (!stopRequested_ && executeNext(until)) {
     }
     if (!stopRequested_ && now_ < until)
         now_ = until;

@@ -39,9 +39,9 @@
  * is never internally synchronized, and exactly one thread may call
  * schedule/deschedule/run/runUntil at any instant. Parallel runs do
  * not share a wheel — they shard the experiment into sim::EventDomain
- * instances (sim/domain.hh, each is-a Simulator) and hand whole
- * domains to workers across a barrier (core::WindowPool), so every
- * mutation still happens under one owner. There is no process-global
+ * instances (sim/domain.hh, each is-a Simulator), each executed by one
+ * fixed worker of a core::WindowPool between window barriers, so
+ * every mutation still happens under one owner. There is no process-global
  * "current simulator": components receive their EventDomain& at
  * construction and hold it for life.
  */
@@ -257,20 +257,21 @@ class Simulator
     void removeFromQueue(Event &ev);
 
     /**
-     * Earliest pending event without mutating wheel state (runUntil
-     * must not advance the cursor for events it will not execute —
-     * later schedules may still target the skipped time range).
+     * Pop the earliest pending event if it is due at or before
+     * @p until, else return nullptr. One bitmap scan per popped event:
+     * the scan that finds the next occupied bucket also moves the
+     * cursor there — but never to a bucket that starts after @p until,
+     * because a runUntil() caller may still schedule anything at or
+     * after until (the next window's mail lands at until + 1), and the
+     * cursor must not pass it.
      */
-    Event *peekEarliest();
-
-    /** Pop the earliest pending event (advances the wheel). */
-    Event *popEarliest();
+    Event *popEarliest(Tick until);
 
     /**
-     * Advance the cursor to the next bucket holding work, migrating
-     * newly in-horizon overflow events. Returns the target bucket.
+     * Move the cursor to bucket @p target, migrating newly in-horizon
+     * overflow events.
      */
-    std::uint64_t advanceCursor();
+    void advanceCursor(std::uint64_t target);
 
     /** Sort bucket @p target's events into the open list. */
     void openBucket(std::uint64_t target);
@@ -278,8 +279,9 @@ class Simulator
     /** Absolute bucket numbers of candidate work, or ~0 if none. */
     std::uint64_t nextOccupiedBucket() const;
 
-    /** Execute the earliest event; false when the queue is empty. */
-    bool executeNext();
+    /** Execute the earliest event due at or before @p until; false
+     *  when there is none. */
+    bool executeNext(Tick until);
 
     void releaseOneShot(OneShot *ev);
 

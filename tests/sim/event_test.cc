@@ -6,7 +6,7 @@
  * far-future overflow), auto-deschedule on destruction, pool
  * recycling under churn (ASan-clean), and the kernel contracts the
  * rewrite must preserve (same-tick FIFO from a firing event, runUntil
- * peeking without corrupting wheel state).
+ * never moving the wheel cursor past until).
  */
 
 #include <gtest/gtest.h>
@@ -225,18 +225,41 @@ TEST(TimerWheel, FiringEventSchedulingAcrossTheHorizonChains)
 
 TEST(TimerWheel, RunUntilPeekDoesNotCorruptWheelState)
 {
-    // Regression guard: runUntil must inspect the next event without
-    // advancing the wheel cursor. If peeking advanced it, the later
-    // near-future schedule would land "behind" the cursor and fire
-    // out of order (or never).
+    // Regression guard: runUntil must not advance the wheel cursor
+    // past until for an event it will not execute. If it did, the
+    // later near-future schedule would land "behind" the cursor and
+    // fire out of order (or never).
     Simulator sim;
     std::vector<int> order;
     sim.schedule(microseconds(9.0), [&] { order.push_back(2); });
-    sim.runUntil(microseconds(1.0)); // peeks at the 9 us event
+    sim.runUntil(microseconds(1.0)); // finds, but keeps, the 9 us event
     EXPECT_TRUE(order.empty());
     sim.schedule(microseconds(1.0), [&] { order.push_back(1); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(TimerWheel, RunUntilInsideABucketKeepsLaterSchedulesOrdered)
+{
+    // until falls inside the ~1 ns bucket of a pending event that is
+    // not yet due: runUntil may open that bucket (it starts before
+    // until) but must fire nothing past until, and schedules made
+    // afterwards — one before the pending event, one at its tick —
+    // must still fire in (time, seq) order.
+    Simulator sim;
+    std::vector<int> order;
+    const Tick bucket_start = 1024 * 10;
+    const Tick until = bucket_start + 100;
+    sim.scheduleAt(bucket_start + 900, [&] { order.push_back(2); });
+    sim.runUntil(until);
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(sim.now(), until);
+    sim.scheduleAt(bucket_start + 900, [&] { order.push_back(3); });
+    sim.scheduleAt(until + 1, [&] { order.push_back(1); });
+    sim.runUntil(until + 1);
+    EXPECT_EQ(order, std::vector<int>{1});
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(TimerWheel, SameTickEventAndCallbackInterleaveFifo)
