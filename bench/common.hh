@@ -66,7 +66,7 @@
  *                 ("all" or "grouped:size=40,slice=100us") extended
  *                 with population keys, e.g.
  *                 "grouped:clients=2048,size=40,slice=100us" or
- *                 "all:clients=2048,qp_capacity=64,qp_cold=1us".
+ *                 "all:clients=2048,qp_capacity=64".
  *                 'clients' is required; empty/absent keeps the
  *                 subsystem off (the pre-PR legacy path, bit
  *                 identical). Applied via applyOverrides.

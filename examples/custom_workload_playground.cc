@@ -69,7 +69,6 @@ class BimodalApp : public app::RpcApplication
         }
         if (req->classId == 1) {
             result.classId = 1;
-            result.latencyCritical = false;
             result.processingNs = longNs_;
         } else {
             result.processingNs = shortDist_->sample(server_rng);

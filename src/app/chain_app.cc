@@ -5,20 +5,11 @@
 
 #include "app/wire_format.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace rpcvalet::app {
 
 namespace {
-
-/** splitmix64 finalizer: derives child keys from the parent's. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** An Echo request for @p tier carrying @p key as its marker. */
 std::vector<std::uint8_t>
@@ -100,7 +91,6 @@ ChainApp::handle(const std::vector<std::uint8_t> &request,
     const std::uint32_t tier =
         std::min<std::uint32_t>(req->classId, params_.tiers - 1);
     result.classId = static_cast<std::uint8_t>(tier);
-    result.latencyCritical = tier == 0;
     result.processingNs = tier == 0 ? params_.rootNs : params_.leafNs;
 
     // Non-leaf tiers fan out. Child keys derive deterministically from
@@ -110,7 +100,7 @@ ChainApp::handle(const std::vector<std::uint8_t> &request,
         result.nested.reserve(params_.fanout);
         for (std::uint32_t c = 0; c < params_.fanout; ++c)
             result.nested.push_back(
-                chainRequest(tier + 1, mix64(req->key + c)));
+                chainRequest(tier + 1, sim::mix64(req->key + c)));
     }
 
     // Echo the marker so the issuing side can verify the round trip.

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace rpcvalet::app {
 
@@ -30,20 +31,10 @@ HashTable::HashTable(std::size_t initial_slots)
     static_assert(sizeof(Slot) == 24, "slots are 24 B");
 }
 
-std::uint64_t
-HashTable::mix(std::uint64_t key)
-{
-    // splitmix64 finalizer: full-avalanche integer hash.
-    key += 0x9e3779b97f4a7c15ULL;
-    key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
-    return key ^ (key >> 31);
-}
-
 std::size_t
 HashTable::homeOf(std::uint64_t key) const
 {
-    return static_cast<std::size_t>(mix(key)) & (slots_.size() - 1);
+    return static_cast<std::size_t>(sim::mix64(key)) & (slots_.size() - 1);
 }
 
 std::size_t

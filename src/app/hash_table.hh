@@ -100,7 +100,6 @@ class HashTable
     /** @p size bytes of value space that never move. */
     std::uint8_t *allocate(std::size_t size);
     void grow();
-    static std::uint64_t mix(std::uint64_t key);
 
     std::vector<Slot> slots_;
     std::size_t size_ = 0;

@@ -82,7 +82,6 @@ MasstreeApp::handle(const std::vector<std::uint8_t> &request,
         // Real ordered scan over the skip list; the reply packs
         // (key, value) pairs until the size cap, written in place.
         result.processingNs = scanProcessing_->sample(server_rng);
-        result.latencyCritical = false;
         result.classId = scanClassId();
         const auto entries = store_.scan(req->key, req->count);
         std::size_t packed = 0;

@@ -72,13 +72,10 @@ struct HandleResult
     /** Reply bytes to send back (step iii's payload). */
     std::vector<std::uint8_t> reply;
     /**
-     * Whether this RPC counts toward tail-latency SLO accounting.
-     * Masstree's long scans are served but not latency-critical (§6.1).
-     */
-    bool latencyCritical = true;
-    /**
      * Which of the workload's requestClasses() this RPC belonged to;
      * must index into that vector. Single-class workloads leave it 0.
+     * The class's RequestClass::latencyCritical decides whether the
+     * RPC counts toward tail-latency SLO accounting.
      */
     std::uint8_t classId = 0;
     /**

@@ -16,8 +16,8 @@
  *                    traffic generator)
  *  - RouteContext    one decision's inputs — request key, request
  *                    class (so scans can route differently from gets),
- *                    client node, the view, the shard map, and a
- *                    router-private Rng stream
+ *                    client node, the view, and a router-private Rng
+ *                    stream
  *  - Router          picks a server index in [0, numServers)
  *  - RouterRegistry  process-wide name -> factory table; routers
  *                    self-register via RouterRegistrar, including from
@@ -25,8 +25,8 @@
  *                    examples/custom_router_playground.cc)
  *
  * Built-ins (src/cluster/routers.cc): "direct" (always server 0; the
- * single-node default), "random", "rr", "shard"
- * (shard-affinity from the request key), and "bounded-load:c=,vnodes="
+ * single-node default), "random", "rr", "shard" (key affinity: the
+ * key's hash modulo the server count), and "bounded-load:c=,vnodes="
  * (consistent hashing with bounded loads). All built-ins skip nodes
  * the HealthTracker marks down and fail over to an up peer.
  */
@@ -39,7 +39,6 @@
 #include <memory>
 #include <string>
 
-#include "cluster/topology.hh"
 #include "sim/registry.hh"
 #include "sim/rng.hh"
 
@@ -82,8 +81,6 @@ struct RouteContext
     std::uint32_t client = 0;
     /** Live cluster state. */
     const ClusterView &view;
-    /** Keyspace partition (shard-affinity routing). */
-    const ShardMap &shards;
     /** Router-private random stream (decorrelated from arrival/client
      *  streams, so routing randomness never perturbs them). */
     sim::Rng &rng;

@@ -99,7 +99,8 @@ class RoundRobinRouter : public Router
     std::uint64_t cursor_ = 0;
 };
 
-/** Shard affinity: the key's shard owner serves it; when the owner is
+/** Key affinity: the keyspace splits into one hashed partition per
+ *  server, and server mix64(key) mod N serves the key; when it is
  *  down, fail over to the next up server (keyspace correctness is
  *  preserved by the workloads' canonical-value verification). */
 class ShardRouter : public Router
@@ -108,7 +109,9 @@ class ShardRouter : public Router
     std::uint32_t
     route(const RouteContext &ctx) override
     {
-        return nextUp(ctx.view, ctx.shards.serverForKey(ctx.key));
+        return nextUp(ctx.view, static_cast<std::uint32_t>(
+                                    sim::mix64(ctx.key) %
+                                    ctx.view.numServers()));
     }
 
     std::string name() const override { return "shard"; }
@@ -134,7 +137,7 @@ class BoundedLoadRouter : public Router
         const std::uint32_t n = ctx.view.numServers();
         buildRing(n);
 
-        const std::uint64_t h = mixKey(ctx.key);
+        const std::uint64_t h = sim::mix64(ctx.key);
         std::size_t start = std::lower_bound(
                                 ring_.begin(), ring_.end(),
                                 RingEntry{h, 0}) -
@@ -206,7 +209,7 @@ class BoundedLoadRouter : public Router
         ring_.reserve(static_cast<std::size_t>(num_servers) * vnodes_);
         for (std::uint32_t s = 0; s < num_servers; ++s) {
             for (std::uint32_t v = 0; v < vnodes_; ++v) {
-                const std::uint64_t h = mixKey(
+                const std::uint64_t h = sim::mix64(
                     (static_cast<std::uint64_t>(s) << 32) | (v + 1));
                 ring_.push_back(RingEntry{h, s});
             }

@@ -4,43 +4,6 @@
 
 namespace rpcvalet::cluster {
 
-std::uint64_t
-mixKey(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-ShardMap::ShardMap(std::uint32_t num_shards, std::uint32_t num_servers)
-    : numShards_(num_shards), numServers_(num_servers)
-{
-    if (num_shards == 0)
-        sim::fatal("shard map: need at least one shard (got 0)");
-    if (num_servers == 0)
-        sim::fatal("shard map: need at least one server (got 0)");
-}
-
-std::uint32_t
-ShardMap::shardOf(std::uint64_t key) const
-{
-    return static_cast<std::uint32_t>(mixKey(key) % numShards_);
-}
-
-std::uint32_t
-ShardMap::ownerOf(std::uint32_t shard) const
-{
-    RV_ASSERT(shard < numShards_, "shard index out of range");
-    return shard % numServers_;
-}
-
-std::uint32_t
-ShardMap::serverForKey(std::uint64_t key) const
-{
-    return ownerOf(shardOf(key));
-}
-
 HealthTracker::HealthTracker(std::uint32_t num_nodes,
                              std::uint32_t fail_threshold,
                              sim::Tick recovery_after)
@@ -102,24 +65,6 @@ HealthTracker::noteRouted(std::uint32_t node)
     State &s = nodes_[node];
     if (s.down && s.probing && !s.canaryInFlight)
         s.canaryInFlight = true;
-}
-
-void
-HealthTracker::markDown(std::uint32_t node, sim::Tick now)
-{
-    RV_ASSERT(node < nodes_.size(), "health report for unknown node");
-    State &s = nodes_[node];
-    if (!s.down) {
-        s.down = true;
-        s.downSince = now;
-        s.consecutiveFailures = failThreshold_;
-        ++downTransitions_;
-    } else {
-        // Re-marking a probing node cancels the probe.
-        s.probing = false;
-        s.canaryInFlight = false;
-        s.downSince = now;
-    }
 }
 
 bool

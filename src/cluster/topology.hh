@@ -1,23 +1,15 @@
 /**
  * @file
- * Cluster topology primitives: keyspace sharding and node health.
+ * Cluster node health.
  *
- * The experiment core is a topology-driven cluster (ROADMAP: the
- * "millions of users" unlock): N server nodes, each running its own
- * NI dispatch, fronted by a cluster-level router. This header holds
- * the two router-independent building blocks:
- *
- *  - ShardMap       partitions the workload keyspace into shards and
- *                   assigns each shard an owning server node, so
- *                   shard-affinity routing ("shard") and partition
- *                   tests share one source of truth
- *  - HealthTracker  marks a node down after K *consecutive* failures
- *                   (timeouts), with optional time-based recovery —
- *                   the failover model of the rpc-load-balancer
- *                   exemplar (SNIPPETS.md Snippet 1). Recovery is
- *                   probed, not assumed: the first post-recovery
- *                   request is a canary, and the node rejoins the
- *                   rotation only when it succeeds.
+ * The experiment core is a topology-driven cluster: N server nodes,
+ * each running its own NI dispatch, fronted by a cluster-level
+ * router. HealthTracker is the router-independent failover state: it
+ * marks a node down after K *consecutive* failures (timeouts), with
+ * optional time-based recovery — the failover model of the
+ * rpc-load-balancer exemplar (SNIPPETS.md Snippet 1). Recovery is
+ * probed, not assumed: the first post-recovery request is a canary,
+ * and the node rejoins the rotation only when it succeeds.
  */
 
 #ifndef RPCVALET_CLUSTER_TOPOLOGY_HH
@@ -29,39 +21,6 @@
 #include "sim/types.hh"
 
 namespace rpcvalet::cluster {
-
-/** Full-avalanche key hash (splitmix64 finalizer) shared by the shard
- *  map and the consistent-hashing router, so "same key, same owner"
- *  holds across both. */
-std::uint64_t mixKey(std::uint64_t key);
-
-/** Static partition of the workload keyspace over server nodes. */
-class ShardMap
-{
-  public:
-    /**
-     * @param num_shards   Shards the keyspace splits into (>= 1).
-     * @param num_servers  Server nodes owning those shards (>= 1).
-     */
-    ShardMap(std::uint32_t num_shards, std::uint32_t num_servers);
-
-    std::uint32_t numShards() const { return numShards_; }
-    std::uint32_t numServers() const { return numServers_; }
-
-    /** Shard a request key belongs to (hashed, so shards stay balanced
-     *  even for sequential keys). */
-    std::uint32_t shardOf(std::uint64_t key) const;
-
-    /** Server index owning @p shard (round-robin assignment). */
-    std::uint32_t ownerOf(std::uint32_t shard) const;
-
-    /** Convenience: ownerOf(shardOf(key)). */
-    std::uint32_t serverForKey(std::uint64_t key) const;
-
-  private:
-    std::uint32_t numShards_;
-    std::uint32_t numServers_;
-};
 
 /**
  * Per-node health with consecutive-failure mark-down.
@@ -106,9 +65,6 @@ class HealthTracker
      * report transitioned the node from up to down.
      */
     bool reportFailure(std::uint32_t node, sim::Tick now);
-
-    /** Administratively take @p node down (e.g. fault injection). */
-    void markDown(std::uint32_t node, sim::Tick now);
 
     /** Whether @p node is up at @p now (applies optional recovery). */
     bool isUp(std::uint32_t node, sim::Tick now) const;

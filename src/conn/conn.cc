@@ -38,10 +38,8 @@ parseConnConfig(const std::string &text)
         spec.uintParam("clients", 0, 1, 1u << 24));
     cfg.qpCapacity = static_cast<std::uint32_t>(
         spec.uintParam("qp_capacity", 0, 0, UINT32_MAX));
-    cfg.qpCold = spec.tickParam("qp_cold", cfg.qpCold);
     spec.params.erase("clients");
     spec.params.erase("qp_capacity");
-    spec.params.erase("qp_cold");
     cfg.scheduler = spec;
     if (cfg.numClients == 0) {
         sim::fatal(sim::strfmt(

@@ -17,8 +17,9 @@
  *                   logical client whether it may issue a request now
  *                   and releases deferred clients when their turn comes
  *  - ConnConfig     the experiment-level knobs: logical-client
- *                   population size, scheduler spec, QP-cache capacity
- *                   and cold-fetch penalty
+ *                   population size, scheduler spec and QP-cache
+ *                   capacity (the cold-fetch penalty is the fixed
+ *                   node::qpColdFetch)
  *  - ConnRegistry   process-wide name -> factory table; schedulers
  *                   self-register via ConnRegistrar, including from
  *                   outside src/
@@ -191,13 +192,6 @@ struct ConnConfig
      */
     std::uint32_t qpCapacity = 0;
 
-    /**
-     * Penalty a request pays at the server NI when its connection
-     * context is not cached (DRAM/PCIe context fetch before dispatch).
-     * Only consulted under a named population (active()).
-     */
-    sim::Tick qpCold = sim::nanoseconds(1000.0);
-
     /** Scheduler spec; an empty name means "all". */
     ConnSpec scheduler{};
 
@@ -221,12 +215,13 @@ struct ConnConfig
 };
 
 /**
- * Parse a --connections= value: a conn spec whose clients= /
- * qp_capacity= / qp_cold= keys are peeled into the ConnConfig before
- * the remainder is validated through the registry, e.g.
+ * Parse a --connections= value: a conn spec whose clients= and
+ * qp_capacity= keys are peeled into the ConnConfig before the
+ * remainder is validated through the registry, e.g.
  * "grouped:size=40,slice=100us,clients=2048". The keys read as the
- * scenario [connections] keys do: clients in [1, 2^24] (required),
- * qp_capacity a 32-bit count, qp_cold a duration ("1us", "800").
+ * scenario [connections] keys do: clients in [1, 2^24] (required) and
+ * qp_capacity a 32-bit count. Any other key is the scheduler's, so a
+ * key no scheduler accepts dies there.
  */
 ConnConfig parseConnConfig(const std::string &text);
 

@@ -167,12 +167,12 @@ harvestConnStats(const ExperimentConfig &cfg,
     out.conn.qpHits = qp_hits;
     out.conn.qpMisses = qp_misses;
     // Connection-state footprint model, per server: each live
-    // connection pins its slot set's receive buffers plus QP metadata
-    // (WQ/CQ descriptors, ~32 B + 64 B per slot). Grouping caps the
-    // live set at one group — ScaleRPC's memory argument.
-    const std::uint64_t perConn =
-        static_cast<std::uint64_t>(cfg.system.domain.slotsPerNode) *
-        (32 + cfg.system.domain.maxMsgBytes + 64);
+    // connection pins one node's share of the messaging domain's
+    // buffers (its slot set's send metadata and receive buffers).
+    // Grouping caps the live set at one group — ScaleRPC's memory
+    // argument.
+    const proto::MessagingDomain &domain = cfg.system.domain;
+    const std::uint64_t perConn = domain.footprintBytes() / domain.numNodes;
     out.conn.qpFootprintAllBytes = static_cast<std::uint64_t>(
                                        cfg.connections.numClients) *
                                    perConn * num_servers;
@@ -452,7 +452,7 @@ runExperiment(const ExperimentConfig &cfg)
     // only on the specs and the shape — never on execution order.
     const fault::Resolution faultPlan = fault::resolveFaults(
         cfg.faults,
-        fault::ResolveContext{numServers, cfg.system.numCores(), par});
+        fault::ResolveContext{numServers, cfg.system.numCores()});
     if (cfg.cluster.requestTimeout == 0) {
         if (faultPlan.dropsPackets()) {
             sim::fatal(
@@ -538,10 +538,8 @@ runExperiment(const ExperimentConfig &cfg)
         derived.replySlotLease = 2 * cfg.cluster.requestTimeout;
     // Connection management: a client population makes the NI's
     // connection-context cache finite (sized for one group).
-    if (cfg.connections.active()) {
+    if (cfg.connections.active())
         derived.qpCacheCapacity = conn::effectiveQpCapacity(cfg.connections);
-        derived.qpColdFetch = cfg.connections.qpCold;
-    }
     for (std::uint32_t i = 0; i < numServers; ++i) {
         node::SystemParams sys = cfg.system;
         // Decorrelate per-node randomness (backend hash salts, policy
@@ -584,7 +582,6 @@ runExperiment(const ExperimentConfig &cfg)
     tp.arrivalRps = cfg.arrivalRps;
     tp.arrival = cfg.arrival;
     tp.cluster = cfg.cluster;
-    tp.clientTurnaround = cfg.clientTurnaround;
     tp.retry = cfg.retry;
     tp.connections = cfg.connections;
     tp.seed = cfg.system.seed;

@@ -86,13 +86,13 @@ struct ExperimentConfig
     app::WorkloadSpec workload{};
     /**
      * Cluster topology: how many server nodes run behind the cluster
-     * router, how the keyspace shards over them, and the failover
-     * knobs (see cluster/cluster.hh). The default — one server node,
-     * "direct" router — is the single-node configuration.
-     * runExperiment(cfg) instantiates one application + RpcNode per
-     * server (each with its own NI dispatch) and the traffic generator
-     * addresses each request through the router — two-level load
-     * balancing: router picks the node, the node's NI picks the core.
+     * router, and the failover knobs (see cluster/cluster.hh). The
+     * default — one server node, "direct" router — is the single-node
+     * configuration. runExperiment(cfg) instantiates one application
+     * + RpcNode per server (each with its own NI dispatch) and the
+     * traffic generator addresses each request through the router —
+     * two-level load balancing: router picks the node, the node's NI
+     * picks the core.
      */
     cluster::ClusterConfig cluster{};
     /**
@@ -117,8 +117,6 @@ struct ExperimentConfig
     std::uint64_t warmupRpcs = 20000;
     /** Completions measured after warmup. */
     std::uint64_t measuredRpcs = 200000;
-    /** Client-side turnaround before reply replenishes return. */
-    sim::Tick clientTurnaround = sim::nanoseconds(100.0);
     /**
      * 0 (default): the whole run executes on one event wheel — the
      * exact sequential kernel, bit-identical to previous releases.
@@ -302,7 +300,7 @@ struct ConnStats
     /** Client-observed p99 of deferred requests (wait included), ns. */
     double inactiveP99Ns = 0.0;
     /** QP-cache hits/misses summed over the server nodes; each miss
-     *  paid the qpColdFetch penalty before dispatch. */
+     *  paid node::qpColdFetch before dispatch. */
     std::uint64_t qpHits = 0;
     std::uint64_t qpMisses = 0;
     /** Modeled server-side connection-state footprint if every client

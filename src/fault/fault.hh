@@ -123,10 +123,6 @@ struct ResolveContext
     std::uint32_t numNodes = 1;
     /** Cores per server node. */
     std::uint32_t coresPerNode = 1;
-    /** Whether the run executes as parallel DES. Timed faults at t=0
-     *  would have to fire before the first window opens and are
-     *  rejected. */
-    bool parallel = false;
 };
 
 /** Resolved products of a fault list. */

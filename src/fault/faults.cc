@@ -3,7 +3,7 @@
  * Built-in fault models. Each registers a factory that validates the
  * spec's own parameters eagerly (bad probabilities and missing keys
  * die at parse/lookup time, before a run exists); cluster-shape checks
- * (node/core ranges, parallel-mode timing) run in resolve().
+ * (node/core ranges) run in resolve().
  */
 
 #include <utility>
@@ -51,19 +51,6 @@ checkNode(const FaultSpec &spec, std::uint64_t node,
     }
 }
 
-/** fatal() when a timed fault cannot be armed under parallel DES. */
-void
-checkTimedStart(const FaultSpec &spec, sim::Tick at,
-                const ResolveContext &ctx)
-{
-    if (ctx.parallel && at == 0) {
-        sim::fatal(sim::strfmt(
-            "fault '%s': a timed fault at t=0 cannot fire inside any "
-            "window of a parallel run — use at > 0",
-            spec.toString().c_str()));
-    }
-}
-
 /** crash:node=,at=[,recover_after=] — the node drops every packet
  *  (requests already queued inside it are lost) until recover_after
  *  elapses, or forever when none is given. Only the client's request
@@ -88,7 +75,6 @@ class CrashFault : public Fault
     resolve(const ResolveContext &ctx, Resolution &out) const override
     {
         checkNode(spec_, node_, ctx);
-        checkTimedStart(spec_, at_, ctx);
         Activation a;
         a.spec = spec_.toString();
         a.kind = "crash";
@@ -269,7 +255,6 @@ class NiStallFault : public Fault
     resolve(const ResolveContext &ctx, Resolution &out) const override
     {
         checkNode(spec_, node_, ctx);
-        checkTimedStart(spec_, at_, ctx);
         Activation a;
         a.spec = spec_.toString();
         a.kind = "ni-stall";
@@ -325,7 +310,6 @@ class SlowCoreFault : public Fault
     resolve(const ResolveContext &ctx, Resolution &out) const override
     {
         checkNode(spec_, node_, ctx);
-        checkTimedStart(spec_, at_, ctx);
         if (core_ >= ctx.coresPerNode) {
             sim::fatal(sim::strfmt(
                 "fault '%s': core %llu is out of range for %u cores "

@@ -9,8 +9,7 @@ namespace rpcvalet::mem {
 // ----------------------------------------------------------- SendBuffer
 
 SendBuffer::SendBuffer(const proto::MessagingDomain &domain)
-    : domain_(domain), slots_(domain.totalSlots()),
-      nextSlot_(domain.numNodes, 0), inFlight_(domain.numNodes, 0)
+    : domain_(domain), slots_(domain.totalSlots())
 {
 }
 
@@ -24,28 +23,6 @@ const SendSlot &
 SendBuffer::slotRef(proto::NodeId dst, std::uint32_t slot) const
 {
     return slots_[domain_.slotIndex(dst, slot)];
-}
-
-std::optional<std::uint32_t>
-SendBuffer::acquire(proto::NodeId dst, std::vector<std::uint8_t> payload)
-{
-    RV_ASSERT(dst < domain_.numNodes, "destination outside domain");
-    RV_ASSERT(payload.size() <= domain_.maxMsgBytes,
-              "payload exceeds maxMsgBytes");
-    const std::uint32_t s_count = domain_.slotsPerNode;
-    for (std::uint32_t probe = 0; probe < s_count; ++probe) {
-        const std::uint32_t slot = (nextSlot_[dst] + probe) % s_count;
-        SendSlot &ss = slotRef(dst, slot);
-        if (!ss.valid) {
-            ss.valid = true;
-            ss.payload = std::move(payload);
-            nextSlot_[dst] = (slot + 1) % s_count;
-            ++inFlight_[dst];
-            return slot;
-        }
-    }
-    ++acquireFailures_;
-    return std::nullopt;
 }
 
 bool
@@ -62,13 +39,10 @@ SendBuffer::acquireSpecific(proto::NodeId dst, std::uint32_t slot,
     RV_ASSERT(payload.size() <= domain_.maxMsgBytes,
               "payload exceeds maxMsgBytes");
     SendSlot &ss = slotRef(dst, slot);
-    if (ss.valid) {
-        ++acquireFailures_;
+    if (ss.valid)
         return false;
-    }
     ss.valid = true;
     ss.payload = std::move(payload);
-    ++inFlight_[dst];
     return true;
 }
 
@@ -79,8 +53,6 @@ SendBuffer::release(proto::NodeId dst, std::uint32_t slot)
     RV_ASSERT(ss.valid, "releasing a free send slot");
     ss.valid = false;
     ss.payload.clear();
-    RV_ASSERT(inFlight_[dst] > 0, "send in-flight underflow");
-    --inFlight_[dst];
 }
 
 const std::vector<std::uint8_t> &
@@ -89,13 +61,6 @@ SendBuffer::payload(proto::NodeId dst, std::uint32_t slot) const
     const SendSlot &ss = slotRef(dst, slot);
     RV_ASSERT(ss.valid, "reading payload of a free send slot");
     return ss.payload;
-}
-
-std::uint32_t
-SendBuffer::inFlight(proto::NodeId dst) const
-{
-    RV_ASSERT(dst < domain_.numNodes, "destination outside domain");
-    return inFlight_[dst];
 }
 
 // ----------------------------------------------------------- RecvBuffer

@@ -18,7 +18,6 @@
 #define RPCVALET_MEM_BUFFERS_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "proto/messaging.hh"
@@ -40,21 +39,13 @@ struct SendSlot
 
 /**
  * A node's send buffer: N sets of S slots, one set per destination
- * node. Cores atomically grab the next free slot of the destination's
- * set (the paper maintains per-set tail pointers in memory).
+ * node. A server's reply takes the slot that mirrors its request's
+ * slot (HERD-style), so slots are always reserved by number.
  */
 class SendBuffer
 {
   public:
     explicit SendBuffer(const proto::MessagingDomain &domain);
-
-    /**
-     * Reserve a free slot toward @p dst and store @p payload in it.
-     * Returns the slot number, or nullopt when all S slots toward
-     * @p dst are in flight (flow-control back-pressure).
-     */
-    std::optional<std::uint32_t>
-    acquire(proto::NodeId dst, std::vector<std::uint8_t> payload);
 
     /** Whether a specific slot toward @p dst is still in flight. */
     bool slotBusy(proto::NodeId dst, std::uint32_t slot) const;
@@ -79,21 +70,12 @@ class SendBuffer
     const std::vector<std::uint8_t> &
     payload(proto::NodeId dst, std::uint32_t slot) const;
 
-    /** In-flight slot count toward @p dst. */
-    std::uint32_t inFlight(proto::NodeId dst) const;
-
-    /** Times acquire() failed for lack of a slot. */
-    std::uint64_t acquireFailures() const { return acquireFailures_; }
-
   private:
     SendSlot &slotRef(proto::NodeId dst, std::uint32_t slot);
     const SendSlot &slotRef(proto::NodeId dst, std::uint32_t slot) const;
 
     proto::MessagingDomain domain_;
-    std::vector<SendSlot> slots_;       // N x S, dst-major
-    std::vector<std::uint32_t> nextSlot_; // per-dst rotating search start
-    std::vector<std::uint32_t> inFlight_;
-    std::uint64_t acquireFailures_ = 0;
+    std::vector<SendSlot> slots_; // N x S, dst-major
 };
 
 /**

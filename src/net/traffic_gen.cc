@@ -18,9 +18,6 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
           params.cluster.router)),
       health_(params.cluster.numServerNodes, params.cluster.failThreshold,
               params.cluster.recoveryAfter),
-      shards_(params.cluster.shards != 0 ? params.cluster.shards
-                                         : params.cluster.numServerNodes,
-              params.cluster.numServerNodes),
       arrivals_(sim,
                 ArrivalRegistry::instance().make(params.arrival,
                                                  params.arrivalRps),
@@ -238,7 +235,7 @@ TrafficGenerator::routeRequest(proto::NodeId src,
         request.size() > app::requestClassOffset
             ? request[app::requestClassOffset]
             : std::uint8_t{0},
-        src, *this, shards_, routerRng_};
+        src, *this, routerRng_};
     const std::uint32_t server = router_->route(ctx);
     RV_ASSERT(server < numServers(),
               "router picked an out-of-range server");
@@ -449,7 +446,7 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
     }
     // Return the reply's send-slot credit to the serving node after
     // the client-side turnaround (stale replies included, see above).
-    sim_.schedule(params_.clientTurnaround,
+    sim_.schedule(clientTurnaround,
                   [this, dst, server, slot] {
                       proto::Packet pkt;
                       pkt.hdr.op = proto::OpType::Replenish;
@@ -645,11 +642,8 @@ TrafficGenerator::sweepTimeouts()
                       });
     }
 
-    const cluster::ClusterConfig &cc = params_.cluster;
-    sim_.schedule(sweepEvent_,
-                  cc.sweepInterval > 0
-                      ? cc.sweepInterval
-                      : std::max<sim::Tick>(1, cc.requestTimeout / 4));
+    sim_.schedule(sweepEvent_, std::max<sim::Tick>(
+                                   1, params_.cluster.requestTimeout / 4));
 }
 
 void

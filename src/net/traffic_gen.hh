@@ -11,11 +11,11 @@
  * obeys per-(source, server) send-slot flow control (a source with
  * all S slots toward a server in flight defers until a replenish
  * returns), consumes the servers' replies, verifies
- * them against the application, and returns reply replenishes after a
- * client-side turnaround delay.
+ * them against the application, and returns reply replenishes after
+ * the fixed client-side turnaround (clientTurnaround).
  *
  * The generator is also the cluster's client-side balancer. It builds
- * the router, shard map and health tracker its cluster::ClusterConfig
+ * the router and health tracker its cluster::ClusterConfig
  * describes; each request is addressed by the cluster Router
  * (src/cluster/router.hh), which observes per-server health and
  * outstanding load through the ClusterView interface this class
@@ -66,6 +66,10 @@
 
 namespace rpcvalet::net {
 
+/** Client-side turnaround: how long an emulated client holds a reply
+ *  before returning the server's send-slot credit (replenish). */
+constexpr sim::Tick clientTurnaround = sim::nanoseconds(100.0);
+
 /**
  * Connection identity a request carries through its in-flight
  * life: the logical client it belongs to (every request has one),
@@ -97,13 +101,11 @@ class TrafficGenerator final : private cluster::ClusterView
         double arrivalRps = 1e6;
         /** Interarrival process shaping that rate (net/arrival.hh). */
         ArrivalSpec arrival{};
-        /** The servers behind the generator: count, router, shards,
-         *  health threshold and recovery, request timeout (0 disables
-         *  the timeout sweep) and sweep interval. The default is one
-         *  server behind the "direct" router. */
+        /** The servers behind the generator: count, router, health
+         *  threshold and recovery, and request timeout (0 disables the
+         *  timeout sweep). The default is one server behind the
+         *  "direct" router. */
         cluster::ClusterConfig cluster{};
-        /** Client-side turnaround before replenishing a reply slot. */
-        sim::Tick clientTurnaround = sim::nanoseconds(100.0);
         /** Client recovery policy for timed-out requests (backoff,
          *  attempt budget, hedging). The defaults reproduce the legacy
          *  unlimited-immediate-redispatch behavior bit-identically. */
@@ -392,7 +394,6 @@ class TrafficGenerator final : private cluster::ClusterView
     Fabric &fabric_;
     cluster::RouterPtr router_;
     cluster::HealthTracker health_;
-    cluster::ShardMap shards_;
     ArrivalDriver arrivals_;
     /** Logical-client stream (see the constructor for its id). */
     sim::Rng pickRng_;

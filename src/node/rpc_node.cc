@@ -5,20 +5,11 @@
 
 #include "mem/memory_model.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace rpcvalet::node {
 
 namespace {
-
-/** splitmix64 finalizer (full-avalanche hash for RSS-style steering). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Approximate on-chip message sizes (bytes) for latency modeling. */
 constexpr std::uint32_t cqeBytes = 16;
@@ -36,11 +27,13 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
       recv_(params.domain), send_(params.domain),
       cores_(params.numCores()),
       serverRng_(params.seed, /*stream=*/0xA4B),
-      hashSalt_(mix64(params.seed ^ 0x5555AAAAuLL))
+      hashSalt_(sim::mix64(params.seed ^ 0x5555AAAAuLL))
 {
     params_.validate();
 
-    RV_ASSERT(!app_.requestClasses().empty(),
+    for (const app::RequestClass &c : app_.requestClasses())
+        classCritical_.push_back(c.latencyCritical);
+    RV_ASSERT(!classCritical_.empty(),
               "application declares no request classes");
 
     for (std::uint32_t b = 0; b < params_.numBackends(); ++b) {
@@ -147,8 +140,8 @@ RpcNode::ingressBackendFor(proto::NodeId src, std::uint32_t slot) const
     // under 4x4 the backend groups' shares of a herd run sit up to
     // ~7% from their mean.
     const std::uint64_t h =
-        mix64(static_cast<std::uint64_t>(src) * 0x100000001b3ULL + slot +
-              hashSalt_);
+        sim::mix64(static_cast<std::uint64_t>(src) * 0x100000001b3ULL +
+                   slot + hashSalt_);
     return static_cast<std::uint32_t>(h % params_.numBackends());
 }
 
@@ -165,8 +158,8 @@ RpcNode::staticHashCore(proto::NodeId src, std::uint32_t slot) const
     // RSS-style static spreading (§2.3): purely header-driven, no load
     // information — the 16x1 configuration of Fig. 1.
     const std::uint64_t h =
-        mix64((static_cast<std::uint64_t>(src) << 20) ^ slot ^
-              (hashSalt_ * 0x9e3779b97f4a7c15ULL));
+        sim::mix64((static_cast<std::uint64_t>(src) << 20) ^ slot ^
+                   (hashSalt_ * 0x9e3779b97f4a7c15ULL));
     return static_cast<proto::CoreId>(h % params_.numCores());
 }
 
@@ -229,7 +222,7 @@ RpcNode::onMessageComplete(std::uint32_t backend_id,
         const sim::Tick issue =
             std::max(now, qpFetchNextIssue_);
         qpFetchNextIssue_ = issue + qpFetchGap;
-        const sim::Tick done = issue + derived_.qpColdFetch;
+        const sim::Tick done = issue + qpColdFetch;
         sim_.schedule(done - now, [this, backend_id, cqe] {
             dispatchMessage(backend_id, cqe);
         });
@@ -638,7 +631,10 @@ RpcNode::attemptReply(ServiceEvent &ev)
 
     // §5 step iv: replenish is posted right after the send; latency
     // measurement ends there.
-    ev.critical = ev.result.latencyCritical;
+    // A stray class id is clamped into the declared table, as the
+    // harvest's per-class accounting does.
+    ev.critical = classCritical_[std::min<std::size_t>(
+        ev.result.classId, classCritical_.size() - 1)];
     ev.stage = ServiceEvent::Stage::Finish;
     sim_.schedule(ev, costs::sendPost + costs::replenishPost);
 }

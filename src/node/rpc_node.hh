@@ -83,6 +83,11 @@ constexpr sim::Tick sendSlotRetry = sim::nanoseconds(20.0);
  */
 constexpr sim::Tick qpFetchGap = sim::nanoseconds(200.0);
 
+/** Context-fetch penalty a QP-cache miss pays before dispatch (a
+ *  DRAM/PCIe read of the connection context); fetch starts are at
+ *  least qpFetchGap apart. */
+constexpr sim::Tick qpColdFetch = sim::microseconds(1.0);
+
 /** One simulated RPC server node. */
 class RpcNode
 {
@@ -122,12 +127,9 @@ class RpcNode
          * message's dispatch by qpColdFetch while the NI pulls the
          * context from memory. The experiment layer bounds it only
          * under a named client population (conn::ConnConfig::active()),
-         * taking both values from the conn::ConnConfig.
+         * taking it from conn::effectiveQpCapacity.
          */
         std::uint32_t qpCacheCapacity = 0;
-        /** Context-fetch penalty a QP-cache miss pays before dispatch;
-         *  fetch starts are at least qpFetchGap apart. */
-        sim::Tick qpColdFetch = 0;
     };
 
     /**
@@ -421,6 +423,9 @@ class RpcNode
     std::vector<Core> cores_;
     sim::Rng serverRng_;
     std::uint64_t hashSalt_;
+    /** Latency criticality per request class, from the workload's
+     *  requestClasses() table (the one place a workload declares it). */
+    std::vector<bool> classCritical_;
 
     std::vector<Sample> samples_;
     /** Per-core processing multipliers; empty until a slow-core fault

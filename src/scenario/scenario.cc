@@ -197,8 +197,6 @@ class Parser
             out_.base.measuredRpcs = n;
         } else if (key == "seed") {
             out_.base.system.seed = sim::parseUint(value);
-        } else if (key == "turnaround") {
-            out_.base.clientTurnaround = sim::parseDuration(value);
         } else if (key == "parallel_domains") {
             const std::uint64_t n = sim::parseUint(value);
             if (n > 1024)
@@ -207,8 +205,7 @@ class Parser
         } else {
             die("unknown [experiment] key '" + key +
                 "' (expected name, workload, arrival, policy, mode, "
-                "warmup, measured, seed, turnaround, or "
-                "parallel_domains)");
+                "warmup, measured, seed, or parallel_domains)");
         }
     }
 
@@ -223,9 +220,6 @@ class Parser
                 static_cast<std::uint32_t>(n);
         } else if (key == "router") {
             out_.base.cluster.router = core::checkRouter(value);
-        } else if (key == "shards") {
-            out_.base.cluster.shards = static_cast<std::uint32_t>(
-                sim::parseUint(value, 0, UINT32_MAX));
         } else if (key == "timeout") {
             out_.base.cluster.requestTimeout = sim::parseDuration(value);
         } else if (key == "fail_threshold") {
@@ -236,16 +230,10 @@ class Parser
                 static_cast<std::uint32_t>(n);
         } else if (key == "recovery_after") {
             out_.base.cluster.recoveryAfter = sim::parseDuration(value);
-        } else if (key == "sweep_interval") {
-            const sim::Tick t = sim::parseDuration(value);
-            if (t == 0)
-                sim::fatal("'sweep_interval' must be > 0 (omit the key "
-                           "to derive it from the timeout)");
-            out_.base.cluster.sweepInterval = t;
         } else {
             die("unknown [cluster] key '" + key +
-                "' (expected nodes, router, shards, timeout, "
-                "fail_threshold, recovery_after, or sweep_interval)");
+                "' (expected nodes, router, timeout, fail_threshold, "
+                "or recovery_after)");
         }
     }
 
@@ -273,12 +261,10 @@ class Parser
         } else if (key == "qp_capacity") {
             out_.base.connections.qpCapacity = static_cast<std::uint32_t>(
                 sim::parseUint(value, 0, UINT32_MAX));
-        } else if (key == "qp_cold") {
-            out_.base.connections.qpCold = sim::parseDuration(value);
         } else {
             die("unknown [connections] key '" + key +
-                "' (expected nodes, clients, scheduler, qp_capacity, "
-                "or qp_cold)");
+                "' (expected nodes, clients, scheduler, or "
+                "qp_capacity)");
         }
     }
 

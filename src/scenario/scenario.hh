@@ -31,7 +31,6 @@
  *                                    # connection-management subsystem)
  *   scheduler = grouped:size=40,slice=100us
  *   qp_capacity = 64                 # server QP cache (0 = derive)
- *   qp_cold  = 1us                   # cold-QP fetch penalty
  *
  *   [sweep]
  *   load     = 0.2 | 0.5 | 0.8       # fraction of estimated capacity
@@ -45,6 +44,11 @@
  *
  *   [output]
  *   dir      = out/herd-baseline
+ *
+ * The client turnaround (net::clientTurnaround), the QP cold-fetch
+ * penalty (node::qpColdFetch) and the timeout-sweep period (a quarter
+ * of the timeout) are model constants, not keys; the shard router
+ * partitions the keyspace once per server node.
  *
  * Lists use '|' (NOT ',') as the separator, because component spec
  * strings carry commas ("mix:get=0.9,scan=0.1"). The matrix is the

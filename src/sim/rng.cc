@@ -8,17 +8,6 @@ namespace rpcvalet::sim {
 
 namespace {
 
-/** splitmix64 step, used only for seeding. */
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -31,8 +20,11 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 {
     // Mix the stream id in so (seed, 0) and (seed, 1) diverge fully.
     std::uint64_t x = seed ^ (stream * 0x9e3779b97f4a7c15ULL + 0x1234567ULL);
-    for (auto &word : s_)
-        word = splitmix64(x);
+    // splitmix64 stepping: hash the state, then advance it.
+    for (auto &word : s_) {
+        word = mix64(x);
+        x += 0x9e3779b97f4a7c15ULL;
+    }
     // All-zero state is invalid for xoshiro; splitmix64 makes this
     // astronomically unlikely, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)

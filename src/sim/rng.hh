@@ -17,6 +17,18 @@
 
 namespace rpcvalet::sim {
 
+/** splitmix64 finalizer: a full-avalanche 64-bit hash. Rng seeding,
+ *  key hashing (store probing, routing, RSS steering) and derived
+ *  keys all use this one function. */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** xoshiro256** pseudo-random generator with convenience samplers. */
 class Rng
 {

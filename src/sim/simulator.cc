@@ -153,14 +153,6 @@ Simulator::deschedule(Event &ev)
 }
 
 void
-Simulator::rescheduleAt(Event &ev, Tick when)
-{
-    if (ev.scheduled())
-        deschedule(ev);
-    scheduleAt(ev, when);
-}
-
-void
 Simulator::OneShot::process()
 {
     Simulator *sim = owningSim();

@@ -109,11 +109,10 @@ class Simulator
     /** Move @p ev (scheduled or not) to fire @p delay from now. */
     void reschedule(Event &ev, Tick delay)
     {
-        rescheduleAt(ev, now_ + delay);
+        if (ev.scheduled())
+            deschedule(ev);
+        scheduleAt(ev, now_ + delay);
     }
-
-    /** Move @p ev (scheduled or not) to absolute time @p when. */
-    void rescheduleAt(Event &ev, Tick when);
 
     // ----- one-shot callables -----
 

@@ -118,7 +118,7 @@ TEST(SyntheticApp, RequestReplyRoundTripVerifies)
     sim::Rng client(1), server(2);
     const auto req = app.makeRequest(client);
     const auto result = app.handle(req, server);
-    EXPECT_TRUE(result.latencyCritical);
+    EXPECT_TRUE(app.requestClasses().at(result.classId).latencyCritical);
     EXPECT_EQ(result.reply.size(), SyntheticApp::replyBytes);
     EXPECT_TRUE(app.verifyReply(req, result.reply));
 }
@@ -243,7 +243,8 @@ TEST(HerdApp, EveryGeneratedRequestVerifies)
         const auto req = app.makeRequest(client);
         const auto result = app.handle(req, server);
         EXPECT_TRUE(app.verifyReply(req, result.reply)) << "i=" << i;
-        EXPECT_TRUE(result.latencyCritical);
+        EXPECT_TRUE(
+            app.requestClasses().at(result.classId).latencyCritical);
     }
 }
 
@@ -286,7 +287,7 @@ TEST(MasstreeApp, GetReturnsCanonicalValue)
     req.key = 16 * 50; // key 50 at stride 16
     const auto result = app.handle(encodeRequest(req), server);
     EXPECT_TRUE(app.verifyReply(encodeRequest(req), result.reply));
-    EXPECT_TRUE(result.latencyCritical);
+    EXPECT_TRUE(app.requestClasses().at(result.classId).latencyCritical);
 }
 
 TEST(MasstreeApp, ScanReturnsOrderedEntriesAndIsNotCritical)
@@ -300,7 +301,7 @@ TEST(MasstreeApp, ScanReturnsOrderedEntriesAndIsNotCritical)
     req.key = 16 * 10;
     req.count = 100;
     const auto result = app.handle(encodeRequest(req), server);
-    EXPECT_FALSE(result.latencyCritical);
+    EXPECT_FALSE(app.requestClasses().at(result.classId).latencyCritical);
     EXPECT_GE(result.processingNs, 60000.0);
     EXPECT_LE(result.processingNs, 120000.0);
     EXPECT_TRUE(app.verifyReply(encodeRequest(req), result.reply));

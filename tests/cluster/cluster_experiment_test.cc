@@ -161,14 +161,6 @@ TEST(ClusterConfigDeath, ValidateRejectsInconsistentSettings)
             c.validate();
         },
         ::testing::ExitedWithCode(1), "numServerNodes must be >= 1");
-    EXPECT_EXIT(
-        {
-            cluster::ClusterConfig c;
-            c.sweepInterval = 1;
-            c.validate();
-        },
-        ::testing::ExitedWithCode(1),
-        "sweepInterval 1 requires requestTimeout > 0");
     // A crash spec naming a node outside the cluster dies at fault
     // resolution, before anything is built.
     EXPECT_EXIT(

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the cluster routing layer: RouterRegistry plumbing,
- * built-in router decisions against a fake cluster view, keyspace
- * sharding, and health/failover bookkeeping.
+ * built-in router decisions against a fake cluster view (including
+ * the shard router's keyspace partition), and health/failover
+ * bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,6 @@ using cluster::RouterPtr;
 using cluster::RouterRegistrar;
 using cluster::RouterRegistry;
 using cluster::RouterSpec;
-using cluster::ShardMap;
 
 /** Scriptable cluster state for exercising routing decisions. */
 class FakeView : public ClusterView
@@ -54,10 +54,10 @@ class FakeView : public ClusterView
 };
 
 RouteContext
-ctxFor(std::uint64_t key, const FakeView &view, const ShardMap &shards,
-       sim::Rng &rng, std::uint8_t cls = 0)
+ctxFor(std::uint64_t key, const FakeView &view, sim::Rng &rng,
+       std::uint8_t cls = 0)
 {
-    return RouteContext{key, cls, /*client=*/42, view, shards, rng};
+    return RouteContext{key, cls, /*client=*/42, view, rng};
 }
 
 // ----- registry plumbing -----
@@ -149,10 +149,9 @@ TEST(RouterRegistry, ExternalRegistrationWorks)
     auto &reg = RouterRegistry::instance();
     ASSERT_TRUE(reg.contains("test-last"));
     FakeView view(4);
-    ShardMap shards(4, 4);
     sim::Rng rng(1);
     const RouterPtr router = reg.make(RouterSpec::parse("test-last"));
-    EXPECT_EQ(router->route(ctxFor(7, view, shards, rng)), 3u);
+    EXPECT_EQ(router->route(ctxFor(7, view, rng)), 3u);
 }
 
 // ----- built-in routing decisions -----
@@ -160,29 +159,27 @@ TEST(RouterRegistry, ExternalRegistrationWorks)
 TEST(Routers, DirectAlwaysPicksServerZero)
 {
     FakeView view(4);
-    ShardMap shards(4, 4);
     sim::Rng rng(1);
     const RouterPtr r = RouterRegistry::instance().make("direct");
     for (std::uint64_t k = 0; k < 32; ++k)
-        EXPECT_EQ(r->route(ctxFor(k, view, shards, rng)), 0u);
+        EXPECT_EQ(r->route(ctxFor(k, view, rng)), 0u);
 }
 
 TEST(Routers, RoundRobinCyclesAndSkipsDownServers)
 {
     FakeView view(4);
-    ShardMap shards(4, 4);
     sim::Rng rng(1);
     const RouterPtr r = RouterRegistry::instance().make("rr");
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 0u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 1u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 2u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 3u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 0u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 0u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 1u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 2u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 3u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 0u);
     view.up_[1] = false;
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 2u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 3u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 0u);
-    EXPECT_EQ(r->route(ctxFor(0, view, shards, rng)), 2u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 2u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 3u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 0u);
+    EXPECT_EQ(r->route(ctxFor(0, view, rng)), 2u);
 }
 
 TEST(Routers, RandomOnlyPicksUpServers)
@@ -190,12 +187,11 @@ TEST(Routers, RandomOnlyPicksUpServers)
     FakeView view(4);
     view.up_[0] = false;
     view.up_[2] = false;
-    ShardMap shards(4, 4);
     sim::Rng rng(7);
     const RouterPtr r = RouterRegistry::instance().make("random");
     std::set<std::uint32_t> seen;
     for (int i = 0; i < 200; ++i) {
-        const std::uint32_t s = r->route(ctxFor(0, view, shards, rng));
+        const std::uint32_t s = r->route(ctxFor(0, view, rng));
         ASSERT_LT(s, 4u);
         EXPECT_TRUE(view.up_[s]);
         seen.insert(s);
@@ -203,90 +199,88 @@ TEST(Routers, RandomOnlyPicksUpServers)
     EXPECT_EQ(seen, (std::set<std::uint32_t>{1, 3}));
 }
 
+/** The shard router's owner of @p key among @p servers. */
+std::uint32_t
+shardOwner(std::uint64_t key, std::uint32_t servers)
+{
+    return static_cast<std::uint32_t>(sim::mix64(key) % servers);
+}
+
 TEST(Routers, ShardRoutesToOwnerAndFailsOver)
 {
     FakeView view(4);
-    ShardMap shards(8, 4);
     sim::Rng rng(1);
     const RouterPtr r = RouterRegistry::instance().make("shard");
-    for (std::uint64_t k = 0; k < 64; ++k) {
-        EXPECT_EQ(r->route(ctxFor(k, view, shards, rng)),
-                  shards.serverForKey(k));
-    }
+    for (std::uint64_t k = 0; k < 64; ++k)
+        EXPECT_EQ(r->route(ctxFor(k, view, rng)), shardOwner(k, 4));
     // Key owned by a down server fails over to the next up index.
     std::uint64_t key = 0;
-    while (shards.serverForKey(key) != 2)
+    while (shardOwner(key, 4) != 2)
         ++key;
     view.up_[2] = false;
-    EXPECT_EQ(r->route(ctxFor(key, view, shards, rng)), 3u);
+    EXPECT_EQ(r->route(ctxFor(key, view, rng)), 3u);
     view.up_[3] = false;
-    EXPECT_EQ(r->route(ctxFor(key, view, shards, rng)), 0u);
+    EXPECT_EQ(r->route(ctxFor(key, view, rng)), 0u);
 }
 
 TEST(Routers, BoundedLoadAvoidsOverloadedServer)
 {
     FakeView view(4);
     view.load_ = {100, 0, 0, 0};
-    ShardMap shards(4, 4);
     sim::Rng rng(1);
     const RouterPtr r =
         RouterRegistry::instance().make("bounded-load:c=1.25");
     // Average load ~25; capacity ~32: server 0 is far over, the ring
     // walk must land elsewhere for every key.
     for (std::uint64_t k = 0; k < 256; ++k)
-        EXPECT_NE(r->route(ctxFor(k, view, shards, rng)), 0u);
+        EXPECT_NE(r->route(ctxFor(k, view, rng)), 0u);
 }
 
 TEST(Routers, BoundedLoadSpreadsBalancedLoadByKey)
 {
     FakeView view(4);
-    ShardMap shards(4, 4);
     sim::Rng rng(1);
     const RouterPtr r =
         RouterRegistry::instance().make("bounded-load:c=2.0");
     std::set<std::uint32_t> seen;
     for (std::uint64_t k = 0; k < 256; ++k) {
-        const std::uint32_t s = r->route(ctxFor(k, view, shards, rng));
+        const std::uint32_t s = r->route(ctxFor(k, view, rng));
         // Same key, same decision (consistent hashing is stateless
         // when loads do not change).
-        EXPECT_EQ(s, r->route(ctxFor(k, view, shards, rng)));
+        EXPECT_EQ(s, r->route(ctxFor(k, view, rng)));
         seen.insert(s);
     }
     EXPECT_EQ(seen.size(), 4u);
 }
 
-// ----- shard map -----
-
-TEST(ShardMap, PartitionsKeysCompletelyAndConsistently)
+TEST(Routers, ShardPartitionIsStableAndCoversEveryServer)
 {
-    const ShardMap shards(16, 4);
+    FakeView view(4);
+    sim::Rng rng(1);
+    const RouterPtr r = RouterRegistry::instance().make("shard");
+    std::set<std::uint32_t> seen;
     for (std::uint64_t k = 0; k < 4096; ++k) {
-        const std::uint32_t shard = shards.shardOf(k);
-        ASSERT_LT(shard, 16u);
-        const std::uint32_t owner = shards.ownerOf(shard);
-        ASSERT_LT(owner, 4u);
-        EXPECT_EQ(shards.serverForKey(k), owner);
-        EXPECT_EQ(shards.shardOf(k), shard); // stable
+        const std::uint32_t s = r->route(ctxFor(k, view, rng));
+        ASSERT_LT(s, 4u);
+        EXPECT_EQ(r->route(ctxFor(k, view, rng)), s); // stable
+        seen.insert(s);
     }
+    EXPECT_EQ(seen.size(), 4u);
 }
 
-TEST(ShardMap, HashedShardsStayRoughlyBalanced)
+TEST(Routers, ShardSpreadsSequentialKeysEvenly)
 {
-    const ShardMap shards(4, 4);
+    FakeView view(4);
+    sim::Rng rng(1);
+    const RouterPtr r = RouterRegistry::instance().make("shard");
     std::vector<std::uint64_t> counts(4, 0);
-    // Sequential keys — the adversarial case a modulo-only map fails.
+    // Sequential keys: the adversarial case a modulo-only map fails.
     for (std::uint64_t k = 0; k < 40000; ++k)
-        ++counts[shards.serverForKey(k)];
+        ++counts[r->route(ctxFor(k, view, rng))];
     for (const std::uint64_t c : counts) {
         EXPECT_GT(c, 8000u);
         EXPECT_LT(c, 12000u);
     }
-}
-
-TEST(ShardMapDeath, ZeroShardsIsFatal)
-{
-    EXPECT_EXIT(ShardMap(0, 4), ::testing::ExitedWithCode(1),
-                "need at least one shard");
 }
 
 // ----- health tracker -----
@@ -352,28 +346,6 @@ TEST(HealthTracker, CanarySuccessRestoresFullHealth)
     EXPECT_TRUE(health.isUp(0, 130));
     EXPECT_TRUE(health.reportFailure(0, 140));
     EXPECT_EQ(health.downTransitions(), 2u);
-}
-
-TEST(HealthTracker, MarkDownDuringProbeCancelsTheCanary)
-{
-    HealthTracker health(1, 1, /*recovery_after=*/100);
-    health.reportFailure(0, 10);
-    EXPECT_TRUE(health.isUp(0, 110)); // probing
-    health.noteRouted(0);
-    // A straggler timeout re-marks the node while the canary is out:
-    // the probe is cancelled and the recovery clock restarts.
-    health.markDown(0, 115);
-    EXPECT_FALSE(health.isUp(0, 214));
-    EXPECT_TRUE(health.isUp(0, 215));
-    EXPECT_EQ(health.downTransitions(), 1u);
-}
-
-TEST(HealthTracker, MarkDownIsImmediate)
-{
-    HealthTracker health(3, 5, 0);
-    health.markDown(1, 42);
-    EXPECT_FALSE(health.isUp(1, 42));
-    EXPECT_EQ(health.nodesDown(42), 1u);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "conn/conn.hh"
 #include "core/experiment.hh"
 #include "sim/domain.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace {
@@ -112,16 +113,28 @@ TEST(ConnConfigDeath, ClientsTakeTheScenarioKeyBound)
 
 TEST(ConnConfig, FlagFormParsesTheDocumentedExample)
 {
-    // The --connections example in bench/common.hh: qp_cold is a
-    // duration in the flag form too, as in a [connections] section.
-    const conn::ConnConfig cfg = conn::parseConnConfig(
-        "all:clients=2048,qp_capacity=64,qp_cold=1us");
+    // The --connections example in bench/common.hh.
+    const conn::ConnConfig cfg =
+        conn::parseConnConfig("all:clients=2048,qp_capacity=64");
     EXPECT_EQ(cfg.numClients, 2048u);
     EXPECT_EQ(cfg.qpCapacity, 64u);
-    EXPECT_EQ(cfg.qpCold, sim::microseconds(1.0));
     EXPECT_EQ(cfg.schedulerSpec().toString(), "all");
-    EXPECT_EQ(conn::parseConnConfig("all:clients=1,qp_cold=800").qpCold,
-              sim::nanoseconds(800.0));
+}
+
+TEST(ConnConfigDeath, QpColdIsNotAFlagKey)
+{
+    // The cold-fetch penalty is the constant node::qpColdFetch: a
+    // qp_cold= key reaches the scheduler, which rejects it, and the
+    // flag's ErrorContext frame names where it came from.
+    EXPECT_EXIT(
+        {
+            const sim::ErrorContext ctx(
+                "--connections=all:clients=1,qp_cold=1us");
+            (void)conn::parseConnConfig("all:clients=1,qp_cold=1us");
+        },
+        ::testing::ExitedWithCode(1),
+        "--connections=all:clients=1,qp_cold=1us: .*unknown parameter "
+        "'qp_cold'");
 }
 
 // ----- effective QP capacity derivation -----

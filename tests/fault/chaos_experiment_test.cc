@@ -4,8 +4,9 @@
  * concurrent fault models (crash + packet-loss + packet-delay), an
  * active retry/hedge policy, and failover enabled must be bit-identical
  * run-to-run and across parallel worker counts — including every
- * fault counter and the activation log. Plus the guard rail that
- * packet loss without a request timeout refuses to run at all.
+ * fault counter and the activation log — and a timed fault at t = 0
+ * fires identically under every worker count. Plus the guard rail
+ * that packet loss without a request timeout refuses to run at all.
  */
 
 #include <gtest/gtest.h>
@@ -137,6 +138,34 @@ TEST(ChaosExperiment, WorkerCountNeverChangesResults)
         expectBitIdentical(w1, w2);
         expectBitIdentical(w1, w4);
         EXPECT_GT(w1.fault.packetsDropped, 0u);
+        EXPECT_EQ(w1.verifyFailures, 0u);
+    }
+}
+
+TEST(ChaosExperiment, TimedFaultsAtZeroMatchAcrossWorkerCounts)
+{
+    // A timed fault is a plain event on its victim's wheel, armed
+    // before the run starts, and window 0 opens at t = 0: a fault at
+    // t = 0 fires inside the first window under every worker count.
+    core::ExperimentConfig base = chaosConfig(7);
+    base.faults.clear();
+    const core::RunStats clean = runWith(base, 1);
+    for (const char *spec :
+         {"crash:node=1,at=0,recover_after=50us",
+          "ni-stall:node=2,at=0,for=20us",
+          "slow-core:node=0,core=3,factor=4,at=0,for=30us"}) {
+        SCOPED_TRACE(spec);
+        core::ExperimentConfig cfg = base;
+        cfg.faults = {spec};
+        const core::RunStats w1 = runWith(cfg, 1);
+        const core::RunStats w2 = runWith(cfg, 2);
+        const core::RunStats w4 = runWith(cfg, 4);
+        expectBitIdentical(w1, w2);
+        expectBitIdentical(w1, w4);
+        ASSERT_EQ(w1.fault.activations.size(), 1u);
+        EXPECT_EQ(w1.fault.activations[0].at, 0u);
+        // The fault fired: the run differs from the fault-free one.
+        EXPECT_NE(w1.executedEvents, clean.executedEvents);
         EXPECT_EQ(w1.verifyFailures, 0u);
     }
 }

@@ -19,12 +19,9 @@ using namespace rpcvalet;
 
 fault::Resolution
 resolve(const std::vector<fault::FaultSpec> &specs,
-        std::uint32_t nodes = 4, std::uint32_t cores = 16,
-        bool parallel = false)
+        std::uint32_t nodes = 4, std::uint32_t cores = 16)
 {
-    return fault::resolveFaults(specs,
-                                fault::ResolveContext{nodes, cores,
-                                                      parallel});
+    return fault::resolveFaults(specs, fault::ResolveContext{nodes, cores});
 }
 
 // ----- registry -----
@@ -108,17 +105,6 @@ TEST(FaultResolveDeath, SlowCoreOfOutOfRangeCoreIsFatal)
                                "at=1us,for=1us"},
                               /*nodes=*/4, /*cores=*/16),
                 ::testing::ExitedWithCode(1), "core 16");
-}
-
-TEST(FaultResolveDeath, TimedFaultAtZeroRejectedInParallelMode)
-{
-    // t=0 would have to fire before the first window opens.
-    EXPECT_EXIT((void)resolve({"crash:node=0,at=0"}, 4, 16,
-                              /*parallel=*/true),
-                ::testing::ExitedWithCode(1), "t=0.*parallel");
-    // The same spec is fine sequentially.
-    const fault::Resolution r = resolve({"crash:node=0,at=0"});
-    EXPECT_EQ(r.timeline.size(), 1u);
 }
 
 // ----- resolution products -----

@@ -141,7 +141,6 @@ struct Harness
             std::make_unique<EchoServer>(sim, fabric, app, service);
         TrafficGenerator::Params p;
         p.arrivalRps = rate_rps;
-        p.clientTurnaround = nanoseconds(50);
         p.seed = 3;
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
                                                 fabric);
@@ -212,7 +211,6 @@ TEST(TrafficGen, SourcesAreSpreadAcrossCluster)
     });
     TrafficGenerator::Params p;
     p.arrivalRps = 2e6;
-    p.clientTurnaround = nanoseconds(50);
     p.seed = 3;
     TrafficGenerator tg(simulator, p, domain, app, fabric);
     tg.start();
@@ -331,7 +329,6 @@ struct RecoveryHarness
         TrafficGenerator::Params p;
         p.arrivalRps = 1e6;
         p.arrival = net::ArrivalSpec::parse("deterministic");
-        p.clientTurnaround = nanoseconds(50);
         p.cluster.requestTimeout = sim::microseconds(10.0);
         p.seed = 3;
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,

@@ -39,12 +39,10 @@ TEST(ScenarioParse, FullFilePopulatesEveryField)
         "warmup   = 100\n"
         "measured = 1000\n"
         "seed     = 7\n"
-        "turnaround = 150ns\n"
         "parallel_domains = 2\n"
         "[cluster]\n"
         "nodes    = 4\n"
         "router   = shard\n"
-        "shards   = 128\n"
         "timeout  = 50us\n"
         "fail_threshold = 5\n"
         "[sweep]\n"
@@ -68,11 +66,9 @@ TEST(ScenarioParse, FullFilePopulatesEveryField)
     EXPECT_EQ(scn.base.warmupRpcs, 100u);
     EXPECT_EQ(scn.base.measuredRpcs, 1000u);
     EXPECT_EQ(scn.base.system.seed, 7u);
-    EXPECT_EQ(scn.base.clientTurnaround, sim::nanoseconds(150.0));
     EXPECT_EQ(scn.base.parallelDomains, 2u);
     EXPECT_EQ(scn.base.cluster.numServerNodes, 4u);
     EXPECT_EQ(scn.base.cluster.router.toString(), "shard");
-    EXPECT_EQ(scn.base.cluster.shards, 128u);
     EXPECT_EQ(scn.base.cluster.requestTimeout,
               sim::microseconds(50.0));
     EXPECT_EQ(scn.base.cluster.failThreshold, 5u);
@@ -99,7 +95,6 @@ TEST(ScenarioParse, ChaosSectionPopulatesFaultsAndRetry)
         "[cluster]\n"
         "nodes   = 4\n"
         "timeout = 30us\n"
-        "sweep_interval = 5us\n"
         "[chaos]\n"
         "fault = crash:node=3,at=100us,recover_after=300us\n"
         "fault = packet-loss:p=0.005\n"
@@ -122,7 +117,6 @@ TEST(ScenarioParse, ChaosSectionPopulatesFaultsAndRetry)
     EXPECT_DOUBLE_EQ(scn.base.retry.jitter, 0.2);
     EXPECT_EQ(scn.base.retry.hedgeAfter, sim::microseconds(20.0));
     EXPECT_TRUE(scn.base.retry.active());
-    EXPECT_EQ(scn.base.cluster.sweepInterval, sim::microseconds(5.0));
 }
 
 TEST(ScenarioParse, EveryCheckedInScenarioParsesAndExpands)
@@ -286,12 +280,34 @@ TEST(ScenarioParseDeath, ActiveRetryWithoutClusterTimeoutIsFatal)
                 "timeout");
 }
 
-TEST(ScenarioParseDeath, ZeroSweepIntervalIsFatal)
+TEST(ScenarioParseDeath, ModelConstantKeysAreUnknown)
 {
+    // The client turnaround, shard count, sweep period and QP
+    // cold-fetch penalty are model constants: a file that still sets
+    // one dies on the unknown key, naming file and line.
     EXPECT_EXIT((void)scenario::parseScenarioText(
-                    "[cluster]\nsweep_interval = 0\n", "bad.scn"),
+                    "[experiment]\nseed = 1\nturnaround = 150ns\n",
+                    "old.scn"),
                 ::testing::ExitedWithCode(1),
-                "'sweep_interval' must be > 0");
+                "old\\.scn:3 \\(turnaround = 150ns\\).*unknown "
+                "\\[experiment\\] key 'turnaround'");
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[cluster]\nnodes = 4\nshards = 128\n", "old.scn"),
+                ::testing::ExitedWithCode(1),
+                "old\\.scn:3 \\(shards = 128\\).*unknown "
+                "\\[cluster\\] key 'shards'");
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[cluster]\ntimeout = 30us\nsweep_interval = 5us\n",
+                    "old.scn"),
+                ::testing::ExitedWithCode(1),
+                "old\\.scn:3 \\(sweep_interval = 5us\\).*unknown "
+                "\\[cluster\\] key 'sweep_interval'");
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[connections]\nclients = 64\nqp_cold = 1us\n",
+                    "old.scn"),
+                ::testing::ExitedWithCode(1),
+                "old\\.scn:3 \\(qp_cold = 1us\\).*unknown "
+                "\\[connections\\] key 'qp_cold'");
 }
 
 TEST(ScenarioParseDeath, LoadAxisIsMandatoryAndExclusive)
@@ -316,7 +332,6 @@ TEST(ScenarioParse, ConnectionsSectionPopulatesConnConfig)
         "clients     = 2048\n"
         "scheduler   = grouped:size=40,slice=100us\n"
         "qp_capacity = 64\n"
-        "qp_cold     = 800ns\n"
         "[sweep]\n"
         "load = 0.5\n",
         "conn.scn");
@@ -327,7 +342,6 @@ TEST(ScenarioParse, ConnectionsSectionPopulatesConnConfig)
     EXPECT_EQ(scn.base.connections.scheduler.toString(),
               "grouped:size=40,slice=100us");
     EXPECT_EQ(scn.base.connections.qpCapacity, 64u);
-    EXPECT_EQ(scn.base.connections.qpCold, sim::nanoseconds(800.0));
 }
 
 TEST(ScenarioParseDeath, BadConnectionsKeysDieWithFileAndLine)

@@ -182,10 +182,8 @@ runOne(const std::string &path, const Options &opt)
             // file-independent context.
             const fault::Resolution plan = fault::resolveFaults(
                 pt.config.faults,
-                fault::ResolveContext{
-                    pt.config.cluster.numServerNodes,
-                    pt.config.system.numCores(),
-                    pt.config.parallelDomains > 0});
+                fault::ResolveContext{pt.config.cluster.numServerNodes,
+                                      pt.config.system.numCores()});
             if (plan.timeline.empty()) {
                 std::printf("        (no faults)\n");
                 continue;
