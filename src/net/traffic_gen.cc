@@ -278,6 +278,16 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     // means that duplicate's reply was lost; it can never arrive, so
     // the stale marker must not misclassify this use's late replies.
     s.expectDuplicate = false;
+    // Likewise a reply the previous use left half assembled lost a
+    // block: it can never complete, and its blocks must not pollute
+    // this use's reply; its buffer goes back to the pool. The reset
+    // waits for this point rather than the previous use's retirement:
+    // a request that timed out while its reply was streaming in still
+    // gets the rest of that reply, which completes the assembly (as a
+    // stale reply) and returns the server's send-slot credit.
+    if (s.reply.total != 0)
+        replyPool_.push_back(std::move(s.reply.bytes));
+    s.reply = ReplyAssembly{};
     const std::uint32_t connClient = request.conn.client;
     connSched_->onLaunched(connClient);
     const bool isHedge = hedge_of != kNoKey;
@@ -475,11 +485,6 @@ TrafficGenerator::retire(std::uint64_t key, bool completed)
     }
     live_.pop_back();
     s.livePos = kIdle;
-    // A partially assembled reply for the request must not pollute
-    // the slot's next use; its buffer goes back to the pool.
-    if (s.reply.total != 0)
-        replyPool_.push_back(std::move(s.reply.bytes));
-    s.reply = ReplyAssembly{};
     // Connection accounting + the drain-before-switch signal. Either
     // can admit deferred requests, which re-enter this generator and
     // are routed on the per-server counts: an abandoned request is

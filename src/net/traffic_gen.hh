@@ -419,7 +419,8 @@ class TrafficGenerator final : private cluster::ClusterView
         std::uint32_t arrived = 0;
         std::uint32_t total = 0;
         /** Taken from replyPool_ at the first block, returned to it
-         *  once the reply completes or is dropped. */
+         *  once the reply completes or the slot's next launch drops
+         *  it unfinished (a block was lost). */
         std::vector<std::uint8_t> bytes;
     };
     /** Reassembly buffers not in use: a message pool shared by every

@@ -139,6 +139,33 @@ TEST(ClusterExperiment, NodeFailureIsDetectedAndTrafficReroutes)
         EXPECT_GT(r.perNode[i].served, r.perNode[3].served);
 }
 
+TEST(ClusterExperiment, ReplyLandingAcrossATimeoutReturnsItsCredit)
+{
+    // 1536 B reads: every reply is 25 blocks. A 1.2 us timeout expires
+    // many requests while their reply is still streaming in. The rest
+    // of such a reply must still complete its assembly, so the client
+    // counts it stale and returns the server's send-slot credit; a
+    // reply whose credit never comes back wedges its mirrored slot,
+    // and every later reply on it spins the serving core.
+    core::ExperimentConfig cfg;
+    cfg.workload = app::WorkloadSpec("herd:value_bytes=1536,read_ratio=1");
+    cfg.system.seed = 5;
+    cfg.cluster.numServerNodes = 2;
+    cfg.cluster.router = cluster::RouterSpec::parse("rr");
+    cfg.cluster.requestTimeout = sim::microseconds(1.2);
+    cfg.arrivalRps =
+        0.8 * 2 * core::estimateCapacityRps(cfg.system, cfg.workload);
+    cfg.warmupRpcs = 500;
+    cfg.measuredRpcs = 5000;
+
+    const core::RunStats r = core::runExperiment(cfg);
+    // The path ran: requests timed out and their replies came late.
+    EXPECT_GT(r.requestTimeouts, 0u);
+    EXPECT_GT(r.staleReplies, 0u);
+    EXPECT_EQ(r.replySlotStalls, 0u);
+    EXPECT_EQ(r.verifyFailures, 0u);
+}
+
 // ----- validation -----
 
 TEST(ClusterExperimentDeath, UnknownRouterDiesBeforeTheRun)
