@@ -167,6 +167,9 @@ class Parser
     }
 
   private:
+    /** Line-shape errors, raised before the per-key ErrorContext frame
+     *  exists, name the location themselves; the key handlers below
+     *  run inside that frame and call sim::fatal directly. */
     [[noreturn]] void
     die(const std::string &msg) const
     {
@@ -200,10 +203,10 @@ class Parser
         } else if (key == "parallel_domains") {
             const std::uint64_t n = sim::parseUint(value);
             if (n > 1024)
-                die("'parallel_domains' must be at most 1024");
+                sim::fatal("'parallel_domains' must be at most 1024");
             out_.base.parallelDomains = static_cast<unsigned>(n);
         } else {
-            die("unknown [experiment] key '" + key +
+            sim::fatal("unknown [experiment] key '" + key +
                 "' (expected name, workload, arrival, policy, mode, "
                 "warmup, measured, seed, or parallel_domains)");
         }
@@ -231,7 +234,7 @@ class Parser
         } else if (key == "recovery_after") {
             out_.base.cluster.recoveryAfter = sim::parseDuration(value);
         } else {
-            die("unknown [cluster] key '" + key +
+            sim::fatal("unknown [cluster] key '" + key +
                 "' (expected nodes, router, timeout, fail_threshold, "
                 "or recovery_after)");
         }
@@ -262,7 +265,7 @@ class Parser
             out_.base.connections.qpCapacity = static_cast<std::uint32_t>(
                 sim::parseUint(value, 0, UINT32_MAX));
         } else {
-            die("unknown [connections] key '" + key +
+            sim::fatal("unknown [connections] key '" + key +
                 "' (expected nodes, clients, scheduler, or "
                 "qp_capacity)");
         }
@@ -294,7 +297,7 @@ class Parser
         } else if (key == "hedge_after") {
             out_.base.retry.hedgeAfter = sim::parseDuration(value);
         } else {
-            die("unknown [chaos] key '" + key +
+            sim::fatal("unknown [chaos] key '" + key +
                 "' (expected fault, retry_max_attempts, retry_backoff, "
                 "retry_multiplier, retry_jitter, or hedge_after)");
         }
@@ -358,7 +361,7 @@ class Parser
                 sim::fatal("'threads' must be in [1, 1024]");
             out_.threads = static_cast<unsigned>(n);
         } else {
-            die("unknown [sweep] key '" + key +
+            sim::fatal("unknown [sweep] key '" + key +
                 "' (expected load, rps, workload, policy, arrival, "
                 "router, scheduler, nodes, or threads)");
         }
@@ -374,7 +377,7 @@ class Parser
         else if (key == "prometheus")
             out_.writePrometheus = sim::parseBool(value);
         else
-            die("unknown [output] key '" + key +
+            sim::fatal("unknown [output] key '" + key +
                 "' (expected dir, json, or prometheus)");
     }
 

@@ -169,6 +169,22 @@ TEST(ScenarioParseDeath, UnknownKeyNamesFileAndLine)
                 "\\[experiment\\] key 'typo_key'");
 }
 
+TEST(ScenarioParseDeath, KeyErrorNamesItsLocationOnce)
+{
+    // The per-key frame already names file:line; the handler's own
+    // message must follow it directly, not repeat the location.
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[experiment]\nname = x\nbogus_key = 1\n", "bad.scn"),
+                ::testing::ExitedWithCode(1),
+                "bad\\.scn:3 \\(bogus_key = 1\\): unknown \\[experiment\\] "
+                "key 'bogus_key'");
+    EXPECT_EXIT((void)scenario::parseScenarioText(
+                    "[experiment]\nparallel_domains = 4096\n", "bad.scn"),
+                ::testing::ExitedWithCode(1),
+                "bad\\.scn:2 \\(parallel_domains = 4096\\): "
+                "'parallel_domains' must be at most 1024");
+}
+
 TEST(ScenarioParseDeath, FailNodeIsAnUnknownClusterKey)
 {
     // Node crashes are spelled one way: [chaos] fault = crash:...
