@@ -72,28 +72,32 @@ RecvBuffer::RecvBuffer(const proto::MessagingDomain &domain)
         s.payload.reserve(domain.maxMsgBytes);
 }
 
-bool
-RecvBuffer::packetArrived(const proto::Packet &pkt, sim::Tick now)
+Staged
+RecvBuffer::stage(const proto::Packet &pkt, sim::Tick now)
 {
-    RV_ASSERT(pkt.hdr.op == proto::OpType::Send,
-              "recv buffer only accepts send packets");
+    const bool send = pkt.hdr.op == proto::OpType::Send;
+    RV_ASSERT(send || pkt.hdr.op == proto::OpType::ReadResponse,
+              "recv buffer only accepts send packets and read responses");
     const std::uint32_t index =
         domain_.slotIndex(pkt.hdr.src, pkt.hdr.slot);
     RecvSlot &rs = slots_[index];
+    Staged staged;
 
-    if (!rs.busy) {
-        // First packet of the message claims the slot. Senders only
-        // reuse a slot after receiving its replenish, so a busy slot
-        // with a fresh first packet would be a protocol violation —
-        // caught by the asserts below.
-        rs.busy = true;
-        rs.arrivedBlocks = 0;
+    if (!send) {
+        RV_ASSERT(rs.busy, "read response for a free slot");
+        RV_ASSERT(rs.msgBytes == pkt.hdr.msgBytes,
+                  "read response size mismatch");
+    } else if (rs.arrivedBlocks == 0) {
+        // First-received packet of the message. Senders only reuse a
+        // slot after receiving its replenish, which follows release(),
+        // so the slot must be free — a claimed slot here is a fresh
+        // message racing the previous one.
+        RV_ASSERT(!rs.busy, "slot reused before replenish (slot busy)");
         rs.totalBlocks = pkt.hdr.totalBlocks;
         rs.msgBytes = pkt.hdr.msgBytes;
         rs.firstPacketTick = now;
         rs.payload.assign(pkt.hdr.msgBytes, 0);
-        ++busyCount_;
-        busyPeak_ = std::max(busyPeak_, busyCount_);
+        staged.claims = true;
     } else {
         RV_ASSERT(rs.totalBlocks == pkt.hdr.totalBlocks,
                   "slot reused before replenish (totalBlocks mismatch)");
@@ -108,7 +112,19 @@ RecvBuffer::packetArrived(const proto::Packet &pkt, sim::Tick now)
     ++rs.arrivedBlocks;
     RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
               "more packets than blocks for slot");
-    return rs.arrivedBlocks == rs.totalBlocks;
+    staged.completes = rs.arrivedBlocks == rs.totalBlocks;
+    return staged;
+}
+
+void
+RecvBuffer::claim(std::uint32_t index)
+{
+    RV_ASSERT(index < slots_.size(), "recv slot out of range");
+    RecvSlot &rs = slots_[index];
+    RV_ASSERT(!rs.busy, "slot reused before replenish (claimed twice)");
+    rs.busy = true;
+    ++busyCount_;
+    busyPeak_ = std::max(busyPeak_, busyCount_);
 }
 
 void
@@ -125,25 +141,6 @@ RecvBuffer::beginRendezvous(std::uint32_t index, std::uint32_t full_bytes)
     // Rendezvous payloads may exceed maxMsgBytes by design; the pulled
     // data lands in registered host memory, not the slot-sized area.
     rs.payload.assign(full_bytes, 0);
-}
-
-bool
-RecvBuffer::pullBlockArrived(const proto::Packet &pkt)
-{
-    RV_ASSERT(pkt.hdr.op == proto::OpType::ReadResponse,
-              "pull path only accepts read responses");
-    const std::uint32_t index =
-        domain_.slotIndex(pkt.hdr.src, pkt.hdr.slot);
-    RecvSlot &rs = slots_[index];
-    RV_ASSERT(rs.busy, "read response for a free slot");
-    RV_ASSERT(rs.msgBytes == pkt.hdr.msgBytes,
-              "read response size mismatch");
-
-    proto::placeBlock(pkt, rs.payload);
-    ++rs.arrivedBlocks;
-    RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
-              "more read responses than blocks");
-    return rs.arrivedBlocks == rs.totalBlocks;
 }
 
 const RecvSlot &

@@ -80,17 +80,30 @@ class SendBuffer
 
 /**
  * Receive-buffer slot: payload bytes plus the arrival counter the NI
- * increments per received packet (§4.2). A slot is busy from first
- * packet until the serving core's replenish is transmitted.
+ * increments per received packet (§4.2). A slot is busy (claimed) from
+ * the moment its message's first-received packet leaves the NI
+ * pipeline until the serving core's replenish is transmitted.
  */
 struct RecvSlot
 {
     bool busy = false;
+    /** Packets of the current message (or pull) received so far,
+     *  counted as they enter the NI: reaching totalBlocks marks the
+     *  packet that completes the message. */
     std::uint32_t arrivedBlocks = 0;
     std::uint32_t totalBlocks = 0;
     std::uint32_t msgBytes = 0;
     sim::Tick firstPacketTick = 0;
     std::vector<std::uint8_t> payload;
+};
+
+/** The NI pipeline-exit work one received packet carries (§4.4). */
+struct Staged
+{
+    /** First-received packet of a send: claims the slot (claim()). */
+    bool claims = false;
+    /** Last-received packet: the message (or pull) is complete. */
+    bool completes = false;
 };
 
 /** A node's receive buffer: N x S slots, addressed by flat index. */
@@ -100,11 +113,23 @@ class RecvBuffer
     explicit RecvBuffer(const proto::MessagingDomain &domain);
 
     /**
-     * Account one arrived packet: claims the slot on the first packet,
-     * copies the payload block, bumps the counter. Returns true when
-     * this packet completes the message (counter == totalBlocks).
+     * Receive-time half of a send or read-response packet's arrival:
+     * check the packet against its slot, copy its block into place and
+     * bump the arrival counter. A send's first-received packet sets
+     * the message up (size, firstPacketTick = @p now, zeroed payload);
+     * the slot counts as busy only once that packet leaves the NI
+     * pipeline (claim()). A read response lands in a slot that
+     * beginRendezvous() armed. Returns the pipeline-exit work this
+     * packet carries: a middle block carries none, so its block and
+     * count are all there is to it.
      */
-    bool packetArrived(const proto::Packet &pkt, sim::Tick now);
+    Staged stage(const proto::Packet &pkt, sim::Tick now);
+
+    /**
+     * Pipeline exit of a message's first-received send packet: the
+     * slot is busy from here until release().
+     */
+    void claim(std::uint32_t index);
 
     /**
      * Rendezvous (§4.2): after a descriptor send completes, switch its
@@ -114,12 +139,6 @@ class RecvBuffer
      * firstPacketTick (latency clock started at the descriptor).
      */
     void beginRendezvous(std::uint32_t index, std::uint32_t full_bytes);
-
-    /**
-     * Account one read-response block of a rendezvous pull. Returns
-     * true when the pull is complete.
-     */
-    bool pullBlockArrived(const proto::Packet &pkt);
 
     /** Access a slot by flat index. */
     const RecvSlot &slot(std::uint32_t index) const;

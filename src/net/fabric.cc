@@ -122,6 +122,31 @@ Fabric::send(proto::Packet pkt)
 }
 
 void
+Fabric::sendTrain(std::vector<proto::Packet> &pkts)
+{
+    RV_ASSERT(!pkts.empty(), "empty packet train");
+    RV_ASSERT(pkts.front().hdr.src == pkts.back().hdr.src &&
+                  pkts.front().hdr.dst == pkts.back().hdr.dst,
+              "a train runs from one node to one node");
+    const sim::DomainId src = domainOf(pkts.front().hdr.src);
+    const sim::DomainId dst = domainOf(pkts.front().hdr.dst);
+    if (pkts.size() == 1 || perturber_ != nullptr || src != dst) {
+        for (const proto::Packet &p : pkts)
+            send(p);
+        pkts.clear();
+        return;
+    }
+    DomainState &s = *domains_[src];
+    BatchDeliverEvent *ev = s.batchPool.acquire();
+    ev->fabric = this;
+    ev->dom = dst;
+    // A released batch event's buffer is empty, so the swap hands the
+    // caller an empty buffer back.
+    ev->pkts.swap(pkts);
+    s.sim->schedule(*ev, latency_);
+}
+
+void
 Fabric::closeWindow(sim::Tick nextWindowEnd)
 {
     RV_ASSERT(domains_.size() > 1, "closeWindow on a one-domain fabric");
@@ -207,9 +232,9 @@ Fabric::DeliverEvent::process()
 void
 Fabric::BatchDeliverEvent::process()
 {
-    // Batch events are only acquired by drainInbox() (never from a
-    // sink), so the packet vector is stable while it delivers, and
-    // clearing it keeps its capacity for the next batch.
+    // A sink that sends again draws another event, so the packet
+    // vector is stable while it delivers, and clearing it keeps its
+    // capacity for the next batch.
     for (const proto::Packet &p : pkts)
         fabric->deliver(dom, p);
     pkts.clear();

@@ -148,6 +148,29 @@ class Fabric
     void send(proto::Packet pkt);
 
     /**
+     * Whether a train may travel as one event: true unless a
+     * perturber is attached, which must see every packet at its own
+     * posting tick (in Rng draw order). A sender whose packets leave
+     * at different ticks asks this before it merges them into one
+     * train posted at the last packet's tick.
+     */
+    bool fusesTrains() const { return perturber_ == nullptr; }
+
+    /**
+     * Inject a train: @p pkts, all from one node to one node, posted
+     * at this tick in order. Each arrives after latency exactly as if
+     * sent one by one; without a perturber a same-domain train is
+     * delivered by one pooled event, in posting order (the order the
+     * one-event-per-packet schedule would fire them in, since every
+     * such event sits back to back in the tick's FIFO). Cross-domain
+     * trains post packet by packet, and drainInbox() coalesces them;
+     * with a perturber every packet goes through send(). The packets
+     * move into the event by a buffer swap, not a copy: @p pkts comes
+     * back empty, holding a spare buffer the caller may refill.
+     */
+    void sendTrain(std::vector<proto::Packet> &pkts);
+
+    /**
      * Barrier step (two or more domains; coordinator only, all domain
      * threads quiescent): close the executing window — its mail is
      * parked in the closed bank for drainInbox() — and arm the next
@@ -198,8 +221,9 @@ class Fabric
     };
 
     /**
-     * Coalesced cross-domain ingress: every packet due at one
-     * (domain, tick) rides a single event, in deterministic order.
+     * Several packets due at one (domain, tick) on a single event, in
+     * order: a same-domain train (sendTrain), or the cross-domain
+     * mail drainInbox() coalesces.
      */
     struct BatchDeliverEvent : sim::Event
     {

@@ -316,14 +316,24 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         fabric_.send(pkt);
         return;
     }
+    sendTrain(proto::OpType::Send, src, dst, slot, bytes, connClient);
+}
+
+void
+TrafficGenerator::sendTrain(proto::OpType op, proto::NodeId src,
+                            proto::NodeId dst, std::uint32_t slot,
+                            const std::vector<std::uint8_t> &bytes,
+                            std::uint32_t conn_client)
+{
+    // Every block leaves at this tick: one train, built in place.
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(bytes.size()));
+    train_.resize(total);
     for (std::uint32_t b = 0; b < total; ++b) {
-        proto::makePacket(pkt, proto::OpType::Send, src, dst, slot, bytes,
-                          b);
-        pkt.hdr.connClient = connClient;
-        fabric_.send(pkt);
+        proto::makePacket(train_[b], op, src, dst, slot, bytes, b);
+        train_[b].hdr.connClient = conn_client;
     }
+    fabric_.sendTrain(train_);
 }
 
 void
@@ -384,15 +394,8 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
         sim_.schedule(
             sim::nanoseconds(60.0),
             [this, owner, reader, slot, payload, connClient] {
-                const std::uint32_t total = proto::blocksForBytes(
-                    static_cast<std::uint32_t>(payload.size()));
-                proto::Packet block;
-                for (std::uint32_t b = 0; b < total; ++b) {
-                    proto::makePacket(block, proto::OpType::ReadResponse,
-                                      owner, reader, slot, payload, b);
-                    block.hdr.connClient = connClient;
-                    fabric_.send(block);
-                }
+                sendTrain(proto::OpType::ReadResponse, owner, reader, slot,
+                          payload, connClient);
             });
         break;
       }

@@ -358,6 +358,11 @@ class TrafficGenerator final : private cluster::ClusterView
     void launchRequest(proto::NodeId src, std::uint32_t server,
                        std::uint32_t slot, Request request,
                        std::uint64_t hedge_of);
+    /** Send @p bytes from @p src to slot @p slot at @p dst as one
+     *  train of @p op packets, all posted now. */
+    void sendTrain(proto::OpType op, proto::NodeId src, proto::NodeId dst,
+                   std::uint32_t slot, const std::vector<std::uint8_t> &bytes,
+                   std::uint32_t conn_client);
     /** Send a hedged duplicate of the in-flight request at
      *  @p primary_key (no-op if no slot is free at the hedge's
      *  routed target — the next sweep retries). */
@@ -428,6 +433,9 @@ class TrafficGenerator final : private cluster::ClusterView
      *  ever assembled at once rather than one per slot, and a reply
      *  reuses a recycled buffer's capacity instead of allocating. */
     std::vector<std::vector<std::uint8_t>> replyPool_;
+    /** Packets of the train being sent; Fabric::sendTrain swaps them
+     *  into its delivery event and hands back a spare buffer. */
+    std::vector<proto::Packet> train_;
 
     /** A request in flight, on the slot its key names. */
     struct LiveRequest

@@ -10,14 +10,13 @@ namespace rpcvalet::ni {
 
 NiBackend::NiBackend(sim::EventDomain &sim, std::uint32_t id,
                      mem::RecvBuffer &recv, CompletionHandler on_complete,
-                     ReplenishHandler on_replenish, Injector inject)
+                     ReplenishHandler on_replenish, net::Fabric &fabric)
     : sim_(sim), id_(id), recv_(recv),
       onComplete_(std::move(on_complete)),
-      onReplenish_(std::move(on_replenish)), inject_(std::move(inject))
+      onReplenish_(std::move(on_replenish)), fabric_(fabric)
 {
     RV_ASSERT(onComplete_ != nullptr, "backend needs a completion hook");
     RV_ASSERT(onReplenish_ != nullptr, "backend needs a replenish hook");
-    RV_ASSERT(inject_ != nullptr, "backend needs a fabric injector");
 }
 
 void
@@ -37,10 +36,20 @@ NiBackend::receivePacket(const proto::Packet &pkt)
     ingressFreeAt_ = start + backendPacketOccupancy;
     ingressBusy_ += backendPacketOccupancy;
     ++packetsReceived_;
+    // §4.4: write the payload block and bump the arrival counter as
+    // the packet enters; only a claim or a completion is left for its
+    // pipeline exit.
+    mem::Staged staged;
+    if (pkt.hdr.op == proto::OpType::Send ||
+        pkt.hdr.op == proto::OpType::ReadResponse) {
+        staged = recv_.stage(pkt, arrival);
+        if (!staged.claims && !staged.completes)
+            return;
+    }
     IngressEvent *ev = ingressPool_.acquire();
     ev->backend = this;
     ev->pkt = pkt;
-    ev->arrival = arrival;
+    ev->staged = staged;
     sim_.scheduleAt(*ev, ingressFreeAt_);
 }
 
@@ -49,7 +58,7 @@ NiBackend::IngressEvent::process()
 {
     // Process straight from the event, then recycle it: processing
     // that receives or forwards more packets draws other events.
-    backend->processIngress(pkt, arrival);
+    backend->processIngress(pkt, staged);
     backend->ingressPool_.release(this);
 }
 
@@ -58,8 +67,16 @@ NiBackend::InjectEvent::process()
 {
     if (countOnFire)
         ++backend->packetsSent_;
-    backend->inject_(pkt);
+    backend->fabric_.send(pkt);
     backend->injectPool_.release(this);
+}
+
+void
+NiBackend::TrainEvent::process()
+{
+    // sendTrain takes the packets and leaves pkts empty for reuse.
+    backend->fabric_.sendTrain(pkts);
+    backend->trainPool_.release(this);
 }
 
 void
@@ -72,17 +89,19 @@ NiBackend::CompletionEvent::process()
 }
 
 void
-NiBackend::processIngress(const proto::Packet &pkt, sim::Tick arrival)
+NiBackend::processIngress(const proto::Packet &pkt, mem::Staged staged)
 {
     switch (pkt.hdr.op) {
       case proto::OpType::Send: {
-        // §4.4: write the payload block, fetch-and-increment the
-        // arrival counter, compare against the header's total size.
-        const bool complete = recv_.packetArrived(pkt, arrival);
-        if (!complete)
-            break;
+        // The block and counter were staged at arrival; the first-
+        // received packet claims the slot as it leaves the pipeline,
+        // and the last-received one completes the message.
         const std::uint32_t index =
             recv_.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot);
+        if (staged.claims)
+            recv_.claim(index);
+        if (!staged.completes)
+            break;
         if (pkt.hdr.rendezvous) {
             // §4.2 rendezvous: the descriptor names the payload's
             // location and size; the NI pulls it with a one-sided
@@ -108,14 +127,12 @@ NiBackend::processIngress(const proto::Packet &pkt, sim::Tick arrival)
         break;
       }
       case proto::OpType::ReadResponse: {
-        // Rendezvous pull data coming back; completes like a send
-        // once every block has landed.
-        const bool complete = recv_.pullBlockArrived(pkt);
-        if (complete) {
-            const std::uint32_t index =
-                recv_.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot);
-            signalCompletion(index, pkt.hdr.src, pkt.hdr.connClient);
-        }
+        // Rendezvous pull data coming back; only the block that
+        // completes the pull gets here (staged at arrival like a send).
+        RV_ASSERT(staged.completes, "read response event without work");
+        const std::uint32_t index =
+            recv_.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot);
+        signalCompletion(index, pkt.hdr.src, pkt.hdr.connClient);
         break;
       }
       case proto::OpType::Replenish:
@@ -164,10 +181,24 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
     const sim::Tick ready = sim_.now() + txSetupLatency;
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
+    packetsSent_ += total;
+    if (total > 1 && fabric_.fusesTrains()) {
+        // A train: every block's egress tick is known now, and the
+        // blocks stream back to back, so one event at the last
+        // block's tick carries them all into the fabric.
+        TrainEvent *ev = trainPool_.acquire();
+        ev->backend = this;
+        ev->pkts.resize(total);
+        for (std::uint32_t b = 0; b < total; ++b)
+            proto::makePacket(ev->pkts[b], op, self, dst, slot, payload, b);
+        egressFreeAt_ = std::max(ready, egressFreeAt_) +
+                        total * backendPacketOccupancy;
+        sim_.scheduleAt(*ev, egressFreeAt_);
+        return;
+    }
     for (std::uint32_t b = 0; b < total; ++b) {
         const sim::Tick start = std::max(ready, egressFreeAt_);
         egressFreeAt_ = start + backendPacketOccupancy;
-        ++packetsSent_;
         InjectEvent *ev = injectPool_.acquire();
         ev->backend = this;
         proto::makePacket(ev->pkt, op, self, dst, slot, payload, b);

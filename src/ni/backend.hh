@@ -17,6 +17,25 @@
  *  Each direction is a serial pipeline with per-packet occupancy;
  *  queueing behind it under load produces the implementation
  *  contention the paper cites for its model-vs-simulation gap (§6.3).
+ *
+ * Message trains. Every packet keeps its own pipeline slot, but a
+ * packet gets a simulator event only where its timing is observable:
+ *
+ *  - Ingress: a packet's pipeline exit time is fixed when it arrives,
+ *    so its block write and counter update are staged then
+ *    (mem::RecvBuffer::stage). Only a message's first-received packet,
+ *    which claims the receive slot, and its last-received packet,
+ *    which completes the message, get an event at their pipeline
+ *    exit; a middle block needs none, because nothing reads its
+ *    effect before the completing packet does.
+ *  - Egress: without a fabric perturber, a multi-block send's packets
+ *    leave as one train: one event at the last block's egress tick
+ *    carries every block into the fabric (net::Fabric::sendTrain),
+ *    which delivers them together. Sends from a server go to the
+ *    client side, whose only use of a middle block is to place it in
+ *    the reply being assembled, read first by the completing block.
+ *    A perturber must see each packet at its own tick, so fault runs
+ *    inject packet by packet.
  */
 
 #ifndef RPCVALET_NI_BACKEND_HH
@@ -24,8 +43,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "mem/buffers.hh"
+#include "net/fabric.hh"
 #include "proto/packet.hh"
 #include "proto/qp.hh"
 #include "sim/domain.hh"
@@ -49,12 +70,11 @@ class NiBackend
     /** Hook for incoming replenish packets (free a local send slot). */
     using ReplenishHandler =
         std::function<void(proto::NodeId dst, std::uint32_t slot)>;
-    /** Packet injection into the inter-node fabric. */
-    using Injector = std::function<void(const proto::Packet &)>;
 
+    /** Outgoing packets go into @p fabric. */
     NiBackend(sim::EventDomain &sim, std::uint32_t id, mem::RecvBuffer &recv,
               CompletionHandler on_complete, ReplenishHandler on_replenish,
-              Injector inject);
+              net::Fabric &fabric);
 
     /** Fabric ingress: a packet addressed to this node. */
     void receivePacket(const proto::Packet &pkt);
@@ -86,12 +106,14 @@ class NiBackend
     sim::Tick ingressBusyTicks() const { return ingressBusy_; }
 
   private:
-    /** Packet waiting out the ingress pipeline occupancy (pooled). */
+    /** Packet whose pipeline exit claims a slot, completes a message
+     *  or carries a replenish (pooled). */
     struct IngressEvent : sim::Event
     {
         NiBackend *backend = nullptr;
         proto::Packet pkt;
-        sim::Tick arrival = 0;
+        /** Send / read-response work left for the pipeline exit. */
+        mem::Staged staged;
 
         void process() override;
         const char *description() const override
@@ -115,6 +137,20 @@ class NiBackend
         }
     };
 
+    /** A multi-block send leaving as one train at its last block's
+     *  egress tick (no fabric perturber). */
+    struct TrainEvent : sim::Event
+    {
+        NiBackend *backend = nullptr;
+        std::vector<proto::Packet> pkts;
+
+        void process() override;
+        const char *description() const override
+        {
+            return "ni-inject-train";
+        }
+    };
+
     /** Message-completion notification riding the counter update. */
     struct CompletionEvent : sim::Event
     {
@@ -128,7 +164,7 @@ class NiBackend
         }
     };
 
-    void processIngress(const proto::Packet &pkt, sim::Tick arrival);
+    void processIngress(const proto::Packet &pkt, mem::Staged staged);
     void signalCompletion(std::uint32_t index, proto::NodeId src,
                           std::uint32_t conn_client);
 
@@ -137,7 +173,7 @@ class NiBackend
     mem::RecvBuffer &recv_;
     CompletionHandler onComplete_;
     ReplenishHandler onReplenish_;
-    Injector inject_;
+    net::Fabric &fabric_;
 
     sim::Tick ingressFreeAt_ = 0;
     sim::Tick egressFreeAt_ = 0;
@@ -150,6 +186,7 @@ class NiBackend
     std::uint64_t rendezvousPulls_ = 0;
     sim::EventPool<IngressEvent> ingressPool_;
     sim::EventPool<InjectEvent> injectPool_;
+    sim::EventPool<TrainEvent> trainPool_;
     sim::EventPool<CompletionEvent> completionPool_;
 };
 

@@ -56,7 +56,7 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
                 }
                 send_.release(dst, slot);
             },
-            [this](const proto::Packet &pkt) { fabric_.send(pkt); }));
+            fabric_));
     }
 
     auto make_deliver = [this](std::uint32_t backend_id) {

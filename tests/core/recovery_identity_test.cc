@@ -221,7 +221,7 @@ TEST(RecoveryIdentity, RendezvousPullsUnderLoss)
     cfg.cluster.requestTimeout = sim::microseconds(20.0);
     cfg.faults = {"packet-loss:p=0.01"};
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{902982u, 3200u, 1280.0, 42425.430999999997,
+    expectGolden(r, Golden{702452u, 3200u, 1280.0, 42425.430999999997,
                            527u, 527u, 266u, 527u, 0u, 0u, 0u, 0u, 0u, 0u});
     EXPECT_GT(r.rendezvousRequests, 0u);
 }

@@ -108,10 +108,52 @@ sendPacket(proto::NodeId src, std::uint32_t slot, std::uint32_t block,
     return pkt;
 }
 
+/** One packet that enters and leaves the NI pipeline at @p now: stage
+ *  it, claim the slot if it is the message's first. Returns whether
+ *  it completes the message. */
+bool
+arrive(RecvBuffer &rb, const proto::Packet &pkt, sim::Tick now)
+{
+    const mem::Staged staged = rb.stage(pkt, now);
+    if (staged.claims)
+        rb.claim(rb.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot));
+    return staged.completes;
+}
+
+TEST(RecvBuffer, StagingMarksFirstAndLastReceivedOnly)
+{
+    // Only the first-received packet claims and only the last-received
+    // completes; the middle blocks carry no pipeline-exit work.
+    RecvBuffer rb(smallDomain());
+    const auto idx = rb.domain().slotIndex(2, 1);
+    const mem::Staged first = rb.stage(sendPacket(2, 1, 1, 4, 200), 10);
+    EXPECT_TRUE(first.claims);
+    EXPECT_FALSE(first.completes);
+    // Staged but not claimed: the slot is busy only from the first
+    // packet's pipeline exit.
+    EXPECT_FALSE(rb.slot(idx).busy);
+    EXPECT_EQ(rb.busyCount(), 0u);
+    for (std::uint32_t b : {3u, 0u}) {
+        const mem::Staged middle = rb.stage(sendPacket(2, 1, b, 4, 200), 11);
+        EXPECT_FALSE(middle.claims);
+        EXPECT_FALSE(middle.completes);
+    }
+    rb.claim(idx);
+    EXPECT_TRUE(rb.slot(idx).busy);
+    EXPECT_EQ(rb.busyCount(), 1u);
+    const mem::Staged last = rb.stage(sendPacket(2, 1, 2, 4, 200), 12);
+    EXPECT_FALSE(last.claims);
+    EXPECT_TRUE(last.completes);
+    EXPECT_EQ(rb.slot(idx).firstPacketTick, 10u);
+    EXPECT_EQ(rb.slot(idx).arrivedBlocks, 4u);
+    for (std::uint32_t i = 0; i < 200; ++i)
+        EXPECT_EQ(rb.slot(idx).payload[i], static_cast<std::uint8_t>(i & 0xff));
+}
+
 TEST(RecvBuffer, SinglePacketMessageCompletesImmediately)
 {
     RecvBuffer rb(smallDomain());
-    EXPECT_TRUE(rb.packetArrived(sendPacket(1, 0, 0, 1, 48), 100));
+    EXPECT_TRUE(arrive(rb, sendPacket(1, 0, 0, 1, 48), 100));
     const auto &slot = rb.slot(rb.domain().slotIndex(1, 0));
     EXPECT_TRUE(slot.busy);
     EXPECT_EQ(slot.msgBytes, 48u);
@@ -121,9 +163,9 @@ TEST(RecvBuffer, SinglePacketMessageCompletesImmediately)
 TEST(RecvBuffer, MultiPacketCompletesOnLastBlock)
 {
     RecvBuffer rb(smallDomain());
-    EXPECT_FALSE(rb.packetArrived(sendPacket(2, 1, 0, 3, 160), 10));
-    EXPECT_FALSE(rb.packetArrived(sendPacket(2, 1, 1, 3, 160), 20));
-    EXPECT_TRUE(rb.packetArrived(sendPacket(2, 1, 2, 3, 160), 30));
+    EXPECT_FALSE(arrive(rb, sendPacket(2, 1, 0, 3, 160), 10));
+    EXPECT_FALSE(arrive(rb, sendPacket(2, 1, 1, 3, 160), 20));
+    EXPECT_TRUE(arrive(rb, sendPacket(2, 1, 2, 3, 160), 30));
     const auto &slot = rb.slot(rb.domain().slotIndex(2, 1));
     EXPECT_EQ(slot.firstPacketTick, 10u); // latency t0 = first packet
     EXPECT_EQ(slot.arrivedBlocks, 3u);
@@ -132,9 +174,9 @@ TEST(RecvBuffer, MultiPacketCompletesOnLastBlock)
 TEST(RecvBuffer, OutOfOrderArrivalStillCompletes)
 {
     RecvBuffer rb(smallDomain());
-    EXPECT_FALSE(rb.packetArrived(sendPacket(1, 0, 2, 3, 160), 10));
-    EXPECT_FALSE(rb.packetArrived(sendPacket(1, 0, 0, 3, 160), 11));
-    EXPECT_TRUE(rb.packetArrived(sendPacket(1, 0, 1, 3, 160), 12));
+    EXPECT_FALSE(arrive(rb, sendPacket(1, 0, 2, 3, 160), 10));
+    EXPECT_FALSE(arrive(rb, sendPacket(1, 0, 0, 3, 160), 11));
+    EXPECT_TRUE(arrive(rb, sendPacket(1, 0, 1, 3, 160), 12));
     // Payload bytes land at their block offsets regardless of order.
     const auto &slot = rb.slot(rb.domain().slotIndex(1, 0));
     for (std::uint32_t i = 0; i < 160; ++i)
@@ -144,8 +186,8 @@ TEST(RecvBuffer, OutOfOrderArrivalStillCompletes)
 TEST(RecvBuffer, PayloadBytesFaithful)
 {
     RecvBuffer rb(smallDomain());
-    rb.packetArrived(sendPacket(3, 1, 0, 2, 100), 5);
-    rb.packetArrived(sendPacket(3, 1, 1, 2, 100), 6);
+    arrive(rb, sendPacket(3, 1, 0, 2, 100), 5);
+    arrive(rb, sendPacket(3, 1, 1, 2, 100), 6);
     const auto &slot = rb.slot(rb.domain().slotIndex(3, 1));
     ASSERT_EQ(slot.payload.size(), 100u);
     for (std::uint32_t i = 0; i < 100; ++i)
@@ -156,11 +198,11 @@ TEST(RecvBuffer, ReleaseAllowsSlotReuse)
 {
     RecvBuffer rb(smallDomain());
     const auto idx = rb.domain().slotIndex(1, 0);
-    rb.packetArrived(sendPacket(1, 0, 0, 1, 10), 1);
+    arrive(rb, sendPacket(1, 0, 0, 1, 10), 1);
     EXPECT_EQ(rb.busyCount(), 1u);
     rb.release(idx);
     EXPECT_EQ(rb.busyCount(), 0u);
-    rb.packetArrived(sendPacket(1, 0, 0, 1, 20), 2);
+    arrive(rb, sendPacket(1, 0, 0, 1, 20), 2);
     EXPECT_EQ(rb.slot(idx).msgBytes, 20u);
     EXPECT_EQ(rb.slot(idx).firstPacketTick, 2u);
 }
@@ -168,9 +210,9 @@ TEST(RecvBuffer, ReleaseAllowsSlotReuse)
 TEST(RecvBuffer, BusyHighWatermarkTracksPeak)
 {
     RecvBuffer rb(smallDomain());
-    rb.packetArrived(sendPacket(1, 0, 0, 1, 10), 1);
-    rb.packetArrived(sendPacket(1, 1, 0, 1, 10), 2);
-    rb.packetArrived(sendPacket(2, 0, 0, 1, 10), 3);
+    arrive(rb, sendPacket(1, 0, 0, 1, 10), 1);
+    arrive(rb, sendPacket(1, 1, 0, 1, 10), 2);
+    arrive(rb, sendPacket(2, 0, 0, 1, 10), 3);
     rb.release(rb.domain().slotIndex(1, 0));
     EXPECT_EQ(rb.busyCount(), 2u);
     EXPECT_EQ(rb.busyHighWatermark(), 3u);
@@ -181,8 +223,8 @@ TEST(RecvBufferDeath, SlotReuseBeforeReplenishPanics)
     // A new message landing in a busy slot is a protocol violation:
     // the sender must wait for the replenish.
     RecvBuffer rb(smallDomain());
-    rb.packetArrived(sendPacket(1, 0, 0, 1, 10), 1);
-    EXPECT_DEATH((void)rb.packetArrived(sendPacket(1, 0, 0, 2, 80), 2),
+    arrive(rb, sendPacket(1, 0, 0, 1, 10), 1);
+    EXPECT_DEATH((void)arrive(rb, sendPacket(1, 0, 0, 2, 80), 2),
                  "slot reused");
 }
 
@@ -197,7 +239,7 @@ TEST(RecvBufferDeath, ReleaseFreeSlotPanics)
 void
 armPull(RecvBuffer &rb, std::uint32_t full_bytes)
 {
-    ASSERT_TRUE(rb.packetArrived(sendPacket(1, 0, 0, 1, 0), 1));
+    ASSERT_TRUE(arrive(rb, sendPacket(1, 0, 0, 1, 0), 1));
     rb.beginRendezvous(rb.domain().slotIndex(1, 0), full_bytes);
 }
 
@@ -208,8 +250,11 @@ TEST(RecvBuffer, PullBlocksLandAtTheirOffsets)
     const auto data = bytes(300, 9);
     auto blocks = proto::packetize(OpType::ReadResponse, 1, 0, 0, data);
     std::reverse(blocks.begin(), blocks.end());
-    for (std::size_t i = 0; i < blocks.size(); ++i)
-        EXPECT_EQ(rb.pullBlockArrived(blocks[i]), i + 1 == blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const mem::Staged staged = rb.stage(blocks[i], 2);
+        EXPECT_FALSE(staged.claims);
+        EXPECT_EQ(staged.completes, i + 1 == blocks.size());
+    }
     EXPECT_EQ(rb.slot(rb.domain().slotIndex(1, 0)).payload, data);
 }
 
@@ -217,7 +262,7 @@ TEST(RecvBufferDeath, OutOfRangeBlockPanics)
 {
     // Block 3 of a 3-block message used to be dropped silently.
     RecvBuffer rb(smallDomain());
-    EXPECT_DEATH((void)rb.packetArrived(sendPacket(1, 0, 3, 3, 160), 1),
+    EXPECT_DEATH((void)arrive(rb, sendPacket(1, 0, 3, 3, 160), 1),
                  "block index out of range");
 }
 
@@ -228,7 +273,7 @@ TEST(RecvBufferDeath, OutOfRangePullBlockPanics)
     proto::Packet pkt;
     proto::makePacket(pkt, OpType::ReadResponse, 1, 0, 0, bytes(200), 0);
     pkt.hdr.blockIndex = pkt.hdr.totalBlocks;
-    EXPECT_DEATH((void)rb.pullBlockArrived(pkt), "block index out of range");
+    EXPECT_DEATH((void)rb.stage(pkt, 2), "block index out of range");
 }
 
 TEST(RecvBufferDeath, NonSendPacketPanics)
@@ -236,7 +281,7 @@ TEST(RecvBufferDeath, NonSendPacketPanics)
     RecvBuffer rb(smallDomain());
     proto::Packet pkt = sendPacket(1, 0, 0, 1, 10);
     pkt.hdr.op = OpType::Replenish;
-    EXPECT_DEATH((void)rb.packetArrived(pkt, 1), "send packets");
+    EXPECT_DEATH((void)arrive(rb, pkt, 1), "send packets");
 }
 
 } // namespace

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the NI backend pipelines: ingress reassembly &
- * completion signaling, per-packet occupancy, egress streaming, and
- * replenish handling (§4.2, §4.4).
+ * completion signaling, per-packet occupancy, message trains (events
+ * only for a message's first- and last-received packets; one egress
+ * event per multi-block send), egress streaming, and replenish
+ * handling (§4.2, §4.4).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "mem/buffers.hh"
 #include "mem/memory_model.hh"
+#include "net/fabric.hh"
 #include "ni/backend.hh"
 #include "proto/packet.hh"
 #include "sim/domain.hh"
@@ -23,31 +28,55 @@ using Simulator = sim::EventDomain;
 using sim::Tick;
 using sim::nanoseconds;
 
+/** A perturber that never acts: its presence alone makes the fabric
+ *  carry every packet on its own event. */
+struct NoOpPerturber : net::PacketPerturber
+{
+    Verdict
+    perturb(proto::Packet &, sim::DomainId, sim::Tick) override
+    {
+        return {};
+    }
+};
+
 struct Fixture
 {
     proto::MessagingDomain domain;
     Simulator sim;
+    /** Zero latency: a packet reaches its sink at its injection tick. */
+    net::Fabric fabric{sim, 0};
+    NoOpPerturber perturber;
     mem::RecvBuffer recv;
     std::vector<proto::CompletionQueueEntry> completions;
+    std::vector<Tick> completionTimes;
     std::vector<std::pair<proto::NodeId, std::uint32_t>> replenishes;
     std::vector<proto::Packet> injected;
     std::vector<Tick> injectTimes;
     std::unique_ptr<NiBackend> backend;
 
-    Fixture() : domain(makeDomain()), recv(domain)
+    /** @p per_packet attaches the no-op perturber, so egress injects
+     *  every packet at its own tick rather than as one train. */
+    explicit Fixture(bool per_packet = false)
+        : domain(makeDomain()), recv(domain)
     {
+        if (per_packet)
+            fabric.setPerturber(&perturber);
+        for (proto::NodeId n = 1; n < domain.numNodes; ++n) {
+            fabric.connect(n, [this](const proto::Packet &pkt) {
+                injected.push_back(pkt);
+                injectTimes.push_back(sim.now());
+            });
+        }
         backend = std::make_unique<NiBackend>(
             sim, /*id=*/0, recv,
             [this](std::uint32_t, proto::CompletionQueueEntry cqe) {
                 completions.push_back(cqe);
+                completionTimes.push_back(sim.now());
             },
             [this](proto::NodeId n, std::uint32_t s) {
                 replenishes.emplace_back(n, s);
             },
-            [this](proto::Packet pkt) {
-                injected.push_back(pkt);
-                injectTimes.push_back(sim.now());
-            });
+            fabric);
     }
 
     static proto::MessagingDomain
@@ -58,6 +87,14 @@ struct Fixture
         d.slotsPerNode = 2;
         d.maxMsgBytes = 512;
         return d;
+    }
+
+    /** Deliver @p pkt to the backend at absolute tick @p at. */
+    void
+    receiveAt(Tick at, const proto::Packet &pkt)
+    {
+        sim.schedule(at - sim.now(),
+                     [this, pkt] { backend->receivePacket(pkt); });
     }
 };
 
@@ -156,7 +193,7 @@ TEST(Backend, ReplenishInvokesHandler)
 
 TEST(Backend, TransmitStreamsAllBlocks)
 {
-    Fixture f;
+    Fixture f(/*per_packet=*/true);
     f.backend->transmitMessage(proto::OpType::Send, 0, 3, 1, bytes(512));
     f.sim.run();
     ASSERT_EQ(f.injected.size(), 8u);
@@ -172,7 +209,7 @@ TEST(Backend, TransmitStreamsAllBlocks)
 
 TEST(Backend, EgressPacketsPacedByOccupancy)
 {
-    Fixture f;
+    Fixture f(/*per_packet=*/true);
     f.backend->transmitMessage(proto::OpType::Send, 0, 1, 0, bytes(192));
     f.sim.run();
     ASSERT_EQ(f.injectTimes.size(), 3u);
@@ -207,6 +244,169 @@ TEST(Backend, IngressBusyTicksAccumulate)
     f.sim.run();
     EXPECT_EQ(f.backend->ingressBusyTicks(),
               nanoseconds(3.0) * packets.size());
+}
+
+// ----- message trains -----
+
+TEST(Backend, TransmitTrainLeavesAtItsLastBlocksTick)
+{
+    // Without a perturber a multi-block send is one train: one egress
+    // event at the last block's tick and one fabric delivery, carrying
+    // the blocks in order. The pipeline still pays every block.
+    Fixture f;
+    f.backend->transmitMessage(proto::OpType::Send, 0, 1, 0, bytes(192));
+    f.backend->transmitMessage(proto::OpType::Replenish, 0, 1, 0, {});
+    f.sim.run();
+    ASSERT_EQ(f.injected.size(), 4u);
+    const Tick last = nanoseconds(4.5) + 3 * nanoseconds(3.0);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(f.injected[i].hdr.blockIndex, i);
+        EXPECT_EQ(f.injectTimes[i], last);
+    }
+    // The replenish queues behind all three blocks.
+    EXPECT_EQ(f.injected[3].hdr.op, proto::OpType::Replenish);
+    EXPECT_EQ(f.injectTimes[3], last + nanoseconds(3.0));
+    EXPECT_EQ(f.backend->packetsSent(), 4u);
+    // Train + its delivery, replenish + its delivery.
+    EXPECT_EQ(f.sim.executedEvents(), 4u);
+}
+
+TEST(Backend, PerturbedFabricInjectsEveryBlockAlone)
+{
+    Fixture f(/*per_packet=*/true);
+    f.backend->transmitMessage(proto::OpType::Send, 0, 1, 0, bytes(192));
+    f.sim.run();
+    ASSERT_EQ(f.injectTimes.size(), 3u);
+    EXPECT_EQ(f.injectTimes[2] - f.injectTimes[0], 2 * nanoseconds(3.0));
+    // One inject and one delivery per block.
+    EXPECT_EQ(f.sim.executedEvents(), 6u);
+}
+
+TEST(Backend, IngressTrainSchedulesFirstAndLastOnly)
+{
+    // Five blocks at once: the first claims the slot as it leaves the
+    // pipeline, the last completes the message; the three middle
+    // blocks are placed on arrival and need no event.
+    Fixture f;
+    for (const auto &pkt :
+         proto::packetize(proto::OpType::Send, 2, 0, 1, bytes(300)))
+        f.backend->receivePacket(pkt);
+    f.sim.run();
+    ASSERT_EQ(f.completions.size(), 1u);
+    EXPECT_EQ(f.completionTimes[0],
+              5 * nanoseconds(3.0) + mem::counterUpdateLatency);
+    EXPECT_EQ(f.recv.slot(f.domain.slotIndex(2, 1)).payload, bytes(300));
+    EXPECT_EQ(f.backend->packetsReceived(), 5u);
+    EXPECT_EQ(f.backend->ingressBusyTicks(), 5 * nanoseconds(3.0));
+    EXPECT_EQ(f.recv.busyHighWatermark(), 1u);
+    // Claim, complete, completion notification.
+    EXPECT_EQ(f.sim.executedEvents(), 3u);
+}
+
+TEST(Backend, InterleavedSourcesCompleteOnTheirOwnLastPackets)
+{
+    // Two messages share the pipeline packet by packet: each completes
+    // when its own last packet leaves, at the per-packet schedule.
+    Fixture f;
+    const auto a = proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(150));
+    const auto b = proto::packetize(proto::OpType::Send, 2, 0, 1, bytes(250));
+    ASSERT_EQ(a.size(), 3u);
+    ASSERT_EQ(b.size(), 4u);
+    // Order A0 B0 A1 B1 A2 B2 B3: pipeline exits 3, 6, ..., 21 ns.
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        if (i < a.size())
+            f.backend->receivePacket(a[i]);
+        f.backend->receivePacket(b[i]);
+    }
+    f.sim.run();
+    ASSERT_EQ(f.completions.size(), 2u);
+    EXPECT_EQ(f.completions[0].srcNode, 1u);
+    EXPECT_EQ(f.completionTimes[0],
+              5 * nanoseconds(3.0) + mem::counterUpdateLatency);
+    EXPECT_EQ(f.completions[1].srcNode, 2u);
+    EXPECT_EQ(f.completionTimes[1],
+              7 * nanoseconds(3.0) + mem::counterUpdateLatency);
+    EXPECT_EQ(f.recv.slot(f.domain.slotIndex(1, 0)).payload, bytes(150));
+    EXPECT_EQ(f.recv.slot(f.domain.slotIndex(2, 1)).payload, bytes(250));
+    EXPECT_EQ(f.recv.busyHighWatermark(), 2u);
+    EXPECT_EQ(f.sim.executedEvents(), 6u);
+}
+
+TEST(Backend, StalledIngressTrainDrainsAfterTheStall)
+{
+    Fixture f;
+    f.backend->stallIngress(nanoseconds(100.0));
+    const auto pkts =
+        proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(256));
+    for (const auto &pkt : pkts)
+        f.receiveAt(nanoseconds(10.0), pkt);
+    f.sim.run();
+    ASSERT_EQ(f.completions.size(), 1u);
+    // The latency clock starts at arrival, not at the stall's end.
+    EXPECT_EQ(f.completions[0].firstPacketTick, nanoseconds(10.0));
+    EXPECT_EQ(f.completionTimes[0], nanoseconds(100.0) +
+                                        4 * nanoseconds(3.0) +
+                                        mem::counterUpdateLatency);
+}
+
+TEST(Backend, ReorderedBlocksClaimAtFirstAndCompleteAtLastReceived)
+{
+    // Jittered arrivals: blocks 2, 0, 3, 1 at 0, 7, 8 and 30 ns. The
+    // slot is claimed when block 2 leaves the pipeline (3 ns) and the
+    // message completes when block 1 does (33 ns).
+    Fixture f;
+    const auto pkts =
+        proto::packetize(proto::OpType::Send, 3, 0, 1, bytes(256));
+    const std::uint32_t order[] = {2, 0, 3, 1};
+    const double at[] = {0.0, 7.0, 8.0, 30.0};
+    for (std::size_t i = 0; i < 4; ++i)
+        f.receiveAt(nanoseconds(at[i]), pkts[order[i]]);
+    const std::uint32_t index = f.domain.slotIndex(3, 1);
+    bool busyBefore = true;
+    bool busyAfter = false;
+    f.sim.schedule(nanoseconds(2.0),
+                   [&] { busyBefore = f.recv.slot(index).busy; });
+    f.sim.schedule(nanoseconds(4.0),
+                   [&] { busyAfter = f.recv.slot(index).busy; });
+    f.sim.run();
+    EXPECT_FALSE(busyBefore);
+    EXPECT_TRUE(busyAfter);
+    ASSERT_EQ(f.completions.size(), 1u);
+    EXPECT_EQ(f.completions[0].firstPacketTick, 0u);
+    EXPECT_EQ(f.completionTimes[0],
+              nanoseconds(33.0) + mem::counterUpdateLatency);
+    EXPECT_EQ(f.recv.slot(index).payload, bytes(256));
+}
+
+TEST(Backend, DroppedMiddleBlockNeverCompletes)
+{
+    // A lost block: the slot is claimed and holds the other three, but
+    // the counter never reaches the total, so no completion fires.
+    Fixture f;
+    const auto pkts =
+        proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(256));
+    for (std::uint32_t b : {0u, 1u, 3u})
+        f.backend->receivePacket(pkts[b]);
+    f.sim.run();
+    EXPECT_TRUE(f.completions.empty());
+    const auto &slot = f.recv.slot(f.domain.slotIndex(1, 0));
+    EXPECT_TRUE(slot.busy);
+    EXPECT_EQ(slot.arrivedBlocks, 3u);
+    EXPECT_EQ(f.recv.busyCount(), 1u);
+    // Only the claim ran.
+    EXPECT_EQ(f.sim.executedEvents(), 1u);
+}
+
+TEST(BackendDeath, MorePacketsThanBlocksPanicsOnArrival)
+{
+    // The receive-time count catches a duplicate block as it enters.
+    Fixture f;
+    const auto pkts =
+        proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(100));
+    f.backend->receivePacket(pkts[0]);
+    f.backend->receivePacket(pkts[1]);
+    EXPECT_DEATH(f.backend->receivePacket(pkts[1]),
+                 "more packets than blocks");
 }
 
 } // namespace

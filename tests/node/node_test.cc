@@ -256,6 +256,51 @@ TEST(RpcNode, CustomCoreCountWorks)
     EXPECT_EQ(r.perCoreServed.size(), 64u);
 }
 
+TEST(RpcNode, CrashCutRequestKeepsItsSlotAndRecoveryServesNewOnes)
+{
+    // A crash drops the tail of a 25-block request train. Its head was
+    // staged on arrival and claimed the receive slot, but the arrival
+    // count never reaches the total, so the request never reaches a
+    // core. After recovery a new request on another slot stages from a
+    // zero count and is served; the cut one keeps its slot.
+    sim::EventDomain sim;
+    net::Fabric fabric(sim, sim::nanoseconds(100.0));
+    const app::RpcApplicationPtr app = app::WorkloadRegistry::instance().make(
+        app::WorkloadSpec("herd:value_bytes=1536,read_ratio=0"));
+    node::SystemParams params;
+    node::RpcNode node(sim, params, *app, fabric, node::RpcNode::Derived{});
+    std::uint64_t toClient = 0;
+    fabric.connect(1, [&toClient](const proto::Packet &) { ++toClient; });
+
+    sim::Rng rng(1, 7);
+    const auto cut =
+        proto::packetize(proto::OpType::Send, 1, 0, 0, app->makeRequest(rng));
+    const auto whole =
+        proto::packetize(proto::OpType::Send, 1, 0, 1, app->makeRequest(rng));
+    ASSERT_GT(cut.size(), 2u);
+    const std::size_t head = cut.size() / 2;
+    auto sendAt = [&](double ns, const std::vector<proto::Packet> &pkts,
+                      std::size_t from, std::size_t to) {
+        sim.schedule(sim::nanoseconds(ns), [&fabric, &pkts, from, to] {
+            for (std::size_t i = from; i < to; ++i)
+                fabric.send(pkts[i]);
+        });
+    };
+    sendAt(0.0, cut, 0, head);            // lands at 100 ns
+    sim.schedule(sim::nanoseconds(250.0), [&node] { node.setFailed(true); });
+    sendAt(200.0, cut, head, cut.size()); // lands at 300 ns: dropped
+    sim.schedule(sim::nanoseconds(400.0), [&node] { node.setFailed(false); });
+    sendAt(500.0, whole, 0, whole.size());
+    sim.run();
+
+    EXPECT_EQ(node.droppedPackets(), cut.size() - head);
+    EXPECT_EQ(node.served(), 1u);
+    // The reply and its replenish went back to the client.
+    EXPECT_EQ(toClient, 2u);
+    EXPECT_EQ(node.recvSlotsBusy(), 1u);
+    EXPECT_EQ(node.recvSlotPeak(), 2u);
+}
+
 TEST(RpcNodeDeath, ChainedWorkloadWithoutIssuerIsFatal)
 {
     // A node driven directly (no experiment layer) has no nested
