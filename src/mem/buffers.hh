@@ -9,9 +9,11 @@
  *
  * The NI builds each outgoing packet from a send slot's bytes, one
  * 64 B block at a time (proto::makePacket); the packet carries that
- * block inline. On the receive side each arriving block lands in its
- * slot with one bounded copy (proto::placeBlock), which rejects a
- * block index past the message's block count.
+ * block inline. On the receive side each block lands in its slot with
+ * one bounded copy (proto::placeBlock), which rejects a block index
+ * past the message's block count, as the packet enters the NI
+ * (RecvBuffer::stage); the slot claim and the completion wait for the
+ * packet's pipeline exit.
  */
 
 #ifndef RPCVALET_MEM_BUFFERS_HH

@@ -12,7 +12,15 @@
  * One fabric spans one or more EventDomains; a sequential run is the
  * one-domain case. Nodes live on domain 0 unless assigned elsewhere
  * (assignNode). A send between nodes of one domain schedules a pooled
- * delivery event latency ticks out on that domain's wheel. A send
+ * delivery event latency ticks out on that domain's wheel; a train
+ * (sendTrain: several packets posted at one tick from one node to
+ * one node) rides a single pooled batch event instead, delivering its
+ * packets in posting order — exactly the order in which one event per
+ * packet would fire, since those events would sit back to back in the
+ * tick's FIFO. A perturber must see every packet at its own posting
+ * tick, so with one attached trains go packet by packet, and senders
+ * that would merge packets of different ticks into one train
+ * (fusesTrains()) keep them apart. A send
  * across domains (conservative parallel DES) is posted to the (src
  * domain, dst domain) edge mailbox stamped with its delivery time.
  * The run's synchronization window is the link latency: a packet sent
@@ -99,9 +107,10 @@ class PacketPerturber
 class Fabric
 {
   public:
-    /** Receiver of a node's packets. The packet lives in a pooled
-     *  event and is valid only during the call: a sink copies what
-     *  it keeps. */
+    /** Receiver of a node's packets, one call per packet (a train
+     *  calls its sink once per packet, in order). The packet lives in
+     *  a pooled event and is valid only during the call: a sink copies
+     *  what it keeps. */
     using Sink = std::function<void(const proto::Packet &)>;
 
     /**

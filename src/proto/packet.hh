@@ -14,10 +14,13 @@
  * stored inline. It owns no heap memory and is trivially copyable, so
  * senders build each block straight into the pooled event that carries
  * it (makePacket) and receivers place it with one bounded copy
- * (placeBlock). A packet owns its bytes rather than referencing the
- * sender's buffer: an in-flight fault may corrupt one packet without
- * touching the sender's copy, and a timed-out request's packets can
- * outlive the request that sent them.
+ * (placeBlock). A multi-block message usually travels as a train: its
+ * packets, built once into one pooled event's vector, move between
+ * events by buffer swap rather than by copy (net::Fabric::sendTrain).
+ * A packet owns its bytes rather than referencing the sender's buffer:
+ * an in-flight fault may corrupt one packet without touching the
+ * sender's copy, and a timed-out request's packets can outlive the
+ * request that sent them.
  */
 
 #ifndef RPCVALET_PROTO_PACKET_HH
