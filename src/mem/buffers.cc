@@ -68,8 +68,6 @@ SendBuffer::payload(proto::NodeId dst, std::uint32_t slot) const
 RecvBuffer::RecvBuffer(const proto::MessagingDomain &domain)
     : domain_(domain), slots_(domain.totalSlots())
 {
-    for (auto &s : slots_)
-        s.payload.reserve(domain.maxMsgBytes);
 }
 
 Staged

@@ -96,6 +96,8 @@ struct RecvSlot
     std::uint32_t totalBlocks = 0;
     std::uint32_t msgBytes = 0;
     sim::Tick firstPacketTick = 0;
+    /** Holds no storage until the slot's first message; release()
+     *  empties it but keeps the capacity for the next one. */
     std::vector<std::uint8_t> payload;
 };
 

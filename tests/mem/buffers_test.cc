@@ -207,6 +207,21 @@ TEST(RecvBuffer, ReleaseAllowsSlotReuse)
     EXPECT_EQ(rb.slot(idx).firstPacketTick, 2u);
 }
 
+TEST(RecvBuffer, SlotStorageIsTakenOnFirstUseAndKept)
+{
+    // A fresh buffer commits no payload storage; a slot's first
+    // message sizes it, and release keeps that capacity for the next.
+    RecvBuffer rb(smallDomain());
+    for (std::uint32_t i = 0; i < rb.domain().totalSlots(); ++i)
+        EXPECT_EQ(rb.slot(i).payload.capacity(), 0u) << i;
+    const auto idx = rb.domain().slotIndex(2, 1);
+    arrive(rb, sendPacket(2, 1, 0, 2, 100), 1);
+    arrive(rb, sendPacket(2, 1, 1, 2, 100), 1);
+    rb.release(idx);
+    EXPECT_TRUE(rb.slot(idx).payload.empty());
+    EXPECT_GE(rb.slot(idx).payload.capacity(), 100u);
+}
+
 TEST(RecvBuffer, BusyHighWatermarkTracksPeak)
 {
     RecvBuffer rb(smallDomain());
