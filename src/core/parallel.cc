@@ -58,12 +58,21 @@ WindowPool::~WindowPool()
         t.join();
 }
 
-unsigned
-WindowPool::owner(std::size_t index, unsigned workers)
+std::vector<unsigned>
+WindowPool::ownerMap(std::size_t domains, unsigned workers)
 {
-    if (index == 0 || workers <= 1)
-        return 0;
-    return 1 + static_cast<unsigned>((index - 1) % (workers - 1));
+    // Longest first: the client domain (weight 2), then the node
+    // domains (weight 1 each) in index order, each onto the least
+    // loaded worker, the lowest-numbered one on a tie.
+    std::vector<unsigned> owners(domains, 0);
+    std::vector<unsigned> load(std::max(1u, workers), 0);
+    for (std::size_t i = 0; i < domains; ++i) {
+        const auto least = static_cast<unsigned>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        owners[i] = least;
+        load[least] += i == 0 ? 2 : 1;
+    }
+    return owners;
 }
 
 void
@@ -78,6 +87,8 @@ WindowPool::run(const std::vector<sim::EventDomain *> &domains,
         return;
     }
 
+    if (owners_.size() != domains.size())
+        owners_ = ownerMap(domains.size(), workers_);
     domains_ = &domains;
     until_ = until;
     doneWorkers_.store(0, std::memory_order_relaxed);
@@ -104,7 +115,7 @@ WindowPool::runOwned(unsigned worker)
     const std::vector<sim::EventDomain *> &doms = *domains_;
     const sim::Tick until = until_;
     for (std::size_t i = 0; i < doms.size(); ++i) {
-        if (owner(i, workers_) == worker)
+        if (owners_[i] == worker)
             runDomain(*doms[i], until);
     }
 }

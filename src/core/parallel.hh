@@ -54,15 +54,19 @@ unsigned pointConcurrency(unsigned threads, unsigned parallelDomains);
  * returns only when all are done (the window barrier).
  *
  * Ownership is fixed for the life of the pool: domains[i] runs on
- * worker owner(i, workers()) in every window, so a domain's wheel,
- * node and application state stay in one core's caches instead of
- * migrating between cores window after window. Domain 0 is the client
- * side — it carries every node's issue and completion tracking and is
- * the heaviest domain — and runs alone on worker 0, the coordinator
- * (the thread calling run()). Domains 1..D-1 are dealt round-robin
- * over workers 1..W-1; with W = D every domain has a worker of its
- * own, and workers beyond the domain count stay idle. Each worker runs
- * its domains in index order.
+ * worker ownerMap(D, workers())[i] in every window, so a domain's
+ * wheel, node and application state stay in one core's caches instead
+ * of migrating between cores window after window. Domain 0 is the
+ * client side — it carries every node's issue and completion tracking
+ * and weighs about two node domains — and always runs on worker 0,
+ * the coordinator (the thread calling run()). The map deals the
+ * domains longest first onto the least loaded worker: with 5 domains
+ * and W >= 3 the client runs alone and the node domains go
+ * round-robin over the helpers, while at W = 2 the coordinator takes
+ * the client and node domain 3, the helper domains 1, 2 and 4. With
+ * W >= D every domain has a worker of its own, and workers beyond the
+ * domain count stay idle. Each worker runs its domains in index
+ * order.
  *
  * An optional per-domain prologue, fixed at construction, runs on the
  * domain's owner immediately before the domain's runUntil() (and
@@ -112,11 +116,16 @@ class WindowPool
     unsigned workers() const { return workers_; }
 
     /**
-     * The worker that executes domains[@p index] in every window of a
-     * pool of @p workers workers: 0 for domain 0 (and for every domain
-     * when workers <= 1), else 1 + (index - 1) mod (workers - 1).
+     * The worker that executes each of @p domains domains in every
+     * window of a pool of @p workers workers. Deterministic: weights
+     * domain 0 as 2 and every other domain as 1, takes the domains
+     * heaviest first (ties in index order) and gives each to the
+     * worker with the least weight so far (ties to the lowest
+     * worker). Domain 0 always lands on worker 0; with workers <= 1
+     * every domain does.
      */
-    static unsigned owner(std::size_t index, unsigned workers);
+    static std::vector<unsigned> ownerMap(std::size_t domains,
+                                          unsigned workers);
 
   private:
     void workerLoop(unsigned worker);
@@ -134,6 +143,9 @@ class WindowPool
      *  generation bump publishes them. */
     const std::vector<sim::EventDomain *> *domains_ = nullptr;
     sim::Tick until_ = 0;
+    /** ownerMap() of the domain count run() last saw; rebuilt by the
+     *  coordinator before the window is published. */
+    std::vector<unsigned> owners_;
 };
 
 } // namespace rpcvalet::core

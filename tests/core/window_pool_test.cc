@@ -2,10 +2,10 @@
  * @file
  * core::WindowPool's execution contract: every domain runs exactly
  * once per window, on one fixed thread for the life of the pool (the
- * client domain on the coordinator, the rest dealt round-robin over
- * the helpers), each worker's domains in index order, and each
- * domain's prologue immediately before it on that thread; the
- * one-worker path runs inline, in domain order.
+ * client domain on the coordinator, every domain dealt longest first
+ * onto the least loaded worker), each worker's domains in index
+ * order, and each domain's prologue immediately before it on that
+ * thread; the one-worker path runs inline, in domain order.
  */
 
 #include <gtest/gtest.h>
@@ -113,26 +113,32 @@ class Harness
 
 TEST(WindowPool, OwnerMapPinsTheClientToTheCoordinator)
 {
-    for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(core::WindowPool::owner(i, 1), 0u);
+    using Map = std::vector<unsigned>;
+    for (const unsigned w : {0u, 1u})
+        EXPECT_EQ(core::WindowPool::ownerMap(8, w), Map(8, 0u)) << w;
     for (const unsigned w : {2u, 3u, 4u, 5u, 9u})
-        EXPECT_EQ(core::WindowPool::owner(0, w), 0u);
-    // Domains 1..D-1 round-robin over workers 1..W-1.
-    const std::vector<unsigned> four = {0, 1, 2, 3, 1, 2, 3, 1};
-    for (std::size_t i = 0; i < four.size(); ++i)
-        EXPECT_EQ(core::WindowPool::owner(i, 4), four[i]) << i;
-    for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_EQ(core::WindowPool::owner(i, 5), i);
-    for (std::size_t i = 1; i < 5; ++i)
-        EXPECT_EQ(core::WindowPool::owner(i, 2), 1u);
+        EXPECT_EQ(core::WindowPool::ownerMap(5, w).front(), 0u) << w;
+    // The client weighs two node domains: at 2 workers it shares the
+    // coordinator with node domain 3, and the helper runs 1, 2 and 4.
+    EXPECT_EQ(core::WindowPool::ownerMap(5, 2), (Map{0, 1, 1, 0, 1}));
+    // From 3 workers on, 5 domains map as round-robin over the helpers
+    // did: the client alone on the coordinator.
+    EXPECT_EQ(core::WindowPool::ownerMap(5, 3), (Map{0, 1, 2, 1, 2}));
+    EXPECT_EQ(core::WindowPool::ownerMap(5, 4), (Map{0, 1, 2, 3, 1}));
+    EXPECT_EQ(core::WindowPool::ownerMap(5, 5), (Map{0, 1, 2, 3, 4}));
+    EXPECT_EQ(core::WindowPool::ownerMap(5, 9), (Map{0, 1, 2, 3, 4}));
+    // Longest first onto the least loaded worker: 8 domains, 4 workers.
+    EXPECT_EQ(core::WindowPool::ownerMap(8, 4),
+              (Map{0, 1, 2, 3, 1, 2, 3, 0}));
 }
 
 TEST(WindowPool, EveryDomainRunsOncePerWindowOnItsFixedOwner)
 {
     constexpr std::size_t kDomains = 5;
     constexpr std::uint64_t kWindows = 200;
-    // 3 workers deal four server domains unevenly, 5 give each domain
-    // a worker of its own, 6 leave one helper idle.
+    // 2 workers put a node domain beside the client, 4 deal the four
+    // node domains unevenly, 5 give each domain a worker of its own,
+    // 6 leave one helper idle.
     for (const unsigned workers : {2u, 3u, 4u, 5u, 6u}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         Harness h(kDomains, workers);
@@ -143,6 +149,8 @@ TEST(WindowPool, EveryDomainRunsOncePerWindowOnItsFixedOwner)
                 ASSERT_EQ(h.trace(d).runs, k) << "domain " << d;
             }
         }
+        const std::vector<unsigned> owners =
+            core::WindowPool::ownerMap(kDomains, workers);
         std::set<std::thread::id> threads;
         for (std::size_t d = 0; d < kDomains; ++d) {
             SCOPED_TRACE("domain " + std::to_string(d));
@@ -151,12 +159,12 @@ TEST(WindowPool, EveryDomainRunsOncePerWindowOnItsFixedOwner)
             EXPECT_EQ(t.orphanRuns, 0u);
             EXPECT_EQ(t.outOfOrder, 0u);
             threads.insert(t.thread);
-            // The client domain alone runs on the calling thread.
-            EXPECT_EQ(t.thread == std::this_thread::get_id(), d == 0);
+            // Worker 0 is the calling thread.
+            EXPECT_EQ(t.thread == std::this_thread::get_id(),
+                      owners[d] == 0);
             for (std::size_t e = 0; e < d; ++e) {
                 EXPECT_EQ(t.thread == h.trace(e).thread,
-                          core::WindowPool::owner(d, workers) ==
-                              core::WindowPool::owner(e, workers))
+                          owners[d] == owners[e])
                     << "vs domain " << e;
             }
         }
