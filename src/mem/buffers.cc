@@ -71,19 +71,16 @@ RecvBuffer::RecvBuffer(const proto::MessagingDomain &domain)
 }
 
 Staged
-RecvBuffer::stage(const proto::Packet &pkt, sim::Tick now)
+RecvBuffer::admit(const proto::PacketHeader &hdr, RecvSlot &rs,
+                  sim::Tick now)
 {
-    const bool send = pkt.hdr.op == proto::OpType::Send;
-    RV_ASSERT(send || pkt.hdr.op == proto::OpType::ReadResponse,
+    const bool send = hdr.op == proto::OpType::Send;
+    RV_ASSERT(send || hdr.op == proto::OpType::ReadResponse,
               "recv buffer only accepts send packets and read responses");
-    const std::uint32_t index =
-        domain_.slotIndex(pkt.hdr.src, pkt.hdr.slot);
-    RecvSlot &rs = slots_[index];
     Staged staged;
-
     if (!send) {
         RV_ASSERT(rs.busy, "read response for a free slot");
-        RV_ASSERT(rs.msgBytes == pkt.hdr.msgBytes,
+        RV_ASSERT(rs.msgBytes == hdr.msgBytes,
                   "read response size mismatch");
     } else if (rs.arrivedBlocks == 0) {
         // First-received packet of the message. Senders only reuse a
@@ -91,27 +88,58 @@ RecvBuffer::stage(const proto::Packet &pkt, sim::Tick now)
         // so the slot must be free — a claimed slot here is a fresh
         // message racing the previous one.
         RV_ASSERT(!rs.busy, "slot reused before replenish (slot busy)");
-        rs.totalBlocks = pkt.hdr.totalBlocks;
-        rs.msgBytes = pkt.hdr.msgBytes;
+        rs.totalBlocks = hdr.totalBlocks;
+        rs.msgBytes = hdr.msgBytes;
         rs.firstPacketTick = now;
-        rs.payload.assign(pkt.hdr.msgBytes, 0);
         staged.claims = true;
     } else {
-        RV_ASSERT(rs.totalBlocks == pkt.hdr.totalBlocks,
+        RV_ASSERT(rs.totalBlocks == hdr.totalBlocks,
                   "slot reused before replenish (totalBlocks mismatch)");
-        RV_ASSERT(rs.msgBytes == pkt.hdr.msgBytes,
+        RV_ASSERT(rs.msgBytes == hdr.msgBytes,
                   "slot reused before replenish (size mismatch)");
     }
+    return staged;
+}
 
-    // Copy the payload block into place (zero-copy on the real
-    // machine; here the buffer is authoritative storage).
-    proto::placeBlock(pkt, rs.payload);
-
-    ++rs.arrivedBlocks;
+Staged
+RecvBuffer::count(RecvSlot &rs, std::uint32_t blocks, Staged staged)
+{
+    rs.arrivedBlocks += blocks;
     RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
               "more packets than blocks for slot");
     staged.completes = rs.arrivedBlocks == rs.totalBlocks;
     return staged;
+}
+
+Staged
+RecvBuffer::stage(const proto::Packet &pkt, sim::Tick now)
+{
+    RecvSlot &rs = slots_[domain_.slotIndex(pkt.hdr.src, pkt.hdr.slot)];
+    const Staged staged = admit(pkt.hdr, rs, now);
+    if (staged.claims)
+        rs.payload.assign(pkt.hdr.msgBytes, 0);
+    // Copy the payload block into place (zero-copy on the real
+    // machine; here the buffer is authoritative storage).
+    proto::placeBlock(pkt, rs.payload);
+    return count(rs, 1, staged);
+}
+
+Staged
+RecvBuffer::stageTrain(proto::Train &train, sim::Tick now)
+{
+    RV_ASSERT(train.bytes.size() == train.hdr.msgBytes,
+              "train bytes do not match its header's size");
+    RecvSlot &rs =
+        slots_[domain_.slotIndex(train.hdr.src, train.hdr.slot)];
+    const Staged staged = admit(train.hdr, rs, now);
+    // A train carries every block, so it must find the slot's counter
+    // at zero; checked before its bytes replace the slot's.
+    RV_ASSERT(rs.arrivedBlocks + train.blocks() <= rs.totalBlocks,
+              "more packets than blocks for slot");
+    // Block by block, the slot would end up holding exactly these
+    // bytes; its old buffer goes back with the train.
+    rs.payload.swap(train.bytes);
+    return count(rs, train.blocks(), staged);
 }
 
 void

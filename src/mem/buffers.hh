@@ -13,7 +13,11 @@
  * one bounded copy (proto::placeBlock), which rejects a block index
  * past the message's block count, as the packet enters the NI
  * (RecvBuffer::stage); the slot claim and the completion wait for the
- * packet's pipeline exit.
+ * packet's pipeline exit. A message that arrives whole, as one
+ * proto::Train, is staged at once (RecvBuffer::stageTrain): its bytes
+ * become the slot's by a buffer swap, and the slot's old buffer leaves
+ * with the train for reuse, so payload buffers circulate between
+ * senders, the fabric and the slots without being copied again.
  */
 
 #ifndef RPCVALET_MEM_BUFFERS_HH
@@ -130,6 +134,15 @@ class RecvBuffer
     Staged stage(const proto::Packet &pkt, sim::Tick now);
 
     /**
+     * stage() of a whole message at once: @p train's blocks, in block
+     * order, at @p now. Runs the first-block checks, then takes the
+     * bytes by swap (@p train comes back holding the slot's old
+     * buffer), leaving the slot as staging each block would. The
+     * result is block 0's claim and the last block's completion.
+     */
+    Staged stageTrain(proto::Train &train, sim::Tick now);
+
+    /**
      * Pipeline exit of a message's first-received send packet: the
      * slot is busy from here until release().
      */
@@ -159,6 +172,13 @@ class RecvBuffer
     const proto::MessagingDomain &domain() const { return domain_; }
 
   private:
+    /** The checks of a packet with header @p hdr entering slot @p rs;
+     *  a send's first-received packet sets the message up and claims. */
+    static Staged admit(const proto::PacketHeader &hdr, RecvSlot &rs,
+                        sim::Tick now);
+    /** Count @p blocks arrivals on @p rs, completing @p staged. */
+    static Staged count(RecvSlot &rs, std::uint32_t blocks, Staged staged);
+
     proto::MessagingDomain domain_;
     std::vector<RecvSlot> slots_;
     std::uint32_t busyCount_ = 0;

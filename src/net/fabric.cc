@@ -37,11 +37,13 @@ Fabric::edge(unsigned bank, sim::DomainId src, sim::DomainId dst)
 }
 
 void
-Fabric::connect(proto::NodeId node, Sink sink)
+Fabric::connect(proto::NodeId node, Sink sink, TrainSink train_sink)
 {
     RV_ASSERT(sink != nullptr, "null fabric sink");
-    if (node >= sinks_.size())
+    if (node >= sinks_.size()) {
         sinks_.resize(static_cast<std::size_t>(node) + 1);
+        trainSinks_.resize(sinks_.size());
+    }
     if (sinks_[node] != nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: node %u is already connected (duplicate "
@@ -50,6 +52,7 @@ Fabric::connect(proto::NodeId node, Sink sink)
             node));
     }
     sinks_[node] = std::move(sink);
+    trainSinks_[node] = std::move(train_sink);
 }
 
 void
@@ -122,27 +125,24 @@ Fabric::send(proto::Packet pkt)
 }
 
 void
-Fabric::sendTrain(std::vector<proto::Packet> &pkts)
+Fabric::sendTrain(proto::Train &train)
 {
-    RV_ASSERT(!pkts.empty(), "empty packet train");
-    RV_ASSERT(pkts.front().hdr.src == pkts.back().hdr.src &&
-                  pkts.front().hdr.dst == pkts.back().hdr.dst,
-              "a train runs from one node to one node");
-    const sim::DomainId src = domainOf(pkts.front().hdr.src);
-    const sim::DomainId dst = domainOf(pkts.front().hdr.dst);
-    if (pkts.size() == 1 || perturber_ != nullptr || src != dst) {
-        for (const proto::Packet &p : pkts)
-            send(p);
-        pkts.clear();
+    const sim::DomainId src = domainOf(train.hdr.src);
+    const sim::DomainId dst = domainOf(train.hdr.dst);
+    if (perturber_ != nullptr || src != dst) {
+        proto::Packet pkt;
+        for (std::uint32_t b = 0; b < train.blocks(); ++b) {
+            proto::trainPacket(train, b, pkt);
+            send(pkt);
+        }
         return;
     }
     DomainState &s = *domains_[src];
-    BatchDeliverEvent *ev = s.batchPool.acquire();
+    TrainDeliverEvent *ev = s.trainPool.acquire();
     ev->fabric = this;
     ev->dom = dst;
-    // A released batch event's buffer is empty, so the swap hands the
-    // caller an empty buffer back.
-    ev->pkts.swap(pkts);
+    ev->train.hdr = train.hdr;
+    ev->train.bytes.swap(train.bytes);
     s.sim->schedule(*ev, latency_);
 }
 
@@ -230,6 +230,16 @@ Fabric::DeliverEvent::process()
 }
 
 void
+Fabric::TrainDeliverEvent::process()
+{
+    // As for a packet: a sink that sends again draws another event.
+    // The buffer stays with the event (whatever the sink swapped in)
+    // and goes back to the next sender by swap.
+    fabric->deliverTrain(dom, train);
+    fabric->domains_[dom]->trainPool.release(this);
+}
+
+void
 Fabric::BatchDeliverEvent::process()
 {
     // A sink that sends again draws another event, so the packet
@@ -242,17 +252,40 @@ Fabric::BatchDeliverEvent::process()
 }
 
 void
-Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
+Fabric::checkConnected(proto::OpType op, proto::NodeId src,
+                       proto::NodeId dst) const
 {
-    ++domains_[dom]->delivered;
-    if (pkt.hdr.dst >= sinks_.size() || sinks_[pkt.hdr.dst] == nullptr) {
+    if (dst >= sinks_.size() || sinks_[dst] == nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: %s packet from node %u addressed to unconnected "
             "node %u (no sink registered for it)",
-            proto::opName(pkt.hdr.op).c_str(), pkt.hdr.src,
-            pkt.hdr.dst));
+            proto::opName(op).c_str(), src, dst));
     }
+}
+
+void
+Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
+{
+    ++domains_[dom]->delivered;
+    checkConnected(pkt.hdr.op, pkt.hdr.src, pkt.hdr.dst);
     sinks_[pkt.hdr.dst](pkt);
+}
+
+void
+Fabric::deliverTrain(sim::DomainId dom, proto::Train &train)
+{
+    domains_[dom]->delivered += train.blocks();
+    const proto::NodeId dst = train.hdr.dst;
+    checkConnected(train.hdr.op, train.hdr.src, dst);
+    if (trainSinks_[dst] != nullptr) {
+        trainSinks_[dst](train);
+        return;
+    }
+    proto::Packet pkt;
+    for (std::uint32_t b = 0; b < train.blocks(); ++b) {
+        proto::trainPacket(train, b, pkt);
+        sinks_[dst](pkt);
+    }
 }
 
 std::uint64_t

@@ -12,15 +12,19 @@
  * One fabric spans one or more EventDomains; a sequential run is the
  * one-domain case. Nodes live on domain 0 unless assigned elsewhere
  * (assignNode). A send between nodes of one domain schedules a pooled
- * delivery event latency ticks out on that domain's wheel; a train
- * (sendTrain: several packets posted at one tick from one node to
- * one node) rides a single pooled batch event instead, delivering its
- * packets in posting order — exactly the order in which one event per
- * packet would fire, since those events would sit back to back in the
- * tick's FIFO. A perturber must see every packet at its own posting
- * tick, so with one attached trains go packet by packet, and senders
- * that would merge packets of different ticks into one train
- * (fusesTrains()) keep them apart. A send
+ * delivery event latency ticks out on that domain's wheel. A train
+ * (sendTrain: a whole message, proto::Train, posted at one tick from
+ * one node to one node) between nodes of one domain rides a single
+ * pooled train-delivery event instead, its byte buffer swapped in, not
+ * copied. Its blocks arrive together, in block order — exactly the
+ * order in which one event per packet would fire, since those events
+ * would sit back to back in the tick's FIFO. A node connected with a
+ * train sink takes the train whole; any other node gets it unrolled
+ * into its packet sink, block by block. A perturber must see every
+ * packet at its own posting tick, so with one attached trains are
+ * unrolled into send() as they are posted, and senders that would
+ * merge packets of different ticks into one train (fusesTrains())
+ * keep them apart. Cross-domain trains are unrolled likewise. A send
  * across domains (conservative parallel DES) is posted to the (src
  * domain, dst domain) edge mailbox stamped with its delivery time.
  * The run's synchronization window is the link latency: a packet sent
@@ -108,10 +112,15 @@ class Fabric
 {
   public:
     /** Receiver of a node's packets, one call per packet (a train
-     *  calls its sink once per packet, in order). The packet lives in
-     *  a pooled event and is valid only during the call: a sink copies
-     *  what it keeps. */
+     *  delivered to a node without a TrainSink calls it once per
+     *  block, in order). The packet lives in a pooled event and is
+     *  valid only during the call: a sink copies what it keeps. */
     using Sink = std::function<void(const proto::Packet &)>;
+    /** Receiver of a node's whole trains. The train lives in a pooled
+     *  event and is valid only during the call; the sink may take its
+     *  bytes by swapping in a buffer of its own (whose capacity the
+     *  fabric recycles). */
+    using TrainSink = std::function<void(proto::Train &)>;
 
     /**
      * @param domains   One entry per domain; entry i must be the
@@ -132,12 +141,15 @@ class Fabric
     {}
 
     /**
-     * Attach the receiver for packets addressed to @p node.
-     * Registering the same node twice is fatal (matching the
-     * registries' duplicate-key behavior): the old behavior of
-     * silently overwriting the first sink dropped its traffic.
+     * Attach the receiver for packets addressed to @p node, and
+     * optionally @p train_sink for its whole trains (without one, a
+     * train reaches @p sink block by block). Registering the same node
+     * twice is fatal (matching the registries' duplicate-key
+     * behavior): the old behavior of silently overwriting the first
+     * sink dropped its traffic.
      */
-    void connect(proto::NodeId node, Sink sink);
+    void connect(proto::NodeId node, Sink sink,
+                 TrainSink train_sink = nullptr);
 
     /**
      * Place @p node on @p domain (fabrics of two or more domains only;
@@ -166,18 +178,16 @@ class Fabric
     bool fusesTrains() const { return perturber_ == nullptr; }
 
     /**
-     * Inject a train: @p pkts, all from one node to one node, posted
-     * at this tick in order. Each arrives after latency exactly as if
-     * sent one by one; without a perturber a same-domain train is
-     * delivered by one pooled event, in posting order (the order the
-     * one-event-per-packet schedule would fire them in, since every
-     * such event sits back to back in the tick's FIFO). Cross-domain
-     * trains post packet by packet, and drainInbox() coalesces them;
-     * with a perturber every packet goes through send(). The packets
-     * move into the event by a buffer swap, not a copy: @p pkts comes
-     * back empty, holding a spare buffer the caller may refill.
+     * Inject a train: @p train's blocks, posted at this tick. They
+     * arrive after latency exactly as if sent one by one; without a
+     * perturber a same-domain train is delivered by one pooled event,
+     * whole. Cross-domain trains post block by block, and drainInbox()
+     * coalesces them; with a perturber every block goes through
+     * send(). The bytes move into the event by a buffer swap, not a
+     * copy: @p train comes back holding a spare buffer the caller may
+     * refill.
      */
-    void sendTrain(std::vector<proto::Packet> &pkts);
+    void sendTrain(proto::Train &train);
 
     /**
      * Barrier step (two or more domains; coordinator only, all domain
@@ -208,7 +218,8 @@ class Fabric
      *  a one-domain fabric). */
     std::uint64_t crossDomainMail() const;
 
-    /** Packets delivered so far (all domains). */
+    /** Packets delivered so far (all domains; a train counts its
+     *  blocks). */
     std::uint64_t delivered() const;
 
     /** One-way propagation delay per packet. */
@@ -229,10 +240,23 @@ class Fabric
         }
     };
 
+    /** In-flight same-domain train: pooled, its buffer reused. */
+    struct TrainDeliverEvent : sim::Event
+    {
+        Fabric *fabric = nullptr;
+        sim::DomainId dom = 0;
+        proto::Train train;
+
+        void process() override;
+        const char *description() const override
+        {
+            return "fabric-deliver-train";
+        }
+    };
+
     /**
      * Several packets due at one (domain, tick) on a single event, in
-     * order: a same-domain train (sendTrain), or the cross-domain
-     * mail drainInbox() coalesces.
+     * order: the cross-domain mail drainInbox() coalesces.
      */
     struct BatchDeliverEvent : sim::Event
     {
@@ -268,6 +292,7 @@ class Fabric
         /** Packets this domain posted across a domain edge. */
         std::uint64_t posted = 0;
         sim::EventPool<DeliverEvent> pool;
+        sim::EventPool<TrainDeliverEvent> trainPool;
         sim::EventPool<BatchDeliverEvent> batchPool;
         /** drainInbox() scratch (reused, no steady-state alloc). */
         std::vector<Mail> drainScratch;
@@ -285,6 +310,11 @@ class Fabric
     static constexpr sim::DomainId kUnassigned = ~sim::DomainId{0};
 
     void deliver(sim::DomainId dom, const proto::Packet &pkt);
+    void deliverTrain(sim::DomainId dom, proto::Train &train);
+    /** Fatal unless @p dst has a sink: a @p op packet from @p src
+     *  is addressed to it. */
+    void checkConnected(proto::OpType op, proto::NodeId src,
+                        proto::NodeId dst) const;
     sim::DomainId domainOf(proto::NodeId node) const;
     /** Edge (src, dst) of bank @p bank. */
     Edge &edge(unsigned bank, sim::DomainId src, sim::DomainId dst);
@@ -302,6 +332,9 @@ class Fabric
     /** Receiver of each node, indexed by NodeId (empty = none: a
      *  packet to it is fatal). */
     std::vector<Sink> sinks_;
+    /** Whole-train receiver of each node (empty = unroll into its
+     *  packet sink). */
+    std::vector<TrainSink> trainSinks_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;
 };

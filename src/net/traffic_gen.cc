@@ -316,23 +316,26 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         fabric_.send(pkt);
         return;
     }
-    sendTrain(proto::OpType::Send, src, dst, slot, bytes, connClient);
+    sendMessage(proto::OpType::Send, src, dst, slot, bytes, connClient);
 }
 
 void
-TrafficGenerator::sendTrain(proto::OpType op, proto::NodeId src,
-                            proto::NodeId dst, std::uint32_t slot,
-                            const std::vector<std::uint8_t> &bytes,
-                            std::uint32_t conn_client)
+TrafficGenerator::sendMessage(proto::OpType op, proto::NodeId src,
+                              proto::NodeId dst, std::uint32_t slot,
+                              const std::vector<std::uint8_t> &bytes,
+                              std::uint32_t conn_client)
 {
-    // Every block leaves at this tick: one train, built in place.
-    const std::uint32_t total =
-        proto::blocksForBytes(static_cast<std::uint32_t>(bytes.size()));
-    train_.resize(total);
-    for (std::uint32_t b = 0; b < total; ++b) {
-        proto::makePacket(train_[b], op, src, dst, slot, bytes, b);
-        train_[b].hdr.connClient = conn_client;
+    // Every block leaves at this tick: a one-block message is a
+    // packet, a longer one a train with one copy of its bytes.
+    if (bytes.size() <= proto::cacheBlockBytes) {
+        proto::Packet pkt;
+        proto::makePacket(pkt, op, src, dst, slot, bytes, 0);
+        pkt.hdr.connClient = conn_client;
+        fabric_.send(pkt);
+        return;
     }
+    proto::makeTrain(train_, op, src, dst, slot, bytes);
+    train_.hdr.connClient = conn_client;
     fabric_.sendTrain(train_);
 }
 
@@ -394,13 +397,38 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
         sim_.schedule(
             sim::nanoseconds(60.0),
             [this, owner, reader, slot, payload, connClient] {
-                sendTrain(proto::OpType::ReadResponse, owner, reader, slot,
-                          payload, connClient);
+                sendMessage(proto::OpType::ReadResponse, owner, reader,
+                            slot, payload, connClient);
             });
         break;
       }
       default:
         sim::panic("traffic generator received unexpected op");
+    }
+}
+
+void
+TrafficGenerator::receiveTrain(proto::Train &train)
+{
+    if (train.hdr.op == proto::OpType::Send) {
+        RV_ASSERT(train.hdr.src < numServers(),
+                  "reply from a non-server node");
+        const std::uint32_t server = train.hdr.src;
+        // A whole reply on a slot with no partial assembly completes
+        // straight from the train's bytes, as its last block would.
+        if (slots_[reqKey(server, train.hdr.dst, train.hdr.slot)]
+                .reply.total == 0) {
+            onReplyComplete(server, train.hdr.dst, train.hdr.slot,
+                            train.bytes);
+            return;
+        }
+    }
+    // Anything else (a leftover partial assembly takes the first
+    // blocks) goes block by block.
+    proto::Packet pkt;
+    for (std::uint32_t b = 0; b < train.blocks(); ++b) {
+        proto::trainPacket(train, b, pkt);
+        receivePacket(pkt);
     }
 }
 

@@ -46,11 +46,46 @@ NiBackend::receivePacket(const proto::Packet &pkt)
         if (!staged.claims && !staged.completes)
             return;
     }
+    scheduleIngress(pkt.hdr, staged, ingressFreeAt_);
+}
+
+void
+NiBackend::receiveTrain(proto::Train &train)
+{
+    // The blocks enter back to back: block b leaves the pipeline at
+    // start + (b + 1) * occupancy, as receivePacket() would have it.
+    const sim::Tick arrival = sim_.now();
+    const sim::Tick start =
+        std::max({arrival, ingressFreeAt_, stallUntil_});
+    const std::uint32_t n = train.blocks();
+    const sim::Tick work = n * backendPacketOccupancy;
+    ingressFreeAt_ = start + work;
+    ingressBusy_ += work;
+    packetsReceived_ += n;
+    // Block 0 is the first received, so it carries the claim; the last
+    // block carries the completion (both, for a one-block message).
+    const mem::Staged staged = recv_.stageTrain(train, arrival);
+    if (n == 1) {
+        if (staged.claims || staged.completes)
+            scheduleIngress(train.hdr, staged, ingressFreeAt_);
+        return;
+    }
+    if (staged.claims)
+        scheduleIngress(train.hdr, mem::Staged{true, false},
+                        start + backendPacketOccupancy);
+    if (staged.completes)
+        scheduleIngress(train.hdr, mem::Staged{false, true}, ingressFreeAt_);
+}
+
+void
+NiBackend::scheduleIngress(const proto::PacketHeader &hdr,
+                           mem::Staged staged, sim::Tick exit)
+{
     IngressEvent *ev = ingressPool_.acquire();
     ev->backend = this;
-    ev->pkt = pkt;
+    ev->hdr = hdr;
     ev->staged = staged;
-    sim_.scheduleAt(*ev, ingressFreeAt_);
+    sim_.scheduleAt(*ev, exit);
 }
 
 void
@@ -58,7 +93,7 @@ NiBackend::IngressEvent::process()
 {
     // Process straight from the event, then recycle it: processing
     // that receives or forwards more packets draws other events.
-    backend->processIngress(pkt, staged);
+    backend->processIngress(hdr, staged);
     backend->ingressPool_.release(this);
 }
 
@@ -74,8 +109,8 @@ NiBackend::InjectEvent::process()
 void
 NiBackend::TrainEvent::process()
 {
-    // sendTrain takes the packets and leaves pkts empty for reuse.
-    backend->fabric_.sendTrain(pkts);
+    // sendTrain takes the bytes and leaves a spare buffer for reuse.
+    backend->fabric_.sendTrain(train);
     backend->trainPool_.release(this);
 }
 
@@ -89,30 +124,30 @@ NiBackend::CompletionEvent::process()
 }
 
 void
-NiBackend::processIngress(const proto::Packet &pkt, mem::Staged staged)
+NiBackend::processIngress(const proto::PacketHeader &hdr, mem::Staged staged)
 {
-    switch (pkt.hdr.op) {
+    switch (hdr.op) {
       case proto::OpType::Send: {
         // The block and counter were staged at arrival; the first-
         // received packet claims the slot as it leaves the pipeline,
         // and the last-received one completes the message.
         const std::uint32_t index =
-            recv_.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot);
+            recv_.domain().slotIndex(hdr.src, hdr.slot);
         if (staged.claims)
             recv_.claim(index);
         if (!staged.completes)
             break;
-        if (pkt.hdr.rendezvous) {
+        if (hdr.rendezvous) {
             // §4.2 rendezvous: the descriptor names the payload's
             // location and size; the NI pulls it with a one-sided
             // read rather than notifying a core yet.
-            const std::uint32_t full = pkt.hdr.rendezvousBytes;
+            const std::uint32_t full = hdr.rendezvousBytes;
             recv_.beginRendezvous(index, full);
             proto::Packet read;
             read.hdr.op = proto::OpType::RemoteRead;
-            read.hdr.src = pkt.hdr.dst; // us
-            read.hdr.dst = pkt.hdr.src; // payload owner
-            read.hdr.slot = pkt.hdr.slot;
+            read.hdr.src = hdr.dst; // us
+            read.hdr.dst = hdr.src; // payload owner
+            read.hdr.slot = hdr.slot;
             read.hdr.totalBlocks = 1;
             read.hdr.msgBytes = full;
             ++rendezvousPulls_;
@@ -123,7 +158,7 @@ NiBackend::processIngress(const proto::Packet &pkt, mem::Staged staged)
             sim_.schedule(*ev, mem::counterUpdateLatency);
             break;
         }
-        signalCompletion(index, pkt.hdr.src, pkt.hdr.connClient);
+        signalCompletion(index, hdr.src, hdr.connClient);
         break;
       }
       case proto::OpType::ReadResponse: {
@@ -131,13 +166,13 @@ NiBackend::processIngress(const proto::Packet &pkt, mem::Staged staged)
         // completes the pull gets here (staged at arrival like a send).
         RV_ASSERT(staged.completes, "read response event without work");
         const std::uint32_t index =
-            recv_.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot);
-        signalCompletion(index, pkt.hdr.src, pkt.hdr.connClient);
+            recv_.domain().slotIndex(hdr.src, hdr.slot);
+        signalCompletion(index, hdr.src, hdr.connClient);
         break;
       }
       case proto::OpType::Replenish:
         // §4.2 step C: reset the valid field of the named send slot.
-        onReplenish_(pkt.hdr.src, pkt.hdr.slot);
+        onReplenish_(hdr.src, hdr.slot);
         break;
       case proto::OpType::RemoteRead:
       case proto::OpType::RemoteWrite:
@@ -177,7 +212,8 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
 {
     // First packet waits for the payload fetch from the memory
     // hierarchy; subsequent blocks stream at pipeline rate. Each block
-    // is built straight into the pooled event that carries it.
+    // (or the whole train) is built straight into the pooled event
+    // that carries it.
     const sim::Tick ready = sim_.now() + txSetupLatency;
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
@@ -188,9 +224,7 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
         // block's tick carries them all into the fabric.
         TrainEvent *ev = trainPool_.acquire();
         ev->backend = this;
-        ev->pkts.resize(total);
-        for (std::uint32_t b = 0; b < total; ++b)
-            proto::makePacket(ev->pkts[b], op, self, dst, slot, payload, b);
+        proto::makeTrain(ev->train, op, self, dst, slot, payload);
         egressFreeAt_ = std::max(ready, egressFreeAt_) +
                         total * backendPacketOccupancy;
         sim_.scheduleAt(*ev, egressFreeAt_);

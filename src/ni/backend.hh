@@ -27,14 +27,20 @@
  *    which claims the receive slot, and its last-received packet,
  *    which completes the message, get an event at their pipeline
  *    exit; a middle block needs none, because nothing reads its
- *    effect before the completing packet does.
- *  - Egress: without a fabric perturber, a multi-block send's packets
- *    leave as one train: one event at the last block's egress tick
- *    carries every block into the fabric (net::Fabric::sendTrain),
- *    which delivers them together. Sends from a server go to the
- *    client side, whose only use of a middle block is to place it in
- *    the reply being assembled, read first by the completing block.
- *    A perturber must see each packet at its own tick, so fault runs
+ *    effect before the completing packet does. A whole message
+ *    delivered as one proto::Train (receiveTrain) enters the pipeline
+ *    as its blocks would, back to back: the exit ticks follow by
+ *    arithmetic, the bytes land in the slot by swap
+ *    (mem::RecvBuffer::stageTrain), and the same claim and complete
+ *    events are scheduled, in the same order.
+ *  - Egress: without a fabric perturber, a multi-block send leaves as
+ *    one train: one event at the last block's egress tick carries the
+ *    message into the fabric (net::Fabric::sendTrain) as block 0's
+ *    header plus one copy of its bytes (proto::makeTrain), and the
+ *    fabric delivers it whole. Sends from a server go to the client
+ *    side, whose only use of a middle block is to place it in the
+ *    reply being assembled, read first by the completing block. A
+ *    perturber must see each packet at its own tick, so fault runs
  *    inject packet by packet.
  */
 
@@ -80,6 +86,15 @@ class NiBackend
     void receivePacket(const proto::Packet &pkt);
 
     /**
+     * Fabric ingress: a whole send or read-response message arriving
+     * as one train. Exactly receivePacket() of its blocks, in block
+     * order, at this tick — the same pipeline ticks, counts and
+     * events — with its bytes taken by swap (@p train comes back
+     * holding the slot's old buffer).
+     */
+    void receiveTrain(proto::Train &train);
+
+    /**
      * Fault injection (ni-stall): the ingress pipeline stops draining
      * until @p until. Arriving packets queue behind the stall and
      * drain in order when it lifts — a microcode hiccup, not a crash:
@@ -107,11 +122,12 @@ class NiBackend
 
   private:
     /** Packet whose pipeline exit claims a slot, completes a message
-     *  or carries a replenish (pooled). */
+     *  or carries a replenish (pooled). Only its header is left to
+     *  read: the block was staged at arrival. */
     struct IngressEvent : sim::Event
     {
         NiBackend *backend = nullptr;
-        proto::Packet pkt;
+        proto::PacketHeader hdr;
         /** Send / read-response work left for the pipeline exit. */
         mem::Staged staged;
 
@@ -142,7 +158,7 @@ class NiBackend
     struct TrainEvent : sim::Event
     {
         NiBackend *backend = nullptr;
-        std::vector<proto::Packet> pkts;
+        proto::Train train;
 
         void process() override;
         const char *description() const override
@@ -164,7 +180,11 @@ class NiBackend
         }
     };
 
-    void processIngress(const proto::Packet &pkt, mem::Staged staged);
+    /** Schedule the pipeline exit of the packet with header @p hdr at
+     *  @p exit, carrying @p staged. */
+    void scheduleIngress(const proto::PacketHeader &hdr,
+                         mem::Staged staged, sim::Tick exit);
+    void processIngress(const proto::PacketHeader &hdr, mem::Staged staged);
     void signalCompletion(std::uint32_t index, proto::NodeId src,
                           std::uint32_t conn_client);
 

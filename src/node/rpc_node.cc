@@ -103,10 +103,10 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
         break;
     }
 
-    fabric_.connect(derived_.id,
-                    [this](const proto::Packet &pkt) {
-                        receivePacket(pkt);
-                    });
+    fabric_.connect(
+        derived_.id,
+        [this](const proto::Packet &pkt) { receivePacket(pkt); },
+        [this](proto::Train &train) { receiveTrain(train); });
 }
 
 void
@@ -199,6 +199,18 @@ RpcNode::receivePacket(const proto::Packet &pkt)
     const std::uint32_t backend =
         ingressBackendFor(pkt.hdr.src, pkt.hdr.slot);
     backends_[backend]->receivePacket(pkt);
+}
+
+void
+RpcNode::receiveTrain(proto::Train &train)
+{
+    if (failed_) {
+        droppedPackets_ += train.blocks();
+        return;
+    }
+    const std::uint32_t backend =
+        ingressBackendFor(train.hdr.src, train.hdr.slot);
+    backends_[backend]->receiveTrain(train);
 }
 
 void

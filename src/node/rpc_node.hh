@@ -148,6 +148,9 @@ class RpcNode
 
     /** Fabric sink: a packet addressed to this node. */
     void receivePacket(const proto::Packet &pkt);
+    /** Fabric train sink: a whole message addressed to this node,
+     *  handed to its ingress backend as one train. */
+    void receiveTrain(proto::Train &train);
 
     /** Register a hook run after every completed RPC. */
     void setCompletionHook(CompletionHook hook);

@@ -44,26 +44,64 @@ InlineBlock::push_back(std::uint8_t byte)
     bytes_[len_++] = byte;
 }
 
+namespace {
+
+/** The header of block @p block of a @p msg_bytes message: every field
+ *  set, so a stale header may be reused. */
+PacketHeader
+blockHeader(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
+            std::uint32_t msg_bytes, std::uint32_t block)
+{
+    PacketHeader hdr;
+    hdr.op = op;
+    hdr.src = src;
+    hdr.dst = dst;
+    hdr.slot = slot;
+    hdr.blockIndex = block;
+    hdr.totalBlocks = blocksForBytes(msg_bytes);
+    hdr.msgBytes = msg_bytes;
+    return hdr;
+}
+
+/** Copy block @p block of the @p size bytes at @p msg into @p out,
+ *  clamped to the message: a block past its end comes out empty. */
+void
+assignBlock(InlineBlock &out, const std::uint8_t *msg, std::size_t size,
+            std::uint32_t block)
+{
+    const std::size_t lo =
+        std::min(static_cast<std::size_t>(block) * cacheBlockBytes, size);
+    const std::size_t hi = std::min<std::size_t>(lo + cacheBlockBytes, size);
+    out.assign(msg + lo, hi - lo);
+}
+
+} // namespace
+
 void
 makePacket(Packet &pkt, OpType op, NodeId src, NodeId dst,
            std::uint32_t slot, const std::vector<std::uint8_t> &payload,
            std::uint32_t block)
 {
-    const auto msg_bytes = static_cast<std::uint32_t>(payload.size());
-    pkt.hdr = PacketHeader{};
-    pkt.hdr.op = op;
-    pkt.hdr.src = src;
-    pkt.hdr.dst = dst;
-    pkt.hdr.slot = slot;
+    pkt.hdr = blockHeader(op, src, dst, slot,
+                          static_cast<std::uint32_t>(payload.size()), block);
+    assignBlock(pkt.payload, payload.data(), payload.size(), block);
+}
+
+void
+makeTrain(Train &train, OpType op, NodeId src, NodeId dst,
+          std::uint32_t slot, const std::vector<std::uint8_t> &payload)
+{
+    train.hdr = blockHeader(op, src, dst, slot,
+                            static_cast<std::uint32_t>(payload.size()), 0);
+    train.bytes.assign(payload.begin(), payload.end());
+}
+
+void
+trainPacket(const Train &train, std::uint32_t block, Packet &pkt)
+{
+    pkt.hdr = train.hdr;
     pkt.hdr.blockIndex = block;
-    pkt.hdr.totalBlocks = blocksForBytes(msg_bytes);
-    pkt.hdr.msgBytes = msg_bytes;
-    // Clamped to the message, so a block past its end comes out empty.
-    const std::size_t lo = std::min(
-        static_cast<std::size_t>(block) * cacheBlockBytes, payload.size());
-    const std::size_t hi = std::min<std::size_t>(lo + cacheBlockBytes,
-                                                 payload.size());
-    pkt.payload.assign(payload.data() + lo, hi - lo);
+    assignBlock(pkt.payload, train.bytes.data(), train.bytes.size(), block);
 }
 
 std::vector<Packet>

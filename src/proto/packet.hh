@@ -14,13 +14,21 @@
  * stored inline. It owns no heap memory and is trivially copyable, so
  * senders build each block straight into the pooled event that carries
  * it (makePacket) and receivers place it with one bounded copy
- * (placeBlock). A multi-block message usually travels as a train: its
- * packets, built once into one pooled event's vector, move between
- * events by buffer swap rather than by copy (net::Fabric::sendTrain).
- * A packet owns its bytes rather than referencing the sender's buffer:
- * an in-flight fault may corrupt one packet without touching the
- * sender's copy, and a timed-out request's packets can outlive the
- * request that sent them.
+ * (placeBlock).
+ *
+ * Where no one observes a multi-block message's blocks apart (the
+ * fused data path, net::Fabric::sendTrain), it travels as a Train
+ * instead: block 0's header plus the message's bytes in one buffer,
+ * filled with one copy (makeTrain). Every other header differs from
+ * block 0's only in its block index, so the train is the message's
+ * packets, not yet unrolled; trainPacket() builds any one of them
+ * exactly as makePacket would. The byte buffer moves between pooled
+ * events and receive slots by swap, never by copy.
+ *
+ * A packet or train owns its bytes rather than referencing the
+ * sender's buffer: an in-flight fault may corrupt one packet without
+ * touching the sender's copy, and a timed-out request's packets can
+ * outlive the request that sent them.
  */
 
 #ifndef RPCVALET_PROTO_PACKET_HH
@@ -128,6 +136,20 @@ struct Packet
     InlineBlock payload;
 };
 
+/**
+ * A whole message as one unit: block 0's header and the message's
+ * bytes (bytes.size() == hdr.msgBytes). Stands for the hdr.totalBlocks
+ * packets trainPacket() unrolls it into.
+ */
+struct Train
+{
+    PacketHeader hdr;
+    std::vector<std::uint8_t> bytes;
+
+    /** Blocks (packets) the train carries. */
+    std::uint32_t blocks() const { return hdr.totalBlocks; }
+};
+
 /** Number of cache blocks needed for @p bytes (at least 1). */
 std::uint32_t blocksForBytes(std::uint32_t bytes);
 
@@ -141,6 +163,21 @@ std::uint32_t blocksForBytes(std::uint32_t bytes);
 void makePacket(Packet &pkt, OpType op, NodeId src, NodeId dst,
                 std::uint32_t slot, const std::vector<std::uint8_t> &payload,
                 std::uint32_t block);
+
+/**
+ * Fill @p train as the message @p payload sent from @p src to slot
+ * @p slot at @p dst: makePacket's header for block 0 and one copy of
+ * the bytes (reusing @p train's buffer).
+ */
+void makeTrain(Train &train, OpType op, NodeId src, NodeId dst,
+               std::uint32_t slot, const std::vector<std::uint8_t> &payload);
+
+/**
+ * Fill @p pkt as block @p block of @p train: the train's header with
+ * that block index and that block's bytes — the packet makePacket
+ * builds for the same message and block.
+ */
+void trainPacket(const Train &train, std::uint32_t block, Packet &pkt);
 
 /**
  * Unroll a message into its per-block packets, soNUMA-style: packet b

@@ -81,6 +81,147 @@ TEST(Fabric, PreservesPerPairOrdering)
         EXPECT_EQ(seen[i], i);
 }
 
+// ----- message trains -----
+
+std::vector<std::uint8_t>
+ramp(std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<std::uint8_t>(i * 7);
+    return out;
+}
+
+/** A packet and what it should equal, compared field by field. */
+void
+expectSamePacket(const proto::Packet &got, const proto::Packet &want)
+{
+    EXPECT_EQ(got.hdr.op, want.hdr.op);
+    EXPECT_EQ(got.hdr.src, want.hdr.src);
+    EXPECT_EQ(got.hdr.dst, want.hdr.dst);
+    EXPECT_EQ(got.hdr.slot, want.hdr.slot);
+    EXPECT_EQ(got.hdr.blockIndex, want.hdr.blockIndex);
+    EXPECT_EQ(got.hdr.totalBlocks, want.hdr.totalBlocks);
+    EXPECT_EQ(got.hdr.msgBytes, want.hdr.msgBytes);
+    EXPECT_EQ(got.hdr.connClient, want.hdr.connClient);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.payload.begin(),
+                                        got.payload.end()),
+              std::vector<std::uint8_t>(want.payload.begin(),
+                                        want.payload.end()));
+}
+
+TEST(Fabric, TrainReachesANodeWithoutATrainSinkBlockByBlock)
+{
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    std::vector<proto::Packet> got;
+    std::vector<Tick> at;
+    fabric.connect(1, [&](const proto::Packet &pkt) {
+        got.push_back(pkt);
+        at.push_back(sim.now());
+    });
+    const auto data = ramp(300);
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 0, 1, 2, data);
+    train.hdr.connClient = 9;
+    fabric.sendTrain(train);
+    sim.run();
+    // The packets makePacket would have built, all at the latency, in
+    // block order, on one event.
+    auto want = proto::packetize(proto::OpType::Send, 0, 1, 2, data);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t b = 0; b < want.size(); ++b) {
+        want[b].hdr.connClient = 9;
+        expectSamePacket(got[b], want[b]);
+        EXPECT_EQ(at[b], nanoseconds(100));
+    }
+    EXPECT_EQ(fabric.delivered(), 5u);
+    EXPECT_EQ(sim.executedEvents(), 1u);
+}
+
+TEST(Fabric, TrainSinkTakesTheWholeTrain)
+{
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    int packets = 0;
+    std::vector<std::uint8_t> got;
+    std::uint32_t blocks = 0;
+    fabric.connect(
+        1, [&](const proto::Packet &) { ++packets; },
+        [&](proto::Train &train) {
+            blocks = train.blocks();
+            got.swap(train.bytes);
+        });
+    const auto data = ramp(300);
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 0, 1, 2, data);
+    fabric.sendTrain(train);
+    // The bytes moved into the event; the caller holds a spare buffer.
+    EXPECT_TRUE(train.bytes.empty());
+    sim.run();
+    EXPECT_EQ(packets, 0);
+    EXPECT_EQ(blocks, 5u);
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(fabric.delivered(), 5u);
+}
+
+/** Counts what it sees; never acts. */
+struct CountingPerturber : net::PacketPerturber
+{
+    int seen = 0;
+    Verdict
+    perturb(proto::Packet &, sim::DomainId, sim::Tick) override
+    {
+        ++seen;
+        return {};
+    }
+};
+
+TEST(Fabric, PerturbedAndCrossDomainTrainsTravelBlockByBlock)
+{
+    const auto data = ramp(200);
+    {
+        Simulator sim;
+        Fabric fabric(sim, nanoseconds(100));
+        CountingPerturber perturber;
+        fabric.setPerturber(&perturber);
+        EXPECT_FALSE(fabric.fusesTrains());
+        int packets = 0;
+        int trains = 0;
+        fabric.connect(
+            1, [&](const proto::Packet &) { ++packets; },
+            [&](proto::Train &) { ++trains; });
+        proto::Train train;
+        proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, data);
+        fabric.sendTrain(train);
+        sim.run();
+        EXPECT_EQ(perturber.seen, 4);
+        EXPECT_EQ(packets, 4);
+        EXPECT_EQ(trains, 0);
+        EXPECT_EQ(sim.executedEvents(), 4u);
+    }
+    {
+        sim::EventDomain d0(0, "d0");
+        sim::EventDomain d1(1, "d1");
+        Fabric fabric({&d0, &d1}, nanoseconds(100));
+        fabric.assignNode(1, 1);
+        int packets = 0;
+        int trains = 0;
+        fabric.connect(
+            1, [&](const proto::Packet &) { ++packets; },
+            [&](proto::Train &) { ++trains; });
+        proto::Train train;
+        proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, data);
+        fabric.sendTrain(train);
+        EXPECT_EQ(fabric.crossDomainMail(), 4u);
+        fabric.closeWindow(nanoseconds(200));
+        fabric.drainInbox(1);
+        d1.run();
+        EXPECT_EQ(packets, 4);
+        EXPECT_EQ(trains, 0);
+    }
+}
+
 TEST(FabricDeath, DuplicateNodeRegistrationIsFatal)
 {
     // connect() used to silently overwrite an existing sink, which

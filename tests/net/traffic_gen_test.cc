@@ -4,7 +4,8 @@
  * in-test echo server as the node under test: the happy path, flow
  * control, client tagging and the chain-member admission bypass, and
  * the timeout recovery paths (parked slot credits, slot reuse after a
- * timeout, stale replies, conservation after drain).
+ * timeout, stale replies, conservation after drain), and reply trains
+ * (whole, or block by block onto a leftover partial assembly).
  */
 
 #include <gtest/gtest.h>
@@ -405,6 +406,114 @@ TEST(TrafficGenRecovery, ReplyPastTheTimeoutCountsAsStale)
     h.drainAndCheckConservation();
     EXPECT_EQ(h.tg->requestTimeouts(), 1u);
     EXPECT_EQ(h.tg->repliesReceived(), h.server.served - 1);
+}
+
+/**
+ * One client node (1) with one slot, and the test playing server 0:
+ * it catches one request and sends the reply itself.
+ */
+struct ReplyHarness
+{
+    Simulator sim;
+    Fabric fabric{sim, nanoseconds(50)};
+    app::SyntheticApp app{sim::SyntheticKind::Fixed};
+    proto::MessagingDomain domain = tinyDomain(2, 1);
+    std::unique_ptr<TrafficGenerator> tg;
+    std::vector<std::uint8_t> request;
+    proto::NodeId client = 0;
+    std::uint32_t slot = 0;
+    bool done = false;
+
+    ReplyHarness()
+    {
+        fabric.connect(0, [this](const proto::Packet &pkt) {
+            if (pkt.hdr.op != proto::OpType::Send)
+                return;
+            request.assign(pkt.payload.begin(), pkt.payload.end());
+            client = pkt.hdr.src;
+            slot = pkt.hdr.slot;
+        });
+        TrafficGenerator::Params p;
+        p.arrivalRps = 1.0;
+        p.seed = 3;
+        tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
+                                                fabric);
+        fabric.connect(
+            1, [this](const proto::Packet &pkt) { tg->receivePacket(pkt); },
+            [this](proto::Train &train) { tg->receiveTrain(train); });
+        // One request, issued as a chain member (no arrivals needed).
+        sim::Rng rng(1, 0x7E5);
+        std::vector<std::vector<std::uint8_t>> one;
+        one.push_back(app.makeRequest(rng));
+        tg->issueNested(std::move(one), [this] { done = true; });
+        sim.runUntil(sim::microseconds(1.0));
+    }
+
+    /** The server's reply to the caught request, as one train. */
+    proto::Train
+    reply()
+    {
+        sim::Rng rng(1, 0xEC0);
+        proto::Train train;
+        proto::makeTrain(train, proto::OpType::Send, 0, client, slot,
+                         app.handle(request, rng).reply);
+        return train;
+    }
+};
+
+TEST(TrafficGen, ReplyTrainCompletesFromItsBytes)
+{
+    ReplyHarness h;
+    ASSERT_FALSE(h.request.empty());
+    proto::Train train = h.reply();
+    ASSERT_GT(train.blocks(), 1u);
+    h.fabric.sendTrain(train);
+    h.sim.run();
+    EXPECT_TRUE(h.done);
+    EXPECT_EQ(h.tg->repliesReceived(), 1u);
+    EXPECT_EQ(h.tg->verificationFailures(), 0u);
+    EXPECT_EQ(h.tg->inFlight(), 0u);
+}
+
+TEST(TrafficGen, ReplyTrainOnALeftoverPartialGoesBlockByBlock)
+{
+    // Block 1 of a stray 10-block message already sits in the slot's
+    // reply assembly. Block by block, the reply's 8 blocks join it and
+    // leave it one block short; the stray's last block then completes
+    // a 600 B "reply" that fails verification. A train must do exactly
+    // that rather than complete from its own bytes.
+    for (const bool as_train : {false, true}) {
+        SCOPED_TRACE(as_train ? "train" : "packets");
+        ReplyHarness h;
+        const std::vector<std::uint8_t> stray(600, 0xEE);
+        proto::Packet pkt;
+        proto::makePacket(pkt, proto::OpType::Send, 0, h.client, h.slot,
+                          stray, 1);
+        h.fabric.send(pkt);
+        proto::Train train = h.reply();
+        ASSERT_EQ(train.blocks(), 8u);
+        if (as_train) {
+            h.fabric.sendTrain(train);
+        } else {
+            for (std::uint32_t b = 0; b < train.blocks(); ++b) {
+                proto::trainPacket(train, b, pkt);
+                h.fabric.send(pkt);
+            }
+        }
+        h.sim.run();
+        EXPECT_FALSE(h.done);
+        EXPECT_EQ(h.tg->repliesReceived(), 0u);
+        EXPECT_EQ(h.tg->inFlight(), 1u);
+
+        proto::makePacket(pkt, proto::OpType::Send, 0, h.client, h.slot,
+                          stray, 9);
+        h.fabric.send(pkt);
+        h.sim.run();
+        EXPECT_TRUE(h.done);
+        EXPECT_EQ(h.tg->repliesReceived(), 1u);
+        EXPECT_EQ(h.tg->verificationFailures(), 1u);
+        EXPECT_EQ(h.tg->inFlight(), 0u);
+    }
 }
 
 TEST(TrafficGenDeath, OutOfRangeReplyBlockPanics)

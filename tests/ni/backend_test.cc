@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the NI backend pipelines: ingress reassembly &
  * completion signaling, per-packet occupancy, message trains (events
- * only for a message's first- and last-received packets; one egress
+ * only for a message's first- and last-received packets; a whole
+ * train in on the same pipeline ticks as its packets; one egress
  * event per multi-block send), egress streaming, and replenish
  * handling (§4.2, §4.4).
  */
@@ -395,6 +396,116 @@ TEST(Backend, DroppedMiddleBlockNeverCompletes)
     EXPECT_EQ(f.recv.busyCount(), 1u);
     // Only the claim ran.
     EXPECT_EQ(f.sim.executedEvents(), 1u);
+}
+
+/** What one ingress scenario showed; see TrainIngressMatchesPackets. */
+struct IngressTrace
+{
+    std::vector<Tick> completionTimes;
+    std::vector<proto::CompletionQueueEntry> completions;
+    bool busyBeforeClaim = true;
+    bool busyAfterClaim = false;
+    std::uint64_t packetsReceived = 0;
+    Tick busyTicks = 0;
+    std::uint64_t events = 0;
+    std::vector<std::uint8_t> payload;
+};
+
+/**
+ * Ingress stalled until 100 ns; a 2-block message queues at 10 ns; at
+ * 20 ns a 5-block message arrives, as packets or as one train, then a
+ * 1-block message whose exit shows where the pipeline stood.
+ */
+IngressTrace
+ingressScenario(bool as_train)
+{
+    Fixture f;
+    f.backend->stallIngress(nanoseconds(100.0));
+    for (const auto &pkt :
+         proto::packetize(proto::OpType::Send, 3, 0, 0, bytes(100)))
+        f.receiveAt(nanoseconds(10.0), pkt);
+    const auto data = bytes(300);
+    if (as_train) {
+        proto::Train train;
+        proto::makeTrain(train, proto::OpType::Send, 2, 0, 1, data);
+        f.sim.schedule(nanoseconds(20.0), [&f, train]() mutable {
+            f.backend->receiveTrain(train);
+        });
+    } else {
+        for (const auto &pkt :
+             proto::packetize(proto::OpType::Send, 2, 0, 1, data))
+            f.receiveAt(nanoseconds(20.0), pkt);
+    }
+    f.receiveAt(nanoseconds(20.0),
+                proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(8))[0]);
+    // The 2-block message leaves at 103 and 106 ns, so the 5-block
+    // one's first block leaves (and claims) at 109 ns.
+    const Tick claim = nanoseconds(109.0);
+    const std::uint32_t index = f.domain.slotIndex(2, 1);
+    IngressTrace t;
+    f.sim.schedule(claim - 1,
+                   [&] { t.busyBeforeClaim = f.recv.slot(index).busy; });
+    f.sim.schedule(claim + 1,
+                   [&] { t.busyAfterClaim = f.recv.slot(index).busy; });
+    f.sim.run();
+    t.completionTimes = f.completionTimes;
+    t.completions = f.completions;
+    t.packetsReceived = f.backend->packetsReceived();
+    t.busyTicks = f.backend->ingressBusyTicks();
+    t.events = f.sim.executedEvents();
+    t.payload = f.recv.slot(index).payload;
+    return t;
+}
+
+TEST(Backend, TrainIngressMatchesPackets)
+{
+    const IngressTrace packets = ingressScenario(false);
+    const IngressTrace train = ingressScenario(true);
+    for (const IngressTrace *t : {&packets, &train}) {
+        SCOPED_TRACE(t == &train ? "train" : "packets");
+        EXPECT_FALSE(t->busyBeforeClaim);
+        EXPECT_TRUE(t->busyAfterClaim);
+        // Exits at 106 ns (2 blocks), 121 ns (5 blocks behind them)
+        // and 124 ns (the 1-block message behind both).
+        ASSERT_EQ(t->completionTimes.size(), 3u);
+        EXPECT_EQ(t->completionTimes[0],
+                  nanoseconds(106.0) + mem::counterUpdateLatency);
+        EXPECT_EQ(t->completionTimes[1],
+                  nanoseconds(121.0) + mem::counterUpdateLatency);
+        EXPECT_EQ(t->completionTimes[2],
+                  nanoseconds(124.0) + mem::counterUpdateLatency);
+        EXPECT_EQ(t->completions[1].srcNode, 2u);
+        EXPECT_EQ(t->completions[1].firstPacketTick, nanoseconds(20.0));
+        EXPECT_EQ(t->packetsReceived, 8u);
+        EXPECT_EQ(t->busyTicks, 8 * nanoseconds(3.0));
+        EXPECT_EQ(t->payload, bytes(300));
+    }
+    for (std::size_t i = 0; i < packets.completions.size(); ++i) {
+        EXPECT_EQ(train.completions[i].slotIndex,
+                  packets.completions[i].slotIndex);
+        EXPECT_EQ(train.completions[i].msgBytes,
+                  packets.completions[i].msgBytes);
+        EXPECT_EQ(train.completions[i].firstPacketTick,
+                  packets.completions[i].firstPacketTick);
+    }
+    // The train saves the delivery events of its 5 blocks (one
+    // scheduled callback instead of five); the NI events are the same.
+    EXPECT_EQ(train.events + 4, packets.events);
+}
+
+TEST(Backend, OneBlockTrainClaimsAndCompletesOnOneEvent)
+{
+    Fixture f;
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, bytes(40));
+    f.backend->receiveTrain(train);
+    f.sim.run();
+    ASSERT_EQ(f.completions.size(), 1u);
+    EXPECT_EQ(f.completionTimes[0],
+              nanoseconds(3.0) + mem::counterUpdateLatency);
+    EXPECT_EQ(f.recv.busyCount(), 1u);
+    // The pipeline exit, then the completion notification.
+    EXPECT_EQ(f.sim.executedEvents(), 2u);
 }
 
 TEST(BackendDeath, MorePacketsThanBlocksPanicsOnArrival)
