@@ -1,9 +1,10 @@
 /**
  * @file
  * Engineering microbenchmarks (google-benchmark): throughput of the
- * DES kernel, RNG samplers, data-structure substrates, and a full
- * end-to-end simulation — the numbers that determine how long the
- * figure benches take, not paper results.
+ * DES kernel, RNG samplers, data-structure substrates, one message
+ * through the NI data path, and a full end-to-end simulation — the
+ * numbers that determine how long the figure benches take, not paper
+ * results.
  *
  * The kernel benches compare the timer-wheel/pooled-event kernel
  * against a bench-local copy of the original kernel (one heap-
@@ -24,7 +25,12 @@
 #include "app/herd_app.hh"
 #include "app/skip_list.hh"
 #include "core/experiment.hh"
+#include "mem/buffers.hh"
+#include "net/fabric.hh"
+#include "ni/backend.hh"
+#include "proto/packet.hh"
 #include "sim/distributions.hh"
+#include "sim/domain.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -263,6 +269,51 @@ BM_SkipListScan100(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SkipListScan100);
+
+void
+BM_MessageTrain(benchmark::State &state)
+{
+    // One message of N blocks per iteration along the fused data path,
+    // send -> deliver -> stage -> complete: the sender builds a packet
+    // (N = 1) or a train, the fabric delivers it, the NI backend
+    // stages it into a receive slot, and the completion releases the
+    // slot for the next message.
+    const auto blocks = static_cast<std::uint32_t>(state.range(0));
+    proto::MessagingDomain domain;
+    domain.numNodes = 2;
+    domain.slotsPerNode = 1;
+    domain.maxMsgBytes = blocks * proto::cacheBlockBytes;
+    sim::EventDomain sim;
+    net::Fabric fabric(sim, sim::nanoseconds(100.0));
+    mem::RecvBuffer recv(domain);
+    ni::NiBackend backend(
+        sim, 0, recv,
+        [&recv](std::uint32_t, proto::CompletionQueueEntry cqe) {
+            recv.release(cqe.slotIndex);
+        },
+        [](proto::NodeId, std::uint32_t) {}, fabric);
+    fabric.connect(
+        0, [&backend](const proto::Packet &pkt) { backend.receivePacket(pkt); },
+        [&backend](proto::Train &train) { backend.receiveTrain(train); });
+    const std::vector<std::uint8_t> payload(domain.maxMsgBytes, 0x5A);
+    proto::Packet pkt;
+    proto::Train train;
+    for (auto _ : state) {
+        if (blocks == 1) {
+            proto::makePacket(pkt, proto::OpType::Send, 1, 0, 0, payload, 0);
+            fabric.send(pkt);
+        } else {
+            proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, payload);
+            fabric.sendTrain(train);
+        }
+        sim.run();
+    }
+    benchmark::DoNotOptimize(backend.completionsSignaled());
+    state.SetItemsProcessed(state.iterations());
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_MessageTrain)->Arg(1)->Arg(25);
 
 void
 BM_EndToEndRpcSimulation(benchmark::State &state)
