@@ -132,10 +132,6 @@ RecvBuffer::stageTrain(proto::Train &train, sim::Tick now)
     RecvSlot &rs =
         slots_[domain_.slotIndex(train.hdr.src, train.hdr.slot)];
     const Staged staged = admit(train.hdr, rs, now);
-    // A train carries every block, so it must find the slot's counter
-    // at zero; checked before its bytes replace the slot's.
-    RV_ASSERT(rs.arrivedBlocks + train.blocks() <= rs.totalBlocks,
-              "more packets than blocks for slot");
     // Block by block, the slot would end up holding exactly these
     // bytes; its old buffer goes back with the train.
     rs.payload.swap(train.bytes);

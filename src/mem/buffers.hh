@@ -138,7 +138,9 @@ class RecvBuffer
      * order, at @p now. Runs the first-block checks, then takes the
      * bytes by swap (@p train comes back holding the slot's old
      * buffer), leaving the slot as staging each block would. The
-     * result is block 0's claim and the last block's completion.
+     * result is block 0's claim and the last block's completion, which
+     * a train always carries: a slot that already counts blocks of
+     * its message dies, as the duplicate blocks would.
      */
     Staged stageTrain(proto::Train &train, sim::Tick now);
 

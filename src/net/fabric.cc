@@ -40,19 +40,18 @@ void
 Fabric::connect(proto::NodeId node, Sink sink, TrainSink train_sink)
 {
     RV_ASSERT(sink != nullptr, "null fabric sink");
-    if (node >= sinks_.size()) {
-        sinks_.resize(static_cast<std::size_t>(node) + 1);
-        trainSinks_.resize(sinks_.size());
-    }
-    if (sinks_[node] != nullptr) {
+    if (node >= receivers_.size())
+        receivers_.resize(static_cast<std::size_t>(node) + 1);
+    Receiver &r = receivers_[node];
+    if (r.packet != nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: node %u is already connected (duplicate "
             "registration would silently drop the first sink's "
             "traffic)",
             node));
     }
-    sinks_[node] = std::move(sink);
-    trainSinks_[node] = std::move(train_sink);
+    r.packet = std::move(sink);
+    r.train = std::move(train_sink);
 }
 
 void
@@ -255,7 +254,7 @@ void
 Fabric::checkConnected(proto::OpType op, proto::NodeId src,
                        proto::NodeId dst) const
 {
-    if (dst >= sinks_.size() || sinks_[dst] == nullptr) {
+    if (dst >= receivers_.size() || receivers_[dst].packet == nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: %s packet from node %u addressed to unconnected "
             "node %u (no sink registered for it)",
@@ -268,23 +267,23 @@ Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
 {
     ++domains_[dom]->delivered;
     checkConnected(pkt.hdr.op, pkt.hdr.src, pkt.hdr.dst);
-    sinks_[pkt.hdr.dst](pkt);
+    receivers_[pkt.hdr.dst].packet(pkt);
 }
 
 void
 Fabric::deliverTrain(sim::DomainId dom, proto::Train &train)
 {
     domains_[dom]->delivered += train.blocks();
-    const proto::NodeId dst = train.hdr.dst;
-    checkConnected(train.hdr.op, train.hdr.src, dst);
-    if (trainSinks_[dst] != nullptr) {
-        trainSinks_[dst](train);
+    checkConnected(train.hdr.op, train.hdr.src, train.hdr.dst);
+    Receiver &r = receivers_[train.hdr.dst];
+    if (r.train != nullptr) {
+        r.train(train);
         return;
     }
     proto::Packet pkt;
     for (std::uint32_t b = 0; b < train.blocks(); ++b) {
         proto::trainPacket(train, b, pkt);
-        sinks_[dst](pkt);
+        r.packet(pkt);
     }
 }
 

@@ -329,12 +329,16 @@ class Fabric
     std::vector<Edge> mailboxes_;
     /** Domain of each assigned node, indexed by NodeId. */
     std::vector<sim::DomainId> nodeDomain_;
-    /** Receiver of each node, indexed by NodeId (empty = none: a
-     *  packet to it is fatal). */
-    std::vector<Sink> sinks_;
-    /** Whole-train receiver of each node (empty = unroll into its
-     *  packet sink). */
-    std::vector<TrainSink> trainSinks_;
+    /** What connect() registered for one node. */
+    struct Receiver
+    {
+        /** Empty = not connected: a packet to the node is fatal. */
+        Sink packet;
+        /** Empty = trains reach the packet sink block by block. */
+        TrainSink train;
+    };
+    /** Receiver of each node, indexed by NodeId. */
+    std::vector<Receiver> receivers_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;
 };

@@ -62,19 +62,16 @@ NiBackend::receiveTrain(proto::Train &train)
     ingressFreeAt_ = start + work;
     ingressBusy_ += work;
     packetsReceived_ += n;
-    // Block 0 is the first received, so it carries the claim; the last
-    // block carries the completion (both, for a one-block message).
-    const mem::Staged staged = recv_.stageTrain(train, arrival);
-    if (n == 1) {
-        if (staged.claims || staged.completes)
-            scheduleIngress(train.hdr, staged, ingressFreeAt_);
-        return;
-    }
-    if (staged.claims)
+    // A send's block 0 claims the slot as it leaves the pipeline; the
+    // last block completes the message (a train always does). A
+    // one-block train does both on one event.
+    mem::Staged staged = recv_.stageTrain(train, arrival);
+    if (staged.claims && n > 1) {
         scheduleIngress(train.hdr, mem::Staged{true, false},
                         start + backendPacketOccupancy);
-    if (staged.completes)
-        scheduleIngress(train.hdr, mem::Staged{false, true}, ingressFreeAt_);
+        staged.claims = false;
+    }
+    scheduleIngress(train.hdr, staged, ingressFreeAt_);
 }
 
 void
