@@ -274,10 +274,11 @@ void
 BM_MessageTrain(benchmark::State &state)
 {
     // One message of N blocks per iteration along the fused data path,
-    // send -> deliver -> stage -> complete: the sender builds a packet
-    // (N = 1) or a train, the fabric delivers it, the NI backend
-    // stages it into a receive slot, and the completion releases the
-    // slot for the next message.
+    // send -> deliver -> stage -> complete: the sender builds one
+    // train, as the traffic generator does for every message (N = 1
+    // included), the fabric delivers it, the NI backend stages it into
+    // a receive slot, and the completion releases the slot for the
+    // next message.
     const auto blocks = static_cast<std::uint32_t>(state.range(0));
     proto::MessagingDomain domain;
     domain.numNodes = 2;
@@ -293,19 +294,12 @@ BM_MessageTrain(benchmark::State &state)
         },
         [](proto::NodeId, std::uint32_t) {}, fabric);
     fabric.connect(
-        0, [&backend](const proto::Packet &pkt) { backend.receivePacket(pkt); },
-        [&backend](proto::Train &train) { backend.receiveTrain(train); });
+        0, [&backend](proto::Train &train) { backend.receive(train); });
     const std::vector<std::uint8_t> payload(domain.maxMsgBytes, 0x5A);
-    proto::Packet pkt;
     proto::Train train;
     for (auto _ : state) {
-        if (blocks == 1) {
-            proto::makePacket(pkt, proto::OpType::Send, 1, 0, 0, payload, 0);
-            fabric.send(pkt);
-        } else {
-            proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, payload);
-            fabric.sendTrain(train);
-        }
+        proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, payload);
+        fabric.send(train);
         sim.run();
     }
     benchmark::DoNotOptimize(backend.completionsSignaled());

@@ -610,9 +610,8 @@ runExperiment(const ExperimentConfig &cfg)
     // outside the topology is a hard fabric error. Client nodes stay
     // unassigned, which places them on domain 0.
     for (proto::NodeId n = numServers; n < cfg.system.domain.numNodes; ++n) {
-        fabric.connect(
-            n, [&tg](const proto::Packet &pkt) { tg.receivePacket(pkt); },
-            [&tg](proto::Train &train) { tg.receiveTrain(train); });
+        fabric.connect(n,
+                       [&tg](proto::Train &train) { tg.receive(train); });
     }
 
     // Timed faults arm as plain events on each victim node's own

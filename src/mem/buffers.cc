@@ -102,40 +102,28 @@ RecvBuffer::admit(const proto::PacketHeader &hdr, RecvSlot &rs,
 }
 
 Staged
-RecvBuffer::count(RecvSlot &rs, std::uint32_t blocks, Staged staged)
+RecvBuffer::stage(proto::Train &train, sim::Tick now)
 {
+    RecvSlot &rs =
+        slots_[domain_.slotIndex(train.hdr.src, train.hdr.slot)];
+    Staged staged = admit(train.hdr, rs, now);
+    const std::uint32_t blocks = train.blocks();
+    if (train.whole()) {
+        // Block by block, the slot would end up holding exactly these
+        // bytes; its old buffer goes back with the train.
+        rs.payload.swap(train.bytes);
+    } else {
+        if (staged.claims)
+            rs.payload.assign(train.hdr.msgBytes, 0);
+        // Copy the payload block into place (zero-copy on the real
+        // machine; here the buffer is authoritative storage).
+        proto::placeBlock(train, 0, rs.payload);
+    }
     rs.arrivedBlocks += blocks;
     RV_ASSERT(rs.arrivedBlocks <= rs.totalBlocks,
               "more packets than blocks for slot");
     staged.completes = rs.arrivedBlocks == rs.totalBlocks;
     return staged;
-}
-
-Staged
-RecvBuffer::stage(const proto::Packet &pkt, sim::Tick now)
-{
-    RecvSlot &rs = slots_[domain_.slotIndex(pkt.hdr.src, pkt.hdr.slot)];
-    const Staged staged = admit(pkt.hdr, rs, now);
-    if (staged.claims)
-        rs.payload.assign(pkt.hdr.msgBytes, 0);
-    // Copy the payload block into place (zero-copy on the real
-    // machine; here the buffer is authoritative storage).
-    proto::placeBlock(pkt, rs.payload);
-    return count(rs, 1, staged);
-}
-
-Staged
-RecvBuffer::stageTrain(proto::Train &train, sim::Tick now)
-{
-    RV_ASSERT(train.bytes.size() == train.hdr.msgBytes,
-              "train bytes do not match its header's size");
-    RecvSlot &rs =
-        slots_[domain_.slotIndex(train.hdr.src, train.hdr.slot)];
-    const Staged staged = admit(train.hdr, rs, now);
-    // Block by block, the slot would end up holding exactly these
-    // bytes; its old buffer goes back with the train.
-    rs.payload.swap(train.bytes);
-    return count(rs, train.blocks(), staged);
 }
 
 void

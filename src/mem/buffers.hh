@@ -7,14 +7,13 @@
  * application-level tests can verify actual RPC results, not just
  * latencies.
  *
- * The NI builds each outgoing packet from a send slot's bytes, one
- * 64 B block at a time (proto::makePacket); the packet carries that
- * block inline. On the receive side each block lands in its slot with
- * one bounded copy (proto::placeBlock), which rejects a block index
- * past the message's block count, as the packet enters the NI
- * (RecvBuffer::stage); the slot claim and the completion wait for the
- * packet's pipeline exit. A message that arrives whole, as one
- * proto::Train, is staged at once (RecvBuffer::stageTrain): its bytes
+ * The NI sends a send slot's bytes as one proto::Train (or, under a
+ * fabric perturber, one 64 B packet at a time). On the receive side
+ * every arrival is a train too — a whole message or one packet of it —
+ * staged as it enters the NI (RecvBuffer::stage); the slot claim and
+ * the completion wait for the pipeline exit. A packet's block lands in
+ * its slot with one bounded copy (proto::placeBlock), which rejects a
+ * block index past the message's block count. A whole message's bytes
  * become the slot's by a buffer swap, and the slot's old buffer leaves
  * with the train for reuse, so payload buffers circulate between
  * senders, the fabric and the slots without being copied again.
@@ -121,28 +120,23 @@ class RecvBuffer
     explicit RecvBuffer(const proto::MessagingDomain &domain);
 
     /**
-     * Receive-time half of a send or read-response packet's arrival:
-     * check the packet against its slot, copy its block into place and
-     * bump the arrival counter. A send's first-received packet sets
-     * the message up (size, firstPacketTick = @p now, zeroed payload);
-     * the slot counts as busy only once that packet leaves the NI
-     * pipeline (claim()). A read response lands in a slot that
-     * beginRendezvous() armed. Returns the pipeline-exit work this
-     * packet carries: a middle block carries none, so its block and
-     * count are all there is to it.
+     * Receive-time half of a send or read-response arrival, @p train
+     * being one packet or a whole message: check it against its slot,
+     * put its bytes in place and bump the arrival counter by its
+     * blocks. A send's first-received packet sets the message up
+     * (size, firstPacketTick = @p now); the slot counts as busy only
+     * once that packet leaves the NI pipeline (claim()). A packet's
+     * block is copied into a zeroed message buffer; a whole message's
+     * bytes are taken by swap (@p train comes back holding the slot's
+     * old buffer), leaving the slot as staging each block would. A
+     * read response lands in a slot that beginRendezvous() armed.
+     * Returns the pipeline-exit work the arrival carries: a middle
+     * block carries none, so its block and count are all there is to
+     * it; a whole train carries block 0's claim and the last block's
+     * completion, so on a slot that already counts blocks of its
+     * message it dies, as the duplicate blocks would.
      */
-    Staged stage(const proto::Packet &pkt, sim::Tick now);
-
-    /**
-     * stage() of a whole message at once: @p train's blocks, in block
-     * order, at @p now. Runs the first-block checks, then takes the
-     * bytes by swap (@p train comes back holding the slot's old
-     * buffer), leaving the slot as staging each block would. The
-     * result is block 0's claim and the last block's completion, which
-     * a train always carries: a slot that already counts blocks of
-     * its message dies, as the duplicate blocks would.
-     */
-    Staged stageTrain(proto::Train &train, sim::Tick now);
+    Staged stage(proto::Train &train, sim::Tick now);
 
     /**
      * Pipeline exit of a message's first-received send packet: the
@@ -178,8 +172,6 @@ class RecvBuffer
      *  a send's first-received packet sets the message up and claims. */
     static Staged admit(const proto::PacketHeader &hdr, RecvSlot &rs,
                         sim::Tick now);
-    /** Count @p blocks arrivals on @p rs, completing @p staged. */
-    static Staged count(RecvSlot &rs, std::uint32_t blocks, Staged staged);
 
     proto::MessagingDomain domain_;
     std::vector<RecvSlot> slots_;

@@ -37,21 +37,32 @@ Fabric::edge(unsigned bank, sim::DomainId src, sim::DomainId dst)
 }
 
 void
-Fabric::connect(proto::NodeId node, Sink sink, TrainSink train_sink)
+Fabric::connect(proto::NodeId node, Sink sink)
 {
     RV_ASSERT(sink != nullptr, "null fabric sink");
     if (node >= receivers_.size())
         receivers_.resize(static_cast<std::size_t>(node) + 1);
-    Receiver &r = receivers_[node];
-    if (r.packet != nullptr) {
+    if (receivers_[node] != nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: node %u is already connected (duplicate "
             "registration would silently drop the first sink's "
             "traffic)",
             node));
     }
-    r.packet = std::move(sink);
-    r.train = std::move(train_sink);
+    receivers_[node] = std::move(sink);
+}
+
+void
+Fabric::connect(proto::NodeId node, PacketSink sink)
+{
+    RV_ASSERT(sink != nullptr, "null fabric sink");
+    connect(node, [sink = std::move(sink),
+                   pkt = proto::Packet{}](proto::Train &train) mutable {
+        for (std::uint32_t i = 0; i < train.blocks(); ++i) {
+            proto::trainPacket(train, i, pkt);
+            sink(pkt);
+        }
+    });
 }
 
 void
@@ -83,66 +94,87 @@ Fabric::setPerturber(PacketPerturber *perturber)
 }
 
 void
-Fabric::send(proto::Packet pkt)
+Fabric::send(const proto::Packet &pkt)
 {
-    const sim::DomainId src = domainOf(pkt.hdr.src);
-    sim::Tick extra = 0;
-    if (perturber_ != nullptr) {
-        // Runs on the posting domain's thread; additive-only latency
-        // keeps the window invariant below intact.
-        const PacketPerturber::Verdict verdict = perturber_->perturb(
-            pkt, src, domains_[src]->sim->now());
-        if (verdict.drop)
-            return;
-        extra = verdict.extraLatency;
-    }
-
-    const sim::DomainId dst = domainOf(pkt.hdr.dst);
-    DomainState &s = *domains_[src];
-    if (src == dst) {
-        // Domain-local traffic never crosses a window boundary.
-        DeliverEvent *ev = s.pool.acquire();
-        ev->fabric = this;
-        ev->dom = dst;
-        ev->pkt = std::move(pkt);
-        s.sim->schedule(*ev, latency_ + extra);
+    if (perturber_ == nullptr) {
+        post(pkt, 0);
         return;
     }
-
-    const sim::Tick when = s.sim->now() + latency_ + extra;
-    RV_ASSERT(when >= windowEnd_,
-              "cross-domain packet due inside the executing window "
-              "(window = link latency invariant violated)");
-    std::vector<Mail> &box = edge(openBank_, src, dst).mail;
-    Mail mail;
-    mail.pkt = std::move(pkt);
-    mail.when = when;
-    mail.src = src;
-    mail.seq = box.size();
-    box.push_back(std::move(mail));
-    ++s.posted;
+    proto::Packet copy = pkt;
+    perturbAndPost(copy);
 }
 
 void
-Fabric::sendTrain(proto::Train &train)
+Fabric::send(proto::Train &train)
 {
-    const sim::DomainId src = domainOf(train.hdr.src);
-    const sim::DomainId dst = domainOf(train.hdr.dst);
-    if (perturber_ != nullptr || src != dst) {
+    if (perturber_ != nullptr) {
         proto::Packet pkt;
-        for (std::uint32_t b = 0; b < train.blocks(); ++b) {
-            proto::trainPacket(train, b, pkt);
-            send(pkt);
+        for (std::uint32_t i = 0; i < train.blocks(); ++i) {
+            proto::trainPacket(train, i, pkt);
+            perturbAndPost(pkt);
         }
         return;
     }
+    const sim::DomainId src = domainOf(train.hdr.src);
+    const sim::DomainId dst = domainOf(train.hdr.dst);
     DomainState &s = *domains_[src];
-    TrainDeliverEvent *ev = s.trainPool.acquire();
+    if (src != dst) {
+        const sim::Tick when = s.sim->now() + latency_;
+        for (std::uint32_t i = 0; i < train.blocks(); ++i)
+            proto::trainPacket(train, i, postMail(src, dst, when));
+        return;
+    }
+    DeliverEvent *ev = s.pool.acquire();
     ev->fabric = this;
     ev->dom = dst;
     ev->train.hdr = train.hdr;
     ev->train.bytes.swap(train.bytes);
     s.sim->schedule(*ev, latency_);
+}
+
+void
+Fabric::perturbAndPost(proto::Packet &pkt)
+{
+    // Runs on the posting domain's thread; additive-only latency
+    // keeps the window invariant of postMail() intact.
+    const sim::DomainId src = domainOf(pkt.hdr.src);
+    const PacketPerturber::Verdict verdict =
+        perturber_->perturb(pkt, src, domains_[src]->sim->now());
+    if (!verdict.drop)
+        post(pkt, verdict.extraLatency);
+}
+
+void
+Fabric::post(const proto::Packet &pkt, sim::Tick extra)
+{
+    const sim::DomainId src = domainOf(pkt.hdr.src);
+    const sim::DomainId dst = domainOf(pkt.hdr.dst);
+    DomainState &s = *domains_[src];
+    if (src != dst) {
+        postMail(src, dst, s.sim->now() + latency_ + extra) = pkt;
+        return;
+    }
+    // Domain-local traffic never crosses a window boundary.
+    DeliverEvent *ev = s.pool.acquire();
+    ev->fabric = this;
+    ev->dom = dst;
+    proto::packetTrain(pkt, ev->train);
+    s.sim->schedule(*ev, latency_ + extra);
+}
+
+proto::Packet &
+Fabric::postMail(sim::DomainId src, sim::DomainId dst, sim::Tick when)
+{
+    RV_ASSERT(when >= windowEnd_,
+              "cross-domain packet due inside the executing window "
+              "(window = link latency invariant violated)");
+    std::vector<Mail> &box = edge(openBank_, src, dst).mail;
+    Mail &mail = box.emplace_back();
+    mail.when = when;
+    mail.src = src;
+    mail.seq = box.size() - 1;
+    ++domains_[src]->posted;
+    return mail.pkt;
 }
 
 void
@@ -223,19 +255,11 @@ void
 Fabric::DeliverEvent::process()
 {
     // Deliver straight from the event, then recycle it: a sink that
-    // sends again draws another event, so the packet stays intact.
-    fabric->deliver(dom, pkt);
+    // sends again draws another event, so the train stays intact. The
+    // buffer stays with the event (whatever the sink swapped in) and
+    // goes back to the next sender by swap.
+    fabric->deliver(dom, train);
     fabric->domains_[dom]->pool.release(this);
-}
-
-void
-Fabric::TrainDeliverEvent::process()
-{
-    // As for a packet: a sink that sends again draws another event.
-    // The buffer stays with the event (whatever the sink swapped in)
-    // and goes back to the next sender by swap.
-    fabric->deliverTrain(dom, train);
-    fabric->domains_[dom]->trainPool.release(this);
 }
 
 void
@@ -244,47 +268,26 @@ Fabric::BatchDeliverEvent::process()
     // A sink that sends again draws another event, so the packet
     // vector is stable while it delivers, and clearing it keeps its
     // capacity for the next batch.
-    for (const proto::Packet &p : pkts)
-        fabric->deliver(dom, p);
+    for (const proto::Packet &p : pkts) {
+        proto::packetTrain(p, train);
+        fabric->deliver(dom, train);
+    }
     pkts.clear();
     fabric->domains_[dom]->batchPool.release(this);
 }
 
 void
-Fabric::checkConnected(proto::OpType op, proto::NodeId src,
-                       proto::NodeId dst) const
+Fabric::deliver(sim::DomainId dom, proto::Train &train)
 {
-    if (dst >= receivers_.size() || receivers_[dst].packet == nullptr) {
+    const proto::PacketHeader &hdr = train.hdr;
+    domains_[dom]->delivered += train.blocks();
+    if (hdr.dst >= receivers_.size() || receivers_[hdr.dst] == nullptr) {
         sim::fatal(sim::strfmt(
             "fabric: %s packet from node %u addressed to unconnected "
             "node %u (no sink registered for it)",
-            proto::opName(op).c_str(), src, dst));
+            proto::opName(hdr.op).c_str(), hdr.src, hdr.dst));
     }
-}
-
-void
-Fabric::deliver(sim::DomainId dom, const proto::Packet &pkt)
-{
-    ++domains_[dom]->delivered;
-    checkConnected(pkt.hdr.op, pkt.hdr.src, pkt.hdr.dst);
-    receivers_[pkt.hdr.dst].packet(pkt);
-}
-
-void
-Fabric::deliverTrain(sim::DomainId dom, proto::Train &train)
-{
-    domains_[dom]->delivered += train.blocks();
-    checkConnected(train.hdr.op, train.hdr.src, train.hdr.dst);
-    Receiver &r = receivers_[train.hdr.dst];
-    if (r.train != nullptr) {
-        r.train(train);
-        return;
-    }
-    proto::Packet pkt;
-    for (std::uint32_t b = 0; b < train.blocks(); ++b) {
-        proto::trainPacket(train, b, pkt);
-        r.packet(pkt);
-    }
+    receivers_[hdr.dst](train);
 }
 
 std::uint64_t

@@ -11,33 +11,37 @@
  *
  * One fabric spans one or more EventDomains; a sequential run is the
  * one-domain case. Nodes live on domain 0 unless assigned elsewhere
- * (assignNode). A send between nodes of one domain schedules a pooled
- * delivery event latency ticks out on that domain's wheel. A train
- * (sendTrain: a whole message, proto::Train, posted at one tick from
- * one node to one node) between nodes of one domain rides a single
- * pooled train-delivery event instead, its byte buffer swapped in, not
- * copied. Its blocks arrive together, in block order — exactly the
- * order in which one event per packet would fire, since those events
- * would sit back to back in the tick's FIFO. A node connected with a
- * train sink takes the train whole; any other node gets it unrolled
- * into its packet sink, block by block. A perturber must see every
- * packet at its own posting tick, so with one attached trains are
- * unrolled into send() as they are posted, and senders that would
- * merge packets of different ticks into one train (fusesTrains())
- * keep them apart. Cross-domain trains are unrolled likewise. A send
- * across domains (conservative parallel DES) is posted to the (src
- * domain, dst domain) edge mailbox stamped with its delivery time.
+ * (assignNode). Every node has one receiver, a Sink taking a
+ * proto::Train: a whole message (send(train), posted at one tick from
+ * one node to one node) or one packet of it (send(packet): a perturbed
+ * or per-block NI send, or cross-domain mail), which the fabric makes
+ * a one-packet train. A send between nodes of one domain schedules one
+ * pooled delivery event latency ticks out on that domain's wheel, the
+ * train's byte buffer swapped in, not copied. A whole train's blocks
+ * arrive together, in block order — exactly the order in which one
+ * event per packet would fire, since those events would sit back to
+ * back in the tick's FIFO. A perturber must see every packet at its
+ * own posting tick, so with one attached trains are unrolled into
+ * packets as they are posted, and senders that would merge packets of
+ * different ticks into one train (fusesTrains()) keep them apart. A
+ * train that crosses domains is unrolled straight into its edge
+ * mailbox, one entry per packet. connect() with a packet sink is an
+ * adapter for readers of packets (tools and tests): it unrolls each
+ * train into the sink, block by block. A packet sent across domains
+ * (conservative parallel DES) is posted to the (src domain, dst
+ * domain) edge mailbox stamped with its delivery time.
  * The run's synchronization window is the link latency: a packet sent
  * inside the window [T, T + latency) is due at send time + latency,
- * never before the window ends — send() asserts this on every
- * cross-domain packet. So mail posted in window W is first due in
+ * never before the window ends — every cross-domain post asserts
+ * this. So mail posted in window W is first due in
  * window W + 1, and is delivered there by its destination's owner:
  * the barrier only closes the window (closeWindow(), O(1)), and
  * drainInbox(d), run by domain d's fixed owner (the core::WindowPool
  * worker that executes d in every window) just before d's next
  * window, gathers d's mail, orders it deterministically and schedules
  * it into d's wheel, coalescing packets that arrive at the same tick
- * into one batched ingress event.
+ * into one batched ingress event, which hands each to its sink as a
+ * one-packet train.
  *
  * Mailbox ownership protocol (multi-domain runs):
  *  - There are two banks of edge mailboxes, indexed by window parity.
@@ -111,16 +115,16 @@ class PacketPerturber
 class Fabric
 {
   public:
-    /** Receiver of a node's packets, one call per packet (a train
-     *  delivered to a node without a TrainSink calls it once per
-     *  block, in order). The packet lives in a pooled event and is
-     *  valid only during the call: a sink copies what it keeps. */
-    using Sink = std::function<void(const proto::Packet &)>;
-    /** Receiver of a node's whole trains. The train lives in a pooled
-     *  event and is valid only during the call; the sink may take its
-     *  bytes by swapping in a buffer of its own (whose capacity the
-     *  fabric recycles). */
-    using TrainSink = std::function<void(proto::Train &)>;
+    /** Receiver of a node's trains, one call per train (whole
+     *  message or lone packet). The train lives in a pooled event and
+     *  is valid only during the call; the sink may take its bytes by
+     *  swapping in a buffer of its own (whose capacity the fabric
+     *  recycles). */
+    using Sink = std::function<void(proto::Train &)>;
+    /** Receiver of a node's packets, one call per packet (see
+     *  connect(node, PacketSink)). The packet is valid only during
+     *  the call. */
+    using PacketSink = std::function<void(const proto::Packet &)>;
 
     /**
      * @param domains   One entry per domain; entry i must be the
@@ -141,15 +145,19 @@ class Fabric
     {}
 
     /**
-     * Attach the receiver for packets addressed to @p node, and
-     * optionally @p train_sink for its whole trains (without one, a
-     * train reaches @p sink block by block). Registering the same node
-     * twice is fatal (matching the registries' duplicate-key
-     * behavior): the old behavior of silently overwriting the first
-     * sink dropped its traffic.
+     * Attach the receiver for trains addressed to @p node. Registering
+     * the same node twice is fatal (matching the registries'
+     * duplicate-key behavior): the old behavior of silently
+     * overwriting the first sink dropped its traffic.
      */
-    void connect(proto::NodeId node, Sink sink,
-                 TrainSink train_sink = nullptr);
+    void connect(proto::NodeId node, Sink sink);
+
+    /**
+     * connect() for a reader of packets: each train reaches @p sink
+     * unrolled (proto::trainPacket), one call per block, in block
+     * order.
+     */
+    void connect(proto::NodeId node, PacketSink sink);
 
     /**
      * Place @p node on @p domain (fabrics of two or more domains only;
@@ -165,8 +173,12 @@ class Fabric
      */
     void setPerturber(PacketPerturber *perturber);
 
-    /** Inject a packet; it arrives at its destination after latency. */
-    void send(proto::Packet pkt);
+    /**
+     * Inject a lone packet; it arrives at its destination after
+     * latency, as a one-packet train. Copied only when a perturber is
+     * attached, which may mutate it.
+     */
+    void send(const proto::Packet &pkt);
 
     /**
      * Whether a train may travel as one event: true unless a
@@ -178,16 +190,17 @@ class Fabric
     bool fusesTrains() const { return perturber_ == nullptr; }
 
     /**
-     * Inject a train: @p train's blocks, posted at this tick. They
-     * arrive after latency exactly as if sent one by one; without a
-     * perturber a same-domain train is delivered by one pooled event,
-     * whole. Cross-domain trains post block by block, and drainInbox()
-     * coalesces them; with a perturber every block goes through
-     * send(). The bytes move into the event by a buffer swap, not a
-     * copy: @p train comes back holding a spare buffer the caller may
-     * refill.
+     * Inject a train — a whole message or one packet of it — posted
+     * at this tick. Its packets arrive after latency exactly as if
+     * sent one by one; without a perturber a same-domain train is
+     * delivered by one pooled event, as it is. A cross-domain train
+     * posts one mail entry per packet, and drainInbox() coalesces
+     * them; with a perturber every packet is perturbed and posted on
+     * its own. The delivery event takes a same-domain train's bytes by
+     * a buffer swap, not a copy: @p train may come back holding a
+     * spare buffer, which the caller may refill.
      */
-    void sendTrain(proto::Train &train);
+    void send(proto::Train &train);
 
     /**
      * Barrier step (two or more domains; coordinator only, all domain
@@ -226,22 +239,8 @@ class Fabric
     sim::Tick latency() const { return latency_; }
 
   private:
-    /** In-flight packet: pooled, reused across deliveries. */
-    struct DeliverEvent : sim::Event
-    {
-        Fabric *fabric = nullptr;
-        sim::DomainId dom = 0;
-        proto::Packet pkt;
-
-        void process() override;
-        const char *description() const override
-        {
-            return "fabric-deliver";
-        }
-    };
-
     /** In-flight same-domain train: pooled, its buffer reused. */
-    struct TrainDeliverEvent : sim::Event
+    struct DeliverEvent : sim::Event
     {
         Fabric *fabric = nullptr;
         sim::DomainId dom = 0;
@@ -250,7 +249,7 @@ class Fabric
         void process() override;
         const char *description() const override
         {
-            return "fabric-deliver-train";
+            return "fabric-deliver";
         }
     };
 
@@ -263,6 +262,8 @@ class Fabric
         Fabric *fabric = nullptr;
         sim::DomainId dom = 0;
         std::vector<proto::Packet> pkts;
+        /** The packet being delivered, as a one-packet train. */
+        proto::Train train;
 
         void process() override;
         const char *description() const override
@@ -292,7 +293,6 @@ class Fabric
         /** Packets this domain posted across a domain edge. */
         std::uint64_t posted = 0;
         sim::EventPool<DeliverEvent> pool;
-        sim::EventPool<TrainDeliverEvent> trainPool;
         sim::EventPool<BatchDeliverEvent> batchPool;
         /** drainInbox() scratch (reused, no steady-state alloc). */
         std::vector<Mail> drainScratch;
@@ -309,12 +309,17 @@ class Fabric
     /** nodeDomain_ entry of a node never passed to assignNode(). */
     static constexpr sim::DomainId kUnassigned = ~sim::DomainId{0};
 
-    void deliver(sim::DomainId dom, const proto::Packet &pkt);
-    void deliverTrain(sim::DomainId dom, proto::Train &train);
-    /** Fatal unless @p dst has a sink: a @p op packet from @p src
-     *  is addressed to it. */
-    void checkConnected(proto::OpType op, proto::NodeId src,
-                        proto::NodeId dst) const;
+    /** Hand @p train to its destination's sink. */
+    void deliver(sim::DomainId dom, proto::Train &train);
+    /** perturb() @p pkt (a perturber is attached); post it unless
+     *  dropped. */
+    void perturbAndPost(proto::Packet &pkt);
+    /** Post @p pkt to arrive @p extra ticks after latency. */
+    void post(const proto::Packet &pkt, sim::Tick extra);
+    /** The (src, dst) edge's new mail entry, due at @p when, for the
+     *  caller to fill with its packet. */
+    proto::Packet &postMail(sim::DomainId src, sim::DomainId dst,
+                            sim::Tick when);
     sim::DomainId domainOf(proto::NodeId node) const;
     /** Edge (src, dst) of bank @p bank. */
     Edge &edge(unsigned bank, sim::DomainId src, sim::DomainId dst);
@@ -329,16 +334,9 @@ class Fabric
     std::vector<Edge> mailboxes_;
     /** Domain of each assigned node, indexed by NodeId. */
     std::vector<sim::DomainId> nodeDomain_;
-    /** What connect() registered for one node. */
-    struct Receiver
-    {
-        /** Empty = not connected: a packet to the node is fatal. */
-        Sink packet;
-        /** Empty = trains reach the packet sink block by block. */
-        TrainSink train;
-    };
-    /** Receiver of each node, indexed by NodeId. */
-    std::vector<Receiver> receivers_;
+    /** Sink of each node, indexed by NodeId; empty = not connected,
+     *  so a packet to the node is fatal. */
+    std::vector<Sink> receivers_;
     /** Optional fault-injection hook (not owned). */
     PacketPerturber *perturber_ = nullptr;
 };

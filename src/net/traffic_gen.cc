@@ -297,23 +297,17 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
     // The fabric never calls back into the generator from send(), so
     // the live record (and this reference) is stable while it sends.
     const std::vector<std::uint8_t> &bytes = live_.back().request.bytes;
-    proto::Packet pkt;
     if (bytes.size() > domain_.maxMsgBytes) {
         // Rendezvous (§4.2): announce the payload with a one-block
         // descriptor; the destination NI pulls it with a one-sided
         // read from this node's registered memory (the slot table
         // plays that role here).
         ++rendezvous_;
-        pkt.hdr.op = proto::OpType::Send;
-        pkt.hdr.src = src;
-        pkt.hdr.dst = dst;
-        pkt.hdr.slot = slot;
-        pkt.hdr.totalBlocks = 1;
-        pkt.hdr.msgBytes = 0;
-        pkt.hdr.rendezvous = true;
-        pkt.hdr.rendezvousBytes = static_cast<std::uint32_t>(bytes.size());
-        pkt.hdr.connClient = connClient;
-        fabric_.send(pkt);
+        proto::makeTrain(train_, proto::OpType::Send, src, dst, slot, {});
+        train_.hdr.rendezvous = true;
+        train_.hdr.rendezvousBytes = static_cast<std::uint32_t>(bytes.size());
+        train_.hdr.connClient = connClient;
+        fabric_.send(train_);
         return;
     }
     sendMessage(proto::OpType::Send, src, dst, slot, bytes, connClient);
@@ -325,62 +319,65 @@ TrafficGenerator::sendMessage(proto::OpType op, proto::NodeId src,
                               const std::vector<std::uint8_t> &bytes,
                               std::uint32_t conn_client)
 {
-    // Every block leaves at this tick: a one-block message is a
-    // packet, a longer one a train with one copy of its bytes.
-    if (bytes.size() <= proto::cacheBlockBytes) {
-        proto::Packet pkt;
-        proto::makePacket(pkt, op, src, dst, slot, bytes, 0);
-        pkt.hdr.connClient = conn_client;
-        fabric_.send(pkt);
-        return;
-    }
+    // Every block leaves at this tick, so the message is one train
+    // with one copy of its bytes.
     proto::makeTrain(train_, op, src, dst, slot, bytes);
     train_.hdr.connClient = conn_client;
-    fabric_.sendTrain(train_);
+    fabric_.send(train_);
 }
 
 void
-TrafficGenerator::receivePacket(const proto::Packet &pkt)
+TrafficGenerator::receive(proto::Train &train)
 {
-    switch (pkt.hdr.op) {
+    const proto::PacketHeader &hdr = train.hdr;
+    switch (hdr.op) {
       case proto::OpType::Send: {
         // A reply from a server node. Replies mirror the request slot
         // (HERD-style per-slot response matching), so the reply's
         // (src server, dst client, slot) identifies the original
         // request.
-        RV_ASSERT(pkt.hdr.src < numServers(),
-                  "reply from a non-server node");
-        const std::uint32_t server = pkt.hdr.src;
+        RV_ASSERT(hdr.src < numServers(), "reply from a non-server node");
+        const std::uint32_t server = hdr.src;
         ReplyAssembly &assembly =
-            slots_[reqKey(server, pkt.hdr.dst, pkt.hdr.slot)].reply;
-        if (assembly.total == 0) {
-            assembly.total = pkt.hdr.totalBlocks;
-            if (!replyPool_.empty()) {
-                assembly.bytes = std::move(replyPool_.back());
-                replyPool_.pop_back();
-            }
-            assembly.bytes.assign(pkt.hdr.msgBytes, 0);
+            slots_[reqKey(server, hdr.dst, hdr.slot)].reply;
+        // A whole reply on a slot with no partial assembly completes
+        // straight from the train's bytes, as its last block would.
+        if (train.whole() && assembly.total == 0) {
+            onReplyComplete(server, hdr.dst, hdr.slot, train.bytes);
+            break;
         }
-        proto::placeBlock(pkt, assembly.bytes);
-        if (++assembly.arrived == assembly.total) {
-            std::vector<std::uint8_t> reply = std::move(assembly.bytes);
-            assembly = ReplyAssembly{};
-            onReplyComplete(server, pkt.hdr.dst, pkt.hdr.slot, reply);
-            replyPool_.push_back(std::move(reply));
+        // Anything else goes block by block: a lone packet, or a whole
+        // reply whose first blocks a leftover partial assembly takes.
+        for (std::uint32_t i = 0; i < train.blocks(); ++i) {
+            if (assembly.total == 0) {
+                assembly.total = hdr.totalBlocks;
+                if (!replyPool_.empty()) {
+                    assembly.bytes = std::move(replyPool_.back());
+                    replyPool_.pop_back();
+                }
+                assembly.bytes.assign(hdr.msgBytes, 0);
+            }
+            proto::placeBlock(train, i, assembly.bytes);
+            if (++assembly.arrived == assembly.total) {
+                std::vector<std::uint8_t> reply = std::move(assembly.bytes);
+                assembly = ReplyAssembly{};
+                onReplyComplete(server, hdr.dst, hdr.slot, reply);
+                replyPool_.push_back(std::move(reply));
+            }
         }
         break;
       }
       case proto::OpType::Replenish:
-        onReplenish(pkt);
+        onReplenish(hdr);
         break;
       case proto::OpType::RemoteRead: {
         // Rendezvous pull: serve the announced payload from this
         // node's memory after a DRAM access.
-        RV_ASSERT(pkt.hdr.src < numServers(),
+        RV_ASSERT(hdr.src < numServers(),
                   "one-sided read from a non-server node");
-        const std::uint32_t server = pkt.hdr.src;
+        const std::uint32_t server = hdr.src;
         const LiveRequest *live =
-            findLive(reqKey(server, pkt.hdr.dst, pkt.hdr.slot));
+            findLive(reqKey(server, hdr.dst, hdr.slot));
         if (live == nullptr) {
             RV_ASSERT(params_.cluster.requestTimeout > 0,
                       "one-sided read for unknown payload");
@@ -389,9 +386,9 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
             ++staleReplies_;
             break;
         }
-        const proto::NodeId owner = pkt.hdr.dst;
-        const proto::NodeId reader = pkt.hdr.src;
-        const std::uint32_t slot = pkt.hdr.slot;
+        const proto::NodeId owner = hdr.dst;
+        const proto::NodeId reader = hdr.src;
+        const std::uint32_t slot = hdr.slot;
         const std::vector<std::uint8_t> payload = live->request.bytes;
         const std::uint32_t connClient = live->request.conn.client;
         sim_.schedule(
@@ -404,31 +401,6 @@ TrafficGenerator::receivePacket(const proto::Packet &pkt)
       }
       default:
         sim::panic("traffic generator received unexpected op");
-    }
-}
-
-void
-TrafficGenerator::receiveTrain(proto::Train &train)
-{
-    if (train.hdr.op == proto::OpType::Send) {
-        RV_ASSERT(train.hdr.src < numServers(),
-                  "reply from a non-server node");
-        const std::uint32_t server = train.hdr.src;
-        // A whole reply on a slot with no partial assembly completes
-        // straight from the train's bytes, as its last block would.
-        if (slots_[reqKey(server, train.hdr.dst, train.hdr.slot)]
-                .reply.total == 0) {
-            onReplyComplete(server, train.hdr.dst, train.hdr.slot,
-                            train.bytes);
-            return;
-        }
-    }
-    // Anything else (a leftover partial assembly takes the first
-    // blocks) goes block by block.
-    proto::Packet pkt;
-    for (std::uint32_t b = 0; b < train.blocks(); ++b) {
-        proto::trainPacket(train, b, pkt);
-        receivePacket(pkt);
     }
 }
 
@@ -487,17 +459,9 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
     }
     // Return the reply's send-slot credit to the serving node after
     // the client-side turnaround (stale replies included, see above).
-    sim_.schedule(clientTurnaround,
-                  [this, dst, server, slot] {
-                      proto::Packet pkt;
-                      pkt.hdr.op = proto::OpType::Replenish;
-                      pkt.hdr.src = dst;
-                      pkt.hdr.dst = server;
-                      pkt.hdr.slot = slot;
-                      pkt.hdr.totalBlocks = 1;
-                      pkt.hdr.msgBytes = 0;
-                      fabric_.send(std::move(pkt));
-                  });
+    sim_.schedule(clientTurnaround, [this, dst, server, slot] {
+        sendMessage(proto::OpType::Replenish, dst, server, slot, {}, 0);
+    });
 }
 
 TrafficGenerator::Request
@@ -556,15 +520,14 @@ TrafficGenerator::onChainMemberDone(std::uint64_t chain)
 }
 
 void
-TrafficGenerator::onReplenish(const proto::Packet &pkt)
+TrafficGenerator::onReplenish(const proto::PacketHeader &hdr)
 {
     // A server finished processing a request: the source's send slot
     // toward that server is free again (§4.2 step C).
-    RV_ASSERT(pkt.hdr.src < numServers(),
-              "replenish from a non-server node");
-    const std::uint32_t server = pkt.hdr.src;
-    const proto::NodeId src = pkt.hdr.dst;
-    const std::uint32_t slot = pkt.hdr.slot;
+    RV_ASSERT(hdr.src < numServers(), "replenish from a non-server node");
+    const std::uint32_t server = hdr.src;
+    const proto::NodeId src = hdr.dst;
+    const std::uint32_t slot = hdr.slot;
     RV_ASSERT(src < domain_.numNodes, "replenish for unknown node");
     Slot &s = slots_[reqKey(server, src, slot)];
     if (s.livePos != kIdle) {

@@ -12,7 +12,12 @@
  * all S slots toward a server in flight defers until a replenish
  * returns), consumes the servers' replies, verifies
  * them against the application, and returns reply replenishes after
- * the fixed client-side turnaround (clientTurnaround).
+ * the fixed client-side turnaround (clientTurnaround). Every message
+ * it sends — request, rendezvous descriptor, read response, replenish
+ * — leaves as one proto::Train, and everything addressed to its nodes
+ * arrives through receive() as one: a whole reply completes straight
+ * from the train's bytes, and a lone packet (under a fault perturber,
+ * or from another event domain) joins the slot's reply assembly.
  *
  * The generator is also the cluster's client-side balancer. It builds
  * the router and health tracker its cluster::ClusterConfig
@@ -130,11 +135,9 @@ class TrafficGenerator final : private cluster::ClusterView
     /** Stop generating new requests (in-flight ones complete). */
     void halt();
 
-    /** Fabric sink for packets addressed to any emulated node. */
-    void receivePacket(const proto::Packet &pkt);
-    /** Fabric ingress: a whole message (a server's reply) as one
-     *  train; the same as receivePacket() of its blocks in order. */
-    void receiveTrain(proto::Train &train);
+    /** Fabric sink for trains (whole messages or lone packets)
+     *  addressed to any emulated node. */
+    void receive(proto::Train &train);
 
     /**
      * Issue a server's nested RPCs (HandleResult.nested) as a chain
@@ -361,8 +364,8 @@ class TrafficGenerator final : private cluster::ClusterView
     void launchRequest(proto::NodeId src, std::uint32_t server,
                        std::uint32_t slot, Request request,
                        std::uint64_t hedge_of);
-    /** Send @p bytes from @p src to slot @p slot at @p dst as @p op
-     *  packets, all posted now: one packet, or one train. */
+    /** Send @p bytes from @p src to slot @p slot at @p dst as an @p op
+     *  message, every block posted now: one train. */
     void sendMessage(proto::OpType op, proto::NodeId src, proto::NodeId dst,
                      std::uint32_t slot,
                      const std::vector<std::uint8_t> &bytes,
@@ -386,7 +389,7 @@ class TrafficGenerator final : private cluster::ClusterView
     Request retire(std::uint64_t key, bool completed);
     /** A chain member finished; fire the group's done at zero. */
     void onChainMemberDone(std::uint64_t chain);
-    void onReplenish(const proto::Packet &pkt);
+    void onReplenish(const proto::PacketHeader &hdr);
     /** Hand a freed request slot to the pair's queue (or the free
      *  list): the common tail of onReplenish and held-credit release. */
     void recycleSlot(proto::NodeId client, std::uint32_t server,
@@ -437,8 +440,8 @@ class TrafficGenerator final : private cluster::ClusterView
      *  ever assembled at once rather than one per slot, and a reply
      *  reuses a recycled buffer's capacity instead of allocating. */
     std::vector<std::vector<std::uint8_t>> replyPool_;
-    /** The train being sent; Fabric::sendTrain swaps its bytes into
-     *  the delivery event and hands back a spare buffer. */
+    /** The train being sent; Fabric::send swaps its bytes into the
+     *  delivery event and hands back a spare buffer. */
     proto::Train train_;
 
     /** A request in flight, on the slot its key names. */

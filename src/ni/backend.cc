@@ -26,34 +26,12 @@ NiBackend::stallIngress(sim::Tick until)
 }
 
 void
-NiBackend::receivePacket(const proto::Packet &pkt)
+NiBackend::receive(proto::Train &train)
 {
     // Serialize packets through the ingress pipeline; an injected
     // stall (stallIngress) holds the pipeline's next free slot back.
-    const sim::Tick arrival = sim_.now();
-    const sim::Tick start =
-        std::max({arrival, ingressFreeAt_, stallUntil_});
-    ingressFreeAt_ = start + backendPacketOccupancy;
-    ingressBusy_ += backendPacketOccupancy;
-    ++packetsReceived_;
-    // §4.4: write the payload block and bump the arrival counter as
-    // the packet enters; only a claim or a completion is left for its
-    // pipeline exit.
-    mem::Staged staged;
-    if (pkt.hdr.op == proto::OpType::Send ||
-        pkt.hdr.op == proto::OpType::ReadResponse) {
-        staged = recv_.stage(pkt, arrival);
-        if (!staged.claims && !staged.completes)
-            return;
-    }
-    scheduleIngress(pkt.hdr, staged, ingressFreeAt_);
-}
-
-void
-NiBackend::receiveTrain(proto::Train &train)
-{
     // The blocks enter back to back: block b leaves the pipeline at
-    // start + (b + 1) * occupancy, as receivePacket() would have it.
+    // start + (b + 1) * occupancy.
     const sim::Tick arrival = sim_.now();
     const sim::Tick start =
         std::max({arrival, ingressFreeAt_, stallUntil_});
@@ -62,14 +40,23 @@ NiBackend::receiveTrain(proto::Train &train)
     ingressFreeAt_ = start + work;
     ingressBusy_ += work;
     packetsReceived_ += n;
-    // A send's block 0 claims the slot as it leaves the pipeline; the
-    // last block completes the message (a train always does). A
-    // one-block train does both on one event.
-    mem::Staged staged = recv_.stageTrain(train, arrival);
-    if (staged.claims && n > 1) {
-        scheduleIngress(train.hdr, mem::Staged{true, false},
-                        start + backendPacketOccupancy);
-        staged.claims = false;
+    // §4.4: write the payload blocks and bump the arrival counter as
+    // the packets enter; only a claim or a completion is left for a
+    // pipeline exit. A send's first-received block claims the slot as
+    // it leaves; the last-received one completes the message (a whole
+    // train always does, and a one-block message does both on one
+    // event).
+    mem::Staged staged;
+    if (train.hdr.op == proto::OpType::Send ||
+        train.hdr.op == proto::OpType::ReadResponse) {
+        staged = recv_.stage(train, arrival);
+        if (staged.claims && n > 1) {
+            scheduleIngress(train.hdr, mem::Staged{true, false},
+                            start + backendPacketOccupancy);
+            staged.claims = false;
+        }
+        if (!staged.claims && !staged.completes)
+            return;
     }
     scheduleIngress(train.hdr, staged, ingressFreeAt_);
 }
@@ -97,8 +84,6 @@ NiBackend::IngressEvent::process()
 void
 NiBackend::InjectEvent::process()
 {
-    if (countOnFire)
-        ++backend->packetsSent_;
     backend->fabric_.send(pkt);
     backend->injectPool_.release(this);
 }
@@ -106,8 +91,8 @@ NiBackend::InjectEvent::process()
 void
 NiBackend::TrainEvent::process()
 {
-    // sendTrain takes the bytes and leaves a spare buffer for reuse.
-    backend->fabric_.sendTrain(train);
+    // The fabric takes the bytes and leaves a spare buffer for reuse.
+    backend->fabric_.send(train);
     backend->trainPool_.release(this);
 }
 
@@ -140,18 +125,15 @@ NiBackend::processIngress(const proto::PacketHeader &hdr, mem::Staged staged)
             // read rather than notifying a core yet.
             const std::uint32_t full = hdr.rendezvousBytes;
             recv_.beginRendezvous(index, full);
-            proto::Packet read;
-            read.hdr.op = proto::OpType::RemoteRead;
-            read.hdr.src = hdr.dst; // us
-            read.hdr.dst = hdr.src; // payload owner
-            read.hdr.slot = hdr.slot;
-            read.hdr.totalBlocks = 1;
-            read.hdr.msgBytes = full;
             ++rendezvousPulls_;
-            InjectEvent *ev = injectPool_.acquire();
+            ++packetsSent_;
+            // The read is one bodiless packet naming the full size.
+            TrainEvent *ev = trainPool_.acquire();
             ev->backend = this;
-            ev->pkt = std::move(read);
-            ev->countOnFire = true;
+            proto::makeTrain(ev->train, proto::OpType::RemoteRead,
+                             /*src=*/hdr.dst, /*dst=*/hdr.src, hdr.slot,
+                             {});
+            ev->train.hdr.msgBytes = full;
             sim_.schedule(*ev, mem::counterUpdateLatency);
             break;
         }
@@ -208,14 +190,14 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
                            const std::vector<std::uint8_t> &payload)
 {
     // First packet waits for the payload fetch from the memory
-    // hierarchy; subsequent blocks stream at pipeline rate. Each block
-    // (or the whole train) is built straight into the pooled event
-    // that carries it.
+    // hierarchy; subsequent blocks stream at pipeline rate. The train
+    // (or, under a perturber, each block) is built straight into the
+    // pooled event that carries it.
     const sim::Tick ready = sim_.now() + txSetupLatency;
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
     packetsSent_ += total;
-    if (total > 1 && fabric_.fusesTrains()) {
+    if (fabric_.fusesTrains()) {
         // A train: every block's egress tick is known now, and the
         // blocks stream back to back, so one event at the last
         // block's tick carries them all into the fabric.
@@ -233,7 +215,6 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
         InjectEvent *ev = injectPool_.acquire();
         ev->backend = this;
         proto::makePacket(ev->pkt, op, self, dst, slot, payload, b);
-        ev->countOnFire = false;
         sim_.scheduleAt(*ev, egressFreeAt_);
     }
 }

@@ -11,37 +11,37 @@
  *    header's totalBlocks — emit a message-completion notification
  *    (§4.4's new pipeline stages).
  *  - Request Generation (egress): unroll a send/replenish WQE into
- *    cache-block packets, each built straight into the pooled event
- *    that carries it, and stream them into the fabric.
+ *    cache-block packets and stream them into the fabric.
  *
  *  Each direction is a serial pipeline with per-packet occupancy;
  *  queueing behind it under load produces the implementation
  *  contention the paper cites for its model-vs-simulation gap (§6.3).
  *
  * Message trains. Every packet keeps its own pipeline slot, but a
- * packet gets a simulator event only where its timing is observable:
+ * packet gets a simulator event only where its timing is observable,
+ * and the unit in and out is a proto::Train (a whole message or one
+ * packet of it):
  *
- *  - Ingress: a packet's pipeline exit time is fixed when it arrives,
- *    so its block write and counter update are staged then
+ *  - Ingress (receive): a packet's pipeline exit time is fixed when it
+ *    arrives, so its block write and counter update are staged then
  *    (mem::RecvBuffer::stage). Only a message's first-received packet,
  *    which claims the receive slot, and its last-received packet,
  *    which completes the message, get an event at their pipeline
  *    exit; a middle block needs none, because nothing reads its
- *    effect before the completing packet does. A whole message
- *    delivered as one proto::Train (receiveTrain) enters the pipeline
- *    as its blocks would, back to back: the exit ticks follow by
- *    arithmetic, the bytes land in the slot by swap
- *    (mem::RecvBuffer::stageTrain), and the same claim and complete
- *    events are scheduled, in the same order.
- *  - Egress: without a fabric perturber, a multi-block send leaves as
- *    one train: one event at the last block's egress tick carries the
- *    message into the fabric (net::Fabric::sendTrain) as block 0's
- *    header plus one copy of its bytes (proto::makeTrain), and the
- *    fabric delivers it whole. Sends from a server go to the client
- *    side, whose only use of a middle block is to place it in the
- *    reply being assembled, read first by the completing block. A
- *    perturber must see each packet at its own tick, so fault runs
- *    inject packet by packet.
+ *    effect before the completing packet does. A whole train enters
+ *    the pipeline as its blocks would, back to back: the exit ticks
+ *    follow by arithmetic, the bytes land in the slot by swap, and the
+ *    same claim and complete events are scheduled, in the same order.
+ *  - Egress: without a fabric perturber, every message — a one-block
+ *    send or replenish as much as a 25-block reply — leaves as one
+ *    train: one event at the last block's egress tick carries it into
+ *    the fabric as block 0's header plus one copy of its bytes
+ *    (proto::makeTrain), and the fabric delivers it whole. So does a
+ *    rendezvous pull. Sends from a server go to the client side, whose
+ *    only use of a middle block is to place it in the reply being
+ *    assembled, read first by the completing block. A perturber must
+ *    see each packet at its own tick, so fault runs inject a message
+ *    packet by packet.
  */
 
 #ifndef RPCVALET_NI_BACKEND_HH
@@ -82,17 +82,13 @@ class NiBackend
               CompletionHandler on_complete, ReplenishHandler on_replenish,
               net::Fabric &fabric);
 
-    /** Fabric ingress: a packet addressed to this node. */
-    void receivePacket(const proto::Packet &pkt);
-
     /**
-     * Fabric ingress: a whole send or read-response message arriving
-     * as one train. Exactly receivePacket() of its blocks, in block
-     * order, at this tick — the same pipeline ticks, counts and
-     * events — with its bytes taken by swap (@p train comes back
-     * holding the slot's old buffer).
+     * Fabric ingress: @p train (a whole message or one packet of it)
+     * addressed to this node. Its blocks enter the pipeline back to
+     * back at this tick; a whole train's bytes are taken by swap
+     * (@p train comes back holding the slot's old buffer).
      */
-    void receiveTrain(proto::Train &train);
+    void receive(proto::Train &train);
 
     /**
      * Fault injection (ni-stall): the ingress pipeline stops draining
@@ -138,13 +134,12 @@ class NiBackend
         }
     };
 
-    /** Packet leaving for the fabric: egress streams and rendezvous
-     *  pulls (the latter count packetsSent at fire time). */
+    /** A block leaving for the fabric on its own (a perturber is
+     *  attached). */
     struct InjectEvent : sim::Event
     {
         NiBackend *backend = nullptr;
         proto::Packet pkt;
-        bool countOnFire = false;
 
         void process() override;
         const char *description() const override
@@ -153,8 +148,9 @@ class NiBackend
         }
     };
 
-    /** A multi-block send leaving as one train at its last block's
-     *  egress tick (no fabric perturber). */
+    /** A train leaving for the fabric: a message at its last block's
+     *  egress tick (no fabric perturber), or a rendezvous pull one
+     *  counter update after its descriptor completes. */
     struct TrainEvent : sim::Event
     {
         NiBackend *backend = nullptr;

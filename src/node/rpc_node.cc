@@ -103,10 +103,8 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
         break;
     }
 
-    fabric_.connect(
-        derived_.id,
-        [this](const proto::Packet &pkt) { receivePacket(pkt); },
-        [this](proto::Train &train) { receiveTrain(train); });
+    fabric_.connect(derived_.id,
+                    [this](proto::Train &train) { receive(train); });
 }
 
 void
@@ -190,19 +188,7 @@ RpcNode::wqeDelay(proto::CoreId core, std::uint32_t backend_id) const
 }
 
 void
-RpcNode::receivePacket(const proto::Packet &pkt)
-{
-    if (failed_) {
-        ++droppedPackets_;
-        return;
-    }
-    const std::uint32_t backend =
-        ingressBackendFor(pkt.hdr.src, pkt.hdr.slot);
-    backends_[backend]->receivePacket(pkt);
-}
-
-void
-RpcNode::receiveTrain(proto::Train &train)
+RpcNode::receive(proto::Train &train)
 {
     if (failed_) {
         droppedPackets_ += train.blocks();
@@ -210,7 +196,7 @@ RpcNode::receiveTrain(proto::Train &train)
     }
     const std::uint32_t backend =
         ingressBackendFor(train.hdr.src, train.hdr.slot);
-    backends_[backend]->receiveTrain(train);
+    backends_[backend]->receive(train);
 }
 
 void

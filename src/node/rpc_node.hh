@@ -146,11 +146,9 @@ class RpcNode
     /** Software mode: park all cores on the shared queue. */
     void start();
 
-    /** Fabric sink: a packet addressed to this node. */
-    void receivePacket(const proto::Packet &pkt);
-    /** Fabric train sink: a whole message addressed to this node,
-     *  handed to its ingress backend as one train. */
-    void receiveTrain(proto::Train &train);
+    /** Fabric sink: a whole message or one packet addressed to this
+     *  node, handed to its ingress backend as it came. */
+    void receive(proto::Train &train);
 
     /** Register a hook run after every completed RPC. */
     void setCompletionHook(CompletionHook hook);

@@ -63,16 +63,49 @@ blockHeader(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
     return hdr;
 }
 
-/** Copy block @p block of the @p size bytes at @p msg into @p out,
- *  clamped to the message: a block past its end comes out empty. */
-void
-assignBlock(InlineBlock &out, const std::uint8_t *msg, std::size_t size,
-            std::uint32_t block)
+/** Block @p index of a message: its bytes, viewed in place. */
+struct Block
+{
+    std::uint32_t index;
+    const std::uint8_t *data;
+    std::size_t size;
+};
+
+/** Block @p block of the @p size bytes at @p msg, clamped to the
+ *  message: a block past its end is empty. */
+Block
+messageBlock(const std::uint8_t *msg, std::size_t size, std::uint32_t block)
 {
     const std::size_t lo =
         std::min(static_cast<std::size_t>(block) * cacheBlockBytes, size);
     const std::size_t hi = std::min<std::size_t>(lo + cacheBlockBytes, size);
-    out.assign(msg + lo, hi - lo);
+    return {block, msg + lo, hi - lo};
+}
+
+/** The block packet @p i of @p train carries. */
+Block
+trainBlock(const Train &train, std::uint32_t i)
+{
+    RV_ASSERT(i < train.blocks(), "train packet index out of range");
+    if (train.whole())
+        return messageBlock(train.bytes.data(), train.bytes.size(), i);
+    RV_ASSERT(train.bytes.size() <= cacheBlockBytes,
+              "packet train holds more than a block");
+    return {train.hdr.blockIndex, train.bytes.data(), train.bytes.size()};
+}
+
+/** Copy @p block of a @p total-block message to its offset in @p msg,
+ *  dropping bytes past the buffer's end. */
+void
+placeAt(const Block &block, std::uint32_t total,
+        std::vector<std::uint8_t> &msg)
+{
+    RV_ASSERT(block.index < total, "block index out of range");
+    const std::size_t lo =
+        static_cast<std::size_t>(block.index) * cacheBlockBytes;
+    if (lo < msg.size())
+        std::memcpy(msg.data() + lo, block.data,
+                    std::min(block.size, msg.size() - lo));
 }
 
 } // namespace
@@ -84,7 +117,8 @@ makePacket(Packet &pkt, OpType op, NodeId src, NodeId dst,
 {
     pkt.hdr = blockHeader(op, src, dst, slot,
                           static_cast<std::uint32_t>(payload.size()), block);
-    assignBlock(pkt.payload, payload.data(), payload.size(), block);
+    const Block b = messageBlock(payload.data(), payload.size(), block);
+    pkt.payload.assign(b.data, b.size);
 }
 
 void
@@ -97,11 +131,19 @@ makeTrain(Train &train, OpType op, NodeId src, NodeId dst,
 }
 
 void
-trainPacket(const Train &train, std::uint32_t block, Packet &pkt)
+trainPacket(const Train &train, std::uint32_t i, Packet &pkt)
 {
+    const Block b = trainBlock(train, i);
     pkt.hdr = train.hdr;
-    pkt.hdr.blockIndex = block;
-    assignBlock(pkt.payload, train.bytes.data(), train.bytes.size(), block);
+    pkt.hdr.blockIndex = b.index;
+    pkt.payload.assign(b.data, b.size);
+}
+
+void
+packetTrain(const Packet &pkt, Train &train)
+{
+    train.hdr = pkt.hdr;
+    train.bytes.assign(pkt.payload.begin(), pkt.payload.end());
 }
 
 std::vector<Packet>
@@ -118,14 +160,15 @@ packetize(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
 void
 placeBlock(const Packet &pkt, std::vector<std::uint8_t> &msg)
 {
-    RV_ASSERT(pkt.hdr.blockIndex < pkt.hdr.totalBlocks,
-              "block index out of range");
-    const std::size_t lo =
-        static_cast<std::size_t>(pkt.hdr.blockIndex) * cacheBlockBytes;
-    if (lo < msg.size()) {
-        std::memcpy(msg.data() + lo, pkt.payload.data(),
-                    std::min(pkt.payload.size(), msg.size() - lo));
-    }
+    placeAt({pkt.hdr.blockIndex, pkt.payload.data(), pkt.payload.size()},
+            pkt.hdr.totalBlocks, msg);
+}
+
+void
+placeBlock(const Train &train, std::uint32_t i,
+           std::vector<std::uint8_t> &msg)
+{
+    placeAt(trainBlock(train, i), train.hdr.totalBlocks, msg);
 }
 
 std::vector<std::uint8_t>

@@ -11,19 +11,24 @@
  * (§4.4).
  *
  * A Packet is the paper's packet: the header plus its one block,
- * stored inline. It owns no heap memory and is trivially copyable, so
- * senders build each block straight into the pooled event that carries
- * it (makePacket) and receivers place it with one bounded copy
- * (placeBlock).
+ * stored inline. It owns no heap memory and is trivially copyable.
+ * It is the unit a net::PacketPerturber inspects, the unit an NI
+ * injects block by block while a perturber is attached, and the unit
+ * parked in a cross-domain mailbox.
  *
- * Where no one observes a multi-block message's blocks apart (the
- * fused data path, net::Fabric::sendTrain), it travels as a Train
- * instead: block 0's header plus the message's bytes in one buffer,
- * filled with one copy (makeTrain). Every other header differs from
- * block 0's only in its block index, so the train is the message's
- * packets, not yet unrolled; trainPacket() builds any one of them
- * exactly as makePacket would. The byte buffer moves between pooled
- * events and receive slots by swap, never by copy.
+ * Above the fabric every unit is a Train: a header plus bytes in one
+ * buffer. A train is either a whole message — block 0's header and
+ * all hdr.msgBytes bytes, filled with one copy (makeTrain) — or one
+ * packet of it — that packet's own header and its block of at most
+ * 64 B (packetTrain). Which one it is needs no field of its own: a
+ * train is whole iff it starts at block 0 and holds msgBytes bytes,
+ * which a lone packet of a multi-block message never does (and a
+ * one-block message's only packet is its whole message anyway). Every
+ * other header of a whole train's message differs from block 0's only
+ * in its block index, so the train is the message's packets, not yet
+ * unrolled; trainPacket() builds any one of them exactly as
+ * makePacket would. The byte buffer moves between pooled events and
+ * receive slots by swap, never by copy.
  *
  * A packet or train owns its bytes rather than referencing the
  * sender's buffer: an in-flight fault may corrupt one packet without
@@ -137,17 +142,25 @@ struct Packet
 };
 
 /**
- * A whole message as one unit: block 0's header and the message's
- * bytes (bytes.size() == hdr.msgBytes). Stands for the hdr.totalBlocks
- * packets trainPacket() unrolls it into.
+ * The unit that crosses the fabric/node boundary: a whole message
+ * (block 0's header and bytes.size() == hdr.msgBytes) or one packet
+ * of it (its own header and its block's bytes).
  */
 struct Train
 {
     PacketHeader hdr;
     std::vector<std::uint8_t> bytes;
 
-    /** Blocks (packets) the train carries. */
-    std::uint32_t blocks() const { return hdr.totalBlocks; }
+    /** Whether the train carries its whole message rather than one
+     *  packet of it. */
+    bool
+    whole() const
+    {
+        return hdr.blockIndex == 0 && bytes.size() == hdr.msgBytes;
+    }
+
+    /** Packets (blocks) the train carries. */
+    std::uint32_t blocks() const { return whole() ? hdr.totalBlocks : 1; }
 };
 
 /** Number of cache blocks needed for @p bytes (at least 1). */
@@ -173,11 +186,18 @@ void makeTrain(Train &train, OpType op, NodeId src, NodeId dst,
                std::uint32_t slot, const std::vector<std::uint8_t> &payload);
 
 /**
- * Fill @p pkt as block @p block of @p train: the train's header with
- * that block index and that block's bytes — the packet makePacket
- * builds for the same message and block.
+ * Fill @p pkt as packet @p i of the train.blocks() @p train carries:
+ * for a whole train, its message's block @p i — the packet makePacket
+ * builds for the same message and block; for a one-packet train, that
+ * packet.
  */
-void trainPacket(const Train &train, std::uint32_t block, Packet &pkt);
+void trainPacket(const Train &train, std::uint32_t i, Packet &pkt);
+
+/**
+ * trainPacket()'s inverse: fill @p train as the one packet @p pkt
+ * (reusing @p train's buffer).
+ */
+void packetTrain(const Packet &pkt, Train &train);
 
 /**
  * Unroll a message into its per-block packets, soNUMA-style: packet b
@@ -196,6 +216,11 @@ std::vector<Packet> packetize(OpType op, NodeId src, NodeId dst,
  * reassembly site goes through here.
  */
 void placeBlock(const Packet &pkt, std::vector<std::uint8_t> &msg);
+
+/** placeBlock() of packet @p i of @p train (see trainPacket()),
+ *  without building the packet. */
+void placeBlock(const Train &train, std::uint32_t i,
+                std::vector<std::uint8_t> &msg);
 
 /**
  * Reassemble payload bytes from packets (test helper / functional

@@ -86,8 +86,8 @@ TEST_P(DrainProperty, NoLeaksAfterFullDrain)
     tp.seed = 33;
     net::TrafficGenerator tg(sim, tp, params.domain, app, fabric);
     for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
-        fabric.connect(n, [&tg](proto::Packet pkt) {
-            tg.receivePacket(std::move(pkt));
+        fabric.connect(n, [&tg](proto::Train &train) {
+            tg.receive(train);
         });
     }
 

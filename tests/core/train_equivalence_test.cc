@@ -1,14 +1,16 @@
 /**
  * @file
  * Message trains change event counts, never results. Without a packet
- * perturber the fabric delivers a multi-block message's packets as one
- * train (client sends, rendezvous read responses, server reply sends);
- * with one attached — here a packet-corrupt fault with p = 0, which
- * draws from its own Rng lanes and never flips a byte — every packet
- * travels on its own events, as perturb() must see each at its own
- * tick. The two runs of one configuration must agree on every
- * simulated field; only executedEvents may differ, and only downward
- * for the trains.
+ * perturber every message leaves as one train (client sends and
+ * replenishes, rendezvous descriptors and read responses, server
+ * replies and replenishes, the NI's rendezvous pulls); with one
+ * attached — here a packet-corrupt fault with p = 0, which draws from
+ * its own Rng lanes and never flips a byte — every packet travels on
+ * its own events, as perturb() must see each at its own tick. The two
+ * runs of one configuration must agree on every simulated field; only
+ * executedEvents may differ: fewer for trains of several blocks, and
+ * equal where every message is one block, since a one-block message
+ * costs one event either way.
  *
  * Comparisons are exact (EXPECT_EQ on doubles): both runs replay one
  * deterministic computation.
@@ -109,21 +111,26 @@ expectSameSimulation(const core::RunStats &a, const core::RunStats &b)
     EXPECT_EQ(a.fault.replySlotEvictions, b.fault.replySlotEvictions);
 }
 
+/** One configuration run both ways. */
+struct Runs
+{
+    core::RunStats trains;
+    core::RunStats perPacket;
+};
+
 /** Run @p cfg with no perturber (trains) and with an inert one
- *  (packet by packet); check the results match. Returns the trained
- *  run. */
-core::RunStats
+ *  (packet by packet); check the results match. */
+Runs
 expectTrainsChangeOnlyEvents(core::ExperimentConfig cfg)
 {
     cfg.faults.clear();
-    const core::RunStats trains = core::runExperiment(cfg);
+    Runs r;
+    r.trains = core::runExperiment(cfg);
     cfg.faults = {kInertPerturber};
-    const core::RunStats perPacket = core::runExperiment(cfg);
-    expectSameSimulation(trains, perPacket);
-    // Every configuration here sends multi-block messages.
-    EXPECT_LT(trains.executedEvents, perPacket.executedEvents);
-    EXPECT_EQ(perPacket.fault.packetsCorrupted, 0u);
-    return trains;
+    r.perPacket = core::runExperiment(cfg);
+    expectSameSimulation(r.trains, r.perPacket);
+    EXPECT_EQ(r.perPacket.fault.packetsCorrupted, 0u);
+    return r;
 }
 
 /** 1536 B values, half writes: ~25-block requests and replies. */
@@ -140,7 +147,8 @@ largeValueConfig()
 
 TEST(TrainEquivalence, LargeValuesOneNode)
 {
-    expectTrainsChangeOnlyEvents(largeValueConfig());
+    const Runs r = expectTrainsChangeOnlyEvents(largeValueConfig());
+    EXPECT_LT(r.trains.executedEvents, r.perPacket.executedEvents);
 }
 
 TEST(TrainEquivalence, TimeoutsAndHedgesTwoNodes)
@@ -155,11 +163,12 @@ TEST(TrainEquivalence, TimeoutsAndHedgesTwoNodes)
     cfg.cluster.router = cluster::RouterSpec::parse("rr");
     cfg.cluster.requestTimeout = sim::microseconds(1.2);
     cfg.retry.hedgeAfter = sim::microseconds(1.0);
-    const core::RunStats r = expectTrainsChangeOnlyEvents(cfg);
-    EXPECT_GT(r.requestTimeouts, 0u);
-    EXPECT_GT(r.staleReplies, 0u);
-    EXPECT_GT(r.fault.hedgesSent, 0u);
-    EXPECT_GT(r.fault.duplicateReplies, 0u);
+    const Runs r = expectTrainsChangeOnlyEvents(cfg);
+    EXPECT_LT(r.trains.executedEvents, r.perPacket.executedEvents);
+    EXPECT_GT(r.trains.requestTimeouts, 0u);
+    EXPECT_GT(r.trains.staleReplies, 0u);
+    EXPECT_GT(r.trains.fault.hedgesSent, 0u);
+    EXPECT_GT(r.trains.fault.duplicateReplies, 0u);
 }
 
 TEST(TrainEquivalence, FourNodesTwoDomains)
@@ -170,8 +179,40 @@ TEST(TrainEquivalence, FourNodesTwoDomains)
     cfg.cluster.numServerNodes = 4;
     cfg.cluster.router = cluster::RouterSpec::parse("bounded-load");
     cfg.parallelDomains = 2;
-    const core::RunStats r = expectTrainsChangeOnlyEvents(cfg);
-    EXPECT_GT(r.crossDomainMail, 0u);
+    const Runs r = expectTrainsChangeOnlyEvents(cfg);
+    EXPECT_LT(r.trains.executedEvents, r.perPacket.executedEvents);
+    EXPECT_GT(r.trains.crossDomainMail, 0u);
+}
+
+/** Default HERD: every request, reply and replenish is one block. */
+core::ExperimentConfig
+oneBlockConfig()
+{
+    core::ExperimentConfig cfg;
+    cfg.arrivalRps = 10e6;
+    cfg.warmupRpcs = 500;
+    cfg.measuredRpcs = 3000;
+    return cfg;
+}
+
+TEST(TrainEquivalence, OneBlockMessagesOneNode)
+{
+    const Runs r = expectTrainsChangeOnlyEvents(oneBlockConfig());
+    EXPECT_EQ(r.trains.executedEvents, r.perPacket.executedEvents);
+}
+
+TEST(TrainEquivalence, OneBlockMessagesFourNodesTwoDomains)
+{
+    // Every one-block train crosses a domain: it is unrolled into one
+    // mail entry and reaches its node as a one-packet train.
+    core::ExperimentConfig cfg = oneBlockConfig();
+    cfg.arrivalRps = 32e6;
+    cfg.cluster.numServerNodes = 4;
+    cfg.cluster.router = cluster::RouterSpec::parse("bounded-load");
+    cfg.parallelDomains = 2;
+    const Runs r = expectTrainsChangeOnlyEvents(cfg);
+    EXPECT_EQ(r.trains.executedEvents, r.perPacket.executedEvents);
+    EXPECT_GT(r.trains.crossDomainMail, 0u);
 }
 
 } // namespace

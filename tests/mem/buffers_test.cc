@@ -108,13 +108,23 @@ sendPacket(proto::NodeId src, std::uint32_t slot, std::uint32_t block,
     return pkt;
 }
 
+/** Stage @p pkt as it arrives: as the one-packet train the fabric
+ *  makes of a lone packet. */
+mem::Staged
+stagePacket(RecvBuffer &rb, const proto::Packet &pkt, sim::Tick now)
+{
+    proto::Train train;
+    proto::packetTrain(pkt, train);
+    return rb.stage(train, now);
+}
+
 /** One packet that enters and leaves the NI pipeline at @p now: stage
  *  it, claim the slot if it is the message's first. Returns whether
  *  it completes the message. */
 bool
 arrive(RecvBuffer &rb, const proto::Packet &pkt, sim::Tick now)
 {
-    const mem::Staged staged = rb.stage(pkt, now);
+    const mem::Staged staged = stagePacket(rb, pkt, now);
     if (staged.claims)
         rb.claim(rb.domain().slotIndex(pkt.hdr.src, pkt.hdr.slot));
     return staged.completes;
@@ -126,7 +136,8 @@ TEST(RecvBuffer, StagingMarksFirstAndLastReceivedOnly)
     // completes; the middle blocks carry no pipeline-exit work.
     RecvBuffer rb(smallDomain());
     const auto idx = rb.domain().slotIndex(2, 1);
-    const mem::Staged first = rb.stage(sendPacket(2, 1, 1, 4, 200), 10);
+    const mem::Staged first =
+        stagePacket(rb, sendPacket(2, 1, 1, 4, 200), 10);
     EXPECT_TRUE(first.claims);
     EXPECT_FALSE(first.completes);
     // Staged but not claimed: the slot is busy only from the first
@@ -134,14 +145,16 @@ TEST(RecvBuffer, StagingMarksFirstAndLastReceivedOnly)
     EXPECT_FALSE(rb.slot(idx).busy);
     EXPECT_EQ(rb.busyCount(), 0u);
     for (std::uint32_t b : {3u, 0u}) {
-        const mem::Staged middle = rb.stage(sendPacket(2, 1, b, 4, 200), 11);
+        const mem::Staged middle =
+            stagePacket(rb, sendPacket(2, 1, b, 4, 200), 11);
         EXPECT_FALSE(middle.claims);
         EXPECT_FALSE(middle.completes);
     }
     rb.claim(idx);
     EXPECT_TRUE(rb.slot(idx).busy);
     EXPECT_EQ(rb.busyCount(), 1u);
-    const mem::Staged last = rb.stage(sendPacket(2, 1, 2, 4, 200), 12);
+    const mem::Staged last =
+        stagePacket(rb, sendPacket(2, 1, 2, 4, 200), 12);
     EXPECT_FALSE(last.claims);
     EXPECT_TRUE(last.completes);
     EXPECT_EQ(rb.slot(idx).firstPacketTick, 10u);
@@ -266,7 +279,7 @@ TEST(RecvBuffer, PullBlocksLandAtTheirOffsets)
     auto blocks = proto::packetize(OpType::ReadResponse, 1, 0, 0, data);
     std::reverse(blocks.begin(), blocks.end());
     for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const mem::Staged staged = rb.stage(blocks[i], 2);
+        const mem::Staged staged = stagePacket(rb, blocks[i], 2);
         EXPECT_FALSE(staged.claims);
         EXPECT_EQ(staged.completes, i + 1 == blocks.size());
     }
@@ -298,19 +311,50 @@ TEST(RecvBuffer, TrainStagesLikeItsBlocks)
         RecvBuffer whole(smallDomain());
         const auto pkts = proto::packetize(OpType::Send, 2, 0, 1, data);
         for (std::size_t b = 0; b < pkts.size(); ++b) {
-            const mem::Staged staged = perBlock.stage(pkts[b], 7);
+            const mem::Staged staged = stagePacket(perBlock, pkts[b], 7);
             EXPECT_EQ(staged.claims, b == 0);
             EXPECT_EQ(staged.completes, b + 1 == pkts.size());
         }
         proto::Train train;
         proto::makeTrain(train, OpType::Send, 2, 0, 1, data);
-        const mem::Staged staged = whole.stageTrain(train, 7);
+        const mem::Staged staged = whole.stage(train, 7);
         EXPECT_TRUE(staged.claims);
         EXPECT_TRUE(staged.completes);
         const auto idx = whole.domain().slotIndex(2, 1);
         expectSameSlot(whole.slot(idx), perBlock.slot(idx));
         // The slot's old (empty) buffer came back with the train.
         EXPECT_TRUE(train.bytes.empty());
+    }
+}
+
+TEST(RecvBuffer, OnePacketTrainOfALongerMessageStagesAsPlaceBlockWould)
+{
+    // A lone packet of a multi-block message is not whole: its block
+    // is copied into a zeroed message buffer exactly where placeBlock
+    // puts it, and it counts one block.
+    const auto data = bytes(200, 5);
+    const auto pkts = proto::packetize(OpType::Send, 2, 0, 1, data);
+    ASSERT_EQ(pkts.size(), 4u);
+    for (std::size_t b = 0; b < pkts.size(); ++b) {
+        SCOPED_TRACE(b);
+        RecvBuffer rb(smallDomain());
+        proto::Train train;
+        proto::packetTrain(pkts[b], train);
+        ASSERT_FALSE(train.whole());
+        ASSERT_EQ(train.blocks(), 1u);
+        const mem::Staged staged = rb.stage(train, 4);
+        EXPECT_TRUE(staged.claims);
+        EXPECT_FALSE(staged.completes);
+        std::vector<std::uint8_t> expected(data.size(), 0);
+        proto::placeBlock(pkts[b], expected);
+        const mem::RecvSlot &slot = rb.slot(rb.domain().slotIndex(2, 1));
+        EXPECT_EQ(slot.payload, expected);
+        EXPECT_EQ(slot.arrivedBlocks, 1u);
+        EXPECT_EQ(slot.totalBlocks, 4u);
+        EXPECT_EQ(slot.msgBytes, 200u);
+        EXPECT_EQ(slot.firstPacketTick, 4u);
+        // The block was copied, not swapped: the train keeps its bytes.
+        EXPECT_EQ(train.bytes.size(), pkts[b].payload.size());
     }
 }
 
@@ -323,10 +367,10 @@ TEST(RecvBuffer, PullTrainLandsLikeItsBlocks)
     const auto data = bytes(300, 9);
     for (const auto &pkt :
          proto::packetize(OpType::ReadResponse, 1, 0, 0, data))
-        (void)perBlock.stage(pkt, 2);
+        (void)stagePacket(perBlock, pkt, 2);
     proto::Train train;
     proto::makeTrain(train, OpType::ReadResponse, 1, 0, 0, data);
-    const mem::Staged staged = whole.stageTrain(train, 2);
+    const mem::Staged staged = whole.stage(train, 2);
     EXPECT_FALSE(staged.claims);
     EXPECT_TRUE(staged.completes);
     const auto idx = whole.domain().slotIndex(1, 0);
@@ -343,17 +387,17 @@ TEST(RecvBufferDeath, TrainOnABusySlotPanicsAsItsFirstBlockWould)
     proto::Train train;
     proto::makeTrain(train, OpType::Send, 1, 0, 0, bytes(80));
     const auto pkts = proto::packetize(OpType::Send, 1, 0, 0, bytes(80));
-    EXPECT_DEATH((void)rb.stage(pkts[0], 2),
+    EXPECT_DEATH((void)stagePacket(rb, pkts[0], 2),
                  "slot reused before replenish \\(slot busy\\)");
-    EXPECT_DEATH((void)rb.stageTrain(train, 2),
+    EXPECT_DEATH((void)rb.stage(train, 2),
                  "slot reused before replenish \\(slot busy\\)");
     // A completed, unreleased slot of another size fails the block
     // count check instead, either way.
     RecvBuffer done(smallDomain());
     arrive(done, sendPacket(1, 0, 0, 1, 10), 1);
-    EXPECT_DEATH((void)done.stage(pkts[0], 2),
+    EXPECT_DEATH((void)stagePacket(done, pkts[0], 2),
                  "slot reused before replenish \\(totalBlocks mismatch\\)");
-    EXPECT_DEATH((void)done.stageTrain(train, 2),
+    EXPECT_DEATH((void)done.stage(train, 2),
                  "slot reused before replenish \\(totalBlocks mismatch\\)");
 }
 
@@ -365,8 +409,9 @@ TEST(RecvBufferDeath, PullTrainOfTheWrongSizePanicsAsItsBlocksWould)
     proto::makeTrain(train, OpType::ReadResponse, 1, 0, 0, bytes(200));
     const auto pkts =
         proto::packetize(OpType::ReadResponse, 1, 0, 0, bytes(200));
-    EXPECT_DEATH((void)rb.stage(pkts[0], 2), "read response size mismatch");
-    EXPECT_DEATH((void)rb.stageTrain(train, 2),
+    EXPECT_DEATH((void)stagePacket(rb, pkts[0], 2),
+                 "read response size mismatch");
+    EXPECT_DEATH((void)rb.stage(train, 2),
                  "read response size mismatch");
 }
 
@@ -379,18 +424,18 @@ TEST(RecvBufferDeath, TrainOnAPartlyStagedSlotPanicsAsItsBlocksWould)
     RecvBuffer perBlock(smallDomain());
     RecvBuffer whole(smallDomain());
     for (RecvBuffer *rb : {&perBlock, &whole}) {
-        (void)rb->stage(pkts[0], 1);
-        (void)rb->stage(pkts[1], 1);
+        (void)stagePacket(*rb, pkts[0], 1);
+        (void)stagePacket(*rb, pkts[1], 1);
     }
     EXPECT_DEATH(
         {
             for (const auto &pkt : pkts)
-                (void)perBlock.stage(pkt, 2);
+                (void)stagePacket(perBlock, pkt, 2);
         },
         "more packets than blocks");
     proto::Train train;
     proto::makeTrain(train, OpType::Send, 1, 0, 0, data);
-    EXPECT_DEATH((void)whole.stageTrain(train, 2), "more packets than blocks");
+    EXPECT_DEATH((void)whole.stage(train, 2), "more packets than blocks");
 }
 
 TEST(RecvBufferDeath, OutOfRangeBlockPanics)
@@ -408,7 +453,7 @@ TEST(RecvBufferDeath, OutOfRangePullBlockPanics)
     proto::Packet pkt;
     proto::makePacket(pkt, OpType::ReadResponse, 1, 0, 0, bytes(200), 0);
     pkt.hdr.blockIndex = pkt.hdr.totalBlocks;
-    EXPECT_DEATH((void)rb.stage(pkt, 2), "block index out of range");
+    EXPECT_DEATH((void)stagePacket(rb, pkt, 2), "block index out of range");
 }
 
 TEST(RecvBufferDeath, NonSendPacketPanics)

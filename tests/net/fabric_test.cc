@@ -1,6 +1,9 @@
 /**
  * @file
- * Unit tests for the inter-node fabric.
+ * Unit tests for the inter-node fabric. Packet-reading sinks go
+ * through connect()'s packet adapter; train sinks see what the fabric
+ * carries: whole trains, or the one-packet trains it makes of lone
+ * packets.
  */
 
 #include <gtest/gtest.h>
@@ -124,7 +127,7 @@ TEST(Fabric, TrainReachesANodeWithoutATrainSinkBlockByBlock)
     proto::Train train;
     proto::makeTrain(train, proto::OpType::Send, 0, 1, 2, data);
     train.hdr.connClient = 9;
-    fabric.sendTrain(train);
+    fabric.send(train);
     sim.run();
     // The packets makePacket would have built, all at the latency, in
     // block order, on one event.
@@ -146,16 +149,16 @@ TEST(Fabric, TrainSinkTakesTheWholeTrain)
     int packets = 0;
     std::vector<std::uint8_t> got;
     std::uint32_t blocks = 0;
-    fabric.connect(
-        1, [&](const proto::Packet &) { ++packets; },
-        [&](proto::Train &train) {
-            blocks = train.blocks();
-            got.swap(train.bytes);
-        });
+    fabric.connect(1, [&](proto::Train &train) {
+        if (!train.whole())
+            ++packets;
+        blocks = train.blocks();
+        got.swap(train.bytes);
+    });
     const auto data = ramp(300);
     proto::Train train;
     proto::makeTrain(train, proto::OpType::Send, 0, 1, 2, data);
-    fabric.sendTrain(train);
+    fabric.send(train);
     // The bytes moved into the event; the caller holds a spare buffer.
     EXPECT_TRUE(train.bytes.empty());
     sim.run();
@@ -188,12 +191,15 @@ TEST(Fabric, PerturbedAndCrossDomainTrainsTravelBlockByBlock)
         EXPECT_FALSE(fabric.fusesTrains());
         int packets = 0;
         int trains = 0;
-        fabric.connect(
-            1, [&](const proto::Packet &) { ++packets; },
-            [&](proto::Train &) { ++trains; });
+        fabric.connect(1, [&](proto::Train &train) {
+            if (train.whole())
+                ++trains;
+            else
+                ++packets;
+        });
         proto::Train train;
         proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, data);
-        fabric.sendTrain(train);
+        fabric.send(train);
         sim.run();
         EXPECT_EQ(perturber.seen, 4);
         EXPECT_EQ(packets, 4);
@@ -207,12 +213,15 @@ TEST(Fabric, PerturbedAndCrossDomainTrainsTravelBlockByBlock)
         fabric.assignNode(1, 1);
         int packets = 0;
         int trains = 0;
-        fabric.connect(
-            1, [&](const proto::Packet &) { ++packets; },
-            [&](proto::Train &) { ++trains; });
+        fabric.connect(1, [&](proto::Train &train) {
+            if (train.whole())
+                ++trains;
+            else
+                ++packets;
+        });
         proto::Train train;
         proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, data);
-        fabric.sendTrain(train);
+        fabric.send(train);
         EXPECT_EQ(fabric.crossDomainMail(), 4u);
         fabric.closeWindow(nanoseconds(200));
         fabric.drainInbox(1);
@@ -220,6 +229,59 @@ TEST(Fabric, PerturbedAndCrossDomainTrainsTravelBlockByBlock)
         EXPECT_EQ(packets, 4);
         EXPECT_EQ(trains, 0);
     }
+}
+
+TEST(Fabric, LonePacketArrivesAsAOnePacketTrain)
+{
+    // Block 2 of a 200 B message, sent on its own: the sink sees that
+    // packet, header and bytes, as a train that is not whole.
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    const auto data = ramp(200);
+    proto::Packet pkt;
+    proto::makePacket(pkt, proto::OpType::Send, 0, 1, 3, data, 2);
+    std::vector<proto::Packet> got;
+    fabric.connect(1, [&](proto::Train &train) {
+        EXPECT_FALSE(train.whole());
+        ASSERT_EQ(train.blocks(), 1u);
+        got.emplace_back();
+        proto::trainPacket(train, 0, got.back());
+    });
+    fabric.send(pkt);
+    sim.run();
+    ASSERT_EQ(got.size(), 1u);
+    expectSamePacket(got[0], pkt);
+    EXPECT_EQ(fabric.delivered(), 1u);
+}
+
+/** Flips the first payload byte of every packet it sees. */
+struct FlippingPerturber : net::PacketPerturber
+{
+    Verdict
+    perturb(proto::Packet &pkt, sim::DomainId, sim::Tick) override
+    {
+        pkt.payload[0] ^= 0xFF;
+        return {};
+    }
+};
+
+TEST(Fabric, APerturberMutatesACopyNotTheSendersPacket)
+{
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    FlippingPerturber perturber;
+    fabric.setPerturber(&perturber);
+    std::vector<std::uint8_t> got;
+    fabric.connect(1, [&](const proto::Packet &pkt) {
+        got.assign(pkt.payload.begin(), pkt.payload.end());
+    });
+    proto::Packet pkt;
+    proto::makePacket(pkt, proto::OpType::Send, 0, 1, 0, ramp(8), 0);
+    fabric.send(pkt);
+    sim.run();
+    ASSERT_EQ(got.size(), 8u);
+    EXPECT_EQ(got[0], static_cast<std::uint8_t>(ramp(8)[0] ^ 0xFF));
+    EXPECT_EQ(pkt.payload[0], ramp(8)[0]);
 }
 
 TEST(FabricDeath, DuplicateNodeRegistrationIsFatal)
@@ -309,7 +371,7 @@ struct Arrival
 };
 
 /** Sink appending each packet's Arrival on @p dom to @p seen. */
-Fabric::Sink
+Fabric::PacketSink
 recordInto(std::vector<Arrival> &seen, const sim::EventDomain &dom)
 {
     return [&seen, &dom](const proto::Packet &pkt) {

@@ -147,8 +147,8 @@ struct Harness
                                                 fabric);
         // The client nodes 1..3 receive the replies.
         for (proto::NodeId n = 1; n < domain.numNodes; ++n) {
-            fabric.connect(n, [this](proto::Packet pkt) {
-                tg->receivePacket(std::move(pkt));
+            fabric.connect(n, [this](proto::Train &train) {
+                tg->receive(train);
             });
         }
     }
@@ -335,8 +335,8 @@ struct RecoveryHarness
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
                                                 fabric);
         // Node 1, the one client node, receives the replies.
-        fabric.connect(1, [this](proto::Packet pkt) {
-            tg->receivePacket(std::move(pkt));
+        fabric.connect(1, [this](proto::Train &train) {
+            tg->receive(train);
         });
     }
 
@@ -438,9 +438,9 @@ struct ReplyHarness
         p.seed = 3;
         tg = std::make_unique<TrafficGenerator>(sim, p, domain, app,
                                                 fabric);
-        fabric.connect(
-            1, [this](const proto::Packet &pkt) { tg->receivePacket(pkt); },
-            [this](proto::Train &train) { tg->receiveTrain(train); });
+        fabric.connect(1, [this](proto::Train &train) {
+            tg->receive(train);
+        });
         // One request, issued as a chain member (no arrivals needed).
         sim::Rng rng(1, 0x7E5);
         std::vector<std::vector<std::uint8_t>> one;
@@ -467,7 +467,7 @@ TEST(TrafficGen, ReplyTrainCompletesFromItsBytes)
     ASSERT_FALSE(h.request.empty());
     proto::Train train = h.reply();
     ASSERT_GT(train.blocks(), 1u);
-    h.fabric.sendTrain(train);
+    h.fabric.send(train);
     h.sim.run();
     EXPECT_TRUE(h.done);
     EXPECT_EQ(h.tg->repliesReceived(), 1u);
@@ -493,7 +493,7 @@ TEST(TrafficGen, ReplyTrainOnALeftoverPartialGoesBlockByBlock)
         proto::Train train = h.reply();
         ASSERT_EQ(train.blocks(), 8u);
         if (as_train) {
-            h.fabric.sendTrain(train);
+            h.fabric.send(train);
         } else {
             for (std::uint32_t b = 0; b < train.blocks(); ++b) {
                 proto::trainPacket(train, b, pkt);
@@ -525,7 +525,9 @@ TEST(TrafficGenDeath, OutOfRangeReplyBlockPanics)
     proto::makePacket(pkt, proto::OpType::Send, 0, 1, 0,
                       std::vector<std::uint8_t>(100, 7), 0);
     pkt.hdr.blockIndex = pkt.hdr.totalBlocks;
-    EXPECT_DEATH(h.tg->receivePacket(pkt), "block index out of range");
+    proto::Train train;
+    proto::packetTrain(pkt, train);
+    EXPECT_DEATH(h.tg->receive(train), "block index out of range");
 }
 
 } // namespace

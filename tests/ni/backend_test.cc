@@ -4,8 +4,9 @@
  * completion signaling, per-packet occupancy, message trains (events
  * only for a message's first- and last-received packets; a whole
  * train in on the same pipeline ticks as its packets; one egress
- * event per multi-block send), egress streaming, and replenish
- * handling (§4.2, §4.4).
+ * event per send), egress streaming, and replenish handling (§4.2,
+ * §4.4). Lone packets reach the backend as the one-packet trains the
+ * fabric makes of them (proto::packetTrain).
  */
 
 #include <gtest/gtest.h>
@@ -51,6 +52,7 @@ struct Fixture
     std::vector<proto::CompletionQueueEntry> completions;
     std::vector<Tick> completionTimes;
     std::vector<std::pair<proto::NodeId, std::uint32_t>> replenishes;
+    std::vector<Tick> replenishTimes;
     std::vector<proto::Packet> injected;
     std::vector<Tick> injectTimes;
     std::unique_ptr<NiBackend> backend;
@@ -76,6 +78,7 @@ struct Fixture
             },
             [this](proto::NodeId n, std::uint32_t s) {
                 replenishes.emplace_back(n, s);
+                replenishTimes.push_back(sim.now());
             },
             fabric);
     }
@@ -90,12 +93,20 @@ struct Fixture
         return d;
     }
 
+    /** Deliver @p pkt to the backend now, as a one-packet train. */
+    void
+    receive(const proto::Packet &pkt)
+    {
+        proto::Train train;
+        proto::packetTrain(pkt, train);
+        backend->receive(train);
+    }
+
     /** Deliver @p pkt to the backend at absolute tick @p at. */
     void
     receiveAt(Tick at, const proto::Packet &pkt)
     {
-        sim.schedule(at - sim.now(),
-                     [this, pkt] { backend->receivePacket(pkt); });
+        sim.schedule(at - sim.now(), [this, pkt] { receive(pkt); });
     }
 };
 
@@ -113,7 +124,7 @@ TEST(Backend, SinglePacketSendCompletes)
     Fixture f;
     const auto packets =
         proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(40));
-    f.backend->receivePacket(packets[0]);
+    f.receive(packets[0]);
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
     EXPECT_EQ(f.completions[0].srcNode, 1u);
@@ -130,7 +141,7 @@ TEST(Backend, MultiPacketSendCompletesOnceAllArrive)
         proto::packetize(proto::OpType::Send, 2, 0, 1, bytes(300));
     ASSERT_EQ(packets.size(), 5u);
     for (const auto &pkt : packets)
-        f.backend->receivePacket(pkt);
+        f.receive(pkt);
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
     EXPECT_EQ(f.completions[0].msgBytes, 300u);
@@ -148,7 +159,7 @@ TEST(Backend, CompletionTimeIncludesPipelineAndCounter)
     const auto packets =
         proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(128));
     for (const auto &pkt : packets)
-        f.backend->receivePacket(pkt);
+        f.receive(pkt);
     f.sim.schedule(0, [] {}); // anchor t=0
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
@@ -167,9 +178,7 @@ TEST(Backend, FirstPacketTickIsArrivalNotCompletion)
     // Deliver packets spaced 10 ns apart.
     for (std::size_t i = 0; i < packets.size(); ++i) {
         f.sim.schedule(nanoseconds(10.0 * static_cast<double>(i)),
-                       [&f, pkt = packets[i]] {
-                           f.backend->receivePacket(pkt);
-                       });
+                       [&f, pkt = packets[i]] { f.receive(pkt); });
     }
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
@@ -184,7 +193,7 @@ TEST(Backend, ReplenishInvokesHandler)
     pkt.hdr.src = 3;
     pkt.hdr.dst = 0;
     pkt.hdr.slot = 1;
-    f.backend->receivePacket(pkt);
+    f.receive(pkt);
     f.sim.run();
     ASSERT_EQ(f.replenishes.size(), 1u);
     EXPECT_EQ(f.replenishes[0].first, 3u);
@@ -241,7 +250,7 @@ TEST(Backend, IngressBusyTicksAccumulate)
     const auto packets =
         proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(256));
     for (const auto &pkt : packets)
-        f.backend->receivePacket(pkt);
+        f.receive(pkt);
     f.sim.run();
     EXPECT_EQ(f.backend->ingressBusyTicks(),
               nanoseconds(3.0) * packets.size());
@@ -291,7 +300,7 @@ TEST(Backend, IngressTrainSchedulesFirstAndLastOnly)
     Fixture f;
     for (const auto &pkt :
          proto::packetize(proto::OpType::Send, 2, 0, 1, bytes(300)))
-        f.backend->receivePacket(pkt);
+        f.receive(pkt);
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
     EXPECT_EQ(f.completionTimes[0],
@@ -316,8 +325,8 @@ TEST(Backend, InterleavedSourcesCompleteOnTheirOwnLastPackets)
     // Order A0 B0 A1 B1 A2 B2 B3: pipeline exits 3, 6, ..., 21 ns.
     for (std::size_t i = 0; i < b.size(); ++i) {
         if (i < a.size())
-            f.backend->receivePacket(a[i]);
-        f.backend->receivePacket(b[i]);
+            f.receive(a[i]);
+        f.receive(b[i]);
     }
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 2u);
@@ -387,7 +396,7 @@ TEST(Backend, DroppedMiddleBlockNeverCompletes)
     const auto pkts =
         proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(256));
     for (std::uint32_t b : {0u, 1u, 3u})
-        f.backend->receivePacket(pkts[b]);
+        f.receive(pkts[b]);
     f.sim.run();
     EXPECT_TRUE(f.completions.empty());
     const auto &slot = f.recv.slot(f.domain.slotIndex(1, 0));
@@ -429,7 +438,7 @@ ingressScenario(bool as_train)
         proto::Train train;
         proto::makeTrain(train, proto::OpType::Send, 2, 0, 1, data);
         f.sim.schedule(nanoseconds(20.0), [&f, train]() mutable {
-            f.backend->receiveTrain(train);
+            f.backend->receive(train);
         });
     } else {
         for (const auto &pkt :
@@ -498,7 +507,7 @@ TEST(Backend, OneBlockTrainClaimsAndCompletesOnOneEvent)
     Fixture f;
     proto::Train train;
     proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, bytes(40));
-    f.backend->receiveTrain(train);
+    f.backend->receive(train);
     f.sim.run();
     ASSERT_EQ(f.completions.size(), 1u);
     EXPECT_EQ(f.completionTimes[0],
@@ -508,15 +517,130 @@ TEST(Backend, OneBlockTrainClaimsAndCompletesOnOneEvent)
     EXPECT_EQ(f.sim.executedEvents(), 2u);
 }
 
+/** What one-block arrivals showed; see OneBlockMessagesArriveAlike. */
+struct OneBlockTrace
+{
+    std::vector<std::pair<proto::NodeId, std::uint32_t>> replenishes;
+    std::vector<Tick> replenishTimes;
+    std::vector<proto::CompletionQueueEntry> completions;
+    std::vector<Tick> completionTimes;
+    std::vector<proto::Packet> injected;
+    std::vector<Tick> injectTimes;
+    std::uint64_t packetsReceived = 0;
+    std::uint64_t packetsSent = 0;
+    std::uint64_t rendezvousPulls = 0;
+    Tick busyTicks = 0;
+    std::uint64_t events = 0;
+    bool descriptorSlotBusy = false;
+    std::vector<std::uint8_t> payload;
+};
+
+/**
+ * Ingress stalled until 50 ns; at 10 ns a replenish (from node 3, slot
+ * 1) and a rendezvous descriptor for a 300 B payload (from node 2,
+ * slot 0) arrive, and at 20 ns a 40 B send (from node 1, slot 0):
+ * each built as a whole train (makeTrain) or as a packet (makePacket)
+ * and sent through the fabric.
+ */
+OneBlockTrace
+oneBlockScenario(bool as_train)
+{
+    Fixture f;
+    f.fabric.connect(0, [&f](proto::Train &train) {
+        f.backend->receive(train);
+    });
+    f.backend->stallIngress(nanoseconds(50.0));
+    auto sendAt = [&f, as_train](Tick at, proto::OpType op,
+                                 proto::NodeId src, std::uint32_t slot,
+                                 std::vector<std::uint8_t> data,
+                                 std::uint32_t rendezvous_bytes) {
+        f.sim.schedule(at, [&f, as_train, op, src, slot, data,
+                            rendezvous_bytes] {
+            proto::Train train;
+            proto::makeTrain(train, op, src, 0, slot, data);
+            proto::Packet pkt;
+            proto::makePacket(pkt, op, src, 0, slot, data, 0);
+            for (proto::PacketHeader *hdr : {&train.hdr, &pkt.hdr}) {
+                hdr->rendezvous = rendezvous_bytes != 0;
+                hdr->rendezvousBytes = rendezvous_bytes;
+            }
+            if (as_train)
+                f.fabric.send(train);
+            else
+                f.fabric.send(pkt);
+        });
+    };
+    sendAt(nanoseconds(10.0), proto::OpType::Replenish, 3, 1, {}, 0);
+    sendAt(nanoseconds(10.0), proto::OpType::Send, 2, 0, {}, 300);
+    sendAt(nanoseconds(20.0), proto::OpType::Send, 1, 0, bytes(40), 0);
+    f.sim.run();
+    OneBlockTrace t;
+    t.replenishes = f.replenishes;
+    t.replenishTimes = f.replenishTimes;
+    t.completions = f.completions;
+    t.completionTimes = f.completionTimes;
+    t.injected = f.injected;
+    t.injectTimes = f.injectTimes;
+    t.packetsReceived = f.backend->packetsReceived();
+    t.packetsSent = f.backend->packetsSent();
+    t.rendezvousPulls = f.backend->rendezvousPulls();
+    t.busyTicks = f.backend->ingressBusyTicks();
+    t.events = f.sim.executedEvents();
+    t.descriptorSlotBusy = f.recv.slot(f.domain.slotIndex(2, 0)).busy;
+    t.payload = f.recv.slot(f.domain.slotIndex(1, 0)).payload;
+    return t;
+}
+
+TEST(Backend, OneBlockMessagesArriveAlikeAsTrainsAndPackets)
+{
+    // A replenish, a rendezvous descriptor and a one-block send: the
+    // same ingress ticks, counts and completion either way.
+    const OneBlockTrace packets = oneBlockScenario(false);
+    const OneBlockTrace train = oneBlockScenario(true);
+    for (const OneBlockTrace *t : {&packets, &train}) {
+        SCOPED_TRACE(t == &train ? "train" : "packets");
+        // Pipeline exits at 53 (replenish), 56 (descriptor) and 59 ns
+        // (send).
+        ASSERT_EQ(t->replenishes.size(), 1u);
+        EXPECT_EQ(t->replenishes[0],
+                  (std::pair<proto::NodeId, std::uint32_t>{3, 1}));
+        EXPECT_EQ(t->replenishTimes[0], nanoseconds(53.0));
+        // The descriptor's pull leaves one counter update after its
+        // exit, toward the payload's owner, naming the full size.
+        ASSERT_EQ(t->injected.size(), 1u);
+        EXPECT_EQ(t->injected[0].hdr.op, proto::OpType::RemoteRead);
+        EXPECT_EQ(t->injected[0].hdr.src, 0u);
+        EXPECT_EQ(t->injected[0].hdr.dst, 2u);
+        EXPECT_EQ(t->injected[0].hdr.msgBytes, 300u);
+        EXPECT_TRUE(t->injected[0].payload.empty());
+        EXPECT_EQ(t->injectTimes[0],
+                  nanoseconds(56.0) + mem::counterUpdateLatency);
+        EXPECT_TRUE(t->descriptorSlotBusy);
+        // Only the send completes.
+        ASSERT_EQ(t->completions.size(), 1u);
+        EXPECT_EQ(t->completions[0].srcNode, 1u);
+        EXPECT_EQ(t->completions[0].msgBytes, 40u);
+        EXPECT_EQ(t->completions[0].firstPacketTick, nanoseconds(20.0));
+        EXPECT_EQ(t->completionTimes[0],
+                  nanoseconds(59.0) + mem::counterUpdateLatency);
+        EXPECT_EQ(t->payload, bytes(40));
+        EXPECT_EQ(t->packetsReceived, 3u);
+        EXPECT_EQ(t->packetsSent, 1u);
+        EXPECT_EQ(t->rendezvousPulls, 1u);
+        EXPECT_EQ(t->busyTicks, 3 * nanoseconds(3.0));
+    }
+    EXPECT_EQ(train.events, packets.events);
+}
+
 TEST(BackendDeath, MorePacketsThanBlocksPanicsOnArrival)
 {
     // The receive-time count catches a duplicate block as it enters.
     Fixture f;
     const auto pkts =
         proto::packetize(proto::OpType::Send, 1, 0, 0, bytes(100));
-    f.backend->receivePacket(pkts[0]);
-    f.backend->receivePacket(pkts[1]);
-    EXPECT_DEATH(f.backend->receivePacket(pkts[1]),
+    f.receive(pkts[0]);
+    f.receive(pkts[1]);
+    EXPECT_DEATH(f.receive(pkts[1]),
                  "more packets than blocks");
 }
 

@@ -43,8 +43,8 @@ struct NodeHarness
         tg = std::make_unique<net::TrafficGenerator>(
             sim, tp, params.domain, app, fabric);
         for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
-            fabric.connect(n, [this](proto::Packet pkt) {
-                tg->receivePacket(std::move(pkt));
+            fabric.connect(n, [this](proto::Train &train) {
+                tg->receive(train);
             });
         }
     }
@@ -325,8 +325,8 @@ TEST(RpcNodeDeath, ChainedWorkloadWithoutIssuerIsFatal)
                 net::TrafficGenerator tg(sim, tp, params.domain, *app,
                                          fabric);
                 for (proto::NodeId n = 1; n < params.domain.numNodes; ++n) {
-                    fabric.connect(n, [&tg](proto::Packet pkt) {
-                        tg.receivePacket(std::move(pkt));
+                    fabric.connect(n, [&tg](proto::Train &train) {
+                        tg.receive(train);
                     });
                 }
                 node.start();
