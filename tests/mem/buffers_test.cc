@@ -444,6 +444,11 @@ TEST(RecvBufferDeath, OutOfRangeBlockPanics)
     RecvBuffer rb(smallDomain());
     EXPECT_DEATH((void)arrive(rb, sendPacket(1, 0, 3, 3, 160), 1),
                  "block index out of range");
+    // A packet past a one-block message's end that still carries the
+    // message's size is a stray block, not the whole message.
+    proto::Packet stray = sendPacket(1, 0, 0, 1, 10);
+    stray.hdr.blockIndex = 1;
+    EXPECT_DEATH((void)arrive(rb, stray, 1), "block index out of range");
 }
 
 TEST(RecvBufferDeath, OutOfRangePullBlockPanics)
