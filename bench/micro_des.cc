@@ -275,10 +275,11 @@ BM_MessageTrain(benchmark::State &state)
 {
     // One message of N blocks per iteration along the fused data path,
     // send -> deliver -> stage -> complete: the sender builds one
-    // train, as the traffic generator does for every message (N = 1
-    // included), the fabric delivers it, the NI backend stages it into
-    // a receive slot, and the completion releases the slot for the
-    // next message.
+    // train (N = 1 included) and hands it to the fabric with its
+    // departure tick, as an NI egress pipeline does when its last
+    // block leaves, so the fabric schedules only the delivery; the NI
+    // backend stages it into a receive slot, and the completion
+    // releases the slot for the next message.
     const auto blocks = static_cast<std::uint32_t>(state.range(0));
     proto::MessagingDomain domain;
     domain.numNodes = 2;
@@ -299,7 +300,7 @@ BM_MessageTrain(benchmark::State &state)
     proto::Train train;
     for (auto _ : state) {
         proto::makeTrain(train, proto::OpType::Send, 1, 0, 0, payload);
-        fabric.send(train);
+        fabric.send(train, sim.now() + blocks * ni::backendPacketOccupancy);
         sim.run();
     }
     benchmark::DoNotOptimize(backend.completionsSignaled());

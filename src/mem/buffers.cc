@@ -113,7 +113,9 @@ RecvBuffer::stage(proto::Train &train, sim::Tick now)
         // bytes; its old buffer goes back with the train.
         rs.payload.swap(train.bytes);
     } else {
-        if (staged.claims)
+        // A message's first-received packet (a send's, or a pull's
+        // after beginRendezvous) lays out a zeroed message buffer.
+        if (rs.arrivedBlocks == 0)
             rs.payload.assign(train.hdr.msgBytes, 0);
         // Copy the payload block into place (zero-copy on the real
         // machine; here the buffer is authoritative storage).
@@ -150,7 +152,8 @@ RecvBuffer::beginRendezvous(std::uint32_t index, std::uint32_t full_bytes)
     rs.msgBytes = full_bytes;
     // Rendezvous payloads may exceed maxMsgBytes by design; the pulled
     // data lands in registered host memory, not the slot-sized area.
-    rs.payload.assign(full_bytes, 0);
+    // stage() lays the buffer out: a whole response swaps in, and its
+    // first packet zeroes a buffer of full_bytes.
 }
 
 const RecvSlot &

@@ -126,7 +126,8 @@ class RecvBuffer
      * blocks. A send's first-received packet sets the message up
      * (size, firstPacketTick = @p now); the slot counts as busy only
      * once that packet leaves the NI pipeline (claim()). A packet's
-     * block is copied into a zeroed message buffer; a whole message's
+     * block is copied into a message buffer that the message's
+     * first-received packet zeroed; a whole message's
      * bytes are taken by swap (@p train comes back holding the slot's
      * old buffer), leaving the slot as staging each block would. A
      * read response lands in a slot that beginRendezvous() armed.
@@ -146,10 +147,12 @@ class RecvBuffer
 
     /**
      * Rendezvous (§4.2): after a descriptor send completes, switch its
-     * slot into pull mode — the payload area is resized to the full
-     * transfer size and the arrival counter re-armed for the
-     * one-sided read's response blocks. The slot keeps its
-     * firstPacketTick (latency clock started at the descriptor).
+     * slot into pull mode — the message size becomes the full
+     * transfer size and the arrival counter is re-armed for the
+     * one-sided read's response blocks. The payload area is left to
+     * stage(), which replaces every byte before the pull completes.
+     * The slot keeps its firstPacketTick (latency clock started at the
+     * descriptor).
      */
     void beginRendezvous(std::uint32_t index, std::uint32_t full_bytes);
 

@@ -124,12 +124,36 @@ Fabric::send(proto::Train &train)
             proto::trainPacket(train, i, postMail(src, dst, when));
         return;
     }
-    DeliverEvent *ev = s.pool.acquire();
+    deliverAt(dst, train, s.sim->now() + latency_);
+}
+
+void
+Fabric::send(proto::Train &train, sim::Tick depart)
+{
+    const sim::DomainId src = domainOf(train.hdr.src);
+    DomainState &s = *domains_[src];
+    RV_ASSERT(depart >= s.sim->now(), "train departs in the past");
+    if (perturber_ == nullptr && src == domainOf(train.hdr.dst)) {
+        deliverAt(src, train, depart + latency_);
+        return;
+    }
+    DepartEvent *ev = s.departPool.acquire();
     ev->fabric = this;
-    ev->dom = dst;
+    ev->dom = src;
     ev->train.hdr = train.hdr;
     ev->train.bytes.swap(train.bytes);
-    s.sim->schedule(*ev, latency_);
+    s.sim->scheduleAt(*ev, depart);
+}
+
+void
+Fabric::deliverAt(sim::DomainId dom, proto::Train &train, sim::Tick when)
+{
+    DeliverEvent *ev = domains_[dom]->pool.acquire();
+    ev->fabric = this;
+    ev->dom = dom;
+    ev->train.hdr = train.hdr;
+    ev->train.bytes.swap(train.bytes);
+    domains_[dom]->sim->scheduleAt(*ev, when);
 }
 
 void
@@ -260,6 +284,15 @@ Fabric::DeliverEvent::process()
     // goes back to the next sender by swap.
     fabric->deliver(dom, train);
     fabric->domains_[dom]->pool.release(this);
+}
+
+void
+Fabric::DepartEvent::process()
+{
+    // The immediate send, run at the departure tick; the spare buffer
+    // it leaves stays with the event for the next departure.
+    fabric->send(train);
+    fabric->domains_[dom]->departPool.release(this);
 }
 
 void

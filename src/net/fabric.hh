@@ -25,11 +25,18 @@
  * packets as they are posted, and senders that would merge packets of
  * different ticks into one train (fusesTrains()) keep them apart. A
  * train that crosses domains is unrolled straight into its edge
- * mailbox, one entry per packet. connect() with a packet sink is an
- * adapter for readers of packets (tools and tests): it unrolls each
- * train into the sink, block by block. A packet sent across domains
- * (conservative parallel DES) is posted to the (src domain, dst
- * domain) edge mailbox stamped with its delivery time.
+ * mailbox, one entry per packet. A sender that knows a train's
+ * departure tick ahead of time (an NI egress pipeline) hands it over
+ * at once with send(train, depart): unperturbed within one domain the
+ * fabric schedules its delivery right then, at depart + latency, so
+ * no event fires at departure; otherwise a pooled departure event on
+ * the source domain makes the send at depart, so a perturber still
+ * sees each packet at its posting tick and mail is still posted in
+ * its departure window, in posting order. connect() with a packet
+ * sink is an adapter for readers of packets (tools and tests): it
+ * unrolls each train into the sink, block by block. A packet sent
+ * across domains (conservative parallel DES) is posted to the (src
+ * domain, dst domain) edge mailbox stamped with its delivery time.
  * The run's synchronization window is the link latency: a packet sent
  * inside the window [T, T + latency) is due at send time + latency,
  * never before the window ends — every cross-domain post asserts
@@ -203,6 +210,21 @@ class Fabric
     void send(proto::Train &train);
 
     /**
+     * Inject a train that leaves its sender at absolute tick
+     * @p depart (>= now): the hand-off of a sender that knows its
+     * departure tick ahead of time, such as an NI egress pipeline.
+     * Its packets arrive exactly as if send(train) were called at
+     * @p depart. Unperturbed within one domain, nothing can see the
+     * train before it lands, so its delivery is scheduled now, at
+     * @p depart + latency, and no event fires at departure. Otherwise
+     * — a perturber must see each packet at its posting tick, and
+     * cross-domain mail must be posted in its departure window — one
+     * pooled departure event on the source domain runs send(train) at
+     * @p depart. The bytes move by swap, as in send(train).
+     */
+    void send(proto::Train &train, sim::Tick depart);
+
+    /**
      * Barrier step (two or more domains; coordinator only, all domain
      * threads quiescent): close the executing window — its mail is
      * parked in the closed bank for drainInbox() — and arm the next
@@ -253,6 +275,21 @@ class Fabric
         }
     };
 
+    /** A train waiting for its departure tick on the source domain
+     *  (perturbed or cross-domain send(train, depart)): pooled. */
+    struct DepartEvent : sim::Event
+    {
+        Fabric *fabric = nullptr;
+        sim::DomainId dom = 0;
+        proto::Train train;
+
+        void process() override;
+        const char *description() const override
+        {
+            return "fabric-depart";
+        }
+    };
+
     /**
      * Several packets due at one (domain, tick) on a single event, in
      * order: the cross-domain mail drainInbox() coalesces.
@@ -293,6 +330,7 @@ class Fabric
         /** Packets this domain posted across a domain edge. */
         std::uint64_t posted = 0;
         sim::EventPool<DeliverEvent> pool;
+        sim::EventPool<DepartEvent> departPool;
         sim::EventPool<BatchDeliverEvent> batchPool;
         /** drainInbox() scratch (reused, no steady-state alloc). */
         std::vector<Mail> drainScratch;
@@ -309,6 +347,9 @@ class Fabric
     /** nodeDomain_ entry of a node never passed to assignNode(). */
     static constexpr sim::DomainId kUnassigned = ~sim::DomainId{0};
 
+    /** Schedule @p train's delivery on domain @p dom (its source's
+     *  too) at @p when, taking its bytes by swap. */
+    void deliverAt(sim::DomainId dom, proto::Train &train, sim::Tick when);
     /** Hand @p train to its destination's sink. */
     void deliver(sim::DomainId dom, proto::Train &train);
     /** perturb() @p pkt (a perturber is attached); post it unless

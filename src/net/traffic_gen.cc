@@ -386,17 +386,13 @@ TrafficGenerator::receive(proto::Train &train)
             ++staleReplies_;
             break;
         }
-        const proto::NodeId owner = hdr.dst;
-        const proto::NodeId reader = hdr.src;
-        const std::uint32_t slot = hdr.slot;
-        const std::vector<std::uint8_t> payload = live->request.bytes;
-        const std::uint32_t connClient = live->request.conn.client;
-        sim_.schedule(
-            sim::nanoseconds(60.0),
-            [this, owner, reader, slot, payload, connClient] {
-                sendMessage(proto::OpType::ReadResponse, owner, reader,
-                            slot, payload, connClient);
-            });
+        // The response train is built now, with one copy of the
+        // request's bytes, and leaves when the DRAM access is done.
+        proto::makeTrain(train_, proto::OpType::ReadResponse,
+                         /*src=*/hdr.dst, /*dst=*/hdr.src, hdr.slot,
+                         live->request.bytes);
+        train_.hdr.connClient = live->request.conn.client;
+        fabric_.send(train_, sim_.now() + sim::nanoseconds(60.0));
         break;
       }
       default:

@@ -14,7 +14,9 @@
  * them against the application, and returns reply replenishes after
  * the fixed client-side turnaround (clientTurnaround). Every message
  * it sends — request, rendezvous descriptor, read response, replenish
- * — leaves as one proto::Train, and everything addressed to its nodes
+ * — leaves as one proto::Train (a read response, built as the pull
+ * arrives, is handed to the fabric with its departure one DRAM access
+ * later), and everything addressed to its nodes
  * arrives through receive() as one: a whole reply completes straight
  * from the train's bytes, and a lone packet (under a fault perturber,
  * or from another event domain) joins the slot's reply assembly.

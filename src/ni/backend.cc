@@ -89,14 +89,6 @@ NiBackend::InjectEvent::process()
 }
 
 void
-NiBackend::TrainEvent::process()
-{
-    // The fabric takes the bytes and leaves a spare buffer for reuse.
-    backend->fabric_.send(train);
-    backend->trainPool_.release(this);
-}
-
-void
 NiBackend::CompletionEvent::process()
 {
     NiBackend *b = backend;
@@ -127,14 +119,13 @@ NiBackend::processIngress(const proto::PacketHeader &hdr, mem::Staged staged)
             recv_.beginRendezvous(index, full);
             ++rendezvousPulls_;
             ++packetsSent_;
-            // The read is one bodiless packet naming the full size.
-            TrainEvent *ev = trainPool_.acquire();
-            ev->backend = this;
-            proto::makeTrain(ev->train, proto::OpType::RemoteRead,
+            // The read is one bodiless packet naming the full size; it
+            // leaves one counter update from now.
+            proto::makeTrain(txTrain_, proto::OpType::RemoteRead,
                              /*src=*/hdr.dst, /*dst=*/hdr.src, hdr.slot,
                              {});
-            ev->train.hdr.msgBytes = full;
-            sim_.schedule(*ev, mem::counterUpdateLatency);
+            txTrain_.hdr.msgBytes = full;
+            fabric_.send(txTrain_, sim_.now() + mem::counterUpdateLatency);
             break;
         }
         signalCompletion(index, hdr.src, hdr.connClient);
@@ -190,25 +181,23 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
                            const std::vector<std::uint8_t> &payload)
 {
     // First packet waits for the payload fetch from the memory
-    // hierarchy; subsequent blocks stream at pipeline rate. The train
-    // (or, under a perturber, each block) is built straight into the
-    // pooled event that carries it.
+    // hierarchy; subsequent blocks stream at pipeline rate.
     const sim::Tick ready = sim_.now() + txSetupLatency;
     const std::uint32_t total =
         proto::blocksForBytes(static_cast<std::uint32_t>(payload.size()));
     packetsSent_ += total;
     if (fabric_.fusesTrains()) {
         // A train: every block's egress tick is known now, and the
-        // blocks stream back to back, so one event at the last
-        // block's tick carries them all into the fabric.
-        TrainEvent *ev = trainPool_.acquire();
-        ev->backend = this;
-        proto::makeTrain(ev->train, op, self, dst, slot, payload);
+        // blocks stream back to back, so the fabric takes them all
+        // with the last block's tick as their departure.
+        proto::makeTrain(txTrain_, op, self, dst, slot, payload);
         egressFreeAt_ = std::max(ready, egressFreeAt_) +
                         total * backendPacketOccupancy;
-        sim_.scheduleAt(*ev, egressFreeAt_);
+        fabric_.send(txTrain_, egressFreeAt_);
         return;
     }
+    // Under a perturber each block is built straight into the pooled
+    // event that injects it at its own tick.
     for (std::uint32_t b = 0; b < total; ++b) {
         const sim::Tick start = std::max(ready, egressFreeAt_);
         egressFreeAt_ = start + backendPacketOccupancy;

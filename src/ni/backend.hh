@@ -34,14 +34,18 @@
  *    same claim and complete events are scheduled, in the same order.
  *  - Egress: without a fabric perturber, every message — a one-block
  *    send or replenish as much as a 25-block reply — leaves as one
- *    train: one event at the last block's egress tick carries it into
- *    the fabric as block 0's header plus one copy of its bytes
- *    (proto::makeTrain), and the fabric delivers it whole. So does a
- *    rendezvous pull. Sends from a server go to the client side, whose
- *    only use of a middle block is to place it in the reply being
- *    assembled, read first by the completing block. A perturber must
- *    see each packet at its own tick, so fault runs inject a message
- *    packet by packet.
+ *    train: block 0's header plus one copy of its bytes
+ *    (proto::makeTrain), handed to the fabric as it is posted, with
+ *    its last block's egress tick as its departure
+ *    (net::Fabric::send(train, depart)). The fabric delivers it whole,
+ *    and within one domain schedules only that delivery, so no event
+ *    fires at egress. So does a rendezvous pull, departing one counter
+ *    update after its descriptor completes. Sends from a server go to
+ *    the client side, whose only use of a middle block is to place it
+ *    in the reply being assembled, read first by the completing
+ *    block. A perturber must see each packet at its own tick, so
+ *    fault runs inject a message packet by packet, one event per
+ *    block.
  */
 
 #ifndef RPCVALET_NI_BACKEND_HH
@@ -148,21 +152,6 @@ class NiBackend
         }
     };
 
-    /** A train leaving for the fabric: a message at its last block's
-     *  egress tick (no fabric perturber), or a rendezvous pull one
-     *  counter update after its descriptor completes. */
-    struct TrainEvent : sim::Event
-    {
-        NiBackend *backend = nullptr;
-        proto::Train train;
-
-        void process() override;
-        const char *description() const override
-        {
-            return "ni-inject-train";
-        }
-    };
-
     /** Message-completion notification riding the counter update. */
     struct CompletionEvent : sim::Event
     {
@@ -200,9 +189,11 @@ class NiBackend
     std::uint64_t packetsSent_ = 0;
     std::uint64_t completions_ = 0;
     std::uint64_t rendezvousPulls_ = 0;
+    /** Where a departing train is built; the fabric swaps its bytes
+     *  out and leaves a spare buffer for the next one. */
+    proto::Train txTrain_;
     sim::EventPool<IngressEvent> ingressPool_;
     sim::EventPool<InjectEvent> injectPool_;
-    sim::EventPool<TrainEvent> trainPool_;
     sim::EventPool<CompletionEvent> completionPool_;
 };
 

@@ -23,6 +23,9 @@ Dispatcher::Dispatcher(sim::EventDomain &sim, const Params &params,
     for (const proto::CoreId c : candidates_)
         RV_ASSERT(c < num_cores, "candidate core out of range");
     RV_ASSERT(deliver_ != nullptr, "dispatcher needs a delivery hook");
+    RV_ASSERT(params_.deliveryDelay.empty() ||
+                  params_.deliveryDelay.size() == num_cores,
+              "delivery delays must cover every core");
 }
 
 DispatchContext
@@ -84,7 +87,10 @@ Dispatcher::tryDispatch()
         ev->disp = this;
         ev->core = *target;
         ev->entry = std::move(entry);
-        sim_.scheduleAt(*ev, pipeFreeAt_);
+        const sim::Tick delay = params_.deliveryDelay.empty()
+                                    ? 0
+                                    : params_.deliveryDelay[*target];
+        sim_.scheduleAt(*ev, pipeFreeAt_ + delay);
     }
 }
 

@@ -12,6 +12,13 @@
  * The dispatcher is a serial hardware unit: each decision occupies its
  * pipeline for dispatcherDecision, which models the centralization
  * cost the paper argues is negligible (§4.3's ~31/8 ns budget).
+ *
+ * A decided CQE travels on to its core's private CQ over a fixed
+ * per-core delay (Params::deliveryDelay: the mesh hop from the
+ * dispatcher's backend plus the QP transfer). Both the pipeline exit
+ * and that delay are known when the decision is made, so one pooled
+ * event per CQE fires at their sum and runs the delivery hook there:
+ * the dispatcher writes the CQE straight into the core's queue.
  */
 
 #ifndef RPCVALET_NI_DISPATCHER_HH
@@ -35,7 +42,7 @@ constexpr sim::Tick dispatcherDecision = sim::nanoseconds(4.0);
 class Dispatcher
 {
   public:
-    /** Delivery hook: push a CQE toward a core's NI frontend. */
+    /** Delivery hook: the CQE reaches the core's private CQ. */
     using Deliver =
         std::function<void(proto::CoreId, proto::CompletionQueueEntry)>;
 
@@ -45,6 +52,10 @@ class Dispatcher
         std::uint32_t outstandingThreshold = 2;
         /** RNG seed for stochastic policies. */
         std::uint64_t seed = 1;
+        /** Delay from the pipeline exit to the CQE's arrival at each
+         *  core, indexed by core id (one entry per chip core). Empty:
+         *  the hook runs at the pipeline exit. */
+        std::vector<sim::Tick> deliveryDelay;
     };
 
     /**
@@ -53,8 +64,8 @@ class Dispatcher
      * @param policy     Core-selection heuristic (owned).
      * @param num_cores  Total cores on the chip (outstanding[] size).
      * @param candidates Cores this dispatcher may target.
-     * @param deliver    CQE delivery hook (applies mesh/frontend
-     *                   latency on the caller side).
+     * @param deliver    CQE delivery hook, run when the CQE reaches
+     *                   its core (pipeline exit + deliveryDelay).
      */
     Dispatcher(sim::EventDomain &sim, const Params &params,
                std::unique_ptr<DispatchPolicy> policy,
@@ -83,8 +94,9 @@ class Dispatcher
     std::uint32_t outstanding(proto::CoreId core) const;
 
   private:
-    /** A decided CQE riding out the pipeline occupancy: pooled and
-     *  reused, since several can be in flight behind the pipe. */
+    /** A decided CQE riding out the pipeline occupancy and its
+     *  core's delivery delay: pooled and reused, since several can be
+     *  in flight behind the pipe. */
     struct DeliveryEvent : sim::Event
     {
         Dispatcher *disp = nullptr;

@@ -59,12 +59,40 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
             fabric_));
     }
 
-    auto make_deliver = [this](std::uint32_t backend_id) {
-        return [this, backend_id](proto::CoreId core,
-                                  proto::CompletionQueueEntry cqe) {
-            scheduleCqeHop(CqeEvent::Kind::Deliver, core, std::move(cqe),
-                           cqeDeliveryDelay(backend_id, core));
-        };
+    // The node's on-chip hops have fixed delays: table them once.
+    const std::uint32_t cores = params_.numCores();
+    const std::uint32_t nb = params_.numBackends();
+    cqeDelay_.resize(static_cast<std::size_t>(nb) * cores);
+    wqeDelay_.resize(static_cast<std::size_t>(cores) * nb);
+    for (std::uint32_t b = 0; b < nb; ++b) {
+        for (proto::CoreId c = 0; c < cores; ++c) {
+            cqeDelay_[b * cores + c] =
+                mesh_.backendToCore(b, c, cqeBytes) + mem::qpTransferLatency;
+            wqeDelay_[c * nb + b] =
+                mem::qpTransferLatency + mesh_.coreToBackend(c, b, wqeBytes);
+        }
+        completionFwdDelay_.push_back(mesh_.backendToBackend(
+            b, params_.dispatcherBackend, completionPacketBytes));
+    }
+    for (proto::CoreId c = 0; c < cores; ++c) {
+        // A core transmits through its row's edge backend (nearest).
+        egressBackend_.push_back(
+            static_cast<std::uint32_t>(mesh_.coreCoord(c).row));
+    }
+
+    // A dispatcher at backend b hands each CQE straight to its core,
+    // the backend-to-core delay after its pipeline exit.
+    auto dispatcher_params = [&](std::uint32_t b, std::uint64_t seed) {
+        ni::Dispatcher::Params dp;
+        dp.outstandingThreshold = params_.outstandingPerCore;
+        dp.seed = seed;
+        for (proto::CoreId c = 0; c < cores; ++c)
+            dp.deliveryDelay.push_back(cqeDeliveryDelay(b, c));
+        return dp;
+    };
+    auto deliver = [this](proto::CoreId core,
+                          proto::CompletionQueueEntry cqe) {
+        deliverCqeToCore(core, std::move(cqe));
     };
 
     switch (params_.mode) {
@@ -72,12 +100,10 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
         std::vector<proto::CoreId> all;
         for (proto::CoreId c = 0; c < params_.numCores(); ++c)
             all.push_back(c);
-        ni::Dispatcher::Params dp;
-        dp.outstandingThreshold = params_.outstandingPerCore;
-        dp.seed = params_.seed;
         dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
-            sim_, dp, ni::makePolicy(params_.policy), params_.numCores(),
-            std::move(all), make_deliver(params_.dispatcherBackend)));
+            sim_, dispatcher_params(params_.dispatcherBackend, params_.seed),
+            ni::makePolicy(params_.policy), params_.numCores(),
+            std::move(all), deliver));
         break;
       }
       case ni::DispatchMode::PerBackendGroup: {
@@ -87,12 +113,10 @@ RpcNode::RpcNode(sim::EventDomain &sim, const SystemParams &params,
             std::vector<proto::CoreId> cand;
             for (std::uint32_t i = 0; i < group; ++i)
                 cand.push_back(d * group + i);
-            ni::Dispatcher::Params dp;
-            dp.outstandingThreshold = params_.outstandingPerCore;
-            dp.seed = params_.seed + d;
             dispatchers_.push_back(std::make_unique<ni::Dispatcher>(
-                sim_, dp, ni::makePolicy(params_.policy),
-                params_.numCores(), std::move(cand), make_deliver(d)));
+                sim_, dispatcher_params(d, params_.seed + d),
+                ni::makePolicy(params_.policy), params_.numCores(),
+                std::move(cand), deliver));
         }
         break;
       }
@@ -143,13 +167,6 @@ RpcNode::ingressBackendFor(proto::NodeId src, std::uint32_t slot) const
     return static_cast<std::uint32_t>(h % params_.numBackends());
 }
 
-std::uint32_t
-RpcNode::egressBackendFor(proto::CoreId core) const
-{
-    // A core transmits through its row's edge backend (nearest).
-    return static_cast<std::uint32_t>(mesh_.coreCoord(core).row);
-}
-
 proto::CoreId
 RpcNode::staticHashCore(proto::NodeId src, std::uint32_t slot) const
 {
@@ -171,20 +188,6 @@ RpcNode::dispatcherHopFor(proto::CoreId core) const
         return {0, wqeDelay(core, params_.dispatcherBackend)};
     const std::uint32_t d = egressBackendFor(core);
     return {d, wqeDelay(core, d)};
-}
-
-sim::Tick
-RpcNode::cqeDeliveryDelay(std::uint32_t backend_id, proto::CoreId core) const
-{
-    return mesh_.backendToCore(backend_id, core, cqeBytes) +
-           mem::qpTransferLatency;
-}
-
-sim::Tick
-RpcNode::wqeDelay(proto::CoreId core, std::uint32_t backend_id) const
-{
-    return mem::qpTransferLatency +
-           mesh_.coreToBackend(core, backend_id, wqeBytes);
 }
 
 void
@@ -258,10 +261,8 @@ RpcNode::dispatchMessage(std::uint32_t backend_id,
       case ni::DispatchMode::SingleQueue: {
         // §4.3: the backend wraps the completion in a special packet
         // and forwards it to the NI dispatcher over the mesh.
-        const sim::Tick delay = mesh_.backendToBackend(
-            backend_id, params_.dispatcherBackend, completionPacketBytes);
         scheduleCqeHop(CqeEvent::Kind::DispatchEnqueue, 0, std::move(cqe),
-                       delay);
+                       completionFwdDelay_[backend_id]);
         break;
       }
       case ni::DispatchMode::PerBackendGroup:
@@ -620,12 +621,8 @@ RpcNode::attemptReply(ServiceEvent &ev)
 
     // §4.2 "Send operation": the WQE reaches the NI, which reads the
     // payload and streams the packets.
-    sim_.schedule(costs::sendPost + wqeDelay(core, eb),
-                  [this, eb, requester, slot_off] {
-                      backends_[eb]->transmitMessage(
-                          proto::OpType::Send, derived_.id, requester,
-                          slot_off, send_.payload(requester, slot_off));
-                  });
+    schedulePost(PostEvent::Kind::SendWqe, eb, requester, slot_off,
+                 costs::sendPost + wqeDelay(core, eb));
 
     // §5 step iv: replenish is posted right after the send; latency
     // measurement ends there.
@@ -665,11 +662,8 @@ RpcNode::finishRpc(ServiceEvent &ev)
     // the sender will not reuse the slot before seeing the credit.
     recv_.release(cqe.slotIndex);
 
-    sim_.schedule(wqeDelay(core, eb), [this, eb, requester, slot_off] {
-        backends_[eb]->transmitMessage(proto::OpType::Replenish,
-                                       derived_.id, requester,
-                                       slot_off, {});
-    });
+    schedulePost(PostEvent::Kind::ReplenishWqe, eb, requester, slot_off,
+                 wqeDelay(core, eb));
 
     // Tell the dispatcher this core freed a credit (hardware modes).
     // A detached parent already returned its credit when its nested
@@ -700,9 +694,47 @@ RpcNode::notifyDispatcherCredit(proto::CoreId core)
     if (!hasDispatcher())
         return;
     const DispatcherHop hop = dispatcherHopFor(core);
-    const std::uint32_t d = hop.dispatcher;
-    sim_.schedule(hop.delay,
-                  [this, d, core] { dispatchers_[d]->onReplenish(core); });
+    schedulePost(PostEvent::Kind::Credit, hop.dispatcher, 0, core,
+                 hop.delay);
+}
+
+void
+RpcNode::schedulePost(PostEvent::Kind kind, std::uint32_t target,
+                      proto::NodeId requester, std::uint32_t arg,
+                      sim::Tick delay)
+{
+    PostEvent *ev = postPool_.acquire();
+    ev->node = this;
+    ev->kind = kind;
+    ev->target = target;
+    ev->requester = requester;
+    ev->arg = arg;
+    sim_.schedule(*ev, delay);
+}
+
+void
+RpcNode::PostEvent::process()
+{
+    RpcNode *n = node;
+    const Kind k = kind;
+    const std::uint32_t t = target;
+    const proto::NodeId dst = requester;
+    const std::uint32_t a = arg;
+    // Recycle first: a post can draw further posts.
+    n->postPool_.release(this);
+    switch (k) {
+      case Kind::SendWqe:
+        n->backends_[t]->transmitMessage(proto::OpType::Send, n->derived_.id,
+                                         dst, a, n->send_.payload(dst, a));
+        break;
+      case Kind::ReplenishWqe:
+        n->backends_[t]->transmitMessage(proto::OpType::Replenish,
+                                         n->derived_.id, dst, a, {});
+        break;
+      case Kind::Credit:
+        n->dispatchers_[t]->onReplenish(a);
+        break;
+    }
 }
 
 void

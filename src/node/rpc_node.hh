@@ -11,6 +11,23 @@
  *   poll/parse/read + application processing X + reply send (slot-
  *   mirrored) + replenish. Latency is measured from the first packet's
  *   arrival at the NI until the core posts its replenish (§5).
+ *
+ * Events of one one-block RPC on the single-queue path, 17 in all:
+ *   - client: the arrival, and the turnaround before it replenishes
+ *     the reply's slot (2);
+ *   - fabric deliveries: request, reply and both replenishes (4). The
+ *     NI hands its reply and replenish to the fabric with their
+ *     egress ticks, so no event fires as they leave;
+ *   - NI ingress: the request's pipeline exit and its completion
+ *     notification, and the client replenish's exit (3);
+ *   - completion forward to the dispatcher (CqeEvent), and the
+ *     dispatcher's delivery into the core's private CQ at its
+ *     pipeline exit plus the core's mesh and QP delay (2);
+ *   - the core's reply, finish and loop stages (ServiceEvent) (3);
+ *   - the core's posts (PostEvent): send WQE, replenish WQE and
+ *     credit return (3).
+ * Every fixed on-chip delay (CQE delivery, WQE post, completion
+ * forward) is a table lookup filled at construction.
  */
 
 #ifndef RPCVALET_NODE_RPC_NODE_HH
@@ -292,8 +309,9 @@ class RpcNode
     /**
      * Pooled CQE carrier for the dispatch-plumbing hops that ride a
      * modeled latency: backend → dispatcher forwarding, CQE delivery
-     * into a core's private CQ, and software-queue pushes. Reused
-     * across hops, so the per-RPC steady state never allocates.
+     * into a core's private CQ under static hashing (a dispatcher
+     * delivers its own), and software-queue pushes. Reused across
+     * hops, so the per-RPC steady state never allocates.
      */
     struct CqeEvent : sim::Event
     {
@@ -354,10 +372,41 @@ class RpcNode
         }
     };
 
+    /**
+     * Pooled carrier for the fixed-delay posts a core makes after its
+     * handler: the reply's send WQE and the replenish WQE reaching the
+     * egress backend, and the credit return reaching the dispatcher.
+     * Keeps one-shot closures off the per-RPC path.
+     */
+    struct PostEvent : sim::Event
+    {
+        enum class Kind : std::uint8_t
+        {
+            SendWqe,      ///< transmit the reply (§4.2 send)
+            ReplenishWqe, ///< transmit the replenish (§4.2 step C)
+            Credit,       ///< dispatcher onReplenish (§4.3)
+        };
+
+        RpcNode *node = nullptr;
+        Kind kind = Kind::SendWqe;
+        /** Egress backend (WQEs) or dispatcher (Credit). */
+        std::uint32_t target = 0;
+        proto::NodeId requester = 0;
+        /** Mirrored slot (WQEs) or freed core (Credit). */
+        std::uint32_t arg = 0;
+
+        void process() override;
+        const char *description() const override { return "core-post"; }
+    };
+
     // --- wiring helpers ---
     std::uint32_t ingressBackendFor(proto::NodeId src,
                                     std::uint32_t slot) const;
-    std::uint32_t egressBackendFor(proto::CoreId core) const;
+    /** A core transmits through its row's edge backend (nearest). */
+    std::uint32_t egressBackendFor(proto::CoreId core) const
+    {
+        return egressBackend_[core];
+    }
     proto::CoreId staticHashCore(proto::NodeId src,
                                  std::uint32_t slot) const;
     /** Dispatcher serving a core, and the delay of a core-to-
@@ -371,9 +420,15 @@ class RpcNode
     DispatcherHop dispatcherHopFor(proto::CoreId core) const;
     /** Backend-to-core CQE delivery: mesh hop plus QP transfer. */
     sim::Tick cqeDeliveryDelay(std::uint32_t backend_id,
-                               proto::CoreId core) const;
+                               proto::CoreId core) const
+    {
+        return cqeDelay_[backend_id * cores_.size() + core];
+    }
     /** Core-to-backend WQE post: QP transfer plus mesh hop. */
-    sim::Tick wqeDelay(proto::CoreId core, std::uint32_t backend_id) const;
+    sim::Tick wqeDelay(proto::CoreId core, std::uint32_t backend_id) const
+    {
+        return wqeDelay_[core * backends_.size() + backend_id];
+    }
 
     // --- event flow ---
     void onMessageComplete(std::uint32_t backend_id,
@@ -405,6 +460,9 @@ class RpcNode
     void attemptReply(ServiceEvent &ev);
     void finishRpc(ServiceEvent &ev);
     void notifyDispatcherCredit(proto::CoreId core);
+    void schedulePost(PostEvent::Kind kind, std::uint32_t target,
+                      proto::NodeId requester, std::uint32_t arg,
+                      sim::Tick delay);
     void corePullNext(proto::CoreId core);
     /** Software mode: park @p core on the shared queue until a
      *  request is granted to it. */
@@ -416,6 +474,14 @@ class RpcNode
     app::RpcApplication &app_;
     net::Fabric &fabric_;
     noc::Mesh mesh_;
+    /** Fixed on-chip delays, filled at construction: CQE delivery
+     *  [backend][core], WQE post [core][backend], completion forward
+     *  to the single queue's dispatcher [backend], and each core's
+     *  egress backend. */
+    std::vector<sim::Tick> cqeDelay_;
+    std::vector<sim::Tick> wqeDelay_;
+    std::vector<sim::Tick> completionFwdDelay_;
+    std::vector<std::uint32_t> egressBackend_;
     mem::RecvBuffer recv_;
     mem::SendBuffer send_;
     std::vector<std::unique_ptr<ni::NiBackend>> backends_;
@@ -466,6 +532,7 @@ class RpcNode
     sim::Tick busyAccum_ = 0;
     sim::EventPool<CqeEvent> cqePool_;
     sim::EventPool<ServiceEvent> servicePool_;
+    sim::EventPool<PostEvent> postPool_;
 };
 
 } // namespace rpcvalet::node

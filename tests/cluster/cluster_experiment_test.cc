@@ -35,7 +35,7 @@ TEST(ClusterExperiment, SingleNodeDirectIsBitIdenticalToLegacyPath)
     EXPECT_EQ(r.point.p50Ns, 518.72900000000004);
     EXPECT_EQ(r.point.p99Ns, 1089.02);
     EXPECT_EQ(r.point.achievedRps, 9953790.5426921882);
-    EXPECT_EQ(r.executedEvents, 110046u);
+    EXPECT_EQ(r.executedEvents, 93539u);
     EXPECT_EQ(r.completions, 5500u);
     EXPECT_EQ(r.router, "direct");
     ASSERT_EQ(r.perNode.size(), 1u);

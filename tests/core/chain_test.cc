@@ -153,7 +153,7 @@ TEST(ChainExperiment, ChainsCompleteUnderGroupedConnections)
     // comparisons of a deterministic run, like KernelIdentity).
     EXPECT_EQ(r.chainsCompleted, 2164u);
     EXPECT_EQ(r.point.p99Ns, 31919.0);
-    EXPECT_EQ(r.executedEvents, 131564u);
+    EXPECT_EQ(r.executedEvents, 112035u);
 }
 
 TEST(ChainExperiment, SingleHopChainAddsNoNesting)

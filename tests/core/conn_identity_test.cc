@@ -76,7 +76,7 @@ TEST(ConnIdentity, GroupedSlicesRotate)
     const core::RunStats r =
         core::runExperiment(connConfig("grouped:clients=256,size=40,"
                                        "slice=20us"));
-    expectGolden(r, Golden{65437u, 8915.2829999999994, 3542.6370000000002,
+    expectGolden(r, Golden{55830u, 8915.2829999999994, 3542.6370000000002,
                            126001.518,
                            {125197.47500000001, 125511.489,
                             125860.81600000001, 125884.78, 126366.022,
@@ -92,7 +92,7 @@ TEST(ConnIdentity, AllThrashesABoundedQpCache)
 {
     const core::RunStats r =
         core::runExperiment(connConfig("all:clients=512,qp_capacity=64"));
-    expectGolden(r, Golden{71098u, 155367.92600000001, 155404.97500000001,
+    expectGolden(r, Golden{61496u, 155367.92600000001, 155404.97500000001,
                            0.0, {155404.97500000001}, 0.0, 507u, 3795u,
                            0u, 0u});
     EXPECT_GT(r.conn.qpMisses, 0u);

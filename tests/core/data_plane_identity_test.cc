@@ -64,7 +64,7 @@ largeValueConfig()
 TEST(DataPlaneIdentity, LargeValuesOneNode)
 {
     const core::RunStats r = core::runExperiment(largeValueConfig());
-    expectGolden(r, Golden{71781u, 3500u, 557.505, 1135.3399999999999,
+    expectGolden(r, Golden{61280u, 3500u, 557.505, 1135.3399999999999,
                            3976635.7169262194});
     EXPECT_EQ(r.verifyFailures, 0u);
 }
@@ -79,7 +79,7 @@ TEST(DataPlaneIdentity, ReplyCorruptionTwoNodes)
     cfg.faults = {"packet-corrupt:p=0.01"};
     cfg.failOnVerifyError = false;
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{197612u, 3500u, 558.08600000000001,
+    expectGolden(r, Golden{194109u, 3500u, 558.08600000000001,
                            1127.1869999999999, 7964271.5345639363});
     EXPECT_EQ(r.fault.packetsCorrupted, 470u);
     EXPECT_EQ(r.fault.corruptionsDetected, 417u);
@@ -98,7 +98,7 @@ TEST(DataPlaneIdentity, LargeValuesFourNodesTwoDomains)
     cfg.cluster.router = cluster::RouterSpec::parse("bounded-load");
     cfg.parallelDomains = 2;
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{71831u, 3500u, 560.54999999999995, 1134.068,
+    expectGolden(r, Golden{68320u, 3500u, 560.54999999999995, 1134.068,
                            15923566.878980892});
     EXPECT_EQ(r.verifyFailures, 0u);
 }

@@ -43,7 +43,7 @@ TEST(KernelIdentity, DefaultConfigMatchesPriorityQueueKernel)
     EXPECT_EQ(r.point.p50Ns, 518.72900000000004);
     EXPECT_EQ(r.point.p99Ns, 1089.02);
     EXPECT_EQ(r.point.achievedRps, 9953790.5426921882);
-    EXPECT_EQ(r.executedEvents, 110046u);
+    EXPECT_EQ(r.executedEvents, 93539u);
     EXPECT_EQ(r.completions, 5500u);
 }
 
@@ -54,7 +54,7 @@ TEST(KernelIdentity, JbsqMmpp2ConfigMatchesPriorityQueueKernel)
     EXPECT_EQ(r.point.p50Ns, 829.81100000000004);
     EXPECT_EQ(r.point.p99Ns, 16898.478999999999);
     EXPECT_EQ(r.point.achievedRps, 8710217.9456972238);
-    EXPECT_EQ(r.executedEvents, 111155u);
+    EXPECT_EQ(r.executedEvents, 94627u);
     EXPECT_EQ(r.completions, 5500u);
 }
 

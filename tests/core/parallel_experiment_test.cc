@@ -204,14 +204,14 @@ expectArrivalGolden(const std::string &arrival, const ArrivalGolden &g)
 
 TEST(ParallelArrivalIdentity, Mmpp2TwoNodesTwoDomains)
 {
-    const ArrivalGolden g{90067u, 4502u, 6416.1045694652676,
+    const ArrivalGolden g{85558u, 4502u, 6416.1045694652676,
                           4741.2299999999996, 18126.82};
     expectArrivalGolden("mmpp2:burst=0.1,ratio=10", g);
 }
 
 TEST(ParallelArrivalIdentity, RampTwoNodesTwoDomains)
 {
-    const ArrivalGolden g{90128u, 4501u, 552.08135216195956, 520.505,
+    const ArrivalGolden g{85608u, 4501u, 552.08135216195956, 520.505,
                           1083.0550000000001};
     expectArrivalGolden("ramp:from=0.5,to=1.5,over=200us", g);
 }

@@ -96,7 +96,7 @@ TEST(RecoveryIdentity, ChaosRetryBackoffJitterAndHedges)
     cfg.retry.jitter = 0.2;
     cfg.retry.hedgeAfter = sim::microseconds(20.0);
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{70536u, 3500u, 523.91999999999996,
+    expectGolden(r, Golden{67021u, 3500u, 523.91999999999996,
                            1171.2660000000001, 8u, 4u, 0u, 4u, 0u, 72u, 67u,
                            0u, 0u, 0u});
     EXPECT_GT(r.fault.hedgesSent, 0u);
@@ -119,7 +119,7 @@ TEST(RecoveryIdentity, GroupedConnectionsWithTimeout)
     cfg.connections =
         conn::parseConnConfig("grouped:clients=512,size=40,slice=20us");
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{96543u, 3200u, 1669.0219999999999,
+    expectGolden(r, Golden{93280u, 3200u, 1669.0219999999999,
                            6136.7539999999999, 82u, 82u, 17u, 82u, 0u, 0u,
                            0u, 0u, 7179u, 0u});
     EXPECT_GT(r.conn.deferredTotal, 0u);
@@ -147,7 +147,7 @@ TEST(RecoveryIdentity, GroupedConnectionsBackoffAndHedges)
     cfg.connections =
         conn::parseConnConfig("grouped:clients=256,size=64,slice=15us");
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{96983u, 3200u, 3014.3240000000001, 15462.813,
+    expectGolden(r, Golden{93735u, 3200u, 3014.3240000000001, 15462.813,
                            76u, 18u, 7u, 18u, 0u, 176u, 118u, 11u, 3892u,
                            0u});
     EXPECT_GT(r.fault.hedgesSent, 0u);
@@ -178,7 +178,7 @@ TEST(RecoveryIdentity, GroupSwitchOnTimeoutUnderLoadAwareRouting)
     cfg.connections =
         conn::parseConnConfig("grouped:clients=256,size=16,slice=5us");
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{117360u, 4500u, 573.94399999999996,
+    expectGolden(r, Golden{112815u, 4500u, 573.94399999999996,
                            3486.0970000000002, 28u, 14u, 2u, 14u, 0u, 201u,
                            187u, 13u, 10937u, 0u});
     EXPECT_GT(r.conn.deferredTotal, 0u);
@@ -201,7 +201,7 @@ TEST(RecoveryIdentity, ChainWorkloadWithTimeout)
     cfg.cluster.failThreshold = 3;
     cfg.faults = {"crash:node=2,at=40us", "packet-loss:p=0.002"};
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{99547u, 4500u, 2132.0, 68928.0, 1600u, 1600u,
+    expectGolden(r, Golden{94699u, 4500u, 2132.0, 68928.0, 1600u, 1600u,
                            498u, 1600u, 0u, 0u, 0u, 0u, 0u, 1426u});
     EXPECT_GT(r.chainsCompleted, 0u);
 }
@@ -221,7 +221,7 @@ TEST(RecoveryIdentity, RendezvousPullsUnderLoss)
     cfg.cluster.requestTimeout = sim::microseconds(20.0);
     cfg.faults = {"packet-loss:p=0.01"};
     const core::RunStats r = core::runExperiment(cfg);
-    expectGolden(r, Golden{702452u, 3200u, 1280.0, 42425.430999999997,
+    expectGolden(r, Golden{699219u, 3200u, 1280.0, 42425.430999999997,
                            527u, 527u, 266u, 527u, 0u, 0u, 0u, 0u, 0u, 0u});
     EXPECT_GT(r.rendezvousRequests, 0u);
 }

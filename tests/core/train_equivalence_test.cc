@@ -8,9 +8,12 @@
  * its own Rng lanes and never flips a byte — every packet travels on
  * its own events, as perturb() must see each at its own tick. The two
  * runs of one configuration must agree on every simulated field; only
- * executedEvents may differ: fewer for trains of several blocks, and
- * equal where every message is one block, since a one-block message
- * costs one event either way.
+ * executedEvents may differ. Trains take fewer where a message has
+ * several blocks (one fabric event), and within one domain also where
+ * it has one: the NI hands a train to the fabric with its departure
+ * tick, so no event fires at egress, while each block of a perturbed
+ * message is injected by an event of its own. Across domains a
+ * one-block message costs one event either way.
  *
  * Comparisons are exact (EXPECT_EQ on doubles): both runs replay one
  * deterministic computation.
@@ -198,13 +201,16 @@ oneBlockConfig()
 TEST(TrainEquivalence, OneBlockMessagesOneNode)
 {
     const Runs r = expectTrainsChangeOnlyEvents(oneBlockConfig());
-    EXPECT_EQ(r.trains.executedEvents, r.perPacket.executedEvents);
+    EXPECT_LT(r.trains.executedEvents, r.perPacket.executedEvents);
 }
 
 TEST(TrainEquivalence, OneBlockMessagesFourNodesTwoDomains)
 {
     // Every one-block train crosses a domain: it is unrolled into one
-    // mail entry and reaches its node as a one-packet train.
+    // mail entry and reaches its node as a one-packet train. Mail must
+    // be posted at its departure tick, so a server's train still takes
+    // a departure event, as its lone packet takes an inject event: the
+    // counts are equal.
     core::ExperimentConfig cfg = oneBlockConfig();
     cfg.arrivalRps = 32e6;
     cfg.cluster.numServerNodes = 4;

@@ -333,6 +333,19 @@ TEST(FabricDeath, GapAndFarDestinationsAreFatal)
     }
 }
 
+TEST(FabricDeath, DepartureInThePastIsFatal)
+{
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    fabric.connect(1, [](proto::Packet) {});
+    sim.scheduleAt(nanoseconds(50), [] {});
+    sim.run();
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, ramp(8));
+    EXPECT_DEATH(fabric.send(train, nanoseconds(40)),
+                 "train departs in the past");
+}
+
 TEST(FabricDeath, DuplicateDomainAssignmentIsFatal)
 {
     sim::EventDomain d0(0, "d0");
@@ -565,6 +578,143 @@ TEST(Fabric, DomainLocalTrafficIsNotCrossDomainMail)
     EXPECT_EQ(local, 1);
     EXPECT_EQ(fabric.crossDomainMail(), 0u);
     EXPECT_EQ(fabric.parkedMail(), 0u);
+}
+
+// ----- departures: send(train, depart) -----
+
+TEST(Fabric, SameDomainDepartureSchedulesOnlyTheDelivery)
+{
+    // Unperturbed within one domain, the delivery is scheduled as the
+    // train is handed over, at its departure plus latency: no event
+    // fires on the source side.
+    Simulator sim;
+    Fabric fabric(sim, nanoseconds(100));
+    std::vector<Tick> at;
+    std::vector<std::uint8_t> got;
+    fabric.connect(1, [&](proto::Train &train) {
+        at.push_back(sim.now());
+        got.swap(train.bytes);
+    });
+    const auto data = ramp(300);
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 0, 1, 2, data);
+    fabric.send(train, nanoseconds(40));
+    // The bytes moved into the delivery event.
+    EXPECT_TRUE(train.bytes.empty());
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run();
+    EXPECT_EQ(at, std::vector<Tick>{nanoseconds(140)});
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(sim.executedEvents(), 1u);
+    EXPECT_EQ(fabric.delivered(), 5u);
+}
+
+/** Records the tick of every packet it sees; never acts. */
+struct TimingPerturber : net::PacketPerturber
+{
+    std::vector<Tick> seenAt;
+    Verdict
+    perturb(proto::Packet &, sim::DomainId, sim::Tick now) override
+    {
+        seenAt.push_back(now);
+        return {};
+    }
+};
+
+/** What node 1 received in departureScenario(), and when the
+ *  perturber (if any) saw each packet. */
+struct DepartureRun
+{
+    std::vector<Arrival> arrivals;
+    std::vector<Tick> perturbedAt;
+};
+
+/**
+ * Three sends from domain 0 depart at 40 ns toward node 1: a lone
+ * packet from node 2 whose send was scheduled first, a 3-block train
+ * from node 0 handed over at 10 ns, and a lone packet from node 3
+ * whose send was scheduled at 20 ns. With @p handoff the train goes
+ * through send(train, 40 ns); otherwise an event calls send(train) at
+ * 40 ns. @p cross_domain puts node 1 on domain 1 (mail); otherwise one
+ * domain carries all, with a perturber attached.
+ */
+DepartureRun
+departureScenario(bool handoff, bool cross_domain)
+{
+    sim::EventDomain d0(0, "d0");
+    sim::EventDomain d1(1, "d1");
+    const Tick latency = nanoseconds(100);
+    const Tick depart = nanoseconds(40);
+    Fabric fabric(cross_domain ? std::vector<sim::EventDomain *>{&d0, &d1}
+                               : std::vector<sim::EventDomain *>{&d0},
+                  latency);
+    TimingPerturber perturber;
+    sim::EventDomain &dst = cross_domain ? d1 : d0;
+    if (cross_domain)
+        fabric.assignNode(1, 1);
+    else
+        fabric.setPerturber(&perturber);
+    DepartureRun run;
+    fabric.connect(1, recordInto(run.arrivals, dst));
+
+    postAt(fabric, d0, 2, 1, depart, 0x21);
+    proto::Train train;
+    proto::makeTrain(train, proto::OpType::Send, 0, 1, 0, ramp(150));
+    d0.scheduleAt(nanoseconds(10), [&] {
+        if (handoff) {
+            fabric.send(train, depart);
+            return;
+        }
+        d0.scheduleAt(depart, [&] { fabric.send(train); });
+    });
+    d0.scheduleAt(nanoseconds(20),
+                  [&] { postAt(fabric, d0, 3, 1, depart, 0x31); });
+    if (cross_domain) {
+        d0.runUntil(latency - 1);
+        fabric.closeWindow(2 * latency);
+        fabric.drainInbox(1);
+    }
+    dst.run();
+    run.perturbedAt = perturber.seenAt;
+    return run;
+}
+
+/** The arrivals departureScenario() must show either way. */
+std::vector<Arrival>
+departureArrivals()
+{
+    const Tick at = nanoseconds(140);
+    const auto data = ramp(150);
+    return {{at, 2, 0x21},
+            {at, 0, data[0]},
+            {at, 0, data[64]},
+            {at, 0, data[128]},
+            {at, 3, 0x31}};
+}
+
+TEST(Fabric, PerturbedDepartureIsPerturbedAtItsTick)
+{
+    // A perturber must see each packet at its posting tick, in posting
+    // order: the train waits on a departure event, so it is perturbed
+    // at 40 ns between the two lone packets, as a send at 40 ns is.
+    const DepartureRun handoff = departureScenario(true, false);
+    const DepartureRun atDeparture = departureScenario(false, false);
+    EXPECT_EQ(handoff.arrivals, departureArrivals());
+    EXPECT_EQ(handoff.arrivals, atDeparture.arrivals);
+    EXPECT_EQ(handoff.perturbedAt, std::vector<Tick>(5, nanoseconds(40)));
+    EXPECT_EQ(handoff.perturbedAt, atDeparture.perturbedAt);
+}
+
+TEST(Fabric, CrossDomainDepartureIsPostedAtItsTick)
+{
+    // Mail drains in (time, source domain, posting order) order, so a
+    // train posted at hand-off (10 ns) would overtake the packet whose
+    // send was scheduled first. Posted by its departure event, it
+    // lands in the batch exactly where a send at 40 ns puts it.
+    const DepartureRun handoff = departureScenario(true, true);
+    const DepartureRun atDeparture = departureScenario(false, true);
+    EXPECT_EQ(handoff.arrivals, departureArrivals());
+    EXPECT_EQ(handoff.arrivals, atDeparture.arrivals);
 }
 
 /**

@@ -260,9 +260,10 @@ TEST(Backend, IngressBusyTicksAccumulate)
 
 TEST(Backend, TransmitTrainLeavesAtItsLastBlocksTick)
 {
-    // Without a perturber a multi-block send is one train: one egress
-    // event at the last block's tick and one fabric delivery, carrying
-    // the blocks in order. The pipeline still pays every block.
+    // Without a perturber a multi-block send is one train, handed to
+    // the fabric with its last block's egress tick: one fabric
+    // delivery carries the blocks in order, and no event fires at
+    // egress. The pipeline still pays every block.
     Fixture f;
     f.backend->transmitMessage(proto::OpType::Send, 0, 1, 0, bytes(192));
     f.backend->transmitMessage(proto::OpType::Replenish, 0, 1, 0, {});
@@ -277,8 +278,8 @@ TEST(Backend, TransmitTrainLeavesAtItsLastBlocksTick)
     EXPECT_EQ(f.injected[3].hdr.op, proto::OpType::Replenish);
     EXPECT_EQ(f.injectTimes[3], last + nanoseconds(3.0));
     EXPECT_EQ(f.backend->packetsSent(), 4u);
-    // Train + its delivery, replenish + its delivery.
-    EXPECT_EQ(f.sim.executedEvents(), 4u);
+    // The train's delivery and the replenish's.
+    EXPECT_EQ(f.sim.executedEvents(), 2u);
 }
 
 TEST(Backend, PerturbedFabricInjectsEveryBlockAlone)

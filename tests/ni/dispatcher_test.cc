@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the NI dispatcher (§4.3): threshold enforcement, FIFO
- * shared-CQ draining, replenish crediting, and decision serialization.
+ * shared-CQ draining, replenish crediting, decision serialization, and
+ * delivery at the pipeline exit plus the core's delay.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "ni/dispatcher.hh"
@@ -137,6 +139,38 @@ TEST(Dispatcher, DecisionsSerializeOnPipeline)
     EXPECT_EQ(ni::dispatcherDecision, nanoseconds(4));
     EXPECT_EQ(times[1] - times[0], ni::dispatcherDecision);
     EXPECT_EQ(times[2] - times[1], ni::dispatcherDecision);
+}
+
+TEST(Dispatcher, DeliversAtPipelineExitPlusTheCoresDelay)
+{
+    // Four decisions leave the pipeline 4 ns apart; each CQE reaches
+    // the hook its core's delivery delay later, on one event. Without
+    // delays it arrives at the pipeline exit.
+    const std::vector<sim::Tick> delays = {nanoseconds(10), nanoseconds(3),
+                                           nanoseconds(7), nanoseconds(1)};
+    for (const bool delayed : {true, false}) {
+        SCOPED_TRACE(delayed);
+        Simulator sim;
+        Dispatcher::Params p;
+        p.outstandingThreshold = 1;
+        if (delayed)
+            p.deliveryDelay = delays;
+        std::vector<std::pair<proto::CoreId, sim::Tick>> got;
+        Dispatcher d(sim, p, ni::makePolicy("rr"), 4, {0, 1, 2, 3},
+                     [&](proto::CoreId core, proto::CompletionQueueEntry) {
+                         got.emplace_back(core, sim.now());
+                     });
+        for (std::uint32_t i = 0; i < 4; ++i)
+            d.enqueue(entry(i));
+        sim.run();
+        ASSERT_EQ(got.size(), 4u);
+        for (const auto &[core, at] : got) {
+            // rr hands core c the (c + 1)-th decision.
+            const sim::Tick exit = (core + 1) * ni::dispatcherDecision;
+            EXPECT_EQ(at, exit + (delayed ? delays[core] : 0)) << core;
+        }
+        EXPECT_EQ(sim.executedEvents(), 4u);
+    }
 }
 
 TEST(DispatcherDeath, ReplenishWithoutOutstandingPanics)

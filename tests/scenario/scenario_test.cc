@@ -517,7 +517,7 @@ TEST(ScenarioRun, SinglePointScenarioIsBitIdenticalToHandBuiltConfig)
     EXPECT_EQ(via.point.achievedRps, direct.point.achievedRps);
     EXPECT_EQ(via.completions, direct.completions);
     // And both match the cluster test's golden numbers.
-    EXPECT_EQ(via.executedEvents, 110046u);
+    EXPECT_EQ(via.executedEvents, 93539u);
     EXPECT_EQ(via.point.p50Ns, 518.72900000000004);
     EXPECT_EQ(via.point.p99Ns, 1089.02);
 }
